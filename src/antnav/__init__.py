@@ -10,11 +10,10 @@ from .aco import (AcoMode, AcoParams, AntPath, AntState, GridGraph,
                   plan_subpath, roulette_select, score, transition_probabilities,
                   update_pheromone, repair)
 from .baselines import ApfParams, apf_step
-from .errors import (AntnavError, CollisionDetected, DeadEnd, EmptyCandidates,
-                     EmptyRuns, InvalidExtent, LocalMinimum, MapParseError,
-                     NoBestPathYet, NoCandidates, NoPathFound, OutOfBounds,
-                     PoseInObstacle, PoseOutOfBounds, ScenarioParseError,
-                     UnfinishedPath)
+from .errors import (AntnavError, DeadEnd, EmptyCandidates, EmptyRuns,
+                     InvalidExtent, LocalMinimum, MapParseError, NoBestPathYet,
+                     NoCandidates, NoPathFound, OutOfBounds, PoseInObstacle,
+                     PoseOutOfBounds, ScenarioParseError, UnfinishedPath)
 from .geometry import Cell, Point, Pose, wrap_angle
 from .grid import (CandidateSet, CellState, LocalGrid, build_local_grid,
                    candidate_cells)

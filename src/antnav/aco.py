@@ -7,19 +7,21 @@ repair step that hands the incumbent best path to one straggler ant.
 Conventional mode is the classic planner: pheromone/heuristic transitions and
 length-based deposits from every finished ant, no repair.
 
-Determinism: every ant walk draws from its own RNG substream keyed by
-(seed, iteration, ant index), so serial and thread-parallel construction
-produce identical results. REPLAN_THREADS > 0 enables a thread pool.
+Determinism: every ant walk draws from its own RNG stream, the one numpy's
+SeedSequence((seed..., iteration, ant index)) seeds, and ants walk serially.
+All streams of one plan_subpath call are seeded in a single vectorized pass
+(see substream).
 """
 from __future__ import annotations
 
 import enum
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import PCG64, Generator
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import DeadEnd, NoBestPathYet, NoPathFound, UnfinishedPath
 from .geometry import (Cell, DIR_ANGLES, DIR_INDEX, DIR_IS_DIAGONAL, DIR_OFFSETS,
@@ -40,8 +42,6 @@ class AcoParams:
     q the deposit constant, delta/zeta the length/corner weights of the path
     score. max_steps defaults to 4 * (number of grid cells); elite_cutoff
     defaults to n_ants - 1 (the worst-ranked ant never deposits).
-    absolute_bearings switches the corner factor to penalize the magnitude of
-    the world-frame bearing of each move instead of the turn angle.
     """
 
     phi: float = 1.0
@@ -56,7 +56,6 @@ class AcoParams:
     max_steps: int | None = None
     elite_cutoff: int | None = None
     mode: AcoMode = AcoMode.IMPROVED
-    absolute_bearings: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.rho < 1.0:
@@ -93,10 +92,12 @@ class GridGraph:
 
     For each cell id (row * cols + col) the neighbor table holds tuples
     (neighbor id, direction index, step length, heuristic 1/step, diagonal flag)
-    in the canonical direction order N, NE, E, SE, S, SW, W, NW.
+    in the canonical direction order N, NE, E, SE, S, SW, W, NW. moves holds
+    the walker's view of the same edges, (neighbor id, edge index cid * 8 + d,
+    d, step length), and cells the (row, col) of every id.
     """
 
-    __slots__ = ("rows", "cols", "n", "cell_size", "mask", "nbrs")
+    __slots__ = ("rows", "cols", "n", "cell_size", "mask", "nbrs", "moves", "cells")
 
     def __init__(self, mask: np.ndarray, cell_size: float):
         mask = np.asarray(mask, dtype=bool)
@@ -120,6 +121,9 @@ class GridGraph:
                         row.append((nr * self.cols + nc, d, step, 1.0 / step, DIR_IS_DIAGONAL[d]))
                 nbrs.append(tuple(row))
         self.nbrs = tuple(nbrs)
+        self.moves = tuple(tuple((nid, cid * 8 + d, d, step) for nid, d, step, _eta, _diag in row)
+                           for cid, row in enumerate(nbrs))
+        self.cells = tuple(divmod(cid, self.cols) for cid in range(self.n))
 
     @classmethod
     def from_grid(cls, grid: "LocalGrid | PlanningGrid") -> "GridGraph":
@@ -141,7 +145,10 @@ class GridGraph:
 
 
 class PheromoneField:
-    """Strictly positive pheromone per directed edge of a GridGraph."""
+    """Strictly positive pheromone per directed edge of a GridGraph.
+
+    tau is a float64 array indexed by cid * 8 + direction index.
+    """
 
     __slots__ = ("graph", "tau")
 
@@ -149,10 +156,10 @@ class PheromoneField:
         if tau0 <= 0:
             raise ValueError("tau0 must be positive")
         self.graph = graph
-        self.tau = [float(tau0)] * (graph.n * 8)
+        self.tau = np.full(graph.n * 8, float(tau0))
 
     @classmethod
-    def _with_values(cls, graph: GridGraph, tau: list[float]) -> "PheromoneField":
+    def _with_values(cls, graph: GridGraph, tau: np.ndarray) -> "PheromoneField":
         field = cls.__new__(cls)
         field.graph = graph
         field.tau = tau
@@ -164,15 +171,16 @@ class PheromoneField:
         d = DIR_INDEX.get(delta)
         if d is None or not (self.graph.traversable(i) and self.graph.traversable(j)):
             raise KeyError(f"no edge {i} -> {j}")
-        return self.tau[self.graph.id_of(i) * 8 + d]
+        return float(self.tau[self.graph.id_of(i) * 8 + d])
 
     def items(self):
         """Iterate ((i, j), tau) over the directed edges of the free graph."""
         graph = self.graph
+        tau = self.tau.tolist()
         for cid in range(graph.n):
             i = graph.cell_of(cid)
             for nid, d, _step, _eta, _diag in graph.nbrs[cid]:
-                yield (i, graph.cell_of(nid)), self.tau[cid * 8 + d]
+                yield (i, graph.cell_of(nid)), tau[cid * 8 + d]
 
 
 @dataclass(frozen=True)
@@ -202,37 +210,25 @@ def heuristic(i: Cell, j: Cell, cell_size: float = 1.0) -> float:
     return 1.0 / d
 
 
-def corner_heuristic(prev_dir: float | None, i: Cell, j: Cell,
-                     absolute: bool = False) -> float:
-    """Corner factor of the move i -> j.
-
-    Default: inverse turn angle relative to the previous move direction, with
-    1.0 for the first step or a straight continuation. With absolute=True the
-    factor is the inverse magnitude of the move's world-frame bearing instead
-    (first step included), which penalizes any deviation from due east.
-    """
-    move = math.atan2(j[0] - i[0], j[1] - i[1])
-    if absolute:
-        theta = abs(move)
-    else:
-        if prev_dir is None:
-            return 1.0
-        theta = abs(wrap_angle(move - prev_dir))
+def corner_heuristic(prev_dir: float | None, i: Cell, j: Cell) -> float:
+    """Corner factor of the move i -> j: inverse turn angle relative to the
+    previous move direction, 1.0 for the first step or a straight continuation."""
+    if prev_dir is None:
+        return 1.0
+    theta = abs(wrap_angle(math.atan2(j[0] - i[0], j[1] - i[1]) - prev_dir))
     return 1.0 if theta == 0.0 else 1.0 / theta
 
 
 # Corner-factor lookup per (previous direction index + 1, next direction index);
 # row 0 is "no previous direction". Built from corner_heuristic so the fast
-# walker and the public function cannot drift apart.
+# walker and the public function cannot drift apart. Conventional mode walks
+# with the all-ones table: multiplying by 1.0 leaves every weight's bits alone.
 _VTAB_TURN: tuple[tuple[float, ...], ...] = tuple(
-    [tuple(1.0 for _ in range(8))]
+    [(1.0,) * 8]
     + [tuple(corner_heuristic(DIR_ANGLES[p], (0, 0), DIR_OFFSETS[d]) for d in range(8))
        for p in range(8)]
 )
-_VTAB_ABS: tuple[tuple[float, ...], ...] = tuple(
-    tuple(corner_heuristic(None, (0, 0), DIR_OFFSETS[d], absolute=True) for d in range(8))
-    for _ in range(9)
-)
+_VTAB_FLAT: tuple[tuple[float, ...], ...] = ((1.0,) * 8,) * 9
 
 
 def transition_probabilities(field: PheromoneField, state: AntState,
@@ -252,11 +248,10 @@ def transition_probabilities(field: PheromoneField, state: AntState,
         ncell = graph.cell_of(nid)
         if ncell in state.tabu:
             continue
-        t = field.tau[cid * 8 + d]
+        t = float(field.tau[cid * 8 + d])
         w = (t if params.phi == 1.0 else t ** params.phi) * eta ** params.gamma
         if improved:
-            w *= corner_heuristic(state.prev_dir, state.cell, ncell,
-                                  absolute=params.absolute_bearings)
+            w *= corner_heuristic(state.prev_dir, state.cell, ncell)
         out.append((ncell, w))
         total += w
     if not out:
@@ -289,8 +284,7 @@ def update_pheromone(field: PheromoneField, paths: list[AntPath],
     elite_cutoff deposit q/score on each traversed edge. Conventional mode:
     every finished ant deposits q/length. Unfinished ants never deposit.
     """
-    decay = 1.0 - params.rho
-    tau = [t * decay for t in field.tau]
+    tau = field.tau * (1.0 - params.rho)
     graph = field.graph
     finished = [p for p in paths if p.reached]
     if params.mode is AcoMode.CONVENTIONAL:
@@ -299,11 +293,13 @@ def update_pheromone(field: PheromoneField, paths: list[AntPath],
         ranked = sorted(finished, key=lambda p: score(p, params))
         cutoff = min(params.resolved_elite_cutoff(), len(ranked))
         deposits = [(p, params.q / score(p, params)) for p in ranked[:cutoff]]
+    cols = graph.cols
+    edges: list[int] = []
+    amounts: list[float] = []
     for path, amount in deposits:
-        cid = graph.id_of(path.cells[0])
-        for nxt, d in zip(path.cells[1:], path.dirs):
-            tau[cid * 8 + d] += amount
-            cid = graph.id_of(nxt)
+        edges += [(r * cols + c) * 8 + d for (r, c), d in zip(path.cells, path.dirs)]
+        amounts += [amount] * len(path.dirs)
+    np.add.at(tau, edges, amounts)  # in list order, so repeated edges sum as a loop would
     return PheromoneField._with_values(graph, tau)
 
 
@@ -326,23 +322,141 @@ def repair(paths: list[AntPath], best_so_far: AntPath | None,
     return out
 
 
-def substream(*key: int) -> np.random.Generator:
-    """Deterministic RNG substream for a tuple of non-negative integers."""
-    return np.random.default_rng(np.random.SeedSequence(key))
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx, after O'Neill's
+# seed_seq_fe): its constants for 32-bit words and a pool of four words.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = 16
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
 
 
-def worker_count() -> int:
-    """Worker thread cap from REPLAN_THREADS (0 or unset = serial)."""
-    raw = os.environ.get("REPLAN_THREADS", "0").strip()
-    return int(raw) if raw else 0
+def _entropy_words(key) -> list[int]:
+    """The uint32 words SeedSequence reads from a tuple of non-negative ints:
+    each int split little-endian into as many words as it needs, 0 as one word."""
+    words: list[int] = []
+    for v in key:
+        v = operator.index(v)
+        if v < 0:
+            raise ValueError(f"seed key entries must be non-negative, got {v}")
+        words.append(v & _MASK32)
+        v >>= 32
+        while v:
+            words.append(v & _MASK32)
+            v >>= 32
+    return words
 
 
-def _construct(graph: GridGraph, tau: list[float], start_id: int, goal_id: int,
-               params: AcoParams, etag: tuple[float, float],
-               vtab: tuple[tuple[float, ...], ...] | None, max_steps: int,
-               gen: np.random.Generator) -> AntPath:
-    """Roulette walk of a single ant with a tabu list and a step cap."""
-    nbrs = graph.nbrs
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """The running hash constant through count hash calls, as a uint32 column."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+def _seed_states(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(key).generate_state(4, np.uint64) for many keys at once.
+
+    entropy[i, j] is entropy word i of key j (all keys have one word count).
+    Returns one row of four uint64 words per key. The hash constant runs
+    through the same sequence for every key, and the calls that numpy's
+    loops make on distinct pool words with consecutive constants are
+    independent, so each batch of them is one array operation.
+    """
+    n_words, n_keys = entropy.shape
+    a = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * max(n_words, _POOL_SIZE))
+    used = 0
+
+    def hashmix(values: np.ndarray) -> np.ndarray:
+        # the next len(values) hash calls, in order
+        nonlocal used
+        k = len(values)
+        v = (values ^ a[used:used + k]) * a[used + 1:used + k + 1]
+        used += k
+        return v ^ (v >> _XSHIFT)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        r = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return r ^ (r >> _XSHIFT)
+
+    pool = np.zeros((_POOL_SIZE, n_keys), dtype=np.uint32)
+    pool[:n_words] = entropy[:_POOL_SIZE]
+    pool = hashmix(pool)
+    for src in range(_POOL_SIZE):
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[[src] * len(dst)]))
+    for word in entropy[_POOL_SIZE:]:
+        pool = mix(pool, hashmix(np.broadcast_to(word, pool.shape)))
+
+    b = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+    v = (pool[list(range(_POOL_SIZE)) * 2] ^ b[:-1]) * b[1:]
+    v ^= v >> _XSHIFT
+    return np.ascontiguousarray(v.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedState(ISeedSequence):
+    """A SeedSequence output computed ahead: PCG64 asks for 4 uint64 words."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != _POOL_SIZE or dtype is not np.uint64:
+            raise ValueError("only the 4 x uint64 state of PCG64 was computed")
+        return self.words
+
+
+def substream(key: tuple[int, ...], n_iters: int,
+              n_streams: int) -> list[list[np.random.Generator]]:
+    """RNG streams of one colony run, seeded in one vectorized pass.
+
+    key holds non-negative ints. streams[n - 1][k] draws exactly what
+    np.random.default_rng(np.random.SeedSequence((*key, n, k))) draws, for
+    n = 1..n_iters and k = 0..n_streams - 1.
+    """
+    prefix = _entropy_words(key)
+    entropy = np.empty((len(prefix) + 2, n_iters * n_streams), dtype=np.uint32)
+    entropy[:-2] = np.array(prefix, dtype=np.uint32)[:, None]
+    entropy[-2] = np.repeat(np.arange(1, n_iters + 1), n_streams)
+    entropy[-1] = np.tile(np.arange(n_streams), n_iters)
+    gens = [Generator(PCG64(_SeedState(words))) for words in _seed_states(entropy)]
+    return [gens[i:i + n_streams] for i in range(0, len(gens), n_streams)]
+
+
+_DRAW_BLOCK = 16  # uniform draws fetched per call; walks average ~8 steps
+
+
+def _colony_tables(graph: GridGraph, params: AcoParams):
+    """Per-call walk tables: eta^gamma per directed edge index (cid * 8 + d)
+    and the corner-factor table of the mode."""
+    eta_g = [(1.0 / (graph.cell_size * SQRT2 if diag else graph.cell_size)) ** params.gamma
+             for diag in DIR_IS_DIAGONAL]
+    vtab = _VTAB_TURN if params.mode is AcoMode.IMPROVED else _VTAB_FLAT
+    return np.tile(eta_g, graph.n), vtab
+
+
+def _edge_weights(tau: np.ndarray, phi: float, eta_g: np.ndarray) -> list[float]:
+    """tau^phi * eta^gamma per directed edge; tau only changes between iterations.
+
+    For phi != 1 the power is Python's float **, as in transition_probabilities.
+    """
+    if phi != 1.0:
+        tau = np.array([t ** phi for t in tau.tolist()])
+    return (tau * eta_g).tolist()
+
+
+def _construct(graph: GridGraph, weights: list[float],
+               vtab: tuple[tuple[float, ...], ...], start_id: int, goal_id: int,
+               max_steps: int, gen: np.random.Generator) -> AntPath:
+    """Roulette walk of a single ant with a tabu list and a step cap.
+
+    Each step is roulette_select(transition_probabilities(...), draw) with
+    the same arithmetic: weights[edge] * corner factor, then the cumulative
+    sum of weight / total in canonical neighbor order.
+    """
+    moves = graph.moves
     tabu = bytearray(graph.n)
     tabu[start_id] = 1
     pos = start_id
@@ -352,34 +466,32 @@ def _construct(graph: GridGraph, tau: list[float], start_id: int, goal_id: int,
     length = 0.0
     corners = 0
     reached = False
-    phi = params.phi
-    rand = gen.random
+    draws: list[float] = []
+    used = 0
     for _ in range(max_steps):
-        cand: list[tuple[int, int, float]] = []
-        weights: list[float] = []
+        turn = vtab[prev + 1]
+        cand: list[tuple[float, int, int, float]] = []
         total = 0.0
-        for nid, d, step, _eta, diag in nbrs[pos]:
-            if tabu[nid]:
-                continue
-            t = tau[pos * 8 + d]
-            w = (t if phi == 1.0 else t ** phi) * etag[diag]
-            if vtab is not None:
-                w *= vtab[prev + 1][d]
-            cand.append((nid, d, step))
-            weights.append(w)
-            total += w
+        for nid, e, d, step in moves[pos]:
+            if not tabu[nid]:
+                w = weights[e] * turn[d]
+                cand.append((w, nid, d, step))
+                total += w
         if not cand:
             break  # dead end: the ant is terminated unfinished
-        draw = rand()
-        pick = len(weights) - 1
+        if used == len(draws):
+            draws = gen.random(_DRAW_BLOCK).tolist()
+            used = 0
+        draw = draws[used]
+        used += 1
         acc = 0.0
-        for idx, w in enumerate(weights):
+        for w, nid, d, step in cand:
             acc += w / total
             if draw < acc:
-                pick = idx
                 break
-        nid, d, step = cand[pick]
-        if prev != -1 and d != prev:
+        # without a break the loop leaves the last candidate picked, the
+        # guard against a cumulative sum rounding to just below 1
+        if d != prev and prev >= 0:
             corners += 1
         length += step
         cells.append(nid)
@@ -390,7 +502,7 @@ def _construct(graph: GridGraph, tau: list[float], start_id: int, goal_id: int,
         if pos == goal_id:
             reached = True
             break
-    return AntPath(tuple(graph.cell_of(cid) for cid in cells), length, corners,
+    return AntPath(tuple(map(graph.cells.__getitem__, cells)), length, corners,
                    reached, None, tuple(dirs))
 
 
@@ -412,8 +524,8 @@ def plan_subpath(grid, start: Cell, subgoal: Cell, params: AcoParams,
     finisher raise NoPathFound, as does finishing all iterations without one.
 
     seed is an int or tuple of non-negative ints; ant k of iteration n walks
-    on substream (seed..., n, k), so results are independent of whether ants
-    run serially or on REPLAN_THREADS worker threads.
+    on the stream of key (seed..., n, k) and repair draws from (seed..., n,
+    n_ants).
     """
     graph = _as_graph(grid)
     key = tuple(seed) if isinstance(seed, (tuple, list)) else (int(seed),)
@@ -428,58 +540,44 @@ def plan_subpath(grid, start: Cell, subgoal: Cell, params: AcoParams,
 
     improved = params.mode is AcoMode.IMPROVED
     max_steps = params.max_steps if params.max_steps is not None else 4 * graph.n
-    eta_straight = 1.0 / graph.cell_size
-    eta_diag = 1.0 / (graph.cell_size * SQRT2)
-    etag = (eta_straight ** params.gamma, eta_diag ** params.gamma)
-    vtab = (_VTAB_ABS if params.absolute_bearings else _VTAB_TURN) if improved else None
+    eta_g, vtab = _colony_tables(graph, params)
+    m = params.n_ants
+    streams = substream(key, params.n_iters, m + 1)
 
     field = PheromoneField(graph, params.tau0)
-    m = params.n_ants
     best: AntPath | None = None
     series: list[float] = []
     fail_streak = 0
+    for n in range(1, params.n_iters + 1):
+        gens = streams[n - 1]
+        weights = _edge_weights(field.tau, params.phi, eta_g)
+        paths = [_construct(graph, weights, vtab, start_id, goal_id, max_steps, gens[k])
+                 for k in range(m)]
 
-    def walk(k_and_iter):
-        n, k = k_and_iter
-        return _construct(graph, field.tau, start_id, goal_id, params, etag,
-                          vtab, max_steps, substream(*key, n, k))
+        if best is None and not any(p.reached for p in paths):
+            # no incumbent yet: skip repair/update and retry construction.
+            # The improved loop gives up after three consecutive misses
+            # (its repair stage needs an incumbent); the conventional
+            # baseline has no such stage and runs its full budget.
+            fail_streak += 1
+            if improved and fail_streak >= 3:
+                raise NoPathFound(
+                    f"no ant reached {subgoal} in {fail_streak} consecutive iterations")
+            series.append(math.inf)
+            continue
 
-    threads = worker_count()
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 0 else None
-    try:
-        for n in range(1, params.n_iters + 1):
-            jobs = [(n, k) for k in range(m)]
-            if pool is not None:
-                paths = list(pool.map(walk, jobs))
-            else:
-                paths = [walk(j) for j in jobs]
+        if improved and best is not None:
+            paths = repair(paths, best, gens[m])
 
-            if best is None and not any(p.reached for p in paths):
-                # no incumbent yet: skip repair/update and retry construction.
-                # The improved loop gives up after three consecutive misses
-                # (its repair stage needs an incumbent); the conventional
-                # baseline has no such stage and runs its full budget.
-                fail_streak += 1
-                if improved and fail_streak >= 3:
-                    raise NoPathFound(
-                        f"no ant reached {subgoal} in {fail_streak} consecutive iterations")
-                series.append(math.inf)
-                continue
+        paths = [AntPath(p.cells, p.length, p.corners, True,
+                         score(p, params) if improved else p.length, p.dirs)
+                 if p.reached else p for p in paths]
+        field = update_pheromone(field, paths, params)
 
-            if improved and best is not None:
-                paths = repair(paths, best, substream(*key, n, m))
-
-            objective = (lambda p: score(p, params)) if improved else (lambda p: p.length)
-            paths = [replace(p, score=objective(p)) if p.reached else p for p in paths]
-            field = update_pheromone(field, paths, params)
-
-            for p in paths:
-                if p.reached and (best is None or p.score < best.score):
-                    best = p
-            series.append(best.score if best is not None else math.inf)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+        for p in paths:
+            if p.reached and (best is None or p.score < best.score):
+                best = p
+        series.append(best.score if best is not None else math.inf)
 
     if best is None:
         raise NoPathFound(f"no ant reached {subgoal} in {params.n_iters} iterations")

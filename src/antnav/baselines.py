@@ -19,20 +19,17 @@ from .grid import CellState, LocalGrid
 
 @dataclass(frozen=True)
 class ApfParams:
-    """Attractive gain, repulsive gain, repulsion cutoff distance (m), hops per cycle."""
+    """Attractive gain, repulsive gain, repulsion cutoff distance (m)."""
 
     k_att: float = 1.0
     k_rep: float = 100.0
     d0: float | None = None  # None resolves to 2 * cell_size at use
-    step: int = 1
 
     def __post_init__(self):
         if self.k_att <= 0 or self.k_rep <= 0:
             raise ValueError("gains must be positive")
         if self.d0 is not None and self.d0 <= 0:
             raise ValueError("d0 must be positive")
-        if self.step < 1:
-            raise ValueError("step must be >= 1")
 
 
 def _potential(point: Point, goal: Point, obstacles: list[Point],

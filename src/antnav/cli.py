@@ -5,8 +5,8 @@ step budget exhausted, 3 collision. `compare` and `sweep` exit 0 once all runs
 complete (individual verdicts land in the CSVs) and 1 on parse errors.
 
 All CSVs are deterministic for a fixed seed; wall-clock numbers go to the
-summary block and timings.csv only. REPLAN_THREADS caps worker threads for
-ant construction (0 = serial) without changing any output.
+summary block and timings.csv only. Runs and their ants execute serially in
+this process.
 """
 from __future__ import annotations
 

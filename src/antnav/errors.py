@@ -61,10 +61,6 @@ class NoBestPathYet(AntnavError):
     """Repair requested before any ant has ever reached the sub-goal."""
 
 
-class CollisionDetected(AntnavError):
-    """Robot cell and an obstacle cell coincided at some tick."""
-
-
 class LocalMinimum(AntnavError):
     """Potential-field step found no neighbor below the current potential."""
 

@@ -50,6 +50,27 @@ class PlannerConfig:
     goal_tolerance: float | None = None  # None = half a cell
     max_robot_steps: int | None = None  # None = 10 * max(world side)
 
+    def __post_init__(self):
+        if self.n_rays < 1:
+            raise ValueError("n_rays must be >= 1")
+        if self.lidar_radius <= 0:
+            raise ValueError("lidar_radius must be positive")
+        if self.cell_size <= 0:
+            raise ValueError("cell_size must be positive")
+        if self.half_extent < 1:
+            raise ValueError("half_extent must be >= 1")
+        if self.half_extent * self.cell_size > self.lidar_radius + 1e-9:
+            raise ValueError(f"half_extent {self.half_extent} x cell_size {self.cell_size} "
+                             f"exceeds lidar_radius {self.lidar_radius}")
+        if self.inflation_rings < 0:
+            raise ValueError("inflation_rings must be >= 0")
+        if self.n_sectors < 1:
+            raise ValueError("n_sectors must be >= 1")
+        if self.goal_tolerance is not None and self.goal_tolerance < 0:
+            raise ValueError("goal_tolerance must be >= 0")
+        if self.max_robot_steps is not None and self.max_robot_steps < 0:
+            raise ValueError("max_robot_steps must be >= 0")
+
     def resolved_goal_tolerance(self) -> float:
         return self.goal_tolerance if self.goal_tolerance is not None else 0.5 * self.cell_size
 

@@ -16,7 +16,9 @@ Example::
 Only `map` is required. Unset keys fall back to defaults: cell_size and
 lidar_radius derive from the map cell size and half_extent, goal_tolerance is
 half a cell, max_robot_steps is 10x the larger map side. Map paths are
-relative to the scenario file. Parse errors carry line numbers.
+relative to the scenario file. Parse errors carry line numbers; an invalid
+value is reported at the line of the directive that makes the configuration
+invalid, reading the file top down.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ from .world import WorldMap, load_map
 
 _INT_KEYS = {"seed", "lidar_rays", "half_extent", "inflation_rings", "sectors",
              "ants", "iterations", "elite_cutoff", "aco_max_steps",
-             "max_robot_steps", "apf_step"}
+             "max_robot_steps"}
 _FLOAT_KEYS = {"cell_size", "lidar_radius", "alpha", "beta", "omega", "delta",
                "zeta", "phi", "gamma", "rho", "deposit", "tau0",
                "goal_tolerance", "apf_k_att", "apf_k_rep", "apf_d0"}
@@ -56,6 +58,7 @@ class Scenario:
 def parse_scenario(path) -> Scenario:
     path = Path(path)
     values: dict[str, object] = {}
+    line_of: dict[str, int] = {}
     seen_format = False
     with open(path, "r", encoding="utf-8") as f:
         lines = f.read().splitlines()
@@ -89,6 +92,7 @@ def parse_scenario(path) -> Scenario:
             values[key] = value
         else:
             raise ScenarioParseError(f"unknown directive {key!r}", line_no)
+        line_of[key] = line_no
     if not seen_format:
         raise ScenarioParseError("empty scenario file", 1)
     if "map" not in values:
@@ -96,7 +100,7 @@ def parse_scenario(path) -> Scenario:
 
     seed = int(values.get("seed", 0))
     if seed < 0:
-        raise ScenarioParseError("seed must be >= 0", 1)
+        raise ScenarioParseError("seed must be >= 0", line_of["seed"])
 
     map_path = (path.parent / str(values["map"])).resolve()
     parsed = load_map(map_path)
@@ -107,43 +111,62 @@ def parse_scenario(path) -> Scenario:
         planner = PlannerKind(planner_name)
     except ValueError:
         raise ScenarioParseError(
-            f"unknown planner {planner_name!r} (expected proposed, conventional-aco or apf)", 1)
+            f"unknown planner {planner_name!r} (expected proposed, conventional-aco or apf)",
+            line_of["planner"])
 
+    try:
+        config = _config(values, world, planner)
+    except ValueError as exc:
+        # blame the first line at which the directives read so far stop
+        # making a valid configuration
+        line_no = next(line for line in sorted(line_of.values())
+                       if not _is_valid({k: v for k, v in values.items()
+                                         if line_of[k] <= line}, world, planner))
+        raise ScenarioParseError(str(exc), line_no) from exc
+
+    return Scenario(name=path.stem, map_path=str(map_path), world=world,
+                    start=parsed.start, goal=parsed.goal, config=config, seed=seed)
+
+
+def _is_valid(values: dict[str, object], world: WorldMap, planner: PlannerKind) -> bool:
+    try:
+        _config(values, world, planner)
+    except ValueError:
+        return False
+    return True
+
+
+def _config(values: dict[str, object], world: WorldMap,
+            planner: PlannerKind) -> PlannerConfig:
+    """Planner configuration from parsed directives; ValueError when invalid."""
     cell_size = float(values.get("cell_size", world.cell_size))
     half_extent = int(values.get("half_extent", 4))
     lidar_radius = float(values.get("lidar_radius", half_extent * cell_size))
 
-    try:
-        weights = CostWeights(alpha=float(values.get("alpha", 4.0)),
-                              beta=float(values.get("beta", 1.8)),
-                              omega=float(values.get("omega", 1.0)))
-        aco = AcoParams(phi=float(values.get("phi", 1.0)),
-                        gamma=float(values.get("gamma", 5.0)),
-                        rho=float(values.get("rho", 0.3)),
-                        q=float(values.get("deposit", 1.0)),
-                        n_ants=int(values.get("ants", 20)),
-                        n_iters=int(values.get("iterations", 50)),
-                        delta=float(values.get("delta", 0.7)),
-                        zeta=float(values.get("zeta", 0.3)),
-                        tau0=float(values.get("tau0", 1.0)),
-                        max_steps=values.get("aco_max_steps"),
-                        elite_cutoff=values.get("elite_cutoff"))
-        apf = ApfParams(k_att=float(values.get("apf_k_att", 1.0)),
-                        k_rep=float(values.get("apf_k_rep", 100.0)),
-                        d0=values.get("apf_d0"),
-                        step=int(values.get("apf_step", 1)))
-        config = PlannerConfig(weights=weights, aco=aco, apf=apf, planner=planner,
-                               lidar_radius=lidar_radius, n_rays=int(values.get("lidar_rays", 360)),
-                               cell_size=cell_size, half_extent=half_extent,
-                               inflation_rings=int(values.get("inflation_rings", 1)),
-                               n_sectors=int(values.get("sectors", 36)),
-                               goal_tolerance=values.get("goal_tolerance"),
-                               max_robot_steps=values.get("max_robot_steps"))
-    except ValueError as exc:
-        raise ScenarioParseError(str(exc), 1) from exc
-
-    return Scenario(name=path.stem, map_path=str(map_path), world=world,
-                    start=parsed.start, goal=parsed.goal, config=config, seed=seed)
+    weights = CostWeights(alpha=float(values.get("alpha", 4.0)),
+                          beta=float(values.get("beta", 1.8)),
+                          omega=float(values.get("omega", 1.0)))
+    aco = AcoParams(phi=float(values.get("phi", 1.0)),
+                    gamma=float(values.get("gamma", 5.0)),
+                    rho=float(values.get("rho", 0.3)),
+                    q=float(values.get("deposit", 1.0)),
+                    n_ants=int(values.get("ants", 20)),
+                    n_iters=int(values.get("iterations", 50)),
+                    delta=float(values.get("delta", 0.7)),
+                    zeta=float(values.get("zeta", 0.3)),
+                    tau0=float(values.get("tau0", 1.0)),
+                    max_steps=values.get("aco_max_steps"),
+                    elite_cutoff=values.get("elite_cutoff"))
+    apf = ApfParams(k_att=float(values.get("apf_k_att", 1.0)),
+                    k_rep=float(values.get("apf_k_rep", 100.0)),
+                    d0=values.get("apf_d0"))
+    return PlannerConfig(weights=weights, aco=aco, apf=apf, planner=planner,
+                         lidar_radius=lidar_radius, n_rays=int(values.get("lidar_rays", 360)),
+                         cell_size=cell_size, half_extent=half_extent,
+                         inflation_rings=int(values.get("inflation_rings", 1)),
+                         n_sectors=int(values.get("sectors", 36)),
+                         goal_tolerance=values.get("goal_tolerance"),
+                         max_robot_steps=values.get("max_robot_steps"))
 
 
 def with_seed(scenario: Scenario, seed: int) -> Scenario:

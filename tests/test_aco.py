@@ -9,7 +9,8 @@ from antnav import (AcoMode, AcoParams, AntPath, AntState, DeadEnd, GridGraph,
                     UnfinishedPath, corner_heuristic, heuristic, plan_subpath,
                     repair, roulette_select, score, transition_probabilities,
                     update_pheromone)
-from antnav.geometry import DIR_INDEX, DIR_OFFSETS
+from antnav import aco
+from antnav.geometry import DIR_ANGLES, DIR_INDEX, DIR_OFFSETS
 
 from oracles import corner_ref, dijkstra_ref, heuristic_ref, rel_close, score_ref, transition_ref
 
@@ -62,11 +63,6 @@ class TestCornerHeuristic:
             d = DIR_OFFSETS[int(rng.integers(0, 8))]
             j = (i[0] + d[0], i[1] + d[1])
             assert rel_close(corner_heuristic(prev, i, j), corner_ref(prev, i, j))
-
-    def test_absolute_bearing_variant(self):
-        assert corner_heuristic(None, (0, 0), (0, 1), absolute=True) == 1.0
-        v = corner_heuristic(None, (0, 0), (1, 0), absolute=True)
-        assert rel_close(v, 1.0 / (math.pi / 2))
 
 
 class TestTransitionProbabilities:
@@ -304,14 +300,6 @@ class TestPlanSubpath:
         b = plan_subpath(open_grid(7), (0, 0), (6, 5), AcoParams(n_iters=8, n_ants=6), 42)
         assert a[0] == b[0] and a[1] == b[1]
 
-    def test_parallel_matches_serial(self, monkeypatch):
-        params = AcoParams(n_iters=6, n_ants=8)
-        monkeypatch.setenv("REPLAN_THREADS", "0")
-        a = plan_subpath(open_grid(7), (0, 0), (6, 6), params, 9)
-        monkeypatch.setenv("REPLAN_THREADS", "3")
-        b = plan_subpath(open_grid(7), (0, 0), (6, 6), params, 9)
-        assert a[0] == b[0] and a[1] == b[1]
-
     def test_unreachable_subgoal(self):
         mask = np.ones((7, 7), bool)
         mask[3, :] = False  # full wall
@@ -349,3 +337,89 @@ class TestPlanSubpath:
             AcoParams(delta=0.0, zeta=0.0)
         with pytest.raises(ValueError):
             AcoParams(elite_cutoff=20, n_ants=20)
+
+
+class ScriptedDraws:
+    """Stands in for the walker's generator: hands out a fixed list of draws."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+        self.used = 0
+
+    def random(self, size):
+        block = self.draws[self.used:self.used + size]
+        self.used += size
+        assert len(block) == size, "walk needed more draws than scripted"
+        return np.array(block)
+
+
+class TestWalkKernel:
+    """The planner's walker makes the picks of the public transition rule."""
+
+    @pytest.mark.parametrize("mode", [AcoMode.IMPROVED, AcoMode.CONVENTIONAL])
+    def test_picks_equal_public_rule(self, mode):
+        rng = np.random.default_rng(41)
+        steps = dead_ends = 0
+        for case in range(300):
+            n = int(rng.integers(3, 9))
+            mask = rng.random((n, n)) > 0.3
+            start, goal = (0, 0), (n - 1, n - 1)
+            mask[start] = mask[goal] = True
+            graph = GridGraph(mask, float(rng.uniform(0.3, 2.0)))
+            field = PheromoneField(graph, 1.0)
+            for k in range(len(field.tau)):
+                field.tau[k] = float(rng.uniform(0.01, 5.0))
+            # phi != 1 in two cases of three: the walker's table keeps float **
+            params = AcoParams(phi=[1.0, 0.6, 1.7][case % 3],
+                               gamma=float(rng.uniform(0.5, 6.0)), mode=mode)
+            draws = rng.random(4 * graph.n + 1)
+            eta_g, vtab = aco._colony_tables(graph, params)
+            weights = aco._edge_weights(field.tau, params.phi, eta_g)
+            path = aco._construct(graph, weights, vtab, graph.id_of(start),
+                                  graph.id_of(goal), 4 * graph.n, ScriptedDraws(draws))
+
+            state = AntState(start, frozenset([start]), None)
+            for i, (nxt, d) in enumerate(zip(path.cells[1:], path.dirs)):
+                dist = transition_probabilities(field, state, params)
+                assert roulette_select(dist, float(draws[i])) == nxt
+                state = AntState(nxt, state.tabu | {nxt}, DIR_ANGLES[d])
+                steps += 1
+            assert path.reached == (path.cells[-1] == goal)
+            if not path.reached:
+                with pytest.raises(DeadEnd):
+                    transition_probabilities(field, state, params)
+                dead_ends += 1
+        assert steps > 1000 and dead_ends > 10
+
+
+class TestSubstream:
+    """Batched seeding gives the streams of numpy's own SeedSequence."""
+
+    @pytest.mark.parametrize("key", [
+        (0,),                    # 3 words with (n, k): shorter than the 4-word pool
+        (7,),
+        (2 ** 32 - 1,),
+        (2 ** 32 + 5,),          # two-word seed
+        (2 ** 64 + 1,),          # three-word seed
+        (9, 3, 0),               # the planner's (seed, cycle, attempt) prefix
+        (411, 2 ** 40, 12),
+    ])
+    def test_first_draws_match_default_rng(self, key):
+        n_iters, n_streams = 4, 6  # k = 5 plays the repair stream of 5 ants
+        streams = aco.substream(key, n_iters, n_streams)
+        assert [len(row) for row in streams] == [n_streams] * n_iters
+        for n in range(1, n_iters + 1):
+            for k in range(n_streams):
+                ref = np.random.default_rng(np.random.SeedSequence((*key, n, k)))
+                assert streams[n - 1][k].random(64).tolist() == ref.random(64).tolist()
+
+    def test_repair_stream_integers_match(self):
+        m = 12
+        gen = aco.substream((9, 1, 0), 20, m + 1)[19][m]
+        ref = np.random.default_rng(np.random.SeedSequence((9, 1, 0, 20, m)))
+        assert [int(gen.integers(7)) for _ in range(64)] == \
+            [int(ref.integers(7)) for _ in range(64)]
+
+    def test_negative_key_rejected(self):
+        with pytest.raises(ValueError):
+            aco.substream((-1,), 1, 2)

@@ -1,6 +1,7 @@
 import pytest
 
 from antnav import PlannerKind, ScenarioParseError, parse_groups, parse_scenario
+from antnav.cli import main
 
 MAP = """\
 cellsize 1.0
@@ -84,6 +85,43 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioParseError) as err:
             parse_scenario(tmp_path / "bad.scn")
         assert err.value.line_no == line
+
+    @pytest.mark.parametrize("text,line", [
+        ("format 1\nmap tiny.map\nseed 3\nants 6\n\nrho 2\n", 6),
+        ("format 1\nmap tiny.map\nseed -2\n", 3),
+        ("format 1\nmap tiny.map\nplanner dijkstra\n", 3),
+        ("format 1\nmap tiny.map\nants 4\nalpha 1\nelite_cutoff 4\n", 5),
+        ("format 1\nmap tiny.map\nalpha 0\nbeta 0\nomega 0\n", 5),
+        ("format 1\nmap tiny.map\napf_k_rep -1\n", 3),
+        ("format 1\nmap tiny.map\nlidar_radius 1\nhalf_extent 2\n", 3),
+        ("format 1\nmap tiny.map\nhalf_extent 3\nlidar_radius 2.5\n", 4),
+    ])
+    def test_semantic_errors_carry_directive_line(self, tmp_path, text, line):
+        (tmp_path / "tiny.map").write_text(MAP)
+        (tmp_path / "bad.scn").write_text(text)
+        with pytest.raises(ScenarioParseError) as err:
+            parse_scenario(tmp_path / "bad.scn")
+        assert err.value.line_no == line
+
+    @pytest.mark.parametrize("directive", [
+        "lidar_rays 0", "lidar_radius 0", "cell_size -1", "half_extent 0",
+        "inflation_rings -1", "sectors 0", "goal_tolerance -0.5", "max_robot_steps -1",
+    ])
+    def test_planner_config_rejected_at_parse_time(self, tmp_path, directive):
+        (tmp_path / "tiny.map").write_text(MAP)
+        (tmp_path / "bad.scn").write_text(f"format 1\nmap tiny.map\n{directive}\n")
+        with pytest.raises(ScenarioParseError) as err:
+            parse_scenario(tmp_path / "bad.scn")
+        assert err.value.line_no == 3
+
+    def test_zero_rays_exits_one_without_running(self, tmp_path, capsys):
+        (tmp_path / "tiny.map").write_text(MAP)
+        (tmp_path / "bad.scn").write_text("format 1\nmap tiny.map\nlidar_rays 0\n")
+        code = main(["run", "--scenario", str(tmp_path / "bad.scn"),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "line 3:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_planner(self, tmp_path):
         (tmp_path / "tiny.map").write_text(MAP)
