@@ -1,7 +1,7 @@
 """Receding-horizon grid navigation with an ant-colony sub-path planner.
 
 Pipeline per cycle: simulate a LiDAR scan, rasterize it into a robot-centered
-local grid, pick the minimum-cost sub-goal among marginal free cells, plan an
+local grid (inflated, occlusion-masked, clamped to the world), pick the minimum-cost sub-goal among marginal free cells, plan an
 8-connected sub-path with the ant colony, execute one step, repeat.
 """
 
@@ -16,7 +16,7 @@ from .errors import (AntnavError, DeadEnd, EmptyCandidates, EmptyRuns,
                      PoseOutOfBounds, ScenarioParseError, UnfinishedPath)
 from .geometry import Cell, Point, Pose, wrap_angle
 from .grid import (CandidateSet, CellState, LocalGrid, build_local_grid,
-                   candidate_cells)
+                   candidate_cells, perceive, reachable_component)
 from .metrics import (AggregateStats, RunMetrics, RunStatus, aggregate,
                       corner_count, path_length)
 from .planner import (CycleRecord, PlannerConfig, PlannerKind, PlannerState,

@@ -16,10 +16,9 @@ from typing import TYPE_CHECKING
 from .aco import AcoMode, AcoParams, plan_subpath
 from .baselines import ApfParams, apf_step
 from .errors import LocalMinimum, NoCandidates, NoPathFound
-from .geometry import Cell, Point, Pose, SQRT2
-from .grid import CellState, LocalGrid, build_local_grid, candidate_cells
+from .geometry import Cell, Point, Pose
+from .grid import CellState, LocalGrid, candidate_cells, perceive, reachable_component
 from .metrics import RunMetrics, RunStatus, corner_count, path_length
-from .scan import simulate_scan
 from .subgoal import CostWeights, rank_candidates
 from .world import WorldMap
 
@@ -46,7 +45,6 @@ class PlannerConfig:
     cell_size: float = 1.5
     half_extent: int = 4
     inflation_rings: int = 1
-    n_sectors: int = 36
     goal_tolerance: float | None = None  # None = half a cell
     max_robot_steps: int | None = None  # None = 10 * max(world side)
 
@@ -64,8 +62,6 @@ class PlannerConfig:
                              f"exceeds lidar_radius {self.lidar_radius}")
         if self.inflation_rings < 0:
             raise ValueError("inflation_rings must be >= 0")
-        if self.n_sectors < 1:
-            raise ValueError("n_sectors must be >= 1")
         if self.goal_tolerance is not None and self.goal_tolerance < 0:
             raise ValueError("goal_tolerance must be >= 0")
         if self.max_robot_steps is not None and self.max_robot_steps < 0:
@@ -116,85 +112,6 @@ def _goal_distance(pose: Pose, goal: Point) -> float:
     return math.hypot(pose.x - goal[0], pose.y - goal[1])
 
 
-def _mask_occluded(grid: LocalGrid, scan) -> LocalGrid:
-    """Mark free cells hidden behind scan hits as non-traversable.
-
-    A free-looking cell whose bearing ray returned a hit closer than the cell
-    was never actually observed; planning into such shadows produces phantom
-    passages through walls. Cells in open directions (no hit on their ray)
-    stay free, so the optimistic treatment of unexplored space is preserved.
-    """
-    if not scan.samples:
-        return grid
-    n = scan.n_rays
-    sector = math.tau / n
-    hit_by_ray: dict[int, float] = {}
-    for s in scan.samples:
-        hit_by_ray[int(round(s.theta / sector)) % n] = s.d
-    cells = grid.cells.copy()
-    side = grid.side
-    origin = grid.center
-    margin = 0.5 * SQRT2 * grid.cell_size
-    changed = False
-    for r in range(side):
-        for c in range(side):
-            if cells[r, c] != CellState.FREE:
-                continue
-            wx, wy = grid.world_center((r, c))
-            dx, dy = wx - origin.x, wy - origin.y
-            d = math.hypot(dx, dy)
-            if d <= grid.cell_size:
-                continue  # the adjacent ring is always observed
-            theta = (origin.psi - math.atan2(dy, dx)) % math.tau
-            hit = hit_by_ray.get(int(round(theta / sector)) % n)
-            if hit is not None and hit < d - margin:
-                cells[r, c] = CellState.INFLATED
-                changed = True
-    if not changed:
-        return grid
-    return LocalGrid(grid.center, grid.cell_size, grid.half_extent, cells)
-
-
-def _clamp_to_world(grid: LocalGrid, world: WorldMap) -> LocalGrid:
-    """Mark local cells lying outside the world map as occupied.
-
-    The local square can poke past the simulated world's envelope; such cells
-    can never be scanned and must not look like free space to plan through.
-    No inflation is added: out-of-world cells always sit behind the map's own
-    boundary obstacles.
-    """
-    cells = grid.cells.copy()
-    side = grid.side
-    changed = False
-    for r in range(side):
-        for c in range(side):
-            wx, wy = grid.world_center((r, c))
-            if not world.in_bounds(world.cell_of(wx, wy)):
-                cells[r, c] = CellState.OCCUPIED
-                changed = True
-    if not changed:
-        return grid
-    return LocalGrid(grid.center, grid.cell_size, grid.half_extent, cells)
-
-
-def _reachable_component(grid: LocalGrid) -> set[Cell]:
-    """Cells 8-connected to the robot cell through traversable cells."""
-    mask = grid.traversable_mask()
-    side = grid.side
-    start = grid.center_cell
-    seen = {start}
-    stack = [start]
-    while stack:
-        r, c = stack.pop()
-        for nr in (r - 1, r, r + 1):
-            for nc in (c - 1, c, c + 1):
-                if 0 <= nr < side and 0 <= nc < side and (nr, nc) not in seen \
-                        and mask[nr, nc]:
-                    seen.add((nr, nc))
-                    stack.append((nr, nc))
-    return seen
-
-
 def _advance_state(state: PlannerState, grid: LocalGrid, next_cell: Cell,
                    goal: Point, tolerance: float) -> PlannerState:
     h = grid.half_extent
@@ -212,10 +129,8 @@ def plan_cycle(world: WorldMap, state: PlannerState, goal: Point,
         raise ValueError("plan_cycle requires a running state")
     pose = state.pose
     tolerance = config.resolved_goal_tolerance()
-    scan = simulate_scan(world, pose, config.lidar_radius, config.n_rays)
-    grid = build_local_grid(scan, config.cell_size, config.half_extent,
-                            config.inflation_rings, config.n_sectors)
-    grid = _clamp_to_world(_mask_occluded(grid, scan), world)
+    grid = perceive(world, pose, config.lidar_radius, config.n_rays, config.cell_size,
+                    config.half_extent, config.inflation_rings)
 
     def halted(status: RunStatus) -> tuple[PlannerState, CycleRecord]:
         halted_state = replace(state, status=status)
@@ -240,12 +155,10 @@ def plan_cycle(world: WorldMap, state: PlannerState, goal: Point,
     # Cells the robot can actually reach within this grid. When the reachable
     # free space is a closed pocket that touches no grid edge and does not
     # contain the goal, no sub-goal can ever make progress: the robot is stuck.
-    component = _reachable_component(grid)
+    component = reachable_component(grid)
     goal_cell = grid.cell_containing(goal)
-    goal_inside = goal_cell is not None and goal_cell in component
-    side = grid.side
-    if not goal_inside and not any(r in (0, side - 1) or c in (0, side - 1)
-                                   for r, c in component):
+    goal_inside = goal_cell is not None and bool(component[goal_cell])
+    if not goal_inside and not (component[[0, -1]].any() or component[:, [0, -1]].any()):
         return halted(RunStatus.STUCK)
 
     # Terminal capture: a visible free goal cell overrides the cost function,
@@ -257,7 +170,7 @@ def plan_cycle(world: WorldMap, state: PlannerState, goal: Point,
     ranked = rank_candidates(grid, candidates, pose, goal, config.weights)
     capture = trials[0][0] if trials else None
     trials.extend((sg.cell, sg.world) for sg in ranked
-                  if sg.cell != capture and sg.cell in component)
+                  if sg.cell != capture and component[sg.cell])
     if not trials:
         return halted(RunStatus.STUCK)
 

@@ -13,12 +13,12 @@ Example::
     delta 0.7
     zeta 0.3
 
-Only `map` is required. Unset keys fall back to defaults: cell_size and
-lidar_radius derive from the map cell size and half_extent, goal_tolerance is
-half a cell, max_robot_steps is 10x the larger map side. Map paths are
-relative to the scenario file. Parse errors carry line numbers; an invalid
-value is reported at the line of the directive that makes the configuration
-invalid, reading the file top down.
+Only `map` is required. Unset keys fall back to defaults: cell_size is the
+map cell size (any other value is rejected), lidar_radius derives from it and
+half_extent, goal_tolerance is half a cell, max_robot_steps is 10x the larger
+map side. Map paths are relative to the scenario file. Parse errors carry
+line numbers; an invalid value is reported at the line of the directive that
+makes the configuration invalid, reading the file top down.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ from .planner import PlannerConfig, PlannerKind
 from .subgoal import CostWeights
 from .world import WorldMap, load_map
 
-_INT_KEYS = {"seed", "lidar_rays", "half_extent", "inflation_rings", "sectors",
+_INT_KEYS = {"seed", "lidar_rays", "half_extent", "inflation_rings",
              "ants", "iterations", "elite_cutoff", "aco_max_steps",
              "max_robot_steps"}
 _FLOAT_KEYS = {"cell_size", "lidar_radius", "alpha", "beta", "omega", "delta",
@@ -105,6 +105,9 @@ def parse_scenario(path) -> Scenario:
     map_path = (path.parent / str(values["map"])).resolve()
     parsed = load_map(map_path)
     world = parsed.world
+    if values.get("cell_size", world.cell_size) != world.cell_size:
+        raise ScenarioParseError(f"cell_size {values['cell_size']} differs from the map's "
+                                 f"cellsize {world.cell_size}", line_of["cell_size"])
 
     planner_name = str(values.get("planner", "proposed"))
     try:
@@ -139,7 +142,7 @@ def _is_valid(values: dict[str, object], world: WorldMap, planner: PlannerKind) 
 def _config(values: dict[str, object], world: WorldMap,
             planner: PlannerKind) -> PlannerConfig:
     """Planner configuration from parsed directives; ValueError when invalid."""
-    cell_size = float(values.get("cell_size", world.cell_size))
+    cell_size = world.cell_size
     half_extent = int(values.get("half_extent", 4))
     lidar_radius = float(values.get("lidar_radius", half_extent * cell_size))
 
@@ -164,7 +167,6 @@ def _config(values: dict[str, object], world: WorldMap,
                          lidar_radius=lidar_radius, n_rays=int(values.get("lidar_rays", 360)),
                          cell_size=cell_size, half_extent=half_extent,
                          inflation_rings=int(values.get("inflation_rings", 1)),
-                         n_sectors=int(values.get("sectors", 36)),
                          goal_tolerance=values.get("goal_tolerance"),
                          max_robot_steps=values.get("max_robot_steps"))
 

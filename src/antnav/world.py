@@ -155,8 +155,8 @@ def parse_map(text: str) -> ParsedMap:
     offending line number.
     """
     cell_size: float | None = None
-    start_spec: tuple[int, int, float] | None = None
-    goal_spec: tuple[int, int] | None = None
+    start_spec: tuple[int, int, float, int] | None = None  # col, row, psi_deg, line_no
+    goal_spec: tuple[int, int, int] | None = None  # col, row, line_no
     grid_rows: list[tuple[int, str]] = []  # (line_no, row text), file order
     movers: list[MovingObstacle] = []
     pending: tuple[int, MoverPolicy, list[Cell]] | None = None  # open mover block
@@ -200,7 +200,7 @@ def parse_map(text: str) -> ParsedMap:
             if len(parts) != 4:
                 raise MapParseError("expected: start <col> <row> <psi_deg>", line_no)
             try:
-                start_spec = (int(parts[1]), int(parts[2]), float(parts[3]))
+                start_spec = (int(parts[1]), int(parts[2]), float(parts[3]), line_no)
             except ValueError:
                 raise MapParseError("bad start values", line_no)
         elif key == "goal":
@@ -208,7 +208,7 @@ def parse_map(text: str) -> ParsedMap:
             if len(parts) != 3:
                 raise MapParseError("expected: goal <col> <row>", line_no)
             try:
-                goal_spec = (int(parts[1]), int(parts[2]))
+                goal_spec = (int(parts[1]), int(parts[2]), line_no)
             except ValueError:
                 raise MapParseError("bad goal values", line_no)
         elif key == "mover":
@@ -260,14 +260,13 @@ def parse_map(text: str) -> ParsedMap:
 
     world = WorldMap(static, cell_size, tuple(movers))
 
-    s_col, s_row, psi_deg = start_spec
-    if not world.in_bounds((s_row, s_col)):
-        raise MapParseError(f"start cell ({s_col}, {s_row}) outside the grid", last_line)
-    if world.static_cells[s_row, s_col]:
-        raise MapParseError(f"start cell ({s_col}, {s_row}) is occupied", last_line)
-    g_col, g_row = goal_spec
-    if not world.in_bounds((g_row, g_col)):
-        raise MapParseError(f"goal cell ({g_col}, {g_row}) outside the grid", last_line)
+    for name, (col, row, *_, line_no) in (("start", start_spec), ("goal", goal_spec)):
+        if not world.in_bounds((row, col)):
+            raise MapParseError(f"{name} cell ({col}, {row}) outside the grid", line_no)
+        if world.static_cells[row, col]:
+            raise MapParseError(f"{name} cell ({col}, {row}) is occupied", line_no)
+    s_col, s_row, psi_deg, _ = start_spec
+    g_col, g_row, _ = goal_spec
 
     sx, sy = world.cell_center((s_row, s_col))
     start = Pose(sx, sy, math.radians(psi_deg))

@@ -7,6 +7,8 @@ separate route.
 import heapq
 import math
 
+import numpy as np
+
 SQRT2 = math.sqrt(2.0)
 
 
@@ -125,3 +127,155 @@ def dijkstra_ref(mask, start, goal, cell_size=1.0):
 
 def rel_close(a, b, tol=1e-12):
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+
+
+# --- perception: the per-ray and per-cell loops the array code replaced ---
+# Local cell states, as in antnav.grid.CellState.
+FREE, OCCUPIED, INFLATED, ROBOT = 0, 1, 2, 3
+
+
+def cast_ray_ref(occ, cell_size, x0, y0, angle, radius):
+    """One ray, cell by cell (x first on ties): midpoint of the segment inside
+    the first occupied cell crossed with real length, clipped to the radius."""
+    rows, cols = occ.shape
+    dx, dy = math.cos(angle), math.sin(angle)
+    c = int(math.floor(x0 / cell_size))
+    r = int(math.floor(y0 / cell_size))
+    inf = math.inf
+    graze_tol = 1e-9 * cell_size
+    if dx > 0:
+        step_c, t_max_x, t_delta_x = 1, ((c + 1) * cell_size - x0) / dx, cell_size / dx
+    elif dx < 0:
+        step_c, t_max_x, t_delta_x = -1, (c * cell_size - x0) / dx, -cell_size / dx
+    else:
+        step_c, t_max_x, t_delta_x = 0, inf, inf
+    if dy > 0:
+        step_r, t_max_y, t_delta_y = 1, ((r + 1) * cell_size - y0) / dy, cell_size / dy
+    elif dy < 0:
+        step_r, t_max_y, t_delta_y = -1, (r * cell_size - y0) / dy, -cell_size / dy
+    else:
+        step_r, t_max_y, t_delta_y = 0, inf, inf
+    while True:
+        if t_max_x <= t_max_y:
+            t_entry = t_max_x
+            t_max_x += t_delta_x
+            c += step_c
+        else:
+            t_entry = t_max_y
+            t_max_y += t_delta_y
+            r += step_r
+        if t_entry > radius:
+            return None
+        if not (0 <= r < rows and 0 <= c < cols):
+            return None
+        t_exit = min(t_max_x, t_max_y)
+        if t_exit - t_entry > graze_tol and occ[r, c]:
+            return min(0.5 * (t_entry + t_exit), radius)
+
+
+def scan_ref(occ, cell_size, x0, y0, psi, radius, n_rays):
+    """[(d, theta)] of every returned ray, in ray order."""
+    out = []
+    for k in range(n_rays):
+        theta = math.tau * k / n_rays
+        d = cast_ray_ref(occ, cell_size, x0, y0, psi - theta, radius)
+        if d is not None:
+            out.append((d, theta))
+    return out
+
+
+def local_grid_ref(samples, origin, cell_size, h, rings):
+    """Rasterize (d, theta) samples around origin (x, y, psi), then inflate."""
+    ox, oy, psi = origin
+    side = 2 * h + 1
+    cells = np.full((side, side), FREE, dtype=np.int8)
+    for d, theta in samples:
+        wx, wy = polar_ref(ox, oy, psi, d, theta)
+        c = h + int(math.floor((wx - ox) / cell_size + 0.5))
+        r = h + int(math.floor((wy - oy) / cell_size + 0.5))
+        if 0 <= r < side and 0 <= c < side and (r, c) != (h, h):
+            cells[r, c] = OCCUPIED
+    occupied = [(r, c) for r in range(side) for c in range(side) if cells[r, c] == OCCUPIED]
+    for r, c in occupied:
+        for rr in range(max(0, r - rings), min(side, r + rings + 1)):
+            for cc in range(max(0, c - rings), min(side, c + rings + 1)):
+                if cells[rr, cc] == FREE:
+                    cells[rr, cc] = INFLATED
+    cells[h, h] = ROBOT
+    return cells
+
+
+def cell_center_ref(origin, cell_size, h, r, c):
+    return (origin[0] + (c - h) * cell_size, origin[1] + (r - h) * cell_size)
+
+
+def occlude_ref(cells, samples, n_rays, origin, cell_size, h):
+    """Free cells behind a closer hit on their own ray become inflated."""
+    cells = cells.copy()
+    sector = math.tau / n_rays
+    hit_by_ray = {}
+    for d, theta in samples:
+        hit_by_ray[int(round(theta / sector)) % n_rays] = d
+    margin = 0.5 * SQRT2 * cell_size
+    side = 2 * h + 1
+    for r in range(side):
+        for c in range(side):
+            if cells[r, c] != FREE:
+                continue
+            wx, wy = cell_center_ref(origin, cell_size, h, r, c)
+            dx, dy = wx - origin[0], wy - origin[1]
+            d = math.hypot(dx, dy)
+            if d <= cell_size:
+                continue
+            theta = (origin[2] - math.atan2(dy, dx)) % math.tau
+            hit = hit_by_ray.get(int(round(theta / sector)) % n_rays)
+            if hit is not None and hit < d - margin:
+                cells[r, c] = INFLATED
+    return cells
+
+
+def clamp_ref(cells, origin, cell_size, h, world_shape, world_cell_size):
+    """Cells whose center lies outside the world become occupied."""
+    cells = cells.copy()
+    rows, cols = world_shape
+    side = 2 * h + 1
+    for r in range(side):
+        for c in range(side):
+            wx, wy = cell_center_ref(origin, cell_size, h, r, c)
+            wr = int(math.floor(wy / world_cell_size))
+            wc = int(math.floor(wx / world_cell_size))
+            if not (0 <= wr < rows and 0 <= wc < cols):
+                cells[r, c] = OCCUPIED
+    return cells
+
+
+def candidates_ref(cells, origin, cell_size, h):
+    """Free cells on the outer ring or 8-adjacent to a blocked cell, row-major."""
+    side = 2 * h + 1
+    out = []
+    for r in range(side):
+        for c in range(side):
+            if cells[r, c] != FREE:
+                continue
+            marginal = r in (0, side - 1) or c in (0, side - 1) or any(
+                cells[r + dr, c + dc] in (OCCUPIED, INFLATED)
+                for dr in (-1, 0, 1) for dc in (-1, 0, 1))
+            if marginal:
+                out.append(((r, c), cell_center_ref(origin, cell_size, h, r, c)))
+    return out
+
+
+def reachable_ref(cells, h):
+    """Cells 8-connected to the center through free or robot cells."""
+    side = 2 * h + 1
+    seen = {(h, h)}
+    stack = [(h, h)]
+    while stack:
+        r, c = stack.pop()
+        for nr in (r - 1, r, r + 1):
+            for nc in (c - 1, c, c + 1):
+                if 0 <= nr < side and 0 <= nc < side and (nr, nc) not in seen \
+                        and cells[nr, nc] in (FREE, ROBOT):
+                    seen.add((nr, nc))
+                    stack.append((nr, nc))
+    return seen

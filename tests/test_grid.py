@@ -8,6 +8,8 @@ from antnav import (CandidateSet, CellState, InvalidExtent, NoCandidates, Pose,
                     polar_to_world)
 from antnav.grid import LocalGrid
 
+from oracles import candidates_ref
+
 
 def scan_of(samples, radius=6.0, origin=Pose(10.5, 10.5, 0.0), n_rays=360):
     return Scan(tuple(samples), radius, n_rays, origin)
@@ -106,28 +108,9 @@ class TestBuildLocalGrid:
 
 
 def marginal_ref(grid):
-    """Brute-force reimplementation of the candidate rule."""
-    side = grid.side
-    out = []
-    for r in range(side):
-        for c in range(side):
-            if grid.state_at((r, c)) is not CellState.FREE:
-                continue
-            if r in (0, side - 1) or c in (0, side - 1):
-                out.append((r, c))
-                continue
-            for dr in (-1, 0, 1):
-                for dc in (-1, 0, 1):
-                    if dr == dc == 0:
-                        continue
-                    st = grid.state_at((r + dr, c + dc))
-                    if st in (CellState.OCCUPIED, CellState.INFLATED):
-                        out.append((r, c))
-                        break
-                else:
-                    continue
-                break
-    return out
+    """Candidate tuples by the brute-force reference rule."""
+    origin = (grid.center.x, grid.center.y)
+    return tuple(candidates_ref(grid.cells, origin, grid.cell_size, grid.half_extent))
 
 
 class TestCandidateCells:
@@ -142,7 +125,7 @@ class TestCandidateCells:
         origin = Pose(10.5, 10.5, 0.0)
         grid = build_local_grid(scan_of([sample_at(origin, 12.5, 12.5)], origin=origin), 1.0, 4)
         cands = candidate_cells(grid)
-        assert [cell for cell, _ in cands.cells] == marginal_ref(grid)
+        assert cands.cells == marginal_ref(grid)
 
     def test_candidates_never_blocked(self):
         rng = np.random.default_rng(4)
@@ -158,7 +141,7 @@ class TestCandidateCells:
                 continue
             for cell, _ in cands.cells:
                 assert grid.state_at(cell) is CellState.FREE
-            assert [cell for cell, _ in cands.cells] == marginal_ref(grid)
+            assert cands.cells == marginal_ref(grid)
 
     def test_enclosed_robot_raises(self):
         cells = np.full((9, 9), CellState.OCCUPIED, dtype=np.int8)

@@ -1,0 +1,145 @@
+"""Differential tests: the array-native perception stage against the per-ray and
+per-cell reference loops in oracles.py, compared for exact equality."""
+import math
+
+import numpy as np
+import pytest
+
+from antnav import (CellState, MovingObstacle, MoverPolicy, NoCandidates, Pose,
+                    candidate_cells, perceive, reachable_component, simulate_scan)
+from antnav.world import WorldMap
+
+from oracles import (candidates_ref, clamp_ref, local_grid_ref, occlude_ref,
+                     reachable_ref, scan_ref)
+
+STEP_HEADINGS = [math.atan2(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)
+                 if (dr, dc) != (0, 0)]
+RAY_COUNTS = [360, 7, 97, 250, 361]
+
+
+def random_world(rng, cell_size, border):
+    rows, cols = (int(v) for v in rng.integers(8, 30, size=2))
+    static = rng.random((rows, cols)) < rng.uniform(0.03, 0.3)
+    if border:
+        static[[0, -1], :] = True
+        static[:, [0, -1]] = True
+    movers = []
+    for _ in range(int(rng.integers(0, 3))):
+        wps = [(int(rng.integers(1, rows - 1)), int(rng.integers(1, cols - 1)))]
+        for _ in range(int(rng.integers(1, 6))):
+            r, c = wps[-1]
+            wps.append((min(max(r + int(rng.integers(-1, 2)), 0), rows - 1),
+                        min(max(c + int(rng.integers(-1, 2)), 0), cols - 1)))
+        movers.append(MovingObstacle(tuple(wps), int(rng.integers(1, 3)),
+                                     MoverPolicy.PINGPONG))
+    return WorldMap(static, cell_size, tuple(movers), tick=int(rng.integers(0, 10)))
+
+
+def random_pose(rng, world, on_edge):
+    occ = world.occupancy_grid()
+    free = np.argwhere(~occ)
+    if on_edge:
+        rows, cols = occ.shape
+        free = free[(free[:, 0] < 2) | (free[:, 0] >= rows - 2)
+                    | (free[:, 1] < 2) | (free[:, 1] >= cols - 2)]
+    if not len(free):
+        return None
+    r, c = (int(v) for v in free[rng.integers(len(free))])
+    heading = rng.integers(3)
+    psi = (STEP_HEADINGS[int(rng.integers(8))] if heading == 0
+           else math.radians(float(rng.integers(0, 360))) if heading == 1
+           else float(rng.uniform(-7.0, 7.0)))
+    if rng.random() < 0.7:  # planner poses sit on cell centers
+        x, y = world.cell_center((r, c))
+    else:
+        x = (c + float(rng.uniform(0.01, 0.99))) * world.cell_size
+        y = (r + float(rng.uniform(0.01, 0.99))) * world.cell_size
+    return Pose(x, y, psi)
+
+
+def reference_chain(world, pose, samples, n_rays, cell_size, h, rings):
+    origin = (pose.x, pose.y, pose.psi)
+    cells = local_grid_ref(samples, origin, cell_size, h, rings)
+    occluded = occlude_ref(cells, samples, n_rays, origin, cell_size, h)
+    return cells, occluded, clamp_ref(occluded, origin, cell_size, h,
+                                      world.occupancy_grid().shape, world.cell_size)
+
+
+@pytest.mark.parametrize("cell_size", [0.3, 1.0, 1.5])
+def test_perception_matches_reference_loops(cell_size):
+    rng = np.random.default_rng(int(cell_size * 10))
+    fired = {"occlusion": 0, "clamp": 0, "samples": 0, "candidates": 0}
+    cases = 0
+    while cases < 120:
+        world = random_world(rng, cell_size, border=rng.random() < 0.5)
+        pose = random_pose(rng, world, on_edge=rng.random() < 0.3)
+        if pose is None:
+            continue
+        cases += 1
+        n_rays = RAY_COUNTS[int(rng.integers(len(RAY_COUNTS)))]
+        h = int(rng.integers(2, 6))
+        rings = int(rng.integers(0, 3))
+        radius = h * cell_size * (1.0 if rng.random() < 0.5 else float(rng.uniform(1.0, 1.6)))
+
+        scan = simulate_scan(world, pose, radius, n_rays)
+        samples = scan_ref(world.occupancy_grid(), world.cell_size, pose.x, pose.y,
+                           pose.psi, radius, n_rays)
+        assert [(s.d, s.theta) for s in scan.samples] == samples
+        fired["samples"] += len(samples)
+
+        grid = perceive(world, pose, radius, n_rays, cell_size, h, rings)
+        raw, occluded, expected = reference_chain(world, pose, samples, n_rays,
+                                                  cell_size, h, rings)
+        assert grid.cells.dtype == np.int8
+        assert np.array_equal(grid.cells, expected)
+        fired["occlusion"] += int((occluded != raw).any())
+        fired["clamp"] += int((expected != occluded).any())
+
+        ref_candidates = candidates_ref(expected, (pose.x, pose.y), cell_size, h)
+        if ref_candidates:
+            assert candidate_cells(grid).cells == tuple(ref_candidates)
+            fired["candidates"] += 1
+        else:
+            with pytest.raises(NoCandidates):
+                candidate_cells(grid)
+
+        reach = reachable_component(grid)
+        assert set(map(tuple, np.argwhere(reach).tolist())) == reachable_ref(expected, h)
+    # every branch the reference takes was exercised
+    assert all(count > 0 for count in fired.values()), fired
+
+
+def test_kernel_matches_scalar_rays_in_open_and_cluttered_worlds():
+    rng = np.random.default_rng(41)
+    for density in (0.0, 0.05, 0.5):
+        for _ in range(30):
+            cell_size = float(rng.choice([0.3, 1.0, 1.5]))
+            static = rng.random((25, 25)) < density
+            static[12, 12] = False
+            world = WorldMap(static, cell_size)
+            pose = Pose(*world.cell_center((12, 12)), float(rng.uniform(-4, 4)))
+            n_rays = RAY_COUNTS[int(rng.integers(len(RAY_COUNTS)))]
+            radius = float(rng.uniform(0.5, 20.0)) * cell_size
+            scan = simulate_scan(world, pose, radius, n_rays)
+            assert [(s.d, s.theta) for s in scan.samples] == scan_ref(
+                static, cell_size, pose.x, pose.y, pose.psi, radius, n_rays)
+
+
+def test_occlusion_bearing_on_a_half_sector_tie():
+    # The diagonal cell three rows up and three columns left of this off-center
+    # pose lies half-way between rays 1 and 2 of 12 (math.atan2 gives
+    # 1.4999999999999993 sectors here, so it reads ray 1, a close hit, and is
+    # occluded); a bearing one ulp larger, as np.arctan2 gives, reads ray 2,
+    # which has no hit, and leaves it free.
+    static = np.zeros((14, 26), bool)
+    static[6, 16] = True
+    world = WorldMap(static, 1.0)
+    pose = Pose(18.394643278335018, 5.934330455755014, math.pi)
+    dx, dy = (pose.x - 3.0) - pose.x, (pose.y + 3.0) - pose.y
+    bearing = (pose.psi - math.atan2(dy, dx)) % math.tau / (math.tau / 12)
+    assert abs(bearing - 1.5) < 1e-12
+    grid = perceive(world, pose, 4.0, 12, 1.0, 4, 0)
+    samples = [(s.d, s.theta) for s in simulate_scan(world, pose, 4.0, 12).samples]
+    raw, occluded, expected = reference_chain(world, pose, samples, 12, 1.0, 4, 0)
+    assert raw[7, 1] == CellState.FREE
+    assert np.array_equal(grid.cells, expected)

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from antnav import (Pose, Scan, ScanSample, PoseInObstacle, PoseOutOfBounds,
                     polar_to_world, sector_counts, sector_of, simulate_scan)
-from antnav.world import WorldMap
+from antnav.world import MovingObstacle, WorldMap
 
 from oracles import polar_ref, rel_close
 
@@ -131,3 +133,55 @@ class TestSimulateScan:
             ScanSample(1.0, math.tau)
         with pytest.raises(ValueError):
             ScanSample(-0.1, 0.0)
+
+
+@st.composite
+def scan_scenes(draw):
+    """A random world (static cells plus parked movers, at some tick), a pose on
+    a free cell anywhere inside it, a scan radius and a ray count."""
+    rows, cols = draw(st.integers(2, 16)), draw(st.integers(2, 16))
+    cell_size = draw(st.sampled_from([0.3, 0.7, 1.0, 1.5]))
+    bits = draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols))
+    static = np.array(bits, bool).reshape(rows, cols)
+    static[draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))] = False
+    movers = tuple(MovingObstacle((draw(st.tuples(st.integers(0, rows - 1),
+                                                  st.integers(0, cols - 1))),))
+                   for _ in range(draw(st.integers(0, 2))))
+    world = WorldMap(static, cell_size, movers, tick=draw(st.integers(0, 5)))
+    free = np.argwhere(~world.occupancy_grid())
+    if not len(free):  # the movers covered the one free cell
+        world = WorldMap(static, cell_size)
+        free = np.argwhere(~static)
+    r, c = (int(v) for v in free[draw(st.integers(0, len(free) - 1))])
+    x = (c + draw(st.floats(0.0, 1.0, exclude_max=True))) * cell_size
+    y = (r + draw(st.floats(0.0, 1.0, exclude_max=True))) * cell_size
+    if world.cell_of(x, y) != (r, c):  # rounding moved the point off its cell
+        x, y = world.cell_center((r, c))
+    pose = Pose(x, y, draw(st.floats(-10.0, 10.0)))
+    return world, pose, draw(st.floats(0.05, 12.0)), draw(st.integers(1, 400))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(scan_scenes())
+# pose on a grid line; a ray a hair off vertical leaves it into column 0 at once
+@example((WorldMap(np.array([[True, False]]), 0.3), Pose(0.3, 0.0, 0.0), 1.0, 4))
+# the ray enters the hit cell exactly at the scan radius
+@example((WorldMap(np.array([[False] * 4] * 2 + [[False, False, True, False]]), 1.0),
+          Pose(3.5, 2.5, 0.0), 0.5, 2))
+def test_samples_map_back_into_occupied_cells(scene):
+    """Every sample's world point lies in a cell occupied at that tick, or on its border.
+
+    The point sits on the hit cell's border when the ray runs along a grid line
+    within rounding distance (first example: origin + d * (cos, sin) rounds back
+    onto the line the ray left at t = 0) or enters the hit cell exactly at the
+    radius, where d is clipped (second example). So the point is checked 1e-9
+    cells either way; which cell a corner-grazing ray hits is left to the
+    differential tests in test_perception.py.
+    """
+    world, pose, radius, n_rays = scene
+    occ = world.occupancy_grid()
+    eps = 1e-9 * world.cell_size
+    for s in simulate_scan(world, pose, radius, n_rays).samples:
+        x, y = polar_to_world(pose, s)
+        near = {world.cell_of(x + ex, y + ey) for ex in (-eps, 0.0, eps) for ey in (-eps, 0.0, eps)}
+        assert any(world.in_bounds(cell) and occ[cell] for cell in near), (s, pose, radius)

@@ -105,13 +105,48 @@ class TestScenarioParsing:
 
     @pytest.mark.parametrize("directive", [
         "lidar_rays 0", "lidar_radius 0", "cell_size -1", "half_extent 0",
-        "inflation_rings -1", "sectors 0", "goal_tolerance -0.5", "max_robot_steps -1",
+        "inflation_rings -1", "goal_tolerance -0.5", "max_robot_steps -1",
     ])
     def test_planner_config_rejected_at_parse_time(self, tmp_path, directive):
         (tmp_path / "tiny.map").write_text(MAP)
         (tmp_path / "bad.scn").write_text(f"format 1\nmap tiny.map\n{directive}\n")
         with pytest.raises(ScenarioParseError) as err:
             parse_scenario(tmp_path / "bad.scn")
+        assert err.value.line_no == 3
+
+    @pytest.mark.parametrize("value", ["0.5", "1.5", "1.0000001"])
+    def test_cell_size_must_match_the_map(self, tmp_path, value):
+        (tmp_path / "tiny.map").write_text(MAP)
+        (tmp_path / "bad.scn").write_text(f"format 1\nmap tiny.map\nseed 2\ncell_size {value}\n")
+        with pytest.raises(ScenarioParseError) as err:
+            parse_scenario(tmp_path / "bad.scn")
+        assert err.value.line_no == 4
+        (tmp_path / "ok.scn").write_text("format 1\nmap tiny.map\ncell_size 1.0\n")
+        assert parse_scenario(tmp_path / "ok.scn").config.cell_size == 1.0
+
+    def test_cell_size_mismatch_exits_one_without_running(self, tmp_path, capsys):
+        (tmp_path / "tiny.map").write_text(MAP)
+        (tmp_path / "bad.scn").write_text("format 1\nmap tiny.map\ncell_size 0.5\n")
+        code = main(["run", "--scenario", str(tmp_path / "bad.scn"),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "line 3:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_goal_on_a_wall_exits_one_without_running(self, tmp_path, capsys):
+        (tmp_path / "wall.map").write_text(MAP.replace("goal 4 4", "goal 5 4"))
+        (tmp_path / "s.scn").write_text("format 1\nmap wall.map\n")
+        code = main(["run", "--scenario", str(tmp_path / "s.scn"),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "line 3:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_sectors_key_is_gone(self, tmp_path):
+        (tmp_path / "tiny.map").write_text(MAP)
+        (tmp_path / "s.scn").write_text("format 1\nmap tiny.map\nsectors 36\n")
+        with pytest.raises(ScenarioParseError) as err:
+            parse_scenario(tmp_path / "s.scn")
         assert err.value.line_no == 3
 
     def test_zero_rays_exits_one_without_running(self, tmp_path, capsys):

@@ -159,5 +159,12 @@ class TestMapParsing:
             parse_map("start 0 0 0\ngoal 1 1\n..\n..\n")
 
     def test_start_on_obstacle_rejected(self):
-        with pytest.raises(MapParseError):
+        with pytest.raises(MapParseError) as err:
             parse_map("cellsize 1\nstart 0 1 0\ngoal 1 0\n#.\n.#\n")
+        assert err.value.line_no == 2
+
+    @pytest.mark.parametrize("goal", ["goal 1 0", "goal 0 1", "goal 5 0"])
+    def test_goal_on_obstacle_or_outside_rejected_at_its_line(self, goal):
+        with pytest.raises(MapParseError) as err:
+            parse_map(f"cellsize 1\n{goal}\nstart 0 0 0\n#.\n.#\n")
+        assert err.value.line_no == 2
