@@ -6,7 +6,7 @@ local grid (inflated, occlusion-masked, clamped to the world), pick the minimum-
 """
 
 from .aco import (AcoMode, AcoParams, AntPath, AntState, GridGraph,
-                  PheromoneField, PlanningGrid, corner_heuristic, heuristic,
+                  PheromoneField, corner_heuristic, heuristic,
                   plan_subpath, roulette_select, score, transition_probabilities,
                   update_pheromone, repair)
 from .baselines import ApfParams, apf_step
@@ -21,7 +21,7 @@ from .metrics import (AggregateStats, RunMetrics, RunStatus, aggregate,
                       corner_count, path_length)
 from .planner import (CycleRecord, PlannerConfig, PlannerKind, PlannerState,
                       RunResult, plan_cycle, run)
-from .scan import Scan, ScanSample, polar_to_world, sector_counts, sector_of, simulate_scan
+from .scan import Scan, polar_to_world, simulate_scan
 from .scenario import Scenario, WeightGroup, parse_groups, parse_scenario
 from .subgoal import CostWeights, SubGoal, normalize, rank_candidates, raw_constraints, select_subgoal
 from .world import MovingObstacle, MoverPolicy, ParsedMap, WorldMap, load_map, parse_map

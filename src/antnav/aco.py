@@ -26,7 +26,6 @@ from numpy.random.bit_generator import ISeedSequence
 from .errors import DeadEnd, NoBestPathYet, NoPathFound, UnfinishedPath
 from .geometry import (Cell, DIR_ANGLES, DIR_INDEX, DIR_IS_DIAGONAL, DIR_OFFSETS,
                        SQRT2, wrap_angle)
-from .grid import LocalGrid
 
 
 class AcoMode(enum.Enum):
@@ -79,25 +78,16 @@ class AcoParams:
         return self.elite_cutoff if self.elite_cutoff is not None else self.n_ants - 1
 
 
-@dataclass(frozen=True)
-class PlanningGrid:
-    """Bare planning surface: a boolean traversability mask plus the cell size."""
-
-    traversable: np.ndarray
-    cell_size: float
-
-
 class GridGraph:
-    """Adjacency tables over the traversable cells of a grid.
+    """Adjacency table over the traversable cells of a boolean mask.
 
-    For each cell id (row * cols + col) the neighbor table holds tuples
-    (neighbor id, direction index, step length, heuristic 1/step, diagonal flag)
-    in the canonical direction order N, NE, E, SE, S, SW, W, NW. moves holds
-    the walker's view of the same edges, (neighbor id, edge index cid * 8 + d,
-    d, step length), and cells the (row, col) of every id.
+    For each cell id (row * cols + col) nbrs holds one tuple (neighbor id,
+    edge index cid * 8 + d, direction index d, step length) per traversable
+    neighbor, in the canonical direction order N, NE, E, SE, S, SW, W, NW;
+    cells holds the (row, col) of every id.
     """
 
-    __slots__ = ("rows", "cols", "n", "cell_size", "mask", "nbrs", "moves", "cells")
+    __slots__ = ("rows", "cols", "n", "cell_size", "mask", "nbrs", "cells")
 
     def __init__(self, mask: np.ndarray, cell_size: float):
         mask = np.asarray(mask, dtype=bool)
@@ -105,31 +95,19 @@ class GridGraph:
         self.n = self.rows * self.cols
         self.cell_size = float(cell_size)
         self.mask = mask
-        straight = self.cell_size
-        diagonal = self.cell_size * SQRT2
+        steps = [self.cell_size * SQRT2 if diag else self.cell_size for diag in DIR_IS_DIAGONAL]
+        self.cells = tuple(divmod(cid, self.cols) for cid in range(self.n))
+        free = mask.tolist()
         nbrs: list[tuple] = []
-        for r in range(self.rows):
-            for c in range(self.cols):
-                if not mask[r, c]:
-                    nbrs.append(())
-                    continue
-                row = []
+        for cid, (r, c) in enumerate(self.cells):
+            row = []
+            if free[r][c]:
                 for d, (dr, dc) in enumerate(DIR_OFFSETS):
                     nr, nc = r + dr, c + dc
-                    if 0 <= nr < self.rows and 0 <= nc < self.cols and mask[nr, nc]:
-                        step = diagonal if DIR_IS_DIAGONAL[d] else straight
-                        row.append((nr * self.cols + nc, d, step, 1.0 / step, DIR_IS_DIAGONAL[d]))
-                nbrs.append(tuple(row))
+                    if 0 <= nr < self.rows and 0 <= nc < self.cols and free[nr][nc]:
+                        row.append((nr * self.cols + nc, cid * 8 + d, d, steps[d]))
+            nbrs.append(tuple(row))
         self.nbrs = tuple(nbrs)
-        self.moves = tuple(tuple((nid, cid * 8 + d, d, step) for nid, d, step, _eta, _diag in row)
-                           for cid, row in enumerate(nbrs))
-        self.cells = tuple(divmod(cid, self.cols) for cid in range(self.n))
-
-    @classmethod
-    def from_grid(cls, grid: "LocalGrid | PlanningGrid") -> "GridGraph":
-        if isinstance(grid, LocalGrid):
-            return cls(grid.traversable_mask(), grid.cell_size)
-        return cls(grid.traversable, grid.cell_size)
 
     def id_of(self, cell: Cell) -> int:
         r, c = cell
@@ -179,8 +157,8 @@ class PheromoneField:
         tau = self.tau.tolist()
         for cid in range(graph.n):
             i = graph.cell_of(cid)
-            for nid, d, _step, _eta, _diag in graph.nbrs[cid]:
-                yield (i, graph.cell_of(nid)), tau[cid * 8 + d]
+            for nid, e, _d, _step in graph.nbrs[cid]:
+                yield (i, graph.cell_of(nid)), tau[e]
 
 
 @dataclass(frozen=True)
@@ -244,12 +222,12 @@ def transition_probabilities(field: PheromoneField, state: AntState,
     improved = params.mode is AcoMode.IMPROVED
     out: list[tuple[Cell, float]] = []
     total = 0.0
-    for nid, d, _step, eta, _diag in graph.nbrs[cid]:
+    for nid, e, _d, step in graph.nbrs[cid]:
         ncell = graph.cell_of(nid)
         if ncell in state.tabu:
             continue
-        t = float(field.tau[cid * 8 + d])
-        w = (t if params.phi == 1.0 else t ** params.phi) * eta ** params.gamma
+        t = float(field.tau[e])
+        w = (t if params.phi == 1.0 else t ** params.phi) * (1.0 / step) ** params.gamma
         if improved:
             w *= corner_heuristic(state.prev_dir, state.cell, ncell)
         out.append((ncell, w))
@@ -456,7 +434,7 @@ def _construct(graph: GridGraph, weights: list[float],
     the same arithmetic: weights[edge] * corner factor, then the cumulative
     sum of weight / total in canonical neighbor order.
     """
-    moves = graph.moves
+    nbrs = graph.nbrs
     tabu = bytearray(graph.n)
     tabu[start_id] = 1
     pos = start_id
@@ -472,7 +450,7 @@ def _construct(graph: GridGraph, weights: list[float],
         turn = vtab[prev + 1]
         cand: list[tuple[float, int, int, float]] = []
         total = 0.0
-        for nid, e, d, step in moves[pos]:
+        for nid, e, d, step in nbrs[pos]:
             if not tabu[nid]:
                 w = weights[e] * turn[d]
                 cand.append((w, nid, d, step))
@@ -506,15 +484,9 @@ def _construct(graph: GridGraph, weights: list[float],
                    reached, None, tuple(dirs))
 
 
-def _as_graph(grid) -> GridGraph:
-    if isinstance(grid, GridGraph):
-        return grid
-    return GridGraph.from_grid(grid)
-
-
-def plan_subpath(grid, start: Cell, subgoal: Cell, params: AcoParams,
+def plan_subpath(graph: GridGraph, start: Cell, subgoal: Cell, params: AcoParams,
                  seed) -> tuple[AntPath, list[float]]:
-    """Plan an 8-connected path from start to subgoal.
+    """Plan an 8-connected path from start to subgoal over the graph's traversable cells.
 
     Runs n_iters iterations of {construct n_ants walks, repair (improved mode,
     once an incumbent exists), score, update pheromone} and returns the best
@@ -527,7 +499,6 @@ def plan_subpath(grid, start: Cell, subgoal: Cell, params: AcoParams,
     on the stream of key (seed..., n, k) and repair draws from (seed..., n,
     n_ants).
     """
-    graph = _as_graph(grid)
     key = tuple(seed) if isinstance(seed, (tuple, list)) else (int(seed),)
     if start == subgoal:
         raise ValueError("start and subgoal must differ")

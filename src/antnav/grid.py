@@ -59,11 +59,6 @@ class LocalGrid:
         offsets = np.arange(self.side) - self.half_extent
         return self.center.x + offsets * self.cell_size, self.center.y + offsets * self.cell_size
 
-    def world_offsets(self) -> dict[Cell, Point]:
-        """World-frame center coordinates for every cell of the grid."""
-        side = self.side
-        return {(r, c): self.world_center((r, c)) for r in range(side) for c in range(side)}
-
     def cell_containing(self, point: Point) -> Cell | None:
         """Grid cell containing a world point, or None when outside the square."""
         h = self.half_extent
@@ -114,10 +109,10 @@ def build_local_grid(scan: Scan, cell_size: float, half_extent: int,
     side = 2 * half_extent + 1
     h = half_extent
     cells = np.full((side, side), CellState.FREE, dtype=np.int8)
-    if scan.samples:
+    if len(scan.samples):
         origin = scan.origin
-        d = np.array([s.d for s in scan.samples])
-        ang = origin.psi - np.array([s.theta for s in scan.samples])
+        d, theta = scan.samples.T
+        ang = origin.psi - theta
         # polar_to_world's arithmetic term for term, so every sample lands in
         # the cell the per-sample formula gives
         c = h + np.floor((origin.x + d * np.cos(ang) - origin.x) / cell_size + 0.5)
@@ -142,11 +137,13 @@ def _mask_occluded(grid: LocalGrid, scan: Scan) -> None:
     Bearing and range use math.atan2/math.hypot per cell: their numpy
     counterparts round differently in the last bit.
     """
-    if not scan.samples:
+    if not len(scan.samples):
         return
     n = scan.n_rays
     sector = math.tau / n
-    hit_by_ray = {int(round(s.theta / sector)) % n: s.d for s in scan.samples}
+    dist, bearing = scan.samples.T
+    rays = np.rint(bearing / sector).astype(np.intp) % n  # rounds half to even, as round()
+    hit_by_ray = dict(zip(rays.tolist(), dist.tolist()))  # the last sample on a ray wins
     origin = grid.center
     xs, ys = grid.cell_centers()
     dxs, dys = (xs - origin.x).tolist(), (ys - origin.y).tolist()
@@ -160,8 +157,7 @@ def _mask_occluded(grid: LocalGrid, scan: Scan) -> None:
         if d <= cell_size:
             continue  # the adjacent ring is always observed
         theta = (origin.psi - math.atan2(dy, dx)) % math.tau
-        hit = hit_by_ray.get(int(round(theta / sector)) % n)
-        if hit is not None and hit < d - margin:
+        if hit_by_ray.get(int(round(theta / sector)) % n, math.inf) < d - margin:
             hidden.append((r, c))
     if hidden:
         grid.cells[tuple(zip(*hidden))] = CellState.INFLATED

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-from .aco import AcoMode, AcoParams, plan_subpath
+from .aco import AcoMode, AcoParams, GridGraph, plan_subpath
 from .baselines import ApfParams, apf_step
 from .errors import LocalMinimum, NoCandidates, NoPathFound
 from .geometry import Cell, Point, Pose
@@ -86,7 +86,6 @@ class PlannerConfig:
 class PlannerState:
     pose: Pose
     step_index: int
-    desired_path: tuple[Point, ...]  # accumulated world-frame trajectory
     status: RunStatus
 
 
@@ -119,7 +118,7 @@ def _advance_state(state: PlannerState, grid: LocalGrid, next_cell: Cell,
     wx, wy = grid.world_center(next_cell)
     pose = Pose(wx, wy, math.atan2(dr, dc))
     status = RunStatus.GOAL_REACHED if _goal_distance(pose, goal) <= tolerance else RunStatus.RUNNING
-    return PlannerState(pose, state.step_index + 1, state.desired_path + ((wx, wy),), status)
+    return PlannerState(pose, state.step_index + 1, status)
 
 
 def plan_cycle(world: WorldMap, state: PlannerState, goal: Point,
@@ -175,12 +174,13 @@ def plan_cycle(world: WorldMap, state: PlannerState, goal: Point,
         return halted(RunStatus.STUCK)
 
     aco_params = config.aco_for_planner()
+    graph = GridGraph(grid.traversable_mask(), grid.cell_size)  # shared by every trial
     path = None
     subgoal_world = None
     series: list[float] = []
     for attempt, (cell, wpt) in enumerate(trials):
         try:
-            path, series = plan_subpath(grid, grid.center_cell, cell, aco_params,
+            path, series = plan_subpath(graph, grid.center_cell, cell, aco_params,
                                         (seed, cycle, attempt))
         except NoPathFound:
             continue  # unreachable within the local grid; fall back to the next candidate
@@ -205,7 +205,7 @@ def run(scenario: "Scenario") -> RunResult:
     max_steps = config.resolved_max_steps(world)
 
     t0 = time.perf_counter()
-    state = PlannerState(scenario.start, 0, (scenario.start.xy,), RunStatus.RUNNING)
+    state = PlannerState(scenario.start, 0, RunStatus.RUNNING)
     if _goal_distance(state.pose, goal) <= tolerance:
         state = replace(state, status=RunStatus.GOAL_REACHED)
 

@@ -1,4 +1,4 @@
-"""LiDAR scan model: polar samples, sector bucketing, and a ray-cast scan simulator.
+"""LiDAR scan model: an array of polar samples and a ray-cast scan simulator.
 
 Bearings are measured clockwise from the robot heading, so the world-frame
 direction of a ray with bearing theta is psi - theta. Rays that hit nothing
@@ -16,59 +16,41 @@ from .geometry import Point, Pose
 from .world import WorldMap
 
 
-@dataclass(frozen=True)
-class ScanSample:
-    """One returned ray: relative distance d (m) and relative bearing theta in [0, 2pi)."""
-
-    d: float
-    theta: float
-
-    def __post_init__(self):
-        if self.d < 0:
-            raise ValueError("sample distance must be >= 0")
-        if not 0.0 <= self.theta < math.tau:
-            raise ValueError("sample bearing must be in [0, 2pi)")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scan:
-    """One LiDAR revolution: only returned rays are stored, so len(samples) <= n_rays."""
+    """One LiDAR revolution: a (k, 2) float array of (d, theta) rows, one per returned ray.
 
-    samples: tuple[ScanSample, ...]
+    d is the distance in [0, radius] and theta the bearing in [0, 2pi), so
+    k <= n_rays. The dataclass == is off because == on arrays is elementwise.
+    """
+
+    samples: np.ndarray
     radius: float
     n_rays: int
     origin: Pose
 
     def __post_init__(self):
+        samples = np.asarray(self.samples, dtype=float)
+        if samples.size == 0:
+            samples = samples.reshape(0, 2)
+        if samples.ndim != 2 or samples.shape[1] != 2:
+            raise ValueError(f"samples must be (k, 2) rows of (d, theta), got shape {samples.shape}")
+        object.__setattr__(self, "samples", samples)
         if self.radius <= 0:
             raise ValueError("scan radius must be positive")
-        if len(self.samples) > self.n_rays:
+        if len(samples) > self.n_rays:
             raise ValueError("more samples than rays")
-        for s in self.samples:
-            if s.d > self.radius:
-                raise ValueError(f"sample distance {s.d} exceeds radius {self.radius}")
+        d, theta = samples.T
+        if not ((d >= 0) & (d <= self.radius)).all():
+            raise ValueError(f"sample distances must be in [0, {self.radius}]")
+        if not ((theta >= 0) & (theta < math.tau)).all():
+            raise ValueError("sample bearings must be in [0, 2pi)")
 
 
-def polar_to_world(origin: Pose, sample: ScanSample) -> Point:
+def polar_to_world(origin: Pose, d: float, theta: float) -> Point:
     """World point of a sample: origin + d * (cos(psi - theta), sin(psi - theta))."""
-    ang = origin.psi - sample.theta
-    return (origin.x + sample.d * math.cos(ang), origin.y + sample.d * math.sin(ang))
-
-
-def sector_of(sample: ScanSample, n_sectors: int) -> int:
-    """Sector id in 1..n_sectors for a bearing; sectors equally divide [0, 2pi)."""
-    if n_sectors < 1:
-        raise ValueError("n_sectors must be >= 1")
-    idx = int(sample.theta / (math.tau / n_sectors))
-    return min(idx, n_sectors - 1) + 1
-
-
-def sector_counts(scan: Scan, n_sectors: int) -> list[int]:
-    """Number of returned samples per sector, index 0 holding sector 1."""
-    counts = [0] * n_sectors
-    for s in scan.samples:
-        counts[sector_of(s, n_sectors) - 1] += 1
-    return counts
+    ang = origin.psi - theta
+    return (origin.x + d * math.cos(ang), origin.y + d * math.sin(ang))
 
 
 _OUTSIDE = 2  # sentinel framing the occupancy grid in the ray-cast kernel
@@ -152,5 +134,4 @@ def simulate_scan(world: WorldMap, pose: Pose, radius: float, n_rays: int) -> Sc
     thetas = math.tau * np.arange(n_rays) / n_rays
     dist = _cast_rays(occ, world.cell_size, pose.x, pose.y, pose.psi - thetas, radius)
     hit = ~np.isnan(dist)
-    samples = tuple(map(ScanSample, dist[hit].tolist(), thetas[hit].tolist()))
-    return Scan(samples, radius, n_rays, pose)
+    return Scan(np.column_stack((dist[hit], thetas[hit])), radius, n_rays, pose)

@@ -22,6 +22,7 @@ makes the configuration invalid, reading the file top down.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -88,6 +89,8 @@ def parse_scenario(path) -> Scenario:
                 values[key] = float(value)
             except ValueError:
                 raise ScenarioParseError(f"bad number for {key!r}: {value!r}", line_no)
+            if not math.isfinite(values[key]):
+                raise ScenarioParseError(f"{key!r} must be finite, got {value!r}", line_no)
         elif key in _STR_KEYS:
             values[key] = value
         else:
@@ -103,7 +106,11 @@ def parse_scenario(path) -> Scenario:
         raise ScenarioParseError("seed must be >= 0", line_of["seed"])
 
     map_path = (path.parent / str(values["map"])).resolve()
-    parsed = load_map(map_path)
+    try:
+        parsed = load_map(map_path)
+    except OSError as exc:
+        raise ScenarioParseError(f"cannot read map {map_path}: {exc.strerror}",
+                                 line_of["map"]) from exc
     world = parsed.world
     if values.get("cell_size", world.cell_size) != world.cell_size:
         raise ScenarioParseError(f"cell_size {values['cell_size']} differs from the map's "

@@ -133,6 +133,14 @@ class WorldMap:
         return ((c + 0.5) * self.cell_size, (r + 0.5) * self.cell_size)
 
 
+def _finite_float(text: str) -> float:
+    """float(text); ValueError for nan and infinities too, as for any non-number."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ParsedMap:
     """Result of parsing a map file: the world plus start pose and goal point."""
@@ -160,6 +168,7 @@ def parse_map(text: str) -> ParsedMap:
     grid_rows: list[tuple[int, str]] = []  # (line_no, row text), file order
     movers: list[MovingObstacle] = []
     pending: tuple[int, MoverPolicy, list[Cell]] | None = None  # open mover block
+    wp_lines: list[tuple[Cell, int]] = []  # every waypoint with its line number
 
     def close_pending(line_no: int):
         nonlocal pending
@@ -190,7 +199,7 @@ def parse_map(text: str) -> ParsedMap:
             if len(parts) != 2:
                 raise MapParseError("expected: cellsize <meters>", line_no)
             try:
-                cell_size = float(parts[1])
+                cell_size = _finite_float(parts[1])
             except ValueError:
                 raise MapParseError(f"bad cellsize value {parts[1]!r}", line_no)
             if cell_size <= 0:
@@ -200,7 +209,7 @@ def parse_map(text: str) -> ParsedMap:
             if len(parts) != 4:
                 raise MapParseError("expected: start <col> <row> <psi_deg>", line_no)
             try:
-                start_spec = (int(parts[1]), int(parts[2]), float(parts[3]), line_no)
+                start_spec = (int(parts[1]), int(parts[2]), _finite_float(parts[3]), line_no)
             except ValueError:
                 raise MapParseError("bad start values", line_no)
         elif key == "goal":
@@ -234,6 +243,7 @@ def parse_map(text: str) -> ParsedMap:
             except ValueError:
                 raise MapParseError("bad waypoint values", line_no)
             pending[2].append((row, col))
+            wp_lines.append(((row, col), line_no))
         else:
             raise MapParseError(f"unknown directive {key!r}", line_no)
 
@@ -258,6 +268,10 @@ def parse_map(text: str) -> ParsedMap:
             raise MapParseError(f"grid row has {len(row_text)} cells, expected {width}", line_no)
         static[height - 1 - i, :] = [ch == "#" for ch in row_text]
 
+    # the grid may follow the mover blocks, so waypoints are checked only now
+    for (row, col), line_no in wp_lines:
+        if not (0 <= row < height and 0 <= col < width):
+            raise MapParseError(f"waypoint ({col}, {row}) outside the grid", line_no)
     world = WorldMap(static, cell_size, tuple(movers))
 
     for name, (col, row, *_, line_no) in (("start", start_spec), ("goal", goal_spec)):

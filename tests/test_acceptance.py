@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from antnav import (AcoMode, AcoParams, AntPath, AntState, CostWeights, GridGraph,
-                    PheromoneField, PlannerKind, PlanningGrid, Pose, RunStatus,
-                    ScanSample, corner_heuristic, heuristic, normalize,
+                    PheromoneField, PlannerKind, Pose, RunStatus,
+                    corner_heuristic, heuristic, normalize,
                     plan_subpath, polar_to_world, raw_constraints, run, score,
                     transition_probabilities, update_pheromone)
 from antnav.geometry import DIR_INDEX, DIR_OFFSETS, SQRT2
@@ -71,7 +71,7 @@ def random_paths(rng, graph, count):
             options = [t for t in graph.nbrs[pos] if t[0] not in seen]
             if not options:
                 break
-            nid, d, step, _eta, _diag = options[int(rng.integers(len(options)))]
+            nid, _edge, d, step = options[int(rng.integers(len(options)))]
             if dirs and d != dirs[-1]:
                 corners += 1
             dirs.append(d)
@@ -100,9 +100,9 @@ class TestCriterion1:
         ok = True
         for _ in range(1000):
             pose = Pose(rng.uniform(-50, 50), rng.uniform(-50, 50), rng.uniform(-9, 9))
-            smp = ScanSample(rng.uniform(0, 20), rng.uniform(0, math.tau * 0.999999))
-            g = polar_to_world(pose, smp)
-            r = polar_ref(pose.x, pose.y, pose.psi, smp.d, smp.theta)
+            d, theta = rng.uniform(0, 20), rng.uniform(0, math.tau * 0.999999)
+            g = polar_to_world(pose, d, theta)
+            r = polar_ref(pose.x, pose.y, pose.psi, d, theta)
             ok &= track(g[0], r[0]) and track(g[1], r[1])
         for _ in range(1000):
             robot = Pose(rng.uniform(-10, 10), rng.uniform(-10, 10), rng.uniform(-7, 7))
@@ -234,7 +234,7 @@ class TestCriterion3:
         for seed in range(n):
             mask, start, subgoal = layout_9x9(seed)
             opt = dijkstra_ref(mask, start, subgoal)
-            path, _ = plan_subpath(PlanningGrid(mask, 1.0), start, subgoal, params, seed)
+            path, _ = plan_subpath(GridGraph(mask, 1.0), start, subgoal, params, seed)
             excess = path.length - opt
             max_excess = max(max_excess, excess)
             if abs(excess) < 1e-9:
@@ -271,7 +271,7 @@ def iterations_to_within(series, frac=0.05):
 class TestCriterion4:
     def test_convergence_ordering(self):
         mask = benchmark_20x20()
-        grid = PlanningGrid(mask, 1.0)
+        grid = GridGraph(mask, 1.0)
         base = AcoParams()
         t_improved, t_conventional = [], []
         for seed in range(30):

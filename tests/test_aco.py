@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from antnav import (AcoMode, AcoParams, AntPath, AntState, DeadEnd, GridGraph,
-                    NoBestPathYet, NoPathFound, PheromoneField, PlanningGrid,
+                    NoBestPathYet, NoPathFound, PheromoneField,
                     UnfinishedPath, corner_heuristic, heuristic, plan_subpath,
                     repair, roulette_select, score, transition_probabilities,
                     update_pheromone)
@@ -18,7 +18,7 @@ SQRT2 = math.sqrt(2.0)
 
 
 def open_grid(n=5, cell_size=1.0):
-    return PlanningGrid(np.ones((n, n), bool), cell_size)
+    return GridGraph(np.ones((n, n), bool), cell_size)
 
 
 class TestHeuristic:
@@ -283,9 +283,9 @@ class TestPlanSubpath:
     def test_detour_never_enters_blocked_cells(self):
         mask = np.ones((9, 9), bool)
         mask[4, 1:8] = False  # wall with a gap at the west edge
-        pg = PlanningGrid(mask, 1.0)
+        graph = GridGraph(mask, 1.0)
         for seed in range(5):
-            path, _ = plan_subpath(pg, (2, 4), (6, 4), AcoParams(n_iters=10, n_ants=8), seed)
+            path, _ = plan_subpath(graph, (2, 4), (6, 4), AcoParams(n_iters=10, n_ants=8), seed)
             assert path.reached
             assert all(mask[c] for c in path.cells)
 
@@ -304,7 +304,7 @@ class TestPlanSubpath:
         mask = np.ones((7, 7), bool)
         mask[3, :] = False  # full wall
         with pytest.raises(NoPathFound):
-            plan_subpath(PlanningGrid(mask, 1.0), (1, 1), (5, 5),
+            plan_subpath(GridGraph(mask, 1.0), (1, 1), (5, 5),
                          AcoParams(n_iters=10, n_ants=6), 0)
 
     def test_series_tracks_best_so_far(self):
@@ -320,7 +320,7 @@ class TestPlanSubpath:
         mask = np.ones((5, 5), bool)
         mask[2, 2] = False
         with pytest.raises(ValueError):
-            plan_subpath(PlanningGrid(mask, 1.0), (0, 0), (2, 2), AcoParams(), 0)
+            plan_subpath(GridGraph(mask, 1.0), (0, 0), (2, 2), AcoParams(), 0)
 
     def test_conventional_mode_returns_min_length_objective(self):
         params = AcoParams(n_iters=10, n_ants=8, mode=AcoMode.CONVENTIONAL)

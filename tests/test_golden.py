@@ -1,4 +1,4 @@
-"""Golden outputs: the seed-determined bytes of `antnav run` on the shipped scenarios.
+"""Golden outputs: the seed-determined bytes of `antnav run` and `antnav compare`.
 
 Every planner change is expected to keep these digests. A change that moves
 one on purpose updates it here and says so, with the acceptance verdicts
@@ -28,3 +28,27 @@ def test_run_trajectory_digest(name, tmp_path):
     assert code == 0
     digest = hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest()
     assert digest == TRAJECTORY_SHA256[name]
+
+
+# every compare CSV except timings.csv (wall clock) for multi_obstacle.scn,
+# --repeats 2, all three planners
+COMPARE_SHA256 = {
+    "aco_series_conventional-aco.csv": "8dd2345f8cfbaae5b6b5fb1b501f04987fe0e479d9900d7831a002c350ca0047",
+    "aco_series_proposed.csv": "9d32cb932d22a2f81af8f71a56fb645dbb91fa0b7a9caf81d66dbf5c19d721ae",
+    "compare_runs.csv": "4f941ccfbac366f5490dae7010e31bafa71642062033c301e5ed4ecdf0e0d268",
+    "comparison.csv": "bddfb90d39505d9076f6e784cafd4b90e8809fded182fb1f3e830ed7b489f42e",
+    "distance_apf.csv": "05d9b205c41b16775d7e9e6c84879a6bc541c870ae51fad196bb570ba9445752",
+    "distance_conventional-aco.csv": "e94ef2a033ebc5036ff9547af82ac45250430b6a00217de7e7b225a12f804ab7",
+    "distance_proposed.csv": "b4eda211df02868a45824527dc73ac544b4c1904268c695a8a039a7f33c9a86d",
+}
+
+
+def test_compare_digests(tmp_path):
+    code = main(["compare", "--scenario", str(SCENARIOS / "multi_obstacle.scn"),
+                 "--out", str(tmp_path), "--repeats", "2"])
+    assert code == 0
+    written = {p.name for p in tmp_path.glob("*.csv")} - {"timings.csv"}
+    assert written == set(COMPARE_SHA256)
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in written}
+    assert digests == COMPARE_SHA256

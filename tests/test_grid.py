@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from antnav import (CandidateSet, CellState, InvalidExtent, NoCandidates, Pose,
-                    Scan, ScanSample, build_local_grid, candidate_cells,
-                    polar_to_world)
+                    Scan, build_local_grid, candidate_cells)
 from antnav.grid import LocalGrid
 
 from oracles import candidates_ref
@@ -16,11 +15,11 @@ def scan_of(samples, radius=6.0, origin=Pose(10.5, 10.5, 0.0), n_rays=360):
 
 
 def sample_at(origin, wx, wy):
-    """Build the polar sample whose world point is (wx, wy)."""
+    """Build the (d, theta) sample whose world point is (wx, wy)."""
     dx, dy = wx - origin.x, wy - origin.y
     d = math.hypot(dx, dy)
     theta = (origin.psi - math.atan2(dy, dx)) % math.tau
-    return ScanSample(d, theta)
+    return (d, theta)
 
 
 class TestBuildLocalGrid:
@@ -96,15 +95,6 @@ class TestBuildLocalGrid:
         assert grid.state_at((5, 4)) is CellState.INFLATED
         assert grid.state_at((5, 2)) is CellState.INFLATED
         assert grid.state_at((4, 1)) is CellState.FREE
-
-    def test_world_offsets_cover_grid(self):
-        origin = Pose(3.0, 7.0, 1.0)
-        grid = build_local_grid(scan_of([], origin=origin), 1.5, 4)
-        offs = grid.world_offsets()
-        assert len(offs) == 81
-        assert offs[(4, 4)] == (3.0, 7.0)
-        assert offs[(4, 5)] == (4.5, 7.0)
-        assert offs[(5, 4)] == (3.0, 8.5)
 
 
 def marginal_ref(grid):

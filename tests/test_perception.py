@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from antnav import (CellState, MovingObstacle, MoverPolicy, NoCandidates, Pose,
-                    candidate_cells, perceive, reachable_component, simulate_scan)
+from antnav import (CellState, MovingObstacle, MoverPolicy, NoCandidates, Pose, Scan,
+                    build_local_grid, candidate_cells, perceive, reachable_component,
+                    simulate_scan)
+from antnav.grid import _mask_occluded
 from antnav.world import WorldMap
 
 from oracles import (candidates_ref, clamp_ref, local_grid_ref, occlude_ref,
@@ -84,7 +86,7 @@ def test_perception_matches_reference_loops(cell_size):
         scan = simulate_scan(world, pose, radius, n_rays)
         samples = scan_ref(world.occupancy_grid(), world.cell_size, pose.x, pose.y,
                            pose.psi, radius, n_rays)
-        assert [(s.d, s.theta) for s in scan.samples] == samples
+        assert list(map(tuple, scan.samples.tolist())) == samples
         fired["samples"] += len(samples)
 
         grid = perceive(world, pose, radius, n_rays, cell_size, h, rings)
@@ -121,7 +123,7 @@ def test_kernel_matches_scalar_rays_in_open_and_cluttered_worlds():
             n_rays = RAY_COUNTS[int(rng.integers(len(RAY_COUNTS)))]
             radius = float(rng.uniform(0.5, 20.0)) * cell_size
             scan = simulate_scan(world, pose, radius, n_rays)
-            assert [(s.d, s.theta) for s in scan.samples] == scan_ref(
+            assert list(map(tuple, scan.samples.tolist())) == scan_ref(
                 static, cell_size, pose.x, pose.y, pose.psi, radius, n_rays)
 
 
@@ -139,7 +141,33 @@ def test_occlusion_bearing_on_a_half_sector_tie():
     bearing = (pose.psi - math.atan2(dy, dx)) % math.tau / (math.tau / 12)
     assert abs(bearing - 1.5) < 1e-12
     grid = perceive(world, pose, 4.0, 12, 1.0, 4, 0)
-    samples = [(s.d, s.theta) for s in simulate_scan(world, pose, 4.0, 12).samples]
+    samples = list(map(tuple, simulate_scan(world, pose, 4.0, 12).samples.tolist()))
     raw, occluded, expected = reference_chain(world, pose, samples, 12, 1.0, 4, 0)
     assert raw[7, 1] == CellState.FREE
     assert np.array_equal(grid.cells, expected)
+
+
+def test_occlusion_keeps_the_last_sample_on_a_ray():
+    # hand-built scans put several samples, in random order, on one ray; the
+    # reference dict keeps the last one per ray
+    rng = np.random.default_rng(17)
+    changed = 0
+    for _ in range(200):
+        n_rays = int(rng.integers(4, 40))
+        h, cell_size = int(rng.integers(2, 6)), float(rng.choice([0.3, 1.0, 1.5]))
+        radius = h * cell_size * 1.5
+        rays = rng.integers(0, n_rays, size=int(rng.integers(1, n_rays + 1)))
+        # bearings up to half a sector either side of the ray, wrapped into [0, 2pi)
+        thetas = (rays + rng.uniform(-0.49, 0.49, len(rays))) * (math.tau / n_rays) % math.tau
+        samples = list(zip(rng.uniform(0.0, radius, len(rays)).tolist(), thetas.tolist()))
+        pose = Pose(float(rng.uniform(-5, 5)), float(rng.uniform(-5, 5)),
+                    float(rng.uniform(-4, 4)))
+        grid = build_local_grid(Scan(samples, radius, n_rays, pose), cell_size, h, 0)
+        raw = grid.cells.copy()
+        _mask_occluded(grid, Scan(samples, radius, n_rays, pose))
+        expected = occlude_ref(raw, samples, n_rays, (pose.x, pose.y, pose.psi), cell_size, h)
+        assert np.array_equal(grid.cells, expected)
+        changed += int(not np.array_equal(occlude_ref(raw, samples[::-1], n_rays,
+                                                      (pose.x, pose.y, pose.psi), cell_size, h),
+                                          expected))
+    assert changed > 0  # the order of samples on a ray decided some cases

@@ -49,7 +49,7 @@ class TestPlanCycle:
 
     def test_requires_running_state(self):
         sc = scenario_from(bordered(9, 9), 1.0, (4, 4), (4, 5))
-        state = PlannerState(sc.start, 0, (sc.start.xy,), RunStatus.GOAL_REACHED)
+        state = PlannerState(sc.start, 0, RunStatus.GOAL_REACHED)
         with pytest.raises(ValueError):
             plan_cycle(sc.world, state, sc.goal, sc.config, 0, 0)
 
@@ -120,14 +120,6 @@ class TestRun:
         for rec in result.records:
             world = world.advanced()
             assert not world.occupancy_at(world.cell_of(rec.pose.x, rec.pose.y))
-
-    def test_desired_path_grows_one_step_per_cycle(self):
-        sc = scenario_from(bordered(11, 11), 1.0, (5, 2), (5, 8))
-        state = PlannerState(sc.start, 0, (sc.start.xy,), RunStatus.RUNNING)
-        world = sc.world.advanced()
-        for cycle in range(3):
-            state, _ = plan_cycle(world, state, sc.goal, sc.config, sc.seed, cycle)
-            assert len(state.desired_path) == cycle + 2
 
     def test_dist_series_matches_goal_condition(self):
         sc = scenario_from(bordered(11, 11), 1.0, (5, 2), (5, 8))

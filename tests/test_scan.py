@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from antnav import (Pose, Scan, ScanSample, PoseInObstacle, PoseOutOfBounds,
-                    polar_to_world, sector_counts, sector_of, simulate_scan)
+from antnav import (Pose, Scan, PoseInObstacle, PoseOutOfBounds, polar_to_world,
+                    simulate_scan)
 from antnav.world import MovingObstacle, WorldMap
 
 from oracles import polar_ref, rel_close
@@ -21,14 +21,14 @@ def make_world(height=15, width=15, cell_size=1.0, boxes=()):
 
 class TestPolarToWorld:
     def test_identity_case(self):
-        assert polar_to_world(Pose(0, 0, 0), ScanSample(1, 0)) == (1.0, 0.0)
+        assert polar_to_world(Pose(0, 0, 0), 1, 0) == (1.0, 0.0)
 
     def test_quarter_turn(self):
-        x, y = polar_to_world(Pose(2, 3, math.pi / 2), ScanSample(2, math.pi / 2))
+        x, y = polar_to_world(Pose(2, 3, math.pi / 2), 2, math.pi / 2)
         assert abs(x - 4) < 1e-12 and abs(y - 3) < 1e-12
 
     def test_matches_reference_formula(self):
-        x, y = polar_to_world(Pose(1, 1, 0.3), ScanSample(5, 1.0))
+        x, y = polar_to_world(Pose(1, 1, 0.3), 5, 1.0)
         rx, ry = polar_ref(1, 1, 0.3, 5, 1.0)
         assert rel_close(x, rx) and rel_close(y, ry)
 
@@ -36,51 +36,22 @@ class TestPolarToWorld:
         rng = np.random.default_rng(7)
         for _ in range(1000):
             pose = Pose(rng.uniform(-50, 50), rng.uniform(-50, 50), rng.uniform(-9, 9))
-            smp = ScanSample(rng.uniform(0, 20), rng.uniform(0, math.tau * 0.999999))
-            got = polar_to_world(pose, smp)
-            ref = polar_ref(pose.x, pose.y, pose.psi, smp.d, smp.theta)
+            d, theta = rng.uniform(0, 20), rng.uniform(0, math.tau * 0.999999)
+            got = polar_to_world(pose, d, theta)
+            ref = polar_ref(pose.x, pose.y, pose.psi, d, theta)
             assert rel_close(got[0], ref[0]) and rel_close(got[1], ref[1])
-
-
-class TestSectorOf:
-    def test_first_sector(self):
-        assert sector_of(ScanSample(1, 0.0), 8) == 1
-
-    def test_last_sector(self):
-        assert sector_of(ScanSample(1, math.tau - 1e-9), 8) == 8
-
-    def test_partition_is_total_and_disjoint(self):
-        rng = np.random.default_rng(3)
-        for theta in rng.uniform(0, math.tau * 0.9999999, 2000):
-            sid = sector_of(ScanSample(1, theta), 36)
-            assert 1 <= sid <= 36
-            width = math.tau / 36
-            assert (sid - 1) * width <= theta < sid * width + 1e-9
-
-    def test_uniform_bearing_distribution(self):
-        rng = np.random.default_rng(11)
-        counts = [0] * 36
-        for theta in rng.uniform(0, math.tau * 0.9999999, 100000):
-            counts[sector_of(ScanSample(1, theta), 36) - 1] += 1
-        assert all(2300 <= c <= 3300 for c in counts)
-
-    def test_sector_counts_sums_to_samples(self):
-        world = make_world(boxes=[(7, 6, 8, 8)])
-        scan = simulate_scan(world, Pose(3.5, 3.5, 0.0), 6.0, 180)
-        counts = sector_counts(scan, 36)
-        assert sum(counts) == len(scan.samples)
 
 
 class TestSimulateScan:
     def test_empty_world_no_samples(self):
         world = make_world()
         scan = simulate_scan(world, Pose(7.5, 7.5, 0.2), 4.0, 360)
-        assert scan.samples == ()
+        assert scan.samples.shape == (0, 2)
 
     def test_wall_beyond_radius_invisible(self):
         world = make_world(boxes=[(0, 0, 0, 14)])
         scan = simulate_scan(world, Pose(7.5, 7.5, 0.0), 4.0, 360)
-        assert scan.samples == ()
+        assert scan.samples.shape == (0, 2)
 
     def test_single_cell_ahead(self):
         # occupied cell centered 2 m east of the robot, radius 4 m
@@ -89,9 +60,9 @@ class TestSimulateScan:
         scan = simulate_scan(world, pose, 4.0, 360)
         assert len(scan.samples) > 0
         diag = math.sqrt(2.0)
-        for s in scan.samples:
-            assert abs(s.d - 2.0) <= diag
-            x, y = polar_to_world(pose, s)
+        for d, theta in scan.samples:
+            assert abs(d - 2.0) <= diag
+            x, y = polar_to_world(pose, d, theta)
             assert 9.0 - 1e-9 <= x <= 10.0 + 1e-9
             assert 7.0 - 1e-9 <= y <= 8.0 + 1e-9
 
@@ -105,9 +76,9 @@ class TestSimulateScan:
             if occ[world.cell_of(pose.x, pose.y)]:
                 continue
             scan = simulate_scan(world, pose, 5.0, 360)
-            for s in scan.samples:
-                assert s.d <= 5.0 + 1e-12
-                x, y = polar_to_world(pose, s)
+            for d, theta in scan.samples:
+                assert d <= 5.0 + 1e-12
+                x, y = polar_to_world(pose, d, theta)
                 r, c = world.cell_of(x, y)
                 cx, cy = world.cell_center((r, c))
                 assert occ[r, c] or math.hypot(x - cx, y - cy) <= half_diag + 1e-9
@@ -117,7 +88,8 @@ class TestSimulateScan:
         pose = Pose(3.5, 3.5, 0.7)
         a = simulate_scan(world, pose, 6.0, 240)
         b = simulate_scan(world, pose, 6.0, 240)
-        assert a == b
+        assert np.array_equal(a.samples, b.samples)
+        assert (a.radius, a.n_rays, a.origin) == (b.radius, b.n_rays, b.origin)
 
     def test_pose_errors(self):
         world = make_world(boxes=[(7, 6, 8, 8)])
@@ -126,13 +98,25 @@ class TestSimulateScan:
         with pytest.raises(PoseInObstacle):
             simulate_scan(world, Pose(6.5, 7.5, 0.0), 4.0, 90)
 
-    def test_scan_invariants_enforced(self):
+    @pytest.mark.parametrize("samples", [
+        [(5.0, 0.0)],  # beyond the radius
+        [(1.0, math.tau)],  # bearing not below 2pi
+        [(-0.1, 0.0)],  # negative distance
+        [(1.0, -1e-9)],  # negative bearing
+        [(math.nan, 0.0)],
+        [(1.0, math.nan)],
+        [(1.0, 0.1 * k) for k in range(9)],  # more samples than rays
+        [(1.0, 0.0, 0.0)],  # not (d, theta) rows
+    ])
+    def test_scan_invariants_enforced(self, samples):
         with pytest.raises(ValueError):
-            Scan((ScanSample(5.0, 0.0),), radius=4.0, n_rays=8, origin=Pose(0, 0, 0))
-        with pytest.raises(ValueError):
-            ScanSample(1.0, math.tau)
-        with pytest.raises(ValueError):
-            ScanSample(-0.1, 0.0)
+            Scan(samples, radius=4.0, n_rays=8, origin=Pose(0, 0, 0))
+
+    def test_scan_accepts_rows_on_the_bounds(self):
+        scan = Scan([(0.0, 0.0), (4.0, math.tau - 1e-9)], radius=4.0, n_rays=2,
+                    origin=Pose(0, 0, 0))
+        assert scan.samples.dtype == float and scan.samples.shape == (2, 2)
+        assert Scan((), radius=4.0, n_rays=1, origin=Pose(0, 0, 0)).samples.shape == (0, 2)
 
 
 @st.composite
@@ -181,7 +165,7 @@ def test_samples_map_back_into_occupied_cells(scene):
     world, pose, radius, n_rays = scene
     occ = world.occupancy_grid()
     eps = 1e-9 * world.cell_size
-    for s in simulate_scan(world, pose, radius, n_rays).samples:
-        x, y = polar_to_world(pose, s)
+    for d, theta in simulate_scan(world, pose, radius, n_rays).samples:
+        x, y = polar_to_world(pose, d, theta)
         near = {world.cell_of(x + ex, y + ey) for ex in (-eps, 0.0, eps) for ey in (-eps, 0.0, eps)}
-        assert any(world.in_bounds(cell) and occ[cell] for cell in near), (s, pose, radius)
+        assert any(world.in_bounds(cell) and occ[cell] for cell in near), (d, theta, pose, radius)

@@ -1,7 +1,15 @@
-import pytest
+import dataclasses
+import math
+import tempfile
+from pathlib import Path
 
-from antnav import PlannerKind, ScenarioParseError, parse_groups, parse_scenario
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from antnav import AntnavError, PlannerKind, ScenarioParseError, parse_groups, parse_scenario
 from antnav.cli import main
+from antnav.scenario import _FLOAT_KEYS, _INT_KEYS, _STR_KEYS
 
 MAP = """\
 cellsize 1.0
@@ -189,3 +197,120 @@ class TestGroupsParsing:
         with pytest.raises(ScenarioParseError) as err:
             parse_groups(tmp_path / "b.groups")
         assert err.value.line_no == 1
+
+
+MOVER_MAP = """\
+cellsize 1.0
+start 1 1 0
+goal 4 4
+mover 1 pingpong
+wp 2 2
+wp 3 2
+######
+#....#
+#....#
+#....#
+#....#
+######
+"""
+
+
+@pytest.mark.parametrize("map_text,scn_extra,line", [
+    (MAP.replace("cellsize 1.0", "cellsize nan"), "", 1),
+    (MAP.replace("cellsize 1.0", "cellsize inf"), "", 1),
+    (MAP.replace("start 1 1 0", "start 1 1 nan"), "", 2),
+    (MAP.replace("start 1 1 0", "start 1 1 inf"), "", 2),
+    (MAP.replace("start 1 1 0", "start 1 1 -inf"), "", 2),
+    (MAP, "goal_tolerance nan\n", 3),
+    (MAP, "tau0 nan\n", 3),
+    (MAP, "gamma nan\n", 3),
+    (MAP, "lidar_radius inf\n", 3),
+    # a waypoint outside the grid, before the grid is read: at tick 0 ...
+    (MOVER_MAP.replace("wp 2 2", "wp 9 2").replace("wp 3 2", "wp 8 2"), "", 5),
+    # ... and one the mover reaches only later
+    (MOVER_MAP.replace("wp 2 2", "wp 5 2").replace("wp 3 2", "wp 6 2"), "", 6),
+    (MOVER_MAP.replace("wp 2 2", "wp 0 2").replace("wp 3 2", "wp -1 2"), "", 6),
+], ids=["cellsize-nan", "cellsize-inf", "start-psi-nan", "start-psi-inf", "start-psi-minus-inf",
+        "goal_tolerance-nan", "tau0-nan", "gamma-nan", "lidar_radius-inf",
+        "wp-outside-at-tick-0", "wp-outside-later", "wp-outside-negative"])
+def test_bad_numbers_exit_one_at_their_line(tmp_path, capsys, map_text, scn_extra, line):
+    (tmp_path / "m.map").write_text(map_text)
+    (tmp_path / "s.scn").write_text(f"format 1\nmap m.map\n{scn_extra}")
+    code = main(["run", "--scenario", str(tmp_path / "s.scn"), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: line {line}: "), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unreadable_map_is_reported_at_the_map_line(tmp_path):
+    (tmp_path / "s.scn").write_text("format 1\nseed 3\nmap missing.map\n")
+    with pytest.raises(ScenarioParseError) as err:
+        parse_scenario(tmp_path / "s.scn")
+    assert err.value.line_no == 3
+
+
+_TOKENS = ["nan", "inf", "-inf", "-1", "0", "-0.0", "1", "2", "1.5", "99", "1e9", "x", "#"]
+_MAP_KEYS = ["cellsize", "start", "goal", "mover", "wp", "#....#", "......"]
+_SCN_KEYS = sorted(_INT_KEYS | _FLOAT_KEYS | _STR_KEYS | {"format"})
+
+
+@st.composite
+def mutated_texts(draw):
+    """The map and scenario texts with a few lines replaced, dropped, repeated or added."""
+    files = [MOVER_MAP.splitlines(), SCN.splitlines()]
+    for _ in range(draw(st.integers(1, 4))):
+        which = draw(st.integers(0, 1))
+        lines = files[which]
+        at = draw(st.integers(0, len(lines)))
+        op = draw(st.sampled_from(["token", "drop", "repeat", "add"]))
+        if op == "token" and at < len(lines) and lines[at].split():
+            parts = lines[at].split()  # a value, or the whole of a grid row
+            parts[draw(st.integers(min(1, len(parts) - 1), len(parts) - 1))] = \
+                draw(st.sampled_from(_TOKENS))
+            lines[at] = " ".join(parts)
+        elif op == "drop" and at < len(lines):
+            del lines[at]
+        elif op == "repeat" and at < len(lines):
+            lines.insert(at, lines[at])
+        else:
+            key = draw(st.sampled_from(_SCN_KEYS if which else _MAP_KEYS))
+            values = draw(st.lists(st.sampled_from(_TOKENS), max_size=3))
+            lines.insert(at, " ".join([key, *values]))
+    return "\n".join(files[0]) + "\n", "\n".join(files[1]) + "\n"
+
+
+def _numbers(value):
+    """Every int and float inside a (nested) dataclass value."""
+    if dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _numbers(getattr(value, f.name))
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield value
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mutated_texts())
+@example((MOVER_MAP.replace("cellsize 1.0", "cellsize nan"), SCN))
+@example((MOVER_MAP.replace("cellsize 1.0", "cellsize inf"), SCN))
+@example((MOVER_MAP.replace("start 1 1 0", "start 1 1 nan"), SCN))
+@example((MOVER_MAP.replace("start 1 1 0", "start 1 1 inf"), SCN))
+@example((MOVER_MAP, SCN.replace("goal_tolerance 0.4", "goal_tolerance nan")))
+@example((MOVER_MAP, SCN + "tau0 nan\n"))
+@example((MOVER_MAP, SCN.replace("gamma 2", "gamma nan")))
+@example((MOVER_MAP.replace("wp 3 2", "wp 3 2\nwp 4 2\nwp 5 2\nwp 6 2"), SCN))
+@example((MOVER_MAP, SCN.replace("map tiny.map", "map missing.map")))
+def test_mutated_inputs_fail_only_with_antnav_errors(texts):
+    """The parsers raise AntnavError or return a scenario that is sound to run:
+    finite numbers in the configuration and the endpoints, movers inside the grid."""
+    map_text, scn_text = texts
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "tiny.map").write_text(map_text)
+        (Path(tmp) / "tiny.scn").write_text(scn_text)
+        try:
+            sc = parse_scenario(Path(tmp) / "tiny.scn")
+        except AntnavError:
+            return
+    assert all(math.isfinite(v) for v in _numbers(sc.config))
+    assert all(math.isfinite(v) for v in (*sc.start.xy, sc.start.psi, *sc.goal))
+    assert all(sc.world.in_bounds(cell) for m in sc.world.movers for cell in m.waypoints)
