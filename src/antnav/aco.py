@@ -65,8 +65,9 @@ class AcoParams:
             raise ValueError("n_ants must be >= 2")
         if self.n_iters < 1:
             raise ValueError("n_iters must be >= 1")
-        if self.delta < 0 or self.zeta < 0 or self.delta + self.zeta <= 0:
-            raise ValueError("delta and zeta must be >= 0 with a positive sum")
+        if self.delta <= 0 or self.zeta < 0:
+            # a finished path without corners must still score above 0
+            raise ValueError("delta must be positive and zeta >= 0")
         if self.tau0 <= 0:
             raise ValueError("tau0 must be positive")
         if self.elite_cutoff is not None and not 1 <= self.elite_cutoff <= self.n_ants - 1:
@@ -84,10 +85,11 @@ class GridGraph:
     For each cell id (row * cols + col) nbrs holds one tuple (neighbor id,
     edge index cid * 8 + d, direction index d, step length) per traversable
     neighbor, in the canonical direction order N, NE, E, SE, S, SW, W, NW;
-    cells holds the (row, col) of every id.
+    cells holds the (row, col) of every id and steps the step length per
+    direction index.
     """
 
-    __slots__ = ("rows", "cols", "n", "cell_size", "mask", "nbrs", "cells")
+    __slots__ = ("rows", "cols", "n", "cell_size", "mask", "nbrs", "cells", "steps")
 
     def __init__(self, mask: np.ndarray, cell_size: float):
         mask = np.asarray(mask, dtype=bool)
@@ -95,7 +97,8 @@ class GridGraph:
         self.n = self.rows * self.cols
         self.cell_size = float(cell_size)
         self.mask = mask
-        steps = [self.cell_size * SQRT2 if diag else self.cell_size for diag in DIR_IS_DIAGONAL]
+        self.steps = steps = tuple(self.cell_size * SQRT2 if diag else self.cell_size
+                                   for diag in DIR_IS_DIAGONAL)
         self.cells = tuple(divmod(cid, self.cols) for cid in range(self.n))
         free = mask.tolist()
         nbrs: list[tuple] = []
@@ -136,13 +139,6 @@ class PheromoneField:
         self.graph = graph
         self.tau = np.full(graph.n * 8, float(tau0))
 
-    @classmethod
-    def _with_values(cls, graph: GridGraph, tau: np.ndarray) -> "PheromoneField":
-        field = cls.__new__(cls)
-        field.graph = graph
-        field.tau = tau
-        return field
-
     def get(self, i: Cell, j: Cell) -> float:
         """Pheromone on the directed edge i -> j; KeyError when no such edge exists."""
         delta = (j[0] - i[0], j[1] - i[1])
@@ -178,7 +174,6 @@ class AntPath:
     length: float
     corners: int
     reached: bool
-    score: float | None = None
     dirs: tuple[int, ...] = ()  # direction index per step; used for edge deposits
 
 
@@ -213,21 +208,22 @@ def transition_probabilities(field: PheromoneField, state: AntState,
                              params: AcoParams) -> list[tuple[Cell, float]]:
     """Move distribution over feasible neighbors, in canonical direction order.
 
-    Weight of a neighbor: tau^phi * eta^gamma (* corner factor in improved
-    mode); weights are normalized to sum to 1. Raises DeadEnd when no feasible
-    neighbor remains.
+    Weight of a neighbor: the walker's tau^phi * eta^gamma edge weight (times
+    the corner factor in improved mode); weights are normalized to sum to 1.
+    Raises DeadEnd when no feasible neighbor remains.
     """
     graph = field.graph
     cid = graph.id_of(state.cell)
     improved = params.mode is AcoMode.IMPROVED
+    eta_g, _vtab = _colony_tables(graph, params)
+    weights = _edge_weights(field.tau, params.phi, eta_g)
     out: list[tuple[Cell, float]] = []
     total = 0.0
-    for nid, e, _d, step in graph.nbrs[cid]:
+    for nid, e, _d, _step in graph.nbrs[cid]:
         ncell = graph.cell_of(nid)
         if ncell in state.tabu:
             continue
-        t = float(field.tau[e])
-        w = (t if params.phi == 1.0 else t ** params.phi) * (1.0 / step) ** params.gamma
+        w = weights[e]
         if improved:
             w *= corner_heuristic(state.prev_dir, state.cell, ncell)
         out.append((ncell, w))
@@ -248,37 +244,36 @@ def roulette_select(dist: list[tuple[Cell, float]], rng_draw: float) -> Cell:
 
 
 def score(path: AntPath, params: AcoParams) -> float:
-    """Weighted path score delta * length + zeta * corners; finished paths only."""
+    """The mode's path objective, lower is better; finished paths only.
+
+    Improved mode: delta * length + zeta * corners. Conventional mode: length.
+    """
     if not path.reached:
         raise UnfinishedPath("cannot score a path that never reached the sub-goal")
+    if params.mode is AcoMode.CONVENTIONAL:
+        return path.length
     return params.delta * path.length + params.zeta * path.corners
 
 
 def update_pheromone(field: PheromoneField, paths: list[AntPath],
-                     params: AcoParams) -> PheromoneField:
-    """Evaporate every edge, then deposit.
+                     params: AcoParams) -> None:
+    """Evaporate every edge of field.tau in place, then deposit.
 
-    Improved mode: finished ants ranked ascending by score; ranks up to
-    elite_cutoff deposit q/score on each traversed edge. Conventional mode:
-    every finished ant deposits q/length. Unfinished ants never deposit.
+    Every finished ant deposits q/score on each traversed edge, in path
+    order. Improved mode first ranks them ascending by score (stable on
+    ties) and keeps ranks up to elite_cutoff. Unfinished ants never deposit.
     """
-    tau = field.tau * (1.0 - params.rho)
-    graph = field.graph
-    finished = [p for p in paths if p.reached]
-    if params.mode is AcoMode.CONVENTIONAL:
-        deposits = [(p, params.q / p.length) for p in finished]
-    else:
-        ranked = sorted(finished, key=lambda p: score(p, params))
-        cutoff = min(params.resolved_elite_cutoff(), len(ranked))
-        deposits = [(p, params.q / score(p, params)) for p in ranked[:cutoff]]
-    cols = graph.cols
+    field.tau *= 1.0 - params.rho
+    scored = [(score(p, params), p) for p in paths if p.reached]
+    if params.mode is AcoMode.IMPROVED:
+        scored = sorted(scored, key=operator.itemgetter(0))[:params.resolved_elite_cutoff()]
+    cols = field.graph.cols
     edges: list[int] = []
     amounts: list[float] = []
-    for path, amount in deposits:
+    for cost, path in scored:
         edges += [(r * cols + c) * 8 + d for (r, c), d in zip(path.cells, path.dirs)]
-        amounts += [amount] * len(path.dirs)
-    np.add.at(tau, edges, amounts)  # in list order, so repeated edges sum as a loop would
-    return PheromoneField._with_values(graph, tau)
+        amounts += [params.q / cost] * len(path.dirs)
+    np.add.at(field.tau, edges, amounts)  # in list order, so repeated edges sum as a loop would
 
 
 def repair(paths: list[AntPath], best_so_far: AntPath | None,
@@ -409,8 +404,7 @@ _DRAW_BLOCK = 16  # uniform draws fetched per call; walks average ~8 steps
 def _colony_tables(graph: GridGraph, params: AcoParams):
     """Per-call walk tables: eta^gamma per directed edge index (cid * 8 + d)
     and the corner-factor table of the mode."""
-    eta_g = [(1.0 / (graph.cell_size * SQRT2 if diag else graph.cell_size)) ** params.gamma
-             for diag in DIR_IS_DIAGONAL]
+    eta_g = [(1.0 / step) ** params.gamma for step in graph.steps]
     vtab = _VTAB_TURN if params.mode is AcoMode.IMPROVED else _VTAB_FLAT
     return np.tile(eta_g, graph.n), vtab
 
@@ -418,7 +412,7 @@ def _colony_tables(graph: GridGraph, params: AcoParams):
 def _edge_weights(tau: np.ndarray, phi: float, eta_g: np.ndarray) -> list[float]:
     """tau^phi * eta^gamma per directed edge; tau only changes between iterations.
 
-    For phi != 1 the power is Python's float **, as in transition_probabilities.
+    For phi != 1 the power is Python's float ** per edge.
     """
     if phi != 1.0:
         tau = np.array([t ** phi for t in tau.tolist()])
@@ -481,7 +475,7 @@ def _construct(graph: GridGraph, weights: list[float],
             reached = True
             break
     return AntPath(tuple(map(graph.cells.__getitem__, cells)), length, corners,
-                   reached, None, tuple(dirs))
+                   reached, tuple(dirs))
 
 
 def plan_subpath(graph: GridGraph, start: Cell, subgoal: Cell, params: AcoParams,
@@ -489,9 +483,9 @@ def plan_subpath(graph: GridGraph, start: Cell, subgoal: Cell, params: AcoParams
     """Plan an 8-connected path from start to subgoal over the graph's traversable cells.
 
     Runs n_iters iterations of {construct n_ants walks, repair (improved mode,
-    once an incumbent exists), score, update pheromone} and returns the best
-    finished path by score (improved) or length (conventional) plus the
-    best-score-so-far per iteration. Iterations before the first finisher
+    once an incumbent exists), update pheromone} and returns the best
+    finished path by the mode's score plus the best-score-so-far per
+    iteration. Iterations before the first finisher
     record inf in the series; three consecutive all-fail iterations before any
     finisher raise NoPathFound, as does finishing all iterations without one.
 
@@ -517,6 +511,7 @@ def plan_subpath(graph: GridGraph, start: Cell, subgoal: Cell, params: AcoParams
 
     field = PheromoneField(graph, params.tau0)
     best: AntPath | None = None
+    best_cost = math.inf
     series: list[float] = []
     fail_streak = 0
     for n in range(1, params.n_iters + 1):
@@ -540,15 +535,12 @@ def plan_subpath(graph: GridGraph, start: Cell, subgoal: Cell, params: AcoParams
         if improved and best is not None:
             paths = repair(paths, best, gens[m])
 
-        paths = [AntPath(p.cells, p.length, p.corners, True,
-                         score(p, params) if improved else p.length, p.dirs)
-                 if p.reached else p for p in paths]
-        field = update_pheromone(field, paths, params)
+        update_pheromone(field, paths, params)
 
         for p in paths:
-            if p.reached and (best is None or p.score < best.score):
-                best = p
-        series.append(best.score if best is not None else math.inf)
+            if p.reached and (cost := score(p, params)) < best_cost:
+                best, best_cost = p, cost
+        series.append(best_cost)
 
     if best is None:
         raise NoPathFound(f"no ant reached {subgoal} in {params.n_iters} iterations")

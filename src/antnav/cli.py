@@ -11,15 +11,12 @@ this process.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
 from .errors import AntnavError
 from .geometry import SQRT2
-from .metrics import (RunMetrics, RunStatus, aggregate, fmt,
-                      write_aco_series_csv, write_aggregate_csv,
-                      write_distance_csv, write_summary, write_trajectory_csv)
+from .metrics import RunMetrics, RunStatus, aggregate, write_csv, write_summary
 from .planner import PlannerKind, RunResult, run
 from .plot import write_svg
 from .scenario import (Scenario, parse_groups, parse_scenario, with_planner,
@@ -54,7 +51,8 @@ def _trajectory_rows(result: RunResult):
 def _write_run_outputs(out_dir: Path, scenario: Scenario, result: RunResult,
                        plot: bool) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(out_dir / "trajectory.csv", _trajectory_rows(result))
+    write_csv(out_dir / "trajectory.csv", ["cycle", "x", "y", "psi", "dist_to_goal"],
+              _trajectory_rows(result))
     m = result.metrics
     write_summary(out_dir / "summary.txt", {
         "scenario": scenario.name,
@@ -81,6 +79,13 @@ def cmd_run(args) -> int:
     print(f"{scenario.name}: {m.status.value} after {m.cycles} cycles, "
           f"path {m.path_length:.2f} m, {m.corners} corners")
     return _EXIT_BY_STATUS[m.status]
+
+
+_RUN_COLUMNS = ["run", "seed", "status", "path_length", "corners", "cycles"]
+
+
+def _run_row(label: str, i: int, seed: int, m: RunMetrics) -> list:
+    return [label, i, seed, m.status.value, m.path_length, m.corners, m.cycles]
 
 
 def _worst_case_length(scenario: Scenario) -> float:
@@ -121,38 +126,33 @@ def cmd_compare(args) -> int:
             if i == 0:
                 first_results[kind.value] = result
 
-    with open(out_dir / "compare_runs.csv", "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["planner", "run", "seed", "status", "path_length", "corners", "cycles"])
-        for planner, i, seed, m in all_runs:
-            w.writerow([planner, i, seed, m.status.value, fmt(m.path_length),
-                        m.corners, m.cycles])
+    write_csv(out_dir / "compare_runs.csv", ["planner", *_RUN_COLUMNS],
+              [_run_row(planner, i, seed, m) for planner, i, seed, m in all_runs])
 
-    with open(out_dir / "comparison.csv", "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["planner", "optimal_path_length", "average_path_length", "failures"])
-        for kind in kinds:
-            metrics = [m for planner, _, _, m in all_runs if planner == kind.value]
-            # a failed run counts as the worst-case executed length
-            lengths = [m.path_length if m.status is RunStatus.GOAL_REACHED else worst_case
-                       for m in metrics]
-            failures = sum(1 for m in metrics if m.status is not RunStatus.GOAL_REACHED)
-            w.writerow([kind.value, fmt(min(lengths)), fmt(sum(lengths) / len(lengths)),
-                        failures])
-
-    with open(out_dir / "timings.csv", "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["planner", "average_wall_ms"])
-        for kind in kinds:
-            walls = [m.wall_ms for planner, _, _, m in all_runs if planner == kind.value]
-            w.writerow([kind.value, round(sum(walls) / len(walls), 3)])
+    comparison, timings = [], []
+    for kind in kinds:
+        metrics = [m for planner, _, _, m in all_runs if planner == kind.value]
+        # a failed run counts as the worst-case executed length
+        lengths = [m.path_length if m.status is RunStatus.GOAL_REACHED else worst_case
+                   for m in metrics]
+        failures = sum(1 for m in metrics if m.status is not RunStatus.GOAL_REACHED)
+        comparison.append([kind.value, min(lengths), sum(lengths) / len(lengths), failures])
+        timings.append([kind.value, round(sum(m.wall_ms for m in metrics) / len(metrics), 3)])
+    write_csv(out_dir / "comparison.csv",
+              ["planner", "optimal_path_length", "average_path_length", "failures"], comparison)
+    write_csv(out_dir / "timings.csv", ["planner", "average_wall_ms"], timings)
 
     for kind in kinds:
-        result = first_results[kind.value]
-        write_distance_csv(out_dir / f"distance_{kind.value}.csv", result.metrics.dist_series)
+        m = first_results[kind.value].metrics
+        write_csv(out_dir / f"distance_{kind.value}.csv", ["cycle", "dist_to_goal"],
+                  enumerate(m.dist_series))
         if kind is not PlannerKind.APF:
-            write_aco_series_csv(out_dir / f"aco_series_{kind.value}.csv",
-                                 result.metrics.aco_series)
+            # iterations are 1-based
+            write_csv(out_dir / f"aco_series_{kind.value}.csv",
+                      ["cycle", "iteration", "best_score"],
+                      [(cycle, it, value)
+                       for cycle, series in enumerate(m.aco_series, start=1)
+                       for it, value in enumerate(series, start=1)])
 
     print(f"compared {', '.join(k.value for k in kinds)} x{args.repeats} -> {out_dir}")
     return 0
@@ -166,22 +166,15 @@ def cmd_sweep(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    tables = []
-    with open(out_dir / "sweep_runs.csv", "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["group", "run", "seed", "status", "path_length", "corners", "cycles"])
-        for group in groups:
-            metrics = []
-            base = with_weights(scenario, group.weights, group.delta, group.zeta)
-            for i in range(args.repeats):
-                result = run(with_seed(base, scenario.seed + i))
-                m = result.metrics
-                metrics.append(m)
-                w.writerow([group.name, i, scenario.seed + i, m.status.value,
-                            fmt(m.path_length), m.corners, m.cycles])
-            tables.append((group.name, aggregate(metrics)))
-
-    write_aggregate_csv(out_dir / "sweep.csv", tables)
+    runs, stats = [], []
+    for group in groups:
+        base = with_weights(scenario, group.weights, group.delta, group.zeta)
+        metrics = [run(with_seed(base, scenario.seed + i)).metrics for i in range(args.repeats)]
+        runs += [_run_row(group.name, i, scenario.seed + i, m) for i, m in enumerate(metrics)]
+        stats += [(group.name, metric, s.best, s.worst, s.average)
+                  for metric, s in aggregate(metrics).items()]
+    write_csv(out_dir / "sweep_runs.csv", ["group", *_RUN_COLUMNS], runs)
+    write_csv(out_dir / "sweep.csv", ["group", "metric", "best", "worst", "average"], stats)
     print(f"swept {len(groups)} groups x{args.repeats} -> {out_dir}")
     return 0
 
@@ -222,10 +215,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except AntnavError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (AntnavError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -83,46 +83,12 @@ def fmt(value) -> str:
     return str(value)
 
 
-def _open_csv(path):
-    return open(path, "w", newline="", encoding="utf-8")
-
-
-def write_trajectory_csv(path, rows: list[tuple[int, float, float, float, float]]) -> None:
-    """Rows of (cycle, x, y, psi, dist_to_goal)."""
-    with _open_csv(path) as f:
+def write_csv(path, header: list[str], rows) -> None:
+    """Header plus one line per row, every value in its fmt form, "\n" line ends."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f, lineterminator="\n")
-        w.writerow(["cycle", "x", "y", "psi", "dist_to_goal"])
-        for cycle, x, y, psi, dist in rows:
-            w.writerow([cycle, fmt(x), fmt(y), fmt(psi), fmt(dist)])
-
-
-def write_distance_csv(path, dist_series) -> None:
-    with _open_csv(path) as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["cycle", "dist_to_goal"])
-        for cycle, dist in enumerate(dist_series):
-            w.writerow([cycle, fmt(dist)])
-
-
-def write_aco_series_csv(path, aco_series) -> None:
-    """Rows of (cycle, iteration, best_score); iterations are 1-based."""
-    with _open_csv(path) as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["cycle", "iteration", "best_score"])
-        for cycle, series in enumerate(aco_series, start=1):
-            for it, value in enumerate(series, start=1):
-                w.writerow([cycle, it, fmt(value)])
-
-
-def write_aggregate_csv(path, tables: list[tuple[str, dict[str, AggregateStats]]]) -> None:
-    """One row per (group, metric) with best/worst/average columns."""
-    with _open_csv(path) as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["group", "metric", "best", "worst", "average"])
-        for group, stats in tables:
-            for metric in ("path_length", "corners"):
-                s = stats[metric]
-                w.writerow([group, metric, fmt(s.best), fmt(s.worst), fmt(s.average)])
+        w.writerow(header)
+        w.writerows([fmt(v) for v in row] for row in rows)
 
 
 def write_summary(path, entries: dict) -> None:

@@ -51,8 +51,8 @@ class PlannerConfig:
     def __post_init__(self):
         if self.n_rays < 1:
             raise ValueError("n_rays must be >= 1")
-        if self.lidar_radius <= 0:
-            raise ValueError("lidar_radius must be positive")
+        if not 0 < self.lidar_radius < math.inf:
+            raise ValueError(f"lidar_radius must be positive and finite, got {self.lidar_radius}")
         if self.cell_size <= 0:
             raise ValueError("cell_size must be positive")
         if self.half_extent < 1:

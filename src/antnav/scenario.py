@@ -22,7 +22,6 @@ makes the configuration invalid, reading the file top down.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -32,7 +31,7 @@ from .errors import ScenarioParseError
 from .geometry import Point, Pose
 from .planner import PlannerConfig, PlannerKind
 from .subgoal import CostWeights
-from .world import WorldMap, load_map
+from .world import WorldMap, _finite_float, load_map
 
 _INT_KEYS = {"seed", "lidar_rays", "half_extent", "inflation_rings",
              "ants", "iterations", "elite_cutoff", "aco_max_steps",
@@ -86,11 +85,9 @@ def parse_scenario(path) -> Scenario:
                 raise ScenarioParseError(f"bad integer for {key!r}: {value!r}", line_no)
         elif key in _FLOAT_KEYS:
             try:
-                values[key] = float(value)
+                values[key] = _finite_float(value)
             except ValueError:
                 raise ScenarioParseError(f"bad number for {key!r}: {value!r}", line_no)
-            if not math.isfinite(values[key]):
-                raise ScenarioParseError(f"{key!r} must be finite, got {value!r}", line_no)
         elif key in _STR_KEYS:
             values[key] = value
         else:
@@ -128,10 +125,12 @@ def parse_scenario(path) -> Scenario:
         config = _config(values, world, planner)
     except ValueError as exc:
         # blame the first line at which the directives read so far stop
-        # making a valid configuration
-        line_no = next(line for line in sorted(line_of.values())
-                       if not _is_valid({k: v for k, v in values.items()
-                                         if line_of[k] <= line}, world, planner))
+        # making a valid configuration; the map line when the map's own
+        # defaults already do not
+        line_no = line_of["map"] if not _is_valid({}, world, planner) else next(
+            line for line in sorted(line_of.values())
+            if not _is_valid({k: v for k, v in values.items() if line_of[k] <= line},
+                             world, planner))
         raise ScenarioParseError(str(exc), line_no) from exc
 
     return Scenario(name=path.stem, map_path=str(map_path), world=world,
@@ -201,7 +200,10 @@ class WeightGroup:
 
 
 def parse_groups(path) -> list[WeightGroup]:
-    """Groups file: one `name alpha beta omega delta zeta` line per group."""
+    """Groups file: one `name alpha beta omega delta zeta` line per group.
+
+    Numbers must be finite; the weights must make valid CostWeights and the
+    delta/zeta pair a valid AcoParams score."""
     groups: list[WeightGroup] = []
     with open(path, "r", encoding="utf-8") as f:
         lines = f.read().splitlines()
@@ -214,10 +216,11 @@ def parse_groups(path) -> list[WeightGroup]:
             raise ScenarioParseError("expected: <name> <alpha> <beta> <omega> <delta> <zeta>",
                                      line_no)
         try:
-            alpha, beta, omega, delta, zeta = (float(v) for v in parts[1:])
+            alpha, beta, omega, delta, zeta = (_finite_float(v) for v in parts[1:])
         except ValueError:
             raise ScenarioParseError("bad number in group line", line_no)
         try:
+            AcoParams(delta=delta, zeta=zeta)
             groups.append(WeightGroup(parts[0], CostWeights(alpha, beta, omega), delta, zeta))
         except ValueError as exc:
             raise ScenarioParseError(str(exc), line_no) from exc

@@ -82,7 +82,7 @@ def random_paths(rng, graph, count):
         if len(cells) < 2:
             continue
         paths.append(AntPath(tuple(cells), length, corners,
-                             bool(rng.random() < 0.8), None, tuple(dirs)))
+                             bool(rng.random() < 0.8), tuple(dirs)))
     return paths
 
 
@@ -165,7 +165,7 @@ class TestCriterion1:
                                zeta=float(rng.uniform(0.0, 2.0)),
                                n_ants=n_ants, mode=mode)
             tau_dict = dict(field.items())
-            got = update_pheromone(field, paths, params)
+            update_pheromone(field, paths, params)
             ref = update_pheromone_ref(
                 tau_dict,
                 [{"cells": p.cells, "length": p.length, "corners": p.corners,
@@ -173,7 +173,7 @@ class TestCriterion1:
                 {"rho": params.rho, "q": params.q, "delta": params.delta,
                  "zeta": params.zeta, "elite": params.resolved_elite_cutoff(),
                  "conventional": mode is AcoMode.CONVENTIONAL})
-            for edge, v in got.items():
+            for edge, v in field.items():
                 ok &= track(v, ref[edge])
             checked += 1
 
@@ -364,8 +364,9 @@ class TestCriterion7:
 class TestCriterion8:
     def run_cli(self, args, out, threads):
         env = dict(os.environ, REPLAN_THREADS=str(threads))
+        # -m imports antnav from the working directory: no install or PYTHONPATH needed
         res = subprocess.run([sys.executable, "-m", "antnav", *args, "--out", str(out)],
-                             capture_output=True, text=True, env=env, cwd=REPO)
+                             capture_output=True, text=True, env=env, cwd=REPO / "src")
         assert res.returncode == 0, res.stderr
         return out
 

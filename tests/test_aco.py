@@ -161,6 +161,10 @@ class TestScore:
         p = AntPath(((0, 0), (0, 1)), 10.0, 4, True)
         assert rel_close(score(p, AcoParams(delta=0.7, zeta=0.3)), 8.2)
 
+    def test_conventional_objective_is_the_length(self):
+        p = AntPath(((0, 0), (0, 1)), 10.0, 4, True)
+        assert score(p, AcoParams(mode=AcoMode.CONVENTIONAL)) == 10.0
+
     def test_unfinished_rejected(self):
         p = AntPath(((0, 0), (0, 1)), 10.0, 4, False)
         with pytest.raises(UnfinishedPath):
@@ -188,24 +192,24 @@ def path_through(graph_cells, cell_size=1.0):
         step = cell_size * (SQRT2 if (b[0] - a[0]) and (b[1] - a[1]) else 1.0)
         length += step
         dirs.append(d)
-    return AntPath(tuple(graph_cells), length, corners, True, None, tuple(dirs))
+    return AntPath(tuple(graph_cells), length, corners, True, tuple(dirs))
 
 
 class TestUpdatePheromone:
     def test_pure_evaporation(self):
         field = PheromoneField(GridGraph(np.ones((3, 3), bool), 1.0), 2.0)
-        out = update_pheromone(field, [], AcoParams(rho=0.5))
-        assert all(rel_close(v, 1.0) for _, v in out.items())
+        update_pheromone(field, [], AcoParams(rho=0.5))
+        assert all(rel_close(v, 1.0) for _, v in field.items())
 
     def test_single_ant_deposit(self):
         field = PheromoneField(GridGraph(np.ones((3, 3), bool), 1.0), 1.0)
         p = path_through([(0, 0), (0, 1), (1, 2)])
         params = AcoParams(rho=0.3, q=1.0, delta=0.7, zeta=0.3)
         w = 0.7 * p.length + 0.3 * p.corners
-        out = update_pheromone(field, [p], params)
-        assert rel_close(out.get((0, 0), (0, 1)), 0.7 + 1.0 / w)
-        assert rel_close(out.get((0, 1), (1, 2)), 0.7 + 1.0 / w)
-        assert rel_close(out.get((1, 2), (0, 1)), 0.7)  # reverse edge untouched
+        update_pheromone(field, [p], params)
+        assert rel_close(field.get((0, 0), (0, 1)), 0.7 + 1.0 / w)
+        assert rel_close(field.get((0, 1), (1, 2)), 0.7 + 1.0 / w)
+        assert rel_close(field.get((1, 2), (0, 1)), 0.7)  # reverse edge untouched
 
     def test_worst_ant_excluded_at_default_cutoff(self):
         field = PheromoneField(GridGraph(np.ones((4, 4), bool), 1.0), 1.0)
@@ -213,31 +217,31 @@ class TestUpdatePheromone:
         good2 = path_through([(0, 0), (0, 1), (1, 2), (2, 2)])
         worst = path_through([(0, 0), (0, 1), (0, 2), (0, 3), (1, 3), (2, 3), (2, 2)])
         params = AcoParams(rho=0.3, n_ants=3, elite_cutoff=2)
-        out = update_pheromone(field, [good1, good2, worst], params)
+        update_pheromone(field, [good1, good2, worst], params)
         # an edge unique to the worst path only evaporates
-        assert rel_close(out.get((0, 2), (0, 3)), 0.7)
-        assert out.get((0, 0), (1, 1)) > 0.7
+        assert rel_close(field.get((0, 2), (0, 3)), 0.7)
+        assert field.get((0, 0), (1, 1)) > 0.7
 
     def test_conventional_mode_deposits_by_length_for_all(self):
         field = PheromoneField(GridGraph(np.ones((4, 4), bool), 1.0), 1.0)
         a = path_through([(0, 0), (1, 1), (2, 2)])
         b = path_through([(0, 0), (0, 1), (0, 2), (1, 3)])
         params = AcoParams(rho=0.3, q=2.0, mode=AcoMode.CONVENTIONAL, n_ants=2)
-        out = update_pheromone(field, [a, b], params)
-        assert rel_close(out.get((0, 0), (1, 1)), 0.7 + 2.0 / a.length)
-        assert rel_close(out.get((0, 2), (1, 3)), 0.7 + 2.0 / b.length)
+        update_pheromone(field, [a, b], params)
+        assert rel_close(field.get((0, 0), (1, 1)), 0.7 + 2.0 / a.length)
+        assert rel_close(field.get((0, 2), (1, 3)), 0.7 + 2.0 / b.length)
 
     def test_unfinished_never_deposit(self):
         field = PheromoneField(GridGraph(np.ones((3, 3), bool), 1.0), 1.0)
         p = replace(path_through([(0, 0), (0, 1), (0, 2)]), reached=False)
-        out = update_pheromone(field, [p], AcoParams(rho=0.2))
-        assert all(rel_close(v, 0.8) for _, v in out.items())
+        update_pheromone(field, [p], AcoParams(rho=0.2))
+        assert all(rel_close(v, 0.8) for _, v in field.items())
 
     def test_tau_stays_positive(self):
         field = PheromoneField(GridGraph(np.ones((3, 3), bool), 1.0), 1.0)
         params = AcoParams(rho=0.9)
         for _ in range(60):
-            field = update_pheromone(field, [], params)
+            update_pheromone(field, [], params)
         assert all(v > 0.0 for _, v in field.items())
 
 
@@ -326,7 +330,7 @@ class TestPlanSubpath:
         params = AcoParams(n_iters=10, n_ants=8, mode=AcoMode.CONVENTIONAL)
         path, series = plan_subpath(open_grid(7), (0, 0), (0, 6), params, 5)
         assert path.reached
-        assert rel_close(path.score, path.length)
+        assert score(path, params) == path.length
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -335,6 +339,8 @@ class TestPlanSubpath:
             AcoParams(n_ants=1)
         with pytest.raises(ValueError):
             AcoParams(delta=0.0, zeta=0.0)
+        with pytest.raises(ValueError):
+            AcoParams(delta=0.0, zeta=1.0)  # a straight path would score 0
         with pytest.raises(ValueError):
             AcoParams(elite_cutoff=20, n_ants=20)
 

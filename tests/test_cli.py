@@ -143,11 +143,28 @@ class TestCmdSweep:
         assert code == 1
 
 
+@pytest.mark.parametrize("command,which", [
+    ("run", "--scenario"), ("sweep", "--scenario"), ("sweep", "--groups"),
+])
+def test_directory_argument_exits_one(small_scenario, tmp_path, capsys, command, which):
+    groups = tmp_path / "w.groups"
+    groups.write_text("g1 4 1.8 1 1 0\n")
+    paths = {"--scenario": str(small_scenario), "--groups": str(groups), which: str(tmp_path)}
+    argv = [command, "--scenario", paths["--scenario"], "--out", str(tmp_path / "o")]
+    if command == "sweep":
+        argv += ["--groups", paths["--groups"]]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: "), err
+
+
 class TestDeterminism:
     def run_cli(self, args, threads):
         env = dict(os.environ, REPLAN_THREADS=str(threads))
+        # -m imports antnav from the working directory: no install or PYTHONPATH needed
         return subprocess.run([sys.executable, "-m", "antnav", *args],
-                              capture_output=True, text=True, env=env, cwd=REPO)
+                              capture_output=True, text=True, env=env, cwd=REPO / "src")
 
     def test_byte_identical_csvs_across_threads(self, small_scenario, tmp_path):
         outs = []

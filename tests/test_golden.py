@@ -1,4 +1,4 @@
-"""Golden outputs: the seed-determined bytes of `antnav run` and `antnav compare`.
+"""Golden outputs: the seed-determined bytes of `antnav run`, `compare` and `sweep`.
 
 Every planner change is expected to keep these digests. A change that moves
 one on purpose updates it here and says so, with the acceptance verdicts
@@ -52,3 +52,20 @@ def test_compare_digests(tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in written}
     assert digests == COMPARE_SHA256
+
+
+# both sweep CSVs for multi_obstacle.scn with weights.groups, --repeats 2
+SWEEP_SHA256 = {
+    "sweep.csv": "c05c23c47c3407584aea5e0a2f6d678c0aec45b427a38481dc452f2486bd3959",
+    "sweep_runs.csv": "2a35973ed458f8c1aaf9217054efba206f0101f98bbc4cd7f594b0d07046c5a1",
+}
+
+
+def test_sweep_digests(tmp_path):
+    code = main(["sweep", "--scenario", str(SCENARIOS / "multi_obstacle.scn"),
+                 "--groups", str(SCENARIOS / "weights.groups"),
+                 "--out", str(tmp_path), "--repeats", "2"])
+    assert code == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.glob("*.csv")}
+    assert digests == SWEEP_SHA256

@@ -6,8 +6,9 @@ import pytest
 
 from antnav import (AggregateStats, EmptyRuns, RunMetrics, RunStatus, aggregate,
                     corner_count, path_length)
-from antnav.metrics import (write_aggregate_csv, write_distance_csv,
-                            write_summary, write_trajectory_csv)
+from antnav.metrics import write_csv, write_summary
+
+TRAJECTORY_HEADER = ["cycle", "x", "y", "psi", "dist_to_goal"]
 
 
 def metrics_of(length, corners, status=RunStatus.GOAL_REACHED):
@@ -59,22 +60,23 @@ class TestTrajectoryStats:
 class TestWriters:
     def test_trajectory_csv_shape(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_trajectory_csv(path, [(0, 1.5, 2.5, 0.0, 9.0), (1, 3.0, 2.5, 0.5, 7.5)])
+        write_csv(path, TRAJECTORY_HEADER, [(0, 1.5, 2.5, 0.0, 9.0), (1, 3.0, 2.5, 0.5, 7.5)])
         rows = list(csv.reader(path.open()))
-        assert rows[0] == ["cycle", "x", "y", "psi", "dist_to_goal"]
+        assert rows[0] == TRAJECTORY_HEADER
         assert rows[1] == ["0", "1.5", "2.5", "0.0", "9.0"]
         assert len(rows) == 3
 
     def test_distance_csv(self, tmp_path):
         path = tmp_path / "d.csv"
-        write_distance_csv(path, [4.0, 3.0, 2.0])
+        write_csv(path, ["cycle", "dist_to_goal"], enumerate([4.0, 3.0, 2.0]))
         rows = list(csv.reader(path.open()))
         assert rows[1:] == [["0", "4.0"], ["1", "3.0"], ["2", "2.0"]]
 
     def test_aggregate_csv(self, tmp_path):
         path = tmp_path / "a.csv"
         stats = aggregate([metrics_of(10.0, 2), metrics_of(20.0, 8)])
-        write_aggregate_csv(path, [("g", stats)])
+        write_csv(path, ["group", "metric", "best", "worst", "average"],
+                  [("g", name, s.best, s.worst, s.average) for name, s in stats.items()])
         rows = list(csv.reader(path.open()))
         assert rows[0] == ["group", "metric", "best", "worst", "average"]
         assert rows[1] == ["g", "path_length", "10.0", "20.0", "15.0"]
@@ -89,6 +91,13 @@ class TestWriters:
     def test_byte_identical_on_rewrite(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         rows = [(0, 1.0 / 3.0, 2.0 / 7.0, 0.1, 5.5)]
-        write_trajectory_csv(p1, rows)
-        write_trajectory_csv(p2, rows)
+        write_csv(p1, TRAJECTORY_HEADER, rows)
+        write_csv(p2, TRAJECTORY_HEADER, rows)
         assert p1.read_bytes() == p2.read_bytes()
+        assert p1.read_bytes() == (b"cycle,x,y,psi,dist_to_goal\n"
+                                   b"0,0.3333333333333333,0.2857142857142857,0.1,5.5\n")
+
+    def test_every_value_in_fmt_form(self, tmp_path):
+        path = tmp_path / "f.csv"
+        write_csv(path, ["a", "b", "c", "d"], [("x,y", 3, 0.1 + 0.2, 2.0)])
+        assert path.read_bytes() == b'a,b,c,d\n"x,y",3,0.30000000000000004,2.0\n'

@@ -101,6 +101,7 @@ class TestScenarioParsing:
         ("format 1\nmap tiny.map\nants 4\nalpha 1\nelite_cutoff 4\n", 5),
         ("format 1\nmap tiny.map\nalpha 0\nbeta 0\nomega 0\n", 5),
         ("format 1\nmap tiny.map\napf_k_rep -1\n", 3),
+        ("format 1\nmap tiny.map\nzeta 1\ndelta 0\n", 4),
         ("format 1\nmap tiny.map\nlidar_radius 1\nhalf_extent 2\n", 3),
         ("format 1\nmap tiny.map\nhalf_extent 3\nlidar_radius 2.5\n", 4),
     ])
@@ -198,6 +199,22 @@ class TestGroupsParsing:
             parse_groups(tmp_path / "b.groups")
         assert err.value.line_no == 1
 
+    @pytest.mark.parametrize("bad", [
+        "g nan 1.8 1 0.7 0.3", "g 4 inf 1 0.7 0.3", "g 4 1.8 -inf 0.7 0.3",
+        "g 4 1.8 1 nan 0.3", "g 4 1.8 1 0.7 inf",
+        "g 4 1.8 1 -0.1 0.3", "g 4 1.8 1 0.7 -0.3", "g 4 1.8 1 0 0", "g 4 1.8 1 0 1",
+    ])
+    def test_bad_group_values_exit_one_at_their_line(self, tmp_path, capsys, bad):
+        (tmp_path / "tiny.map").write_text(MAP)
+        (tmp_path / "tiny.scn").write_text("format 1\nmap tiny.map\n")
+        (tmp_path / "w.groups").write_text(f"; groups\ng1 4 1.8 1 1 0\n{bad}\n")
+        code = main(["sweep", "--scenario", str(tmp_path / "tiny.scn"), "--out",
+                     str(tmp_path / "out"), "--groups", str(tmp_path / "w.groups")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: line 3: "), err
+        assert not (tmp_path / "out").exists()
+
 
 MOVER_MAP = """\
 cellsize 1.0
@@ -240,6 +257,21 @@ def test_bad_numbers_exit_one_at_their_line(tmp_path, capsys, map_text, scn_extr
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith(f"error: line {line}: "), err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scn_text,line", [
+    ("format 1\nmap m.map\n", 2),
+    ("format 1\nseed 3\nants 6\nmap m.map\n", 4),
+])
+def test_radius_overflow_exits_one_at_the_map_line(tmp_path, capsys, scn_text, line):
+    # half_extent x cellsize overflows the derived lidar_radius to inf
+    (tmp_path / "m.map").write_text(MAP.replace("cellsize 1.0", "cellsize 1e308"))
+    (tmp_path / "s.scn").write_text(scn_text)
+    code = main(["run", "--scenario", str(tmp_path / "s.scn"), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: line {line}: lidar_radius"), err
     assert not (tmp_path / "out").exists()
 
 
