@@ -10,7 +10,7 @@ from .aco import (AcoMode, AcoParams, AntPath, AntState, GridGraph,
                   plan_subpath, roulette_select, score, transition_probabilities,
                   update_pheromone, repair)
 from .baselines import ApfParams, apf_step
-from .errors import (AntnavError, DeadEnd, EmptyCandidates, EmptyRuns,
+from .errors import (AntnavError, ColonyWeightError, DeadEnd, EmptyCandidates, EmptyRuns,
                      InvalidExtent, LocalMinimum, MapParseError, NoBestPathYet,
                      NoCandidates, NoPathFound, OutOfBounds, PoseInObstacle,
                      PoseOutOfBounds, ScenarioParseError, UnfinishedPath)

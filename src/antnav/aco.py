@@ -7,6 +7,12 @@ repair step that hands the incumbent best path to one straggler ant.
 Conventional mode is the classic planner: pheromone/heuristic transitions and
 length-based deposits from every finished ant, no repair.
 
+plan_subpath runs the whole colony in one call of the compiled kernel
+(colony.c, built on first use by kernel.py); tests/oracles.py keeps the
+Python loop it reproduces as the reference. The rule functions here
+(transition_probabilities, roulette_select, score, update_pheromone,
+repair) are the public, per-step form of the same rules.
+
 Determinism: every ant walk draws from its own RNG stream, the one numpy's
 SeedSequence((seed..., iteration, ant index)) seeds, and ants walk serially.
 All streams of one plan_subpath call are seeded in a single vectorized pass
@@ -15,15 +21,16 @@ All streams of one plan_subpath call are seeded in a single vectorized pass
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import PCG64, Generator
-from numpy.random.bit_generator import ISeedSequence
 
-from .errors import DeadEnd, NoBestPathYet, NoPathFound, UnfinishedPath
+from . import kernel
+from .errors import (ColonyWeightError, DeadEnd, NoBestPathYet, NoPathFound,
+                     UnfinishedPath)
 from .geometry import (Cell, DIR_ANGLES, DIR_INDEX, DIR_IS_DIAGONAL, DIR_OFFSETS,
                        SQRT2, wrap_angle)
 
@@ -80,37 +87,34 @@ class AcoParams:
 
 
 class GridGraph:
-    """Adjacency table over the traversable cells of a boolean mask.
+    """Neighbour table over the traversable cells of a boolean mask.
 
-    For each cell id (row * cols + col) nbrs holds one tuple (neighbor id,
-    edge index cid * 8 + d, direction index d, step length) per traversable
-    neighbor, in the canonical direction order N, NE, E, SE, S, SW, W, NW;
-    cells holds the (row, col) of every id and steps the step length per
-    direction index.
+    nbr[cid, d] is the id (row * cols + col) of the neighbour of cell cid in
+    direction d, in the canonical order N, NE, E, SE, S, SW, W, NW, or -1
+    when cid or that neighbour is blocked or off the grid; the directed edge
+    cid -> nbr[cid, d] has index cid * 8 + d. steps holds the step length
+    per direction index.
     """
 
-    __slots__ = ("rows", "cols", "n", "cell_size", "mask", "nbrs", "cells", "steps")
+    __slots__ = ("rows", "cols", "n", "cell_size", "mask", "nbr", "steps")
 
     def __init__(self, mask: np.ndarray, cell_size: float):
         mask = np.asarray(mask, dtype=bool)
-        self.rows, self.cols = mask.shape
-        self.n = self.rows * self.cols
+        self.rows, self.cols = rows, cols = mask.shape
+        self.n = rows * cols
         self.cell_size = float(cell_size)
         self.mask = mask
-        self.steps = steps = tuple(self.cell_size * SQRT2 if diag else self.cell_size
-                                   for diag in DIR_IS_DIAGONAL)
-        self.cells = tuple(divmod(cid, self.cols) for cid in range(self.n))
-        free = mask.tolist()
-        nbrs: list[tuple] = []
-        for cid, (r, c) in enumerate(self.cells):
-            row = []
-            if free[r][c]:
-                for d, (dr, dc) in enumerate(DIR_OFFSETS):
-                    nr, nc = r + dr, c + dc
-                    if 0 <= nr < self.rows and 0 <= nc < self.cols and free[nr][nc]:
-                        row.append((nr * self.cols + nc, cid * 8 + d, d, steps[d]))
-            nbrs.append(tuple(row))
-        self.nbrs = tuple(nbrs)
+        self.steps = tuple(self.cell_size * SQRT2 if diag else self.cell_size
+                           for diag in DIR_IS_DIAGONAL)
+        padded = np.zeros((rows + 2, cols + 2), dtype=bool)
+        padded[1:-1, 1:-1] = mask
+        ids = np.arange(self.n, dtype=np.int32).reshape(rows, cols)
+        nbr = np.empty((rows, cols, 8), dtype=np.int32)
+        for d, (dr, dc) in enumerate(DIR_OFFSETS):
+            free = mask & padded[1 + dr:1 + dr + rows, 1 + dc:1 + dc + cols]
+            nbr[:, :, d] = np.where(free, ids + (dr * cols + dc), -1)
+        self.nbr = nbr.reshape(self.n, 8)
+        self.nbr.flags.writeable = False
 
     def id_of(self, cell: Cell) -> int:
         r, c = cell
@@ -151,10 +155,11 @@ class PheromoneField:
         """Iterate ((i, j), tau) over the directed edges of the free graph."""
         graph = self.graph
         tau = self.tau.tolist()
-        for cid in range(graph.n):
+        for cid, row in enumerate(graph.nbr.tolist()):
             i = graph.cell_of(cid)
-            for nid, e, _d, _step in graph.nbrs[cid]:
-                yield (i, graph.cell_of(nid)), tau[e]
+            for d, nid in enumerate(row):
+                if nid >= 0:
+                    yield (i, graph.cell_of(nid)), tau[cid * 8 + d]
 
 
 @dataclass(frozen=True)
@@ -192,38 +197,54 @@ def corner_heuristic(prev_dir: float | None, i: Cell, j: Cell) -> float:
     return 1.0 if theta == 0.0 else 1.0 / theta
 
 
-# Corner-factor lookup per (previous direction index + 1, next direction index);
-# row 0 is "no previous direction". Built from corner_heuristic so the fast
-# walker and the public function cannot drift apart. Conventional mode walks
-# with the all-ones table: multiplying by 1.0 leaves every weight's bits alone.
-_VTAB_TURN: tuple[tuple[float, ...], ...] = tuple(
-    [(1.0,) * 8]
-    + [tuple(corner_heuristic(DIR_ANGLES[p], (0, 0), DIR_OFFSETS[d]) for d in range(8))
-       for p in range(8)]
-)
-_VTAB_FLAT: tuple[tuple[float, ...], ...] = ((1.0,) * 8,) * 9
+def eta_gamma(steps, gamma: float) -> list[float]:
+    """Heuristic weight (1 / step) ** gamma per step length.
+
+    Raises ValueError unless every weight is positive and finite: a weight
+    that underflows to 0 or overflows leaves the roulette without a usable
+    total.
+    """
+    try:
+        weights = [(1.0 / step) ** gamma for step in steps]
+    except OverflowError:
+        weights = [math.inf]
+    if not all(0.0 < w < math.inf for w in weights):
+        raise ValueError(f"gamma {gamma} makes the heuristic weight (1/step)**gamma "
+                         f"0 or infinite for steps {tuple(steps)}")
+    return weights
+
+
+# Corner factor per (previous direction index + 1, next direction index); row
+# 0 is "no previous direction". The kernel reads this table, built from
+# corner_heuristic, so the two cannot drift apart.
+_CORNER_FACTORS = np.array(
+    [[1.0] * 8]
+    + [[corner_heuristic(DIR_ANGLES[p], (0, 0), DIR_OFFSETS[d]) for d in range(8)]
+       for p in range(8)])
 
 
 def transition_probabilities(field: PheromoneField, state: AntState,
                              params: AcoParams) -> list[tuple[Cell, float]]:
     """Move distribution over feasible neighbors, in canonical direction order.
 
-    Weight of a neighbor: the walker's tau^phi * eta^gamma edge weight (times
-    the corner factor in improved mode); weights are normalized to sum to 1.
-    Raises DeadEnd when no feasible neighbor remains.
+    Weight of a neighbor: tau^phi * eta^gamma on the edge (times the corner
+    factor in improved mode), the kernel's arithmetic; weights are
+    normalized to sum to 1. Raises DeadEnd when no feasible neighbor remains.
     """
     graph = field.graph
     cid = graph.id_of(state.cell)
     improved = params.mode is AcoMode.IMPROVED
-    eta_g, _vtab = _colony_tables(graph, params)
-    weights = _edge_weights(field.tau, params.phi, eta_g)
+    eta_g = eta_gamma(graph.steps, params.gamma)
+    tau = field.tau[cid * 8:cid * 8 + 8].tolist()
     out: list[tuple[Cell, float]] = []
     total = 0.0
-    for nid, e, _d, _step in graph.nbrs[cid]:
+    for d, nid in enumerate(graph.nbr[cid].tolist()):
+        if nid < 0:
+            continue
         ncell = graph.cell_of(nid)
         if ncell in state.tabu:
             continue
-        w = weights[e]
+        w = tau[d] ** params.phi * eta_g[d]
         if improved:
             w *= corner_heuristic(state.prev_dir, state.cell, ncell)
         out.append((ncell, w))
@@ -369,113 +390,38 @@ def _seed_states(entropy: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(v.T, dtype="<u4").view("<u8").astype(np.uint64)
 
 
-class _SeedState(ISeedSequence):
-    """A SeedSequence output computed ahead: PCG64 asks for 4 uint64 words."""
+def substream(key: tuple[int, ...], n_iters: int, n_streams: int) -> np.ndarray:
+    """Seed words of the RNG streams of one colony run, in one vectorized pass.
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != _POOL_SIZE or dtype is not np.uint64:
-            raise ValueError("only the 4 x uint64 state of PCG64 was computed")
-        return self.words
-
-
-def substream(key: tuple[int, ...], n_iters: int,
-              n_streams: int) -> list[list[np.random.Generator]]:
-    """RNG streams of one colony run, seeded in one vectorized pass.
-
-    key holds non-negative ints. streams[n - 1][k] draws exactly what
-    np.random.default_rng(np.random.SeedSequence((*key, n, k))) draws, for
-    n = 1..n_iters and k = 0..n_streams - 1.
+    key holds non-negative ints. Row (n - 1) * n_streams + k holds
+    np.random.SeedSequence((*key, n, k)).generate_state(4, np.uint64), the
+    words numpy's PCG64 is seeded from, for n = 1..n_iters and
+    k = 0..n_streams - 1.
     """
     prefix = _entropy_words(key)
     entropy = np.empty((len(prefix) + 2, n_iters * n_streams), dtype=np.uint32)
     entropy[:-2] = np.array(prefix, dtype=np.uint32)[:, None]
     entropy[-2] = np.repeat(np.arange(1, n_iters + 1), n_streams)
     entropy[-1] = np.tile(np.arange(n_streams), n_iters)
-    gens = [Generator(PCG64(_SeedState(words))) for words in _seed_states(entropy)]
-    return [gens[i:i + n_streams] for i in range(0, len(gens), n_streams)]
+    return _seed_states(entropy)
 
 
-_DRAW_BLOCK = 16  # uniform draws fetched per call; walks average ~8 steps
+@functools.cache
+def _kernel():
+    return kernel.load(kernel.CACHE_DIR)
 
 
-def _colony_tables(graph: GridGraph, params: AcoParams):
-    """Per-call walk tables: eta^gamma per directed edge index (cid * 8 + d)
-    and the corner-factor table of the mode."""
-    eta_g = [(1.0 / step) ** params.gamma for step in graph.steps]
-    vtab = _VTAB_TURN if params.mode is AcoMode.IMPROVED else _VTAB_FLAT
-    return np.tile(eta_g, graph.n), vtab
+_CTYPES = {np.dtype(np.int32): "int32_t[]", np.dtype(np.int8): "int8_t[]",
+           np.dtype(np.float64): "double[]", np.dtype(np.uint64): "uint64_t[]"}
 
 
-def _edge_weights(tau: np.ndarray, phi: float, eta_g: np.ndarray) -> list[float]:
-    """tau^phi * eta^gamma per directed edge; tau only changes between iterations.
-
-    For phi != 1 the power is Python's float ** per edge.
-    """
-    if phi != 1.0:
-        tau = np.array([t ** phi for t in tau.tolist()])
-    return (tau * eta_g).tolist()
-
-
-def _construct(graph: GridGraph, weights: list[float],
-               vtab: tuple[tuple[float, ...], ...], start_id: int, goal_id: int,
-               max_steps: int, gen: np.random.Generator) -> AntPath:
-    """Roulette walk of a single ant with a tabu list and a step cap.
-
-    Each step is roulette_select(transition_probabilities(...), draw) with
-    the same arithmetic: weights[edge] * corner factor, then the cumulative
-    sum of weight / total in canonical neighbor order.
-    """
-    nbrs = graph.nbrs
-    tabu = bytearray(graph.n)
-    tabu[start_id] = 1
-    pos = start_id
-    prev = -1
-    cells = [start_id]
-    dirs: list[int] = []
-    length = 0.0
-    corners = 0
-    reached = False
-    draws: list[float] = []
-    used = 0
-    for _ in range(max_steps):
-        turn = vtab[prev + 1]
-        cand: list[tuple[float, int, int, float]] = []
-        total = 0.0
-        for nid, e, d, step in nbrs[pos]:
-            if not tabu[nid]:
-                w = weights[e] * turn[d]
-                cand.append((w, nid, d, step))
-                total += w
-        if not cand:
-            break  # dead end: the ant is terminated unfinished
-        if used == len(draws):
-            draws = gen.random(_DRAW_BLOCK).tolist()
-            used = 0
-        draw = draws[used]
-        used += 1
-        acc = 0.0
-        for w, nid, d, step in cand:
-            acc += w / total
-            if draw < acc:
-                break
-        # without a break the loop leaves the last candidate picked, the
-        # guard against a cumulative sum rounding to just below 1
-        if d != prev and prev >= 0:
-            corners += 1
-        length += step
-        cells.append(nid)
-        dirs.append(d)
-        tabu[nid] = 1
-        prev = d
-        pos = nid
-        if pos == goal_id:
-            reached = True
-            break
-    return AntPath(tuple(map(graph.cells.__getitem__, cells)), length, corners,
-                   reached, tuple(dirs))
+def _pointer(ffi, arr: np.ndarray, dtype, shape: tuple[int, ...], writable: bool = False):
+    """A kernel pointer to arr after checking its dtype, shape and contiguity."""
+    if arr.dtype != dtype or arr.shape != shape or not arr.flags.c_contiguous \
+            or (writable and not arr.flags.writeable):
+        raise ValueError(f"kernel argument must be a C-contiguous {np.dtype(dtype)} array of "
+                         f"shape {shape}, got {arr.dtype} {arr.shape}")
+    return ffi.from_buffer(_CTYPES[arr.dtype], arr, require_writable=writable)
 
 
 def plan_subpath(graph: GridGraph, start: Cell, subgoal: Cell, params: AcoParams,
@@ -485,9 +431,10 @@ def plan_subpath(graph: GridGraph, start: Cell, subgoal: Cell, params: AcoParams
     Runs n_iters iterations of {construct n_ants walks, repair (improved mode,
     once an incumbent exists), update pheromone} and returns the best
     finished path by the mode's score plus the best-score-so-far per
-    iteration. Iterations before the first finisher
-    record inf in the series; three consecutive all-fail iterations before any
-    finisher raise NoPathFound, as does finishing all iterations without one.
+    iteration. Iterations before the first finisher record inf in the
+    series; in improved mode three all-fail iterations before any finisher
+    raise NoPathFound, as does finishing all iterations without one. A
+    roulette total that is 0 or not finite raises ColonyWeightError.
 
     seed is an int or tuple of non-negative ints; ant k of iteration n walks
     on the stream of key (seed..., n, k) and repair draws from (seed..., n,
@@ -500,48 +447,48 @@ def plan_subpath(graph: GridGraph, start: Cell, subgoal: Cell, params: AcoParams
         raise ValueError(f"start cell {start} is not traversable")
     if not graph.traversable(subgoal):
         raise ValueError(f"subgoal cell {subgoal} is not traversable")
-    start_id = graph.id_of(start)
-    goal_id = graph.id_of(subgoal)
 
     improved = params.mode is AcoMode.IMPROVED
     max_steps = params.max_steps if params.max_steps is not None else 4 * graph.n
-    eta_g, vtab = _colony_tables(graph, params)
-    m = params.n_ants
-    streams = substream(key, params.n_iters, m + 1)
-
+    max_steps = min(max_steps, graph.n - 1)  # the tabu list ends every walk by then
+    m, n_iters = params.n_ants, params.n_iters
+    seeds = substream(key, n_iters, m + 1)
     field = PheromoneField(graph, params.tau0)
-    best: AntPath | None = None
-    best_cost = math.inf
-    series: list[float] = []
-    fail_streak = 0
-    for n in range(1, params.n_iters + 1):
-        gens = streams[n - 1]
-        weights = _edge_weights(field.tau, params.phi, eta_g)
-        paths = [_construct(graph, weights, vtab, start_id, goal_id, max_steps, gens[k])
-                 for k in range(m)]
+    eta_g = np.array(eta_gamma(graph.steps, params.gamma))
+    steps = np.array(graph.steps)
+    cells = np.empty(max_steps + 1, dtype=np.int32)
+    dirs = np.empty(max_steps, dtype=np.int8)
+    series = np.empty(n_iters)
 
-        if best is None and not any(p.reached for p in paths):
-            # no incumbent yet: skip repair/update and retry construction.
-            # The improved loop gives up after three consecutive misses
-            # (its repair stage needs an incumbent); the conventional
-            # baseline has no such stage and runs its full budget.
-            fail_streak += 1
-            if improved and fail_streak >= 3:
-                raise NoPathFound(
-                    f"no ant reached {subgoal} in {fail_streak} consecutive iterations")
-            series.append(math.inf)
-            continue
-
-        if improved and best is not None:
-            paths = repair(paths, best, gens[m])
-
-        update_pheromone(field, paths, params)
-
-        for p in paths:
-            if p.reached and (cost := score(p, params)) < best_cost:
-                best, best_cost = p, cost
-        series.append(best_cost)
-
-    if best is None:
-        raise NoPathFound(f"no ant reached {subgoal} in {params.n_iters} iterations")
-    return best, series
+    mod = _kernel()
+    ffi = mod.ffi
+    counts = ffi.new("int[2]")
+    length = ffi.new("double *")
+    code = mod.lib.colony_run(
+        _pointer(ffi, graph.nbr, np.int32, (graph.n, 8)), graph.n,
+        _pointer(ffi, field.tau, np.float64, (graph.n * 8,), writable=True),
+        _pointer(ffi, eta_g, np.float64, (8,)), _pointer(ffi, steps, np.float64, (8,)),
+        _pointer(ffi, _CORNER_FACTORS, np.float64, (9, 8)),
+        _pointer(ffi, seeds, np.uint64, (n_iters * (m + 1), 4)),
+        n_iters, m, max_steps, graph.id_of(start), graph.id_of(subgoal), improved,
+        params.phi, params.rho, params.q, params.delta, params.zeta,
+        params.resolved_elite_cutoff(),
+        _pointer(ffi, cells, np.int32, (max_steps + 1,), writable=True),
+        _pointer(ffi, dirs, np.int8, (max_steps,), writable=True),
+        counts, counts + 1, length,
+        _pointer(ffi, series, np.float64, (n_iters,), writable=True))
+    if code == 1:  # the return codes are colony.c's COLONY_* enum
+        raise NoPathFound(f"no ant reached {subgoal} in 3 consecutive iterations")
+    if code == 2:
+        raise NoPathFound(f"no ant reached {subgoal} in {n_iters} iterations")
+    if code == 3:
+        raise ColonyWeightError(
+            f"a roulette total toward {subgoal} is 0 or not finite: tau0 {params.tau0}, "
+            f"phi {params.phi} and gamma {params.gamma} give unusable weights")
+    if code != 0:
+        raise MemoryError("the colony kernel could not allocate its buffers")
+    n_steps = counts[0]
+    cols = graph.cols
+    path = AntPath(tuple(divmod(cid, cols) for cid in cells[:n_steps + 1].tolist()),
+                   length[0], counts[1], True, tuple(dirs[:n_steps].tolist()))
+    return path, series.tolist()

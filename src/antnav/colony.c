@@ -1,0 +1,317 @@
+/* Compiled colony run of antnav.aco.plan_subpath.
+ *
+ * One call runs every iteration of the improved or conventional ant colony:
+ * the ant walks, the repair pick, the score, the elite rank, evaporation and
+ * deposits, and best-cost tracking. The arithmetic is that of the reference
+ * loop in tests/oracles.py, operation for operation: the same candidate
+ * order, the same w / total cumulative sum, the same stable rank and the
+ * same deposit order. The random numbers are numpy's: each stream is a
+ * PCG64 generator (O'Neill 2014, XSL-RR 128/64) seeded from the four
+ * SeedSequence words that antnav.aco.substream computes, a uniform draw is
+ * (next64 >> 11) * 2^-53 and a bounded integer is Lemire's method on the
+ * 32-bit outputs (Generator.random and Generator.integers).
+ *
+ * Build with -ffp-contract=off and without -ffast-math: a fused
+ * multiply-add or a reordered sum would change bits.
+ */
+#include <float.h>
+#include <math.h>
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+enum {
+    COLONY_OK = 0,
+    COLONY_NO_PATH_STREAK = 1, /* improved mode: no finisher in the first 3 iterations */
+    COLONY_NO_PATH = 2,        /* no finisher in any iteration */
+    COLONY_BAD_TOTAL = 3,      /* a roulette total was 0, infinite or NaN */
+    COLONY_NO_MEMORY = 4,
+};
+
+typedef __uint128_t u128;
+
+#define PCG_MULT (((u128)2549297995355413924ULL << 64) + 4865540595714422341ULL)
+
+typedef struct {
+    u128 state, inc;
+    int has32;      /* numpy keeps the high half of a 64-bit output for the next 32-bit draw */
+    uint32_t buf32;
+} pcg64;
+
+/* pcg_setseq_128_srandom_r(initstate = w0:w1, initseq = w2:w3), as numpy's PCG64 */
+static void pcg_seed(pcg64 *g, const uint64_t *w)
+{
+    u128 initstate = ((u128)w[0] << 64) | w[1];
+    u128 initseq = ((u128)w[2] << 64) | w[3];
+    g->inc = (initseq << 1) | 1u;
+    g->state = g->inc;  /* one step from state 0 */
+    g->state += initstate;
+    g->state = g->state * PCG_MULT + g->inc;
+    g->has32 = 0;
+    g->buf32 = 0;
+}
+
+static uint64_t pcg_next64(pcg64 *g)
+{
+    g->state = g->state * PCG_MULT + g->inc;
+    uint64_t x = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
+    unsigned rot = (unsigned)(g->state >> 122);
+    return (x >> rot) | (x << ((-rot) & 63u));
+}
+
+static double pcg_double(pcg64 *g)
+{
+    return (double)(pcg_next64(g) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+static uint32_t pcg_next32(pcg64 *g)
+{
+    if (g->has32) {
+        g->has32 = 0;
+        return g->buf32;
+    }
+    uint64_t v = pcg_next64(g);
+    g->has32 = 1;
+    g->buf32 = (uint32_t)(v >> 32);
+    return (uint32_t)v;
+}
+
+/* Generator.integers(k) for 1 <= k < 2^32 */
+static uint32_t pcg_below(pcg64 *g, uint32_t k)
+{
+    if (k == 1)
+        return 0;  /* numpy draws nothing for a range of one value */
+    uint64_t m = (uint64_t)pcg_next32(g) * k;
+    uint32_t leftover = (uint32_t)m;
+    if (leftover < k) {
+        uint32_t threshold = (UINT32_MAX - (k - 1)) % k;
+        while (leftover < threshold) {
+            m = (uint64_t)pcg_next32(g) * k;
+            leftover = (uint32_t)m;
+        }
+    }
+    return (uint32_t)(m >> 32);
+}
+
+typedef struct {
+    int32_t *cells;  /* cell ids, start first */
+    int8_t *dirs;    /* direction index per step */
+    int steps, corners, reached;
+    double length, cost;
+} ant_path;
+
+/* One roulette walk with a tabu list and a step cap. Returns COLONY_OK or
+ * COLONY_BAD_TOTAL. */
+static int walk(const int32_t *nbr, const double *w_edge, const double *corner, int improved,
+                const double *steps, int start, int goal, int max_steps, pcg64 *g,
+                unsigned char *tabu, ant_path *p)
+{
+    int pos = start, prev = -1;
+    p->cells[0] = start;
+    p->steps = p->corners = p->reached = 0;
+    p->length = 0.0;
+    tabu[start] = 1;
+    for (int s = 0; s < max_steps; s++) {
+        const int32_t *row = nbr + (size_t)pos * 8;
+        const double *w_row = w_edge + (size_t)pos * 8;
+        const double *turn = corner + (prev + 1) * 8;
+        double cw[8], total = 0.0;
+        int cn[8], cd[8], k = 0;
+        for (int d = 0; d < 8; d++) {
+            int nid = row[d];
+            if (nid < 0 || tabu[nid])
+                continue;
+            double w = w_row[d];
+            if (improved)
+                w *= turn[d];
+            cw[k] = w;
+            cn[k] = nid;
+            cd[k] = d;
+            k++;
+            total += w;
+        }
+        if (k == 0)
+            break;  /* dead end: the ant is terminated unfinished */
+        if (!(total > 0.0 && total <= DBL_MAX))
+            return COLONY_BAD_TOTAL;
+        double draw = pcg_double(g), acc = 0.0;
+        /* the last candidate is taken when no earlier one is, also when the
+         * cumulative sum rounds to just below 1 */
+        int pick = k - 1;
+        for (int i = 0; i < k - 1; i++) {
+            acc += cw[i] / total;
+            if (draw < acc) {
+                pick = i;
+                break;
+            }
+        }
+        int d = cd[pick];
+        if (d != prev && prev >= 0)
+            p->corners++;
+        p->length += steps[d];
+        p->dirs[p->steps] = (int8_t)d;
+        p->steps++;
+        pos = cn[pick];
+        p->cells[p->steps] = pos;
+        tabu[pos] = 1;
+        prev = d;
+        if (pos == goal) {
+            p->reached = 1;
+            break;
+        }
+    }
+    return COLONY_OK;
+}
+
+static void copy_path(ant_path *dst, const ant_path *src)
+{
+    memcpy(dst->cells, src->cells, sizeof(int32_t) * (size_t)(src->steps + 1));
+    memcpy(dst->dirs, src->dirs, sizeof(int8_t) * (size_t)src->steps);
+    dst->steps = src->steps;
+    dst->corners = src->corners;
+    dst->reached = src->reached;
+    dst->length = src->length;
+    dst->cost = src->cost;
+}
+
+/* The colony run of plan_subpath. Arrays: nbr (n, 8), tau (n * 8, updated
+ * in place), eta_g (8), steps (8), corner (9, 8), seeds (n_iters * (n_ants
+ * + 1), 4), best_cells (max_steps + 1), best_dirs (max_steps), series
+ * (n_iters). max_steps must not exceed n - 1. On COLONY_OK the best path is
+ * in best_cells[0..*best_steps] and best_dirs[0..*best_steps - 1]. */
+int colony_run(const int32_t *nbr, int n, double *tau, const double *eta_g,
+               const double *steps, const double *corner, const uint64_t *seeds,
+               int n_iters, int n_ants, int max_steps, int start, int goal, int improved,
+               double phi, double rho, double q, double delta, double zeta, int elite_cutoff,
+               int32_t *best_cells, int8_t *best_dirs, int *best_steps, int *best_corners,
+               double *best_length, double *series)
+{
+    const int m = n_ants;
+    const size_t n_edges = (size_t)n * 8;
+    double *w_edge = malloc(sizeof(double) * n_edges);
+    unsigned char *tabu = malloc((size_t)n);
+    ant_path *ants = malloc(sizeof(ant_path) * (size_t)m);
+    ant_path **paths = malloc(sizeof(ant_path *) * (size_t)m);
+    int *order = malloc(sizeof(int) * (size_t)m);
+    int32_t *cell_buf = malloc(sizeof(int32_t) * (size_t)m * (size_t)(max_steps + 1));
+    int8_t *dir_buf = malloc(sizeof(int8_t) * (size_t)m * (size_t)max_steps + 1);
+    ant_path best = {best_cells, best_dirs, 0, 0, 0, 0.0, INFINITY};
+    int have_best = 0, fail_streak = 0, code = COLONY_OK;
+    const double keep = 1.0 - rho;
+    if (!w_edge || !tabu || !ants || !paths || !order || !cell_buf || !dir_buf) {
+        code = COLONY_NO_MEMORY;
+        goto done;
+    }
+    for (int k = 0; k < m; k++) {
+        ants[k].cells = cell_buf + (size_t)k * (size_t)(max_steps + 1);
+        ants[k].dirs = dir_buf + (size_t)k * (size_t)max_steps;
+    }
+    for (int it = 0; it < n_iters; it++) {
+        const uint64_t *iter_seeds = seeds + (size_t)it * (size_t)(m + 1) * 4;
+        for (size_t e = 0; e < n_edges; e++)  /* pow(t, 1.0) == t: skip the call */
+            w_edge[e] = (phi == 1.0 ? tau[e] : pow(tau[e], phi)) * eta_g[e & 7];
+
+        int any_reached = 0;
+        for (int k = 0; k < m; k++) {
+            pcg64 g;
+            pcg_seed(&g, iter_seeds + (size_t)k * 4);
+            memset(tabu, 0, (size_t)n);
+            code = walk(nbr, w_edge, corner, improved, steps, start, goal, max_steps, &g,
+                        tabu, &ants[k]);
+            if (code != COLONY_OK)
+                goto done;
+            if (ants[k].reached) {
+                ants[k].cost = improved ? delta * ants[k].length + zeta * ants[k].corners
+                                        : ants[k].length;
+                any_reached = 1;
+            }
+            paths[k] = &ants[k];
+        }
+
+        if (!have_best && !any_reached) {
+            /* no incumbent yet: skip repair and update, retry construction.
+             * The improved loop gives up after three misses (its repair
+             * stage needs an incumbent); the conventional one runs its
+             * full budget. */
+            fail_streak++;
+            if (improved && fail_streak >= 3) {
+                code = COLONY_NO_PATH_STREAK;
+                goto done;
+            }
+            series[it] = INFINITY;
+            continue;
+        }
+
+        if (improved && have_best) {
+            /* repair: hand the incumbent to an unfinished ant when there is
+             * one, otherwise to any ant; the draw is Generator.integers on
+             * the iteration's stream n_ants */
+            int unfinished = 0;
+            for (int k = 0; k < m; k++)
+                if (!paths[k]->reached)
+                    order[unfinished++] = k;
+            pcg64 g;
+            pcg_seed(&g, iter_seeds + (size_t)m * 4);
+            int s = unfinished ? order[pcg_below(&g, (uint32_t)unfinished)]
+                               : (int)pcg_below(&g, (uint32_t)m);
+            paths[s] = &best;
+        }
+
+        /* update: evaporate, then deposit q / cost along each finished path
+         * in rank order; improved mode ranks by cost (stable on ties) and
+         * keeps the first elite_cutoff */
+        int r = 0;
+        for (int k = 0; k < m; k++)
+            if (paths[k]->reached)
+                order[r++] = k;
+        if (improved) {
+            for (int i = 1; i < r; i++) {
+                int x = order[i], j = i;
+                while (j > 0 && paths[order[j - 1]]->cost > paths[x]->cost) {
+                    order[j] = order[j - 1];
+                    j--;
+                }
+                order[j] = x;
+            }
+            if (r > elite_cutoff)
+                r = elite_cutoff;
+        }
+        for (size_t e = 0; e < n_edges; e++)
+            tau[e] *= keep;
+        for (int i = 0; i < r; i++) {
+            const ant_path *p = paths[order[i]];
+            double amount = q / p->cost;
+            for (int j = 0; j < p->steps; j++)
+                tau[(size_t)p->cells[j] * 8 + (size_t)p->dirs[j]] += amount;
+        }
+
+        int bi = -1;
+        for (int k = 0; k < m; k++)
+            if (paths[k]->reached && paths[k]->cost < best.cost) {
+                best.cost = paths[k]->cost;
+                bi = k;
+            }
+        if (bi >= 0) {  /* never the repaired slot: its cost is not below its own */
+            copy_path(&best, paths[bi]);
+            have_best = 1;
+        }
+        series[it] = best.cost;
+    }
+    if (!have_best) {
+        code = COLONY_NO_PATH;
+        goto done;
+    }
+    *best_steps = best.steps;
+    *best_corners = best.corners;
+    *best_length = best.length;
+
+done:
+    free(w_edge);
+    free(tabu);
+    free(ants);
+    free(paths);
+    free(order);
+    free(cell_buf);
+    free(dir_buf);
+    return code;
+}

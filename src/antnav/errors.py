@@ -57,6 +57,10 @@ class NoPathFound(AntnavError):
     """No ant reached the sub-goal in any iteration."""
 
 
+class ColonyWeightError(AntnavError):
+    """A colony roulette total is 0 or not finite: the weights underflow or overflow."""
+
+
 class NoBestPathYet(AntnavError):
     """Repair requested before any ant has ever reached the sub-goal."""
 

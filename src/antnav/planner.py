@@ -13,10 +13,10 @@ import time
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-from .aco import AcoMode, AcoParams, GridGraph, plan_subpath
+from .aco import AcoMode, AcoParams, GridGraph, eta_gamma, plan_subpath
 from .baselines import ApfParams, apf_step
 from .errors import LocalMinimum, NoCandidates, NoPathFound
-from .geometry import Cell, Point, Pose
+from .geometry import SQRT2, Cell, Point, Pose
 from .grid import CellState, LocalGrid, candidate_cells, perceive, reachable_component
 from .metrics import RunMetrics, RunStatus, corner_count, path_length
 from .subgoal import CostWeights, rank_candidates
@@ -55,6 +55,7 @@ class PlannerConfig:
             raise ValueError(f"lidar_radius must be positive and finite, got {self.lidar_radius}")
         if self.cell_size <= 0:
             raise ValueError("cell_size must be positive")
+        eta_gamma((self.cell_size, self.cell_size * SQRT2), self.aco.gamma)
         if self.half_extent < 1:
             raise ValueError("half_extent must be >= 1")
         if self.half_extent * self.cell_size > self.lidar_radius + 1e-9:

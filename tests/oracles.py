@@ -2,12 +2,18 @@
 
 Everything here is deliberately written from scratch against the math, not by
 calling into the package, so the implementations under test are checked by a
-separate route.
+separate route. The one exception is the colony reference at the end, the
+Python loop the compiled kernel replaced: it calls the package's public rule
+functions, which criterion 1 checks against the oracles above.
 """
 import heapq
 import math
 
 import numpy as np
+
+from antnav import (AcoMode, AntPath, NoPathFound, PheromoneField, corner_heuristic, repair,
+                    score, update_pheromone)
+from antnav.geometry import DIR_ANGLES, DIR_OFFSETS
 
 SQRT2 = math.sqrt(2.0)
 
@@ -279,3 +285,121 @@ def reachable_ref(cells, h):
                     seen.add((nr, nc))
                     stack.append((nr, nc))
     return seen
+
+
+# --- colony: the Python walker and plan_subpath loop the compiled kernel replaced ---
+
+def neighbor_table_ref(graph):
+    """Per cell id: (neighbor id, edge index, direction index, step) in canonical order."""
+    return [[(nid, cid * 8 + d, d, graph.steps[d]) for d, nid in enumerate(row) if nid >= 0]
+            for cid, row in enumerate(graph.nbr.tolist())]
+
+
+def colony_tables_ref(graph, params):
+    """eta^gamma per directed edge index and the corner-factor table of the mode:
+    row p + 1 for previous direction p, row 0 for the first step."""
+    eta_g = [(1.0 / step) ** params.gamma for step in graph.steps]
+    if params.mode is AcoMode.IMPROVED:
+        vtab = [(1.0,) * 8] + [tuple(corner_heuristic(DIR_ANGLES[p], (0, 0), DIR_OFFSETS[d])
+                                     for d in range(8)) for p in range(8)]
+    else:
+        vtab = [(1.0,) * 8] * 9
+    return np.tile(eta_g, graph.n), vtab
+
+
+def edge_weights_ref(tau, phi, eta_g):
+    """tau^phi * eta^gamma per directed edge, Python float ** for phi != 1."""
+    if phi != 1.0:
+        tau = np.array([t ** phi for t in tau.tolist()])
+    return (tau * eta_g).tolist()
+
+
+def construct_ref(graph, nbrs, weights, vtab, start_id, goal_id, max_steps, gen, stats=None):
+    """Roulette walk of one ant with a tabu list and a step cap.
+
+    Each step: weights[edge] * corner factor, then the cumulative sum of
+    weight / total in canonical neighbor order, the last candidate when the
+    sum never exceeds the draw. stats, a Counter, counts how walks end.
+    """
+    tabu = bytearray(graph.n)
+    tabu[start_id] = 1
+    pos, prev = start_id, -1
+    cells, dirs = [start_id], []
+    length, corners, reached = 0.0, 0, False
+    end = "step_cap"
+    for _ in range(max_steps):
+        turn = vtab[prev + 1]
+        cand, total = [], 0.0
+        for nid, e, d, step in nbrs[pos]:
+            if not tabu[nid]:
+                w = weights[e] * turn[d]
+                cand.append((w, nid, d, step))
+                total += w
+        if not cand:
+            end = "dead_end"
+            break
+        draw = float(gen.random())
+        acc = 0.0
+        for w, nid, d, step in cand:
+            acc += w / total
+            if draw < acc:
+                break
+        if d != prev and prev >= 0:
+            corners += 1
+        length += step
+        cells.append(nid)
+        dirs.append(d)
+        tabu[nid] = 1
+        prev, pos = d, nid
+        if pos == goal_id:
+            reached, end = True, "reached"
+            break
+    if stats is not None:
+        stats[end] += 1
+    return AntPath(tuple(graph.cell_of(c) for c in cells), length, corners, reached,
+                   tuple(dirs))
+
+
+def plan_subpath_ref(graph, start, subgoal, params, seed, stats=None):
+    """plan_subpath as a Python loop over numpy generators:
+    ant k of iteration n walks on default_rng(SeedSequence((*key, n, k))),
+    repair draws from stream k = n_ants. stats, a Counter, also counts
+    repairs with and without unfinished ants."""
+    key = tuple(seed) if isinstance(seed, (tuple, list)) else (int(seed),)
+    improved = params.mode is AcoMode.IMPROVED
+    max_steps = params.max_steps if params.max_steps is not None else 4 * graph.n
+    eta_g, vtab = colony_tables_ref(graph, params)
+    nbrs = neighbor_table_ref(graph)
+    start_id, goal_id = graph.id_of(start), graph.id_of(subgoal)
+    m = params.n_ants
+
+    field = PheromoneField(graph, params.tau0)
+    best, best_cost = None, math.inf
+    series = []
+    fail_streak = 0
+    for n in range(1, params.n_iters + 1):
+        gens = [np.random.default_rng(np.random.SeedSequence((*key, n, k)))
+                for k in range(m + 1)]
+        weights = edge_weights_ref(field.tau, params.phi, eta_g)
+        paths = [construct_ref(graph, nbrs, weights, vtab, start_id, goal_id, max_steps,
+                               gens[k], stats) for k in range(m)]
+        if best is None and not any(p.reached for p in paths):
+            fail_streak += 1
+            if improved and fail_streak >= 3:
+                raise NoPathFound(
+                    f"no ant reached {subgoal} in {fail_streak} consecutive iterations")
+            series.append(math.inf)
+            continue
+        if improved and best is not None:
+            if stats is not None:
+                stats["repair_unfinished" if not all(p.reached for p in paths)
+                      else "repair_all_finished"] += 1
+            paths = repair(paths, best, gens[m])
+        update_pheromone(field, paths, params)
+        for p in paths:
+            if p.reached and (cost := score(p, params)) < best_cost:
+                best, best_cost = p, cost
+        series.append(best_cost)
+    if best is None:
+        raise NoPathFound(f"no ant reached {subgoal} in {params.n_iters} iterations")
+    return best, series

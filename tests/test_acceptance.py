@@ -46,7 +46,8 @@ def random_field_state(rng, n=6):
     field = PheromoneField(graph, 1.0)
     for k in range(len(field.tau)):
         field.tau[k] = float(rng.uniform(0.01, 5.0))
-    nbr_cells = [graph.cell_of(nid) for nid, *_ in graph.nbrs[graph.id_of(cell)]]
+    nbr_cells = [graph.cell_of(nid)
+                 for nid in graph.nbr[graph.id_of(cell)].tolist() if nid >= 0]
     if not nbr_cells:
         return None
     tabu = frozenset(c for c in nbr_cells if rng.random() < 0.3)
@@ -59,7 +60,7 @@ def random_field_state(rng, n=6):
 def random_paths(rng, graph, count):
     """Random feasible short walks over the graph with correct bookkeeping."""
     paths = []
-    traversable = [cid for cid in range(graph.n) if graph.nbrs[cid]]
+    traversable = [cid for cid in range(graph.n) if (graph.nbr[cid] >= 0).any()]
     for _ in range(count):
         pos = int(traversable[rng.integers(len(traversable))])
         cells = [graph.cell_of(pos)]
@@ -68,10 +69,12 @@ def random_paths(rng, graph, count):
         corners = 0
         seen = {pos}
         for _ in range(int(rng.integers(1, 8))):
-            options = [t for t in graph.nbrs[pos] if t[0] not in seen]
+            options = [(nid, d) for d, nid in enumerate(graph.nbr[pos].tolist())
+                       if nid >= 0 and nid not in seen]
             if not options:
                 break
-            nid, _edge, d, step = options[int(rng.integers(len(options)))]
+            nid, d = options[int(rng.integers(len(options)))]
+            step = graph.steps[d]
             if dirs and d != dirs[-1]:
                 corners += 1
             dirs.append(d)
@@ -141,7 +144,8 @@ class TestCriterion1:
             params = AcoParams(phi=float(rng.uniform(0.5, 2.0)),
                                gamma=float(rng.uniform(0.5, 6.0)), mode=mode)
             dist = transition_probabilities(field, AntState(cell, tabu, prev), params)
-            nbr_cells = [graph.cell_of(nid) for nid, *_ in graph.nbrs[graph.id_of(cell)]]
+            nbr_cells = [graph.cell_of(nid)
+                         for nid in graph.nbr[graph.id_of(cell)].tolist() if nid >= 0]
             ref = transition_ref(field.get, nbr_cells, tabu, prev, cell, params.phi,
                                  params.gamma, graph.cell_size, mode is AcoMode.IMPROVED)
             for c, p in dist:

@@ -1,17 +1,19 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from antnav import (AcoMode, AcoParams, AntPath, AntState, DeadEnd, GridGraph,
-                    NoBestPathYet, NoPathFound, PheromoneField,
+from antnav import (AcoMode, AcoParams, AntPath, AntState, ColonyWeightError, DeadEnd,
+                    GridGraph, NoBestPathYet, NoPathFound, PheromoneField,
                     UnfinishedPath, corner_heuristic, heuristic, plan_subpath,
                     repair, roulette_select, score, transition_probabilities,
                     update_pheromone)
 from antnav import aco
 from antnav.geometry import DIR_ANGLES, DIR_INDEX, DIR_OFFSETS
 
+import oracles
 from oracles import corner_ref, dijkstra_ref, heuristic_ref, rel_close, score_ref, transition_ref
 
 SQRT2 = math.sqrt(2.0)
@@ -101,7 +103,8 @@ class TestTransitionProbabilities:
         field = PheromoneField(graph, 1.0)
         for k in range(len(field.tau)):
             field.tau[k] = float(rng.uniform(0.01, 5.0))
-        nbr_cells = [graph.cell_of(nid) for nid, *_ in graph.nbrs[graph.id_of(cell)]]
+        nbr_cells = [graph.cell_of(nid)
+                     for nid in graph.nbr[graph.id_of(cell)].tolist() if nid >= 0]
         tabu = frozenset(c for c in nbr_cells if rng.random() < 0.3)
         if len(tabu) == len(nbr_cells) or not nbr_cells:
             return None
@@ -120,7 +123,8 @@ class TestTransitionProbabilities:
                 continue
             field, graph, cell, tabu, prev, params = case
             dist = transition_probabilities(field, AntState(cell, tabu, prev), params)
-            nbr_cells = [graph.cell_of(nid) for nid, *_ in graph.nbrs[graph.id_of(cell)]]
+            nbr_cells = [graph.cell_of(nid)
+                         for nid in graph.nbr[graph.id_of(cell)].tolist() if nid >= 0]
             ref = transition_ref(field.get, nbr_cells, tabu, prev, cell,
                                  params.phi, params.gamma, graph.cell_size,
                                  mode is AcoMode.IMPROVED)
@@ -352,15 +356,18 @@ class ScriptedDraws:
         self.draws = list(draws)
         self.used = 0
 
-    def random(self, size):
-        block = self.draws[self.used:self.used + size]
-        self.used += size
-        assert len(block) == size, "walk needed more draws than scripted"
-        return np.array(block)
+    def random(self):
+        assert self.used < len(self.draws), "walk needed more draws than scripted"
+        self.used += 1
+        return self.draws[self.used - 1]
 
 
 class TestWalkKernel:
-    """The planner's walker makes the picks of the public transition rule."""
+    """The reference walker makes the picks of the public transition rule.
+
+    TestKernelDifferential checks that the compiled kernel walks as the
+    reference does, so the two together tie the kernel to the public rule.
+    """
 
     @pytest.mark.parametrize("mode", [AcoMode.IMPROVED, AcoMode.CONVENTIONAL])
     def test_picks_equal_public_rule(self, mode):
@@ -375,14 +382,15 @@ class TestWalkKernel:
             field = PheromoneField(graph, 1.0)
             for k in range(len(field.tau)):
                 field.tau[k] = float(rng.uniform(0.01, 5.0))
-            # phi != 1 in two cases of three: the walker's table keeps float **
+            # phi != 1 in two cases of three: the weight table keeps float **
             params = AcoParams(phi=[1.0, 0.6, 1.7][case % 3],
                                gamma=float(rng.uniform(0.5, 6.0)), mode=mode)
             draws = rng.random(4 * graph.n + 1)
-            eta_g, vtab = aco._colony_tables(graph, params)
-            weights = aco._edge_weights(field.tau, params.phi, eta_g)
-            path = aco._construct(graph, weights, vtab, graph.id_of(start),
-                                  graph.id_of(goal), 4 * graph.n, ScriptedDraws(draws))
+            eta_g, vtab = oracles.colony_tables_ref(graph, params)
+            weights = oracles.edge_weights_ref(field.tau, params.phi, eta_g)
+            path = oracles.construct_ref(graph, oracles.neighbor_table_ref(graph), weights,
+                                         vtab, graph.id_of(start), graph.id_of(goal),
+                                         4 * graph.n, ScriptedDraws(draws))
 
             state = AntState(start, frozenset([start]), None)
             for i, (nxt, d) in enumerate(zip(path.cells[1:], path.dirs)):
@@ -398,8 +406,114 @@ class TestWalkKernel:
         assert steps > 1000 and dead_ends > 10
 
 
+class TestKernelDifferential:
+    """plan_subpath, the compiled kernel, equals the Python reference loop."""
+
+    def test_equals_reference_on_random_cases(self):
+        rng = np.random.default_rng(4242)
+        stats = Counter()
+        outcomes = Counter()
+        cases = 0
+        while cases < 360:
+            # one case in four is an open grid with unit cells and zeta 0, where
+            # distinct paths tie on cost and ties straddle a small elite cutoff
+            ties = cases % 4 == 3
+            n = int(rng.integers(3, 10))
+            mask = rng.random((n, n)) > (0.0 if ties else rng.uniform(0.05, 0.45))
+            free = [tuple(map(int, c)) for c in np.argwhere(mask)]
+            if len(free) < 2:
+                continue
+            i, j = rng.choice(len(free), 2, replace=False)
+            start, goal = free[i], free[j]
+            graph = GridGraph(mask, 1.0 if ties else float(rng.uniform(0.3, 2.0)))
+            mode = AcoMode.IMPROVED if cases % 2 else AcoMode.CONVENTIONAL
+            m = int(rng.integers(2, 13))
+            params = AcoParams(
+                phi=[1.0, 0.6, 1.7][cases % 3], gamma=float(rng.uniform(0.5, 6.0)),
+                rho=float(rng.uniform(0.05, 0.95)), q=float(rng.uniform(0.1, 5.0)),
+                n_ants=m, n_iters=int(rng.integers(1, 13)),
+                delta=float(rng.uniform(0.1, 2.0)),
+                zeta=0.0 if ties else float(rng.uniform(0.0, 2.0)),
+                tau0=float(rng.uniform(0.1, 3.0)),
+                max_steps=None if rng.random() < 0.5 else int(rng.integers(1, n + 3)),
+                elite_cutoff=None if rng.random() < 0.4 and not ties
+                else int(rng.integers(1, m)),
+                mode=mode)
+            seed = tuple(int(v) for v in rng.integers(0, 2 ** 40, int(rng.integers(1, 4))))
+            try:
+                expected = oracles.plan_subpath_ref(graph, start, goal, params, seed, stats)
+            except NoPathFound as exc:
+                with pytest.raises(NoPathFound) as got:
+                    plan_subpath(graph, start, goal, params, seed)
+                assert str(got.value) == str(exc)
+                outcomes["consecutive" if "consecutive" in str(exc) else "budget"] += 1
+            else:
+                path, series = plan_subpath(graph, start, goal, params, seed)
+                assert (path.cells, path.dirs, path.length, path.corners, path.reached) == \
+                    (expected[0].cells, expected[0].dirs, expected[0].length,
+                     expected[0].corners, True)
+                assert series == expected[1]
+                outcomes["found"] += 1
+            cases += 1
+        assert outcomes["found"] >= 200, outcomes
+        assert outcomes["consecutive"] >= 5 and outcomes["budget"] >= 5, outcomes
+        for what in ("step_cap", "dead_end", "repair_unfinished", "repair_all_finished"):
+            assert stats[what] >= 20, stats
+
+    def test_underflowing_weights_raise(self):
+        # tau0 * (1/1.5)**5 rounds to 0 on every edge: no roulette total is usable
+        with pytest.raises(ColonyWeightError):
+            plan_subpath(open_grid(5, 1.5), (0, 0), (4, 4), AcoParams(tau0=5e-324), 0)
+
+    def test_overflowing_gamma_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            plan_subpath(open_grid(5, 1e-70), (0, 0), (4, 4), AcoParams(), 0)
+
+    def test_arguments_are_checked_before_the_call(self):
+        ffi = aco._kernel().ffi
+        good = np.zeros(8)
+        assert aco._pointer(ffi, good, np.float64, (8,)) is not None
+        for bad in (np.zeros(8, np.float32), np.zeros(9), np.zeros(16)[::2]):
+            with pytest.raises(ValueError):
+                aco._pointer(ffi, bad, np.float64, (8,))
+        frozen = np.zeros(8)
+        frozen.flags.writeable = False
+        with pytest.raises(ValueError):
+            aco._pointer(ffi, frozen, np.float64, (8,), writable=True)
+
+
+class TestGridGraph:
+    def test_neighbour_array_matches_a_loop(self):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            rows, cols = (int(v) for v in rng.integers(1, 9, 2))
+            mask = rng.random((rows, cols)) > 0.3
+            graph = GridGraph(mask, 1.0)
+            assert graph.nbr.shape == (rows * cols, 8) and graph.nbr.dtype == np.int32
+            for cid in range(graph.n):
+                r, c = divmod(cid, cols)
+                for d, (dr, dc) in enumerate(DIR_OFFSETS):
+                    nr, nc = r + dr, c + dc
+                    ok = mask[r, c] and 0 <= nr < rows and 0 <= nc < cols and mask[nr, nc]
+                    assert graph.nbr[cid, d] == (nr * cols + nc if ok else -1)
+
+
+# the PCG64 output function and seeding (O'Neill 2014) that colony.c implements
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_M128, _M64 = (1 << 128) - 1, (1 << 64) - 1
+
+
+def _pcg_first_output(words):
+    inc = ((int(words[2]) << 64 | int(words[3])) << 1 | 1) & _M128
+    state = ((inc + (int(words[0]) << 64 | int(words[1]))) * _PCG_MULT + inc) & _M128
+    state = (state * _PCG_MULT + inc) & _M128
+    x = ((state >> 64) ^ state) & _M64
+    rot = state >> 122
+    return ((x >> rot) | (x << (-rot & 63))) & _M64
+
+
 class TestSubstream:
-    """Batched seeding gives the streams of numpy's own SeedSequence."""
+    """Batched seeding gives the words of numpy's own SeedSequence."""
 
     @pytest.mark.parametrize("key", [
         (0,),                    # 3 words with (n, k): shorter than the 4-word pool
@@ -410,21 +524,27 @@ class TestSubstream:
         (9, 3, 0),               # the planner's (seed, cycle, attempt) prefix
         (411, 2 ** 40, 12),
     ])
-    def test_first_draws_match_default_rng(self, key):
+    def test_words_match_seed_sequence(self, key):
         n_iters, n_streams = 4, 6  # k = 5 plays the repair stream of 5 ants
-        streams = aco.substream(key, n_iters, n_streams)
-        assert [len(row) for row in streams] == [n_streams] * n_iters
+        words = aco.substream(key, n_iters, n_streams)
+        assert words.shape == (n_iters * n_streams, 4) and words.dtype == np.uint64
         for n in range(1, n_iters + 1):
             for k in range(n_streams):
-                ref = np.random.default_rng(np.random.SeedSequence((*key, n, k)))
-                assert streams[n - 1][k].random(64).tolist() == ref.random(64).tolist()
+                ref = np.random.SeedSequence((*key, n, k)).generate_state(4, np.uint64)
+                assert words[(n - 1) * n_streams + k].tolist() == ref.tolist()
 
     def test_repair_stream_integers_match(self):
+        # the kernel's draws on a fresh stream: (first output >> 11) * 2^-53
+        # for random(), Lemire's method on its low 32 bits for integers(k)
         m = 12
-        gen = aco.substream((9, 1, 0), 20, m + 1)[19][m]
-        ref = np.random.default_rng(np.random.SeedSequence((9, 1, 0, 20, m)))
-        assert [int(gen.integers(7)) for _ in range(64)] == \
-            [int(ref.integers(7)) for _ in range(64)]
+        for row, words in enumerate(aco.substream((9, 1, 0), 20, m + 1)):
+            key = (9, 1, 0, 1 + row // (m + 1), row % (m + 1))
+            first = _pcg_first_output(words)
+            bound = 2 + row % 19
+            assert (first >> 11) * 2.0 ** -53 == \
+                np.random.default_rng(np.random.SeedSequence(key)).random()
+            assert (first & 0xFFFFFFFF) * bound >> 32 == \
+                int(np.random.default_rng(np.random.SeedSequence(key)).integers(bound))
 
     def test_negative_key_rejected(self):
         with pytest.raises(ValueError):

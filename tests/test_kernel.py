@@ -1,0 +1,70 @@
+"""Building and loading the compiled colony kernel."""
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from antnav import kernel
+
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src"
+
+# Plans one sub-path with the kernel cache pointed at argv[1] and prints the
+# result, whether the cache was empty after import and parse, and whether the
+# build tools were ever imported into this process.
+CHILD = """
+import json, sys
+from pathlib import Path
+cache = Path(sys.argv[1])
+import antnav.kernel
+antnav.kernel.CACHE_DIR = cache
+from antnav.planner import run
+from antnav.scenario import parse_scenario
+scenario = parse_scenario(sys.argv[2])
+cold = not cache.exists() or not any(cache.iterdir())
+result = run(scenario)
+print(json.dumps({"cold_before_run": cold,
+                  "poses": [[p.x, p.y] for p in result.poses],
+                  "status": result.metrics.status.value,
+                  "setuptools": "setuptools" in sys.modules,
+                  "cffi": "cffi" in sys.modules}))
+"""
+
+
+def start_child(cache_dir):
+    return subprocess.Popen([sys.executable, "-c", CHILD, str(cache_dir),
+                             str(REPO / "scenarios" / "multi_obstacle.scn")],
+                            cwd=SRC, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
+
+
+def finish(child):
+    out, err = child.communicate(timeout=300)
+    assert child.returncode == 0, err
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def test_concurrent_builds_into_one_empty_dir(tmp_path):
+    cache = tmp_path / "cache"
+    children = [start_child(cache), start_child(cache)]
+    results = [finish(child) for child in children]
+    assert results[0]["poses"] == results[1]["poses"]
+    assert results[0]["status"] == "goal_reached"
+    built = sorted(p.name for p in cache.iterdir())
+    assert len(built) == 1 and built[0].startswith("_colony_"), built  # no build dir left
+
+
+def test_cold_cache_run_keeps_build_tools_out_of_the_process(tmp_path):
+    result = finish(start_child(tmp_path / "cache"))
+    assert result["cold_before_run"]  # nothing is built at import or parse time
+    assert not result["setuptools"] and not result["cffi"]
+
+
+def test_missing_compiler_is_an_import_error(tmp_path, monkeypatch):
+    monkeypatch.setenv("CC", "/bin/false")
+    with pytest.raises(ImportError, match="C compiler"):
+        kernel.load(tmp_path)
+    assert list(tmp_path.iterdir()) == []
+

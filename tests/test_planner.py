@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from antnav import (PlannerConfig, PlannerKind, Pose, RunStatus, parse_map, run)
+from antnav import (AcoParams, PlannerConfig, PlannerKind, Pose, RunStatus, parse_map, run)
+from antnav.geometry import DIR_OFFSETS
 from antnav.planner import PlannerState, plan_cycle
 from antnav.scenario import Scenario
 from antnav.world import WorldMap
@@ -160,3 +163,46 @@ class TestRun:
         result = run(sc)
         assert result.metrics.status is RunStatus.GOAL_REACHED
         assert result.metrics.cycles == 6
+
+
+@st.composite
+def worlds_with_movers(draw):
+    """A bordered map with random blocks, one or two movers on 8-adjacent
+    waypoint chains, and free start and goal cells."""
+    from antnav.world import MovingObstacle, MoverPolicy
+    h, w = draw(st.integers(7, 12)), draw(st.integers(7, 12))
+    static = bordered(h, w)
+    interior = st.tuples(st.integers(1, h - 2), st.integers(1, w - 2))
+    for cell in draw(st.lists(interior, max_size=(h * w) // 6)):
+        static[cell] = True
+    movers = []
+    for _ in range(draw(st.integers(1, 2))):
+        chain = [draw(interior)]
+        for step in draw(st.lists(st.sampled_from(DIR_OFFSETS), min_size=1, max_size=8)):
+            r, c = chain[-1][0] + step[0], chain[-1][1] + step[1]
+            if 1 <= r <= h - 2 and 1 <= c <= w - 2:
+                chain.append((r, c))
+        movers.append(MovingObstacle(tuple(chain), draw(st.integers(1, 3)),
+                                     draw(st.sampled_from(list(MoverPolicy)))))
+    start, goal = draw(interior), draw(interior)
+    occupied_at_start = {cell for m in movers for cell in m.cells_at(0)}
+    assume(start != goal and not static[start] and not static[goal]
+           and start not in occupied_at_start)
+    planner = draw(st.sampled_from([PlannerKind.PROPOSED, PlannerKind.CONVENTIONAL_ACO]))
+    return scenario_from(static, 1.0, start, goal, movers=movers, seed=draw(st.integers(0, 99)),
+                         n_rays=120, planner=planner, max_robot_steps=60,
+                         aco=AcoParams(n_ants=6, n_iters=5))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(worlds_with_movers())
+def test_robot_never_stands_on_an_occupied_cell_at_its_tick(sc):
+    """At tick t the robot stands on pose t - 1 (while cycle t - 1 plans) and
+    then on pose t; neither may be occupied at that tick."""
+    result = run(sc)
+    world = sc.world
+    for t in range(len(result.poses)):
+        for k in {max(t - 1, 0), t}:
+            cell = world.cell_of(*result.poses[k].xy)
+            assert world.in_bounds(cell) and not world.occupancy_at(cell), (k, t)
+        world = world.advanced()

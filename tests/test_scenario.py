@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from antnav import AntnavError, PlannerKind, ScenarioParseError, parse_groups, parse_scenario
+from antnav import (AcoParams, AntnavError, PlannerKind, ScenarioParseError, parse_groups,
+                    parse_scenario)
 from antnav.cli import main
 from antnav.scenario import _FLOAT_KEYS, _INT_KEYS, _STR_KEYS
 
@@ -346,3 +347,81 @@ def test_mutated_inputs_fail_only_with_antnav_errors(texts):
     assert all(math.isfinite(v) for v in _numbers(sc.config))
     assert all(math.isfinite(v) for v in (*sc.start.xy, sc.start.psi, *sc.goal))
     assert all(sc.world.in_bounds(cell) for m in sc.world.movers for cell in m.waypoints)
+
+
+SHIPPED = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+@pytest.mark.parametrize("name", ["multi_obstacle", "corridor"])
+@pytest.mark.parametrize("cellsize,extra,line", [
+    ("1e300", "", 2),      # (1/step)**gamma underflows to 0: blamed on the map line
+    ("1e-70", "", 2),      # ... or overflows
+    (None, "gamma 2000\n", 14),
+    (None, "gamma -2000\n", 14),
+])
+def test_unusable_heuristic_weights_exit_one_at_their_line(tmp_path, capsys, name, cellsize,
+                                                           extra, line):
+    map_text = (SHIPPED / f"{name}.map").read_text()
+    if cellsize is not None:
+        head, rest = map_text.split("\n", 1)
+        assert head.startswith("cellsize ")
+        map_text = f"cellsize {cellsize}\n{rest}"
+    (tmp_path / f"{name}.map").write_text(map_text)
+    scn = (SHIPPED / f"{name}.scn").read_text()
+    assert len(scn.splitlines()) == 13
+    (tmp_path / "s.scn").write_text(scn + extra)
+    code = main(["run", "--scenario", str(tmp_path / "s.scn"), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: line {line}: gamma"), err
+    assert not (tmp_path / "out").exists()
+
+
+GROUPS = (SHIPPED / "weights.groups").read_text()
+
+
+@st.composite
+def mutated_groups(draw):
+    """The shipped groups file with a few tokens replaced, lines dropped, repeated or added."""
+    lines = GROUPS.splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(lines)))
+        op = draw(st.sampled_from(["token", "drop", "repeat", "add"]))
+        if op == "token" and at < len(lines) and lines[at].split():
+            parts = lines[at].split()
+            parts[draw(st.integers(0, len(parts) - 1))] = draw(st.sampled_from(_TOKENS))
+            lines[at] = " ".join(parts)
+        elif op == "drop" and at < len(lines):
+            del lines[at]
+        elif op == "repeat" and at < len(lines):
+            lines.insert(at, lines[at])
+        else:
+            lines.insert(at, " ".join(draw(st.lists(st.sampled_from(_TOKENS + ["g", ";"]),
+                                                    max_size=7))))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mutated_groups())
+@example(GROUPS.replace("group2 4 1.8 1 0.7 0.3", "group2 4 1.8 1 0 0.3"))
+@example(GROUPS.replace("group2 4 1.8 1 0.7 0.3", "group2 4 1.8 1 0.7 -0.0"))
+@example(GROUPS.replace("group2 4 1.8 1 0.7 0.3", "group2 4 1.8 1 -0.0 1"))
+@example(GROUPS.replace("group2 4 1.8 1 0.7 0.3", "group2 nan 1.8 1 0.7 0.3"))
+@example(GROUPS.replace("group2 4 1.8 1 0.7 0.3", "group2 4 1.8 1 1e9 inf"))
+@example(GROUPS.replace("group2 4 1.8 1 0.7 0.3", "group2 0 0 0 0.7 0.3"))
+@example(GROUPS.replace("group2 4 1.8 1 0.7 0.3", "group2 4 1.8 1 0.7 0.3 1"))
+@example("; only a comment\n\n")
+def test_mutated_groups_fail_only_with_antnav_errors(text):
+    """parse_groups raises AntnavError or returns finite weights whose
+    delta/zeta pair AcoParams accepts."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "w.groups"
+        path.write_text(text)
+        try:
+            groups = parse_groups(path)
+        except AntnavError:
+            return
+    assert groups
+    for g in groups:
+        assert all(math.isfinite(v) for v in _numbers(g))
+        AcoParams(delta=g.delta, zeta=g.zeta)
