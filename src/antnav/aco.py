@@ -15,8 +15,8 @@ repair) are the public, per-step form of the same rules.
 
 Determinism: every ant walk draws from its own RNG stream, the one numpy's
 SeedSequence((seed..., iteration, ant index)) seeds, and ants walk serially.
-All streams of one plan_subpath call are seeded in a single vectorized pass
-(see substream).
+The kernel seeds each stream itself from the seed's uint32 words (see
+_entropy_words).
 """
 from __future__ import annotations
 
@@ -316,13 +316,6 @@ def repair(paths: list[AntPath], best_so_far: AntPath | None,
     return out
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx, after O'Neill's
-# seed_seq_fe): its constants for 32-bit words and a pool of four words.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_XSHIFT = 16
-_POOL_SIZE = 4
 _MASK32 = 0xFFFFFFFF
 
 
@@ -342,77 +335,13 @@ def _entropy_words(key) -> list[int]:
     return words
 
 
-def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
-    """The running hash constant through count hash calls, as a uint32 column."""
-    consts = [init]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts, dtype=np.uint32)[:, None]
-
-
-def _seed_states(entropy: np.ndarray) -> np.ndarray:
-    """SeedSequence(key).generate_state(4, np.uint64) for many keys at once.
-
-    entropy[i, j] is entropy word i of key j (all keys have one word count).
-    Returns one row of four uint64 words per key. The hash constant runs
-    through the same sequence for every key, and the calls that numpy's
-    loops make on distinct pool words with consecutive constants are
-    independent, so each batch of them is one array operation.
-    """
-    n_words, n_keys = entropy.shape
-    a = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * max(n_words, _POOL_SIZE))
-    used = 0
-
-    def hashmix(values: np.ndarray) -> np.ndarray:
-        # the next len(values) hash calls, in order
-        nonlocal used
-        k = len(values)
-        v = (values ^ a[used:used + k]) * a[used + 1:used + k + 1]
-        used += k
-        return v ^ (v >> _XSHIFT)
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        r = x * _MIX_MULT_L - y * _MIX_MULT_R
-        return r ^ (r >> _XSHIFT)
-
-    pool = np.zeros((_POOL_SIZE, n_keys), dtype=np.uint32)
-    pool[:n_words] = entropy[:_POOL_SIZE]
-    pool = hashmix(pool)
-    for src in range(_POOL_SIZE):
-        dst = [d for d in range(_POOL_SIZE) if d != src]
-        pool[dst] = mix(pool[dst], hashmix(pool[[src] * len(dst)]))
-    for word in entropy[_POOL_SIZE:]:
-        pool = mix(pool, hashmix(np.broadcast_to(word, pool.shape)))
-
-    b = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
-    v = (pool[list(range(_POOL_SIZE)) * 2] ^ b[:-1]) * b[1:]
-    v ^= v >> _XSHIFT
-    return np.ascontiguousarray(v.T, dtype="<u4").view("<u8").astype(np.uint64)
-
-
-def substream(key: tuple[int, ...], n_iters: int, n_streams: int) -> np.ndarray:
-    """Seed words of the RNG streams of one colony run, in one vectorized pass.
-
-    key holds non-negative ints. Row (n - 1) * n_streams + k holds
-    np.random.SeedSequence((*key, n, k)).generate_state(4, np.uint64), the
-    words numpy's PCG64 is seeded from, for n = 1..n_iters and
-    k = 0..n_streams - 1.
-    """
-    prefix = _entropy_words(key)
-    entropy = np.empty((len(prefix) + 2, n_iters * n_streams), dtype=np.uint32)
-    entropy[:-2] = np.array(prefix, dtype=np.uint32)[:, None]
-    entropy[-2] = np.repeat(np.arange(1, n_iters + 1), n_streams)
-    entropy[-1] = np.tile(np.arange(n_streams), n_iters)
-    return _seed_states(entropy)
-
-
 @functools.cache
 def _kernel():
     return kernel.load(kernel.CACHE_DIR)
 
 
 _CTYPES = {np.dtype(np.int32): "int32_t[]", np.dtype(np.int8): "int8_t[]",
-           np.dtype(np.float64): "double[]", np.dtype(np.uint64): "uint64_t[]"}
+           np.dtype(np.float64): "double[]", np.dtype(np.uint32): "uint32_t[]"}
 
 
 def _pointer(ffi, arr: np.ndarray, dtype, shape: tuple[int, ...], writable: bool = False):
@@ -440,7 +369,8 @@ def plan_subpath(graph: GridGraph, start: Cell, subgoal: Cell, params: AcoParams
     on the stream of key (seed..., n, k) and repair draws from (seed..., n,
     n_ants).
     """
-    key = tuple(seed) if isinstance(seed, (tuple, list)) else (int(seed),)
+    key = np.array(_entropy_words(seed if isinstance(seed, (tuple, list)) else (int(seed),)),
+                   dtype=np.uint32)
     if start == subgoal:
         raise ValueError("start and subgoal must differ")
     if not graph.traversable(start):
@@ -452,7 +382,6 @@ def plan_subpath(graph: GridGraph, start: Cell, subgoal: Cell, params: AcoParams
     max_steps = params.max_steps if params.max_steps is not None else 4 * graph.n
     max_steps = min(max_steps, graph.n - 1)  # the tabu list ends every walk by then
     m, n_iters = params.n_ants, params.n_iters
-    seeds = substream(key, n_iters, m + 1)
     field = PheromoneField(graph, params.tau0)
     eta_g = np.array(eta_gamma(graph.steps, params.gamma))
     steps = np.array(graph.steps)
@@ -469,7 +398,7 @@ def plan_subpath(graph: GridGraph, start: Cell, subgoal: Cell, params: AcoParams
         _pointer(ffi, field.tau, np.float64, (graph.n * 8,), writable=True),
         _pointer(ffi, eta_g, np.float64, (8,)), _pointer(ffi, steps, np.float64, (8,)),
         _pointer(ffi, _CORNER_FACTORS, np.float64, (9, 8)),
-        _pointer(ffi, seeds, np.uint64, (n_iters * (m + 1), 4)),
+        _pointer(ffi, key, np.uint32, key.shape), len(key),
         n_iters, m, max_steps, graph.id_of(start), graph.id_of(subgoal), improved,
         params.phi, params.rho, params.q, params.delta, params.zeta,
         params.resolved_elite_cutoff(),

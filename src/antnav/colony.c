@@ -6,10 +6,11 @@
  * loop in tests/oracles.py, operation for operation: the same candidate
  * order, the same w / total cumulative sum, the same stable rank and the
  * same deposit order. The random numbers are numpy's: each stream is a
- * PCG64 generator (O'Neill 2014, XSL-RR 128/64) seeded from the four
- * SeedSequence words that antnav.aco.substream computes, a uniform draw is
- * (next64 >> 11) * 2^-53 and a bounded integer is Lemire's method on the
- * 32-bit outputs (Generator.random and Generator.integers).
+ * PCG64 generator (O'Neill 2014, XSL-RR 128/64) seeded from the four words
+ * of np.random.SeedSequence((key..., iteration, stream)).generate_state(4,
+ * np.uint64), a uniform draw is (next64 >> 11) * 2^-53 and a bounded integer
+ * is Lemire's method on the 32-bit outputs (Generator.random and
+ * Generator.integers).
  *
  * Build with -ffp-contract=off and without -ffast-math: a fused
  * multiply-add or a reordered sum would change bits.
@@ -38,9 +39,45 @@ typedef struct {
     uint32_t buf32;
 } pcg64;
 
-/* pcg_setseq_128_srandom_r(initstate = w0:w1, initseq = w2:w3), as numpy's PCG64 */
-static void pcg_seed(pcg64 *g, const uint64_t *w)
+/* numpy's SeedSequence hash (numpy/random/bit_generator.pyx, after
+ * O'Neill's seed_seq_fe) with its pool of four 32-bit words */
+static uint32_t hashmix(uint32_t v, uint32_t *h)
 {
+    v ^= *h;
+    *h *= 0x931E8875u;
+    v *= *h;
+    return v ^ (v >> 16);
+}
+
+static uint32_t mix(uint32_t x, uint32_t y)
+{
+    uint32_t r = x * 0xCA01F9DDu - y * 0x4973F715u;
+    return r ^ (r >> 16);
+}
+
+/* PCG64(SeedSequence(words)): the pool mixes the n entropy words, its
+ * generate_state(4, np.uint64) words are pcg_setseq_128_srandom_r's
+ * initstate = w0:w1 and initseq = w2:w3 */
+static void pcg_seed(pcg64 *g, const uint32_t *words, int n)
+{
+    uint32_t pool[4], h = 0x43B0D7E5u;
+    for (int i = 0; i < 4; i++)
+        pool[i] = hashmix(i < n ? words[i] : 0, &h);
+    for (int src = 0; src < 4; src++)
+        for (int dst = 0; dst < 4; dst++)
+            if (src != dst)
+                pool[dst] = mix(pool[dst], hashmix(pool[src], &h));
+    for (int src = 4; src < n; src++)
+        for (int dst = 0; dst < 4; dst++)
+            pool[dst] = mix(pool[dst], hashmix(words[src], &h));
+    uint64_t w[4] = {0};
+    h = 0x8B51F9DDu;
+    for (int i = 0; i < 8; i++) {  /* eight uint32 outputs, low half of each word first */
+        uint32_t v = pool[i & 3] ^ h;
+        h *= 0x58F38DEDu;
+        v *= h;
+        w[i / 2] |= (uint64_t)(v ^ (v >> 16)) << (i % 2 * 32);
+    }
     u128 initstate = ((u128)w[0] << 64) | w[1];
     u128 initseq = ((u128)w[2] << 64) | w[3];
     g->inc = (initseq << 1) | 1u;
@@ -175,12 +212,14 @@ static void copy_path(ant_path *dst, const ant_path *src)
 }
 
 /* The colony run of plan_subpath. Arrays: nbr (n, 8), tau (n * 8, updated
- * in place), eta_g (8), steps (8), corner (9, 8), seeds (n_iters * (n_ants
- * + 1), 4), best_cells (max_steps + 1), best_dirs (max_steps), series
- * (n_iters). max_steps must not exceed n - 1. On COLONY_OK the best path is
- * in best_cells[0..*best_steps] and best_dirs[0..*best_steps - 1]. */
+ * in place), eta_g (8), steps (8), corner (9, 8), key (n_key), best_cells
+ * (max_steps + 1), best_dirs (max_steps), series (n_iters). Ant k of
+ * iteration it walks on the stream of the words (key..., it, k), it from 1,
+ * and the repair draws from k = n_ants. max_steps must not exceed n - 1. On
+ * COLONY_OK the best path is in best_cells[0..*best_steps] and
+ * best_dirs[0..*best_steps - 1]. */
 int colony_run(const int32_t *nbr, int n, double *tau, const double *eta_g,
-               const double *steps, const double *corner, const uint64_t *seeds,
+               const double *steps, const double *corner, const uint32_t *key, int n_key,
                int n_iters, int n_ants, int max_steps, int start, int goal, int improved,
                double phi, double rho, double q, double delta, double zeta, int elite_cutoff,
                int32_t *best_cells, int8_t *best_dirs, int *best_steps, int *best_corners,
@@ -195,10 +234,11 @@ int colony_run(const int32_t *nbr, int n, double *tau, const double *eta_g,
     int *order = malloc(sizeof(int) * (size_t)m);
     int32_t *cell_buf = malloc(sizeof(int32_t) * (size_t)m * (size_t)(max_steps + 1));
     int8_t *dir_buf = malloc(sizeof(int8_t) * (size_t)m * (size_t)max_steps + 1);
+    uint32_t *words = malloc(sizeof(uint32_t) * (size_t)(n_key + 2));
     ant_path best = {best_cells, best_dirs, 0, 0, 0, 0.0, INFINITY};
     int have_best = 0, fail_streak = 0, code = COLONY_OK;
     const double keep = 1.0 - rho;
-    if (!w_edge || !tabu || !ants || !paths || !order || !cell_buf || !dir_buf) {
+    if (!w_edge || !tabu || !ants || !paths || !order || !cell_buf || !dir_buf || !words) {
         code = COLONY_NO_MEMORY;
         goto done;
     }
@@ -206,15 +246,17 @@ int colony_run(const int32_t *nbr, int n, double *tau, const double *eta_g,
         ants[k].cells = cell_buf + (size_t)k * (size_t)(max_steps + 1);
         ants[k].dirs = dir_buf + (size_t)k * (size_t)max_steps;
     }
+    memcpy(words, key, sizeof(uint32_t) * (size_t)n_key);
     for (int it = 0; it < n_iters; it++) {
-        const uint64_t *iter_seeds = seeds + (size_t)it * (size_t)(m + 1) * 4;
+        words[n_key] = (uint32_t)it + 1;
         for (size_t e = 0; e < n_edges; e++)  /* pow(t, 1.0) == t: skip the call */
             w_edge[e] = (phi == 1.0 ? tau[e] : pow(tau[e], phi)) * eta_g[e & 7];
 
         int any_reached = 0;
         for (int k = 0; k < m; k++) {
             pcg64 g;
-            pcg_seed(&g, iter_seeds + (size_t)k * 4);
+            words[n_key + 1] = (uint32_t)k;
+            pcg_seed(&g, words, n_key + 2);
             memset(tabu, 0, (size_t)n);
             code = walk(nbr, w_edge, corner, improved, steps, start, goal, max_steps, &g,
                         tabu, &ants[k]);
@@ -251,7 +293,8 @@ int colony_run(const int32_t *nbr, int n, double *tau, const double *eta_g,
                 if (!paths[k]->reached)
                     order[unfinished++] = k;
             pcg64 g;
-            pcg_seed(&g, iter_seeds + (size_t)m * 4);
+            words[n_key + 1] = (uint32_t)m;
+            pcg_seed(&g, words, n_key + 2);
             int s = unfinished ? order[pcg_below(&g, (uint32_t)unfinished)]
                                : (int)pcg_below(&g, (uint32_t)m);
             paths[s] = &best;
@@ -313,5 +356,6 @@ done:
     free(order);
     free(cell_buf);
     free(dir_buf);
+    free(words);
     return code;
 }

@@ -28,7 +28,7 @@ CACHE_DIR = Path(__file__).with_name("_kernel_cache")
 
 CDEF = """
 int colony_run(const int32_t *nbr, int n, double *tau, const double *eta_g,
-               const double *steps, const double *corner, const uint64_t *seeds,
+               const double *steps, const double *corner, const uint32_t *key, int n_key,
                int n_iters, int n_ants, int max_steps, int start, int goal, int improved,
                double phi, double rho, double q, double delta, double zeta, int elite_cutoff,
                int32_t *best_cells, int8_t *best_dirs, int *best_steps, int *best_corners,

@@ -167,7 +167,7 @@ def plan_cycle(world: WorldMap, state: PlannerState, goal: Point,
     if goal_inside and goal_cell != grid.center_cell \
             and grid.state_at(goal_cell) is CellState.FREE:
         trials.append((goal_cell, grid.world_center(goal_cell)))
-    ranked = rank_candidates(grid, candidates, pose, goal, config.weights)
+    ranked = rank_candidates(candidates, pose, goal, config.weights)
     capture = trials[0][0] if trials else None
     trials.extend((sg.cell, sg.world) for sg in ranked
                   if sg.cell != capture and component[sg.cell])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import EmptyCandidates
 from .geometry import Cell, Point, Pose, wrap_angle
-from .grid import CandidateSet, LocalGrid
+from .grid import CandidateSet
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,8 @@ def normalize(values: list[float]) -> list[float]:
     return [v / total for v in values]
 
 
-def rank_candidates(grid: LocalGrid, candidates: CandidateSet, robot: Pose,
-                    goal: Point, weights: CostWeights) -> list[SubGoal]:
+def rank_candidates(candidates: CandidateSet, robot: Pose, goal: Point,
+                    weights: CostWeights) -> list[SubGoal]:
     """All candidates scored and sorted ascending by cost, ties by row-major cell index."""
     if not candidates.cells:
         raise EmptyCandidates("candidate set is empty")
@@ -74,7 +74,7 @@ def rank_candidates(grid: LocalGrid, candidates: CandidateSet, robot: Pose,
     return scored
 
 
-def select_subgoal(grid: LocalGrid, candidates: CandidateSet, robot: Pose,
-                   goal: Point, weights: CostWeights) -> SubGoal:
+def select_subgoal(candidates: CandidateSet, robot: Pose, goal: Point,
+                   weights: CostWeights) -> SubGoal:
     """Minimum-cost candidate; ties broken by lowest row-major cell index."""
-    return rank_candidates(grid, candidates, robot, goal, weights)[0]
+    return rank_candidates(candidates, robot, goal, weights)[0]

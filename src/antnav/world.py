@@ -113,17 +113,7 @@ class WorldMap:
 
     def advanced(self) -> "WorldMap":
         """Snapshot at the next tick; the static bitmap is shared, not copied."""
-        nxt = WorldMap.__new__(WorldMap)
-        nxt.static_cells = self.static_cells
-        nxt.cell_size = self.cell_size
-        nxt.movers = self.movers
-        nxt.tick = self.tick + 1
-        nxt._occ = None
-        for m in nxt.movers:
-            for cell in m.cells_at(nxt.tick):
-                if not nxt.in_bounds(cell):
-                    raise ValueError(f"mover cell {cell} outside world bounds at tick {nxt.tick}")
-        return nxt
+        return WorldMap(self.static_cells, self.cell_size, self.movers, self.tick + 1)
 
     def cell_of(self, x: float, y: float) -> Cell:
         return (int(math.floor(y / self.cell_size)), int(math.floor(x / self.cell_size)))
@@ -170,6 +160,13 @@ def parse_map(text: str) -> ParsedMap:
     pending: tuple[int, MoverPolicy, list[Cell]] | None = None  # open mover block
     wp_lines: list[tuple[Cell, int]] = []  # every waypoint with its line number
 
+    def checked_mover(line_no: int, *args) -> MovingObstacle:
+        # MovingObstacle's own checks, reported at the line that broke them
+        try:
+            return MovingObstacle(*args)
+        except ValueError as exc:
+            raise MapParseError(str(exc), line_no) from exc
+
     def close_pending(line_no: int):
         nonlocal pending
         if pending is None:
@@ -177,10 +174,7 @@ def parse_map(text: str) -> ParsedMap:
         ticks, policy, wps = pending
         if not wps:
             raise MapParseError("mover block has no waypoints", line_no)
-        try:
-            movers.append(MovingObstacle(tuple(wps), ticks, policy))
-        except ValueError as exc:
-            raise MapParseError(str(exc), line_no) from exc
+        movers.append(MovingObstacle(tuple(wps), ticks, policy))
         pending = None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -232,6 +226,7 @@ def parse_map(text: str) -> ParsedMap:
                 policy = MoverPolicy(parts[2].lower())
             except ValueError:
                 raise MapParseError(f"unknown mover policy {parts[2]!r}", line_no)
+            checked_mover(line_no, ((0, 0),), ticks, policy)
             pending = (ticks, policy, [])
         elif key == "wp":
             if pending is None:
@@ -242,6 +237,8 @@ def parse_map(text: str) -> ParsedMap:
                 col, row = int(parts[1]), int(parts[2])
             except ValueError:
                 raise MapParseError("bad waypoint values", line_no)
+            if pending[2]:
+                checked_mover(line_no, (pending[2][-1], (row, col)))
             pending[2].append((row, col))
             wp_lines.append(((row, col), line_no))
         else:

@@ -460,6 +460,29 @@ class TestKernelDifferential:
         for what in ("step_cap", "dead_end", "repair_unfinished", "repair_all_finished"):
             assert stats[what] >= 20, stats
 
+    @pytest.mark.parametrize("key", [
+        (0,),                    # 3 words with (n, k): shorter than the 4-word pool
+        (7,),
+        (2 ** 32 - 1,),
+        (2 ** 32 + 5,),          # two-word seed
+        (2 ** 64 + 1,),          # three-word seed
+        (9, 3, 0),               # the planner's (seed, cycle, attempt) prefix
+        (411, 2 ** 40, 12),      # more than 4 words with (n, k)
+    ])
+    def test_equals_reference_on_pinned_keys(self, key):
+        # a weak heuristic keeps the walks random, so every stream shows in the path
+        mask = np.ones((8, 8), bool)
+        mask[2:6, 4] = False
+        graph = GridGraph(mask, 1.0)
+        params = AcoParams(gamma=1.0, n_ants=6, n_iters=8)
+        stats = Counter()
+        expected = oracles.plan_subpath_ref(graph, (0, 0), (7, 7), params, key, stats)
+        path, series = plan_subpath(graph, (0, 0), (7, 7), params, key)
+        assert (path.cells, path.dirs, path.length, path.corners) == \
+            (expected[0].cells, expected[0].dirs, expected[0].length, expected[0].corners)
+        assert series == expected[1]
+        assert stats["repair_unfinished"] + stats["repair_all_finished"] > 0
+
     def test_underflowing_weights_raise(self):
         # tau0 * (1/1.5)**5 rounds to 0 on every edge: no roulette total is usable
         with pytest.raises(ColonyWeightError):
@@ -512,34 +535,16 @@ def _pcg_first_output(words):
     return ((x >> rot) | (x << (-rot & 63))) & _M64
 
 
-class TestSubstream:
-    """Batched seeding gives the words of numpy's own SeedSequence."""
-
-    @pytest.mark.parametrize("key", [
-        (0,),                    # 3 words with (n, k): shorter than the 4-word pool
-        (7,),
-        (2 ** 32 - 1,),
-        (2 ** 32 + 5,),          # two-word seed
-        (2 ** 64 + 1,),          # three-word seed
-        (9, 3, 0),               # the planner's (seed, cycle, attempt) prefix
-        (411, 2 ** 40, 12),
-    ])
-    def test_words_match_seed_sequence(self, key):
-        n_iters, n_streams = 4, 6  # k = 5 plays the repair stream of 5 ants
-        words = aco.substream(key, n_iters, n_streams)
-        assert words.shape == (n_iters * n_streams, 4) and words.dtype == np.uint64
-        for n in range(1, n_iters + 1):
-            for k in range(n_streams):
-                ref = np.random.SeedSequence((*key, n, k)).generate_state(4, np.uint64)
-                assert words[(n - 1) * n_streams + k].tolist() == ref.tolist()
+class TestSeedStreams:
+    """The PCG64 seeding and first draws that colony.c implements are numpy's."""
 
     def test_repair_stream_integers_match(self):
         # the kernel's draws on a fresh stream: (first output >> 11) * 2^-53
         # for random(), Lemire's method on its low 32 bits for integers(k)
         m = 12
-        for row, words in enumerate(aco.substream((9, 1, 0), 20, m + 1)):
+        for row in range(20 * (m + 1)):
             key = (9, 1, 0, 1 + row // (m + 1), row % (m + 1))
-            first = _pcg_first_output(words)
+            first = _pcg_first_output(np.random.SeedSequence(key).generate_state(4, np.uint64))
             bound = 2 + row % 19
             assert (first >> 11) * 2.0 ** -53 == \
                 np.random.default_rng(np.random.SeedSequence(key)).random()
@@ -548,4 +553,4 @@ class TestSubstream:
 
     def test_negative_key_rejected(self):
         with pytest.raises(ValueError):
-            aco.substream((-1,), 1, 2)
+            plan_subpath(open_grid(), (0, 0), (4, 4), AcoParams(), seed=(-1,))

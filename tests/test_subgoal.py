@@ -77,7 +77,7 @@ class TestSelectSubgoal:
         grid = empty_grid()
         cands = candidate_cells(grid)
         robot = Pose(10.5, 10.5, 0.0)
-        sg = select_subgoal(grid, cands, robot, (30.0, 10.5), CostWeights(1.0, 0.0, 0.0))
+        sg = select_subgoal(cands, robot, (30.0, 10.5), CostWeights(1.0, 0.0, 0.0))
         assert sg.cell == (4, 8)  # due-east edge cell
 
     def test_tie_breaks_by_row_major_index(self):
@@ -86,7 +86,7 @@ class TestSelectSubgoal:
         cands = CandidateSet((((2, 4), grid.world_center((2, 4))),
                               ((6, 4), grid.world_center((6, 4)))))
         robot = Pose(10.5, 10.5, 0.0)
-        sg = select_subgoal(grid, cands, robot, (30.0, 10.5), CostWeights())
+        sg = select_subgoal(cands, robot, (30.0, 10.5), CostWeights())
         assert sg.cell == (2, 4)
 
     def test_matches_brute_force_argmin(self):
@@ -104,7 +104,7 @@ class TestSelectSubgoal:
             except Exception:
                 continue
             goal = (rng.uniform(-20, 40), rng.uniform(-20, 40))
-            sg = select_subgoal(grid, cands, robot, goal, w)
+            sg = select_subgoal(cands, robot, goal, w)
             assert sg.cell == brute_force_best(grid, cands, robot, goal, w)
 
     def test_weight_scale_invariance(self):
@@ -112,8 +112,8 @@ class TestSelectSubgoal:
         cands = candidate_cells(grid)
         robot = Pose(10.5, 10.5, 0.4)
         goal = (25.0, 19.0)
-        a = select_subgoal(grid, cands, robot, goal, CostWeights(4.0, 1.8, 1.0))
-        b = select_subgoal(grid, cands, robot, goal, CostWeights(40.0, 18.0, 10.0))
+        a = select_subgoal(cands, robot, goal, CostWeights(4.0, 1.8, 1.0))
+        b = select_subgoal(cands, robot, goal, CostWeights(40.0, 18.0, 10.0))
         assert a.cell == b.cell
 
     def test_families_sum_to_one(self):
@@ -139,7 +139,7 @@ class TestSelectSubgoal:
             except Exception:
                 continue
             goal = (rng.uniform(0, 21), rng.uniform(0, 21))
-            sg = select_subgoal(grid, cands, robot, goal, CostWeights(2.5, 0.0, 0.0))
+            sg = select_subgoal(cands, robot, goal, CostWeights(2.5, 0.0, 0.0))
             dmin = min(math.hypot(w[0] - goal[0], w[1] - goal[1]) for _, w in cands.cells)
             got = math.hypot(sg.world[0] - goal[0], sg.world[1] - goal[1])
             assert abs(got - dmin) < 1e-9
@@ -147,13 +147,12 @@ class TestSelectSubgoal:
     def test_selected_cell_is_free(self):
         grid = empty_grid()
         cands = candidate_cells(grid)
-        sg = select_subgoal(grid, cands, Pose(10.5, 10.5, 0), (0.0, 0.0), CostWeights())
+        sg = select_subgoal(cands, Pose(10.5, 10.5, 0), (0.0, 0.0), CostWeights())
         assert grid.state_at(sg.cell) is CellState.FREE
 
     def test_empty_candidates_raise(self):
-        grid = empty_grid()
         with pytest.raises(EmptyCandidates):
-            rank_candidates(grid, CandidateSet(()), Pose(0, 0, 0), (1.0, 1.0), CostWeights())
+            rank_candidates(CandidateSet(()), Pose(0, 0, 0), (1.0, 1.0), CostWeights())
 
     def test_invalid_weights_rejected(self):
         with pytest.raises(ValueError):

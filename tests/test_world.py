@@ -146,6 +146,10 @@ class TestMapParsing:
         ("cellsize 1\nstart 0 0 0\ngoal 1 0\n...\n..\n", 5),
         ("cellsize 1\nstart 0 0 0\ngoal 1 0\nwp 1 1\n..\n", 4),
         ("cellsize 1\nstart 0 0 0\ngoal 1 0\nmover 1 sideways\n..\n", 4),
+        # mover checks fail at their own line, not where the block closes
+        ("cellsize 1\nstart 0 0 0\ngoal 1 0\nmover 0 loop\nwp 0 1\nwp 1 1\n..\n..\n", 4),
+        ("cellsize 1\nstart 0 0 0\ngoal 1 0\nmover 1 loop\nwp 0 0\nwp 3 2\n....\n....\n....\n",
+         6),
     ])
     def test_errors_carry_line_numbers(self, text, line):
         with pytest.raises(MapParseError) as err:
