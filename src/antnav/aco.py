@@ -21,7 +21,6 @@ _entropy_words).
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -29,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
+from .kernel import pointer
 from .errors import (ColonyWeightError, DeadEnd, NoBestPathYet, NoPathFound,
                      UnfinishedPath)
 from .geometry import (Cell, DIR_ANGLES, DIR_INDEX, DIR_IS_DIAGONAL, DIR_OFFSETS,
@@ -335,24 +335,6 @@ def _entropy_words(key) -> list[int]:
     return words
 
 
-@functools.cache
-def _kernel():
-    return kernel.load(kernel.CACHE_DIR)
-
-
-_CTYPES = {np.dtype(np.int32): "int32_t[]", np.dtype(np.int8): "int8_t[]",
-           np.dtype(np.float64): "double[]", np.dtype(np.uint32): "uint32_t[]"}
-
-
-def _pointer(ffi, arr: np.ndarray, dtype, shape: tuple[int, ...], writable: bool = False):
-    """A kernel pointer to arr after checking its dtype, shape and contiguity."""
-    if arr.dtype != dtype or arr.shape != shape or not arr.flags.c_contiguous \
-            or (writable and not arr.flags.writeable):
-        raise ValueError(f"kernel argument must be a C-contiguous {np.dtype(dtype)} array of "
-                         f"shape {shape}, got {arr.dtype} {arr.shape}")
-    return ffi.from_buffer(_CTYPES[arr.dtype], arr, require_writable=writable)
-
-
 def plan_subpath(graph: GridGraph, start: Cell, subgoal: Cell, params: AcoParams,
                  seed) -> tuple[AntPath, list[float]]:
     """Plan an 8-connected path from start to subgoal over the graph's traversable cells.
@@ -389,23 +371,22 @@ def plan_subpath(graph: GridGraph, start: Cell, subgoal: Cell, params: AcoParams
     dirs = np.empty(max_steps, dtype=np.int8)
     series = np.empty(n_iters)
 
-    mod = _kernel()
-    ffi = mod.ffi
-    counts = ffi.new("int[2]")
-    length = ffi.new("double *")
+    mod = kernel.module()
+    counts = mod.ffi.new("int[2]")
+    length = mod.ffi.new("double *")
     code = mod.lib.colony_run(
-        _pointer(ffi, graph.nbr, np.int32, (graph.n, 8)), graph.n,
-        _pointer(ffi, field.tau, np.float64, (graph.n * 8,), writable=True),
-        _pointer(ffi, eta_g, np.float64, (8,)), _pointer(ffi, steps, np.float64, (8,)),
-        _pointer(ffi, _CORNER_FACTORS, np.float64, (9, 8)),
-        _pointer(ffi, key, np.uint32, key.shape), len(key),
+        pointer(graph.nbr, np.int32, (graph.n, 8)), graph.n,
+        pointer(field.tau, np.float64, (graph.n * 8,), writable=True),
+        pointer(eta_g, np.float64, (8,)), pointer(steps, np.float64, (8,)),
+        pointer(_CORNER_FACTORS, np.float64, (9, 8)),
+        pointer(key, np.uint32, key.shape), len(key),
         n_iters, m, max_steps, graph.id_of(start), graph.id_of(subgoal), improved,
         params.phi, params.rho, params.q, params.delta, params.zeta,
         params.resolved_elite_cutoff(),
-        _pointer(ffi, cells, np.int32, (max_steps + 1,), writable=True),
-        _pointer(ffi, dirs, np.int8, (max_steps,), writable=True),
+        pointer(cells, np.int32, (max_steps + 1,), writable=True),
+        pointer(dirs, np.int8, (max_steps,), writable=True),
         counts, counts + 1, length,
-        _pointer(ffi, series, np.float64, (n_iters,), writable=True))
+        pointer(series, np.float64, (n_iters,), writable=True))
     if code == 1:  # the return codes are colony.c's COLONY_* enum
         raise NoPathFound(f"no ant reached {subgoal} in 3 consecutive iterations")
     if code == 2:

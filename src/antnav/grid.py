@@ -4,8 +4,10 @@ The grid is axis-aligned in the world frame and centered on the scan origin,
 so when the robot sits on a world cell center with matching cell size, local
 cells coincide with world cells. Occupied cells are inflated by marking their
 8-neighborhood (configurable ring count) as non-traversable. `perceive` runs
-the whole stage (scan, rasterize, inflate, occlusion mask, world clamp); each
-step works on the whole side x side array at once.
+the whole stage (scan, rasterize, inflate, occlusion mask, world clamp). Each
+step, like reachable_component, is one call of the compiled kernel
+(perception.c, built on first use by kernel.py); tests/oracles.py keeps the
+per-ray and per-cell loops they reproduce as the reference.
 """
 from __future__ import annotations
 
@@ -15,8 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernel
 from .errors import InvalidExtent, NoCandidates
-from .geometry import SQRT2, Cell, Point, Pose
+from .geometry import Cell, Point, Pose
+from .kernel import pointer
 from .scan import Scan, simulate_scan
 from .world import WorldMap
 
@@ -81,15 +85,6 @@ class CandidateSet:
     cells: tuple[tuple[Cell, Point], ...]
 
 
-def _dilate(mask: np.ndarray, rings: int, edge: bool = False) -> np.ndarray:
-    """OR of mask over the (2*rings+1)^2 window around each cell; cells past the edge read `edge`."""
-    side = mask.shape[0]
-    padded = np.full((side + 2 * rings,) * 2, edge)
-    padded[rings:rings + side, rings:rings + side] = mask
-    across = np.logical_or.reduce([padded[:, k:k + side] for k in range(2 * rings + 1)])
-    return np.logical_or.reduce([across[k:k + side] for k in range(2 * rings + 1)])
-
-
 def build_local_grid(scan: Scan, cell_size: float, half_extent: int,
                      inflation_rings: int = 1) -> LocalGrid:
     """Rasterize a scan into the local grid and inflate obstacles.
@@ -107,60 +102,36 @@ def build_local_grid(scan: Scan, cell_size: float, half_extent: int,
         raise ValueError("inflation_rings must be >= 0")
 
     side = 2 * half_extent + 1
-    h = half_extent
-    cells = np.full((side, side), CellState.FREE, dtype=np.int8)
-    if len(scan.samples):
-        origin = scan.origin
-        d, theta = scan.samples.T
-        ang = origin.psi - theta
-        # polar_to_world's arithmetic term for term, so every sample lands in
-        # the cell the per-sample formula gives
-        c = h + np.floor((origin.x + d * np.cos(ang) - origin.x) / cell_size + 0.5)
-        r = h + np.floor((origin.y + d * np.sin(ang) - origin.y) / cell_size + 0.5)
-        inside = (r >= 0) & (r < side) & (c >= 0) & (c < side)
-        cells[r[inside].astype(np.intp), c[inside].astype(np.intp)] = CellState.OCCUPIED
-        cells[h, h] = CellState.FREE  # a sample on the robot cell is dropped, not inflated
-    if inflation_rings > 0:
-        near = _dilate(cells == CellState.OCCUPIED, inflation_rings)
-        cells[near & (cells == CellState.FREE)] = CellState.INFLATED
-    cells[h, h] = CellState.ROBOT
-    return LocalGrid(scan.origin, cell_size, half_extent, cells)
+    cells = np.empty((side, side), dtype=np.int8)
+    samples = np.ascontiguousarray(scan.samples)
+    origin = scan.origin
+    kernel.module().lib.rasterize(
+        pointer(samples, np.float64, samples.shape), len(samples), origin.x, origin.y,
+        origin.psi, cell_size, half_extent, min(inflation_rings, side),  # more rings add nothing
+        pointer(cells, np.int8, cells.shape, writable=True))
+    return LocalGrid(origin, cell_size, half_extent, cells)
 
 
 def _mask_occluded(grid: LocalGrid, scan: Scan) -> None:
     """Mark free cells hidden behind scan hits as non-traversable, in place.
 
     A free-looking cell whose bearing ray returned a hit closer than the cell
-    was never actually observed; planning into such shadows produces phantom
-    passages through walls. Cells in open directions (no hit on their ray)
-    stay free, so the optimistic treatment of unexplored space is preserved.
-    Bearing and range use math.atan2/math.hypot per cell: their numpy
-    counterparts round differently in the last bit.
+    (by more than half a cell diagonal) was never actually observed; planning
+    into such shadows produces phantom passages through walls. Cells in open
+    directions (no hit on their ray) stay free, so the optimistic treatment of
+    unexplored space is preserved, and so does the ring of cells within one
+    cell size of the robot. When several samples fall on one ray, the last
+    one counts. The kernel's range is math.hypot's own algorithm (CPython
+    3.11), which libm hypot and np.hypot differ from in the last bit.
     """
-    if not len(scan.samples):
-        return
-    n = scan.n_rays
-    sector = math.tau / n
-    dist, bearing = scan.samples.T
-    rays = np.rint(bearing / sector).astype(np.intp) % n  # rounds half to even, as round()
-    hit_by_ray = dict(zip(rays.tolist(), dist.tolist()))  # the last sample on a ray wins
+    samples = np.ascontiguousarray(scan.samples)
     origin = grid.center
-    xs, ys = grid.cell_centers()
-    dxs, dys = (xs - origin.x).tolist(), (ys - origin.y).tolist()
-    cell_size = grid.cell_size
-    margin = 0.5 * SQRT2 * cell_size
-    hidden = []
-    rows, cols = np.nonzero(grid.cells == CellState.FREE)
-    for r, c in zip(rows.tolist(), cols.tolist()):
-        dx, dy = dxs[c], dys[r]
-        d = math.hypot(dx, dy)
-        if d <= cell_size:
-            continue  # the adjacent ring is always observed
-        theta = (origin.psi - math.atan2(dy, dx)) % math.tau
-        if hit_by_ray.get(int(round(theta / sector)) % n, math.inf) < d - margin:
-            hidden.append((r, c))
-    if hidden:
-        grid.cells[tuple(zip(*hidden))] = CellState.INFLATED
+    code = kernel.module().lib.mask_occluded(
+        pointer(samples, np.float64, samples.shape), len(samples), scan.n_rays, origin.x,
+        origin.y, origin.psi, grid.cell_size, grid.half_extent,
+        pointer(grid.cells, np.int8, grid.cells.shape, writable=True))
+    if code != 0:
+        raise MemoryError("the occlusion kernel could not allocate its buffer")
 
 
 def _clamp_to_world(grid: LocalGrid, world: WorldMap) -> None:
@@ -171,11 +142,10 @@ def _clamp_to_world(grid: LocalGrid, world: WorldMap) -> None:
     No inflation is added: out-of-world cells always sit behind the map's own
     boundary obstacles.
     """
-    xs, ys = grid.cell_centers()
-    cols = np.floor(xs / world.cell_size)
-    rows = np.floor(ys / world.cell_size)
-    inside = ((rows >= 0) & (rows < world.height))[:, None] & ((cols >= 0) & (cols < world.width))
-    grid.cells[~inside] = CellState.OCCUPIED
+    origin = grid.center
+    kernel.module().lib.clamp_to_world(
+        origin.x, origin.y, grid.cell_size, grid.half_extent, world.cell_size, world.height,
+        world.width, pointer(grid.cells, np.int8, grid.cells.shape, writable=True))
 
 
 def perceive(world: WorldMap, pose: Pose, radius: float, n_rays: int, cell_size: float,
@@ -198,7 +168,11 @@ def candidate_cells(grid: LocalGrid) -> CandidateSet:
     cells = grid.cells
     blocked = (cells == CellState.OCCUPIED) | (cells == CellState.INFLATED)
     # beyond the edge counts as blocked, so the outer ring is always marginal
-    marginal = (cells == CellState.FREE) & _dilate(blocked, 1, edge=True)
+    framed = np.ones((grid.side + 2,) * 2, dtype=bool)
+    framed[1:-1, 1:-1] = blocked
+    across = framed[:-2] | framed[1:-1] | framed[2:]
+    near = across[:, :-2] | across[:, 1:-1] | across[:, 2:]
+    marginal = (cells == CellState.FREE) & near
     rows, cols = np.nonzero(marginal)
     if not rows.size:
         raise NoCandidates("no free marginal cells around the robot")
@@ -209,14 +183,10 @@ def candidate_cells(grid: LocalGrid) -> CandidateSet:
 
 def reachable_component(grid: LocalGrid) -> np.ndarray:
     """Boolean mask of the cells 8-connected to the robot cell through traversable cells."""
-    passable = grid.traversable_mask()
-    passable[grid.center_cell] = True
-    framed = np.zeros((grid.side + 2, grid.side + 2), dtype=bool)  # empty ring outside
-    reach = framed[1:-1, 1:-1]
-    reach[grid.center_cell] = True
-    while True:
-        rows = framed[:-2] | framed[1:-1] | framed[2:]
-        grown = (rows[:, :-2] | rows[:, 1:-1] | rows[:, 2:]) & passable
-        if np.array_equal(grown, reach):
-            return grown
-        reach[...] = grown
+    reach = np.empty((grid.side,) * 2, dtype=bool)
+    code = kernel.module().lib.reachable(
+        pointer(grid.cells, np.int8, grid.cells.shape), grid.half_extent,
+        pointer(reach, np.bool_, reach.shape, writable=True))
+    if code != 0:
+        raise MemoryError("the reachability kernel could not allocate its buffer")
+    return reach

@@ -1,18 +1,20 @@
-"""Build and load the compiled colony kernel, colony.c.
+"""Build and load the compiled kernel: colony.c and perception.c in one module.
 
 The kernel is a cffi API-mode extension module. It is built on first use,
 not at import, by a child interpreter (so the planning process never imports
-cffi or setuptools), with -O2 -ffp-contract=off and no fast-math. The built
-module lands in a cache directory under a name keyed by a hash of the C
-source, its declarations and the flags, so an edited source is rebuilt and
-never loaded stale. Concurrent builds are safe: each builds in its own
-temporary directory and moves the result into place with os.replace.
+cffi or setuptools), with -O2 -ffp-contract=off and no fast-math. The two
+sources are compiled as one translation unit. The built module lands in a
+cache directory under a name keyed by a hash of every source, the
+declarations and the flags, so an edited source is rebuilt and never loaded
+stale. Concurrent builds are safe: each builds in its own temporary
+directory and moves the result into place with os.replace.
 
 There is no fallback: without a working C compiler (and cffi) the build
 fails with ImportError.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib.util
 import os
@@ -23,7 +25,9 @@ import sysconfig
 import tempfile
 from pathlib import Path
 
-SOURCE = Path(__file__).with_name("colony.c")
+import numpy as np
+
+SOURCES = tuple(Path(__file__).with_name(name) for name in ("colony.c", "perception.c"))
 CACHE_DIR = Path(__file__).with_name("_kernel_cache")
 
 CDEF = """
@@ -33,6 +37,16 @@ int colony_run(const int32_t *nbr, int n, double *tau, const double *eta_g,
                double phi, double rho, double q, double delta, double zeta, int elite_cutoff,
                int32_t *best_cells, int8_t *best_dirs, int *best_steps, int *best_corners,
                double *best_length, double *series);
+int cast_rays(const _Bool *occ, int rows, int cols, double cell_size, double x0, double y0,
+              double psi, double radius, int n_rays, double *samples);
+void rasterize(const double *samples, int k, double x0, double y0, double psi,
+               double cell_size, int half_extent, int rings, int8_t *cells);
+int mask_occluded(const double *samples, int k, int64_t n_rays, double x0, double y0,
+                  double psi, double cell_size, int half_extent, int8_t *cells);
+void clamp_to_world(double x0, double y0, double cell_size, int half_extent,
+                    double world_cell_size, int world_rows, int world_cols, int8_t *cells);
+int reachable(const int8_t *cells, int half_extent, _Bool *reach);
+double py_hypot(double x, double y);
 """
 CFLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math")
 
@@ -49,18 +63,48 @@ ffi.compile(tmpdir=build_dir)
 """
 
 
+def _unit(texts) -> str:
+    """The translation unit compiled from the source texts, in SOURCES order."""
+    return "".join(f'#line 1 "{path.name}"\n{text}' for path, text in zip(SOURCES, texts))
+
+
+def module_name(texts) -> str:
+    """Cache name of the module built from the source texts (in SOURCES order)."""
+    digest = hashlib.sha256("\0".join((_unit(texts), CDEF, *CFLAGS)).encode()).hexdigest()
+    return f"_kernel_{digest[:16]}"
+
+
 def load(cache_dir):
     """The compiled kernel module (its .ffi and .lib), built into cache_dir when missing."""
-    source = SOURCE.read_text(encoding="utf-8")
-    key = hashlib.sha256("\0".join((source, CDEF, *CFLAGS)).encode()).hexdigest()[:16]
-    name = f"_colony_{key}"
+    texts = [path.read_text(encoding="utf-8") for path in SOURCES]
+    name = module_name(texts)
     path = Path(cache_dir) / (name + sysconfig.get_config_var("EXT_SUFFIX"))
     if not path.exists():
-        _build(name, source, path)
+        _build(name, _unit(texts), path)
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@functools.cache
+def module():
+    """The kernel module of CACHE_DIR, loaded (and built if needed) on the first call."""
+    return load(CACHE_DIR)
+
+
+_CTYPES = {np.dtype(np.int32): "int32_t[]", np.dtype(np.int8): "int8_t[]",
+           np.dtype(np.float64): "double[]", np.dtype(np.uint32): "uint32_t[]",
+           np.dtype(np.bool_): "_Bool[]"}
+
+
+def pointer(arr: np.ndarray, dtype, shape: tuple[int, ...], writable: bool = False):
+    """A kernel pointer to arr after checking its dtype, shape and contiguity; no copy."""
+    if arr.dtype != dtype or arr.shape != shape or not arr.flags.c_contiguous \
+            or (writable and not arr.flags.writeable):
+        raise ValueError(f"kernel argument must be a C-contiguous {np.dtype(dtype)} array of "
+                         f"shape {shape}, got {arr.dtype} {arr.shape}")
+    return module().ffi.from_buffer(_CTYPES[arr.dtype], arr, require_writable=writable)
 
 
 def _build(name: str, source: str, target: Path) -> None:
@@ -74,8 +118,8 @@ def _build(name: str, source: str, target: Path) -> None:
         if res.returncode != 0 or len(built) != 1:
             detail = (res.stderr or res.stdout).strip().splitlines()[-20:]
             raise ImportError(
-                f"antnav needs a C compiler and cffi to build its colony kernel from "
-                f"{SOURCE}; the build failed:\n" + "\n".join(detail))
+                f"antnav needs a C compiler and cffi to build its kernel from "
+                f"{', '.join(map(str, SOURCES))}; the build failed:\n" + "\n".join(detail))
         os.replace(built[0], target)
     finally:
         shutil.rmtree(build_dir, ignore_errors=True)

@@ -1,0 +1,338 @@
+/* Compiled perception stage of antnav.grid.perceive.
+ *
+ * cast_rays is antnav.scan.simulate_scan's ray cast, rasterize is
+ * antnav.grid.build_local_grid's rasterize and inflate, mask_occluded is
+ * antnav.grid._mask_occluded, clamp_to_world is antnav.grid._clamp_to_world
+ * and reachable is antnav.grid.reachable_component.
+ * The arithmetic is that of the per-ray and per-cell reference loops in
+ * tests/oracles.py, operation for operation, so every cell state and every
+ * sample is bit-identical to theirs:
+ *  - cos, sin and atan2 are libm's, which CPython's math module calls too;
+ *  - math.hypot is not libm's hypot, so py_hypot ports CPython 3.11's
+ *    two-argument vector_norm;
+ *  - Python's float % is py_mod (an fmod result moved into the divisor's
+ *    sign) and round() is nearbyint (ties to even).
+ *
+ * Build with -ffp-contract=off and without -ffast-math: a fused
+ * multiply-add or a reordered sum would change bits.
+ */
+#include <float.h>
+#include <math.h>
+#include <stdbool.h>
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+#define TAU 6.283185307179586
+
+enum { FREE = 0, OCCUPIED = 1, INFLATED = 2, ROBOT = 3 }; /* antnav.grid.CellState */
+
+/* math.hypot(x, y) of CPython 3.11 (Modules/mathmodule.c, math_hypot and
+ * vector_norm for two coordinates): the squares of the scaled coordinates
+ * are summed with a Veltkamp split and three compensation sums, and the
+ * square root gets one differential correction. It differs from libm hypot
+ * in the last bit on some inputs, (-0.3, 0.30000000000000004) among them. */
+double py_hypot(double x, double y)
+{
+    const double T27 = 134217729.0; /* ldexp(1.0, 27) + 1.0 */
+    double vec[2] = {fabs(x), fabs(y)};
+    double max = vec[0] > vec[1] ? vec[0] : vec[1];
+    double t, hi, lo, h, scale, oldcsum, csum = 1.0, frac1 = 0.0, frac2 = 0.0, frac3 = 0.0;
+    int max_e;
+
+    if (isinf(vec[0]) || isinf(vec[1]))
+        return INFINITY;
+    if (isnan(vec[0]) || isnan(vec[1]))
+        return NAN;
+    if (max == 0.0)
+        return max;
+    frexp(max, &max_e);
+    if (max_e < -1023) {
+        /* ldexp(1.0, -max_e) would overflow, so divide by max instead */
+        for (int i = 0; i < 2; i++) {
+            x = vec[i] / max;
+            x = x * x;
+            oldcsum = csum;
+            csum += x;
+            frac1 += (oldcsum - csum) + x;
+        }
+        return max * sqrt(csum - 1.0 + frac1);
+    }
+    scale = ldexp(1.0, -max_e);
+    for (int i = 0; i < 2; i++) {
+        x = vec[i] * scale;
+        t = x * T27;
+        hi = t - (t - x);
+        lo = x - hi;
+
+        x = hi * hi;
+        oldcsum = csum;
+        csum += x;
+        frac1 += (oldcsum - csum) + x;
+
+        x = 2.0 * hi * lo;
+        oldcsum = csum;
+        csum += x;
+        frac2 += (oldcsum - csum) + x;
+
+        frac3 += lo * lo;
+    }
+    h = sqrt(csum - 1.0 + (frac1 + frac2 + frac3));
+
+    x = h;
+    t = x * T27;
+    hi = t - (t - x);
+    lo = x - hi;
+
+    x = -hi * hi;
+    oldcsum = csum;
+    csum += x;
+    frac1 += (oldcsum - csum) + x;
+
+    x = -2.0 * hi * lo;
+    oldcsum = csum;
+    csum += x;
+    frac2 += (oldcsum - csum) + x;
+
+    x = -lo * lo;
+    oldcsum = csum;
+    csum += x;
+    frac3 += (oldcsum - csum) + x;
+
+    x = csum - 1.0 + (frac1 + frac2 + frac3);
+    return (h + x / (2.0 * h)) / scale;
+}
+
+/* Python's x % m for floats: the result takes the sign of m */
+static double py_mod(double x, double m)
+{
+    double r = fmod(x, m);
+    if (r != 0.0) {
+        if ((m < 0) != (r < 0))
+            r += m;
+    } else {
+        r = copysign(0.0, m);
+    }
+    return r;
+}
+
+/* Distance along one ray to the first occupied cell, or -1 when there is
+ * none: the cell-by-cell traversal of Amanatides & Woo (1987), x first on
+ * ties. A hit returns the midpoint of the segment inside the hit cell,
+ * clipped to the radius; a cell the ray only grazes through a corner
+ * (a segment no longer than 1e-9 cells) does not count. */
+static double cast_ray(const bool *occ, int rows, int cols, double cell_size, double x0,
+                       double y0, double angle, double radius)
+{
+    double dx = cos(angle), dy = sin(angle);
+    long c = (long)floor(x0 / cell_size), r = (long)floor(y0 / cell_size);
+    long step_c = 0, step_r = 0;
+    double t_max_x = INFINITY, t_max_y = INFINITY, t_delta_x = INFINITY, t_delta_y = INFINITY;
+    double graze_tol = 1e-9 * cell_size;
+
+    if (dx > 0) {
+        step_c = 1;
+        t_max_x = ((double)(c + 1) * cell_size - x0) / dx;
+        t_delta_x = cell_size / dx;
+    } else if (dx < 0) {
+        step_c = -1;
+        t_max_x = ((double)c * cell_size - x0) / dx;
+        t_delta_x = -cell_size / dx;
+    }
+    if (dy > 0) {
+        step_r = 1;
+        t_max_y = ((double)(r + 1) * cell_size - y0) / dy;
+        t_delta_y = cell_size / dy;
+    } else if (dy < 0) {
+        step_r = -1;
+        t_max_y = ((double)r * cell_size - y0) / dy;
+        t_delta_y = -cell_size / dy;
+    }
+    for (;;) {
+        double t_entry, t_exit;
+        if (t_max_x <= t_max_y) {
+            t_entry = t_max_x;
+            t_max_x += t_delta_x;
+            c += step_c;
+        } else {
+            t_entry = t_max_y;
+            t_max_y += t_delta_y;
+            r += step_r;
+        }
+        if (t_entry > radius || r < 0 || r >= rows || c < 0 || c >= cols)
+            return -1.0;
+        t_exit = t_max_y < t_max_x ? t_max_y : t_max_x;
+        if (t_exit - t_entry > graze_tol && occ[r * cols + c]) {
+            double mid = 0.5 * (t_entry + t_exit);
+            return radius < mid ? radius : mid;
+        }
+    }
+}
+
+/* Casts n_rays rays at bearings tau * k / n_rays, clockwise from heading
+ * psi, from (x0, y0) against the rows x cols occupancy grid. Writes the
+ * (d, theta) row of every ray that hits, in ray order, to samples (room
+ * for n_rays rows) and returns how many there are. */
+int cast_rays(const bool *occ, int rows, int cols, double cell_size, double x0, double y0,
+              double psi, double radius, int n_rays, double *samples)
+{
+    int k = 0;
+    for (int i = 0; i < n_rays; i++) {
+        double theta = TAU * (double)i / (double)n_rays;
+        double d = cast_ray(occ, rows, cols, cell_size, x0, y0, psi - theta, radius);
+        if (d >= 0.0) {
+            samples[2 * k] = d;
+            samples[2 * k + 1] = theta;
+            k++;
+        }
+    }
+    return k;
+}
+
+/* Rasterizes k (d, theta) samples seen from pose (x0, y0, psi) into the
+ * side x side grid around it, side = 2 * half_extent + 1, and inflates each
+ * occupied cell by `rings` rings of its free neighbours. A sample outside
+ * the square or on the robot cell is dropped; the center ends as ROBOT. */
+void rasterize(const double *samples, int k, double x0, double y0, double psi,
+               double cell_size, int half_extent, int rings, int8_t *cells)
+{
+    int side = 2 * half_extent + 1;
+    memset(cells, FREE, (size_t)side * side);
+    for (int i = 0; i < k; i++) {
+        double d = samples[2 * i], ang = psi - samples[2 * i + 1];
+        /* polar_to_world's arithmetic term for term */
+        double c = half_extent + floor((x0 + d * cos(ang) - x0) / cell_size + 0.5);
+        double r = half_extent + floor((y0 + d * sin(ang) - y0) / cell_size + 0.5);
+        if (r >= 0 && r < side && c >= 0 && c < side)
+            cells[(int)r * side + (int)c] = OCCUPIED;
+    }
+    cells[half_extent * side + half_extent] = FREE; /* dropped, not inflated */
+    for (int r = 0; r < side; r++)
+        for (int c = 0; c < side; c++) {
+            if (cells[r * side + c] != OCCUPIED)
+                continue;
+            int r1 = r + rings < side - 1 ? r + rings : side - 1;
+            int c1 = c + rings < side - 1 ? c + rings : side - 1;
+            for (int rr = r - rings > 0 ? r - rings : 0; rr <= r1; rr++)
+                for (int cc = c - rings > 0 ? c - rings : 0; cc <= c1; cc++)
+                    if (cells[rr * side + cc] == FREE)
+                        cells[rr * side + cc] = INFLATED;
+        }
+    cells[half_extent * side + half_extent] = ROBOT;
+}
+
+typedef struct {
+    int64_t ray;
+    int index; /* of the sample */
+} ray_sample;
+
+static int by_ray_then_index(const void *a, const void *b)
+{
+    const ray_sample *x = a, *y = b;
+    if (x->ray != y->ray)
+        return x->ray < y->ray ? -1 : 1;
+    return (x->index > y->index) - (x->index < y->index);
+}
+
+/* Ray index of a bearing: round(bearing / sector) % n_rays */
+static int64_t ray_of(double bearing, double sector, int64_t n_rays)
+{
+    return (int64_t)nearbyint(bearing / sector) % n_rays;
+}
+
+/* Marks FREE cells of the side x side grid around (x0, y0, psi) INFLATED
+ * when the last of the k samples on their bearing's ray is closer than
+ * the cell center by more than half a cell diagonal. Cells within one
+ * cell size of the center are always observed. Returns 0, or -1 when out
+ * of memory. */
+int mask_occluded(const double *samples, int k, int64_t n_rays, double x0, double y0,
+                  double psi, double cell_size, int half_extent, int8_t *cells)
+{
+    int side = 2 * half_extent + 1;
+    double sector = TAU / (double)n_rays;
+    double margin = 0.5 * sqrt(2.0) * cell_size;
+    ray_sample *hits;
+
+    if (k == 0)
+        return 0;
+    hits = malloc((size_t)k * sizeof *hits);
+    if (!hits)
+        return -1;
+    for (int i = 0; i < k; i++) {
+        hits[i].ray = ray_of(samples[2 * i + 1], sector, n_rays);
+        hits[i].index = i;
+    }
+    qsort(hits, (size_t)k, sizeof *hits, by_ray_then_index);
+    for (int r = 0; r < side; r++) {
+        double dy = (y0 + (double)(r - half_extent) * cell_size) - y0;
+        for (int c = 0; c < side; c++) {
+            double dx, d, theta;
+            int64_t ray;
+            int lo = 0, hi = k; /* the first entry past the ray's last sample */
+            if (cells[r * side + c] != FREE)
+                continue;
+            dx = (x0 + (double)(c - half_extent) * cell_size) - x0;
+            d = py_hypot(dx, dy);
+            if (d <= cell_size)
+                continue;
+            theta = py_mod(psi - atan2(dy, dx), TAU);
+            ray = ray_of(theta, sector, n_rays);
+            while (lo < hi) {
+                int mid = lo + (hi - lo) / 2;
+                if (hits[mid].ray <= ray)
+                    lo = mid + 1;
+                else
+                    hi = mid;
+            }
+            if (lo > 0 && hits[lo - 1].ray == ray && samples[2 * hits[lo - 1].index] < d - margin)
+                cells[r * side + c] = INFLATED;
+        }
+    }
+    free(hits);
+    return 0;
+}
+
+/* Marks OCCUPIED the cells of the side x side grid around (x0, y0) whose
+ * center lies outside the world_rows x world_cols world. */
+void clamp_to_world(double x0, double y0, double cell_size, int half_extent,
+                    double world_cell_size, int world_rows, int world_cols, int8_t *cells)
+{
+    int side = 2 * half_extent + 1;
+    for (int r = 0; r < side; r++) {
+        double wr = floor((y0 + (double)(r - half_extent) * cell_size) / world_cell_size);
+        for (int c = 0; c < side; c++) {
+            double wc = floor((x0 + (double)(c - half_extent) * cell_size) / world_cell_size);
+            if (!(wr >= 0 && wr < world_rows && wc >= 0 && wc < world_cols))
+                cells[r * side + c] = OCCUPIED;
+        }
+    }
+}
+
+/* Marks in reach the cells of the side x side grid 8-connected to its
+ * center cell through FREE and ROBOT cells; the center always counts.
+ * Returns 0, or -1 when out of memory. */
+int reachable(const int8_t *cells, int half_extent, bool *reach)
+{
+    int side = 2 * half_extent + 1, center = half_extent * side + half_extent, top = 0;
+    int *stack = malloc((size_t)side * side * sizeof *stack); /* each cell enters once */
+
+    if (!stack)
+        return -1;
+    memset(reach, 0, (size_t)side * side);
+    reach[center] = true;
+    stack[top++] = center;
+    while (top > 0) {
+        int id = stack[--top], r = id / side, c = id % side;
+        for (int rr = r - 1; rr <= r + 1; rr++)
+            for (int cc = c - 1; cc <= c + 1; cc++) {
+                int j = rr * side + cc;
+                if (rr < 0 || rr >= side || cc < 0 || cc >= side || reach[j]
+                    || (cells[j] != FREE && cells[j] != ROBOT))
+                    continue;
+                reach[j] = true;
+                stack[top++] = j;
+            }
+    }
+    free(stack);
+    return 0;
+}

@@ -157,7 +157,7 @@ def parse_map(text: str) -> ParsedMap:
     goal_spec: tuple[int, int, int] | None = None  # col, row, line_no
     grid_rows: list[tuple[int, str]] = []  # (line_no, row text), file order
     movers: list[MovingObstacle] = []
-    pending: tuple[int, MoverPolicy, list[Cell]] | None = None  # open mover block
+    pending: tuple[int, MoverPolicy, list[Cell], int] | None = None  # open block, its mover line
     wp_lines: list[tuple[Cell, int]] = []  # every waypoint with its line number
 
     def checked_mover(line_no: int, *args) -> MovingObstacle:
@@ -167,13 +167,13 @@ def parse_map(text: str) -> ParsedMap:
         except ValueError as exc:
             raise MapParseError(str(exc), line_no) from exc
 
-    def close_pending(line_no: int):
+    def close_pending():
         nonlocal pending
         if pending is None:
             return
-        ticks, policy, wps = pending
+        ticks, policy, wps, mover_line = pending
         if not wps:
-            raise MapParseError("mover block has no waypoints", line_no)
+            raise MapParseError("mover block has no waypoints", mover_line)
         movers.append(MovingObstacle(tuple(wps), ticks, policy))
         pending = None
 
@@ -183,13 +183,13 @@ def parse_map(text: str) -> ParsedMap:
             continue
         stripped = line.strip()
         if set(stripped) <= {"#", "."}:
-            close_pending(line_no)
+            close_pending()
             grid_rows.append((line_no, stripped))
             continue
         parts = stripped.split()
         key = parts[0]
         if key == "cellsize":
-            close_pending(line_no)
+            close_pending()
             if len(parts) != 2:
                 raise MapParseError("expected: cellsize <meters>", line_no)
             try:
@@ -199,7 +199,7 @@ def parse_map(text: str) -> ParsedMap:
             if cell_size <= 0:
                 raise MapParseError("cellsize must be positive", line_no)
         elif key == "start":
-            close_pending(line_no)
+            close_pending()
             if len(parts) != 4:
                 raise MapParseError("expected: start <col> <row> <psi_deg>", line_no)
             try:
@@ -207,7 +207,7 @@ def parse_map(text: str) -> ParsedMap:
             except ValueError:
                 raise MapParseError("bad start values", line_no)
         elif key == "goal":
-            close_pending(line_no)
+            close_pending()
             if len(parts) != 3:
                 raise MapParseError("expected: goal <col> <row>", line_no)
             try:
@@ -215,7 +215,7 @@ def parse_map(text: str) -> ParsedMap:
             except ValueError:
                 raise MapParseError("bad goal values", line_no)
         elif key == "mover":
-            close_pending(line_no)
+            close_pending()
             if len(parts) != 3:
                 raise MapParseError("expected: mover <ticks_per_move> <policy>", line_no)
             try:
@@ -227,7 +227,7 @@ def parse_map(text: str) -> ParsedMap:
             except ValueError:
                 raise MapParseError(f"unknown mover policy {parts[2]!r}", line_no)
             checked_mover(line_no, ((0, 0),), ticks, policy)
-            pending = (ticks, policy, [])
+            pending = (ticks, policy, [], line_no)
         elif key == "wp":
             if pending is None:
                 raise MapParseError("wp line outside a mover block", line_no)
@@ -245,7 +245,7 @@ def parse_map(text: str) -> ParsedMap:
             raise MapParseError(f"unknown directive {key!r}", line_no)
 
     last_line = text.count("\n") + 1
-    close_pending(last_line)
+    close_pending()
 
     if not grid_rows:
         raise MapParseError("map has no grid rows", last_line)

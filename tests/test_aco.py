@@ -10,7 +10,7 @@ from antnav import (AcoMode, AcoParams, AntPath, AntState, ColonyWeightError, De
                     UnfinishedPath, corner_heuristic, heuristic, plan_subpath,
                     repair, roulette_select, score, transition_probabilities,
                     update_pheromone)
-from antnav import aco
+from antnav import kernel
 from antnav.geometry import DIR_ANGLES, DIR_INDEX, DIR_OFFSETS
 
 import oracles
@@ -493,16 +493,15 @@ class TestKernelDifferential:
             plan_subpath(open_grid(5, 1e-70), (0, 0), (4, 4), AcoParams(), 0)
 
     def test_arguments_are_checked_before_the_call(self):
-        ffi = aco._kernel().ffi
         good = np.zeros(8)
-        assert aco._pointer(ffi, good, np.float64, (8,)) is not None
+        assert kernel.pointer(good, np.float64, (8,)) is not None
         for bad in (np.zeros(8, np.float32), np.zeros(9), np.zeros(16)[::2]):
             with pytest.raises(ValueError):
-                aco._pointer(ffi, bad, np.float64, (8,))
+                kernel.pointer(bad, np.float64, (8,))
         frozen = np.zeros(8)
         frozen.flags.writeable = False
         with pytest.raises(ValueError):
-            aco._pointer(ffi, frozen, np.float64, (8,), writable=True)
+            kernel.pointer(frozen, np.float64, (8,), writable=True)
 
 
 class TestGridGraph:

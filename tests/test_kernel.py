@@ -1,9 +1,10 @@
-"""Building and loading the compiled colony kernel."""
+"""Building and loading the compiled kernel (colony.c and perception.c)."""
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from antnav import kernel
@@ -53,7 +54,7 @@ def test_concurrent_builds_into_one_empty_dir(tmp_path):
     assert results[0]["poses"] == results[1]["poses"]
     assert results[0]["status"] == "goal_reached"
     built = sorted(p.name for p in cache.iterdir())
-    assert len(built) == 1 and built[0].startswith("_colony_"), built  # no build dir left
+    assert len(built) == 1 and built[0].startswith("_kernel_"), built  # no build dir left
 
 
 def test_cold_cache_run_keeps_build_tools_out_of_the_process(tmp_path):
@@ -68,3 +69,29 @@ def test_missing_compiler_is_an_import_error(tmp_path, monkeypatch):
         kernel.load(tmp_path)
     assert list(tmp_path.iterdir()) == []
 
+
+
+def test_module_name_hashes_every_source():
+    texts = [path.read_text(encoding="utf-8") for path in kernel.SOURCES]
+    assert kernel.module().__name__ == kernel.module_name(texts)
+    names = {kernel.module_name(texts)}
+    for i in range(len(texts)):
+        edited = list(texts)
+        edited[i] = edited[i].replace("\n", "\n\n", 1)  # one blank line more
+        names.add(kernel.module_name(edited))
+    assert len(names) == len(texts) + 1
+
+
+def test_package_data_ships_every_source():
+    tomllib = pytest.importorskip("tomllib")
+    config = tomllib.loads((REPO / "pyproject.toml").read_text(encoding="utf-8"))
+    shipped = config["tool"]["setuptools"]["package-data"]["antnav"]
+    assert {path.name for path in kernel.SOURCES} <= set(shipped)
+    assert {path.name for path in kernel.SOURCES} == {
+        path.name for path in (SRC / "antnav").glob("*.c")}
+
+
+def test_bool_grid_is_passed_without_a_copy():
+    occ = np.zeros((3, 4), dtype=bool)
+    ptr = kernel.pointer(occ, np.bool_, occ.shape)
+    assert int(kernel.module().ffi.cast("uintptr_t", ptr)) == occ.ctypes.data

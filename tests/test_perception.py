@@ -1,4 +1,4 @@
-"""Differential tests: the array-native perception stage against the per-ray and
+"""Differential tests: the compiled perception stage against the per-ray and
 per-cell reference loops in oracles.py, compared for exact equality."""
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from antnav import (CellState, MovingObstacle, MoverPolicy, NoCandidates, Pose, Scan,
-                    build_local_grid, candidate_cells, perceive, reachable_component,
+                    build_local_grid, candidate_cells, kernel, perceive, reachable_component,
                     simulate_scan)
 from antnav.grid import _mask_occluded
 from antnav.world import WorldMap
@@ -171,3 +171,48 @@ def test_occlusion_keeps_the_last_sample_on_a_ray():
                                                       (pose.x, pose.y, pose.psi), cell_size, h),
                                           expected))
     assert changed > 0  # the order of samples on a ray decided some cases
+
+
+
+def test_sample_half_way_between_rays_rounds_to_the_even_ray():
+    # bearing / sector is exactly 2.5 here: round() gives ray 2, not 3, so
+    # the shadow falls behind ray 2
+    n_rays, sector = 8, math.tau / 8
+    assert 2.5 * sector / sector == 2.5
+    pose = Pose(0.0, 0.0, 0.0)
+    for samples in ([(1.6, 2.5 * sector)], [(1.6, 0.5 * sector), (2.0, 2.5 * sector)]):
+        scan = Scan(samples, 6.0, n_rays, pose)
+        grid = build_local_grid(scan, 1.0, 4, 0)
+        raw = grid.cells.copy()
+        _mask_occluded(grid, scan)
+        expected = occlude_ref(raw, samples, n_rays, (0.0, 0.0, 0.0), 1.0, 4)
+        assert (expected != raw).any()
+        assert np.array_equal(grid.cells, expected)
+
+# math.hypot pairs that libm hypot or a two-term square sum round differently
+PINNED_HYPOT = [(-0.3, 0.30000000000000004), (-1.2, 1.2000000000000002),
+                (-7.337360471064961, -9.783147294753281)]
+
+
+def test_kernel_hypot_is_math_hypot():
+    # the occlusion range is the kernel's port of CPython's math.hypot; it must
+    # agree with the running interpreter's to the bit, on the cell-center
+    # offsets the occlusion mask measures and on random magnitudes
+    py_hypot = kernel.module().lib.py_hypot
+    rng = np.random.default_rng(2023)
+    pairs = list(PINNED_HYPOT)
+    for cell_size in (0.3, 1.0, 1.5):
+        origins = rng.uniform(-60.0, 60.0, size=(2, 20_000)).tolist()
+        steps = rng.integers(-12, 13, size=(2, 20_000)).tolist()
+        pairs += [((x + k * cell_size) - x, (y + l * cell_size) - y)
+                  for x, y, k, l in zip(*origins, *steps)]
+    mantissas = rng.uniform(-1.0, 1.0, size=(2, 60_000)).tolist()
+    exps = rng.integers(-1080, 1024, size=60_000).tolist()
+    gaps = rng.integers(-30, 31, size=60_000).tolist()
+    pairs += [(math.ldexp(u, e), math.ldexp(v, min(e + g, 1023)))
+              for u, v, e, g in zip(*mantissas, exps, gaps)]
+    assert len(pairs) >= 100_000
+    wrong = [(x, y) for x, y in pairs if py_hypot(x, y) != math.hypot(x, y)]
+    assert not wrong, wrong[:5]
+    for x, y in ((math.inf, math.nan), (math.nan, 1.0), (-0.0, 0.0), (5e-324, 5e-324)):
+        assert repr(py_hypot(x, y)) == repr(math.hypot(x, y))

@@ -150,6 +150,8 @@ class TestMapParsing:
         ("cellsize 1\nstart 0 0 0\ngoal 1 0\nmover 0 loop\nwp 0 1\nwp 1 1\n..\n..\n", 4),
         ("cellsize 1\nstart 0 0 0\ngoal 1 0\nmover 1 loop\nwp 0 0\nwp 3 2\n....\n....\n....\n",
          6),
+        # an empty mover block, closed by a grid row after two blank lines
+        ("cellsize 1\nstart 0 0 0\ngoal 1 0\nmover 1 loop\n\n\n..\n..\n", 4),
     ])
     def test_errors_carry_line_numbers(self, text, line):
         with pytest.raises(MapParseError) as err:
