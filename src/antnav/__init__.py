@@ -5,15 +5,12 @@ local grid (inflated, occlusion-masked, clamped to the world), pick the minimum-
 8-connected sub-path with the ant colony, execute one step, repeat.
 """
 
-from .aco import (AcoMode, AcoParams, AntPath, AntState, GridGraph,
-                  PheromoneField, corner_heuristic, heuristic,
-                  plan_subpath, roulette_select, score, transition_probabilities,
-                  update_pheromone, repair)
+from .aco import AcoMode, AcoParams, AntPath, GridGraph, corner_heuristic, plan_subpath
 from .baselines import ApfParams, apf_step
-from .errors import (AntnavError, ColonyWeightError, DeadEnd, EmptyCandidates, EmptyRuns,
-                     InvalidExtent, LocalMinimum, MapParseError, NoBestPathYet,
-                     NoCandidates, NoPathFound, OutOfBounds, PoseInObstacle,
-                     PoseOutOfBounds, ScenarioParseError, UnfinishedPath)
+from .errors import (AntnavError, ColonyWeightError, EmptyCandidates, EmptyRuns,
+                     InvalidExtent, LocalMinimum, MapParseError, NoCandidates,
+                     NoPathFound, OutOfBounds, PoseInObstacle, PoseOutOfBounds,
+                     ScenarioParseError)
 from .geometry import Cell, Point, Pose, wrap_angle
 from .grid import (CandidateSet, CellState, LocalGrid, build_local_grid,
                    candidate_cells, perceive, reachable_component)

@@ -8,10 +8,11 @@ Conventional mode is the classic planner: pheromone/heuristic transitions and
 length-based deposits from every finished ant, no repair.
 
 plan_subpath runs the whole colony in one call of the compiled kernel
-(colony.c, built on first use by kernel.py); tests/oracles.py keeps the
-Python loop it reproduces as the reference. The rule functions here
-(transition_probabilities, roulette_select, score, update_pheromone,
-repair) are the public, per-step form of the same rules.
+(colony.c, built on first use by kernel.py), the package's only
+implementation of the colony rules; tests/oracles.py keeps the Python loop
+it reproduces as the reference. This module builds the tables the kernel
+reads: the neighbour table (GridGraph), the heuristic weights (eta_gamma)
+and the corner factors (_CORNER_FACTORS, from corner_heuristic).
 
 Determinism: every ant walk draws from its own RNG stream, the one numpy's
 SeedSequence((seed..., iteration, ant index)) seeds, and ants walk serially.
@@ -29,10 +30,8 @@ import numpy as np
 
 from . import kernel
 from .kernel import pointer
-from .errors import (ColonyWeightError, DeadEnd, NoBestPathYet, NoPathFound,
-                     UnfinishedPath)
-from .geometry import (Cell, DIR_ANGLES, DIR_INDEX, DIR_IS_DIAGONAL, DIR_OFFSETS,
-                       SQRT2, wrap_angle)
+from .errors import ColonyWeightError, NoPathFound
+from .geometry import Cell, DIR_ANGLES, DIR_IS_DIAGONAL, DIR_OFFSETS, SQRT2, wrap_angle
 
 
 class AcoMode(enum.Enum):
@@ -46,8 +45,10 @@ class AcoParams:
 
     phi/gamma are the pheromone/heuristic exponents, rho the evaporation rate,
     q the deposit constant, delta/zeta the length/corner weights of the path
-    score. max_steps defaults to 4 * (number of grid cells); elite_cutoff
-    defaults to n_ants - 1 (the worst-ranked ant never deposits).
+    score. max_steps caps the steps of one walk; it defaults to, and is
+    clamped to, the number of grid cells minus 1, where the tabu list ends
+    every walk. elite_cutoff defaults to n_ants - 1 (the worst-ranked ant
+    never deposits).
     """
 
     phi: float = 1.0
@@ -129,48 +130,6 @@ class GridGraph:
         return bool(self.mask[cell])
 
 
-class PheromoneField:
-    """Strictly positive pheromone per directed edge of a GridGraph.
-
-    tau is a float64 array indexed by cid * 8 + direction index.
-    """
-
-    __slots__ = ("graph", "tau")
-
-    def __init__(self, graph: GridGraph, tau0: float):
-        if tau0 <= 0:
-            raise ValueError("tau0 must be positive")
-        self.graph = graph
-        self.tau = np.full(graph.n * 8, float(tau0))
-
-    def get(self, i: Cell, j: Cell) -> float:
-        """Pheromone on the directed edge i -> j; KeyError when no such edge exists."""
-        delta = (j[0] - i[0], j[1] - i[1])
-        d = DIR_INDEX.get(delta)
-        if d is None or not (self.graph.traversable(i) and self.graph.traversable(j)):
-            raise KeyError(f"no edge {i} -> {j}")
-        return float(self.tau[self.graph.id_of(i) * 8 + d])
-
-    def items(self):
-        """Iterate ((i, j), tau) over the directed edges of the free graph."""
-        graph = self.graph
-        tau = self.tau.tolist()
-        for cid, row in enumerate(graph.nbr.tolist()):
-            i = graph.cell_of(cid)
-            for d, nid in enumerate(row):
-                if nid >= 0:
-                    yield (i, graph.cell_of(nid)), tau[cid * 8 + d]
-
-
-@dataclass(frozen=True)
-class AntState:
-    """Walk state used by the public transition-probability function."""
-
-    cell: Cell
-    tabu: frozenset[Cell]
-    prev_dir: float | None  # world-frame angle of the previous move, None on the first step
-
-
 @dataclass(frozen=True)
 class AntPath:
     """One constructed walk. Length sums straight/diagonal step costs; corners count direction changes."""
@@ -179,13 +138,7 @@ class AntPath:
     length: float
     corners: int
     reached: bool
-    dirs: tuple[int, ...] = ()  # direction index per step; used for edge deposits
-
-
-def heuristic(i: Cell, j: Cell, cell_size: float = 1.0) -> float:
-    """Inverse Euclidean distance between the centers of two distinct cells."""
-    d = math.hypot((j[0] - i[0]) * cell_size, (j[1] - i[1]) * cell_size)
-    return 1.0 / d
+    dirs: tuple[int, ...] = ()  # direction index per step, as the kernel walked it
 
 
 def corner_heuristic(prev_dir: float | None, i: Cell, j: Cell) -> float:
@@ -223,99 +176,6 @@ _CORNER_FACTORS = np.array(
        for p in range(8)])
 
 
-def transition_probabilities(field: PheromoneField, state: AntState,
-                             params: AcoParams) -> list[tuple[Cell, float]]:
-    """Move distribution over feasible neighbors, in canonical direction order.
-
-    Weight of a neighbor: tau^phi * eta^gamma on the edge (times the corner
-    factor in improved mode), the kernel's arithmetic; weights are
-    normalized to sum to 1. Raises DeadEnd when no feasible neighbor remains.
-    """
-    graph = field.graph
-    cid = graph.id_of(state.cell)
-    improved = params.mode is AcoMode.IMPROVED
-    eta_g = eta_gamma(graph.steps, params.gamma)
-    tau = field.tau[cid * 8:cid * 8 + 8].tolist()
-    out: list[tuple[Cell, float]] = []
-    total = 0.0
-    for d, nid in enumerate(graph.nbr[cid].tolist()):
-        if nid < 0:
-            continue
-        ncell = graph.cell_of(nid)
-        if ncell in state.tabu:
-            continue
-        w = tau[d] ** params.phi * eta_g[d]
-        if improved:
-            w *= corner_heuristic(state.prev_dir, state.cell, ncell)
-        out.append((ncell, w))
-        total += w
-    if not out:
-        raise DeadEnd(f"no feasible neighbor from {state.cell}")
-    return [(cell, w / total) for cell, w in out]
-
-
-def roulette_select(dist: list[tuple[Cell, float]], rng_draw: float) -> Cell:
-    """Inverse-CDF pick from a distribution listed in canonical neighbor order."""
-    acc = 0.0
-    for cell, p in dist:
-        acc += p
-        if rng_draw < acc:
-            return cell
-    return dist[-1][0]  # guard against cumulative rounding just below 1
-
-
-def score(path: AntPath, params: AcoParams) -> float:
-    """The mode's path objective, lower is better; finished paths only.
-
-    Improved mode: delta * length + zeta * corners. Conventional mode: length.
-    """
-    if not path.reached:
-        raise UnfinishedPath("cannot score a path that never reached the sub-goal")
-    if params.mode is AcoMode.CONVENTIONAL:
-        return path.length
-    return params.delta * path.length + params.zeta * path.corners
-
-
-def update_pheromone(field: PheromoneField, paths: list[AntPath],
-                     params: AcoParams) -> None:
-    """Evaporate every edge of field.tau in place, then deposit.
-
-    Every finished ant deposits q/score on each traversed edge, in path
-    order. Improved mode first ranks them ascending by score (stable on
-    ties) and keeps ranks up to elite_cutoff. Unfinished ants never deposit.
-    """
-    field.tau *= 1.0 - params.rho
-    scored = [(score(p, params), p) for p in paths if p.reached]
-    if params.mode is AcoMode.IMPROVED:
-        scored = sorted(scored, key=operator.itemgetter(0))[:params.resolved_elite_cutoff()]
-    cols = field.graph.cols
-    edges: list[int] = []
-    amounts: list[float] = []
-    for cost, path in scored:
-        edges += [(r * cols + c) * 8 + d for (r, c), d in zip(path.cells, path.dirs)]
-        amounts += [params.q / cost] * len(path.dirs)
-    np.add.at(field.tau, edges, amounts)  # in list order, so repeated edges sum as a loop would
-
-
-def repair(paths: list[AntPath], best_so_far: AntPath | None,
-           rng: np.random.Generator) -> list[AntPath]:
-    """Replace one ant's path with the incumbent best.
-
-    The replaced ant is drawn uniformly from the unfinished ants when any
-    exist, otherwise from all ants. Raises NoBestPathYet without an incumbent.
-    """
-    if best_so_far is None:
-        raise NoBestPathYet("repair needs a best path from a previous iteration")
-    unfinished = [k for k, p in enumerate(paths) if not p.reached]
-    if unfinished:
-        s = unfinished[int(rng.integers(len(unfinished)))]
-    else:
-        s = int(rng.integers(len(paths)))
-    out = list(paths)
-    out[s] = best_so_far
-    return out
-
-
 _MASK32 = 0xFFFFFFFF
 
 
@@ -342,10 +202,16 @@ def plan_subpath(graph: GridGraph, start: Cell, subgoal: Cell, params: AcoParams
     Runs n_iters iterations of {construct n_ants walks, repair (improved mode,
     once an incumbent exists), update pheromone} and returns the best
     finished path by the mode's score plus the best-score-so-far per
-    iteration. Iterations before the first finisher record inf in the
-    series; in improved mode three all-fail iterations before any finisher
-    raise NoPathFound, as does finishing all iterations without one. A
-    roulette total that is 0 or not finite raises ColonyWeightError.
+    iteration. The score is delta * length + zeta * corners in improved mode
+    and the length in conventional mode. Repair hands the incumbent to an
+    unfinished ant, or to any ant when all finished. The update evaporates
+    every edge by the factor 1 - rho, then deposits q / score on each edge of
+    every finished path; improved mode deposits only for the elite_cutoff
+    best-scored paths (stable on ties). Iterations before the first finisher
+    record inf in the series; in improved mode three all-fail iterations
+    before any finisher raise NoPathFound, as does finishing all iterations
+    without one. A roulette total that is 0 or not finite raises
+    ColonyWeightError.
 
     seed is an int or tuple of non-negative ints; ant k of iteration n walks
     on the stream of key (seed..., n, k) and repair draws from (seed..., n,
@@ -361,10 +227,10 @@ def plan_subpath(graph: GridGraph, start: Cell, subgoal: Cell, params: AcoParams
         raise ValueError(f"subgoal cell {subgoal} is not traversable")
 
     improved = params.mode is AcoMode.IMPROVED
-    max_steps = params.max_steps if params.max_steps is not None else 4 * graph.n
-    max_steps = min(max_steps, graph.n - 1)  # the tabu list ends every walk by then
+    # the tabu list ends every walk within n - 1 steps
+    max_steps = min(params.max_steps or graph.n - 1, graph.n - 1)
     m, n_iters = params.n_ants, params.n_iters
-    field = PheromoneField(graph, params.tau0)
+    tau = np.full(graph.n * 8, float(params.tau0))
     eta_g = np.array(eta_gamma(graph.steps, params.gamma))
     steps = np.array(graph.steps)
     cells = np.empty(max_steps + 1, dtype=np.int32)
@@ -376,7 +242,7 @@ def plan_subpath(graph: GridGraph, start: Cell, subgoal: Cell, params: AcoParams
     length = mod.ffi.new("double *")
     code = mod.lib.colony_run(
         pointer(graph.nbr, np.int32, (graph.n, 8)), graph.n,
-        pointer(field.tau, np.float64, (graph.n * 8,), writable=True),
+        pointer(tau, np.float64, (graph.n * 8,), writable=True),
         pointer(eta_g, np.float64, (8,)), pointer(steps, np.float64, (8,)),
         pointer(_CORNER_FACTORS, np.float64, (9, 8)),
         pointer(key, np.uint32, key.shape), len(key),

@@ -45,24 +45,12 @@ class EmptyCandidates(AntnavError):
     """Sub-goal selection called with an empty candidate set."""
 
 
-class DeadEnd(AntnavError):
-    """An ant has no feasible next cell."""
-
-
-class UnfinishedPath(AntnavError):
-    """Score requested for a path that never reached the sub-goal."""
-
-
 class NoPathFound(AntnavError):
     """No ant reached the sub-goal in any iteration."""
 
 
 class ColonyWeightError(AntnavError):
     """A colony roulette total is 0 or not finite: the weights underflow or overflow."""
-
-
-class NoBestPathYet(AntnavError):
-    """Repair requested before any ant has ever reached the sub-goal."""
 
 
 class LocalMinimum(AntnavError):

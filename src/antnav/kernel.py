@@ -6,7 +6,9 @@ cffi or setuptools), with -O2 -ffp-contract=off and no fast-math. The two
 sources are compiled as one translation unit. The built module lands in a
 cache directory under a name keyed by a hash of every source, the
 declarations and the flags, so an edited source is rebuilt and never loaded
-stale. Concurrent builds are safe: each builds in its own temporary
+stale. After a build, the modules of other sources are deleted from the
+cache; directories are left alone, as they may be another process's build
+in flight. Concurrent builds are safe: each builds in its own temporary
 directory and moves the result into place with os.replace.
 
 There is no fallback: without a working C compiler (and cffi) the build
@@ -29,6 +31,10 @@ import numpy as np
 
 SOURCES = tuple(Path(__file__).with_name(name) for name in ("colony.c", "perception.c"))
 CACHE_DIR = Path(__file__).with_name("_kernel_cache")
+SUFFIX = sysconfig.get_config_var("EXT_SUFFIX")
+# Name prefixes of built modules: this kernel's, and the colony-only module
+# of older sources.
+_PREFIXES = ("_kernel_", "_colony_")
 
 CDEF = """
 int colony_run(const int32_t *nbr, int n, double *tau, const double *eta_g,
@@ -78,7 +84,7 @@ def load(cache_dir):
     """The compiled kernel module (its .ffi and .lib), built into cache_dir when missing."""
     texts = [path.read_text(encoding="utf-8") for path in SOURCES]
     name = module_name(texts)
-    path = Path(cache_dir) / (name + sysconfig.get_config_var("EXT_SUFFIX"))
+    path = Path(cache_dir) / (name + SUFFIX)
     if not path.exists():
         _build(name, _unit(texts), path)
     spec = importlib.util.spec_from_file_location(name, path)
@@ -114,7 +120,7 @@ def _build(name: str, source: str, target: Path) -> None:
         res = subprocess.run([sys.executable, "-c", _BUILD_SCRIPT, name, build_dir, CDEF,
                               *CFLAGS],
                              input=source, capture_output=True, text=True)
-        built = list(Path(build_dir).glob(name + "*" + sysconfig.get_config_var("EXT_SUFFIX")))
+        built = list(Path(build_dir).glob(name + "*" + SUFFIX))
         if res.returncode != 0 or len(built) != 1:
             detail = (res.stderr or res.stdout).strip().splitlines()[-20:]
             raise ImportError(
@@ -123,3 +129,7 @@ def _build(name: str, source: str, target: Path) -> None:
         os.replace(built[0], target)
     finally:
         shutil.rmtree(build_dir, ignore_errors=True)
+    for old in target.parent.iterdir():
+        if old != target and old.name.startswith(_PREFIXES) and old.name.endswith(SUFFIX) \
+                and old.is_file():
+            old.unlink(missing_ok=True)

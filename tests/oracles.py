@@ -2,17 +2,16 @@
 
 Everything here is deliberately written from scratch against the math, not by
 calling into the package, so the implementations under test are checked by a
-separate route. The one exception is the colony reference at the end, the
-Python loop the compiled kernel replaced: it calls the package's public rule
-functions, which criterion 1 checks against the oracles above.
+separate route. From antnav only types and constants are imported: the
+colony reference at the end, the Python loop the compiled kernel replaced,
+is built from the rule oracles above.
 """
 import heapq
 import math
 
 import numpy as np
 
-from antnav import (AcoMode, AntPath, NoPathFound, PheromoneField, corner_heuristic, repair,
-                    score, update_pheromone)
+from antnav import AcoMode, AntPath, NoPathFound
 from antnav.geometry import DIR_ANGLES, DIR_OFFSETS
 
 SQRT2 = math.sqrt(2.0)
@@ -63,15 +62,21 @@ def score_ref(length, corners, delta, zeta):
     return delta * length + zeta * corners
 
 
-def transition_ref(tau_of, neighbors, tabu, prev_dir, cell, phi, gamma, cell_size,
+def transition_ref(tau, cols, neighbors, tabu, prev_dir, cell, phi, gamma, cell_size,
                    improved):
-    """Explicit term-by-term quotient over the feasible neighbor list."""
+    """Explicit term-by-term quotient over the feasible neighbor list.
+
+    tau holds the pheromone of the edge from cell (r, c) in direction d (an
+    index into DIR_OFFSETS) at (r * cols + c) * 8 + d.
+    """
     weights = []
     kept = []
     for j in neighbors:
         if j in tabu:
             continue
-        w = tau_of(cell, j) ** phi * heuristic_ref(cell, j, cell_size) ** gamma
+        d = DIR_OFFSETS.index((j[0] - cell[0], j[1] - cell[1]))
+        w = tau[(cell[0] * cols + cell[1]) * 8 + d] ** phi \
+            * heuristic_ref(cell, j, cell_size) ** gamma
         if improved:
             w *= corner_ref(prev_dir, cell, j)
         weights.append(w)
@@ -80,27 +85,30 @@ def transition_ref(tau_of, neighbors, tabu, prev_dir, cell, phi, gamma, cell_siz
     return {j: w / total for j, w in zip(kept, weights)}
 
 
+def cost_ref(path, params):
+    """The mode's objective of a finished path: its score in improved mode, its length
+    in conventional mode."""
+    if params.mode is AcoMode.CONVENTIONAL:
+        return path.length
+    return score_ref(path.length, path.corners, params.delta, params.zeta)
+
+
 def update_pheromone_ref(tau, paths, params):
-    """Dict-based pheromone update.
+    """Dict-based pheromone update: evaporate every edge, then deposit q / cost
+    along each finished path, in path order; improved mode deposits only for
+    the elite_cutoff lowest-cost paths (stable on ties).
 
     tau: dict edge->value (directed edges (i, j) of cell tuples).
-    paths: list of dicts {cells, length, corners, reached}.
-    params: object with rho, q, delta, zeta, conventional flag and elite cutoff.
+    paths: AntPaths; params: AcoParams.
     """
-    new = {e: v * (1.0 - params["rho"]) for e, v in tau.items()}
-    finished = [p for p in paths if p["reached"]]
-    if params["conventional"]:
-        deposits = [(p, params["q"] / p["length"]) for p in finished]
-    else:
-        scored = sorted(finished,
-                        key=lambda p: score_ref(p["length"], p["corners"],
-                                                params["delta"], params["zeta"]))
-        cutoff = min(params["elite"], len(scored))
-        deposits = [(p, params["q"] / score_ref(p["length"], p["corners"],
-                                                params["delta"], params["zeta"]))
-                    for p in scored[:cutoff]]
-    for p, amount in deposits:
-        for i, j in zip(p["cells"], p["cells"][1:]):
+    new = {e: v * (1.0 - params.rho) for e, v in tau.items()}
+    finished = [p for p in paths if p.reached]
+    if params.mode is not AcoMode.CONVENTIONAL:
+        elite = params.elite_cutoff if params.elite_cutoff is not None else params.n_ants - 1
+        finished = sorted(finished, key=lambda p: cost_ref(p, params))[:elite]
+    for p in finished:
+        amount = params.q / cost_ref(p, params)
+        for i, j in zip(p.cells, p.cells[1:]):
             new[(i, j)] += amount
     return new
 
@@ -300,7 +308,7 @@ def colony_tables_ref(graph, params):
     row p + 1 for previous direction p, row 0 for the first step."""
     eta_g = [(1.0 / step) ** params.gamma for step in graph.steps]
     if params.mode is AcoMode.IMPROVED:
-        vtab = [(1.0,) * 8] + [tuple(corner_heuristic(DIR_ANGLES[p], (0, 0), DIR_OFFSETS[d])
+        vtab = [(1.0,) * 8] + [tuple(corner_ref(DIR_ANGLES[p], (0, 0), DIR_OFFSETS[d])
                                      for d in range(8)) for p in range(8)]
     else:
         vtab = [(1.0,) * 8] * 9
@@ -363,24 +371,30 @@ def construct_ref(graph, nbrs, weights, vtab, start_id, goal_id, max_steps, gen,
 def plan_subpath_ref(graph, start, subgoal, params, seed, stats=None):
     """plan_subpath as a Python loop over numpy generators:
     ant k of iteration n walks on default_rng(SeedSequence((*key, n, k))),
-    repair draws from stream k = n_ants. stats, a Counter, also counts
-    repairs with and without unfinished ants."""
+    repair draws from stream k = n_ants. Returns the best path, the series
+    and the final pheromone {(i, j): tau} of every directed edge. stats, a
+    Counter, also counts repairs with and without unfinished ants."""
     key = tuple(seed) if isinstance(seed, (tuple, list)) else (int(seed),)
     improved = params.mode is AcoMode.IMPROVED
-    max_steps = params.max_steps if params.max_steps is not None else 4 * graph.n
+    max_steps = min(params.max_steps or graph.n - 1, graph.n - 1)
     eta_g, vtab = colony_tables_ref(graph, params)
     nbrs = neighbor_table_ref(graph)
+    edges = [(e, (graph.cell_of(cid), graph.cell_of(nid)))
+             for cid, row in enumerate(nbrs) for nid, e, _, _ in row]
     start_id, goal_id = graph.id_of(start), graph.id_of(subgoal)
     m = params.n_ants
 
-    field = PheromoneField(graph, params.tau0)
+    tau = {edge: float(params.tau0) for _, edge in edges}
     best, best_cost = None, math.inf
     series = []
     fail_streak = 0
     for n in range(1, params.n_iters + 1):
         gens = [np.random.default_rng(np.random.SeedSequence((*key, n, k)))
                 for k in range(m + 1)]
-        weights = edge_weights_ref(field.tau, params.phi, eta_g)
+        tau_by_index = np.zeros(graph.n * 8)
+        for e, edge in edges:
+            tau_by_index[e] = tau[edge]
+        weights = edge_weights_ref(tau_by_index, params.phi, eta_g)
         paths = [construct_ref(graph, nbrs, weights, vtab, start_id, goal_id, max_steps,
                                gens[k], stats) for k in range(m)]
         if best is None and not any(p.reached for p in paths):
@@ -391,15 +405,18 @@ def plan_subpath_ref(graph, start, subgoal, params, seed, stats=None):
             series.append(math.inf)
             continue
         if improved and best is not None:
+            # repair: the incumbent replaces a uniformly drawn unfinished ant,
+            # or any ant when all finished
+            unfinished = [k for k, p in enumerate(paths) if not p.reached]
             if stats is not None:
-                stats["repair_unfinished" if not all(p.reached for p in paths)
-                      else "repair_all_finished"] += 1
-            paths = repair(paths, best, gens[m])
-        update_pheromone(field, paths, params)
+                stats["repair_unfinished" if unfinished else "repair_all_finished"] += 1
+            pool = unfinished or range(m)
+            paths[pool[int(gens[m].integers(len(pool)))]] = best
+        tau = update_pheromone_ref(tau, paths, params)
         for p in paths:
-            if p.reached and (cost := score(p, params)) < best_cost:
+            if p.reached and (cost := cost_ref(p, params)) < best_cost:
                 best, best_cost = p, cost
         series.append(best_cost)
     if best is None:
         raise NoPathFound(f"no ant reached {subgoal} in {params.n_iters} iterations")
-    return best, series
+    return best, series, tau

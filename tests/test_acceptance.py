@@ -9,21 +9,22 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from antnav import (AcoMode, AcoParams, AntPath, AntState, CostWeights, GridGraph,
-                    PheromoneField, PlannerKind, Pose, RunStatus,
-                    corner_heuristic, heuristic, normalize,
-                    plan_subpath, polar_to_world, raw_constraints, run, score,
-                    transition_probabilities, update_pheromone)
-from antnav.geometry import DIR_INDEX, DIR_OFFSETS, SQRT2
+from antnav import (AcoMode, AcoParams, GridGraph, NoPathFound, PlannerKind, Pose,
+                    RunStatus, corner_heuristic, normalize, plan_subpath, polar_to_world,
+                    raw_constraints, run)
+from antnav import aco, kernel
+from antnav.aco import _CORNER_FACTORS, eta_gamma
+from antnav.geometry import DIR_ANGLES, DIR_OFFSETS, SQRT2, wrap_angle
 from antnav.scenario import parse_groups, parse_scenario, with_planner, with_seed, with_weights
 
 from oracles import (corner_ref, dijkstra_ref, heuristic_ref, normalize_ref,
-                     polar_ref, raw_constraints_ref, rel_close, score_ref,
-                     transition_ref, update_pheromone_ref)
+                     plan_subpath_ref, polar_ref, raw_constraints_ref, score_ref,
+                     transition_ref)
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
@@ -43,9 +44,9 @@ def random_field_state(rng, n=6):
     cell = (int(rng.integers(1, n - 1)), int(rng.integers(1, n - 1)))
     mask[cell] = True
     graph = GridGraph(mask, float(rng.uniform(0.5, 2.0)))
-    field = PheromoneField(graph, 1.0)
-    for k in range(len(field.tau)):
-        field.tau[k] = float(rng.uniform(0.01, 5.0))
+    tau = np.empty(graph.n * 8)
+    for k in range(len(tau)):
+        tau[k] = float(rng.uniform(0.01, 5.0))
     nbr_cells = [graph.cell_of(nid)
                  for nid in graph.nbr[graph.id_of(cell)].tolist() if nid >= 0]
     if not nbr_cells:
@@ -54,39 +55,48 @@ def random_field_state(rng, n=6):
     if len(tabu) == len(nbr_cells):
         return None
     prev = float(rng.uniform(-math.pi, math.pi)) if rng.random() > 0.3 else None
-    return field, graph, cell, tabu, prev
+    # the kernel knows a previous move by its direction index (-1: none)
+    prev = -1 if prev is None else min(range(8),
+                                       key=lambda d: abs(wrap_angle(DIR_ANGLES[d] - prev)))
+    return tau, graph, cell, tabu, prev
 
 
-def random_paths(rng, graph, count):
-    """Random feasible short walks over the graph with correct bookkeeping."""
-    paths = []
-    traversable = [cid for cid in range(graph.n) if (graph.nbr[cid] >= 0).any()]
-    for _ in range(count):
-        pos = int(traversable[rng.integers(len(traversable))])
-        cells = [graph.cell_of(pos)]
-        dirs = []
-        length = 0.0
-        corners = 0
-        seen = {pos}
-        for _ in range(int(rng.integers(1, 8))):
-            options = [(nid, d) for d, nid in enumerate(graph.nbr[pos].tolist())
-                       if nid >= 0 and nid not in seen]
-            if not options:
-                break
-            nid, d = options[int(rng.integers(len(options)))]
-            step = graph.steps[d]
-            if dirs and d != dirs[-1]:
-                corners += 1
-            dirs.append(d)
-            length += step
-            cells.append(graph.cell_of(nid))
-            seen.add(nid)
-            pos = nid
-        if len(cells) < 2:
+def kernel_transition(tau, graph, cell, tabu, prev, params):
+    """Move distribution {cell: p} of colony.c's walk(): the eta_gamma and
+    _CORNER_FACTORS tables plan_subpath hands the kernel, times tau^phi,
+    combined as walk() combines them."""
+    eta_g = eta_gamma(graph.steps, params.gamma)
+    turn = _CORNER_FACTORS[prev + 1].tolist()
+    cid = graph.id_of(cell)
+    weights, total = {}, 0.0
+    for d, nid in enumerate(graph.nbr[cid].tolist()):
+        if nid < 0 or graph.cell_of(nid) in tabu:
             continue
-        paths.append(AntPath(tuple(cells), length, corners,
-                             bool(rng.random() < 0.8), tuple(dirs)))
-    return paths
+        w = (tau[cid * 8 + d] if params.phi == 1.0 else tau[cid * 8 + d] ** params.phi) \
+            * eta_g[d]
+        if params.mode is AcoMode.IMPROVED:
+            w *= turn[d]
+        weights[graph.cell_of(nid)] = w
+        total += w
+    return {c: w / total for c, w in weights.items()}
+
+
+def kernel_run(graph, start, goal, params, seed):
+    """plan_subpath's result, or its NoPathFound message, and the pheromone
+    array it handed the kernel, as the kernel left it."""
+    taus = []
+
+    def spy(arr, dtype, shape, writable=False):
+        if writable and not taus and shape == (graph.n * 8,):
+            taus.append(arr)
+        return kernel.pointer(arr, dtype, shape, writable)
+
+    with mock.patch.object(aco, "pointer", spy):
+        try:
+            result = plan_subpath(graph, start, goal, params, seed)
+        except NoPathFound as exc:
+            result = str(exc)
+    return result, taus[0]
 
 
 class TestCriterion1:
@@ -120,65 +130,80 @@ class TestCriterion1:
                 vals = [0.0] * len(vals)
             for g, r in zip(normalize(vals), normalize_ref(vals)):
                 ok &= track(g, r)
+        # the heuristic and corner factor as the kernel's tables hold them:
+        # eta_gamma of the graph's step lengths (at gamma 1, the heuristic itself)
         for _ in range(1000):
             i = (int(rng.integers(0, 40)), int(rng.integers(0, 40)))
-            d = DIR_OFFSETS[int(rng.integers(0, 8))]
-            j = (i[0] + d[0], i[1] + d[1])
+            d = int(rng.integers(0, 8))
+            j = (i[0] + DIR_OFFSETS[d][0], i[1] + DIR_OFFSETS[d][1])
             cs = float(rng.uniform(0.1, 3.0))
-            ok &= track(heuristic(i, j, cs), heuristic_ref(i, j, cs))
+            steps = GridGraph(np.ones((1, 1), bool), cs).steps
+            ok &= track(eta_gamma(steps, 1.0)[d], heuristic_ref(i, j, cs))
             prev = float(rng.uniform(-math.pi, math.pi)) if rng.random() > 0.2 else None
             ok &= track(corner_heuristic(prev, i, j), corner_ref(prev, i, j))
-        for _ in range(1000):
-            L = float(rng.uniform(0.1, 100)); T = int(rng.integers(0, 40))
+        # the score: plan_subpath's last series value is the best path's score
+        for k in range(1000):
             dl = float(rng.uniform(0, 2)); zt = float(rng.uniform(0.01, 2))
-            p = AntPath(((0, 0), (0, 1)), L, T, True)
-            ok &= track(score(p, AcoParams(delta=dl, zeta=zt)), score_ref(L, T, dl, zt))
+            graph = GridGraph(np.ones((4, 4), bool), float(rng.uniform(0.5, 2.0)))
+            params = AcoParams(gamma=1.0, delta=dl, zeta=zt, n_ants=4, n_iters=2)
+            path, series = plan_subpath(graph, (0, 0), (3, int(rng.integers(0, 4))),
+                                        params, k)
+            ok &= track(series[-1], score_ref(path.length, path.corners, dl, zt))
 
+        # the transition: the kernel's tables combined as its walk() combines them
         checked = 0
         while checked < 1000:
             case = random_field_state(rng)
             if case is None:
                 continue
-            field, graph, cell, tabu, prev = case
+            tau, graph, cell, tabu, prev = case
             mode = AcoMode.IMPROVED if rng.random() < 0.5 else AcoMode.CONVENTIONAL
             params = AcoParams(phi=float(rng.uniform(0.5, 2.0)),
                                gamma=float(rng.uniform(0.5, 6.0)), mode=mode)
-            dist = transition_probabilities(field, AntState(cell, tabu, prev), params)
+            dist = kernel_transition(tau, graph, cell, tabu, prev, params)
             nbr_cells = [graph.cell_of(nid)
                          for nid in graph.nbr[graph.id_of(cell)].tolist() if nid >= 0]
-            ref = transition_ref(field.get, nbr_cells, tabu, prev, cell, params.phi,
+            ref = transition_ref(tau, graph.cols, nbr_cells, tabu,
+                                 None if prev < 0 else DIR_ANGLES[prev], cell, params.phi,
                                  params.gamma, graph.cell_size, mode is AcoMode.IMPROVED)
-            for c, p in dist:
+            ok &= dist.keys() == ref.keys()
+            for c, p in dist.items():
                 ok &= track(p, ref[c])
             checked += 1
 
+        # the update: the pheromone the kernel's colony run leaves against
+        # that of the reference loop, whose update is update_pheromone_ref
         checked = 0
         while checked < 1000:
             case = random_field_state(rng)
             if case is None:
                 continue
-            field, graph, _, _, _ = case
-            paths = random_paths(rng, graph, int(rng.integers(1, 5)))
-            if not paths:
-                continue
-            n_ants = max(2, len(paths))
-            mode = AcoMode.IMPROVED if rng.random() < 0.5 else AcoMode.CONVENTIONAL
+            _, graph, start, _, _ = case
+            free = [c for c in map(tuple, np.argwhere(graph.mask).tolist()) if c != start]
+            goal = free[int(rng.integers(len(free)))]
             params = AcoParams(rho=float(rng.uniform(0.05, 0.95)),
                                q=float(rng.uniform(0.1, 5.0)),
                                delta=float(rng.uniform(0.1, 2.0)),
                                zeta=float(rng.uniform(0.0, 2.0)),
-                               n_ants=n_ants, mode=mode)
-            tau_dict = dict(field.items())
-            update_pheromone(field, paths, params)
-            ref = update_pheromone_ref(
-                tau_dict,
-                [{"cells": p.cells, "length": p.length, "corners": p.corners,
-                  "reached": p.reached} for p in paths],
-                {"rho": params.rho, "q": params.q, "delta": params.delta,
-                 "zeta": params.zeta, "elite": params.resolved_elite_cutoff(),
-                 "conventional": mode is AcoMode.CONVENTIONAL})
-            for edge, v in field.items():
-                ok &= track(v, ref[edge])
+                               tau0=float(rng.uniform(0.1, 3.0)),
+                               n_ants=int(rng.integers(2, 5)), n_iters=int(rng.integers(1, 5)),
+                               mode=AcoMode.IMPROVED if rng.random() < 0.5
+                               else AcoMode.CONVENTIONAL)
+            try:
+                expected = plan_subpath_ref(graph, start, goal, params, checked)
+            except NoPathFound as exc:
+                expected = str(exc)
+            got, tau = kernel_run(graph, start, goal, params, checked)
+            if isinstance(expected, str) or isinstance(got, str):
+                ok &= got == expected
+            else:
+                ok &= got[0].cells == expected[0].cells and len(got[1]) == len(expected[1])
+                ok &= track(got[0].length, expected[0].length)
+                for a, b in zip(got[1], expected[1]):
+                    ok &= a == b == math.inf or track(a, b)
+                for (i, j), v in expected[2].items():
+                    d = DIR_OFFSETS.index((j[0] - i[0], j[1] - i[1]))
+                    ok &= track(tau[graph.id_of(i) * 8 + d], v)
             checked += 1
 
         report(1, "formula conformance vs brute-force oracles", ok,
@@ -194,13 +219,12 @@ class TestCriterion2:
             case = random_field_state(rng)
             if case is None:
                 continue
-            field, _, cell, tabu, prev = case
+            tau, graph, cell, tabu, prev = case
             params = AcoParams(phi=float(rng.uniform(0.5, 2.0)),
                                gamma=float(rng.uniform(0.5, 6.0)),
                                mode=AcoMode.IMPROVED if rng.random() < 0.5
                                else AcoMode.CONVENTIONAL)
-            total = sum(p for _, p in
-                        transition_probabilities(field, AntState(cell, tabu, prev), params))
+            total = sum(kernel_transition(tau, graph, cell, tabu, prev, params).values())
             worst = max(worst, abs(total - 1.0))
             checked += 1
         for _ in range(10000):

@@ -1,46 +1,21 @@
 import math
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from antnav import (AcoMode, AcoParams, AntPath, AntState, ColonyWeightError, DeadEnd,
-                    GridGraph, NoBestPathYet, NoPathFound, PheromoneField,
-                    UnfinishedPath, corner_heuristic, heuristic, plan_subpath,
-                    repair, roulette_select, score, transition_probabilities,
-                    update_pheromone)
+from antnav import (AcoMode, AcoParams, ColonyWeightError, GridGraph, NoPathFound,
+                    corner_heuristic, plan_subpath)
 from antnav import kernel
-from antnav.geometry import DIR_ANGLES, DIR_INDEX, DIR_OFFSETS
+from antnav.aco import _CORNER_FACTORS, eta_gamma
+from antnav.geometry import DIR_ANGLES, DIR_OFFSETS
 
 import oracles
-from oracles import corner_ref, dijkstra_ref, heuristic_ref, rel_close, score_ref, transition_ref
-
-SQRT2 = math.sqrt(2.0)
+from oracles import corner_ref, rel_close, transition_ref
 
 
 def open_grid(n=5, cell_size=1.0):
     return GridGraph(np.ones((n, n), bool), cell_size)
-
-
-class TestHeuristic:
-    def test_straight_neighbor(self):
-        assert heuristic((2, 2), (2, 3), 1.0) == 1.0
-
-    def test_diagonal_neighbor(self):
-        assert rel_close(heuristic((2, 2), (3, 3), 1.0), 1.0 / SQRT2)
-
-    def test_metric_cells(self):
-        assert rel_close(heuristic((0, 0), (0, 1), 1.5), 2.0 / 3.0)
-
-    def test_randomized(self):
-        rng = np.random.default_rng(3)
-        for _ in range(1000):
-            i = (int(rng.integers(0, 50)), int(rng.integers(0, 50)))
-            d = DIR_OFFSETS[int(rng.integers(0, 8))]
-            j = (i[0] + d[0], i[1] + d[1])
-            cs = float(rng.uniform(0.1, 3.0))
-            assert rel_close(heuristic(i, j, cs), heuristic_ref(i, j, cs))
 
 
 class TestCornerHeuristic:
@@ -65,220 +40,6 @@ class TestCornerHeuristic:
             d = DIR_OFFSETS[int(rng.integers(0, 8))]
             j = (i[0] + d[0], i[1] + d[1])
             assert rel_close(corner_heuristic(prev, i, j), corner_ref(prev, i, j))
-
-
-class TestTransitionProbabilities:
-    def test_single_feasible_neighbor(self):
-        mask = np.zeros((3, 3), bool)
-        mask[1, 1] = mask[1, 2] = True
-        field = PheromoneField(GridGraph(mask, 1.0), 1.0)
-        dist = transition_probabilities(field, AntState((1, 1), frozenset(), None),
-                                        AcoParams())
-        assert dist == [((1, 2), 1.0)]
-
-    def test_uniform_setup_gives_symmetric_distribution(self):
-        field = PheromoneField(GridGraph(np.ones((5, 5), bool), 1.0), 1.0)
-        dist = transition_probabilities(field, AntState((2, 2), frozenset(), None),
-                                        AcoParams())
-        probs = dict(dist)
-        straight = [probs[c] for c in ((3, 2), (2, 3), (1, 2), (2, 1))]
-        diag = [probs[c] for c in ((3, 3), (1, 3), (1, 1), (3, 1))]
-        assert max(straight) - min(straight) < 1e-15
-        assert max(diag) - min(diag) < 1e-15
-        assert abs(sum(probs.values()) - 1.0) <= 1e-12
-
-    def test_dead_end(self):
-        mask = np.zeros((3, 3), bool)
-        mask[1, 1] = True
-        field = PheromoneField(GridGraph(mask, 1.0), 1.0)
-        with pytest.raises(DeadEnd):
-            transition_probabilities(field, AntState((1, 1), frozenset(), None), AcoParams())
-
-    def _random_case(self, rng, mode):
-        n = 6
-        mask = rng.random((n, n)) > 0.2
-        cell = (int(rng.integers(1, n - 1)), int(rng.integers(1, n - 1)))
-        mask[cell] = True
-        graph = GridGraph(mask, float(rng.uniform(0.5, 2.0)))
-        field = PheromoneField(graph, 1.0)
-        for k in range(len(field.tau)):
-            field.tau[k] = float(rng.uniform(0.01, 5.0))
-        nbr_cells = [graph.cell_of(nid)
-                     for nid in graph.nbr[graph.id_of(cell)].tolist() if nid >= 0]
-        tabu = frozenset(c for c in nbr_cells if rng.random() < 0.3)
-        if len(tabu) == len(nbr_cells) or not nbr_cells:
-            return None
-        prev = float(rng.uniform(-math.pi, math.pi)) if rng.random() > 0.3 else None
-        params = AcoParams(phi=float(rng.uniform(0.5, 2.0)),
-                           gamma=float(rng.uniform(0.5, 6.0)), mode=mode)
-        return field, graph, cell, tabu, prev, params
-
-    @pytest.mark.parametrize("mode", [AcoMode.IMPROVED, AcoMode.CONVENTIONAL])
-    def test_randomized_against_explicit_quotient(self, mode):
-        rng = np.random.default_rng(17)
-        checked = 0
-        while checked < 1000:
-            case = self._random_case(rng, mode)
-            if case is None:
-                continue
-            field, graph, cell, tabu, prev, params = case
-            dist = transition_probabilities(field, AntState(cell, tabu, prev), params)
-            nbr_cells = [graph.cell_of(nid)
-                         for nid in graph.nbr[graph.id_of(cell)].tolist() if nid >= 0]
-            ref = transition_ref(field.get, nbr_cells, tabu, prev, cell,
-                                 params.phi, params.gamma, graph.cell_size,
-                                 mode is AcoMode.IMPROVED)
-            assert len(dist) == len(ref)
-            for c, p in dist:
-                assert rel_close(p, ref[c])
-            assert abs(sum(p for _, p in dist) - 1.0) <= 1e-12
-            checked += 1
-
-
-class TestRouletteSelect:
-    def test_certain_choice(self):
-        assert roulette_select([((0, 0), 1.0)], 0.99) == (0, 0)
-
-    def test_cdf_arithmetic(self):
-        dist = [((0, 0), 0.5), ((0, 1), 0.5)]
-        assert roulette_select(dist, 0.75) == (0, 1)
-        assert roulette_select(dist, 0.25) == (0, 0)
-
-    def test_monte_carlo_frequencies(self):
-        dist = [((0, 0), 0.2), ((0, 1), 0.3), ((0, 2), 0.5)]
-        rng = np.random.default_rng(23)
-        counts = {c: 0 for c, _ in dist}
-        n = 10 ** 6
-        for draw in rng.random(n):
-            counts[roulette_select(dist, draw)] += 1
-        assert abs(counts[(0, 0)] / n - 0.2) < 0.01
-        assert abs(counts[(0, 1)] / n - 0.3) < 0.01
-        assert abs(counts[(0, 2)] / n - 0.5) < 0.01
-
-
-class TestScore:
-    def test_length_only(self):
-        p = AntPath(((0, 0), (0, 1)), 10.0, 0, True)
-        assert score(p, AcoParams(delta=1.0, zeta=0.0)) == 10.0
-
-    def test_weighted(self):
-        p = AntPath(((0, 0), (0, 1)), 10.0, 4, True)
-        assert rel_close(score(p, AcoParams(delta=0.7, zeta=0.3)), 8.2)
-
-    def test_conventional_objective_is_the_length(self):
-        p = AntPath(((0, 0), (0, 1)), 10.0, 4, True)
-        assert score(p, AcoParams(mode=AcoMode.CONVENTIONAL)) == 10.0
-
-    def test_unfinished_rejected(self):
-        p = AntPath(((0, 0), (0, 1)), 10.0, 4, False)
-        with pytest.raises(UnfinishedPath):
-            score(p, AcoParams())
-
-    def test_randomized(self):
-        rng = np.random.default_rng(29)
-        for _ in range(1000):
-            L = float(rng.uniform(0.1, 100)); T = int(rng.integers(0, 40))
-            dl = float(rng.uniform(0, 2)); zt = float(rng.uniform(0.01, 2))
-            p = AntPath(((0, 0), (0, 1)), L, T, True)
-            assert rel_close(score(p, AcoParams(delta=dl, zeta=zt)),
-                             score_ref(L, T, dl, zt))
-
-
-def path_through(graph_cells, cell_size=1.0):
-    """AntPath from a cell sequence with length/corners/dirs recomputed."""
-    dirs = []
-    length = 0.0
-    corners = 0
-    for a, b in zip(graph_cells, graph_cells[1:]):
-        d = DIR_INDEX[(b[0] - a[0], b[1] - a[1])]
-        if dirs and d != dirs[-1]:
-            corners += 1
-        step = cell_size * (SQRT2 if (b[0] - a[0]) and (b[1] - a[1]) else 1.0)
-        length += step
-        dirs.append(d)
-    return AntPath(tuple(graph_cells), length, corners, True, tuple(dirs))
-
-
-class TestUpdatePheromone:
-    def test_pure_evaporation(self):
-        field = PheromoneField(GridGraph(np.ones((3, 3), bool), 1.0), 2.0)
-        update_pheromone(field, [], AcoParams(rho=0.5))
-        assert all(rel_close(v, 1.0) for _, v in field.items())
-
-    def test_single_ant_deposit(self):
-        field = PheromoneField(GridGraph(np.ones((3, 3), bool), 1.0), 1.0)
-        p = path_through([(0, 0), (0, 1), (1, 2)])
-        params = AcoParams(rho=0.3, q=1.0, delta=0.7, zeta=0.3)
-        w = 0.7 * p.length + 0.3 * p.corners
-        update_pheromone(field, [p], params)
-        assert rel_close(field.get((0, 0), (0, 1)), 0.7 + 1.0 / w)
-        assert rel_close(field.get((0, 1), (1, 2)), 0.7 + 1.0 / w)
-        assert rel_close(field.get((1, 2), (0, 1)), 0.7)  # reverse edge untouched
-
-    def test_worst_ant_excluded_at_default_cutoff(self):
-        field = PheromoneField(GridGraph(np.ones((4, 4), bool), 1.0), 1.0)
-        good1 = path_through([(0, 0), (1, 1), (2, 2)])
-        good2 = path_through([(0, 0), (0, 1), (1, 2), (2, 2)])
-        worst = path_through([(0, 0), (0, 1), (0, 2), (0, 3), (1, 3), (2, 3), (2, 2)])
-        params = AcoParams(rho=0.3, n_ants=3, elite_cutoff=2)
-        update_pheromone(field, [good1, good2, worst], params)
-        # an edge unique to the worst path only evaporates
-        assert rel_close(field.get((0, 2), (0, 3)), 0.7)
-        assert field.get((0, 0), (1, 1)) > 0.7
-
-    def test_conventional_mode_deposits_by_length_for_all(self):
-        field = PheromoneField(GridGraph(np.ones((4, 4), bool), 1.0), 1.0)
-        a = path_through([(0, 0), (1, 1), (2, 2)])
-        b = path_through([(0, 0), (0, 1), (0, 2), (1, 3)])
-        params = AcoParams(rho=0.3, q=2.0, mode=AcoMode.CONVENTIONAL, n_ants=2)
-        update_pheromone(field, [a, b], params)
-        assert rel_close(field.get((0, 0), (1, 1)), 0.7 + 2.0 / a.length)
-        assert rel_close(field.get((0, 2), (1, 3)), 0.7 + 2.0 / b.length)
-
-    def test_unfinished_never_deposit(self):
-        field = PheromoneField(GridGraph(np.ones((3, 3), bool), 1.0), 1.0)
-        p = replace(path_through([(0, 0), (0, 1), (0, 2)]), reached=False)
-        update_pheromone(field, [p], AcoParams(rho=0.2))
-        assert all(rel_close(v, 0.8) for _, v in field.items())
-
-    def test_tau_stays_positive(self):
-        field = PheromoneField(GridGraph(np.ones((3, 3), bool), 1.0), 1.0)
-        params = AcoParams(rho=0.9)
-        for _ in range(60):
-            update_pheromone(field, [], params)
-        assert all(v > 0.0 for _, v in field.items())
-
-
-class TestRepair:
-    def make_paths(self, reached_flags):
-        return [replace(path_through([(0, 0), (0, 1), (0, 2)]), reached=f)
-                for f in reached_flags]
-
-    def test_all_finished_replaces_one(self):
-        best = path_through([(0, 0), (1, 1)])
-        paths = self.make_paths([True] * 5)
-        out = repair(paths, best, np.random.default_rng(1))
-        assert sum(1 for p in out if p.cells == best.cells) == 1
-
-    def test_unfinished_pool_preferred(self):
-        best = path_through([(0, 0), (1, 1)])
-        paths = self.make_paths([True, False, True, False, True])
-        out = repair(paths, best, np.random.default_rng(2))
-        replaced = [k for k, p in enumerate(out) if p.cells == best.cells]
-        assert len(replaced) == 1 and replaced[0] in (1, 3)
-        other = 3 if replaced[0] == 1 else 1
-        assert not out[other].reached
-
-    def test_seeded_choice_reproducible(self):
-        best = path_through([(0, 0), (1, 1)])
-        paths = self.make_paths([False] * 6)
-        a = repair(paths, best, np.random.default_rng(77))
-        b = repair(paths, best, np.random.default_rng(77))
-        assert [p.cells for p in a] == [p.cells for p in b]
-
-    def test_requires_incumbent(self):
-        with pytest.raises(NoBestPathYet):
-            repair(self.make_paths([False]), None, np.random.default_rng(0))
 
 
 class TestPlanSubpath:
@@ -334,7 +95,7 @@ class TestPlanSubpath:
         params = AcoParams(n_iters=10, n_ants=8, mode=AcoMode.CONVENTIONAL)
         path, series = plan_subpath(open_grid(7), (0, 0), (0, 6), params, 5)
         assert path.reached
-        assert score(path, params) == path.length
+        assert series[-1] == path.length
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -363,14 +124,28 @@ class ScriptedDraws:
 
 
 class TestWalkKernel:
-    """The reference walker makes the picks of the public transition rule.
+    """The kernel's tables, walked as colony.c's walk() walks them, make the
+    picks of the transition oracle.
 
-    TestKernelDifferential checks that the compiled kernel walks as the
-    reference does, so the two together tie the kernel to the public rule.
+    construct_ref is walk() in Python, and TestKernelDifferential checks the
+    kernel against it; here it reads the tables plan_subpath hands the
+    kernel (eta_gamma per direction, _CORNER_FACTORS), and every pick must
+    be the inverse-CDF pick of the same draw on transition_ref's quotient.
     """
 
+    def test_oracle_tables_equal_the_kernel_tables(self):
+        rng = np.random.default_rng(43)
+        for _ in range(200):
+            graph = open_grid(2, float(rng.uniform(0.3, 2.0)))
+            gamma = float(rng.uniform(0.5, 6.0))
+            for mode in AcoMode:
+                eta_g, vtab = oracles.colony_tables_ref(graph, AcoParams(gamma=gamma, mode=mode))
+                assert eta_g.tolist() == eta_gamma(graph.steps, gamma) * graph.n
+                turn = _CORNER_FACTORS if mode is AcoMode.IMPROVED else np.ones((9, 8))
+                assert np.array(vtab).tolist() == turn.tolist()
+
     @pytest.mark.parametrize("mode", [AcoMode.IMPROVED, AcoMode.CONVENTIONAL])
-    def test_picks_equal_public_rule(self, mode):
+    def test_picks_equal_transition_oracle(self, mode):
         rng = np.random.default_rng(41)
         steps = dead_ends = 0
         for case in range(300):
@@ -379,29 +154,40 @@ class TestWalkKernel:
             start, goal = (0, 0), (n - 1, n - 1)
             mask[start] = mask[goal] = True
             graph = GridGraph(mask, float(rng.uniform(0.3, 2.0)))
-            field = PheromoneField(graph, 1.0)
-            for k in range(len(field.tau)):
-                field.tau[k] = float(rng.uniform(0.01, 5.0))
+            tau = rng.uniform(0.01, 5.0, graph.n * 8)
             # phi != 1 in two cases of three: the weight table keeps float **
             params = AcoParams(phi=[1.0, 0.6, 1.7][case % 3],
                                gamma=float(rng.uniform(0.5, 6.0)), mode=mode)
-            draws = rng.random(4 * graph.n + 1)
-            eta_g, vtab = oracles.colony_tables_ref(graph, params)
-            weights = oracles.edge_weights_ref(field.tau, params.phi, eta_g)
-            path = oracles.construct_ref(graph, oracles.neighbor_table_ref(graph), weights,
-                                         vtab, graph.id_of(start), graph.id_of(goal),
-                                         4 * graph.n, ScriptedDraws(draws))
+            draws = rng.random(graph.n)
+            eta_g = np.tile(eta_gamma(graph.steps, params.gamma), graph.n)
+            turn = _CORNER_FACTORS if mode is AcoMode.IMPROVED else np.ones((9, 8))
+            path = oracles.construct_ref(
+                graph, oracles.neighbor_table_ref(graph),
+                oracles.edge_weights_ref(tau, params.phi, eta_g), turn.tolist(),
+                graph.id_of(start), graph.id_of(goal), graph.n - 1, ScriptedDraws(draws))
 
-            state = AntState(start, frozenset([start]), None)
-            for i, (nxt, d) in enumerate(zip(path.cells[1:], path.dirs)):
-                dist = transition_probabilities(field, state, params)
-                assert roulette_select(dist, float(draws[i])) == nxt
-                state = AntState(nxt, state.tabu | {nxt}, DIR_ANGLES[d])
+            nbr_cells = {cell: [graph.cell_of(nid)
+                                for nid in graph.nbr[graph.id_of(cell)].tolist() if nid >= 0]
+                         for cell in path.cells}
+            prev = None
+            for i, (cell, nxt, d) in enumerate(zip(path.cells, path.cells[1:], path.dirs)):
+                dist = transition_ref(tau, graph.cols, nbr_cells[cell], path.cells[:i + 1],
+                                      prev, cell, params.phi, params.gamma, graph.cell_size,
+                                      mode is AcoMode.IMPROVED)
+                acc, pick = 0.0, list(dist)[-1]
+                for c, p in dist.items():
+                    acc += p
+                    if draws[i] < acc:
+                        pick = c
+                        break
+                assert pick == nxt
+                prev = DIR_ANGLES[d]
                 steps += 1
             assert path.reached == (path.cells[-1] == goal)
             if not path.reached:
-                with pytest.raises(DeadEnd):
-                    transition_probabilities(field, state, params)
+                assert transition_ref(tau, graph.cols, nbr_cells[path.cells[-1]], path.cells,
+                                      prev, path.cells[-1], params.phi, params.gamma,
+                                      graph.cell_size, mode is AcoMode.IMPROVED) == {}
                 dead_ends += 1
         assert steps > 1000 and dead_ends > 10
 

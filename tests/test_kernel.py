@@ -70,6 +70,20 @@ def test_missing_compiler_is_an_import_error(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_build_deletes_stale_modules_and_keeps_directories(tmp_path):
+    stale = [tmp_path / ("_kernel_0123456789abcdef" + kernel.SUFFIX),
+             tmp_path / ("_colony_0123456789abcdef" + kernel.SUFFIX)]
+    for path in stale:
+        path.write_bytes(b"stale")
+    in_flight = tmp_path / "_kernel_0123456789abcdef-build"
+    in_flight.mkdir()
+    other = tmp_path / "notes.txt"
+    other.write_text("kept")
+    module = kernel.load(tmp_path)
+    assert module.lib.py_hypot(3.0, 4.0) == 5.0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [module.__name__ + kernel.SUFFIX, in_flight.name, other.name])
+
 
 def test_module_name_hashes_every_source():
     texts = [path.read_text(encoding="utf-8") for path in kernel.SOURCES]
