@@ -1,0 +1,75 @@
+"""Probes of the compiled colony kernel shared by the test modules.
+
+Each probe reads what plan_subpath hands the kernel (its eta_gamma and
+_CORNER_FACTORS tables) or what the kernel leaves behind (the pheromone
+array), so the checks built on them test the code the planner runs.
+"""
+import math
+from unittest import mock
+
+import numpy as np
+
+from antnav import AcoMode, GridGraph, NoPathFound, plan_subpath
+from antnav import aco, kernel
+from antnav.aco import _CORNER_FACTORS, eta_gamma
+from antnav.geometry import DIR_ANGLES, wrap_angle
+
+
+def random_field_state(rng, n=6):
+    mask = rng.random((n, n)) > 0.2
+    cell = (int(rng.integers(1, n - 1)), int(rng.integers(1, n - 1)))
+    mask[cell] = True
+    graph = GridGraph(mask, float(rng.uniform(0.5, 2.0)))
+    tau = np.empty(graph.n * 8)
+    for k in range(len(tau)):
+        tau[k] = float(rng.uniform(0.01, 5.0))
+    nbr_cells = [graph.cell_of(nid)
+                 for nid in graph.nbr[graph.id_of(cell)].tolist() if nid >= 0]
+    if not nbr_cells:
+        return None
+    tabu = frozenset(c for c in nbr_cells if rng.random() < 0.3)
+    if len(tabu) == len(nbr_cells):
+        return None
+    prev = float(rng.uniform(-math.pi, math.pi)) if rng.random() > 0.3 else None
+    # the kernel knows a previous move by its direction index (-1: none)
+    prev = -1 if prev is None else min(range(8),
+                                       key=lambda d: abs(wrap_angle(DIR_ANGLES[d] - prev)))
+    return tau, graph, cell, tabu, prev
+
+
+def kernel_transition(tau, graph, cell, tabu, prev, params):
+    """Move distribution {cell: p} of colony.c's walk(): the eta_gamma and
+    _CORNER_FACTORS tables plan_subpath hands the kernel, times tau^phi,
+    combined as walk() combines them."""
+    eta_g = eta_gamma(graph.steps, params.gamma)
+    turn = _CORNER_FACTORS[prev + 1].tolist()
+    cid = graph.id_of(cell)
+    weights, total = {}, 0.0
+    for d, nid in enumerate(graph.nbr[cid].tolist()):
+        if nid < 0 or graph.cell_of(nid) in tabu:
+            continue
+        w = (tau[cid * 8 + d] if params.phi == 1.0 else tau[cid * 8 + d] ** params.phi) \
+            * eta_g[d]
+        if params.mode is AcoMode.IMPROVED:
+            w *= turn[d]
+        weights[graph.cell_of(nid)] = w
+        total += w
+    return {c: w / total for c, w in weights.items()}
+
+
+def kernel_run(graph, start, goal, params, seed):
+    """plan_subpath's result, or its NoPathFound message, and the pheromone
+    array it handed the kernel, as the kernel left it."""
+    taus = []
+
+    def spy(arr, dtype, shape, writable=False):
+        if writable and not taus and shape == (graph.n * 8,):
+            taus.append(arr)
+        return kernel.pointer(arr, dtype, shape, writable)
+
+    with mock.patch.object(aco, "pointer", spy):
+        try:
+            result = plan_subpath(graph, start, goal, params, seed)
+        except NoPathFound as exc:
+            result = str(exc)
+    return result, taus[0]

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,14 +9,193 @@ from antnav import (AcoMode, AcoParams, ColonyWeightError, GridGraph, NoPathFoun
                     corner_heuristic, plan_subpath)
 from antnav import kernel
 from antnav.aco import _CORNER_FACTORS, eta_gamma
-from antnav.geometry import DIR_ANGLES, DIR_OFFSETS
+from antnav.geometry import DIR_ANGLES, DIR_INDEX, DIR_OFFSETS
 
 import oracles
-from oracles import corner_ref, rel_close, transition_ref
+from oracles import corner_ref, heuristic_ref, rel_close, score_ref, transition_ref
+from probes import kernel_run, kernel_transition, random_field_state
+
+SQRT2 = math.sqrt(2.0)
 
 
 def open_grid(n=5, cell_size=1.0):
     return GridGraph(np.ones((n, n), bool), cell_size)
+
+
+def picture_grid(picture, cell_size=1.0):
+    """GridGraph of a picture: one row per line, '.' free and '#' blocked."""
+    return GridGraph(np.array([[ch == "." for ch in row] for row in picture.split()]),
+                     cell_size)
+
+
+def edge(graph, i, j):
+    """Index of the directed edge i -> j in plan_subpath's pheromone array."""
+    return graph.id_of(i) * 8 + DIR_INDEX[(j[0] - i[0], j[1] - i[1])]
+
+
+def stream(seed, n, k):
+    """The generator of ant k in iteration n; k = n_ants is the repair draw's."""
+    return np.random.default_rng(np.random.SeedSequence((seed, n, k)))
+
+
+def deposited(tau, amount, times):
+    """tau after times deposits of amount, added one at a time as the kernel adds them."""
+    for _ in range(times):
+        tau += amount
+    return tau
+
+
+# (0, 0) to (2, 3) along a one-wide corridor: one open move at every step,
+# length 3 + sqrt 2 and 2 corners.
+BEND = """
+...#
+###.
+###.
+"""
+BEND_CELLS = ((0, 0), (0, 1), (0, 2), (1, 3), (2, 3))
+
+# A one-wide ring of 12 cells: each cell has two neighbours, so once an ant
+# has made its first move, every later move is forced.
+RING = """
+#...#
+.###.
+.###.
+.###.
+#...#
+"""
+
+# From (1, 1): a diagonal move into a corridor that reaches (0, 4), or a
+# straight move into (1, 0), a dead end.
+SPUR = """
+##...
+..###
+"""
+
+
+class Fork:
+    """A start cell with two moves, each followed by a forced walk.
+
+    branches holds, per move in canonical direction order, the cells the
+    walk visits after the start. An ant's first draw picks its branch, so
+    the colony on a fork can be worked out from numpy's draws by hand.
+    """
+
+    def __init__(self, picture, start, goal, branches, cell_size=1.0):
+        self.graph = picture_grid(picture, cell_size)
+        self.start, self.goal, self.branches = start, goal, branches
+
+    def first_edges(self):
+        return [edge(self.graph, self.start, cells[0]) for cells in self.branches]
+
+    def walks(self, params):
+        """(reached, length, corners, cost) per branch, as the kernel walks it."""
+        cap = min(params.max_steps or self.graph.n - 1, self.graph.n - 1)
+        out = []
+        for cells in self.branches:
+            path = (self.start,) + cells
+            dirs = [DIR_INDEX[(b[0] - a[0], b[1] - a[1])] for a, b in zip(path, path[1:])]
+            length = 0.0
+            for d in dirs[:cap]:
+                length += self.graph.steps[d]
+            corners = sum(a != b for a, b in zip(dirs[:cap], dirs[1:cap]))
+            cost = params.delta * length + params.zeta * corners \
+                if params.mode is AcoMode.IMPROVED else length
+            out.append((path[-1] == self.goal and len(dirs) <= cap, length, corners, cost))
+        return out
+
+    def colony(self, params, seed, repair_pool="unfinished"):
+        """The colony worked out from the ants' first draws: per iteration
+        the branch of every ant (before repair) and the quotient of the first
+        move, plus the series and the final pheromone on each branch's edges.
+
+        repair_pool "all" draws the repaired ant from every ant, also when
+        some are unfinished; None leaves repair out.
+        """
+        improved = params.mode is AcoMode.IMPROVED
+        walks = self.walks(params)
+        eta = eta_gamma(self.graph.steps, params.gamma)
+        eta_first = [eta[e % 8] for e in self.first_edges()]
+        m = params.n_ants
+        tau = [params.tau0, params.tau0]
+        best, best_cost, series, picks, quotients = None, math.inf, [], [], []
+        for n in range(1, params.n_iters + 1):
+            w = [t ** params.phi * e for t, e in zip(tau, eta_first)]
+            p = w[0] / (w[0] + w[1])
+            quotients.append(p)
+            ants = [0 if stream(seed, n, k).random() < p else 1 for k in range(m)]
+            picks.append(list(ants))
+            if best is None and not any(walks[b][0] for b in ants):
+                series.append(math.inf)
+                continue
+            if improved and best is not None and repair_pool:
+                pool = [k for k, b in enumerate(ants) if not walks[b][0]]
+                if repair_pool == "all" or not pool:
+                    pool = range(m)
+                ants[pool[int(stream(seed, n, m).integers(len(pool)))]] = best
+            finished = [k for k, b in enumerate(ants) if walks[b][0]]
+            if improved:
+                finished = sorted(finished, key=lambda k: walks[ants[k]][3])
+                finished = finished[:params.resolved_elite_cutoff()]
+            tau = [t * (1.0 - params.rho) for t in tau]
+            for k in finished:
+                tau[ants[k]] += params.q / walks[ants[k]][3]
+            for b in ants:
+                if walks[b][0] and walks[b][3] < best_cost:
+                    best, best_cost = b, walks[b][3]
+            series.append(best_cost)
+        return SimpleNamespace(picks=picks, p=quotients, series=series, tau=tau)
+
+    def run(self, params, seed):
+        """plan_subpath's path and series, and the pheromone array the kernel left."""
+        result, tau = kernel_run(self.graph, self.start, self.goal, params, seed)
+        assert not isinstance(result, str), result
+        return result[0], result[1], tau
+
+
+def ring_fork(cell_size=1.0):
+    # from (0, 1) to (3, 4): a straight first move and 5 steps (length
+    # 4 + sqrt 2, 2 corners), or a diagonal one and 7 steps (4 + 3 sqrt 2, 4)
+    return Fork(RING, (0, 1), (3, 4),
+                (((0, 2), (0, 3), (1, 4), (2, 4), (3, 4)),
+                 ((1, 0), (2, 0), (3, 0), (4, 1), (4, 2), (4, 3), (3, 4))), cell_size)
+
+
+def spur_fork():
+    # the corridor (length 2 + sqrt 2, 1 corner) is first in canonical order
+    return Fork(SPUR, (1, 1), (0, 4), (((0, 2), (0, 3), (0, 4)), ((1, 0),)))
+
+
+def same_series(got, expected):
+    return len(got) == len(expected) and all(
+        a == b == math.inf or rel_close(a, b) for a, b in zip(got, expected))
+
+
+class TestHeuristic:
+    """eta_gamma, the heuristic table plan_subpath hands the kernel:
+    (1 / step) ** gamma per direction, the heuristic itself at gamma 1."""
+
+    def test_straight_neighbor(self):
+        eta = eta_gamma(open_grid().steps, 1.0)
+        assert [eta[DIR_INDEX[(1, 0)]], eta[DIR_INDEX[(0, -1)]]] == [1.0, 1.0]
+
+    def test_diagonal_neighbor(self):
+        eta = eta_gamma(open_grid().steps, 1.0)
+        assert rel_close(eta[DIR_INDEX[(1, 1)]], 1.0 / SQRT2)
+        assert rel_close(eta[DIR_INDEX[(-1, 1)]], 1.0 / SQRT2)
+
+    def test_metric_cells(self):
+        assert rel_close(eta_gamma(open_grid(5, 1.5).steps, 1.0)[DIR_INDEX[(0, 1)]], 2.0 / 3.0)
+
+    def test_randomized(self):
+        rng = np.random.default_rng(3)
+        for _ in range(1000):
+            i = (int(rng.integers(0, 50)), int(rng.integers(0, 50)))
+            d = int(rng.integers(0, 8))
+            j = (i[0] + DIR_OFFSETS[d][0], i[1] + DIR_OFFSETS[d][1])
+            cs = float(rng.uniform(0.1, 3.0))
+            gamma = float(rng.uniform(0.5, 6.0))
+            eta = eta_gamma(open_grid(2, cs).steps, gamma)
+            assert rel_close(eta[d], heuristic_ref(i, j, cs) ** gamma)
 
 
 class TestCornerHeuristic:
@@ -41,6 +221,331 @@ class TestCornerHeuristic:
             j = (i[0] + d[0], i[1] + d[1])
             assert rel_close(corner_heuristic(prev, i, j), corner_ref(prev, i, j))
 
+
+class TestTransitionProbabilities:
+    """The move distribution of colony.c's walk(), seen in the pheromone a
+    run leaves (each finished ant deposits on the edges it walked) and in
+    the tables plan_subpath hands the kernel."""
+
+    def test_single_feasible_neighbor(self):
+        # one open move at every step: every ant of every iteration finishes
+        graph = picture_grid(BEND)
+        params = AcoParams(n_ants=6, n_iters=3, mode=AcoMode.CONVENTIONAL)
+        (path, series), tau = kernel_run(graph, BEND_CELLS[0], BEND_CELLS[-1], params, 3)
+        assert path.cells == BEND_CELLS and series == [path.length] * 3
+        forward = back = 1.0
+        for _ in range(3):
+            forward = deposited(forward * 0.7, 1.0 / path.length, 6)
+            back *= 0.7
+        for a, b in zip(BEND_CELLS, BEND_CELLS[1:]):
+            assert rel_close(tau[edge(graph, a, b)], forward)
+            assert rel_close(tau[edge(graph, b, a)], back)
+
+    def test_uniform_setup_gives_symmetric_distribution(self):
+        tau = np.ones(25 * 8)
+        dist = kernel_transition(tau, open_grid(), (2, 2), frozenset(), -1, AcoParams())
+        straight = [dist[c] for c in ((3, 2), (2, 3), (1, 2), (2, 1))]
+        diag = [dist[c] for c in ((3, 3), (1, 3), (1, 1), (3, 1))]
+        assert max(straight) - min(straight) < 1e-15
+        assert max(diag) - min(diag) < 1e-15
+        assert abs(sum(dist.values()) - 1.0) <= 1e-12
+        # the kernel itself: from the top of the ring two straight moves lead
+        # round to the bottom in 6 steps each, so each is taken with p 1/2
+        fork = Fork(RING, (0, 2), (4, 2),
+                    (((0, 3), (1, 4), (2, 4), (3, 4), (4, 3), (4, 2)),
+                     ((0, 1), (1, 0), (2, 0), (3, 0), (4, 1), (4, 2))))
+        params = AcoParams(n_ants=400, n_iters=1, mode=AcoMode.CONVENTIONAL)
+        model = fork.colony(params, 8)
+        assert model.p == [0.5] and abs(model.picks[0].count(0) - 200) < 40
+        _, series, tau = fork.run(params, 8)
+        assert same_series(series, model.series)
+        assert all(rel_close(tau[e], t) for e, t in zip(fork.first_edges(), model.tau))
+
+    def test_dead_end(self):
+        # an ant that steps into (1, 0) has no open move left: its walk ends
+        # unfinished and deposits nothing
+        fork = spur_fork()
+        params = AcoParams(gamma=1.0, n_ants=12, n_iters=1, mode=AcoMode.CONVENTIONAL)
+        model = fork.colony(params, 4)
+        assert 0 < model.picks[0].count(1) < 12
+        path, _, tau = fork.run(params, 4)
+        assert path.cells == (fork.start,) + fork.branches[0]
+        corridor, dead_end = fork.first_edges()
+        assert tau[dead_end] == 0.7
+        assert rel_close(tau[corridor], model.tau[0])
+        assert rel_close(tau[corridor], deposited(0.7, 1.0 / path.length,
+                                                  model.picks[0].count(0)))
+
+    @pytest.mark.parametrize("mode", [AcoMode.IMPROVED, AcoMode.CONVENTIONAL])
+    def test_randomized_against_explicit_quotient(self, mode):
+        rng = np.random.default_rng(17)
+        # the kernel's tables combined as walk() combines them, on random
+        # pheromone, tabu lists and previous moves
+        checked = 0
+        while checked < 1000:
+            case = random_field_state(rng)
+            if case is None:
+                continue
+            tau, graph, cell, tabu, prev = case
+            params = AcoParams(phi=float(rng.uniform(0.5, 2.0)),
+                               gamma=float(rng.uniform(0.5, 6.0)), mode=mode)
+            dist = kernel_transition(tau, graph, cell, tabu, prev, params)
+            nbr_cells = [graph.cell_of(nid)
+                         for nid in graph.nbr[graph.id_of(cell)].tolist() if nid >= 0]
+            ref = transition_ref(tau, graph.cols, nbr_cells, tabu,
+                                 None if prev < 0 else DIR_ANGLES[prev], cell, params.phi,
+                                 params.gamma, graph.cell_size, mode is AcoMode.IMPROVED)
+            assert dist.keys() == ref.keys()
+            for c, p in dist.items():
+                assert rel_close(p, ref[c])
+            assert abs(sum(dist.values()) - 1.0) <= 1e-12
+            checked += 1
+        # the kernel's own first moves on the ring: the ants that take the
+        # first move are the ones whose draw is below its quotient
+        for case in range(100):
+            fork = ring_fork(float(rng.uniform(0.5, 2.0)))
+            params = AcoParams(phi=[1.0, 0.6, 1.7][case % 3], gamma=float(rng.uniform(0.5, 6.0)),
+                               rho=float(rng.uniform(0.05, 0.95)), q=float(rng.uniform(0.1, 5.0)),
+                               delta=float(rng.uniform(0.1, 2.0)),
+                               zeta=float(rng.uniform(0.0, 2.0)),
+                               tau0=float(rng.uniform(0.1, 3.0)),
+                               n_ants=int(rng.integers(2, 30)), n_iters=int(rng.integers(1, 5)),
+                               mode=mode)
+            model = fork.colony(params, case)
+            graph = fork.graph
+            first = [cells[0] for cells in fork.branches]
+            ref = transition_ref(np.full(graph.n * 8, params.tau0), graph.cols, first, (),
+                                 None, fork.start, params.phi, params.gamma, graph.cell_size,
+                                 mode is AcoMode.IMPROVED)
+            assert rel_close(model.p[0], ref[first[0]])
+            _, series, tau = fork.run(params, case)
+            assert same_series(series, model.series)
+            assert all(rel_close(tau[e], t) for e, t in zip(fork.first_edges(), model.tau))
+
+
+class TestRouletteSelect:
+    """walk()'s pick: the first candidate in canonical order whose cumulative
+    quotient exceeds the draw, and the last one when none does."""
+
+    def test_certain_choice(self):
+        # one candidate per step: every ant walks the corridor, whatever its draw
+        assert max(stream(5, 1, k).random() for k in range(40)) > 0.95
+        graph = picture_grid(BEND)
+        params = AcoParams(n_ants=40, n_iters=1, mode=AcoMode.CONVENTIONAL)
+        (path, _), tau = kernel_run(graph, BEND_CELLS[0], BEND_CELLS[-1], params, 5)
+        for a, b in zip(BEND_CELLS, BEND_CELLS[1:]):
+            assert rel_close(tau[edge(graph, a, b)], deposited(0.7, 1.0 / path.length, 40))
+
+    def test_cdf_arithmetic(self):
+        fork = ring_fork()
+        eta = eta_gamma(fork.graph.steps, 1.0)
+        for gamma in (0.5, 1.0, 2.0, 4.0, 8.0):
+            params = AcoParams(gamma=gamma, n_ants=50, n_iters=1, mode=AcoMode.CONVENTIONAL)
+            w = [eta[e % 8] ** gamma for e in fork.first_edges()]
+            p = w[0] / (w[0] + w[1])
+            n_first = sum(stream(11, 1, k).random() < p for k in range(50))
+            assert 0 < n_first < 50
+            lengths = [walk[1] for walk in fork.walks(params)]
+            _, _, tau = fork.run(params, 11)
+            e0, e1 = fork.first_edges()
+            assert rel_close(tau[e0], deposited(0.7, 1.0 / lengths[0], n_first))
+            assert rel_close(tau[e1], deposited(0.7, 1.0 / lengths[1], 50 - n_first))
+
+    def test_monte_carlo_frequencies(self):
+        # gamma 2: the straight first move weighs 1, the diagonal one 1/2
+        fork = ring_fork()
+        m = 20000
+        params = AcoParams(gamma=2.0, rho=0.5, n_ants=m, n_iters=1, mode=AcoMode.CONVENTIONAL)
+        lengths = [walk[1] for walk in fork.walks(params)]
+        _, _, tau = fork.run(params, 23)
+        counts = [round((tau[e] - 0.5) * length)
+                  for e, length in zip(fork.first_edges(), lengths)]
+        assert sum(counts) == m
+        assert abs(counts[0] / m - 2.0 / 3.0) < 0.01
+        assert abs(counts[1] / m - 1.0 / 3.0) < 0.01
+
+
+class TestScore:
+    """The cost the kernel ranks by: delta * length + zeta * corners in
+    improved mode, the length in conventional mode; plan_subpath's series
+    holds the best cost so far."""
+
+    def bend(self, cell_size=1.0, **params):
+        path, series = plan_subpath(picture_grid(BEND, cell_size), BEND_CELLS[0],
+                                    BEND_CELLS[-1], AcoParams(n_ants=2, n_iters=2, **params), 0)
+        assert path.cells == BEND_CELLS and path.corners == 2
+        return path, series
+
+    def test_length_only(self):
+        path, series = self.bend(delta=1.0, zeta=0.0)
+        assert series == [path.length] * 2
+        assert rel_close(path.length, 3.0 + SQRT2)
+
+    def test_weighted(self):
+        _, series = self.bend(delta=0.7, zeta=0.3)
+        assert rel_close(series[-1], 0.7 * (3.0 + SQRT2) + 0.3 * 2)
+
+    def test_conventional_objective_is_the_length(self):
+        path, series = self.bend(delta=0.7, zeta=0.3, mode=AcoMode.CONVENTIONAL)
+        assert series[-1] == path.length
+
+    def test_unfinished_rejected(self):
+        # a walk into the dead end (length 1) is shorter than the corridor
+        # (2 + sqrt 2), yet never scores
+        fork = spur_fork()
+        params = AcoParams(gamma=1.0, delta=1.0, zeta=0.0, n_ants=6, n_iters=4)
+        model = fork.colony(params, 2)
+        assert all(1 in picks for picks in model.picks)
+        path, series, _ = fork.run(params, 2)
+        assert path.cells == (fork.start,) + fork.branches[0]
+        assert series == [path.length] * 4
+
+    def test_randomized(self):
+        rng = np.random.default_rng(29)
+        for _ in range(1000):
+            cs = float(rng.uniform(0.1, 3.0))
+            dl = float(rng.uniform(0, 2)); zt = float(rng.uniform(0.01, 2))
+            path, series = self.bend(cs, delta=dl, zeta=zt)
+            assert rel_close(path.length, cs * (3.0 + SQRT2))
+            assert rel_close(series[-1], score_ref(path.length, 2, dl, zt))
+
+
+class TestUpdatePheromone:
+    """The update the kernel runs after each iteration with a finisher:
+    every edge evaporates by 1 - rho, then each finished path (in improved
+    mode the elite_cutoff best) deposits q / cost on the edges it walked."""
+
+    def test_pure_evaporation(self):
+        fork = spur_fork()
+        params = AcoParams(gamma=1.0, rho=0.5, tau0=2.0, n_ants=8, n_iters=5)
+        path, series, tau = fork.run(params, 1)
+        assert math.inf not in series
+        walked = {edge(fork.graph, a, b) for a, b in zip(path.cells, path.cells[1:])}
+        assert all(tau[e] == 2.0 * 0.5 ** 5 for e in range(len(tau)) if e not in walked)
+
+    def test_single_ant_deposit(self):
+        # both ants walk the corridor; the default cutoff n_ants - 1 keeps one
+        graph = picture_grid(BEND)
+        params = AcoParams(rho=0.3, q=1.0, delta=0.7, zeta=0.3, n_ants=2, n_iters=1)
+        (path, _), tau = kernel_run(graph, BEND_CELLS[0], BEND_CELLS[-1], params, 0)
+        w = 0.7 * path.length + 0.3 * path.corners
+        for a, b in zip(BEND_CELLS, BEND_CELLS[1:]):
+            assert rel_close(tau[edge(graph, a, b)], 0.7 + 1.0 / w)
+            assert rel_close(tau[edge(graph, b, a)], 0.7)  # reverse edge untouched
+
+    def one_long_walk(self, fork, params):
+        """A seed whose first iteration sends exactly one ant the long way round."""
+        return next(s for s in range(100) if fork.colony(params, s).picks[0].count(1) == 1)
+
+    def test_worst_ant_excluded_at_default_cutoff(self):
+        fork = ring_fork()
+        params = AcoParams(gamma=1.0, rho=0.3, n_ants=3, n_iters=1)
+        seed = self.one_long_walk(fork, params)
+        _, _, tau = fork.run(params, seed)
+        short, long = fork.first_edges()
+        assert tau[long] == 0.7  # the edges only the worst path walked only evaporate
+        cost = fork.walks(params)[0][3]
+        assert rel_close(tau[short], deposited(0.7, 1.0 / cost, 2))
+
+    def test_conventional_mode_deposits_by_length_for_all(self):
+        fork = ring_fork()
+        params = AcoParams(gamma=1.0, rho=0.3, q=2.0, n_ants=3, n_iters=1,
+                           mode=AcoMode.CONVENTIONAL)
+        seed = self.one_long_walk(fork, params)
+        _, _, tau = fork.run(params, seed)
+        lengths = [walk[1] for walk in fork.walks(params)]
+        short, long = fork.first_edges()
+        assert rel_close(tau[long], 0.7 + 2.0 / lengths[1])
+        assert rel_close(tau[short], deposited(0.7, 2.0 / lengths[0], 2))
+
+    def test_unfinished_never_deposit(self):
+        # a step cap of 5 stops the long way round after 5 of its 7 steps
+        fork = ring_fork()
+        params = AcoParams(gamma=1.0, rho=0.3, n_ants=8, n_iters=1, max_steps=5,
+                           mode=AcoMode.CONVENTIONAL)
+        walks = fork.walks(params)
+        assert walks[0][0] and not walks[1][0]
+        model = fork.colony(params, 6)
+        assert 0 < model.picks[0].count(1) < 8
+        _, _, tau = fork.run(params, 6)
+        capped = (fork.start,) + fork.branches[1][:5]
+        assert all(tau[edge(fork.graph, a, b)] == 0.7 for a, b in zip(capped, capped[1:]))
+        assert rel_close(tau[fork.first_edges()[0]],
+                         deposited(0.7, 1.0 / walks[0][1], model.picks[0].count(0)))
+
+    def test_tau_stays_positive(self):
+        fork = spur_fork()
+        params = AcoParams(gamma=1.0, rho=0.9, n_ants=8, n_iters=60)
+        _, series, tau = fork.run(params, 0)
+        assert math.inf not in series
+        assert (tau > 0.0).all()
+        untouched = 1.0
+        for _ in range(60):
+            untouched *= 1.0 - 0.9
+        assert tau[fork.first_edges()[1]] == untouched
+
+
+class TestRepair:
+    """Once an incumbent exists, improved mode hands it to one ant before
+    each update: to an unfinished ant drawn with Generator.integers on the
+    stream (seed, iteration, n_ants), or to any ant when all finished."""
+
+    @staticmethod
+    def agrees(fork, params, seed, model):
+        _, series, tau = fork.run(params, seed)
+        return same_series(series, model.series) and all(
+            rel_close(tau[e], t) for e, t in zip(fork.first_edges(), model.tau))
+
+    def test_all_finished_replaces_one(self):
+        # on the ring every ant finishes; in iteration 2 the draw picks an
+        # ant that went the long way, and its slot deposits as the incumbent
+        fork = ring_fork()
+        params = AcoParams(gamma=1.0, n_ants=4, n_iters=2)
+        for seed in range(200):
+            model = fork.colony(params, seed)
+            if model.picks[0][0] == 0 and \
+                    model.picks[1][int(stream(seed, 2, 4).integers(4))] == 1:
+                break
+        assert self.agrees(fork, params, seed, model)
+        assert model.tau != fork.colony(params, seed, repair_pool=None).tau
+
+    def test_unfinished_pool_preferred(self):
+        fork = spur_fork()
+        params = AcoParams(gamma=1.0, n_ants=6, n_iters=2)
+        shown = 0
+        for seed in range(100):
+            model = fork.colony(params, seed)
+            if math.inf in model.series or \
+                    model.tau == fork.colony(params, seed, repair_pool="all").tau:
+                continue
+            assert self.agrees(fork, params, seed, model)
+            shown += 1
+        assert shown >= 10
+
+    def test_seeded_choice_reproducible(self):
+        fork = spur_fork()
+        params = AcoParams(gamma=0.5, n_ants=6, n_iters=4)
+        for seed in range(20):
+            a, b = fork.run(params, seed), fork.run(params, seed)
+            assert a[0] == b[0] and a[1] == b[1] and a[2].tobytes() == b[2].tobytes()
+            assert self.agrees(fork, params, seed, fork.colony(params, seed))
+
+    def test_requires_incumbent(self):
+        # no ant finishes in iteration 1: no repair and no update; iteration 2
+        # deposits only for its own finishers, with no incumbent to hand out
+        fork = spur_fork()
+        params = AcoParams(gamma=1.0, n_ants=3, n_iters=2)
+        seed = next(s for s in range(100)
+                    if fork.colony(params, s).picks[0] == [1, 1, 1]
+                    and 0 in fork.colony(params, s).picks[1])
+        model = fork.colony(params, seed)
+        _, series, tau = fork.run(params, seed)
+        assert series[0] == math.inf and series[1] < math.inf
+        corridor, dead_end = fork.first_edges()
+        assert tau[dead_end] == 0.7
+        finishers = model.picks[1].count(0)
+        assert rel_close(tau[corridor],
+                         deposited(0.7, 1.0 / fork.walks(params)[0][3], min(finishers, 2)))
 
 class TestPlanSubpath:
     def test_adjacent_single_step(self):
