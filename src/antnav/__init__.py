@@ -13,7 +13,7 @@ from .errors import (AntnavError, ColonyWeightError, EmptyCandidates, EmptyRuns,
                      ScenarioParseError)
 from .geometry import Cell, Point, Pose, wrap_angle
 from .grid import (CandidateSet, CellState, LocalGrid, build_local_grid,
-                   candidate_cells, perceive, reachable_component)
+                   candidate_cells, perceive)
 from .metrics import (AggregateStats, RunMetrics, RunStatus, aggregate,
                       corner_count, path_length)
 from .planner import (CycleRecord, PlannerConfig, PlannerKind, PlannerState,

@@ -10,9 +10,9 @@ length-based deposits from every finished ant, no repair.
 plan_subpath runs the whole colony in one call of the compiled kernel
 (colony.c, built on first use by kernel.py), the package's only
 implementation of the colony rules; tests/oracles.py keeps the Python loop
-it reproduces as the reference. This module builds the tables the kernel
-reads: the neighbour table (GridGraph), the heuristic weights (eta_gamma)
-and the corner factors (_CORNER_FACTORS, from corner_heuristic).
+it reproduces as the reference. The kernel walks a GridGraph's traversable
+mask and reads the tables built here: the heuristic weights (eta_gamma) and
+the corner factors (_CORNER_FACTORS, from corner_heuristic).
 
 Determinism: every ant walk draws from its own RNG stream, the one numpy's
 SeedSequence((seed..., iteration, ant index)) seeds, and ants walk serially.
@@ -88,34 +88,25 @@ class AcoParams:
 
 
 class GridGraph:
-    """Neighbour table over the traversable cells of a boolean mask.
+    """The 8-connected graph over the traversable cells of a boolean mask.
 
-    nbr[cid, d] is the id (row * cols + col) of the neighbour of cell cid in
-    direction d, in the canonical order N, NE, E, SE, S, SW, W, NW, or -1
-    when cid or that neighbour is blocked or off the grid; the directed edge
-    cid -> nbr[cid, d] has index cid * 8 + d. steps holds the step length
-    per direction index.
+    Cell (r, c) has id r * cols + c; its neighbour in direction d (DIR_OFFSETS
+    order: N, NE, E, SE, S, SW, W, NW) is the cell at that offset when both
+    are traversable, over the directed edge cid * 8 + d. steps holds the step
+    length per direction. The graph keeps a read-only copy of the mask, so
+    later edits of the caller's array do not change it.
     """
 
-    __slots__ = ("rows", "cols", "n", "cell_size", "mask", "nbr", "steps")
+    __slots__ = ("rows", "cols", "n", "cell_size", "mask", "steps")
 
     def __init__(self, mask: np.ndarray, cell_size: float):
-        mask = np.asarray(mask, dtype=bool)
-        self.rows, self.cols = rows, cols = mask.shape
-        self.n = rows * cols
+        self.mask = np.array(mask, dtype=bool, order="C")
+        self.mask.flags.writeable = False
+        self.rows, self.cols = self.mask.shape
+        self.n = self.rows * self.cols
         self.cell_size = float(cell_size)
-        self.mask = mask
         self.steps = tuple(self.cell_size * SQRT2 if diag else self.cell_size
                            for diag in DIR_IS_DIAGONAL)
-        padded = np.zeros((rows + 2, cols + 2), dtype=bool)
-        padded[1:-1, 1:-1] = mask
-        ids = np.arange(self.n, dtype=np.int32).reshape(rows, cols)
-        nbr = np.empty((rows, cols, 8), dtype=np.int32)
-        for d, (dr, dc) in enumerate(DIR_OFFSETS):
-            free = mask & padded[1 + dr:1 + dr + rows, 1 + dc:1 + dc + cols]
-            nbr[:, :, d] = np.where(free, ids + (dr * cols + dc), -1)
-        self.nbr = nbr.reshape(self.n, 8)
-        self.nbr.flags.writeable = False
 
     def id_of(self, cell: Cell) -> int:
         r, c = cell
@@ -128,6 +119,16 @@ class GridGraph:
 
     def traversable(self, cell: Cell) -> bool:
         return bool(self.mask[cell])
+
+    def reachable_from(self, cell: Cell) -> np.ndarray:
+        """Boolean mask of the cells 8-connected to cell through traversable cells, cell included."""
+        reach = np.empty((self.rows, self.cols), dtype=bool)
+        queue = np.empty(self.n, dtype=np.int32)
+        kernel.module().lib.reachable(
+            pointer(self.mask, np.bool_, reach.shape), self.rows, self.cols, self.id_of(cell),
+            pointer(queue, np.int32, queue.shape, writable=True),
+            pointer(reach, np.bool_, reach.shape, writable=True))
+        return reach
 
 
 @dataclass(frozen=True)
@@ -241,7 +242,7 @@ def plan_subpath(graph: GridGraph, start: Cell, subgoal: Cell, params: AcoParams
     counts = mod.ffi.new("int[2]")
     length = mod.ffi.new("double *")
     code = mod.lib.colony_run(
-        pointer(graph.nbr, np.int32, (graph.n, 8)), graph.n,
+        pointer(graph.mask, np.bool_, (graph.rows, graph.cols)), graph.rows, graph.cols,
         pointer(tau, np.float64, (graph.n * 8,), writable=True),
         pointer(eta_g, np.float64, (8,)), pointer(steps, np.float64, (8,)),
         pointer(_CORNER_FACTORS, np.float64, (9, 8)),
@@ -264,7 +265,6 @@ def plan_subpath(graph: GridGraph, start: Cell, subgoal: Cell, params: AcoParams
     if code != 0:
         raise MemoryError("the colony kernel could not allocate its buffers")
     n_steps = counts[0]
-    cols = graph.cols
-    path = AntPath(tuple(divmod(cid, cols) for cid in cells[:n_steps + 1].tolist()),
+    path = AntPath(tuple(map(graph.cell_of, cells[:n_steps + 1].tolist())),
                    length[0], counts[1], True, tuple(dirs[:n_steps].tolist()))
     return path, series.tolist()

@@ -54,15 +54,13 @@ def apf_step(grid: LocalGrid, pose: Pose, goal: Point, params: ApfParams) -> Cel
     obstacles = [grid.world_center((r, c))
                  for r, c in np.argwhere(grid.cells == CellState.OCCUPIED)]
     h = grid.half_extent
-    side = grid.side
+    free = grid.traversable_mask()
     here = _potential(pose.xy, goal, obstacles, params.k_att, params.k_rep, d0)
     best_cell: Cell | None = None
     best_u = math.inf
-    for r in range(h - 1, h + 2):
+    for r in range(h - 1, h + 2):  # half_extent >= 1 keeps all nine cells on the grid
         for c in range(h - 1, h + 2):
-            if (r, c) == (h, h) or not (0 <= r < side and 0 <= c < side):
-                continue
-            if grid.cells[r, c] != CellState.FREE:
+            if (r, c) == (h, h) or not free[r, c]:
                 continue
             u = _potential(grid.world_center((r, c)), goal, obstacles,
                            params.k_att, params.k_rep, d0)

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .errors import AntnavError
-from .geometry import SQRT2
+from .geometry import SQRT2, sequential_sum
 from .metrics import RunMetrics, RunStatus, aggregate, write_csv, write_summary
 from .planner import PlannerKind, RunResult, run
 from .plot import write_svg
@@ -136,7 +136,7 @@ def cmd_compare(args) -> int:
         lengths = [m.path_length if m.status is RunStatus.GOAL_REACHED else worst_case
                    for m in metrics]
         failures = sum(1 for m in metrics if m.status is not RunStatus.GOAL_REACHED)
-        comparison.append([kind.value, min(lengths), sum(lengths) / len(lengths), failures])
+        comparison.append([kind.value, min(lengths), sequential_sum(lengths) / len(lengths), failures])
         timings.append([kind.value, round(sum(m.wall_ms for m in metrics) / len(metrics), 3)])
     write_csv(out_dir / "comparison.csv",
               ["planner", "optimal_path_length", "average_path_length", "failures"], comparison)

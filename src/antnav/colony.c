@@ -1,22 +1,24 @@
-/* Compiled colony run of antnav.aco.plan_subpath.
+/* Compiled colony run of antnav.aco.plan_subpath and reachability search of
+ * antnav.aco.GridGraph.reachable_from, both on the graph's traversable mask.
  *
- * One call runs every iteration of the improved or conventional ant colony:
- * the ant walks, the repair pick, the score, the elite rank, evaporation and
- * deposits, and best-cost tracking. The arithmetic is that of the reference
- * loop in tests/oracles.py, operation for operation: the same candidate
- * order, the same w / total cumulative sum, the same stable rank and the
- * same deposit order. The random numbers are numpy's: each stream is a
- * PCG64 generator (O'Neill 2014, XSL-RR 128/64) seeded from the four words
- * of np.random.SeedSequence((key..., iteration, stream)).generate_state(4,
- * np.uint64), a uniform draw is (next64 >> 11) * 2^-53 and a bounded integer
- * is Lemire's method on the 32-bit outputs (Generator.random and
- * Generator.integers).
+ * One colony_run call runs every iteration of the improved or conventional
+ * ant colony: the ant walks, the repair pick, the score, the elite rank,
+ * evaporation and deposits, and best-cost tracking. The arithmetic is that
+ * of the reference loop in tests/oracles.py, operation for operation: the
+ * same candidate order, the same w / total cumulative sum, the same stable
+ * rank and the same deposit order. The random numbers are numpy's: each
+ * stream is a PCG64 generator (O'Neill 2014, XSL-RR 128/64) seeded from the
+ * four words of np.random.SeedSequence((key..., iteration,
+ * stream)).generate_state(4, np.uint64), a uniform draw is (next64 >> 11) *
+ * 2^-53 and a bounded integer is Lemire's method on the 32-bit outputs
+ * (Generator.random and Generator.integers).
  *
  * Build with -ffp-contract=off and without -ffast-math: a fused
  * multiply-add or a reordered sum would change bits.
  */
 #include <float.h>
 #include <math.h>
+#include <stdbool.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -137,11 +139,22 @@ typedef struct {
     double length, cost;
 } ant_path;
 
+/* (row, column) offset per direction index: antnav.geometry.DIR_OFFSETS */
+static const int DIR_OFFSETS[8][2] = {{1, 0}, {1, 1}, {0, 1}, {-1, 1},
+                                      {-1, 0}, {-1, -1}, {0, -1}, {1, -1}};
+
+/* Id of the neighbour of cell id pos in direction d, or -1 when off the grid or blocked */
+static int neighbour(const bool *mask, int rows, int cols, int pos, int d)
+{
+    int r = pos / cols + DIR_OFFSETS[d][0], c = pos % cols + DIR_OFFSETS[d][1];
+    return r >= 0 && r < rows && c >= 0 && c < cols && mask[r * cols + c] ? r * cols + c : -1;
+}
+
 /* One roulette walk with a tabu list and a step cap. Returns COLONY_OK or
  * COLONY_BAD_TOTAL. */
-static int walk(const int32_t *nbr, const double *w_edge, const double *corner, int improved,
-                const double *steps, int start, int goal, int max_steps, pcg64 *g,
-                unsigned char *tabu, ant_path *p)
+static int walk(const bool *mask, int rows, int cols, const double *w_edge,
+                const double *corner, int improved, const double *steps, int start, int goal,
+                int max_steps, pcg64 *g, unsigned char *tabu, ant_path *p)
 {
     int pos = start, prev = -1;
     p->cells[0] = start;
@@ -149,13 +162,12 @@ static int walk(const int32_t *nbr, const double *w_edge, const double *corner, 
     p->length = 0.0;
     tabu[start] = 1;
     for (int s = 0; s < max_steps; s++) {
-        const int32_t *row = nbr + (size_t)pos * 8;
         const double *w_row = w_edge + (size_t)pos * 8;
         const double *turn = corner + (prev + 1) * 8;
         double cw[8], total = 0.0;
         int cn[8], cd[8], k = 0;
         for (int d = 0; d < 8; d++) {
-            int nid = row[d];
+            int nid = neighbour(mask, rows, cols, pos, d);
             if (nid < 0 || tabu[nid])
                 continue;
             double w = w_row[d];
@@ -211,21 +223,21 @@ static void copy_path(ant_path *dst, const ant_path *src)
     dst->cost = src->cost;
 }
 
-/* The colony run of plan_subpath. Arrays: nbr (n, 8), tau (n * 8, updated
- * in place), eta_g (8), steps (8), corner (9, 8), key (n_key), best_cells
- * (max_steps + 1), best_dirs (max_steps), series (n_iters). Ant k of
- * iteration it walks on the stream of the words (key..., it, k), it from 1,
- * and the repair draws from k = n_ants. max_steps must not exceed n - 1. On
- * COLONY_OK the best path is in best_cells[0..*best_steps] and
- * best_dirs[0..*best_steps - 1]. */
-int colony_run(const int32_t *nbr, int n, double *tau, const double *eta_g,
+/* The colony run of plan_subpath. Arrays: mask (rows, cols), tau (n * 8 for
+ * n = rows * cols, updated in place), eta_g (8), steps (8), corner (9, 8), key
+ * (n_key), best_cells (max_steps + 1), best_dirs (max_steps), series
+ * (n_iters). Ant k of iteration it walks on the stream of the words (key...,
+ * it, k), it from 1, and the repair draws from k = n_ants. max_steps must not
+ * exceed n - 1. On COLONY_OK the best path is in best_cells[0..*best_steps]
+ * and best_dirs[0..*best_steps - 1]. */
+int colony_run(const bool *mask, int rows, int cols, double *tau, const double *eta_g,
                const double *steps, const double *corner, const uint32_t *key, int n_key,
                int n_iters, int n_ants, int max_steps, int start, int goal, int improved,
                double phi, double rho, double q, double delta, double zeta, int elite_cutoff,
                int32_t *best_cells, int8_t *best_dirs, int *best_steps, int *best_corners,
                double *best_length, double *series)
 {
-    const int m = n_ants;
+    const int m = n_ants, n = rows * cols;
     const size_t n_edges = (size_t)n * 8;
     double *w_edge = malloc(sizeof(double) * n_edges);
     unsigned char *tabu = malloc((size_t)n);
@@ -258,8 +270,8 @@ int colony_run(const int32_t *nbr, int n, double *tau, const double *eta_g,
             words[n_key + 1] = (uint32_t)k;
             pcg_seed(&g, words, n_key + 2);
             memset(tabu, 0, (size_t)n);
-            code = walk(nbr, w_edge, corner, improved, steps, start, goal, max_steps, &g,
-                        tabu, &ants[k]);
+            code = walk(mask, rows, cols, w_edge, corner, improved, steps, start, goal,
+                        max_steps, &g, tabu, &ants[k]);
             if (code != COLONY_OK)
                 goto done;
             if (ants[k].reached) {
@@ -358,4 +370,23 @@ done:
     free(dir_buf);
     free(words);
     return code;
+}
+
+/* Marks in reach the cells of the rows x cols mask 8-connected to cell id start
+ * through traversable cells, start included. queue (rows * cols) is the
+ * breadth-first queue, passed in so that the search allocates nothing. */
+void reachable(const bool *mask, int rows, int cols, int start, int32_t *queue, bool *reach)
+{
+    int count = 1;
+    memset(reach, 0, (size_t)rows * (size_t)cols);
+    reach[start] = true;
+    queue[0] = start;
+    for (int head = 0; head < count; head++)
+        for (int d = 0; d < 8; d++) {
+            int nid = neighbour(mask, rows, cols, queue[head], d);
+            if (nid >= 0 && !reach[nid]) {
+                reach[nid] = true;
+                queue[count++] = nid;
+            }
+        }
 }

@@ -1,4 +1,4 @@
-"""Shared 2D helpers: angle wrapping, robot pose, 8-connected grid directions."""
+"""Shared helpers: angle wrapping, robot pose, 8-connected grid directions, sequential sums."""
 from __future__ import annotations
 
 import math
@@ -8,6 +8,14 @@ Cell = tuple[int, int]  # (row, col); row grows with world +y, col with +x
 Point = tuple[float, float]  # world-frame meters
 
 SQRT2 = math.sqrt(2.0)
+
+
+def sequential_sum(values):
+    """Left-to-right sum from int 0: sum() up to Python 3.11, not 3.12's compensated one."""
+    total = 0
+    for v in values:
+        total += v
+    return total
 
 
 def wrap_angle(a: float) -> float:

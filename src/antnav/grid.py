@@ -5,9 +5,9 @@ so when the robot sits on a world cell center with matching cell size, local
 cells coincide with world cells. Occupied cells are inflated by marking their
 8-neighborhood (configurable ring count) as non-traversable. `perceive` runs
 the whole stage (scan, rasterize, inflate, occlusion mask, world clamp). Each
-step, like reachable_component, is one call of the compiled kernel
-(perception.c, built on first use by kernel.py); tests/oracles.py keeps the
-per-ray and per-cell loops they reproduce as the reference.
+step is one call of the compiled kernel (perception.c, built on first use by
+kernel.py); tests/oracles.py keeps the per-ray and per-cell loops they
+reproduce as the reference.
 """
 from __future__ import annotations
 
@@ -74,7 +74,8 @@ class LocalGrid:
         return None
 
     def traversable_mask(self) -> np.ndarray:
-        """Boolean mask of cells an ant may occupy (free cells plus the robot cell)."""
+        """Boolean mask of cells an ant may occupy (free cells plus the robot cell): the one
+        traversability rule, which the colony, the reachability search and APF read."""
         return (self.cells == CellState.FREE) | (self.cells == CellState.ROBOT)
 
 
@@ -180,13 +181,3 @@ def candidate_cells(grid: LocalGrid) -> CandidateSet:
     return CandidateSet(tuple(zip(zip(rows.tolist(), cols.tolist()),
                                   zip(xs[cols].tolist(), ys[rows].tolist()))))
 
-
-def reachable_component(grid: LocalGrid) -> np.ndarray:
-    """Boolean mask of the cells 8-connected to the robot cell through traversable cells."""
-    reach = np.empty((grid.side,) * 2, dtype=bool)
-    code = kernel.module().lib.reachable(
-        pointer(grid.cells, np.int8, grid.cells.shape), grid.half_extent,
-        pointer(reach, np.bool_, reach.shape, writable=True))
-    if code != 0:
-        raise MemoryError("the reachability kernel could not allocate its buffer")
-    return reach

@@ -37,12 +37,13 @@ SUFFIX = sysconfig.get_config_var("EXT_SUFFIX")
 _PREFIXES = ("_kernel_", "_colony_")
 
 CDEF = """
-int colony_run(const int32_t *nbr, int n, double *tau, const double *eta_g,
+int colony_run(const _Bool *mask, int rows, int cols, double *tau, const double *eta_g,
                const double *steps, const double *corner, const uint32_t *key, int n_key,
                int n_iters, int n_ants, int max_steps, int start, int goal, int improved,
                double phi, double rho, double q, double delta, double zeta, int elite_cutoff,
                int32_t *best_cells, int8_t *best_dirs, int *best_steps, int *best_corners,
                double *best_length, double *series);
+void reachable(const _Bool *mask, int rows, int cols, int start, int32_t *queue, _Bool *reach);
 int cast_rays(const _Bool *occ, int rows, int cols, double cell_size, double x0, double y0,
               double psi, double radius, int n_rays, double *samples);
 void rasterize(const double *samples, int k, double x0, double y0, double psi,
@@ -51,7 +52,6 @@ int mask_occluded(const double *samples, int k, int64_t n_rays, double x0, doubl
                   double psi, double cell_size, int half_extent, int8_t *cells);
 void clamp_to_world(double x0, double y0, double cell_size, int half_extent,
                     double world_cell_size, int world_rows, int world_cols, int8_t *cells);
-int reachable(const int8_t *cells, int half_extent, _Bool *reach);
 double py_hypot(double x, double y);
 """
 CFLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math")

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import EmptyRuns
-from .geometry import Point
+from .geometry import Point, sequential_sum
 
 
 class RunStatus(enum.Enum):
@@ -48,7 +48,7 @@ def aggregate(runs: list[RunMetrics]) -> dict[str, AggregateStats]:
     out = {}
     for name, values in (("path_length", [r.path_length for r in runs]),
                          ("corners", [float(r.corners) for r in runs])):
-        out[name] = AggregateStats(min(values), max(values), sum(values) / len(values))
+        out[name] = AggregateStats(min(values), max(values), sequential_sum(values) / len(values))
     return out
 
 
@@ -68,8 +68,8 @@ def corner_count(points: list[Point]) -> int:
 
 
 def path_length(points: list[Point]) -> float:
-    return sum(math.hypot(x1 - x0, y1 - y0)
-               for (x0, y0), (x1, y1) in zip(points, points[1:]))
+    return sequential_sum(math.hypot(x1 - x0, y1 - y0)
+                          for (x0, y0), (x1, y1) in zip(points, points[1:]))
 
 
 def _sign(v: float) -> int:

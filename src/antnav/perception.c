@@ -2,8 +2,7 @@
  *
  * cast_rays is antnav.scan.simulate_scan's ray cast, rasterize is
  * antnav.grid.build_local_grid's rasterize and inflate, mask_occluded is
- * antnav.grid._mask_occluded, clamp_to_world is antnav.grid._clamp_to_world
- * and reachable is antnav.grid.reachable_component.
+ * antnav.grid._mask_occluded and clamp_to_world is antnav.grid._clamp_to_world.
  * The arithmetic is that of the per-ray and per-cell reference loops in
  * tests/oracles.py, operation for operation, so every cell state and every
  * sample is bit-identical to theirs:
@@ -306,33 +305,4 @@ void clamp_to_world(double x0, double y0, double cell_size, int half_extent,
                 cells[r * side + c] = OCCUPIED;
         }
     }
-}
-
-/* Marks in reach the cells of the side x side grid 8-connected to its
- * center cell through FREE and ROBOT cells; the center always counts.
- * Returns 0, or -1 when out of memory. */
-int reachable(const int8_t *cells, int half_extent, bool *reach)
-{
-    int side = 2 * half_extent + 1, center = half_extent * side + half_extent, top = 0;
-    int *stack = malloc((size_t)side * side * sizeof *stack); /* each cell enters once */
-
-    if (!stack)
-        return -1;
-    memset(reach, 0, (size_t)side * side);
-    reach[center] = true;
-    stack[top++] = center;
-    while (top > 0) {
-        int id = stack[--top], r = id / side, c = id % side;
-        for (int rr = r - 1; rr <= r + 1; rr++)
-            for (int cc = c - 1; cc <= c + 1; cc++) {
-                int j = rr * side + cc;
-                if (rr < 0 || rr >= side || cc < 0 || cc >= side || reach[j]
-                    || (cells[j] != FREE && cells[j] != ROBOT))
-                    continue;
-                reach[j] = true;
-                stack[top++] = j;
-            }
-    }
-    free(stack);
-    return 0;
 }

@@ -17,7 +17,7 @@ from .aco import AcoMode, AcoParams, GridGraph, eta_gamma, plan_subpath
 from .baselines import ApfParams, apf_step
 from .errors import LocalMinimum, NoCandidates, NoPathFound
 from .geometry import SQRT2, Cell, Point, Pose
-from .grid import CellState, LocalGrid, candidate_cells, perceive, reachable_component
+from .grid import LocalGrid, candidate_cells, perceive
 from .metrics import RunMetrics, RunStatus, corner_count, path_length
 from .subgoal import CostWeights, rank_candidates
 from .world import WorldMap
@@ -152,20 +152,21 @@ def plan_cycle(world: WorldMap, state: PlannerState, goal: Point,
     except NoCandidates:
         return halted(RunStatus.STUCK)
 
+    graph = GridGraph(grid.traversable_mask(), grid.cell_size)  # shared by every trial
     # Cells the robot can actually reach within this grid. When the reachable
     # free space is a closed pocket that touches no grid edge and does not
     # contain the goal, no sub-goal can ever make progress: the robot is stuck.
-    component = reachable_component(grid)
+    component = graph.reachable_from(grid.center_cell)
     goal_cell = grid.cell_containing(goal)
     goal_inside = goal_cell is not None and bool(component[goal_cell])
     if not goal_inside and not (component[[0, -1]].any() or component[:, [0, -1]].any()):
         return halted(RunStatus.STUCK)
 
     # Terminal capture: a visible free goal cell overrides the cost function,
-    # otherwise the chain of sub-goals can orbit the goal forever.
+    # otherwise the chain of sub-goals can orbit the goal forever. Every
+    # reachable cell but the robot's is free.
     trials: list[tuple[Cell, Point]] = []
-    if goal_inside and goal_cell != grid.center_cell \
-            and grid.state_at(goal_cell) is CellState.FREE:
+    if goal_inside and goal_cell != grid.center_cell:
         trials.append((goal_cell, grid.world_center(goal_cell)))
     ranked = rank_candidates(candidates, pose, goal, config.weights)
     capture = trials[0][0] if trials else None
@@ -175,7 +176,6 @@ def plan_cycle(world: WorldMap, state: PlannerState, goal: Point,
         return halted(RunStatus.STUCK)
 
     aco_params = config.aco_for_planner()
-    graph = GridGraph(grid.traversable_mask(), grid.cell_size)  # shared by every trial
     path = None
     subgoal_world = None
     series: list[float] = []

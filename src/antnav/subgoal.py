@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import EmptyCandidates
-from .geometry import Cell, Point, Pose, wrap_angle
+from .geometry import Cell, Point, Pose, sequential_sum, wrap_angle
 from .grid import CandidateSet
 
 
@@ -50,7 +50,7 @@ def normalize(values: list[float]) -> list[float]:
     """Scale non-negative values to sum to 1; an all-zero family becomes uniform."""
     if not values:
         raise ValueError("normalize needs at least one value")
-    total = sum(values)
+    total = sequential_sum(values)
     if total == 0.0:
         return [1.0 / len(values)] * len(values)
     return [v / total for v in values]

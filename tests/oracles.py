@@ -2,9 +2,10 @@
 
 Everything here is deliberately written from scratch against the math, not by
 calling into the package, so the implementations under test are checked by a
-separate route. From antnav only types and constants are imported: the
-colony reference at the end, the Python loop the compiled kernel replaced,
-is built from the rule oracles above.
+separate route. From antnav only types, constants and the sequential sum are
+imported: the colony reference at the end, the Python loop the compiled
+kernel replaced, is built from the rule oracles above, and its neighbours
+come from the traversable mask and DIR_OFFSETS alone.
 """
 import heapq
 import math
@@ -12,7 +13,7 @@ import math
 import numpy as np
 
 from antnav import AcoMode, AntPath, NoPathFound
-from antnav.geometry import DIR_ANGLES, DIR_OFFSETS
+from antnav.geometry import DIR_ANGLES, DIR_OFFSETS, sequential_sum
 
 SQRT2 = math.sqrt(2.0)
 
@@ -81,7 +82,7 @@ def transition_ref(tau, cols, neighbors, tabu, prev_dir, cell, phi, gamma, cell_
             w *= corner_ref(prev_dir, cell, j)
         weights.append(w)
         kept.append(j)
-    total = sum(weights)
+    total = sequential_sum(weights)
     return {j: w / total for j, w in zip(kept, weights)}
 
 
@@ -279,17 +280,18 @@ def candidates_ref(cells, origin, cell_size, h):
     return out
 
 
-def reachable_ref(cells, h):
-    """Cells 8-connected to the center through free or robot cells."""
-    side = 2 * h + 1
-    seen = {(h, h)}
-    stack = [(h, h)]
+def reachable_ref(mask, start):
+    """Cells 8-connected to start through traversable cells of a boolean mask;
+    start always counts."""
+    rows, cols = len(mask), len(mask[0])
+    seen = {start}
+    stack = [start]
     while stack:
         r, c = stack.pop()
         for nr in (r - 1, r, r + 1):
             for nc in (c - 1, c, c + 1):
-                if 0 <= nr < side and 0 <= nc < side and (nr, nc) not in seen \
-                        and cells[nr, nc] in (FREE, ROBOT):
+                if 0 <= nr < rows and 0 <= nc < cols and (nr, nc) not in seen \
+                        and mask[nr][nc]:
                     seen.add((nr, nc))
                     stack.append((nr, nc))
     return seen
@@ -297,10 +299,25 @@ def reachable_ref(cells, h):
 
 # --- colony: the Python walker and plan_subpath loop the compiled kernel replaced ---
 
+def neighbors_ref(mask, cell):
+    """(direction index, cell) of each 8-neighbor of cell on a boolean mask, in
+    DIR_OFFSETS order, when both cells are traversable; none for a blocked cell."""
+    rows, cols = len(mask), len(mask[0])
+    r, c = cell
+    if not mask[r][c]:
+        return []
+    return [(d, (r + dr, c + dc)) for d, (dr, dc) in enumerate(DIR_OFFSETS)
+            if 0 <= r + dr < rows and 0 <= c + dc < cols and mask[r + dr][c + dc]]
+
+
 def neighbor_table_ref(graph):
-    """Per cell id: (neighbor id, edge index, direction index, step) in canonical order."""
-    return [[(nid, cid * 8 + d, d, graph.steps[d]) for d, nid in enumerate(row) if nid >= 0]
-            for cid, row in enumerate(graph.nbr.tolist())]
+    """Per cell id: (neighbor id, edge index, direction index, step) in canonical
+    order, from the graph's mask."""
+    mask = graph.mask.tolist()
+    cols = len(mask[0])
+    return [[(nr * cols + nc, cid * 8 + d, d, graph.steps[d])
+             for d, (nr, nc) in neighbors_ref(mask, divmod(cid, cols))]
+            for cid in range(len(mask) * cols)]
 
 
 def colony_tables_ref(graph, params):

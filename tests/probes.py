@@ -2,7 +2,9 @@
 
 Each probe reads what plan_subpath hands the kernel (its eta_gamma and
 _CORNER_FACTORS tables) or what the kernel leaves behind (the pheromone
-array), so the checks built on them test the code the planner runs.
+array), so the checks built on them test the code the planner runs. The
+neighbours of a cell come from the traversable mask (oracles.neighbors_ref),
+not from the package.
 """
 import math
 from unittest import mock
@@ -14,6 +16,8 @@ from antnav import aco, kernel
 from antnav.aco import _CORNER_FACTORS, eta_gamma
 from antnav.geometry import DIR_ANGLES, wrap_angle
 
+from oracles import neighbors_ref
+
 
 def random_field_state(rng, n=6):
     mask = rng.random((n, n)) > 0.2
@@ -23,8 +27,7 @@ def random_field_state(rng, n=6):
     tau = np.empty(graph.n * 8)
     for k in range(len(tau)):
         tau[k] = float(rng.uniform(0.01, 5.0))
-    nbr_cells = [graph.cell_of(nid)
-                 for nid in graph.nbr[graph.id_of(cell)].tolist() if nid >= 0]
+    nbr_cells = [j for _, j in neighbors_ref(mask, cell)]
     if not nbr_cells:
         return None
     tabu = frozenset(c for c in nbr_cells if rng.random() < 0.3)
@@ -45,14 +48,14 @@ def kernel_transition(tau, graph, cell, tabu, prev, params):
     turn = _CORNER_FACTORS[prev + 1].tolist()
     cid = graph.id_of(cell)
     weights, total = {}, 0.0
-    for d, nid in enumerate(graph.nbr[cid].tolist()):
-        if nid < 0 or graph.cell_of(nid) in tabu:
+    for d, j in neighbors_ref(graph.mask, cell):
+        if j in tabu:
             continue
         w = (tau[cid * 8 + d] if params.phi == 1.0 else tau[cid * 8 + d] ** params.phi) \
             * eta_g[d]
         if params.mode is AcoMode.IMPROVED:
             w *= turn[d]
-        weights[graph.cell_of(nid)] = w
+        weights[j] = w
         total += w
     return {c: w / total for c, w in weights.items()}
 

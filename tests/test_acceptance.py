@@ -20,7 +20,7 @@ from antnav.aco import eta_gamma
 from antnav.geometry import DIR_ANGLES, DIR_OFFSETS, SQRT2
 from antnav.scenario import parse_groups, parse_scenario, with_planner, with_seed, with_weights
 
-from oracles import (corner_ref, dijkstra_ref, heuristic_ref, normalize_ref,
+from oracles import (corner_ref, dijkstra_ref, heuristic_ref, neighbors_ref, normalize_ref,
                      plan_subpath_ref, polar_ref, raw_constraints_ref, score_ref,
                      transition_ref)
 from probes import kernel_run, kernel_transition, random_field_state
@@ -100,8 +100,7 @@ class TestCriterion1:
             params = AcoParams(phi=float(rng.uniform(0.5, 2.0)),
                                gamma=float(rng.uniform(0.5, 6.0)), mode=mode)
             dist = kernel_transition(tau, graph, cell, tabu, prev, params)
-            nbr_cells = [graph.cell_of(nid)
-                         for nid in graph.nbr[graph.id_of(cell)].tolist() if nid >= 0]
+            nbr_cells = [j for _, j in neighbors_ref(graph.mask, cell)]
             ref = transition_ref(tau, graph.cols, nbr_cells, tabu,
                                  None if prev < 0 else DIR_ANGLES[prev], cell, params.phi,
                                  params.gamma, graph.cell_size, mode is AcoMode.IMPROVED)

@@ -12,7 +12,8 @@ from antnav.aco import _CORNER_FACTORS, eta_gamma
 from antnav.geometry import DIR_ANGLES, DIR_INDEX, DIR_OFFSETS
 
 import oracles
-from oracles import corner_ref, heuristic_ref, rel_close, score_ref, transition_ref
+from oracles import (corner_ref, heuristic_ref, neighbors_ref, plan_subpath_ref,
+                     reachable_ref, rel_close, score_ref, transition_ref)
 from probes import kernel_run, kernel_transition, random_field_state
 
 SQRT2 = math.sqrt(2.0)
@@ -290,8 +291,7 @@ class TestTransitionProbabilities:
             params = AcoParams(phi=float(rng.uniform(0.5, 2.0)),
                                gamma=float(rng.uniform(0.5, 6.0)), mode=mode)
             dist = kernel_transition(tau, graph, cell, tabu, prev, params)
-            nbr_cells = [graph.cell_of(nid)
-                         for nid in graph.nbr[graph.id_of(cell)].tolist() if nid >= 0]
+            nbr_cells = [j for _, j in neighbors_ref(graph.mask, cell)]
             ref = transition_ref(tau, graph.cols, nbr_cells, tabu,
                                  None if prev < 0 else DIR_ANGLES[prev], cell, params.phi,
                                  params.gamma, graph.cell_size, mode is AcoMode.IMPROVED)
@@ -671,9 +671,7 @@ class TestWalkKernel:
                 oracles.edge_weights_ref(tau, params.phi, eta_g), turn.tolist(),
                 graph.id_of(start), graph.id_of(goal), graph.n - 1, ScriptedDraws(draws))
 
-            nbr_cells = {cell: [graph.cell_of(nid)
-                                for nid in graph.nbr[graph.id_of(cell)].tolist() if nid >= 0]
-                         for cell in path.cells}
+            nbr_cells = {cell: [j for _, j in neighbors_ref(mask, cell)] for cell in path.cells}
             prev = None
             for i, (cell, nxt, d) in enumerate(zip(path.cells, path.cells[1:], path.dirs)):
                 dist = transition_ref(tau, graph.cols, nbr_cells[cell], path.cells[:i + 1],
@@ -795,20 +793,78 @@ class TestKernelDifferential:
             kernel.pointer(frozen, np.float64, (8,), writable=True)
 
 
+def rectangular_mask(rng, case):
+    """A random rectangular mask: a 1 x n or n x 1 strip in one case of four,
+    otherwise rows != cols; one case in three is a transposed (not C-contiguous)
+    view."""
+    n = int(rng.integers(2, 10))
+    if case % 4 == 0:
+        shape = (1, n) if case % 8 == 0 else (n, 1)
+    else:
+        rows = int(rng.integers(2, 9))
+        shape = (rows, int(rng.choice([c for c in range(2, 10) if c != rows])))
+    mask = rng.random(shape[::-1]).T > (0.05 if 1 in shape else rng.uniform(0.1, 0.4))
+    return mask if case % 3 == 0 else np.ascontiguousarray(mask)
+
+
 class TestGridGraph:
-    def test_neighbour_array_matches_a_loop(self):
+    """The kernel's reading of the mask, rows and columns kept apart: every
+    differential case elsewhere is square, so a rows/cols swap would pass there."""
+
+    def test_rectangular_grids_match_the_reference(self):
         rng = np.random.default_rng(8)
-        for _ in range(50):
-            rows, cols = (int(v) for v in rng.integers(1, 9, 2))
-            mask = rng.random((rows, cols)) > 0.3
+        found = strips = 0
+        for case in range(240):
+            mask = rectangular_mask(rng, case)
+            free = [tuple(map(int, c)) for c in np.argwhere(mask)]
+            if len(free) < 2:
+                continue
+            i, j = rng.choice(len(free), 2, replace=False)
+            graph = GridGraph(mask, float(rng.uniform(0.3, 2.0)))
+            params = AcoParams(phi=[1.0, 0.6][case % 2], gamma=float(rng.uniform(0.5, 4.0)),
+                               n_ants=int(rng.integers(2, 8)), n_iters=int(rng.integers(1, 6)),
+                               mode=AcoMode.IMPROVED if case % 2 else AcoMode.CONVENTIONAL)
+            try:
+                expected = plan_subpath_ref(graph, free[i], free[j], params, case)
+            except NoPathFound as exc:
+                with pytest.raises(NoPathFound) as got:
+                    plan_subpath(graph, free[i], free[j], params, case)
+                assert str(got.value) == str(exc)
+                continue
+            path, series = plan_subpath(graph, free[i], free[j], params, case)
+            assert (path.cells, path.dirs, path.length, path.corners) == \
+                (expected[0].cells, expected[0].dirs, expected[0].length, expected[0].corners)
+            assert series == expected[1]
+            found += 1
+            strips += 1 in mask.shape
+        assert found >= 200 and strips >= 50, (found, strips)
+
+    def test_reachable_from_matches_the_reference(self):
+        rng = np.random.default_rng(9)
+        for case in range(200):
+            mask = rectangular_mask(rng, case)
+            rows, cols = mask.shape
             graph = GridGraph(mask, 1.0)
-            assert graph.nbr.shape == (rows * cols, 8) and graph.nbr.dtype == np.int32
-            for cid in range(graph.n):
-                r, c = divmod(cid, cols)
-                for d, (dr, dc) in enumerate(DIR_OFFSETS):
-                    nr, nc = r + dr, c + dc
-                    ok = mask[r, c] and 0 <= nr < rows and 0 <= nc < cols and mask[nr, nc]
-                    assert graph.nbr[cid, d] == (nr * cols + nc if ok else -1)
+            off_centre = (int(rng.integers(rows)), int(rng.integers(cols)))
+            # the corners and a random cell, blocked or not: the start always counts
+            for start in ((0, 0), (0, cols - 1), (rows - 1, 0), (rows - 1, cols - 1), off_centre):
+                reach = graph.reachable_from(start)
+                assert reach.shape == (rows, cols) and reach.dtype == np.bool_
+                assert set(map(tuple, np.argwhere(reach).tolist())) == \
+                    reachable_ref(mask.tolist(), start)
+        with pytest.raises(ValueError):
+            graph.reachable_from((rows, 0))
+
+    def test_graph_keeps_a_copy_of_the_mask(self):
+        mask = np.ones((3, 7), bool)
+        graph = GridGraph(mask, 1.0)
+        params = AcoParams(n_ants=6, n_iters=4)
+        before = plan_subpath(graph, (0, 0), (2, 6), params, 3)
+        mask[:, 3] = False  # a wall between start and goal, in the caller's array only
+        assert not graph.mask.flags.writeable
+        assert plan_subpath(graph, (0, 0), (2, 6), params, 3) == before
+        assert graph.reachable_from((0, 0)).all()
+        assert not GridGraph(mask, 1.0).reachable_from((0, 0))[:, 4:].any()
 
 
 # the PCG64 output function and seeding (O'Neill 2014) that colony.c implements

@@ -5,11 +5,14 @@ one on purpose updates it here and says so, with the acceptance verdicts
 before and after.
 """
 import hashlib
+import math
+import sys
 from pathlib import Path
 
 import pytest
 
 from antnav.cli import main
+from antnav.geometry import sequential_sum
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -69,3 +72,47 @@ def test_sweep_digests(tmp_path):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in tmp_path.glob("*.csv")}
     assert digests == SWEEP_SHA256
+
+
+def neumaier_sum(iterable, /, start=0):
+    """sum() as Python 3.12 and later add: ints exactly, then floats with
+    Neumaier's compensation, the compensation added once at the end."""
+    items = iter(iterable)
+    total = start
+    for item in items:
+        if type(total) is int and type(item) in (int, bool):
+            total += item
+            continue
+        total = total + item  # the first float ends the exact int phase
+        break
+    if type(total) is not float:
+        for item in items:
+            total = total + item
+        return total
+    comp = 0.0
+    for item in items:
+        if type(item) is float:
+            t = total + item
+            comp += (total - t) + item if abs(total) >= abs(item) else (item - t) + total
+            total = t
+        else:
+            total += float(item)
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+@pytest.fixture
+def compensated_sum(monkeypatch):
+    """Every antnav module sees Python 3.12's sum() in place of the builtin."""
+    assert neumaier_sum([0.1] * 10) == 1.0 != sequential_sum([0.1] * 10)
+    assert neumaier_sum([]) == 0 and type(neumaier_sum([2, True])) is int
+    for name, module in list(sys.modules.items()):
+        if name == "antnav" or name.startswith("antnav."):
+            monkeypatch.setattr(module, "sum", neumaier_sum, raising=False)
+
+
+def test_digests_do_not_depend_on_the_sum_of_the_python_version(compensated_sum, tmp_path):
+    for name in sorted(TRAJECTORY_SHA256):
+        test_run_trajectory_digest(name, tmp_path)
+    test_compare_digests(tmp_path / "compare")
+    test_sweep_digests(tmp_path / "sweep")
+

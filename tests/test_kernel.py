@@ -1,5 +1,6 @@
 """Building and loading the compiled kernel (colony.c and perception.c)."""
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -109,3 +110,13 @@ def test_bool_grid_is_passed_without_a_copy():
     occ = np.zeros((3, 4), dtype=bool)
     ptr = kernel.pointer(occ, np.bool_, occ.shape)
     assert int(kernel.module().ffi.cast("uintptr_t", ptr)) == occ.ctypes.data
+
+
+def test_sources_compile_without_warnings():
+    # catches parameters and locals that a signature change leaves unused
+    texts = [path.read_text(encoding="utf-8") for path in kernel.SOURCES]
+    res = subprocess.run([os.environ.get("CC", "cc"), "-fsyntax-only", "-std=c11", "-Wall",
+                          "-Wextra", "-Werror", "-x", "c", "-"],
+                         input=kernel._unit(texts), capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+

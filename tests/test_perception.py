@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from antnav import (CellState, MovingObstacle, MoverPolicy, NoCandidates, Pose, Scan,
-                    build_local_grid, candidate_cells, kernel, perceive, reachable_component,
-                    simulate_scan)
+from antnav import (CellState, GridGraph, MovingObstacle, MoverPolicy, NoCandidates, Pose,
+                    Scan, build_local_grid, candidate_cells, kernel, perceive, simulate_scan)
 from antnav.grid import _mask_occluded
 from antnav.world import WorldMap
 
-from oracles import (candidates_ref, clamp_ref, local_grid_ref, occlude_ref,
+from oracles import (FREE, ROBOT, candidates_ref, clamp_ref, local_grid_ref, occlude_ref,
                      reachable_ref, scan_ref)
 
 STEP_HEADINGS = [math.atan2(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)
@@ -105,8 +104,10 @@ def test_perception_matches_reference_loops(cell_size):
             with pytest.raises(NoCandidates):
                 candidate_cells(grid)
 
-        reach = reachable_component(grid)
-        assert set(map(tuple, np.argwhere(reach).tolist())) == reachable_ref(expected, h)
+        # the planner's reachability: traversable_mask, then the kernel's search
+        reach = GridGraph(grid.traversable_mask(), cell_size).reachable_from(grid.center_cell)
+        traversable = [[state in (FREE, ROBOT) for state in row] for row in expected.tolist()]
+        assert set(map(tuple, np.argwhere(reach).tolist())) == reachable_ref(traversable, (h, h))
     # every branch the reference takes was exercised
     assert all(count > 0 for count in fired.values()), fired
 
