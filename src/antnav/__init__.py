@@ -7,10 +7,9 @@ local grid (inflated, occlusion-masked, clamped to the world), pick the minimum-
 
 from .aco import AcoMode, AcoParams, AntPath, GridGraph, corner_heuristic, plan_subpath
 from .baselines import ApfParams, apf_step
-from .errors import (AntnavError, ColonyWeightError, EmptyCandidates, EmptyRuns,
-                     InvalidExtent, LocalMinimum, MapParseError, NoCandidates,
-                     NoPathFound, OutOfBounds, PoseInObstacle, PoseOutOfBounds,
-                     ScenarioParseError)
+from .errors import (AntnavError, ColonyWeightError, EmptyRuns, InvalidExtent,
+                     LocalMinimum, MapParseError, NoCandidates, NoPathFound, OutOfBounds,
+                     PoseInObstacle, PoseOutOfBounds, ScenarioParseError)
 from .geometry import Cell, Point, Pose, wrap_angle
 from .grid import (CandidateSet, CellState, LocalGrid, build_local_grid,
                    candidate_cells, perceive)

@@ -38,11 +38,7 @@ class InvalidExtent(AntnavError):
 
 
 class NoCandidates(AntnavError):
-    """No sub-goal candidates: the robot is enclosed by obstacles/inflation."""
-
-
-class EmptyCandidates(AntnavError):
-    """Sub-goal selection called with an empty candidate set."""
+    """No sub-goal candidates: the robot is enclosed by obstacles/inflation, or the set is empty."""
 
 
 class NoPathFound(AntnavError):

@@ -4,10 +4,11 @@ The grid is axis-aligned in the world frame and centered on the scan origin,
 so when the robot sits on a world cell center with matching cell size, local
 cells coincide with world cells. Occupied cells are inflated by marking their
 8-neighborhood (configurable ring count) as non-traversable. `perceive` runs
-the whole stage (scan, rasterize, inflate, occlusion mask, world clamp). Each
-step is one call of the compiled kernel (perception.c, built on first use by
-kernel.py); tests/oracles.py keeps the per-ray and per-cell loops they
-reproduce as the reference.
+the whole stage (scan, rasterize, inflate, occlusion mask, world clamp) in
+one call of the compiled kernel (perception.c, built on first use by
+kernel.py) and builds no Scan; `build_local_grid` rasterizes and inflates a
+given Scan, without occlusion. tests/oracles.py keeps the per-ray and
+per-cell loops they reproduce as the reference.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from . import kernel
 from .errors import InvalidExtent, NoCandidates
 from .geometry import Cell, Point, Pose
 from .kernel import pointer
-from .scan import Scan, simulate_scan
+from .scan import Scan, checked_occupancy
 from .world import WorldMap
 
 
@@ -48,9 +49,6 @@ class LocalGrid:
     @property
     def center_cell(self) -> Cell:
         return (self.half_extent, self.half_extent)
-
-    def state_at(self, cell: Cell) -> CellState:
-        return CellState(self.cells[cell])
 
     def world_center(self, cell: Cell) -> Point:
         r, c = cell
@@ -86,77 +84,61 @@ class CandidateSet:
     cells: tuple[tuple[Cell, Point], ...]
 
 
+def _kernel_rings(radius: float, cell_size: float, half_extent: int,
+                  inflation_rings: int) -> int:
+    """The ring count handed to the kernel, once the local grid arguments pass.
+
+    Raises InvalidExtent when half_extent < 1 or the square would poke out of
+    the scan disc (half_extent * cell_size > radius), ValueError when
+    inflation_rings < 0.
+    """
+    if half_extent < 1:
+        raise InvalidExtent("half_extent must be >= 1")
+    if half_extent * cell_size > radius + 1e-9:
+        raise InvalidExtent(
+            f"half_extent {half_extent} x cell_size {cell_size} exceeds scan radius {radius}")
+    if inflation_rings < 0:
+        raise ValueError("inflation_rings must be >= 0")
+    return min(inflation_rings, 2 * half_extent + 1)  # more rings add nothing
+
+
 def build_local_grid(scan: Scan, cell_size: float, half_extent: int,
                      inflation_rings: int = 1) -> LocalGrid:
-    """Rasterize a scan into the local grid and inflate obstacles.
+    """Rasterize a scan into the local grid and inflate obstacles; no occlusion mask.
 
     Samples landing outside the square or on the robot cell are discarded.
     Raises InvalidExtent when the square would poke out of the scan disc
     (half_extent * cell_size > scan radius).
     """
-    if half_extent < 1:
-        raise InvalidExtent("half_extent must be >= 1")
-    if half_extent * cell_size > scan.radius + 1e-9:
-        raise InvalidExtent(
-            f"half_extent {half_extent} x cell_size {cell_size} exceeds scan radius {scan.radius}")
-    if inflation_rings < 0:
-        raise ValueError("inflation_rings must be >= 0")
-
+    rings = _kernel_rings(scan.radius, cell_size, half_extent, inflation_rings)
     side = 2 * half_extent + 1
     cells = np.empty((side, side), dtype=np.int8)
     samples = np.ascontiguousarray(scan.samples)
     origin = scan.origin
     kernel.module().lib.rasterize(
         pointer(samples, np.float64, samples.shape), len(samples), origin.x, origin.y,
-        origin.psi, cell_size, half_extent, min(inflation_rings, side),  # more rings add nothing
+        origin.psi, cell_size, half_extent, rings,
         pointer(cells, np.int8, cells.shape, writable=True))
     return LocalGrid(origin, cell_size, half_extent, cells)
 
 
-def _mask_occluded(grid: LocalGrid, scan: Scan) -> None:
-    """Mark free cells hidden behind scan hits as non-traversable, in place.
-
-    A free-looking cell whose bearing ray returned a hit closer than the cell
-    (by more than half a cell diagonal) was never actually observed; planning
-    into such shadows produces phantom passages through walls. Cells in open
-    directions (no hit on their ray) stay free, so the optimistic treatment of
-    unexplored space is preserved, and so does the ring of cells within one
-    cell size of the robot. When several samples fall on one ray, the last
-    one counts. The kernel's range is math.hypot's own algorithm (CPython
-    3.11), which libm hypot and np.hypot differ from in the last bit.
-    """
-    samples = np.ascontiguousarray(scan.samples)
-    origin = grid.center
-    code = kernel.module().lib.mask_occluded(
-        pointer(samples, np.float64, samples.shape), len(samples), scan.n_rays, origin.x,
-        origin.y, origin.psi, grid.cell_size, grid.half_extent,
-        pointer(grid.cells, np.int8, grid.cells.shape, writable=True))
-    if code != 0:
-        raise MemoryError("the occlusion kernel could not allocate its buffer")
-
-
-def _clamp_to_world(grid: LocalGrid, world: WorldMap) -> None:
-    """Mark local cells lying outside the world map as occupied, in place.
-
-    The local square can poke past the simulated world's envelope; such cells
-    can never be scanned and must not look like free space to plan through.
-    No inflation is added: out-of-world cells always sit behind the map's own
-    boundary obstacles.
-    """
-    origin = grid.center
-    kernel.module().lib.clamp_to_world(
-        origin.x, origin.y, grid.cell_size, grid.half_extent, world.cell_size, world.height,
-        world.width, pointer(grid.cells, np.int8, grid.cells.shape, writable=True))
-
-
 def perceive(world: WorldMap, pose: Pose, radius: float, n_rays: int, cell_size: float,
              half_extent: int, inflation_rings: int) -> LocalGrid:
-    """Local grid from a fresh scan: rasterized, inflated, occlusion-masked, clamped to the world."""
-    scan = simulate_scan(world, pose, radius, n_rays)
-    grid = build_local_grid(scan, cell_size, half_extent, inflation_rings)
-    _mask_occluded(grid, scan)  # both edit the fresh cells array in place
-    _clamp_to_world(grid, world)
-    return grid
+    """Local grid from a fresh scan: rasterized, inflated, occlusion-masked, clamped to the world.
+
+    Takes simulate_scan's and build_local_grid's arguments and raises as they do.
+    """
+    occ = checked_occupancy(world, pose, radius, n_rays)
+    rings = _kernel_rings(radius, cell_size, half_extent, inflation_rings)
+    side = 2 * half_extent + 1
+    cells = np.empty((side, side), dtype=np.int8)
+    ranges = np.empty(n_rays)  # the kernel's scan: one range per ray
+    kernel.module().lib.perceive(
+        pointer(occ, np.bool_, occ.shape), *occ.shape, world.cell_size, pose.x, pose.y,
+        pose.psi, radius, n_rays, cell_size, half_extent, rings,
+        pointer(ranges, np.float64, ranges.shape, writable=True),
+        pointer(cells, np.int8, cells.shape, writable=True))
+    return LocalGrid(pose, cell_size, half_extent, cells)
 
 
 def candidate_cells(grid: LocalGrid) -> CandidateSet:
@@ -167,7 +149,7 @@ def candidate_cells(grid: LocalGrid) -> CandidateSet:
     is empty (robot enclosed).
     """
     cells = grid.cells
-    blocked = (cells == CellState.OCCUPIED) | (cells == CellState.INFLATED)
+    blocked = ~grid.traversable_mask()
     # beyond the edge counts as blocked, so the outer ring is always marginal
     framed = np.ones((grid.side + 2,) * 2, dtype=bool)
     framed[1:-1, 1:-1] = blocked

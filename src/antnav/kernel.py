@@ -44,14 +44,13 @@ int colony_run(const _Bool *mask, int rows, int cols, double *tau, const double 
                int32_t *best_cells, int8_t *best_dirs, int *best_steps, int *best_corners,
                double *best_length, double *series);
 void reachable(const _Bool *mask, int rows, int cols, int start, int32_t *queue, _Bool *reach);
-int cast_rays(const _Bool *occ, int rows, int cols, double cell_size, double x0, double y0,
-              double psi, double radius, int n_rays, double *samples);
+void cast_rays(const _Bool *occ, int rows, int cols, double cell_size, double x0, double y0,
+               double psi, double radius, int n_rays, double *range);
 void rasterize(const double *samples, int k, double x0, double y0, double psi,
                double cell_size, int half_extent, int rings, int8_t *cells);
-int mask_occluded(const double *samples, int k, int64_t n_rays, double x0, double y0,
-                  double psi, double cell_size, int half_extent, int8_t *cells);
-void clamp_to_world(double x0, double y0, double cell_size, int half_extent,
-                    double world_cell_size, int world_rows, int world_cols, int8_t *cells);
+void perceive(const _Bool *occ, int rows, int cols, double world_cell_size, double x0,
+              double y0, double psi, double radius, int n_rays, double cell_size,
+              int half_extent, int rings, double *range, int8_t *cells);
 double py_hypot(double x, double y);
 """
 CFLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math")

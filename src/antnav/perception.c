@@ -1,8 +1,11 @@
 /* Compiled perception stage of antnav.grid.perceive.
  *
- * cast_rays is antnav.scan.simulate_scan's ray cast, rasterize is
- * antnav.grid.build_local_grid's rasterize and inflate, mask_occluded is
- * antnav.grid._mask_occluded and clamp_to_world is antnav.grid._clamp_to_world.
+ * perceive runs the whole stage on one cells array: ray cast, rasterize and
+ * inflate, occlusion, world clamp. cast_rays is also
+ * antnav.scan.simulate_scan's ray cast and rasterize is also
+ * antnav.grid.build_local_grid's rasterize and inflate, for hand-built
+ * scans, which are never occluded. The kernel's own scan is one range per
+ * ray: range[i] is ray i's hit distance, or INFINITY when it hits nothing.
  * The arithmetic is that of the per-ray and per-cell reference loops in
  * tests/oracles.py, operation for operation, so every cell state and every
  * sample is bit-identical to theirs:
@@ -15,11 +18,9 @@
  * Build with -ffp-contract=off and without -ffast-math: a fused
  * multiply-add or a reordered sum would change bits.
  */
-#include <float.h>
 #include <math.h>
 #include <stdbool.h>
 #include <stdint.h>
-#include <stdlib.h>
 #include <string.h>
 
 #define TAU 6.283185307179586
@@ -115,8 +116,8 @@ static double py_mod(double x, double m)
     return r;
 }
 
-/* Distance along one ray to the first occupied cell, or -1 when there is
- * none: the cell-by-cell traversal of Amanatides & Woo (1987), x first on
+/* Distance along one ray to the first occupied cell, or INFINITY when there
+ * is none: the cell-by-cell traversal of Amanatides & Woo (1987), x first on
  * ties. A hit returns the midpoint of the segment inside the hit cell,
  * clipped to the radius; a cell the ray only grazes through a corner
  * (a segment no longer than 1e-9 cells) does not count. */
@@ -159,7 +160,7 @@ static double cast_ray(const bool *occ, int rows, int cols, double cell_size, do
             r += step_r;
         }
         if (t_entry > radius || r < 0 || r >= rows || c < 0 || c >= cols)
-            return -1.0;
+            return INFINITY;
         t_exit = t_max_y < t_max_x ? t_max_y : t_max_x;
         if (t_exit - t_entry > graze_tol && occ[r * cols + c]) {
             double mid = 0.5 * (t_entry + t_exit);
@@ -168,43 +169,37 @@ static double cast_ray(const bool *occ, int rows, int cols, double cell_size, do
     }
 }
 
-/* Casts n_rays rays at bearings tau * k / n_rays, clockwise from heading
- * psi, from (x0, y0) against the rows x cols occupancy grid. Writes the
- * (d, theta) row of every ray that hits, in ray order, to samples (room
- * for n_rays rows) and returns how many there are. */
-int cast_rays(const bool *occ, int rows, int cols, double cell_size, double x0, double y0,
-              double psi, double radius, int n_rays, double *samples)
+/* Casts n_rays rays at bearings tau * i / n_rays, clockwise from heading
+ * psi, from (x0, y0) against the rows x cols occupancy grid, and writes the
+ * hit distance of ray i to range[i], INFINITY when it hits nothing. */
+void cast_rays(const bool *occ, int rows, int cols, double cell_size, double x0, double y0,
+               double psi, double radius, int n_rays, double *range)
 {
-    int k = 0;
-    for (int i = 0; i < n_rays; i++) {
-        double theta = TAU * (double)i / (double)n_rays;
-        double d = cast_ray(occ, rows, cols, cell_size, x0, y0, psi - theta, radius);
-        if (d >= 0.0) {
-            samples[2 * k] = d;
-            samples[2 * k + 1] = theta;
-            k++;
-        }
-    }
-    return k;
+    for (int i = 0; i < n_rays; i++)
+        range[i] = cast_ray(occ, rows, cols, cell_size, x0, y0,
+                            psi - TAU * (double)i / (double)n_rays, radius);
 }
 
-/* Rasterizes k (d, theta) samples seen from pose (x0, y0, psi) into the
- * side x side grid around it, side = 2 * half_extent + 1, and inflates each
- * occupied cell by `rings` rings of its free neighbours. A sample outside
- * the square or on the robot cell is dropped; the center ends as ROBOT. */
-void rasterize(const double *samples, int k, double x0, double y0, double psi,
-               double cell_size, int half_extent, int rings, int8_t *cells)
+/* Marks OCCUPIED the cell of the side x side grid around (x0, y0) that the
+ * sample (d, theta) seen from heading psi lands on, when it lies inside the
+ * square: polar_to_world's arithmetic term for term. */
+static void mark(double d, double theta, double x0, double y0, double psi, double cell_size,
+                 int half_extent, int8_t *cells)
 {
     int side = 2 * half_extent + 1;
-    memset(cells, FREE, (size_t)side * side);
-    for (int i = 0; i < k; i++) {
-        double d = samples[2 * i], ang = psi - samples[2 * i + 1];
-        /* polar_to_world's arithmetic term for term */
-        double c = half_extent + floor((x0 + d * cos(ang) - x0) / cell_size + 0.5);
-        double r = half_extent + floor((y0 + d * sin(ang) - y0) / cell_size + 0.5);
-        if (r >= 0 && r < side && c >= 0 && c < side)
-            cells[(int)r * side + (int)c] = OCCUPIED;
-    }
+    double ang = psi - theta;
+    double c = half_extent + floor((x0 + d * cos(ang) - x0) / cell_size + 0.5);
+    double r = half_extent + floor((y0 + d * sin(ang) - y0) / cell_size + 0.5);
+    if (r >= 0 && r < side && c >= 0 && c < side)
+        cells[(int)r * side + (int)c] = OCCUPIED;
+}
+
+/* Drops a mark on the robot cell, inflates each occupied cell of the
+ * side x side grid by `rings` rings of its free neighbours and marks the
+ * center ROBOT. */
+static void inflate(int half_extent, int rings, int8_t *cells)
+{
+    int side = 2 * half_extent + 1;
     cells[half_extent * side + half_extent] = FREE; /* dropped, not inflated */
     for (int r = 0; r < side; r++)
         for (int c = 0; c < side; c++) {
@@ -220,54 +215,39 @@ void rasterize(const double *samples, int k, double x0, double y0, double psi,
     cells[half_extent * side + half_extent] = ROBOT;
 }
 
-typedef struct {
-    int64_t ray;
-    int index; /* of the sample */
-} ray_sample;
-
-static int by_ray_then_index(const void *a, const void *b)
+/* Rasterizes k (d, theta) samples seen from pose (x0, y0, psi) into the
+ * side x side grid around it, side = 2 * half_extent + 1, and inflates each
+ * occupied cell by `rings` rings of its free neighbours. A sample outside
+ * the square or on the robot cell is dropped; the center ends as ROBOT. */
+void rasterize(const double *samples, int k, double x0, double y0, double psi,
+               double cell_size, int half_extent, int rings, int8_t *cells)
 {
-    const ray_sample *x = a, *y = b;
-    if (x->ray != y->ray)
-        return x->ray < y->ray ? -1 : 1;
-    return (x->index > y->index) - (x->index < y->index);
+    int side = 2 * half_extent + 1;
+    memset(cells, FREE, (size_t)side * side);
+    for (int i = 0; i < k; i++)
+        mark(samples[2 * i], samples[2 * i + 1], x0, y0, psi, cell_size, half_extent, cells);
+    inflate(half_extent, rings, cells);
 }
 
-/* Ray index of a bearing: round(bearing / sector) % n_rays */
-static int64_t ray_of(double bearing, double sector, int64_t n_rays)
-{
-    return (int64_t)nearbyint(bearing / sector) % n_rays;
-}
-
-/* Marks FREE cells of the side x side grid around (x0, y0, psi) INFLATED
- * when the last of the k samples on their bearing's ray is closer than
- * the cell center by more than half a cell diagonal. Cells within one
- * cell size of the center are always observed. Returns 0, or -1 when out
- * of memory. */
-int mask_occluded(const double *samples, int k, int64_t n_rays, double x0, double y0,
-                  double psi, double cell_size, int half_extent, int8_t *cells)
+/* Marks INFLATED the FREE cells of the side x side grid around
+ * (x0, y0, psi) that were never observed: those whose bearing's ray,
+ * round(bearing / sector) % n_rays, hit closer than the cell center by
+ * more than half a cell diagonal. Planning into such shadows gives phantom
+ * passages through walls. A cell on a ray with no hit stays free, so
+ * unexplored space is still treated optimistically, and so does every cell
+ * within one cell size of the center. The range is math.hypot's own
+ * algorithm, which libm hypot and np.hypot differ from in the last bit. */
+static void mask_occluded(const double *range, int n_rays, double x0, double y0, double psi,
+                          double cell_size, int half_extent, int8_t *cells)
 {
     int side = 2 * half_extent + 1;
     double sector = TAU / (double)n_rays;
     double margin = 0.5 * sqrt(2.0) * cell_size;
-    ray_sample *hits;
 
-    if (k == 0)
-        return 0;
-    hits = malloc((size_t)k * sizeof *hits);
-    if (!hits)
-        return -1;
-    for (int i = 0; i < k; i++) {
-        hits[i].ray = ray_of(samples[2 * i + 1], sector, n_rays);
-        hits[i].index = i;
-    }
-    qsort(hits, (size_t)k, sizeof *hits, by_ray_then_index);
     for (int r = 0; r < side; r++) {
         double dy = (y0 + (double)(r - half_extent) * cell_size) - y0;
         for (int c = 0; c < side; c++) {
             double dx, d, theta;
-            int64_t ray;
-            int lo = 0, hi = k; /* the first entry past the ray's last sample */
             if (cells[r * side + c] != FREE)
                 continue;
             dx = (x0 + (double)(c - half_extent) * cell_size) - x0;
@@ -275,26 +255,20 @@ int mask_occluded(const double *samples, int k, int64_t n_rays, double x0, doubl
             if (d <= cell_size)
                 continue;
             theta = py_mod(psi - atan2(dy, dx), TAU);
-            ray = ray_of(theta, sector, n_rays);
-            while (lo < hi) {
-                int mid = lo + (hi - lo) / 2;
-                if (hits[mid].ray <= ray)
-                    lo = mid + 1;
-                else
-                    hi = mid;
-            }
-            if (lo > 0 && hits[lo - 1].ray == ray && samples[2 * hits[lo - 1].index] < d - margin)
+            if (range[(int64_t)nearbyint(theta / sector) % n_rays] < d - margin)
                 cells[r * side + c] = INFLATED;
         }
     }
-    free(hits);
-    return 0;
 }
 
 /* Marks OCCUPIED the cells of the side x side grid around (x0, y0) whose
- * center lies outside the world_rows x world_cols world. */
-void clamp_to_world(double x0, double y0, double cell_size, int half_extent,
-                    double world_cell_size, int world_rows, int world_cols, int8_t *cells)
+ * center lies outside the world_rows x world_cols world. Such cells can
+ * never be scanned and must not look like free space to plan through. They
+ * are not inflated: they always sit behind the map's own boundary
+ * obstacles. */
+static void clamp_to_world(double x0, double y0, double cell_size, int half_extent,
+                           double world_cell_size, int world_rows, int world_cols,
+                           int8_t *cells)
 {
     int side = 2 * half_extent + 1;
     for (int r = 0; r < side; r++) {
@@ -305,4 +279,27 @@ void clamp_to_world(double x0, double y0, double cell_size, int half_extent,
                 cells[r * side + c] = OCCUPIED;
         }
     }
+}
+
+/* The local grid of antnav.grid.perceive: casts n_rays rays from pose
+ * (x0, y0, psi) against the rows x cols occupancy grid into range (room for
+ * n_rays), rasterizes every hit into the side x side grid around the pose,
+ * inflates it by `rings` rings, masks the occluded cells and clamps the
+ * grid to the world. Ray i has bearing tau * i / n_rays, and the ray
+ * index of that bearing, round(bearing / sector) % n_rays, is i again, so
+ * the occlusion reads ray i's range at range[i]. */
+void perceive(const bool *occ, int rows, int cols, double world_cell_size, double x0,
+              double y0, double psi, double radius, int n_rays, double cell_size,
+              int half_extent, int rings, double *range, int8_t *cells)
+{
+    int side = 2 * half_extent + 1;
+    cast_rays(occ, rows, cols, world_cell_size, x0, y0, psi, radius, n_rays, range);
+    memset(cells, FREE, (size_t)side * side);
+    for (int i = 0; i < n_rays; i++)
+        if (range[i] < INFINITY)
+            mark(range[i], TAU * (double)i / (double)n_rays, x0, y0, psi, cell_size,
+                 half_extent, cells);
+    inflate(half_extent, rings, cells);
+    mask_occluded(range, n_rays, x0, y0, psi, cell_size, half_extent, cells);
+    clamp_to_world(x0, y0, cell_size, half_extent, world_cell_size, rows, cols, cells);
 }

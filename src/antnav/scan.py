@@ -1,8 +1,9 @@
 """LiDAR scan model: an array of polar samples and a ray-cast scan simulator.
 
 Bearings are measured clockwise from the robot heading, so the world-frame
-direction of a ray with bearing theta is psi - theta. Rays that hit nothing
-inside the scan radius produce no sample.
+direction of a ray with bearing theta is psi - theta. The kernel's ray cast
+gives one range per ray; a Scan keeps the rays that hit something inside
+the scan radius, one sample each.
 """
 from __future__ import annotations
 
@@ -58,16 +59,33 @@ def polar_to_world(origin: Pose, d: float, theta: float) -> Point:
 def simulate_scan(world: WorldMap, pose: Pose, radius: float, n_rays: int) -> Scan:
     """Cast n_rays equally spaced rays against the world occupancy at its current tick.
 
-    Ray k has bearing tau * k / n_rays. The kernel's cast_rays (perception.c)
+    Ray i has bearing tau * i / n_rays. The kernel's cast_rays (perception.c)
     follows each ray cell by cell (Amanatides & Woo 1987, x first on ties) to
     the first occupied cell it crosses with real length, not just through a
     corner; the sample distance is the midpoint of the ray's segment inside
     that cell, clipped to the radius. A ray that passes the radius or leaves
-    the map returns nothing.
+    the map returns no sample.
 
     Pure function of (world, pose, radius, n_rays); identical inputs give
     identical scans. Raises PoseOutOfBounds / PoseInObstacle when the pose is
     not on a free in-bounds cell.
+    """
+    occ = checked_occupancy(world, pose, radius, n_rays)
+    ranges = np.empty(n_rays)
+    kernel.module().lib.cast_rays(
+        pointer(occ, np.bool_, occ.shape), *occ.shape, world.cell_size, pose.x, pose.y,
+        pose.psi, radius, n_rays, pointer(ranges, np.float64, ranges.shape, writable=True))
+    hit = np.flatnonzero(ranges < math.inf)
+    # the kernel's bearing arithmetic, so the rows keep its bits
+    return Scan(np.column_stack((ranges[hit], math.tau * hit / n_rays)), radius, n_rays, pose)
+
+
+def checked_occupancy(world: WorldMap, pose: Pose, radius: float, n_rays: int) -> np.ndarray:
+    """The world occupancy a scan from pose is cast against, once the scan arguments pass.
+
+    Raises ValueError for a radius <= 0 or fewer than one ray, and
+    PoseOutOfBounds / PoseInObstacle when the pose is not on a free
+    in-bounds cell.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -79,8 +97,4 @@ def simulate_scan(world: WorldMap, pose: Pose, radius: float, n_rays: int) -> Sc
     occ = world.occupancy_grid()
     if occ[cell]:
         raise PoseInObstacle(f"pose {pose.xy} lies on an occupied cell {cell}")
-    samples = np.empty((n_rays, 2))
-    k = kernel.module().lib.cast_rays(
-        pointer(occ, np.bool_, occ.shape), *occ.shape, world.cell_size, pose.x, pose.y,
-        pose.psi, radius, n_rays, pointer(samples, np.float64, samples.shape, writable=True))
-    return Scan(samples[:k], radius, n_rays, pose)
+    return occ

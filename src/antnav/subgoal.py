@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import EmptyCandidates
+from .errors import NoCandidates
 from .geometry import Cell, Point, Pose, sequential_sum, wrap_angle
 from .grid import CandidateSet
 
@@ -60,7 +60,7 @@ def rank_candidates(candidates: CandidateSet, robot: Pose, goal: Point,
                     weights: CostWeights) -> list[SubGoal]:
     """All candidates scored and sorted ascending by cost, ties by row-major cell index."""
     if not candidates.cells:
-        raise EmptyCandidates("candidate set is empty")
+        raise NoCandidates("candidate set is empty")
     raw = [raw_constraints(robot, world, goal) for _, world in candidates.cells]
     nds = normalize([t[0] for t in raw])
     nt1 = normalize([t[1] for t in raw])

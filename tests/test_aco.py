@@ -9,7 +9,7 @@ from antnav import (AcoMode, AcoParams, ColonyWeightError, GridGraph, NoPathFoun
                     corner_heuristic, plan_subpath)
 from antnav import kernel
 from antnav.aco import _CORNER_FACTORS, eta_gamma
-from antnav.geometry import DIR_ANGLES, DIR_INDEX, DIR_OFFSETS
+from antnav.geometry import DIR_ANGLES, DIR_OFFSETS
 
 import oracles
 from oracles import (corner_ref, heuristic_ref, neighbors_ref, plan_subpath_ref,
@@ -31,7 +31,7 @@ def picture_grid(picture, cell_size=1.0):
 
 def edge(graph, i, j):
     """Index of the directed edge i -> j in plan_subpath's pheromone array."""
-    return graph.id_of(i) * 8 + DIR_INDEX[(j[0] - i[0], j[1] - i[1])]
+    return graph.id_of(i) * 8 + DIR_OFFSETS.index((j[0] - i[0], j[1] - i[1]))
 
 
 def stream(seed, n, k):
@@ -94,7 +94,7 @@ class Fork:
         out = []
         for cells in self.branches:
             path = (self.start,) + cells
-            dirs = [DIR_INDEX[(b[0] - a[0], b[1] - a[1])] for a, b in zip(path, path[1:])]
+            dirs = [DIR_OFFSETS.index((b[0] - a[0], b[1] - a[1])) for a, b in zip(path, path[1:])]
             length = 0.0
             for d in dirs[:cap]:
                 length += self.graph.steps[d]
@@ -177,15 +177,16 @@ class TestHeuristic:
 
     def test_straight_neighbor(self):
         eta = eta_gamma(open_grid().steps, 1.0)
-        assert [eta[DIR_INDEX[(1, 0)]], eta[DIR_INDEX[(0, -1)]]] == [1.0, 1.0]
+        assert [eta[DIR_OFFSETS.index((1, 0))], eta[DIR_OFFSETS.index((0, -1))]] == [1.0, 1.0]
 
     def test_diagonal_neighbor(self):
         eta = eta_gamma(open_grid().steps, 1.0)
-        assert rel_close(eta[DIR_INDEX[(1, 1)]], 1.0 / SQRT2)
-        assert rel_close(eta[DIR_INDEX[(-1, 1)]], 1.0 / SQRT2)
+        assert rel_close(eta[DIR_OFFSETS.index((1, 1))], 1.0 / SQRT2)
+        assert rel_close(eta[DIR_OFFSETS.index((-1, 1))], 1.0 / SQRT2)
 
     def test_metric_cells(self):
-        assert rel_close(eta_gamma(open_grid(5, 1.5).steps, 1.0)[DIR_INDEX[(0, 1)]], 2.0 / 3.0)
+        eta = eta_gamma(open_grid(5, 1.5).steps, 1.0)
+        assert rel_close(eta[DIR_OFFSETS.index((0, 1))], 2.0 / 3.0)
 
     def test_randomized(self):
         rng = np.random.default_rng(3)

@@ -58,7 +58,7 @@ class TestApfStep:
             best, best_u = None, math.inf
             for r in range(h - 1, h + 2):
                 for c in range(h - 1, h + 2):
-                    if (r, c) == (h, h) or grid.state_at((r, c)) is not CellState.FREE:
+                    if (r, c) == (h, h) or CellState(grid.cells[r, c]) is not CellState.FREE:
                         continue
                     u = potential_ref(grid.world_center((r, c)), goal, obstacles,
                                       params.k_att, params.k_rep, params.d0)
@@ -88,7 +88,7 @@ class TestApfStep:
                                ApfParams())
             except LocalMinimum:
                 continue
-            assert grid.state_at(nxt) is CellState.FREE
+            assert CellState(grid.cells[nxt]) is CellState.FREE
 
     def test_param_validation(self):
         with pytest.raises(ValueError):

@@ -25,7 +25,7 @@ def sample_at(origin, wx, wy):
 class TestBuildLocalGrid:
     def test_empty_scan_all_free(self):
         grid = build_local_grid(scan_of([]), 1.0, 4)
-        assert grid.state_at((4, 4)) is CellState.ROBOT
+        assert CellState(grid.cells[4, 4]) is CellState.ROBOT
         free = grid.cells == CellState.FREE
         assert free.sum() == 9 * 9 - 1
 
@@ -33,19 +33,19 @@ class TestBuildLocalGrid:
         origin = Pose(10.5, 10.5, 0.0)
         # sample in the cell two right, two up from center
         grid = build_local_grid(scan_of([sample_at(origin, 12.5, 12.5)], origin=origin), 1.0, 4)
-        assert grid.state_at((6, 6)) is CellState.OCCUPIED
+        assert CellState(grid.cells[6, 6]) is CellState.OCCUPIED
         for dr in (-1, 0, 1):
             for dc in (-1, 0, 1):
                 if dr == dc == 0:
                     continue
-                assert grid.state_at((6 + dr, 6 + dc)) is CellState.INFLATED
+                assert CellState(grid.cells[6 + dr, 6 + dc]) is CellState.INFLATED
 
     def test_robot_cell_never_overwritten(self):
         origin = Pose(10.5, 10.5, 0.0)
         # sample adjacent to the center: the robot cell keeps its state
         grid = build_local_grid(scan_of([sample_at(origin, 11.5, 11.5)], origin=origin), 1.0, 4)
-        assert grid.state_at((5, 5)) is CellState.OCCUPIED
-        assert grid.state_at((4, 4)) is CellState.ROBOT
+        assert CellState(grid.cells[5, 5]) is CellState.OCCUPIED
+        assert CellState(grid.cells[4, 4]) is CellState.ROBOT
 
     def test_wall_row_matches_enumeration(self):
         origin = Pose(10.5, 10.5, 0.0)
@@ -91,10 +91,10 @@ class TestBuildLocalGrid:
         origin = Pose(10.5, 10.5, 0.0)
         grid = build_local_grid(scan_of([sample_at(origin, 10.5, 13.5)], origin=origin),
                                 1.0, 4, inflation_rings=2)
-        assert grid.state_at((7, 4)) is CellState.OCCUPIED
-        assert grid.state_at((5, 4)) is CellState.INFLATED
-        assert grid.state_at((5, 2)) is CellState.INFLATED
-        assert grid.state_at((4, 1)) is CellState.FREE
+        assert CellState(grid.cells[7, 4]) is CellState.OCCUPIED
+        assert CellState(grid.cells[5, 4]) is CellState.INFLATED
+        assert CellState(grid.cells[5, 2]) is CellState.INFLATED
+        assert CellState(grid.cells[4, 1]) is CellState.FREE
 
 
 def marginal_ref(grid):
@@ -130,7 +130,7 @@ class TestCandidateCells:
             except NoCandidates:
                 continue
             for cell, _ in cands.cells:
-                assert grid.state_at(cell) is CellState.FREE
+                assert CellState(grid.cells[cell]) is CellState.FREE
             assert cands.cells == marginal_ref(grid)
 
     def test_enclosed_robot_raises(self):

@@ -112,11 +112,24 @@ def test_bool_grid_is_passed_without_a_copy():
     assert int(kernel.module().ffi.cast("uintptr_t", ptr)) == occ.ctypes.data
 
 
+def compile_errors(source, *flags):
+    res = subprocess.run([os.environ.get("CC", "cc"), "-fsyntax-only", "-std=c11", *flags,
+                          "-Werror", "-x", "c", "-"],
+                         input=source, capture_output=True, text=True)
+    return res.returncode, res.stderr
+
+
 def test_sources_compile_without_warnings():
     # catches parameters and locals that a signature change leaves unused
     texts = [path.read_text(encoding="utf-8") for path in kernel.SOURCES]
-    res = subprocess.run([os.environ.get("CC", "cc"), "-fsyntax-only", "-std=c11", "-Wall",
-                          "-Wextra", "-Werror", "-x", "c", "-"],
-                         input=kernel._unit(texts), capture_output=True, text=True)
-    assert res.returncode == 0, res.stderr
+    code, stderr = compile_errors(kernel._unit(texts), "-Wall", "-Wextra")
+    assert code == 0, stderr
 
+
+def test_cdef_declares_every_exported_function():
+    # a function the sources export without a CDEF prototype (a helper that
+    # lost its `static`) fails -Wmissing-prototypes
+    texts = [path.read_text(encoding="utf-8") for path in kernel.SOURCES]
+    code, stderr = compile_errors("#include <stdint.h>\n" + kernel.CDEF + kernel._unit(texts),
+                                  "-Wmissing-prototypes")
+    assert code == 0, stderr

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from antnav import (CellState, GridGraph, MovingObstacle, MoverPolicy, NoCandidates, Pose,
-                    Scan, build_local_grid, candidate_cells, kernel, perceive, simulate_scan)
-from antnav.grid import _mask_occluded
+from antnav import (AntnavError, CellState, GridGraph, MovingObstacle, MoverPolicy,
+                    NoCandidates, Pose, build_local_grid, candidate_cells, kernel, perceive,
+                    simulate_scan)
 from antnav.world import WorldMap
 
 from oracles import (FREE, ROBOT, candidates_ref, clamp_ref, local_grid_ref, occlude_ref,
@@ -148,47 +148,53 @@ def test_occlusion_bearing_on_a_half_sector_tie():
     assert np.array_equal(grid.cells, expected)
 
 
-def test_occlusion_keeps_the_last_sample_on_a_ray():
-    # hand-built scans put several samples, in random order, on one ray; the
-    # reference dict keeps the last one per ray
-    rng = np.random.default_rng(17)
-    changed = 0
-    for _ in range(200):
-        n_rays = int(rng.integers(4, 40))
-        h, cell_size = int(rng.integers(2, 6)), float(rng.choice([0.3, 1.0, 1.5]))
-        radius = h * cell_size * 1.5
-        rays = rng.integers(0, n_rays, size=int(rng.integers(1, n_rays + 1)))
-        # bearings up to half a sector either side of the ray, wrapped into [0, 2pi)
-        thetas = (rays + rng.uniform(-0.49, 0.49, len(rays))) * (math.tau / n_rays) % math.tau
-        samples = list(zip(rng.uniform(0.0, radius, len(rays)).tolist(), thetas.tolist()))
-        pose = Pose(float(rng.uniform(-5, 5)), float(rng.uniform(-5, 5)),
-                    float(rng.uniform(-4, 4)))
-        grid = build_local_grid(Scan(samples, radius, n_rays, pose), cell_size, h, 0)
-        raw = grid.cells.copy()
-        _mask_occluded(grid, Scan(samples, radius, n_rays, pose))
-        expected = occlude_ref(raw, samples, n_rays, (pose.x, pose.y, pose.psi), cell_size, h)
-        assert np.array_equal(grid.cells, expected)
-        changed += int(not np.array_equal(occlude_ref(raw, samples[::-1], n_rays,
-                                                      (pose.x, pose.y, pose.psi), cell_size, h),
-                                          expected))
-    assert changed > 0  # the order of samples on a ray decided some cases
+def test_every_ray_count_reads_its_own_ray():
+    # The kernel's scan is one range per ray, and the occlusion reads a cell's
+    # ray at range[round(bearing / sector) % n_rays]: ray i's own bearing,
+    # tau * i / n_rays, must map back to i for every ray count.
+    rng = np.random.default_rng(64)
+    occluded = 0
+    for n_rays in [*range(1, 65), 720, 1009, 3600]:
+        worlds = 0
+        while worlds < 3:
+            cell_size = float(rng.choice([0.3, 1.0, 1.5]))
+            world = random_world(rng, cell_size, border=rng.random() < 0.5)
+            pose = random_pose(rng, world, on_edge=False)
+            if pose is None:
+                continue
+            worlds += 1
+            h, rings = int(rng.integers(2, 6)), int(rng.integers(0, 2))
+            radius = h * cell_size * float(rng.uniform(1.0, 1.6))
+            samples = scan_ref(world.occupancy_grid(), world.cell_size, pose.x, pose.y,
+                               pose.psi, radius, n_rays)
+            scan = simulate_scan(world, pose, radius, n_rays)
+            assert list(map(tuple, scan.samples.tolist())) == samples
+            raw, masked, expected = reference_chain(world, pose, samples, n_rays,
+                                                    cell_size, h, rings)
+            grid = perceive(world, pose, radius, n_rays, cell_size, h, rings)
+            assert np.array_equal(grid.cells, expected), n_rays
+            occluded += int((masked != raw).any())
+    assert occluded >= 100, occluded
 
 
+def test_perceive_rejects_what_scan_and_grid_reject():
+    static = np.zeros((10, 10), bool)
+    static[6, 6] = True
+    world = WorldMap(static, 1.0)
+    good = dict(pose=Pose(4.5, 4.5, 0.3), radius=4.0, n_rays=90, cell_size=1.0,
+                half_extent=3, inflation_rings=1)
+    bad = [("pose", Pose(-1.0, 2.0, 0.0)), ("pose", Pose(6.5, 6.5, 0.0)), ("radius", 0.0),
+           ("n_rays", 0), ("half_extent", 0), ("half_extent", 5), ("inflation_rings", -1)]
+    for key, value in bad:
+        args = {**good, key: value}
+        with pytest.raises((AntnavError, ValueError)) as expected:
+            scan = simulate_scan(world, args["pose"], args["radius"], args["n_rays"])
+            build_local_grid(scan, args["cell_size"], args["half_extent"],
+                             args["inflation_rings"])
+        with pytest.raises(type(expected.value)) as got:
+            perceive(world, **args)
+        assert str(got.value) == str(expected.value)
 
-def test_sample_half_way_between_rays_rounds_to_the_even_ray():
-    # bearing / sector is exactly 2.5 here: round() gives ray 2, not 3, so
-    # the shadow falls behind ray 2
-    n_rays, sector = 8, math.tau / 8
-    assert 2.5 * sector / sector == 2.5
-    pose = Pose(0.0, 0.0, 0.0)
-    for samples in ([(1.6, 2.5 * sector)], [(1.6, 0.5 * sector), (2.0, 2.5 * sector)]):
-        scan = Scan(samples, 6.0, n_rays, pose)
-        grid = build_local_grid(scan, 1.0, 4, 0)
-        raw = grid.cells.copy()
-        _mask_occluded(grid, scan)
-        expected = occlude_ref(raw, samples, n_rays, (0.0, 0.0, 0.0), 1.0, 4)
-        assert (expected != raw).any()
-        assert np.array_equal(grid.cells, expected)
 
 # math.hypot pairs that libm hypot or a two-term square sum round differently
 PINNED_HYPOT = [(-0.3, 0.30000000000000004), (-1.2, 1.2000000000000002),

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from antnav import (CandidateSet, CellState, CostWeights, EmptyCandidates, Pose,
+from antnav import (CandidateSet, CellState, CostWeights, NoCandidates, Pose,
                     Scan, build_local_grid, candidate_cells, normalize,
                     rank_candidates, raw_constraints, select_subgoal)
 
@@ -148,10 +148,10 @@ class TestSelectSubgoal:
         grid = empty_grid()
         cands = candidate_cells(grid)
         sg = select_subgoal(cands, Pose(10.5, 10.5, 0), (0.0, 0.0), CostWeights())
-        assert grid.state_at(sg.cell) is CellState.FREE
+        assert CellState(grid.cells[sg.cell]) is CellState.FREE
 
     def test_empty_candidates_raise(self):
-        with pytest.raises(EmptyCandidates):
+        with pytest.raises(NoCandidates):
             rank_candidates(CandidateSet(()), Pose(0, 0, 0), (1.0, 1.0), CostWeights())
 
     def test_invalid_weights_rejected(self):
