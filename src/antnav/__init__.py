@@ -19,7 +19,7 @@ from .planner import (CycleRecord, PlannerConfig, PlannerKind, PlannerState,
                       RunResult, plan_cycle, run)
 from .scan import Scan, polar_to_world, simulate_scan
 from .scenario import Scenario, WeightGroup, parse_groups, parse_scenario
-from .subgoal import CostWeights, SubGoal, normalize, rank_candidates, raw_constraints, select_subgoal
+from .subgoal import CostWeights, SubGoal, rank_candidates, select_subgoal
 from .world import MovingObstacle, MoverPolicy, ParsedMap, WorldMap, load_map, parse_map
 
 __version__ = "0.1.0"

@@ -65,6 +65,10 @@ class AcoParams:
     mode: AcoMode = AcoMode.IMPROVED
 
     def __post_init__(self):
+        for name in ("phi", "gamma", "rho", "q", "delta", "zeta", "tau0"):
+            # NaN passes every range check below
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 < self.rho < 1.0:
             raise ValueError("rho must be in (0, 1)")
         if self.q <= 0:
@@ -85,6 +89,11 @@ class AcoParams:
 
     def resolved_elite_cutoff(self) -> int:
         return self.elite_cutoff if self.elite_cutoff is not None else self.n_ants - 1
+
+    def resolved_max_steps(self, n_cells: int) -> int:
+        """The step cap of a walk on a grid of n_cells: the tabu list ends every
+        walk within n_cells - 1 steps."""
+        return min(self.max_steps or n_cells - 1, n_cells - 1)
 
 
 class GridGraph:
@@ -196,6 +205,16 @@ def _entropy_words(key) -> list[int]:
     return words
 
 
+def colony_error(code: int, subgoal: Cell, params: AcoParams) -> Exception:
+    """The exception of a colony run toward subgoal that ended with colony.c's
+    COLONY_BAD_TOTAL (3) or COLONY_NO_MEMORY (4)."""
+    if code == 3:
+        return ColonyWeightError(
+            f"a roulette total toward {subgoal} is 0 or not finite: tau0 {params.tau0}, "
+            f"phi {params.phi} and gamma {params.gamma} give unusable weights")
+    return MemoryError("the colony kernel could not allocate its buffers")
+
+
 def plan_subpath(graph: GridGraph, start: Cell, subgoal: Cell, params: AcoParams,
                  seed) -> tuple[AntPath, list[float]]:
     """Plan an 8-connected path from start to subgoal over the graph's traversable cells.
@@ -228,10 +247,9 @@ def plan_subpath(graph: GridGraph, start: Cell, subgoal: Cell, params: AcoParams
         raise ValueError(f"subgoal cell {subgoal} is not traversable")
 
     improved = params.mode is AcoMode.IMPROVED
-    # the tabu list ends every walk within n - 1 steps
-    max_steps = min(params.max_steps or graph.n - 1, graph.n - 1)
+    max_steps = params.resolved_max_steps(graph.n)
     m, n_iters = params.n_ants, params.n_iters
-    tau = np.full(graph.n * 8, float(params.tau0))
+    tau = np.empty(graph.n * 8)  # the kernel fills it with tau0
     eta_g = np.array(eta_gamma(graph.steps, params.gamma))
     steps = np.array(graph.steps)
     cells = np.empty(max_steps + 1, dtype=np.int32)
@@ -243,7 +261,7 @@ def plan_subpath(graph: GridGraph, start: Cell, subgoal: Cell, params: AcoParams
     length = mod.ffi.new("double *")
     code = mod.lib.colony_run(
         pointer(graph.mask, np.bool_, (graph.rows, graph.cols)), graph.rows, graph.cols,
-        pointer(tau, np.float64, (graph.n * 8,), writable=True),
+        pointer(tau, np.float64, (graph.n * 8,), writable=True), params.tau0,
         pointer(eta_g, np.float64, (8,)), pointer(steps, np.float64, (8,)),
         pointer(_CORNER_FACTORS, np.float64, (9, 8)),
         pointer(key, np.uint32, key.shape), len(key),
@@ -258,12 +276,8 @@ def plan_subpath(graph: GridGraph, start: Cell, subgoal: Cell, params: AcoParams
         raise NoPathFound(f"no ant reached {subgoal} in 3 consecutive iterations")
     if code == 2:
         raise NoPathFound(f"no ant reached {subgoal} in {n_iters} iterations")
-    if code == 3:
-        raise ColonyWeightError(
-            f"a roulette total toward {subgoal} is 0 or not finite: tau0 {params.tau0}, "
-            f"phi {params.phi} and gamma {params.gamma} give unusable weights")
     if code != 0:
-        raise MemoryError("the colony kernel could not allocate its buffers")
+        raise colony_error(code, subgoal, params)
     n_steps = counts[0]
     path = AntPath(tuple(map(graph.cell_of, cells[:n_steps + 1].tolist())),
                    length[0], counts[1], True, tuple(dirs[:n_steps].tolist()))

@@ -224,16 +224,17 @@ static void copy_path(ant_path *dst, const ant_path *src)
 }
 
 /* The colony run of plan_subpath. Arrays: mask (rows, cols), tau (n * 8 for
- * n = rows * cols, updated in place), eta_g (8), steps (8), corner (9, 8), key
- * (n_key), best_cells (max_steps + 1), best_dirs (max_steps), series
- * (n_iters). Ant k of iteration it walks on the stream of the words (key...,
- * it, k), it from 1, and the repair draws from k = n_ants. max_steps must not
- * exceed n - 1. On COLONY_OK the best path is in best_cells[0..*best_steps]
- * and best_dirs[0..*best_steps - 1]. */
-int colony_run(const bool *mask, int rows, int cols, double *tau, const double *eta_g,
-               const double *steps, const double *corner, const uint32_t *key, int n_key,
-               int n_iters, int n_ants, int max_steps, int start, int goal, int improved,
-               double phi, double rho, double q, double delta, double zeta, int elite_cutoff,
+ * n = rows * cols, filled with tau0, then updated in place), eta_g (8),
+ * steps (8), corner (9, 8), key (n_key), best_cells (max_steps + 1),
+ * best_dirs (max_steps), series (n_iters). Ant k of iteration it walks on
+ * the stream of the words (key..., it, k), it from 1, and the repair draws
+ * from k = n_ants. max_steps must not exceed n - 1. On COLONY_OK the best
+ * path is in best_cells[0..*best_steps] and best_dirs[0..*best_steps - 1]. */
+int colony_run(const bool *mask, int rows, int cols, double *tau, double tau0,
+               const double *eta_g, const double *steps, const double *corner,
+               const uint32_t *key, int n_key, int n_iters, int n_ants, int max_steps,
+               int start, int goal, int improved, double phi, double rho, double q,
+               double delta, double zeta, int elite_cutoff,
                int32_t *best_cells, int8_t *best_dirs, int *best_steps, int *best_corners,
                double *best_length, double *series)
 {
@@ -259,6 +260,8 @@ int colony_run(const bool *mask, int rows, int cols, double *tau, const double *
         ants[k].dirs = dir_buf + (size_t)k * (size_t)max_steps;
     }
     memcpy(words, key, sizeof(uint32_t) * (size_t)n_key);
+    for (size_t e = 0; e < n_edges; e++)
+        tau[e] = tau0;
     for (int it = 0; it < n_iters; it++) {
         words[n_key] = (uint32_t)it + 1;
         for (size_t e = 0; e < n_edges; e++)  /* pow(t, 1.0) == t: skip the call */

@@ -7,13 +7,16 @@ cells coincide with world cells. Occupied cells are inflated by marking their
 the whole stage (scan, rasterize, inflate, occlusion mask, world clamp) in
 one call of the compiled kernel (perception.c, built on first use by
 kernel.py) and builds no Scan; `build_local_grid` rasterizes and inflates a
-given Scan, without occlusion. tests/oracles.py keeps the per-ray and
-per-cell loops they reproduce as the reference.
+given Scan, without occlusion. `candidate_cells` lists a grid's marginal
+cells with planner.c's marginal_cells. The planning cycle runs these same
+kernel functions in one call of planner.c's plan_cycle and builds no
+LocalGrid; APF is the one planner that perceives through `perceive`.
+tests/oracles.py keeps the per-ray and per-cell loops they reproduce as the
+reference.
 """
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +34,12 @@ class CellState(enum.IntEnum):
     OCCUPIED = 1
     INFLATED = 2
     ROBOT = 3
+
+
+def cell_center(center: Pose, cell_size: float, half_extent: int, cell: Cell) -> Point:
+    """World center of a cell of the local grid around center."""
+    r, c = cell
+    return (center.x + (c - half_extent) * cell_size, center.y + (r - half_extent) * cell_size)
 
 
 @dataclass(frozen=True)
@@ -51,25 +60,7 @@ class LocalGrid:
         return (self.half_extent, self.half_extent)
 
     def world_center(self, cell: Cell) -> Point:
-        r, c = cell
-        h = self.half_extent
-        return (self.center.x + (c - h) * self.cell_size,
-                self.center.y + (r - h) * self.cell_size)
-
-    def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
-        """World x of every column and world y of every row (the world_center arithmetic)."""
-        offsets = np.arange(self.side) - self.half_extent
-        return self.center.x + offsets * self.cell_size, self.center.y + offsets * self.cell_size
-
-    def cell_containing(self, point: Point) -> Cell | None:
-        """Grid cell containing a world point, or None when outside the square."""
-        h = self.half_extent
-        dc = math.floor((point[0] - self.center.x) / self.cell_size + 0.5)
-        dr = math.floor((point[1] - self.center.y) / self.cell_size + 0.5)
-        r, c = h + int(dr), h + int(dc)
-        if 0 <= r < self.side and 0 <= c < self.side:
-            return (r, c)
-        return None
+        return cell_center(self.center, self.cell_size, self.half_extent, cell)
 
     def traversable_mask(self) -> np.ndarray:
         """Boolean mask of cells an ant may occupy (free cells plus the robot cell): the one
@@ -142,24 +133,17 @@ def perceive(world: WorldMap, pose: Pose, radius: float, n_rays: int, cell_size:
 
 
 def candidate_cells(grid: LocalGrid) -> CandidateSet:
-    """Marginal free cells eligible as sub-goals.
+    """Marginal free cells eligible as sub-goals, by the kernel's marginal_cells.
 
     A free cell is marginal when it lies on the outer ring of the square or is
     8-adjacent to an occupied/inflated cell. Raises NoCandidates when the set
     is empty (robot enclosed).
     """
-    cells = grid.cells
-    blocked = ~grid.traversable_mask()
-    # beyond the edge counts as blocked, so the outer ring is always marginal
-    framed = np.ones((grid.side + 2,) * 2, dtype=bool)
-    framed[1:-1, 1:-1] = blocked
-    across = framed[:-2] | framed[1:-1] | framed[2:]
-    near = across[:, :-2] | across[:, 1:-1] | across[:, 2:]
-    marginal = (cells == CellState.FREE) & near
-    rows, cols = np.nonzero(marginal)
-    if not rows.size:
+    ids = np.empty(grid.cells.size, dtype=np.int32)
+    k = kernel.module().lib.marginal_cells(pointer(grid.cells, np.int8, (grid.side,) * 2),
+                                           grid.side,
+                                           pointer(ids, np.int32, ids.shape, writable=True))
+    if not k:
         raise NoCandidates("no free marginal cells around the robot")
-    xs, ys = grid.cell_centers()
-    return CandidateSet(tuple(zip(zip(rows.tolist(), cols.tolist()),
-                                  zip(xs[cols].tolist(), ys[rows].tolist()))))
-
+    cells = [divmod(i, grid.side) for i in ids[:k].tolist()]
+    return CandidateSet(tuple((cell, grid.world_center(cell)) for cell in cells))

@@ -1,9 +1,10 @@
-"""Build and load the compiled kernel: colony.c and perception.c in one module.
+"""Build and load the compiled kernel: colony.c, perception.c and planner.c in one module.
 
 The kernel is a cffi API-mode extension module. It is built on first use,
 not at import, by a child interpreter (so the planning process never imports
-cffi or setuptools), with -O2 -ffp-contract=off and no fast-math. The two
-sources are compiled as one translation unit. The built module lands in a
+cffi or setuptools), with -O2 -ffp-contract=off and no fast-math. The three
+sources are compiled as one translation unit, in SOURCES order: planner.c
+calls the functions of the other two. The built module lands in a
 cache directory under a name keyed by a hash of every source, the
 declarations and the flags, so an edited source is rebuilt and never loaded
 stale. After a build, the modules of other sources are deleted from the
@@ -29,7 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-SOURCES = tuple(Path(__file__).with_name(name) for name in ("colony.c", "perception.c"))
+SOURCES = tuple(Path(__file__).with_name(name)
+                for name in ("colony.c", "perception.c", "planner.c"))
 CACHE_DIR = Path(__file__).with_name("_kernel_cache")
 SUFFIX = sysconfig.get_config_var("EXT_SUFFIX")
 # Name prefixes of built modules: this kernel's, and the colony-only module
@@ -37,10 +39,11 @@ SUFFIX = sysconfig.get_config_var("EXT_SUFFIX")
 _PREFIXES = ("_kernel_", "_colony_")
 
 CDEF = """
-int colony_run(const _Bool *mask, int rows, int cols, double *tau, const double *eta_g,
-               const double *steps, const double *corner, const uint32_t *key, int n_key,
-               int n_iters, int n_ants, int max_steps, int start, int goal, int improved,
-               double phi, double rho, double q, double delta, double zeta, int elite_cutoff,
+int colony_run(const _Bool *mask, int rows, int cols, double *tau, double tau0,
+               const double *eta_g, const double *steps, const double *corner,
+               const uint32_t *key, int n_key, int n_iters, int n_ants, int max_steps,
+               int start, int goal, int improved, double phi, double rho, double q,
+               double delta, double zeta, int elite_cutoff,
                int32_t *best_cells, int8_t *best_dirs, int *best_steps, int *best_corners,
                double *best_length, double *series);
 void reachable(const _Bool *mask, int rows, int cols, int start, int32_t *queue, _Bool *reach);
@@ -52,6 +55,18 @@ void perceive(const _Bool *occ, int rows, int cols, double world_cell_size, doub
               double y0, double psi, double radius, int n_rays, double cell_size,
               int half_extent, int rings, double *range, int8_t *cells);
 double py_hypot(double x, double y);
+int marginal_cells(const int8_t *cells, int side, int32_t *ids);
+void rank_candidates(int k, const double *xy, double x0, double y0, double psi, double gx,
+                     double gy, double alpha, double beta, double omega, double *raw,
+                     double *norm, double *cost, int32_t *order);
+int plan_cycle(const _Bool *occ, int rows, int cols, double world_cell_size, double x0,
+               double y0, double psi, double radius, int n_rays, double cell_size,
+               int half_extent, int rings, double goal_x, double goal_y, double alpha,
+               double beta, double omega, double eta_straight, double eta_diagonal,
+               const double *corner, const uint32_t *key, int n_key, int n_iters,
+               int n_ants, int max_steps, int improved, double phi, double rho, double q,
+               double delta, double zeta, double tau0, int elite_cutoff, int32_t *path,
+               int *n_steps, int *subgoal, double *series);
 """
 CFLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math")
 

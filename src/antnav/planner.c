@@ -1,0 +1,246 @@
+/* Compiled planning cycle of antnav.planner.plan_cycle, with the sub-goal
+ * rules it runs: the marginal-candidate rule of antnav.grid.candidate_cells
+ * and the multi-constraint ranking of antnav.subgoal.rank_candidates.
+ *
+ * plan_cycle runs one cycle of the proposed and conventional-aco planners
+ * in one call: perceive() builds the local grid, its marginal cells are
+ * scored, and colony_run plans toward one trial sub-goal after another
+ * until a colony reaches one. The first trial is the goal cell when the
+ * robot can reach it (terminal capture), then come the reachable
+ * candidates in (cost, row-major index) order, the order of a stable sort
+ * by cost. The arithmetic is that of the reference cycle in
+ * tests/oracles.py, operation for operation:
+ *  - a candidate's center is x0 + (c - h) * cell_size, as
+ *    LocalGrid.world_center computes it;
+ *  - the distance is math.hypot's (py_hypot), the bearings are libm atan2
+ *    folded by wrap_angle's fmod;
+ *  - each family is normalized over every candidate, reachable or not,
+ *    with a left-to-right sum from 0;
+ *  - the cost is beta * theta1 + alpha * distance + omega * theta2, in that
+ *    order.
+ *
+ * This file follows colony.c and perception.c in the kernel's one
+ * translation unit and calls their functions. Build with -ffp-contract=off
+ * and without -ffast-math: a fused multiply-add or a reordered sum would
+ * change bits.
+ */
+#include <math.h>
+#include <stdbool.h>
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+#define PI 3.141592653589793 /* math.pi; TAU is perception.c's math.tau */
+
+enum { PLAN_STUCK = -1 }; /* plan_cycle's verdict when no sub-goal can be planned */
+
+/* antnav.geometry.wrap_angle: a in radians wrapped to (-pi, pi] */
+static double wrap_angle(double a)
+{
+    double w = fmod(a, TAU);
+    if (w > PI)
+        w -= TAU;
+    else if (w <= -PI)
+        w += TAU;
+    return w;
+}
+
+/* Writes the row-major ids of the marginal cells of the side x side grid to
+ * ids (room for side * side) and returns their count. A cell is marginal
+ * when it is FREE and lies on the outer ring or is 8-adjacent to an
+ * OCCUPIED or INFLATED cell. */
+int marginal_cells(const int8_t *cells, int side, int32_t *ids)
+{
+    int k = 0;
+    for (int r = 0; r < side; r++)
+        for (int c = 0; c < side; c++) {
+            if (cells[r * side + c] != FREE)
+                continue;
+            bool near = r == 0 || r == side - 1 || c == 0 || c == side - 1;
+            for (int dr = -1; dr <= 1 && !near; dr++)
+                for (int dc = -1; dc <= 1 && !near; dc++) {
+                    int8_t s = cells[(r + dr) * side + c + dc];
+                    near = s == OCCUPIED || s == INFLATED;
+                }
+            if (near)
+                ids[k++] = r * side + c;
+        }
+    return k;
+}
+
+/* Scores k candidates at the world points xy (x, y pairs) for a robot at
+ * (x0, y0) heading psi and a goal at (gx, gy). raw (3 x k) gets the three
+ * constraint families: the distance from the cell to the goal, and the
+ * deviations from psi of the bearing robot -> cell and of the bearing
+ * cell -> goal, folded to [0, pi]. norm (3 x k) gets each family scaled to
+ * sum to 1, an all-zero family as uniform; cost (k) the weighted sum. */
+static void score(int k, const double *xy, double x0, double y0, double psi, double gx,
+                  double gy, double alpha, double beta, double omega, double *raw,
+                  double *norm, double *cost)
+{
+    for (int i = 0; i < k; i++) {
+        double cx = xy[2 * i], cy = xy[2 * i + 1];
+        raw[i] = py_hypot(gx - cx, gy - cy);
+        raw[k + i] = fabs(wrap_angle(atan2(cy - y0, cx - x0) - psi));
+        raw[2 * k + i] = fabs(wrap_angle(atan2(gy - cy, gx - cx) - psi));
+    }
+    for (int f = 0; f < 3; f++) {
+        const double *v = raw + f * k;
+        double total = 0.0;
+        for (int i = 0; i < k; i++)
+            total += v[i];
+        for (int i = 0; i < k; i++)
+            norm[f * k + i] = total == 0.0 ? 1.0 / k : v[i] / total;
+    }
+    for (int i = 0; i < k; i++)
+        cost[i] = beta * norm[k + i] + alpha * norm[i] + omega * norm[2 * k + i];
+}
+
+/* The candidate after candidate prev (-1: the first) in (cost, index)
+ * order, or -1 after the last */
+static int next_ranked(const double *cost, int k, int prev)
+{
+    int best = -1;
+    for (int i = 0; i < k; i++) {
+        if (prev >= 0 && (cost[i] < cost[prev] || (cost[i] == cost[prev] && i <= prev)))
+            continue;
+        if (best < 0 || cost[i] < cost[best])
+            best = i;
+    }
+    return best;
+}
+
+/* antnav.subgoal.rank_candidates: scores k candidates as score() does and
+ * writes their indices to order (k) in (cost, index) order */
+void rank_candidates(int k, const double *xy, double x0, double y0, double psi, double gx,
+                     double gy, double alpha, double beta, double omega, double *raw,
+                     double *norm, double *cost, int32_t *order)
+{
+    score(k, xy, x0, y0, psi, gx, gy, alpha, beta, omega, raw, norm, cost);
+    for (int i = 0, prev = -1; i < k; i++)
+        order[i] = prev = next_ranked(cost, k, prev);
+}
+
+/* One cycle of antnav.planner.plan_cycle for a robot at (x0, y0, psi) on
+ * the rows x cols occupancy grid occ and a goal at (goal_x, goal_y).
+ * perceive() takes the scan and grid arguments, score() the weights and
+ * colony_run the colony's: eta_straight and eta_diagonal are eta_gamma of
+ * the straight and diagonal step, corner is the (9, 8) corner table, key
+ * (n_key words) the seed words of the cycle, to which the attempt index is
+ * appended per trial. max_steps must not exceed side * side - 1.
+ *
+ * Returns PLAN_STUCK when the grid has no marginal cell, when the reachable
+ * cells form a closed pocket (touching no grid edge, goal not among them)
+ * or when no trial colony reaches its sub-goal; COLONY_OK with the sub-goal
+ * id in *subgoal, the path's cell ids in path[0..*n_steps] (room for
+ * max_steps + 1) and the colony series in series (n_iters); or the
+ * colony's COLONY_BAD_TOTAL, with *subgoal, or COLONY_NO_MEMORY. Cell ids
+ * are row-major over the side x side grid, side = 2 * half_extent + 1. */
+int plan_cycle(const bool *occ, int rows, int cols, double world_cell_size, double x0,
+               double y0, double psi, double radius, int n_rays, double cell_size,
+               int half_extent, int rings, double goal_x, double goal_y, double alpha,
+               double beta, double omega, double eta_straight, double eta_diagonal,
+               const double *corner, const uint32_t *key, int n_key, int n_iters,
+               int n_ants, int max_steps, int improved, double phi, double rho, double q,
+               double delta, double zeta, double tau0, int elite_cutoff, int32_t *path,
+               int *n_steps, int *subgoal, double *series)
+{
+    const int side = 2 * half_extent + 1, n = side * side;
+    const int center = half_extent * side + half_extent;
+    int8_t *cells = malloc((size_t)n);
+    bool *mask = malloc((size_t)n), *reach = malloc((size_t)n);
+    int32_t *queue = malloc(sizeof(int32_t) * (size_t)n);
+    int32_t *ids = malloc(sizeof(int32_t) * (size_t)n);
+    double *range = malloc(sizeof(double) * (size_t)n_rays);
+    double *xy = malloc(sizeof(double) * 2 * (size_t)n);
+    double *fam = malloc(sizeof(double) * 7 * (size_t)n); /* raw, norm, cost */
+    double *tau = malloc(sizeof(double) * 8 * (size_t)n);
+    int8_t *dirs = malloc((size_t)max_steps);
+    uint32_t *words = malloc(sizeof(uint32_t) * (size_t)(n_key + 1));
+    int code = PLAN_STUCK;
+    if (!cells || !mask || !reach || !queue || !ids || !range || !xy || !fam || !tau || !dirs
+        || !words) {
+        code = COLONY_NO_MEMORY;
+        goto done;
+    }
+
+    perceive(occ, rows, cols, world_cell_size, x0, y0, psi, radius, n_rays, cell_size,
+             half_extent, rings, range, cells);
+    int k = marginal_cells(cells, side, ids);
+    if (k == 0)
+        goto done;
+
+    for (int i = 0; i < n; i++)
+        mask[i] = cells[i] == FREE || cells[i] == ROBOT;
+    reachable(mask, side, side, center, queue, reach);
+    /* LocalGrid.cell_containing: the goal cell, -1 outside the square; the
+     * comparisons run in doubles, where a far goal cannot overflow */
+    double gr = half_extent + floor((goal_y - y0) / cell_size + 0.5);
+    double gc = half_extent + floor((goal_x - x0) / cell_size + 0.5);
+    int goal_cell = gr >= 0 && gr < side && gc >= 0 && gc < side ? (int)gr * side + (int)gc
+                                                                 : -1;
+    bool goal_inside = goal_cell >= 0 && reach[goal_cell];
+    /* a closed pocket that touches no grid edge and does not hold the goal
+     * leaves no sub-goal that can make progress */
+    bool edge = false;
+    for (int i = 0; i < side && !edge; i++)
+        edge = reach[i] || reach[(side - 1) * side + i] || reach[i * side]
+               || reach[i * side + side - 1];
+    if (!goal_inside && !edge)
+        goto done;
+
+    double *raw = fam, *norm = fam + 3 * k, *cost = fam + 6 * k;
+    for (int i = 0; i < k; i++) {
+        xy[2 * i] = x0 + (double)(ids[i] % side - half_extent) * cell_size;
+        xy[2 * i + 1] = y0 + (double)(ids[i] / side - half_extent) * cell_size;
+    }
+    score(k, xy, x0, y0, psi, goal_x, goal_y, alpha, beta, omega, raw, norm, cost);
+
+    double steps[8], eta_g[8], length;
+    for (int d = 0; d < 8; d++) {
+        bool diagonal = DIR_OFFSETS[d][0] != 0 && DIR_OFFSETS[d][1] != 0;
+        steps[d] = diagonal ? cell_size * sqrt(2.0) : cell_size;
+        eta_g[d] = diagonal ? eta_diagonal : eta_straight;
+    }
+    memcpy(words, key, sizeof(uint32_t) * (size_t)n_key);
+    /* terminal capture: a reachable goal cell is the first trial, ahead of
+     * the cost function, otherwise the chain of sub-goals can orbit the
+     * goal forever; every reachable cell but the robot's is FREE */
+    int capture = goal_inside && goal_cell != center ? goal_cell : -1;
+    int corners, ranked = -1;
+    for (uint32_t attempt = 0;; attempt++) {
+        int target = capture;
+        if (attempt > 0 || capture < 0) {
+            do
+                ranked = next_ranked(cost, k, ranked);
+            while (ranked >= 0 && (ids[ranked] == capture || !reach[ids[ranked]]));
+            if (ranked < 0) {
+                code = PLAN_STUCK;
+                break;
+            }
+            target = ids[ranked];
+        }
+        words[n_key] = attempt;
+        code = colony_run(mask, side, side, tau, tau0, eta_g, steps, corner, words, n_key + 1,
+                          n_iters, n_ants, max_steps, center, target, improved, phi, rho, q,
+                          delta, zeta, elite_cutoff, path, dirs, n_steps, &corners, &length,
+                          series);
+        *subgoal = target;
+        if (code != COLONY_NO_PATH && code != COLONY_NO_PATH_STREAK)
+            break; /* found, or an error; no path falls back to the next candidate */
+    }
+
+done:
+    free(cells);
+    free(mask);
+    free(reach);
+    free(queue);
+    free(ids);
+    free(range);
+    free(xy);
+    free(fam);
+    free(tau);
+    free(dirs);
+    free(words);
+    return code;
+}

@@ -3,7 +3,10 @@
 Each cycle replans from scratch against the latest scan and executes exactly
 one cell of the planned sub-path; the heading after a cycle is the direction
 of the executed step. Moving obstacles advance one schedule tick per cycle
-before the scan.
+before the scan. For the proposed and conventional-aco planners, scan to
+sub-path is one call of the compiled kernel (planner.c's plan_cycle); this
+module checks its arguments and turns the returned cells into the next pose
+and the cycle record. APF perceives with grid.perceive and steps here.
 """
 from __future__ import annotations
 
@@ -13,13 +16,18 @@ import time
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-from .aco import AcoMode, AcoParams, GridGraph, eta_gamma, plan_subpath
+import numpy as np
+
+from . import kernel
+from .aco import _CORNER_FACTORS, AcoMode, AcoParams, _entropy_words, colony_error, eta_gamma
 from .baselines import ApfParams, apf_step
-from .errors import LocalMinimum, NoCandidates, NoPathFound
+from .errors import LocalMinimum
 from .geometry import SQRT2, Cell, Point, Pose
-from .grid import LocalGrid, candidate_cells, perceive
+from .grid import _kernel_rings, cell_center, perceive
+from .kernel import pointer
 from .metrics import RunMetrics, RunStatus, corner_count, path_length
-from .subgoal import CostWeights, rank_candidates
+from .scan import checked_occupancy
+from .subgoal import CostWeights
 from .world import WorldMap
 
 if TYPE_CHECKING:
@@ -112,25 +120,35 @@ def _goal_distance(pose: Pose, goal: Point) -> float:
     return math.hypot(pose.x - goal[0], pose.y - goal[1])
 
 
-def _advance_state(state: PlannerState, grid: LocalGrid, next_cell: Cell,
-                   goal: Point, tolerance: float) -> PlannerState:
-    h = grid.half_extent
-    dr, dc = next_cell[0] - h, next_cell[1] - h
-    wx, wy = grid.world_center(next_cell)
+def _advance_state(state: PlannerState, center: Pose, cell_size: float, half_extent: int,
+                   next_cell: Cell, goal: Point, tolerance: float) -> PlannerState:
+    dr, dc = next_cell[0] - half_extent, next_cell[1] - half_extent
+    wx, wy = cell_center(center, cell_size, half_extent, next_cell)
     pose = Pose(wx, wy, math.atan2(dr, dc))
     status = RunStatus.GOAL_REACHED if _goal_distance(pose, goal) <= tolerance else RunStatus.RUNNING
     return PlannerState(pose, state.step_index + 1, status)
 
 
+_PLAN_STUCK = -1  # planner.c's verdict when no sub-goal can be planned
+
+
 def plan_cycle(world: WorldMap, state: PlannerState, goal: Point,
                config: PlannerConfig, seed: int, cycle: int) -> tuple[PlannerState, CycleRecord]:
-    """One replanning cycle against the world at its current tick."""
+    """One replanning cycle against the world at its current tick.
+
+    The proposed and conventional-aco planners run the cycle in one call of
+    the kernel's plan_cycle (planner.c): perceive, rank the marginal cells,
+    and plan toward the goal cell when it is reachable, then toward the
+    reachable candidates by cost, until a colony reaches its sub-goal. Trial
+    a plans with seed (seed, cycle, a). The verdict is STUCK when no
+    candidate exists, when the reachable cells form a closed pocket without
+    the goal, or when no trial succeeds. APF perceives and steps here.
+    """
     if state.status is not RunStatus.RUNNING:
         raise ValueError("plan_cycle requires a running state")
     pose = state.pose
     tolerance = config.resolved_goal_tolerance()
-    grid = perceive(world, pose, config.lidar_radius, config.n_rays, config.cell_size,
-                    config.half_extent, config.inflation_rings)
+    cs, h = config.cell_size, config.half_extent
 
     def halted(status: RunStatus) -> tuple[PlannerState, CycleRecord]:
         halted_state = replace(state, status=status)
@@ -138,62 +156,50 @@ def plan_cycle(world: WorldMap, state: PlannerState, goal: Point,
         return halted_state, rec
 
     if config.planner is PlannerKind.APF:
+        grid = perceive(world, pose, config.lidar_radius, config.n_rays, cs, h,
+                        config.inflation_rings)
         try:
             next_cell = apf_step(grid, pose, goal, config.apf)
         except LocalMinimum:
             return halted(RunStatus.LOCAL_MINIMUM)
-        new_state = _advance_state(state, grid, next_cell, goal, tolerance)
+        new_state = _advance_state(state, pose, cs, h, next_cell, goal, tolerance)
         rec = CycleRecord(cycle, new_state.pose, None, (),
                           _goal_distance(new_state.pose, goal), (), new_state.status)
         return new_state, rec
 
-    try:
-        candidates = candidate_cells(grid)
-    except NoCandidates:
+    # the argument checks of perceive and plan_subpath
+    occ = checked_occupancy(world, pose, config.lidar_radius, config.n_rays)
+    rings = _kernel_rings(config.lidar_radius, cs, h, config.inflation_rings)
+    aco = config.aco_for_planner()
+    eta_straight, eta_diagonal = eta_gamma((cs, cs * SQRT2), aco.gamma)
+    side = 2 * h + 1
+    max_steps = aco.resolved_max_steps(side * side)
+    mod = kernel.module()
+    ffi = mod.ffi
+    key = _entropy_words((seed, cycle))
+    path = ffi.new("int32_t[]", max_steps + 1)
+    out = ffi.new("int[2]")  # path steps, sub-goal cell id
+    series = ffi.new("double[]", aco.n_iters)
+    w = config.weights
+    code = mod.lib.plan_cycle(
+        pointer(occ, np.bool_, occ.shape), *occ.shape, world.cell_size, pose.x, pose.y,
+        pose.psi, config.lidar_radius, config.n_rays, cs, h, rings, goal[0], goal[1],
+        w.alpha, w.beta, w.omega, eta_straight, eta_diagonal,
+        pointer(_CORNER_FACTORS, np.float64, (9, 8)), ffi.new("uint32_t[]", key), len(key),
+        aco.n_iters, aco.n_ants, max_steps, aco.mode is AcoMode.IMPROVED, aco.phi, aco.rho,
+        aco.q, aco.delta, aco.zeta, aco.tau0, aco.resolved_elite_cutoff(),
+        path, out, out + 1, series)
+    if code == _PLAN_STUCK:
         return halted(RunStatus.STUCK)
-
-    graph = GridGraph(grid.traversable_mask(), grid.cell_size)  # shared by every trial
-    # Cells the robot can actually reach within this grid. When the reachable
-    # free space is a closed pocket that touches no grid edge and does not
-    # contain the goal, no sub-goal can ever make progress: the robot is stuck.
-    component = graph.reachable_from(grid.center_cell)
-    goal_cell = grid.cell_containing(goal)
-    goal_inside = goal_cell is not None and bool(component[goal_cell])
-    if not goal_inside and not (component[[0, -1]].any() or component[:, [0, -1]].any()):
-        return halted(RunStatus.STUCK)
-
-    # Terminal capture: a visible free goal cell overrides the cost function,
-    # otherwise the chain of sub-goals can orbit the goal forever. Every
-    # reachable cell but the robot's is free.
-    trials: list[tuple[Cell, Point]] = []
-    if goal_inside and goal_cell != grid.center_cell:
-        trials.append((goal_cell, grid.world_center(goal_cell)))
-    ranked = rank_candidates(candidates, pose, goal, config.weights)
-    capture = trials[0][0] if trials else None
-    trials.extend((sg.cell, sg.world) for sg in ranked
-                  if sg.cell != capture and component[sg.cell])
-    if not trials:
-        return halted(RunStatus.STUCK)
-
-    aco_params = config.aco_for_planner()
-    path = None
-    subgoal_world = None
-    series: list[float] = []
-    for attempt, (cell, wpt) in enumerate(trials):
-        try:
-            path, series = plan_subpath(graph, grid.center_cell, cell, aco_params,
-                                        (seed, cycle, attempt))
-        except NoPathFound:
-            continue  # unreachable within the local grid; fall back to the next candidate
-        subgoal_world = wpt
-        break
-    if path is None:
-        return halted(RunStatus.STUCK)
-
-    new_state = _advance_state(state, grid, path.cells[1], goal, tolerance)
-    rec = CycleRecord(cycle, new_state.pose, subgoal_world,
-                      tuple(grid.world_center(c) for c in path.cells),
-                      _goal_distance(new_state.pose, goal), tuple(series), new_state.status)
+    subgoal = divmod(out[1], side)
+    if code != 0:
+        raise colony_error(code, subgoal, aco)
+    cells = [divmod(i, side) for i in ffi.unpack(path, out[0] + 1)]
+    new_state = _advance_state(state, pose, cs, h, cells[1], goal, tolerance)
+    rec = CycleRecord(cycle, new_state.pose, cell_center(pose, cs, h, subgoal),
+                      tuple(cell_center(pose, cs, h, c) for c in cells),
+                      _goal_distance(new_state.pose, goal), tuple(ffi.unpack(series, aco.n_iters)),
+                      new_state.status)
     return new_state, rec
 
 

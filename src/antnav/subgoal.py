@@ -4,16 +4,23 @@ Each candidate is scored by three constraints: Euclidean distance from the
 cell to the goal, the bearing deviation from the robot heading to the cell,
 and the bearing deviation from the robot heading of the cell-to-goal
 direction. Constraint families are normalized across candidates before the
-weighted sum, and the minimum-cost cell wins.
+weighted sum, and the minimum-cost cell wins. The rule runs in the compiled
+kernel (planner.c's rank_candidates), the same code the planning cycle
+scores its candidates with; tests/oracles.py keeps the Python formulas as
+the reference.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import kernel
 from .errors import NoCandidates
-from .geometry import Cell, Point, Pose, sequential_sum, wrap_angle
+from .geometry import Cell, Point, Pose
 from .grid import CandidateSet
+from .kernel import pointer
 
 
 @dataclass(frozen=True)
@@ -25,6 +32,10 @@ class CostWeights:
     omega: float = 1.0
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "omega"):
+            # NaN passes the sign checks; an inf weight times a 0 family is a NaN cost
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"weight {name} must be finite, got {getattr(self, name)}")
         if self.alpha < 0 or self.beta < 0 or self.omega < 0:
             raise ValueError("weights must be >= 0")
         if self.alpha + self.beta + self.omega <= 0:
@@ -38,40 +49,26 @@ class SubGoal:
     cost: float
 
 
-def raw_constraints(robot: Pose, cell: Point, goal: Point) -> tuple[float, float, float]:
-    """(distance cell->goal, |bearing robot->cell - psi|, |bearing cell->goal - psi|), angles folded to [0, pi]."""
-    ds = math.hypot(goal[0] - cell[0], goal[1] - cell[1])
-    theta1 = abs(wrap_angle(math.atan2(cell[1] - robot.y, cell[0] - robot.x) - robot.psi))
-    theta2 = abs(wrap_angle(math.atan2(goal[1] - cell[1], goal[0] - cell[0]) - robot.psi))
-    return ds, theta1, theta2
-
-
-def normalize(values: list[float]) -> list[float]:
-    """Scale non-negative values to sum to 1; an all-zero family becomes uniform."""
-    if not values:
-        raise ValueError("normalize needs at least one value")
-    total = sequential_sum(values)
-    if total == 0.0:
-        return [1.0 / len(values)] * len(values)
-    return [v / total for v in values]
-
-
 def rank_candidates(candidates: CandidateSet, robot: Pose, goal: Point,
                     weights: CostWeights) -> list[SubGoal]:
-    """All candidates scored and sorted ascending by cost, ties by row-major cell index."""
+    """All candidates scored and sorted ascending by cost, ties by candidate order
+    (row-major cell index for candidate_cells' sets)."""
     if not candidates.cells:
         raise NoCandidates("candidate set is empty")
-    raw = [raw_constraints(robot, world, goal) for _, world in candidates.cells]
-    nds = normalize([t[0] for t in raw])
-    nt1 = normalize([t[1] for t in raw])
-    nt2 = normalize([t[2] for t in raw])
-    scored = [
-        SubGoal(cell, world, weights.beta * nt1[i] + weights.alpha * nds[i] + weights.omega * nt2[i])
-        for i, (cell, world) in enumerate(candidates.cells)
-    ]
-    # candidates arrive in row-major order; the stable sort keeps that order on ties
-    scored.sort(key=lambda sg: sg.cost)
-    return scored
+    k = len(candidates.cells)
+    xy = np.array([world for _, world in candidates.cells], dtype=np.float64)
+    raw, norm = np.empty((3, k)), np.empty((3, k))  # the families, which tests read
+    cost = np.empty(k)
+    order = np.empty(k, dtype=np.int32)
+    kernel.module().lib.rank_candidates(
+        k, pointer(xy, np.float64, (k, 2)), robot.x, robot.y, robot.psi, goal[0], goal[1],
+        weights.alpha, weights.beta, weights.omega,
+        pointer(raw, np.float64, (3, k), writable=True),
+        pointer(norm, np.float64, (3, k), writable=True),
+        pointer(cost, np.float64, (k,), writable=True),
+        pointer(order, np.int32, (k,), writable=True))
+    costs = cost.tolist()
+    return [SubGoal(*candidates.cells[i], costs[i]) for i in order.tolist()]
 
 
 def select_subgoal(candidates: CandidateSet, robot: Pose, goal: Point,

@@ -3,16 +3,17 @@
 Everything here is deliberately written from scratch against the math, not by
 calling into the package, so the implementations under test are checked by a
 separate route. From antnav only types, constants and the sequential sum are
-imported: the colony reference at the end, the Python loop the compiled
-kernel replaced, is built from the rule oracles above, and its neighbours
-come from the traversable mask and DIR_OFFSETS alone.
+imported: the colony reference, the Python loop the compiled kernel
+replaced, is built from the rule oracles above, and its neighbours come from
+the traversable mask and DIR_OFFSETS alone. The reference planning cycle at
+the end chains the perception, sub-goal and colony references.
 """
 import heapq
 import math
 
 import numpy as np
 
-from antnav import AcoMode, AntPath, NoPathFound
+from antnav import AcoMode, AntPath, GridGraph, NoPathFound
 from antnav.geometry import DIR_ANGLES, DIR_OFFSETS, sequential_sum
 
 SQRT2 = math.sqrt(2.0)
@@ -32,7 +33,9 @@ def polar_ref(x_r, y_r, psi, d, theta):
 
 def raw_constraints_ref(robot_xy_psi, cell, goal):
     xr, yr, psi = robot_xy_psi
-    ds = math.sqrt((goal[0] - cell[0]) ** 2 + (goal[1] - cell[1]) ** 2)
+    # math.hypot, not the sqrt of a sum of squares: the kernel's distance is
+    # its port, so the reference cycle can compare costs by bits
+    ds = math.hypot(goal[0] - cell[0], goal[1] - cell[1])
     t1 = abs(wrap_ref(math.atan2(cell[1] - yr, cell[0] - xr) - psi))
     t2 = abs(wrap_ref(math.atan2(goal[1] - cell[1], goal[0] - cell[0]) - psi))
     return ds, t1, t2
@@ -437,3 +440,57 @@ def plan_subpath_ref(graph, start, subgoal, params, seed, stats=None):
     if best is None:
         raise NoPathFound(f"no ant reached {subgoal} in {params.n_iters} iterations")
     return best, series, tau
+
+
+# --- planning cycle: the loops planner.c's plan_cycle replaced ---
+
+def plan_cycle_ref(occ, world_cell_size, pose, goal, config, seed, cycle):
+    """One cycle of the proposed or conventional-aco planner for a robot at
+    pose (x, y, psi) on the occupancy grid occ: ("stuck", None, (), ()) or
+    ("ok", sub-goal cell, path cells, colony series).
+
+    The trials are the goal cell when it is reachable and not the robot's,
+    then the reachable candidates by (cost, row-major cell); trial a plans
+    with seed (seed, cycle, a). Each constraint family is normalized over
+    every candidate, reachable or not.
+    """
+    stuck = ("stuck", None, (), ())
+    x0, y0, psi = pose
+    cs, h, n_rays = config.cell_size, config.half_extent, config.n_rays
+    side = 2 * h + 1
+    samples = scan_ref(occ, world_cell_size, x0, y0, psi, config.lidar_radius, n_rays)
+    cells = local_grid_ref(samples, pose, cs, h, config.inflation_rings)
+    cells = occlude_ref(cells, samples, n_rays, pose, cs, h)
+    cells = clamp_ref(cells, pose, cs, h, occ.shape, world_cell_size)
+    candidates = candidates_ref(cells, pose, cs, h)
+    if not candidates:
+        return stuck
+    mask = [[state in (FREE, ROBOT) for state in row] for row in cells.tolist()]
+    reach = reachable_ref(mask, (h, h))
+    goal_cell = (h + math.floor((goal[1] - y0) / cs + 0.5),
+                 h + math.floor((goal[0] - x0) / cs + 0.5))
+    goal_inside = goal_cell in reach
+    if not goal_inside and not any(r in (0, side - 1) or c in (0, side - 1)
+                                   for r, c in reach):
+        return stuck  # a closed pocket without the goal
+
+    raw = [raw_constraints_ref(pose, world, goal) for _, world in candidates]
+    nds, nt1, nt2 = (normalize_ref([t[f] for t in raw]) for f in range(3))
+    w = config.weights
+    cost = [w.beta * nt1[i] + w.alpha * nds[i] + w.omega * nt2[i]
+            for i in range(len(candidates))]
+    ranked = sorted(range(len(candidates)), key=lambda i: (cost[i], candidates[i][0]))
+    trials = [goal_cell] if goal_inside and goal_cell != (h, h) else []
+    trials += [candidates[i][0] for i in ranked
+               if candidates[i][0] in reach and candidates[i][0] not in trials]
+
+    graph = GridGraph(np.array(mask), cs)
+    params = config.aco_for_planner()
+    for attempt, cell in enumerate(trials):
+        try:
+            path, series, _ = plan_subpath_ref(graph, (h, h), cell, params,
+                                               (seed, cycle, attempt))
+        except NoPathFound:
+            continue
+        return "ok", cell, path.cells, series
+    return stuck

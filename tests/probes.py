@@ -1,18 +1,19 @@
-"""Probes of the compiled colony kernel shared by the test modules.
+"""Probes of the compiled kernel shared by the test modules.
 
 Each probe reads what plan_subpath hands the kernel (its eta_gamma and
 _CORNER_FACTORS tables) or what the kernel leaves behind (the pheromone
-array), so the checks built on them test the code the planner runs. The
-neighbours of a cell come from the traversable mask (oracles.neighbors_ref),
-not from the package.
+array, the sub-goal ranking's constraint families), so the checks built on
+them test the code the planner runs. The neighbours of a cell come from the
+traversable mask (oracles.neighbors_ref), not from the package.
 """
 import math
 from unittest import mock
 
 import numpy as np
 
-from antnav import AcoMode, GridGraph, NoPathFound, plan_subpath
-from antnav import aco, kernel
+from antnav import (AcoMode, CandidateSet, CostWeights, GridGraph, NoPathFound, plan_subpath,
+                    rank_candidates)
+from antnav import aco, kernel, subgoal
 from antnav.aco import _CORNER_FACTORS, eta_gamma
 from antnav.geometry import DIR_ANGLES, wrap_angle
 
@@ -76,3 +77,22 @@ def kernel_run(graph, start, goal, params, seed):
         except NoPathFound as exc:
             result = str(exc)
     return result, taus[0]
+
+
+def kernel_ranking(points, robot, goal, weights=CostWeights()):
+    """rank_candidates over candidates at the world points (cells (i, 0) for
+    point i), with the constraint families the kernel wrote: the ranked
+    SubGoals, the raw families (3, k) and the normalized ones (3, k), rows
+    distance, robot-to-cell bearing, cell-to-goal bearing."""
+    families = []
+
+    def spy(arr, dtype, shape, writable=False):
+        if writable and len(shape) == 2:
+            families.append(arr)
+        return kernel.pointer(arr, dtype, shape, writable)
+
+    candidates = CandidateSet(tuple(((i, 0), tuple(p)) for i, p in enumerate(points)))
+    with mock.patch.object(subgoal, "pointer", spy):
+        ranked = rank_candidates(candidates, robot, goal, weights)
+    raw, norm = families
+    return ranked, raw, norm

@@ -13,9 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from antnav import (AcoMode, AcoParams, GridGraph, NoPathFound, PlannerKind, Pose,
-                    RunStatus, corner_heuristic, normalize, plan_subpath, polar_to_world,
-                    raw_constraints, run)
+from antnav import (AcoMode, AcoParams, CostWeights, GridGraph, NoPathFound, PlannerKind,
+                    Pose, RunStatus, corner_heuristic, plan_subpath, polar_to_world, run)
 from antnav.aco import eta_gamma
 from antnav.geometry import DIR_ANGLES, DIR_OFFSETS, SQRT2
 from antnav.scenario import parse_groups, parse_scenario, with_planner, with_seed, with_weights
@@ -23,7 +22,7 @@ from antnav.scenario import parse_groups, parse_scenario, with_planner, with_see
 from oracles import (corner_ref, dijkstra_ref, heuristic_ref, neighbors_ref, normalize_ref,
                      plan_subpath_ref, polar_ref, raw_constraints_ref, score_ref,
                      transition_ref)
-from probes import kernel_run, kernel_transition, random_field_state
+from probes import kernel_ranking, kernel_run, kernel_transition, random_field_state
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
@@ -56,19 +55,32 @@ class TestCriterion1:
             g = polar_to_world(pose, d, theta)
             r = polar_ref(pose.x, pose.y, pose.psi, d, theta)
             ok &= track(g[0], r[0]) and track(g[1], r[1])
+        # the sub-goal constraints, families and costs as the kernel's ranking
+        # (the planning cycle's) writes them
         for _ in range(1000):
             robot = Pose(rng.uniform(-10, 10), rng.uniform(-10, 10), rng.uniform(-7, 7))
             cell = (rng.uniform(-10, 10), rng.uniform(-10, 10))
             goal = (rng.uniform(-10, 10), rng.uniform(-10, 10))
-            for g, r in zip(raw_constraints(robot, cell, goal),
+            _, raw, _ = kernel_ranking([cell], robot, goal)
+            for g, r in zip(raw[:, 0].tolist(),
                             raw_constraints_ref((robot.x, robot.y, robot.psi), cell, goal)):
                 ok &= track(g, r)
         for _ in range(1000):
-            vals = list(rng.uniform(0, 50, rng.integers(1, 30)))
+            robot = Pose(rng.uniform(-10, 10), rng.uniform(-10, 10), rng.uniform(-7, 7))
+            goal = (rng.uniform(-10, 10), rng.uniform(-10, 10))
+            points = rng.uniform(-10, 10, (rng.integers(1, 30), 2)).tolist()
             if rng.random() < 0.05:
-                vals = [0.0] * len(vals)
-            for g, r in zip(normalize(vals), normalize_ref(vals)):
-                ok &= track(g, r)
+                points = [goal] * len(points)  # an all-zero distance family
+            w = CostWeights(*rng.uniform(0.1, 5.0, 3).tolist())
+            ranked, raw, norm = kernel_ranking(points, robot, goal, w)
+            refs = [normalize_ref(family) for family in raw.tolist()]
+            for got, ref in zip(norm.tolist(), refs):
+                for g, r in zip(got, ref):
+                    ok &= track(g, r)
+            nds, nt1, nt2 = refs
+            for sg in ranked:
+                i = sg.cell[0]
+                ok &= track(sg.cost, w.beta * nt1[i] + w.alpha * nds[i] + w.omega * nt2[i])
         # the heuristic and corner factor as the kernel's tables hold them:
         # eta_gamma of the graph's step lengths (at gamma 1, the heuristic itself)
         for _ in range(1000):
@@ -165,11 +177,15 @@ class TestCriterion2:
             total = sum(kernel_transition(tau, graph, cell, tabu, prev, params).values())
             worst = max(worst, abs(total - 1.0))
             checked += 1
+        # the families of the kernel's ranking, the planning cycle's
         for _ in range(10000):
-            vals = list(rng.uniform(0, 100, rng.integers(1, 40)))
+            robot = Pose(rng.uniform(-100, 100), rng.uniform(-100, 100), rng.uniform(-7, 7))
+            goal = (rng.uniform(-100, 100), rng.uniform(-100, 100))
+            points = rng.uniform(-100, 100, (rng.integers(1, 40), 2)).tolist()
             if rng.random() < 0.02:
-                vals = [0.0] * len(vals)
-            worst = max(worst, abs(sum(normalize(vals)) - 1.0))
+                points = [goal] * len(points)  # an all-zero distance family
+            for family in kernel_ranking(points, robot, goal)[2].tolist():
+                worst = max(worst, abs(sum(family) - 1.0))
         report(2, "distributions and families sum to 1", worst <= TOL,
                f"worst deviation {worst:.2e} over 2x10^4 states")
 

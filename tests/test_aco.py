@@ -615,6 +615,13 @@ class TestPlanSubpath:
         with pytest.raises(ValueError):
             AcoParams(elite_cutoff=20, n_ants=20)
 
+    def test_non_finite_params_rejected(self):
+        # NaN passes every range check; inf is no usable exponent, rate or weight
+        for name in ("phi", "gamma", "rho", "q", "delta", "zeta", "tau0"):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    AcoParams(**{name: value})
+
 
 class ScriptedDraws:
     """Stands in for the walker's generator: hands out a fixed list of draws."""

@@ -1,15 +1,21 @@
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from antnav import (AcoParams, PlannerConfig, PlannerKind, Pose, RunStatus, parse_map, run)
+from antnav import (AcoParams, CandidateSet, ColonyWeightError, CostWeights, GridGraph,
+                    LocalGrid, PlannerConfig, PlannerKind, Pose, RunStatus, SubGoal, kernel,
+                    perceive, plan_subpath, run)
 from antnav.geometry import DIR_OFFSETS
 from antnav.planner import PlannerState, plan_cycle
 from antnav.scenario import Scenario
-from antnav.world import WorldMap
+from antnav.world import MovingObstacle, MoverPolicy, WorldMap
+
+from oracles import cell_center_ref, plan_cycle_ref
 
 
 def scenario_from(static, cell_size, start_cell, goal_cell, psi=0.0, movers=(),
@@ -206,3 +212,141 @@ def test_robot_never_stands_on_an_occupied_cell_at_its_tick(sc):
             cell = world.cell_of(*result.poses[k].xy)
             assert world.in_bounds(cell) and not world.occupancy_at(cell), (k, t)
         world = world.advanced()
+
+
+COLONY_PLANNERS = [PlannerKind.PROPOSED, PlannerKind.CONVENTIONAL_ACO]
+
+
+@pytest.mark.parametrize("kind", COLONY_PLANNERS)
+def test_plan_cycle_is_one_kernel_call(kind, monkeypatch):
+    real = kernel.module()
+    calls, built = [], []
+
+    class CountingLib:
+        def __getattr__(self, name):
+            def call(*args):
+                calls.append(name)
+                return getattr(real.lib, name)(*args)
+            return call
+
+    proxy = mock.Mock(ffi=real.ffi, lib=CountingLib())
+    monkeypatch.setattr(kernel, "module", lambda: proxy)
+    for cls in (LocalGrid, GridGraph, CandidateSet, SubGoal):
+        def init(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built.append(_name)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", init)
+    s = bordered(15, 15)
+    s[7, 4:9] = True
+    result = run(scenario_from(s, 1.0, (3, 3), (12, 12), seed=9, planner=kind))
+    assert result.metrics.status is RunStatus.GOAL_REACHED
+    assert calls == ["plan_cycle"] * result.metrics.cycles
+    assert built == []
+
+
+def test_unusable_colony_weights_raise_what_plan_subpath_raises():
+    # tau0 * (1/1.5)**5 rounds to 0 on every edge: no roulette total is usable
+    params = AcoParams(tau0=5e-324)
+    sc = scenario_from(bordered(11, 11), 1.5, (5, 2), (5, 8), aco=params)
+    world = sc.world.advanced()
+    with pytest.raises(ColonyWeightError) as raised:
+        plan_cycle(world, PlannerState(sc.start, 0, RunStatus.RUNNING), sc.goal, sc.config,
+                   sc.seed, 0)
+    subgoal = tuple(map(int, re.search(r"toward \((\d+), (\d+)\)", str(raised.value)).groups()))
+    config = sc.config
+    grid = perceive(world, sc.start, config.lidar_radius, config.n_rays, config.cell_size,
+                    config.half_extent, config.inflation_rings)
+    graph = GridGraph(grid.traversable_mask(), grid.cell_size)
+    with pytest.raises(ColonyWeightError) as expected:
+        plan_subpath(graph, grid.center_cell, subgoal, params, (sc.seed, 0, 0))
+    assert str(raised.value) == str(expected.value)
+
+
+def random_cycle_scenario(rng):
+    """A bordered random map with movers, a free start on a step heading and a
+    free goal, planned by a random colony planner with random weights: one
+    weight alone in some (the bearing alone ties every cell on a ray), and a
+    short step cap in some (so trials fail and fall back). Most maps have a
+    picket fence between the start and the goal: the rays pass between its
+    posts and inflation closes the gaps, so free marginal cells behind it
+    are seen but not reached."""
+    h, w = (int(v) for v in rng.integers(9, 16, size=2))
+    static = bordered(h, w)
+    static |= rng.random((h, w)) < rng.uniform(0.0, 0.15)
+    start = (int(rng.integers(1, h - 1)), int(rng.integers(1, w - 1)))
+    axis, line = 0, None  # the fence is row `line` (axis 0) or column `line`
+    if rng.random() < 0.7:
+        axis = int(rng.integers(2))
+        line = start[axis] + int(rng.choice([-3, -2, 2, 3]))
+        if 1 <= line <= static.shape[axis] - 2:
+            posts = slice(int(rng.integers(1, 3)), None, int(rng.integers(2, 4)))
+            static[(line, posts) if axis == 0 else (posts, line)] = True
+        else:
+            line = None
+    static[start] = False
+    movers = []
+    for _ in range(int(rng.integers(0, 3))):
+        chain = [(int(rng.integers(1, h - 1)), int(rng.integers(1, w - 1)))]
+        for _ in range(int(rng.integers(1, 6))):
+            dr, dc = DIR_OFFSETS[int(rng.integers(8))]
+            r, c = chain[-1][0] + dr, chain[-1][1] + dc
+            if 1 <= r <= h - 2 and 1 <= c <= w - 2:
+                chain.append((r, c))
+        movers.append(MovingObstacle(tuple(chain), int(rng.integers(1, 3)),
+                                     MoverPolicy.PINGPONG))
+    world = WorldMap(static, 1.0, tuple(movers))
+    free = [tuple(cell) for cell in np.argwhere(~world.occupancy_grid()).tolist()
+            if tuple(cell) != start
+            and (line is None or (cell[axis] - line) * (start[axis] - line) < 0)]
+    if world.occupancy_at(start) or not free:
+        return None
+    goal = free[int(rng.integers(len(free)))]
+    weights = [CostWeights(), CostWeights(0.0, 1.0, 0.0), CostWeights(1.0, 0.0, 0.0),
+               CostWeights(*rng.uniform(0.0, 5.0, 3).tolist())][int(rng.integers(4))]
+    half_extent = int(rng.integers(2, 6))
+    return scenario_from(
+        static, 1.0, start, goal, psi=float(math.atan2(*DIR_OFFSETS[int(rng.integers(8))])),
+        movers=movers, seed=int(rng.integers(0, 2**40)), weights=weights,
+        half_extent=half_extent, lidar_radius=half_extent * float(rng.uniform(1.0, 1.5)),
+        n_rays=int(rng.choice([90, 120, 360])), inflation_rings=int(rng.random() < 0.8),
+        planner=COLONY_PLANNERS[int(rng.integers(2))],
+        aco=AcoParams(n_ants=int(rng.integers(2, 7)), n_iters=int(rng.integers(1, 6)),
+                      max_steps=[None, None, 3][int(rng.integers(3))]))
+
+
+def test_fused_cycle_matches_the_reference_cycle():
+    """plan_cycle against oracles.plan_cycle_ref, cycle by cycle along the run,
+    by bits: verdict, sub-goal, path and colony series."""
+    rng = np.random.default_rng(1313)
+    fired = {"stuck": 0, "captured": 0, "ranked": 0, "cycles": 0}
+    cases = 0
+    while cases < 60:
+        sc = random_cycle_scenario(rng)
+        if sc is None:
+            continue
+        cases += 1
+        world, state = sc.world, PlannerState(sc.start, 0, RunStatus.RUNNING)
+        config, h = sc.config, sc.config.half_extent
+        for cycle in range(4):
+            world = world.advanced()
+            pose = state.pose
+            if world.occupancy_at(world.cell_of(pose.x, pose.y)):
+                break
+            state, rec = plan_cycle(world, state, sc.goal, config, sc.seed, cycle)
+            verdict, subgoal, cells, series = plan_cycle_ref(
+                world.occupancy_grid(), world.cell_size, (pose.x, pose.y, pose.psi), sc.goal,
+                config, sc.seed, cycle)
+            fired["cycles"] += 1
+            if verdict == "stuck":
+                assert rec.status is RunStatus.STUCK and rec.subgoal is None
+                fired["stuck"] += 1
+                break
+            center = [cell_center_ref((pose.x, pose.y), config.cell_size, h, *c)
+                      for c in (subgoal, *cells)]
+            assert [v.hex() for p in (rec.subgoal, *rec.subpath) for v in p] == \
+                [v.hex() for p in center for v in p]
+            assert [v.hex() for v in rec.aco_series] == [v.hex() for v in series]
+            fired["captured" if rec.subgoal == sc.goal else "ranked"] += 1
+            if state.status is not RunStatus.RUNNING:
+                break
+    assert all(count > 0 for count in fired.values()), fired

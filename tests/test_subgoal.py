@@ -1,25 +1,38 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from antnav import (CandidateSet, CellState, CostWeights, NoCandidates, Pose,
-                    Scan, build_local_grid, candidate_cells, normalize,
-                    rank_candidates, raw_constraints, select_subgoal)
+                    Scan, build_local_grid, candidate_cells, kernel,
+                    rank_candidates, select_subgoal)
 
 from oracles import normalize_ref, raw_constraints_ref, rel_close
+from probes import kernel_ranking
 
 
 def empty_grid(origin=Pose(10.5, 10.5, 0.0)):
     return build_local_grid(Scan((), 6.0, 360, origin), 1.0, 4)
 
 
+def kernel_raw(robot, cell, goal):
+    """The kernel's three constraints of one candidate at cell"""
+    return tuple(kernel_ranking([cell], robot, goal)[1][:, 0].tolist())
+
+
+def kernel_normalize(points, robot, goal):
+    """The kernel's raw and normalized families of candidates at the points"""
+    _, raw, norm = kernel_ranking(points, robot, goal)
+    return raw.tolist(), norm.tolist()
+
+
 class TestRawConstraints:
     def test_collinear_aligned(self):
-        assert raw_constraints(Pose(0, 0, 0), (1, 0), (2, 0)) == (1.0, 0.0, 0.0)
+        assert kernel_raw(Pose(0, 0, 0), (1, 0), (2, 0)) == (1.0, 0.0, 0.0)
 
     def test_perpendicular(self):
-        ds, t1, t2 = raw_constraints(Pose(0, 0, 0), (0, 1), (0, 2))
+        ds, t1, t2 = kernel_raw(Pose(0, 0, 0), (0, 1), (0, 2))
         assert ds == 1.0
         assert abs(t1 - math.pi / 2) < 1e-12
         assert abs(t2 - math.pi / 2) < 1e-12
@@ -30,7 +43,7 @@ class TestRawConstraints:
             robot = Pose(rng.uniform(-10, 10), rng.uniform(-10, 10), rng.uniform(-7, 7))
             cell = (rng.uniform(-10, 10), rng.uniform(-10, 10))
             goal = (rng.uniform(-10, 10), rng.uniform(-10, 10))
-            got = raw_constraints(robot, cell, goal)
+            got = kernel_raw(robot, cell, goal)
             ref = raw_constraints_ref((robot.x, robot.y, robot.psi), cell, goal)
             for g, r in zip(got, ref):
                 assert rel_close(g, r)
@@ -38,22 +51,36 @@ class TestRawConstraints:
 
 
 class TestNormalize:
+    """The kernel normalizes the families of the candidates it ranks."""
+
     def test_basic(self):
-        assert normalize([2.0, 2.0]) == [0.5, 0.5]
+        # both candidates 2 m from the goal
+        raw, norm = kernel_normalize([(2.0, 0.0), (0.0, 2.0)], Pose(0, 0, 0), (0.0, 0.0))
+        assert raw[0] == [2.0, 2.0]
+        assert norm[0] == [0.5, 0.5]
 
     def test_degenerate_uniform(self):
-        assert normalize([0.0, 0.0, 0.0]) == [1 / 3, 1 / 3, 1 / 3]
+        # every candidate on the goal: an all-zero distance family
+        raw, norm = kernel_normalize([(3.0, 4.0)] * 3, Pose(0, 0, 0), (3.0, 4.0))
+        assert raw[0] == [0.0, 0.0, 0.0]
+        assert norm[0] == [1 / 3, 1 / 3, 1 / 3]
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(21)
         for _ in range(200):
-            vals = list(rng.uniform(0, 100, rng.integers(1, 40)))
-            out = normalize(vals)
-            assert abs(sum(out) - 1.0) <= 1e-12
+            points = rng.uniform(-100, 100, (rng.integers(1, 40), 2))
+            robot = Pose(rng.uniform(-100, 100), rng.uniform(-100, 100), rng.uniform(-7, 7))
+            raw, norm = kernel_normalize(points, robot, tuple(rng.uniform(-100, 100, 2)))
+            for family, scaled in zip(raw, norm):
+                assert abs(sum(scaled) - 1.0) <= 1e-12
+                assert scaled == normalize_ref(family)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            normalize([])
+        # an empty set is refused before the kernel would normalize nothing
+        with mock.patch.object(kernel, "module") as module:
+            with pytest.raises(NoCandidates):
+                rank_candidates(CandidateSet(()), Pose(0, 0, 0), (1.0, 1.0), CostWeights())
+        module.assert_not_called()
 
 
 def brute_force_best(grid, candidates, robot, goal, w):
@@ -121,9 +148,9 @@ class TestSelectSubgoal:
         cands = candidate_cells(grid)
         robot = Pose(10.5, 10.5, 0.0)
         goal = (27.0, 5.0)
-        raw = [raw_constraints(robot, world, goal) for _, world in cands.cells]
-        for k in range(3):
-            assert abs(sum(normalize([t[k] for t in raw])) - 1.0) <= 1e-12
+        _, _, norm = kernel_ranking([world for _, world in cands.cells], robot, goal)
+        for family in norm.tolist():
+            assert abs(sum(family) - 1.0) <= 1e-12
 
     def test_distance_only_weights_minimize_distance(self):
         rng = np.random.default_rng(41)
@@ -159,3 +186,10 @@ class TestSelectSubgoal:
             CostWeights(0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             CostWeights(-1.0, 1.0, 1.0)
+
+    def test_non_finite_weights_rejected(self):
+        # NaN passes the sign checks; an inf weight times a 0 family is a NaN cost
+        for name in ("alpha", "beta", "omega"):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=f"weight {name} must be finite"):
+                    CostWeights(**{name: value})
