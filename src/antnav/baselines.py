@@ -26,10 +26,11 @@ class ApfParams:
     d0: float | None = None  # None resolves to 2 * cell_size at use
 
     def __post_init__(self):
-        if self.k_att <= 0 or self.k_rep <= 0:
-            raise ValueError("gains must be positive")
-        if self.d0 is not None and self.d0 <= 0:
-            raise ValueError("d0 must be positive")
+        # NaN passes a sign check
+        for name in ("k_att", "k_rep", "d0"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def _potential(point: Point, goal: Point, obstacles: list[Point],

@@ -13,6 +13,11 @@
  * 2^-53 and a bounded integer is Lemire's method on the 32-bit outputs
  * (Generator.random and Generator.integers).
  *
+ * The mask does not change during a run, so colony_run tests it once: each
+ * cell gets an open-direction byte, and a walk steps by a flat offset to the
+ * neighbours its byte lets through. A step weighs only those candidates,
+ * by the reference loop's tau^phi * eta^gamma on the same operands.
+ *
  * Build with -ffp-contract=off and without -ffast-math: a fused
  * multiply-add or a reordered sum would change bits.
  */
@@ -150,11 +155,13 @@ static int neighbour(const bool *mask, int rows, int cols, int pos, int d)
     return r >= 0 && r < rows && c >= 0 && c < cols && mask[r * cols + c] ? r * cols + c : -1;
 }
 
-/* One roulette walk with a tabu list and a step cap. Returns COLONY_OK or
- * COLONY_BAD_TOTAL. */
-static int walk(const bool *mask, int rows, int cols, const double *w_edge,
-                const double *corner, int improved, const double *steps, int start, int goal,
-                int max_steps, pcg64 *g, unsigned char *tabu, ant_path *p)
+/* One roulette walk with a tabu list and a step cap. links[pos] has bit d set
+ * when the neighbour pos + offset[d] is on the grid and traversable; the
+ * weight of an open candidate is tau^phi * eta^gamma of its edge, times its
+ * turn factor in improved mode. Returns COLONY_OK or COLONY_BAD_TOTAL. */
+static int walk(const unsigned char *links, const int *offset, const double *tau, double phi,
+                const double *eta_g, const double *corner, int improved, const double *steps,
+                int start, int goal, int max_steps, pcg64 *g, unsigned char *tabu, ant_path *p)
 {
     int pos = start, prev = -1;
     p->cells[0] = start;
@@ -162,15 +169,19 @@ static int walk(const bool *mask, int rows, int cols, const double *w_edge,
     p->length = 0.0;
     tabu[start] = 1;
     for (int s = 0; s < max_steps; s++) {
-        const double *w_row = w_edge + (size_t)pos * 8;
+        const double *tau_row = tau + (size_t)pos * 8;
         const double *turn = corner + (prev + 1) * 8;
+        const unsigned open = links[pos];
         double cw[8], total = 0.0;
         int cn[8], cd[8], k = 0;
         for (int d = 0; d < 8; d++) {
-            int nid = neighbour(mask, rows, cols, pos, d);
-            if (nid < 0 || tabu[nid])
+            if (!(open >> d & 1u))
                 continue;
-            double w = w_row[d];
+            int nid = pos + offset[d];
+            if (tabu[nid])
+                continue;
+            /* pow(t, 1.0) == t: skip the call */
+            double w = (phi == 1.0 ? tau_row[d] : pow(tau_row[d], phi)) * eta_g[d];
             if (improved)
                 w *= turn[d];
             cw[k] = w;
@@ -228,8 +239,10 @@ static void copy_path(ant_path *dst, const ant_path *src)
  * steps (8), corner (9, 8), key (n_key), best_cells (max_steps + 1),
  * best_dirs (max_steps), series (n_iters). Ant k of iteration it walks on
  * the stream of the words (key..., it, k), it from 1, and the repair draws
- * from k = n_ants. max_steps must not exceed n - 1. On COLONY_OK the best
- * path is in best_cells[0..*best_steps] and best_dirs[0..*best_steps - 1]. */
+ * from k = n_ants. max_steps must not exceed n - 1. The open-direction
+ * bytes and the flat offsets are built once per call, before the first
+ * iteration. On COLONY_OK the best path is in best_cells[0..*best_steps] and
+ * best_dirs[0..*best_steps - 1]. */
 int colony_run(const bool *mask, int rows, int cols, double *tau, double tau0,
                const double *eta_g, const double *steps, const double *corner,
                const uint32_t *key, int n_key, int n_iters, int n_ants, int max_steps,
@@ -240,7 +253,7 @@ int colony_run(const bool *mask, int rows, int cols, double *tau, double tau0,
 {
     const int m = n_ants, n = rows * cols;
     const size_t n_edges = (size_t)n * 8;
-    double *w_edge = malloc(sizeof(double) * n_edges);
+    unsigned char *links = malloc((size_t)n);
     unsigned char *tabu = malloc((size_t)n);
     ant_path *ants = malloc(sizeof(ant_path) * (size_t)m);
     ant_path **paths = malloc(sizeof(ant_path *) * (size_t)m);
@@ -251,7 +264,8 @@ int colony_run(const bool *mask, int rows, int cols, double *tau, double tau0,
     ant_path best = {best_cells, best_dirs, 0, 0, 0, 0.0, INFINITY};
     int have_best = 0, fail_streak = 0, code = COLONY_OK;
     const double keep = 1.0 - rho;
-    if (!w_edge || !tabu || !ants || !paths || !order || !cell_buf || !dir_buf || !words) {
+    int offset[8];
+    if (!links || !tabu || !ants || !paths || !order || !cell_buf || !dir_buf || !words) {
         code = COLONY_NO_MEMORY;
         goto done;
     }
@@ -259,21 +273,27 @@ int colony_run(const bool *mask, int rows, int cols, double *tau, double tau0,
         ants[k].cells = cell_buf + (size_t)k * (size_t)(max_steps + 1);
         ants[k].dirs = dir_buf + (size_t)k * (size_t)max_steps;
     }
+    for (int d = 0; d < 8; d++)
+        offset[d] = DIR_OFFSETS[d][0] * cols + DIR_OFFSETS[d][1];
+    for (int i = 0; i < n; i++) {
+        unsigned open = 0;
+        for (int d = 0; d < 8; d++)
+            if (neighbour(mask, rows, cols, i, d) >= 0)
+                open |= 1u << d;
+        links[i] = (unsigned char)open;
+    }
     memcpy(words, key, sizeof(uint32_t) * (size_t)n_key);
     for (size_t e = 0; e < n_edges; e++)
         tau[e] = tau0;
     for (int it = 0; it < n_iters; it++) {
         words[n_key] = (uint32_t)it + 1;
-        for (size_t e = 0; e < n_edges; e++)  /* pow(t, 1.0) == t: skip the call */
-            w_edge[e] = (phi == 1.0 ? tau[e] : pow(tau[e], phi)) * eta_g[e & 7];
-
         int any_reached = 0;
         for (int k = 0; k < m; k++) {
             pcg64 g;
             words[n_key + 1] = (uint32_t)k;
             pcg_seed(&g, words, n_key + 2);
             memset(tabu, 0, (size_t)n);
-            code = walk(mask, rows, cols, w_edge, corner, improved, steps, start, goal,
+            code = walk(links, offset, tau, phi, eta_g, corner, improved, steps, start, goal,
                         max_steps, &g, tabu, &ants[k]);
             if (code != COLONY_OK)
                 goto done;
@@ -364,7 +384,7 @@ int colony_run(const bool *mask, int rows, int cols, double *tau, double tau0,
     *best_length = best.length;
 
 done:
-    free(w_edge);
+    free(links);
     free(tabu);
     free(ants);
     free(paths);

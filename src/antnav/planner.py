@@ -61,8 +61,8 @@ class PlannerConfig:
             raise ValueError("n_rays must be >= 1")
         if not 0 < self.lidar_radius < math.inf:
             raise ValueError(f"lidar_radius must be positive and finite, got {self.lidar_radius}")
-        if self.cell_size <= 0:
-            raise ValueError("cell_size must be positive")
+        if not 0 < self.cell_size < math.inf:
+            raise ValueError(f"cell_size must be positive and finite, got {self.cell_size}")
         eta_gamma((self.cell_size, self.cell_size * SQRT2), self.aco.gamma)
         if self.half_extent < 1:
             raise ValueError("half_extent must be >= 1")
@@ -71,8 +71,8 @@ class PlannerConfig:
                              f"exceeds lidar_radius {self.lidar_radius}")
         if self.inflation_rings < 0:
             raise ValueError("inflation_rings must be >= 0")
-        if self.goal_tolerance is not None and self.goal_tolerance < 0:
-            raise ValueError("goal_tolerance must be >= 0")
+        if self.goal_tolerance is not None and not 0 <= self.goal_tolerance < math.inf:
+            raise ValueError(f"goal_tolerance must be >= 0 and finite, got {self.goal_tolerance}")
         if self.max_robot_steps is not None and self.max_robot_steps < 0:
             raise ValueError("max_robot_steps must be >= 0")
 

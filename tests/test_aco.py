@@ -757,6 +757,49 @@ class TestKernelDifferential:
         for what in ("step_cap", "dead_end", "repair_unfinished", "repair_all_finished"):
             assert stats[what] >= 20, stats
 
+    def test_equals_reference_on_rectangular_masks(self):
+        # rows != cols, one case in three a single row or column: a step offset
+        # built from the wrong side walks off the grid or into the wrong cell
+        rng = np.random.default_rng(9090)
+        outcomes = Counter()
+        cases = 0
+        while cases < 150:
+            rows, cols = (int(v) for v in rng.integers(1, 11, 2))
+            if cases % 3 == 0:
+                rows, cols = (1, cols) if cases % 2 else (rows, 1)
+            if rows == cols:
+                continue
+            mask = rng.random((rows, cols)) > rng.uniform(0.0, 0.35)
+            free = [tuple(map(int, c)) for c in np.argwhere(mask)]
+            if len(free) < 2:
+                continue
+            i, j = rng.choice(len(free), 2, replace=False)
+            graph = GridGraph(mask, float(rng.uniform(0.3, 2.0)))
+            m = int(rng.integers(2, 9))
+            params = AcoParams(
+                phi=[1.0, 0.6][cases % 2], gamma=float(rng.uniform(0.5, 4.0)),
+                rho=float(rng.uniform(0.05, 0.95)), n_ants=m,
+                n_iters=int(rng.integers(1, 9)), elite_cutoff=int(rng.integers(1, m)),
+                mode=AcoMode.IMPROVED if cases % 4 < 2 else AcoMode.CONVENTIONAL)
+            seed = (int(rng.integers(0, 2 ** 32)), cases)
+            try:
+                expected = oracles.plan_subpath_ref(graph, free[i], free[j], params, seed,
+                                                    Counter())
+            except NoPathFound as exc:
+                with pytest.raises(NoPathFound) as got:
+                    plan_subpath(graph, free[i], free[j], params, seed)
+                assert str(got.value) == str(exc)
+                outcomes["no_path"] += 1
+            else:
+                path, series = plan_subpath(graph, free[i], free[j], params, seed)
+                assert (path.cells, path.dirs, path.length, path.corners) == \
+                    (expected[0].cells, expected[0].dirs, expected[0].length,
+                     expected[0].corners)
+                assert series == expected[1]
+                outcomes["1-wide" if 1 in (rows, cols) else "found"] += 1
+            cases += 1
+        assert outcomes["found"] >= 50 and outcomes["1-wide"] >= 25, outcomes
+
     @pytest.mark.parametrize("key", [
         (0,),                    # 3 words with (n, k): shorter than the 4-word pool
         (7,),

@@ -96,6 +96,13 @@ class TestApfStep:
         with pytest.raises(ValueError):
             ApfParams(d0=-1.0)
 
+    def test_non_finite_params_rejected(self):
+        # NaN passes a sign check; an infinite gain or cutoff is no usable potential
+        for name in ("k_att", "k_rep", "d0"):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+                    ApfParams(**{name: value})
+
 
 class TestConventionalDelegation:
     def test_conventional_planner_is_aco_in_conventional_mode(self):

@@ -1,4 +1,4 @@
-"""Building and loading the compiled kernel (colony.c and perception.c)."""
+"""Building and loading the compiled kernel (colony.c, perception.c and planner.c)."""
 import json
 import os
 import subprocess
@@ -133,3 +133,12 @@ def test_cdef_declares_every_exported_function():
     code, stderr = compile_errors("#include <stdint.h>\n" + kernel.CDEF + kernel._unit(texts),
                                   "-Wmissing-prototypes")
     assert code == 0, stderr
+
+
+def test_build_flags_keep_the_bits():
+    # a fused multiply-add, a reassociated sum or host-specific code would
+    # change output bits: a faster build level must not bring any of them in
+    assert {"-ffp-contract=off", "-fno-fast-math"} <= set(kernel.CFLAGS)
+    for flag in ("-Ofast", "-ffast-math", "-funsafe-math-optimizations", "-fassociative-math",
+                 "-march=native"):
+        assert flag not in kernel.CFLAGS

@@ -244,6 +244,16 @@ def test_plan_cycle_is_one_kernel_call(kind, monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_config_values_are_rejected_by_name(value):
+    # NaN passes every sign check, and a non-finite cell_size must be named
+    # before eta_gamma reports it as a bad gamma
+    with pytest.raises(ValueError, match="goal_tolerance must be >= 0 and finite"):
+        PlannerConfig(goal_tolerance=value)
+    with pytest.raises(ValueError, match="cell_size must be positive and finite"):
+        PlannerConfig(cell_size=value)
+
+
 def test_unusable_colony_weights_raise_what_plan_subpath_raises():
     # tau0 * (1/1.5)**5 rounds to 0 on every edge: no roulette total is usable
     params = AcoParams(tau0=5e-324)
