@@ -11,15 +11,14 @@ from .errors import (AntnavError, ColonyWeightError, EmptyRuns, InvalidExtent,
                      LocalMinimum, MapParseError, NoCandidates, NoPathFound, OutOfBounds,
                      PoseInObstacle, PoseOutOfBounds, ScenarioParseError)
 from .geometry import Cell, Point, Pose, wrap_angle
-from .grid import (CandidateSet, CellState, LocalGrid, build_local_grid,
-                   candidate_cells, perceive)
+from .grid import (CandidateSet, CellState, LocalGrid, candidate_cells, perceive,
+                   simulate_scan)
 from .metrics import (AggregateStats, RunMetrics, RunStatus, aggregate,
                       corner_count, path_length)
 from .planner import (CycleRecord, PlannerConfig, PlannerKind, PlannerState,
                       RunResult, plan_cycle, run)
-from .scan import Scan, polar_to_world, simulate_scan
 from .scenario import Scenario, WeightGroup, parse_groups, parse_scenario
-from .subgoal import CostWeights, SubGoal, rank_candidates, select_subgoal
+from .subgoal import CostWeights, SubGoal, rank_candidates
 from .world import MovingObstacle, MoverPolicy, ParsedMap, WorldMap, load_map, parse_map
 
 __version__ = "0.1.0"

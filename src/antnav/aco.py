@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .kernel import pointer
+from .kernel import INT_MAX, pointer
 from .errors import ColonyWeightError, NoPathFound
 from .geometry import Cell, DIR_ANGLES, DIR_IS_DIAGONAL, DIR_OFFSETS, SQRT2, wrap_angle
 
@@ -73,10 +73,10 @@ class AcoParams:
             raise ValueError("rho must be in (0, 1)")
         if self.q <= 0:
             raise ValueError("q must be positive")
-        if self.n_ants < 2:
-            raise ValueError("n_ants must be >= 2")
-        if self.n_iters < 1:
-            raise ValueError("n_iters must be >= 1")
+        if not 2 <= self.n_ants <= INT_MAX:
+            raise ValueError(f"n_ants must be in 2..{INT_MAX}")
+        if not 1 <= self.n_iters <= INT_MAX:
+            raise ValueError(f"n_iters must be in 1..{INT_MAX}")
         if self.delta <= 0 or self.zeta < 0:
             # a finished path without corners must still score above 0
             raise ValueError("delta must be positive and zeta >= 0")

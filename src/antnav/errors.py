@@ -26,11 +26,11 @@ class OutOfBounds(AntnavError):
 
 
 class PoseOutOfBounds(AntnavError):
-    """Scan requested from a pose outside the world map."""
+    """A scan requested from a pose outside the world map."""
 
 
 class PoseInObstacle(AntnavError):
-    """Scan requested from a pose whose cell is occupied."""
+    """A scan requested from a pose whose cell is occupied."""
 
 
 class InvalidExtent(AntnavError):

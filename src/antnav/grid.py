@@ -1,18 +1,19 @@
-"""Perception: the robot-centered local occupancy grid built from one scan.
+"""Perception: the LiDAR scan and the robot-centered local occupancy grid built from it.
 
-The grid is axis-aligned in the world frame and centered on the scan origin,
-so when the robot sits on a world cell center with matching cell size, local
-cells coincide with world cells. Occupied cells are inflated by marking their
+Bearings are measured clockwise from the robot heading, so the world-frame
+direction of a ray with bearing theta is psi - theta. The grid is
+axis-aligned in the world frame and centered on the scan origin, so when the
+robot sits on a world cell center with matching cell size, local cells
+coincide with world cells. Occupied cells are inflated by marking their
 8-neighborhood (configurable ring count) as non-traversable. `perceive` runs
 the whole stage (scan, rasterize, inflate, occlusion mask, world clamp) in
 one call of the compiled kernel (perception.c, built on first use by
-kernel.py) and builds no Scan; `build_local_grid` rasterizes and inflates a
-given Scan, without occlusion. `candidate_cells` lists a grid's marginal
-cells with planner.c's marginal_cells. The planning cycle runs these same
-kernel functions in one call of planner.c's plan_cycle and builds no
-LocalGrid; APF is the one planner that perceives through `perceive`.
-tests/oracles.py keeps the per-ray and per-cell loops they reproduce as the
-reference.
+kernel.py); `simulate_scan` returns the kernel's scan alone, one range per
+ray. `candidate_cells` lists a grid's marginal cells with planner.c's
+marginal_cells. The planning cycle runs these same kernel functions in one
+call of planner.c's plan_cycle and builds no LocalGrid; APF is the one
+planner that perceives through `perceive`. tests/oracles.py keeps the
+per-ray and per-cell loops they reproduce as the reference.
 """
 from __future__ import annotations
 
@@ -22,10 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .errors import InvalidExtent, NoCandidates
+from .errors import InvalidExtent, NoCandidates, PoseInObstacle, PoseOutOfBounds
 from .geometry import Cell, Point, Pose
 from .kernel import pointer
-from .scan import Scan, checked_occupancy
 from .world import WorldMap
 
 
@@ -93,31 +93,53 @@ def _kernel_rings(radius: float, cell_size: float, half_extent: int,
     return min(inflation_rings, 2 * half_extent + 1)  # more rings add nothing
 
 
-def build_local_grid(scan: Scan, cell_size: float, half_extent: int,
-                     inflation_rings: int = 1) -> LocalGrid:
-    """Rasterize a scan into the local grid and inflate obstacles; no occlusion mask.
+def checked_occupancy(world: WorldMap, pose: Pose, radius: float, n_rays: int) -> np.ndarray:
+    """The world occupancy a scan from pose is cast against, once the scan arguments pass.
 
-    Samples landing outside the square or on the robot cell are discarded.
-    Raises InvalidExtent when the square would poke out of the scan disc
-    (half_extent * cell_size > scan radius).
+    Raises ValueError for a radius <= 0 or fewer than one ray, and
+    PoseOutOfBounds / PoseInObstacle when the pose is not on a free
+    in-bounds cell.
     """
-    rings = _kernel_rings(scan.radius, cell_size, half_extent, inflation_rings)
-    side = 2 * half_extent + 1
-    cells = np.empty((side, side), dtype=np.int8)
-    samples = np.ascontiguousarray(scan.samples)
-    origin = scan.origin
-    kernel.module().lib.rasterize(
-        pointer(samples, np.float64, samples.shape), len(samples), origin.x, origin.y,
-        origin.psi, cell_size, half_extent, rings,
-        pointer(cells, np.int8, cells.shape, writable=True))
-    return LocalGrid(origin, cell_size, half_extent, cells)
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    if n_rays < 1:
+        raise ValueError("n_rays must be >= 1")
+    cell = world.cell_of(pose.x, pose.y)
+    if not world.in_bounds(cell):
+        raise PoseOutOfBounds(f"pose {pose.xy} outside the world")
+    occ = world.occupancy_grid()
+    if occ[cell]:
+        raise PoseInObstacle(f"pose {pose.xy} lies on an occupied cell {cell}")
+    return occ
+
+
+def simulate_scan(world: WorldMap, pose: Pose, radius: float, n_rays: int) -> np.ndarray:
+    """The kernel's scan: n_rays equally spaced rays cast against the world at its current tick.
+
+    Returns a float64 array of n_rays ranges. Ray i has bearing
+    tau * i / n_rays. The kernel's cast_rays (perception.c) follows each ray
+    cell by cell (Amanatides & Woo 1987, x first on ties) to the first
+    occupied cell it crosses with real length, not just through a corner;
+    the range is the midpoint of the ray's segment inside that cell, clipped
+    to the radius. A ray that passes the radius or leaves the map reads inf.
+
+    Pure function of (world, pose, radius, n_rays). Raises as
+    checked_occupancy does.
+    """
+    occ = checked_occupancy(world, pose, radius, n_rays)
+    ranges = np.empty(n_rays)
+    kernel.module().lib.cast_rays(
+        pointer(occ, np.bool_, occ.shape), *occ.shape, world.cell_size, pose.x, pose.y,
+        pose.psi, radius, n_rays, pointer(ranges, np.float64, ranges.shape, writable=True))
+    return ranges
 
 
 def perceive(world: WorldMap, pose: Pose, radius: float, n_rays: int, cell_size: float,
              half_extent: int, inflation_rings: int) -> LocalGrid:
     """Local grid from a fresh scan: rasterized, inflated, occlusion-masked, clamped to the world.
 
-    Takes simulate_scan's and build_local_grid's arguments and raises as they do.
+    Takes simulate_scan's arguments plus the grid's, and raises as
+    checked_occupancy and _kernel_rings do.
     """
     occ = checked_occupancy(world, pose, radius, n_rays)
     rings = _kernel_rings(radius, cell_size, half_extent, inflation_rings)

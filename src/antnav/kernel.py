@@ -39,6 +39,10 @@ SUFFIX = sysconfig.get_config_var("EXT_SUFFIX")
 # of older sources.
 _PREFIXES = ("_kernel_", "_colony_")
 
+# The largest count a kernel `int` takes: ray, ant and iteration counts and
+# the cells of a local grid, which the dataclasses holding them check.
+INT_MAX = 2**31 - 1
+
 CDEF = """
 int colony_run(const _Bool *mask, int rows, int cols, double *tau, double tau0,
                const double *eta_g, const double *steps, const double *corner,
@@ -50,8 +54,6 @@ int colony_run(const _Bool *mask, int rows, int cols, double *tau, double tau0,
 void reachable(const _Bool *mask, int rows, int cols, int start, int32_t *queue, _Bool *reach);
 void cast_rays(const _Bool *occ, int rows, int cols, double cell_size, double x0, double y0,
                double psi, double radius, int n_rays, double *range);
-void rasterize(const double *samples, int k, double x0, double y0, double psi,
-               double cell_size, int half_extent, int rings, int8_t *cells);
 void perceive(const _Bool *occ, int rows, int cols, double world_cell_size, double x0,
               double y0, double psi, double radius, int n_rays, double cell_size,
               int half_extent, int rings, double *range, int8_t *cells);

@@ -2,13 +2,11 @@
  *
  * perceive runs the whole stage on one cells array: ray cast, rasterize and
  * inflate, occlusion, world clamp. cast_rays is also
- * antnav.scan.simulate_scan's ray cast and rasterize is also
- * antnav.grid.build_local_grid's rasterize and inflate, for hand-built
- * scans, which are never occluded. The kernel's own scan is one range per
- * ray: range[i] is ray i's hit distance, or INFINITY when it hits nothing.
+ * antnav.grid.simulate_scan's ray cast. The scan is one range per ray:
+ * range[i] is ray i's hit distance, or INFINITY when it hits nothing.
  * The arithmetic is that of the per-ray and per-cell reference loops in
  * tests/oracles.py, operation for operation, so every cell state and every
- * sample is bit-identical to theirs:
+ * range is bit-identical to theirs:
  *  - cos, sin and atan2 are libm's, which CPython's math module calls too;
  *  - math.hypot is not libm's hypot, so py_hypot ports CPython 3.11's
  *    two-argument vector_norm;
@@ -182,7 +180,8 @@ void cast_rays(const bool *occ, int rows, int cols, double cell_size, double x0,
 
 /* Marks OCCUPIED the cell of the side x side grid around (x0, y0) that the
  * sample (d, theta) seen from heading psi lands on, when it lies inside the
- * square: polar_to_world's arithmetic term for term. */
+ * square. The world point comes first and then its offset from (x0, y0),
+ * term for term as in tests/oracles.py's local_grid_ref. */
 static void mark(double d, double theta, double x0, double y0, double psi, double cell_size,
                  int half_extent, int8_t *cells)
 {
@@ -213,20 +212,6 @@ static void inflate(int half_extent, int rings, int8_t *cells)
                         cells[rr * side + cc] = INFLATED;
         }
     cells[half_extent * side + half_extent] = ROBOT;
-}
-
-/* Rasterizes k (d, theta) samples seen from pose (x0, y0, psi) into the
- * side x side grid around it, side = 2 * half_extent + 1, and inflates each
- * occupied cell by `rings` rings of its free neighbours. A sample outside
- * the square or on the robot cell is dropped; the center ends as ROBOT. */
-void rasterize(const double *samples, int k, double x0, double y0, double psi,
-               double cell_size, int half_extent, int rings, int8_t *cells)
-{
-    int side = 2 * half_extent + 1;
-    memset(cells, FREE, (size_t)side * side);
-    for (int i = 0; i < k; i++)
-        mark(samples[2 * i], samples[2 * i + 1], x0, y0, psi, cell_size, half_extent, cells);
-    inflate(half_extent, rings, cells);
 }
 
 /* Marks INFLATED the FREE cells of the side x side grid around

@@ -23,10 +23,9 @@ from .aco import _CORNER_FACTORS, AcoMode, AcoParams, _entropy_words, colony_err
 from .baselines import ApfParams, apf_step
 from .errors import LocalMinimum
 from .geometry import SQRT2, Cell, Point, Pose
-from .grid import _kernel_rings, cell_center, perceive
-from .kernel import pointer
+from .grid import _kernel_rings, cell_center, checked_occupancy, perceive
+from .kernel import INT_MAX, pointer
 from .metrics import RunMetrics, RunStatus, corner_count, path_length
-from .scan import checked_occupancy
 from .subgoal import CostWeights
 from .world import WorldMap
 
@@ -57,8 +56,8 @@ class PlannerConfig:
     max_robot_steps: int | None = None  # None = 10 * max(world side)
 
     def __post_init__(self):
-        if self.n_rays < 1:
-            raise ValueError("n_rays must be >= 1")
+        if not 1 <= self.n_rays <= INT_MAX:
+            raise ValueError(f"n_rays must be in 1..{INT_MAX}")
         if not 0 < self.lidar_radius < math.inf:
             raise ValueError(f"lidar_radius must be positive and finite, got {self.lidar_radius}")
         if not 0 < self.cell_size < math.inf:
@@ -66,6 +65,9 @@ class PlannerConfig:
         eta_gamma((self.cell_size, self.cell_size * SQRT2), self.aco.gamma)
         if self.half_extent < 1:
             raise ValueError("half_extent must be >= 1")
+        if (2 * self.half_extent + 1) ** 2 > INT_MAX:
+            raise ValueError(f"half_extent {self.half_extent} makes a local grid of more than "
+                             f"{INT_MAX} cells")
         if self.half_extent * self.cell_size > self.lidar_radius + 1e-9:
             raise ValueError(f"half_extent {self.half_extent} x cell_size {self.cell_size} "
                              f"exceeds lidar_radius {self.lidar_radius}")

@@ -145,36 +145,42 @@ def _is_valid(values: dict[str, object], world: WorldMap, planner: PlannerKind) 
     return True
 
 
+# directive -> (dataclass, field) it sets; a field no directive sets keeps its default
+_FIELDS = {
+    "alpha": (CostWeights, "alpha"), "beta": (CostWeights, "beta"),
+    "omega": (CostWeights, "omega"),
+    "phi": (AcoParams, "phi"), "gamma": (AcoParams, "gamma"), "rho": (AcoParams, "rho"),
+    "deposit": (AcoParams, "q"), "ants": (AcoParams, "n_ants"),
+    "iterations": (AcoParams, "n_iters"), "delta": (AcoParams, "delta"),
+    "zeta": (AcoParams, "zeta"), "tau0": (AcoParams, "tau0"),
+    "aco_max_steps": (AcoParams, "max_steps"), "elite_cutoff": (AcoParams, "elite_cutoff"),
+    "apf_k_att": (ApfParams, "k_att"), "apf_k_rep": (ApfParams, "k_rep"),
+    "apf_d0": (ApfParams, "d0"),
+    "lidar_radius": (PlannerConfig, "lidar_radius"), "lidar_rays": (PlannerConfig, "n_rays"),
+    "half_extent": (PlannerConfig, "half_extent"),
+    "inflation_rings": (PlannerConfig, "inflation_rings"),
+    "goal_tolerance": (PlannerConfig, "goal_tolerance"),
+    "max_robot_steps": (PlannerConfig, "max_robot_steps"),
+}
+
+
 def _config(values: dict[str, object], world: WorldMap,
             planner: PlannerKind) -> PlannerConfig:
-    """Planner configuration from parsed directives; ValueError when invalid."""
-    cell_size = world.cell_size
-    half_extent = int(values.get("half_extent", 4))
-    lidar_radius = float(values.get("lidar_radius", half_extent * cell_size))
+    """Planner configuration from parsed directives; ValueError when invalid.
 
-    weights = CostWeights(alpha=float(values.get("alpha", 4.0)),
-                          beta=float(values.get("beta", 1.8)),
-                          omega=float(values.get("omega", 1.0)))
-    aco = AcoParams(phi=float(values.get("phi", 1.0)),
-                    gamma=float(values.get("gamma", 5.0)),
-                    rho=float(values.get("rho", 0.3)),
-                    q=float(values.get("deposit", 1.0)),
-                    n_ants=int(values.get("ants", 20)),
-                    n_iters=int(values.get("iterations", 50)),
-                    delta=float(values.get("delta", 0.7)),
-                    zeta=float(values.get("zeta", 0.3)),
-                    tau0=float(values.get("tau0", 1.0)),
-                    max_steps=values.get("aco_max_steps"),
-                    elite_cutoff=values.get("elite_cutoff"))
-    apf = ApfParams(k_att=float(values.get("apf_k_att", 1.0)),
-                    k_rep=float(values.get("apf_k_rep", 100.0)),
-                    d0=values.get("apf_d0"))
+    The map sets cell_size, and lidar_radius defaults to half_extent cells.
+    """
+    fields = {cls: {} for cls in (CostWeights, AcoParams, ApfParams, PlannerConfig)}
+    for key, value in values.items():
+        if key in _FIELDS:
+            cls, name = _FIELDS[key]
+            fields[cls][name] = value
+    config = fields.pop(PlannerConfig)
+    config.setdefault("lidar_radius",
+                      config.get("half_extent", PlannerConfig.half_extent) * world.cell_size)
+    weights, aco, apf = (cls(**kwargs) for cls, kwargs in fields.items())
     return PlannerConfig(weights=weights, aco=aco, apf=apf, planner=planner,
-                         lidar_radius=lidar_radius, n_rays=int(values.get("lidar_rays", 360)),
-                         cell_size=cell_size, half_extent=half_extent,
-                         inflation_rings=int(values.get("inflation_rings", 1)),
-                         goal_tolerance=values.get("goal_tolerance"),
-                         max_robot_steps=values.get("max_robot_steps"))
+                         cell_size=world.cell_size, **config)
 
 
 def with_seed(scenario: Scenario, seed: int) -> Scenario:

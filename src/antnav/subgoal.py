@@ -70,8 +70,3 @@ def rank_candidates(candidates: CandidateSet, robot: Pose, goal: Point,
     costs = cost.tolist()
     return [SubGoal(*candidates.cells[i], costs[i]) for i in order.tolist()]
 
-
-def select_subgoal(candidates: CandidateSet, robot: Pose, goal: Point,
-                   weights: CostWeights) -> SubGoal:
-    """Minimum-cost candidate; ties broken by lowest row-major cell index."""
-    return rank_candidates(candidates, robot, goal, weights)[0]

@@ -2,8 +2,8 @@
 
 Each probe reads what plan_subpath hands the kernel (its eta_gamma and
 _CORNER_FACTORS tables) or what the kernel leaves behind (the pheromone
-array, the sub-goal ranking's constraint families), so the checks built on
-them test the code the planner runs. The neighbours of a cell come from the
+array, the sub-goal ranking's constraint families, the scan's ranges), so
+the checks built on them test the code the planner runs. The neighbours of a cell come from the
 traversable mask (oracles.neighbors_ref), not from the package.
 """
 import math
@@ -12,12 +12,19 @@ from unittest import mock
 import numpy as np
 
 from antnav import (AcoMode, CandidateSet, CostWeights, GridGraph, NoPathFound, plan_subpath,
-                    rank_candidates)
+                    rank_candidates, simulate_scan)
 from antnav import aco, kernel, subgoal
 from antnav.aco import _CORNER_FACTORS, eta_gamma
 from antnav.geometry import DIR_ANGLES, wrap_angle
 
 from oracles import neighbors_ref
+
+
+def kernel_hits(world, pose, radius, n_rays):
+    """The kernel's scan as scan_ref lists it: (d, theta) of each ray that hit, in ray
+    order, theta by the kernel's bearing arithmetic."""
+    ranges = simulate_scan(world, pose, radius, n_rays)
+    return [(d, math.tau * i / n_rays) for i, d in enumerate(ranges.tolist()) if d < math.inf]
 
 
 def random_field_state(rng, n=6):

@@ -13,8 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from antnav import (AcoMode, AcoParams, CostWeights, GridGraph, NoPathFound, PlannerKind,
-                    Pose, RunStatus, corner_heuristic, plan_subpath, polar_to_world, run)
+from antnav import (AcoMode, AcoParams, CellState, CostWeights, GridGraph, NoPathFound,
+                    PlannerKind, Pose, RunStatus, WorldMap, corner_heuristic, perceive,
+                    plan_subpath, run)
 from antnav.aco import eta_gamma
 from antnav.geometry import DIR_ANGLES, DIR_OFFSETS, SQRT2
 from antnav.scenario import parse_groups, parse_scenario, with_planner, with_seed, with_weights
@@ -22,7 +23,7 @@ from antnav.scenario import parse_groups, parse_scenario, with_planner, with_see
 from oracles import (corner_ref, dijkstra_ref, heuristic_ref, neighbors_ref, normalize_ref,
                      plan_subpath_ref, polar_ref, raw_constraints_ref, score_ref,
                      transition_ref)
-from probes import kernel_ranking, kernel_run, kernel_transition, random_field_state
+from probes import kernel_hits, kernel_ranking, kernel_run, kernel_transition, random_field_state
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
@@ -49,12 +50,22 @@ class TestCriterion1:
             return err <= TOL
 
         ok = True
+        # the polar conversion as the kernel's perceive applies it: every hit
+        # of the scan, turned into a world point by polar_ref, rounds to a
+        # local cell the grid marks occupied (or to the robot's own cell)
+        hits = 0
         for _ in range(1000):
-            pose = Pose(rng.uniform(-50, 50), rng.uniform(-50, 50), rng.uniform(-9, 9))
-            d, theta = rng.uniform(0, 20), rng.uniform(0, math.tau * 0.999999)
-            g = polar_to_world(pose, d, theta)
-            r = polar_ref(pose.x, pose.y, pose.psi, d, theta)
-            ok &= track(g[0], r[0]) and track(g[1], r[1])
+            static = rng.random((15, 15)) < 0.2
+            static[7, 7] = False
+            world = WorldMap(static, 1.0)
+            pose = Pose(7.5, 7.5, float(rng.uniform(-9, 9)))
+            grid = perceive(world, pose, 4.0, 90, 1.0, 4, 0)
+            for d, theta in kernel_hits(world, pose, 4.0, 90):
+                x, y = polar_ref(pose.x, pose.y, pose.psi, d, theta)
+                cell = (4 + math.floor(y - pose.y + 0.5), 4 + math.floor(x - pose.x + 0.5))
+                ok &= cell == (4, 4) or grid.cells[cell] == CellState.OCCUPIED
+                hits += 1
+        ok &= hits > 0
         # the sub-goal constraints, families and costs as the kernel's ranking
         # (the planning cycle's) writes them
         for _ in range(1000):

@@ -3,15 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from antnav import (ApfParams, CellState, LocalMinimum, Pose, Scan, apf_step,
-                    build_local_grid)
+from antnav import ApfParams, CellState, LocalMinimum, Pose, apf_step
 from antnav.grid import LocalGrid
 
-from test_grid import sample_at, scan_of
-
-
-def empty_grid(origin=Pose(10.5, 10.5, 0.0)):
-    return build_local_grid(Scan((), 6.0, 360, origin), 1.0, 4)
+from test_grid import grid_of, random_grid
 
 
 def potential_ref(point, goal, obstacles, k_att, k_rep, d0):
@@ -25,19 +20,20 @@ def potential_ref(point, goal, obstacles, k_att, k_rep, d0):
 
 class TestApfStep:
     def test_no_obstacles_steps_toward_goal(self):
-        grid = empty_grid()
+        grid = grid_of()
         nxt = apf_step(grid, Pose(10.5, 10.5, 0.0), (30.0, 10.5), ApfParams())
         assert nxt == (4, 5)
 
     def test_u_trap_local_minimum(self):
         # robot sits inside a tight east-facing pocket: arms one row above and
-        # below, back wall two cells east; the only free neighbor is the mouth
+        # below, back wall one cell east; the only free neighbor is the mouth
         # to the west, where the goal attraction is strictly worse
         origin = Pose(10.5, 10.5, 0.0)
-        cells = [(3, 4), (3, 5), (3, 6), (5, 4), (5, 5), (5, 6), (4, 6)]
-        pts = [(10.5 + (c - 4), 10.5 + (r - 4)) for r, c in cells]
-        grid = build_local_grid(scan_of([sample_at(origin, x, y) for x, y in pts],
-                                        origin=origin), 1.0, 4)
+        cells = np.full((9, 9), CellState.FREE, dtype=np.int8)
+        for r, c in [(3, 3), (3, 4), (3, 5), (5, 3), (5, 4), (5, 5), (4, 5)]:
+            cells[r, c] = CellState.OCCUPIED
+        cells[4, 4] = CellState.ROBOT
+        grid = LocalGrid(origin, 1.0, 4, cells)
         with pytest.raises(LocalMinimum):
             apf_step(grid, origin, (30.0, 10.5), ApfParams())
 
@@ -47,10 +43,7 @@ class TestApfStep:
         params = ApfParams(k_att=1.0, k_rep=100.0, d0=2.0)
         checked = 0
         while checked < 30:
-            pts = [(10.5 + rng.uniform(-4, 4), 10.5 + rng.uniform(-4, 4))
-                   for _ in range(rng.integers(0, 14))]
-            grid = build_local_grid(scan_of([sample_at(origin, x, y) for x, y in pts],
-                                            origin=origin), 1.0, 4)
+            grid = random_grid(rng, 14)
             goal = (rng.uniform(0, 21), rng.uniform(0, 21))
             obstacles = [grid.world_center((r, c))
                          for r, c in np.argwhere(grid.cells == CellState.OCCUPIED)]
@@ -79,10 +72,7 @@ class TestApfStep:
         rng = np.random.default_rng(37)
         origin = Pose(10.5, 10.5, 0.0)
         for _ in range(30):
-            pts = [(10.5 + rng.uniform(-4, 4), 10.5 + rng.uniform(-4, 4))
-                   for _ in range(rng.integers(0, 12))]
-            grid = build_local_grid(scan_of([sample_at(origin, x, y) for x, y in pts],
-                                            origin=origin), 1.0, 4)
+            grid = random_grid(rng, 12)
             try:
                 nxt = apf_step(grid, origin, (rng.uniform(0, 21), rng.uniform(0, 21)),
                                ApfParams())

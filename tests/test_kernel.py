@@ -1,6 +1,7 @@
 """Building and loading the compiled kernel (colony.c, perception.c and planner.c)."""
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -133,6 +134,21 @@ def test_cdef_declares_every_exported_function():
     code, stderr = compile_errors("#include <stdint.h>\n" + kernel.CDEF + kernel._unit(texts),
                                   "-Wmissing-prototypes")
     assert code == 0, stderr
+
+
+def test_every_cdef_function_is_called():
+    # the converse: an export that nothing calls, through lib.<name> or from
+    # a C source that does not define it, is a route nothing runs
+    python = "".join(path.read_text(encoding="utf-8")
+                     for path in (*(SRC / "antnav").glob("*.py"), *(REPO / "tests").glob("*.py")))
+    called = set(re.findall(r"\blib\.(\w+)", python))
+    for path in kernel.SOURCES:
+        text = re.sub(r"/\*.*?\*/", "", path.read_text(encoding="utf-8"), flags=re.S)
+        defined = set(re.findall(r"^\w[\w \t*]*?\b(\w+)\(", text, flags=re.M))
+        called |= set(re.findall(r"\b(\w+)\(", text)) - defined
+    declared = re.findall(r"(\w+)\(", kernel.CDEF)
+    assert "plan_cycle" in declared
+    assert not [name for name in declared if name not in called]
 
 
 def test_build_flags_keep_the_bits():

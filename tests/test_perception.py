@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from antnav import (AntnavError, CellState, GridGraph, MovingObstacle, MoverPolicy,
-                    NoCandidates, Pose, build_local_grid, candidate_cells, kernel, perceive,
-                    simulate_scan)
+from antnav import (CellState, GridGraph, InvalidExtent, MovingObstacle, MoverPolicy,
+                    NoCandidates, Pose, PoseInObstacle, PoseOutOfBounds, candidate_cells,
+                    kernel, perceive, simulate_scan)
 from antnav.world import WorldMap
 
 from oracles import (FREE, ROBOT, candidates_ref, clamp_ref, local_grid_ref, occlude_ref,
                      reachable_ref, scan_ref)
+from probes import kernel_hits
 
 STEP_HEADINGS = [math.atan2(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)
                  if (dr, dc) != (0, 0)]
@@ -82,10 +83,9 @@ def test_perception_matches_reference_loops(cell_size):
         rings = int(rng.integers(0, 3))
         radius = h * cell_size * (1.0 if rng.random() < 0.5 else float(rng.uniform(1.0, 1.6)))
 
-        scan = simulate_scan(world, pose, radius, n_rays)
         samples = scan_ref(world.occupancy_grid(), world.cell_size, pose.x, pose.y,
                            pose.psi, radius, n_rays)
-        assert list(map(tuple, scan.samples.tolist())) == samples
+        assert kernel_hits(world, pose, radius, n_rays) == samples
         fired["samples"] += len(samples)
 
         grid = perceive(world, pose, radius, n_rays, cell_size, h, rings)
@@ -123,8 +123,7 @@ def test_kernel_matches_scalar_rays_in_open_and_cluttered_worlds():
             pose = Pose(*world.cell_center((12, 12)), float(rng.uniform(-4, 4)))
             n_rays = RAY_COUNTS[int(rng.integers(len(RAY_COUNTS)))]
             radius = float(rng.uniform(0.5, 20.0)) * cell_size
-            scan = simulate_scan(world, pose, radius, n_rays)
-            assert list(map(tuple, scan.samples.tolist())) == scan_ref(
+            assert kernel_hits(world, pose, radius, n_rays) == scan_ref(
                 static, cell_size, pose.x, pose.y, pose.psi, radius, n_rays)
 
 
@@ -142,7 +141,7 @@ def test_occlusion_bearing_on_a_half_sector_tie():
     bearing = (pose.psi - math.atan2(dy, dx)) % math.tau / (math.tau / 12)
     assert abs(bearing - 1.5) < 1e-12
     grid = perceive(world, pose, 4.0, 12, 1.0, 4, 0)
-    samples = list(map(tuple, simulate_scan(world, pose, 4.0, 12).samples.tolist()))
+    samples = kernel_hits(world, pose, 4.0, 12)
     raw, occluded, expected = reference_chain(world, pose, samples, 12, 1.0, 4, 0)
     assert raw[7, 1] == CellState.FREE
     assert np.array_equal(grid.cells, expected)
@@ -167,8 +166,7 @@ def test_every_ray_count_reads_its_own_ray():
             radius = h * cell_size * float(rng.uniform(1.0, 1.6))
             samples = scan_ref(world.occupancy_grid(), world.cell_size, pose.x, pose.y,
                                pose.psi, radius, n_rays)
-            scan = simulate_scan(world, pose, radius, n_rays)
-            assert list(map(tuple, scan.samples.tolist())) == samples
+            assert kernel_hits(world, pose, radius, n_rays) == samples
             raw, masked, expected = reference_chain(world, pose, samples, n_rays,
                                                     cell_size, h, rings)
             grid = perceive(world, pose, radius, n_rays, cell_size, h, rings)
@@ -183,17 +181,25 @@ def test_perceive_rejects_what_scan_and_grid_reject():
     world = WorldMap(static, 1.0)
     good = dict(pose=Pose(4.5, 4.5, 0.3), radius=4.0, n_rays=90, cell_size=1.0,
                 half_extent=3, inflation_rings=1)
-    bad = [("pose", Pose(-1.0, 2.0, 0.0)), ("pose", Pose(6.5, 6.5, 0.0)), ("radius", 0.0),
-           ("n_rays", 0), ("half_extent", 0), ("half_extent", 5), ("inflation_rings", -1)]
-    for key, value in bad:
+    scan_keys = ("pose", "radius", "n_rays")
+    bad = [("pose", Pose(-1.0, 2.0, 0.0), PoseOutOfBounds, "pose (-1.0, 2.0) outside the world"),
+           ("pose", Pose(6.5, 6.5, 0.0), PoseInObstacle,
+            "pose (6.5, 6.5) lies on an occupied cell (6, 6)"),
+           ("radius", 0.0, ValueError, "radius must be positive"),
+           ("n_rays", 0, ValueError, "n_rays must be >= 1"),
+           ("half_extent", 0, InvalidExtent, "half_extent must be >= 1"),
+           ("half_extent", 5, InvalidExtent,
+            "half_extent 5 x cell_size 1.0 exceeds scan radius 4.0"),
+           ("inflation_rings", -1, ValueError, "inflation_rings must be >= 0")]
+    for key, value, error, message in bad:
         args = {**good, key: value}
-        with pytest.raises((AntnavError, ValueError)) as expected:
-            scan = simulate_scan(world, args["pose"], args["radius"], args["n_rays"])
-            build_local_grid(scan, args["cell_size"], args["half_extent"],
-                             args["inflation_rings"])
-        with pytest.raises(type(expected.value)) as got:
-            perceive(world, **args)
-        assert str(got.value) == str(expected.value)
+        calls = [lambda: perceive(world, **args)]
+        if key in scan_keys:
+            calls.append(lambda: simulate_scan(world, *(args[k] for k in scan_keys)))
+        for call in calls:
+            with pytest.raises(error) as got:
+                call()
+            assert type(got.value) is error and str(got.value) == message, (key, value)
 
 
 # math.hypot pairs that libm hypot or a two-term square sum round differently

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from antnav import (AcoParams, AntnavError, PlannerKind, ScenarioParseError, parse_groups,
-                    parse_scenario)
+from antnav import (AcoParams, AntnavError, PlannerConfig, PlannerKind, ScenarioParseError,
+                    parse_groups, parse_scenario)
 from antnav.cli import main
 from antnav.scenario import _FLOAT_KEYS, _INT_KEYS, _STR_KEYS
 
@@ -79,6 +79,8 @@ class TestScenarioParsing:
         assert sc.config.half_extent == 4
         assert sc.config.weights.alpha == 4.0
         assert sc.config.aco.n_ants == 20 and sc.config.aco.n_iters == 50
+        # the dataclass defaults, but for the two values the map sets
+        assert sc.config == PlannerConfig(cell_size=1.0, lidar_radius=4.0)
 
     @pytest.mark.parametrize("text,line", [
         ("map tiny.map\n", 1),
@@ -243,6 +245,11 @@ wp 3 2
     (MAP, "tau0 nan\n", 3),
     (MAP, "gamma nan\n", 3),
     (MAP, "lidar_radius inf\n", 3),
+    # counts the kernel takes as a C int
+    (MAP, "lidar_rays 2147483648\n", 3),
+    (MAP, "ants 2147483648\n", 3),
+    (MAP, "iterations 2147483648\n", 3),
+    (MAP, "half_extent 23170\n", 3),
     # a waypoint outside the grid, before the grid is read: at tick 0 ...
     (MOVER_MAP.replace("wp 2 2", "wp 9 2").replace("wp 3 2", "wp 8 2"), "", 5),
     # ... and one the mover reaches only later
@@ -250,6 +257,8 @@ wp 3 2
     (MOVER_MAP.replace("wp 2 2", "wp 0 2").replace("wp 3 2", "wp -1 2"), "", 6),
 ], ids=["cellsize-nan", "cellsize-inf", "start-psi-nan", "start-psi-inf", "start-psi-minus-inf",
         "goal_tolerance-nan", "tau0-nan", "gamma-nan", "lidar_radius-inf",
+        "lidar_rays-int-overflow", "ants-int-overflow", "iterations-int-overflow",
+        "half_extent-int-overflow",
         "wp-outside-at-tick-0", "wp-outside-later", "wp-outside-negative"])
 def test_bad_numbers_exit_one_at_their_line(tmp_path, capsys, map_text, scn_extra, line):
     (tmp_path / "m.map").write_text(map_text)

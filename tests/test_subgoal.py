@@ -4,16 +4,12 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from antnav import (CandidateSet, CellState, CostWeights, NoCandidates, Pose,
-                    Scan, build_local_grid, candidate_cells, kernel,
-                    rank_candidates, select_subgoal)
+from antnav import (CandidateSet, CellState, CostWeights, NoCandidates, Pose, candidate_cells,
+                    kernel, rank_candidates)
 
 from oracles import normalize_ref, raw_constraints_ref, rel_close
 from probes import kernel_ranking
-
-
-def empty_grid(origin=Pose(10.5, 10.5, 0.0)):
-    return build_local_grid(Scan((), 6.0, 360, origin), 1.0, 4)
+from test_grid import grid_of, random_grid
 
 
 def kernel_raw(robot, cell, goal):
@@ -101,50 +97,46 @@ def brute_force_best(grid, candidates, robot, goal, w):
 
 class TestSelectSubgoal:
     def test_pure_distance_picks_nearest_ring_cell(self):
-        grid = empty_grid()
+        grid = grid_of()
         cands = candidate_cells(grid)
         robot = Pose(10.5, 10.5, 0.0)
-        sg = select_subgoal(cands, robot, (30.0, 10.5), CostWeights(1.0, 0.0, 0.0))
+        sg = rank_candidates(cands, robot, (30.0, 10.5), CostWeights(1.0, 0.0, 0.0))[0]
         assert sg.cell == (4, 8)  # due-east edge cell
 
     def test_tie_breaks_by_row_major_index(self):
-        grid = empty_grid()
+        grid = grid_of()
         # two symmetric candidates, identical constraint triples
         cands = CandidateSet((((2, 4), grid.world_center((2, 4))),
                               ((6, 4), grid.world_center((6, 4)))))
         robot = Pose(10.5, 10.5, 0.0)
-        sg = select_subgoal(cands, robot, (30.0, 10.5), CostWeights())
+        sg = rank_candidates(cands, robot, (30.0, 10.5), CostWeights())[0]
         assert sg.cell == (2, 4)
 
     def test_matches_brute_force_argmin(self):
         rng = np.random.default_rng(31)
         robot = Pose(10.5, 10.5, 0.0)
         w = CostWeights(4.0, 1.8, 1.0)
-        from test_grid import sample_at, scan_of
         for _ in range(40):
-            pts = [(10.5 + rng.uniform(-4, 4), 10.5 + rng.uniform(-4, 4))
-                   for _ in range(rng.integers(0, 20))]
-            grid = build_local_grid(scan_of([sample_at(robot, x, y) for x, y in pts],
-                                            origin=robot), 1.0, 4)
+            grid = random_grid(rng, 20, robot)
             try:
                 cands = candidate_cells(grid)
             except Exception:
                 continue
             goal = (rng.uniform(-20, 40), rng.uniform(-20, 40))
-            sg = select_subgoal(cands, robot, goal, w)
+            sg = rank_candidates(cands, robot, goal, w)[0]
             assert sg.cell == brute_force_best(grid, cands, robot, goal, w)
 
     def test_weight_scale_invariance(self):
-        grid = empty_grid()
+        grid = grid_of()
         cands = candidate_cells(grid)
         robot = Pose(10.5, 10.5, 0.4)
         goal = (25.0, 19.0)
-        a = select_subgoal(cands, robot, goal, CostWeights(4.0, 1.8, 1.0))
-        b = select_subgoal(cands, robot, goal, CostWeights(40.0, 18.0, 10.0))
+        a = rank_candidates(cands, robot, goal, CostWeights(4.0, 1.8, 1.0))[0]
+        b = rank_candidates(cands, robot, goal, CostWeights(40.0, 18.0, 10.0))[0]
         assert a.cell == b.cell
 
     def test_families_sum_to_one(self):
-        grid = empty_grid()
+        grid = grid_of()
         cands = candidate_cells(grid)
         robot = Pose(10.5, 10.5, 0.0)
         goal = (27.0, 5.0)
@@ -155,26 +147,22 @@ class TestSelectSubgoal:
     def test_distance_only_weights_minimize_distance(self):
         rng = np.random.default_rng(41)
         robot = Pose(10.5, 10.5, 1.0)
-        from test_grid import sample_at, scan_of
         for _ in range(20):
-            pts = [(10.5 + rng.uniform(-4, 4), 10.5 + rng.uniform(-4, 4))
-                   for _ in range(rng.integers(0, 15))]
-            grid = build_local_grid(scan_of([sample_at(robot, x, y) for x, y in pts],
-                                            origin=robot), 1.0, 4)
+            grid = random_grid(rng, 15, robot)
             try:
                 cands = candidate_cells(grid)
             except Exception:
                 continue
             goal = (rng.uniform(0, 21), rng.uniform(0, 21))
-            sg = select_subgoal(cands, robot, goal, CostWeights(2.5, 0.0, 0.0))
+            sg = rank_candidates(cands, robot, goal, CostWeights(2.5, 0.0, 0.0))[0]
             dmin = min(math.hypot(w[0] - goal[0], w[1] - goal[1]) for _, w in cands.cells)
             got = math.hypot(sg.world[0] - goal[0], sg.world[1] - goal[1])
             assert abs(got - dmin) < 1e-9
 
     def test_selected_cell_is_free(self):
-        grid = empty_grid()
+        grid = grid_of()
         cands = candidate_cells(grid)
-        sg = select_subgoal(cands, Pose(10.5, 10.5, 0), (0.0, 0.0), CostWeights())
+        sg = rank_candidates(cands, Pose(10.5, 10.5, 0), (0.0, 0.0), CostWeights())[0]
         assert CellState(grid.cells[sg.cell]) is CellState.FREE
 
     def test_empty_candidates_raise(self):
