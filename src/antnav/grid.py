@@ -18,6 +18,7 @@ per-ray and per-cell loops they reproduce as the reference.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ import numpy as np
 from . import kernel
 from .errors import InvalidExtent, NoCandidates, PoseInObstacle, PoseOutOfBounds
 from .geometry import Cell, Point, Pose
-from .kernel import pointer
+from .kernel import INT_MAX, pointer
 from .world import WorldMap
 
 
@@ -79,10 +80,13 @@ def _kernel_rings(radius: float, cell_size: float, half_extent: int,
                   inflation_rings: int) -> int:
     """The ring count handed to the kernel, once the local grid arguments pass.
 
-    Raises InvalidExtent when half_extent < 1 or the square would poke out of
-    the scan disc (half_extent * cell_size > radius), ValueError when
+    Raises ValueError for a cell_size that is not positive and finite,
+    InvalidExtent when half_extent < 1 or the square would poke out of the
+    scan disc (half_extent * cell_size > radius), ValueError when
     inflation_rings < 0.
     """
+    if not 0 < cell_size < math.inf:
+        raise ValueError(f"cell_size must be positive and finite, got {cell_size}")
     if half_extent < 1:
         raise InvalidExtent("half_extent must be >= 1")
     if half_extent * cell_size > radius + 1e-9:
@@ -96,14 +100,14 @@ def _kernel_rings(radius: float, cell_size: float, half_extent: int,
 def checked_occupancy(world: WorldMap, pose: Pose, radius: float, n_rays: int) -> np.ndarray:
     """The world occupancy a scan from pose is cast against, once the scan arguments pass.
 
-    Raises ValueError for a radius <= 0 or fewer than one ray, and
-    PoseOutOfBounds / PoseInObstacle when the pose is not on a free
-    in-bounds cell.
+    Raises ValueError for a radius that is not positive and finite or a ray
+    count outside 1..INT_MAX (the kernel's int), and PoseOutOfBounds /
+    PoseInObstacle when the pose is not on a free in-bounds cell.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if n_rays < 1:
-        raise ValueError("n_rays must be >= 1")
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
+    if not 1 <= n_rays <= INT_MAX:
+        raise ValueError(f"n_rays must be in 1..{INT_MAX}, got {n_rays}")
     cell = world.cell_of(pose.x, pose.y)
     if not world.in_bounds(cell):
         raise PoseOutOfBounds(f"pose {pose.xy} outside the world")

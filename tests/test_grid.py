@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,13 @@ class TestBuildLocalGrid:
             grid_of(half_extent=0)
         # equality is allowed: 4 cells * 1.5 m = 6 m radius
         grid_of(radius=6.0, cell_size=1.5)
+
+    @pytest.mark.parametrize("cell_size", [0.0, -1.0, math.nan, math.inf])
+    def test_cell_size_must_be_positive_and_finite(self, cell_size):
+        with pytest.raises(ValueError) as got:
+            grid_of(cell_size=cell_size)
+        assert type(got.value) is ValueError
+        assert str(got.value) == f"cell_size must be positive and finite, got {cell_size}"
 
     def test_inflation_ring_count(self):
         grid = grid_of([(7, 4)], rings=2)

@@ -185,8 +185,8 @@ def test_perceive_rejects_what_scan_and_grid_reject():
     bad = [("pose", Pose(-1.0, 2.0, 0.0), PoseOutOfBounds, "pose (-1.0, 2.0) outside the world"),
            ("pose", Pose(6.5, 6.5, 0.0), PoseInObstacle,
             "pose (6.5, 6.5) lies on an occupied cell (6, 6)"),
-           ("radius", 0.0, ValueError, "radius must be positive"),
-           ("n_rays", 0, ValueError, "n_rays must be >= 1"),
+           ("radius", 0.0, ValueError, "radius must be positive and finite, got 0.0"),
+           ("n_rays", 0, ValueError, "n_rays must be in 1..2147483647, got 0"),
            ("half_extent", 0, InvalidExtent, "half_extent must be >= 1"),
            ("half_extent", 5, InvalidExtent,
             "half_extent 5 x cell_size 1.0 exceeds scan radius 4.0"),

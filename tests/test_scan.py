@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from antnav import Pose, PoseInObstacle, PoseOutOfBounds, simulate_scan
+from antnav import Pose, PoseInObstacle, PoseOutOfBounds, perceive, simulate_scan
 from antnav.world import MovingObstacle, WorldMap
 
 from oracles import polar_ref
@@ -73,6 +73,26 @@ class TestSimulateScan:
         with pytest.raises(PoseInObstacle):
             simulate_scan(world, Pose(6.5, 7.5, 0.0), 4.0, 90)
 
+    @pytest.mark.parametrize("radius, n_rays, message", [
+        (0.0, 90, "radius must be positive and finite, got 0.0"),
+        (-1.0, 90, "radius must be positive and finite, got -1.0"),
+        (math.nan, 90, "radius must be positive and finite, got nan"),
+        (math.inf, 90, "radius must be positive and finite, got inf"),
+        (4.0, 0, "n_rays must be in 1..2147483647, got 0"),
+        (4.0, -3, "n_rays must be in 1..2147483647, got -3"),
+        # one past the kernel's int: rejected before the ranges are allocated
+        (4.0, 2**31, "n_rays must be in 1..2147483647, got 2147483648"),
+    ], ids=["radius-zero", "radius-negative", "radius-nan", "radius-inf", "rays-zero",
+            "rays-negative", "rays-int-overflow"])
+    def test_scan_arguments_rejected(self, radius, n_rays, message):
+        world, pose = make_world(), Pose(7.5, 7.5, 0.0)
+        calls = [lambda: simulate_scan(world, pose, radius, n_rays),
+                 lambda: perceive(world, pose, radius, n_rays, 1.0, 3, 1)]
+        for call in calls:
+            with pytest.raises(ValueError) as got:
+                call()
+            assert type(got.value) is ValueError and str(got.value) == message
+
 
 @st.composite
 def scan_scenes(draw):
@@ -124,3 +144,15 @@ def test_samples_map_back_into_occupied_cells(scene):
         x, y = polar_ref(pose.x, pose.y, pose.psi, d, theta)
         near = {world.cell_of(x + ex, y + ey) for ex in (-eps, 0.0, eps) for ey in (-eps, 0.0, eps)}
         assert any(world.in_bounds(cell) and occ[cell] for cell in near), (d, theta, pose, radius)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(scan_scenes())
+def test_every_range_is_a_miss_or_within_the_radius(scene):
+    """One float64 range per ray: +inf for a miss, else a distance in [0, radius]."""
+    world, pose, radius, n_rays = scene
+    ranges = simulate_scan(world, pose, radius, n_rays)
+    assert ranges.dtype == np.float64 and ranges.shape == (n_rays,)
+    hit = np.isfinite(ranges)
+    assert (ranges[~hit] == math.inf).all()
+    assert (ranges[hit] >= 0.0).all() and (ranges[hit] <= radius).all()
