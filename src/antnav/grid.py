@@ -4,15 +4,17 @@ Bearings are measured clockwise from the robot heading, so the world-frame
 direction of a ray with bearing theta is psi - theta. The grid is
 axis-aligned in the world frame and centered on the scan origin, so when the
 robot sits on a world cell center with matching cell size, local cells
-coincide with world cells. Occupied cells are inflated by marking their
-8-neighborhood (configurable ring count) as non-traversable. `perceive` runs
-the whole stage (scan, rasterize, inflate, occlusion mask, world clamp) in
-one call of the compiled kernel (perception.c, built on first use by
-kernel.py); `simulate_scan` returns the kernel's scan alone, one range per
-ray. `candidate_cells` lists a grid's marginal cells with planner.c's
-marginal_cells. The planning cycle runs these same kernel functions in one
-call of planner.c's plan_cycle and builds no LocalGrid; APF is the one
-planner that perceives through `perceive`. tests/oracles.py keeps the
+coincide with world cells. Each hit marks its cell: the local cell that
+holds the center of the world cell the ray hit, which is that cell itself
+when the local and world cells coincide. Occupied cells are inflated by
+marking their 8-neighborhood (configurable ring count) as non-traversable.
+`perceive` runs the whole stage (scan, rasterize, inflate, occlusion mask,
+world clamp) in one call of the compiled kernel (perception.c, built on
+first use by kernel.py); `simulate_scan` returns the kernel's scan alone,
+one range per ray. `candidate_cells` lists a grid's marginal cells with
+planner.c's marginal_cells. The planning cycle runs these same kernel
+functions in one call of planner.c's plan_cycle and builds no LocalGrid;
+APF is the one planner that perceives through `perceive`. tests/oracles.py keeps the
 per-ray and per-cell loops they reproduce as the reference.
 """
 from __future__ import annotations

@@ -1,8 +1,8 @@
 /* Compiled perception stage of antnav.grid.perceive.
  *
  * perceive runs the whole stage on one cells array: ray cast, rasterize and
- * inflate, occlusion, world clamp. cast_rays is also
- * antnav.grid.simulate_scan's ray cast. The scan is one range per ray:
+ * inflate (each hit marks its cell), occlusion, world clamp. cast_rays is
+ * also antnav.grid.simulate_scan's ray cast. The scan is one range per ray:
  * range[i] is ray i's hit distance, or INFINITY when it hits nothing.
  * The arithmetic is that of the per-ray and per-cell reference loops in
  * tests/oracles.py, operation for operation, so every cell state and every
@@ -117,10 +117,10 @@ static double py_mod(double x, double m)
 /* Distance along one ray to the first occupied cell, or INFINITY when there
  * is none: the cell-by-cell traversal of Amanatides & Woo (1987), x first on
  * ties. A hit returns the midpoint of the segment inside the hit cell,
- * clipped to the radius; a cell the ray only grazes through a corner
- * (a segment no longer than 1e-9 cells) does not count. */
+ * clipped to the radius, and writes the cell's (row, col) to hit. A cell
+ * only grazed through a corner (a segment of <= 1e-9 cells) does not count. */
 static double cast_ray(const bool *occ, int rows, int cols, double cell_size, double x0,
-                       double y0, double angle, double radius)
+                       double y0, double angle, double radius, long *hit)
 {
     double dx = cos(angle), dy = sin(angle);
     long c = (long)floor(x0 / cell_size), r = (long)floor(y0 / cell_size);
@@ -162,6 +162,7 @@ static double cast_ray(const bool *occ, int rows, int cols, double cell_size, do
         t_exit = t_max_y < t_max_x ? t_max_y : t_max_x;
         if (t_exit - t_entry > graze_tol && occ[r * cols + c]) {
             double mid = 0.5 * (t_entry + t_exit);
+            hit[0] = r, hit[1] = c;
             return radius < mid ? radius : mid;
         }
     }
@@ -173,22 +174,21 @@ static double cast_ray(const bool *occ, int rows, int cols, double cell_size, do
 void cast_rays(const bool *occ, int rows, int cols, double cell_size, double x0, double y0,
                double psi, double radius, int n_rays, double *range)
 {
+    long hit[2];
     for (int i = 0; i < n_rays; i++)
         range[i] = cast_ray(occ, rows, cols, cell_size, x0, y0,
-                            psi - TAU * (double)i / (double)n_rays, radius);
+                            psi - TAU * (double)i / (double)n_rays, radius, hit);
 }
 
-/* Marks OCCUPIED the cell of the side x side grid around (x0, y0) that the
- * sample (d, theta) seen from heading psi lands on, when it lies inside the
- * square. The world point comes first and then its offset from (x0, y0),
- * term for term as in tests/oracles.py's local_grid_ref. */
-static void mark(double d, double theta, double x0, double y0, double psi, double cell_size,
-                 int half_extent, int8_t *cells)
+/* Marks OCCUPIED the cell of the side x side grid around (x0, y0) that holds
+ * the center of world cell hit (row, col), when it lies inside the square:
+ * the hit cell itself on a pose at a cell center with equal cell sizes. */
+static void mark(const long *hit, double world_cell_size, double x0, double y0,
+                 double cell_size, int half_extent, int8_t *cells)
 {
     int side = 2 * half_extent + 1;
-    double ang = psi - theta;
-    double c = half_extent + floor((x0 + d * cos(ang) - x0) / cell_size + 0.5);
-    double r = half_extent + floor((y0 + d * sin(ang) - y0) / cell_size + 0.5);
+    double c = half_extent + floor(((hit[1] + 0.5) * world_cell_size - x0) / cell_size + 0.5);
+    double r = half_extent + floor(((hit[0] + 0.5) * world_cell_size - y0) / cell_size + 0.5);
     if (r >= 0 && r < side && c >= 0 && c < side)
         cells[(int)r * side + (int)c] = OCCUPIED;
 }
@@ -268,9 +268,9 @@ static void clamp_to_world(double x0, double y0, double cell_size, int half_exte
 
 /* The local grid of antnav.grid.perceive: casts n_rays rays from pose
  * (x0, y0, psi) against the rows x cols occupancy grid into range (room for
- * n_rays), rasterizes every hit into the side x side grid around the pose,
- * inflates it by `rings` rings, masks the occluded cells and clamps the
- * grid to the world. Ray i has bearing tau * i / n_rays, and the ray
+ * n_rays), marks each ray's hit cell in the side x side grid around the
+ * pose, inflates it by `rings` rings, masks the occluded cells and clamps
+ * the grid to the world. Ray i has bearing tau * i / n_rays, and the ray
  * index of that bearing, round(bearing / sector) % n_rays, is i again, so
  * the occlusion reads ray i's range at range[i]. */
 void perceive(const bool *occ, int rows, int cols, double world_cell_size, double x0,
@@ -278,12 +278,12 @@ void perceive(const bool *occ, int rows, int cols, double world_cell_size, doubl
               int half_extent, int rings, double *range, int8_t *cells)
 {
     int side = 2 * half_extent + 1;
-    cast_rays(occ, rows, cols, world_cell_size, x0, y0, psi, radius, n_rays, range);
+    long hit[2];
     memset(cells, FREE, (size_t)side * side);
     for (int i = 0; i < n_rays; i++)
-        if (range[i] < INFINITY)
-            mark(range[i], TAU * (double)i / (double)n_rays, x0, y0, psi, cell_size,
-                 half_extent, cells);
+        if ((range[i] = cast_ray(occ, rows, cols, world_cell_size, x0, y0,
+                                 psi - TAU * (double)i / (double)n_rays, radius, hit)) < INFINITY)
+            mark(hit, world_cell_size, x0, y0, cell_size, half_extent, cells);
     inflate(half_extent, rings, cells);
     mask_occluded(range, n_rays, x0, y0, psi, cell_size, half_extent, cells);
     clamp_to_world(x0, y0, cell_size, half_extent, world_cell_size, rows, cols, cells);

@@ -1,8 +1,8 @@
 """Ground-truth simulation world: static occupancy grid plus movers on waypoint schedules.
 
-World snapshots are immutable; ``advanced()`` returns the next tick. Movers
-occupy whole cells and their position is a pure function of the tick, so
-replays are bit-identical.
+World snapshots are immutable; ``advanced()`` returns the next tick. Each
+mover occupies the one cell of its current waypoint, a pure function of the
+tick, so replays are bit-identical.
 """
 from __future__ import annotations
 
@@ -29,15 +29,12 @@ class MovingObstacle:
     waypoints: tuple[Cell, ...]
     ticks_per_move: int = 1
     policy: MoverPolicy = MoverPolicy.STOP
-    footprint: tuple[Cell, ...] = ((0, 0),)  # cell offsets around the waypoint
 
     def __post_init__(self):
         if not self.waypoints:
             raise ValueError("mover needs at least one waypoint")
         if self.ticks_per_move < 1:
             raise ValueError("ticks_per_move must be >= 1")
-        if not self.footprint:
-            raise ValueError("mover footprint must be non-empty")
         for (r0, c0), (r1, c1) in zip(self.waypoints, self.waypoints[1:]):
             if max(abs(r1 - r0), abs(c1 - c0)) > 1:
                 raise ValueError(f"waypoints {(r0, c0)} -> {(r1, c1)} are not 8-adjacent or identical")
@@ -58,10 +55,6 @@ class MovingObstacle:
             idx = k if k < n else period - k
         return self.waypoints[idx]
 
-    def cells_at(self, tick: int) -> list[Cell]:
-        ar, ac = self.anchor_at(tick)
-        return [(ar + dr, ac + dc) for dr, dc in self.footprint]
-
 
 class WorldMap:
     """Static occupancy bitmap plus movers; immutable snapshot at one tick."""
@@ -71,17 +64,17 @@ class WorldMap:
         static_cells = np.asarray(static_cells, dtype=bool)
         if static_cells.ndim != 2:
             raise ValueError("static_cells must be a 2D array")
-        if cell_size <= 0:
-            raise ValueError("cell_size must be positive")
+        if not 0 < cell_size < math.inf:
+            raise ValueError(f"cell_size must be positive and finite, got {cell_size}")
         self.static_cells = static_cells
         self.cell_size = float(cell_size)
         self.movers = tuple(movers)
         self.tick = int(tick)
         self._occ: np.ndarray | None = None
         for m in self.movers:
-            for cell in m.cells_at(tick):
-                if not self.in_bounds(cell):
-                    raise ValueError(f"mover cell {cell} outside world bounds at tick {tick}")
+            cell = m.anchor_at(tick)
+            if not self.in_bounds(cell):
+                raise ValueError(f"mover cell {cell} outside world bounds at tick {tick}")
 
     @property
     def height(self) -> int:
@@ -96,7 +89,7 @@ class WorldMap:
         return 0 <= r < self.height and 0 <= c < self.width
 
     def occupancy_at(self, cell: Cell) -> bool:
-        """True when the cell is occupied by the static map or any mover footprint."""
+        """True when the cell is occupied by the static map or any mover."""
         if not self.in_bounds(cell):
             raise OutOfBounds(f"cell {cell} outside {self.height}x{self.width} world")
         return bool(self.occupancy_grid()[cell])
@@ -106,8 +99,7 @@ class WorldMap:
         if self._occ is None:
             occ = self.static_cells.copy()
             for m in self.movers:
-                for cell in m.cells_at(self.tick):
-                    occ[cell] = True
+                occ[m.anchor_at(self.tick)] = True
             self._occ = occ
         return self._occ
 

@@ -153,8 +153,9 @@ FREE, OCCUPIED, INFLATED, ROBOT = 0, 1, 2, 3
 
 
 def cast_ray_ref(occ, cell_size, x0, y0, angle, radius):
-    """One ray, cell by cell (x first on ties): midpoint of the segment inside
-    the first occupied cell crossed with real length, clipped to the radius."""
+    """One ray, cell by cell (x first on ties): (d, (row, col)) of the first
+    occupied cell crossed with real length, d the midpoint of the segment
+    inside it clipped to the radius; None for a ray with no hit."""
     rows, cols = occ.shape
     dx, dy = math.cos(angle), math.sin(angle)
     c = int(math.floor(x0 / cell_size))
@@ -188,29 +189,34 @@ def cast_ray_ref(occ, cell_size, x0, y0, angle, radius):
             return None
         t_exit = min(t_max_x, t_max_y)
         if t_exit - t_entry > graze_tol and occ[r, c]:
-            return min(0.5 * (t_entry + t_exit), radius)
+            return min(0.5 * (t_entry + t_exit), radius), (r, c)
 
 
 def scan_ref(occ, cell_size, x0, y0, psi, radius, n_rays):
-    """[(d, theta)] of every returned ray, in ray order."""
+    """[(d, theta, hit cell)] of every returned ray, in ray order."""
     out = []
     for k in range(n_rays):
         theta = math.tau * k / n_rays
-        d = cast_ray_ref(occ, cell_size, x0, y0, psi - theta, radius)
-        if d is not None:
-            out.append((d, theta))
+        hit = cast_ray_ref(occ, cell_size, x0, y0, psi - theta, radius)
+        if hit is not None:
+            out.append((hit[0], theta, hit[1]))
     return out
 
 
-def local_grid_ref(samples, origin, cell_size, h, rings):
-    """Rasterize (d, theta) samples around origin (x, y, psi), then inflate."""
-    ox, oy, psi = origin
+def without_cells(samples):
+    """[(d, theta)] of scan_ref's samples: what the kernel's ranges tell of the scan."""
+    return [(d, theta) for d, theta, _ in samples]
+
+
+def local_grid_ref(samples, world_cell_size, origin, cell_size, h, rings):
+    """Mark the local cell around origin (x, y, psi) that holds the center of
+    each sample's hit cell, then inflate."""
+    ox, oy, _ = origin
     side = 2 * h + 1
     cells = np.full((side, side), FREE, dtype=np.int8)
-    for d, theta in samples:
-        wx, wy = polar_ref(ox, oy, psi, d, theta)
-        c = h + int(math.floor((wx - ox) / cell_size + 0.5))
-        r = h + int(math.floor((wy - oy) / cell_size + 0.5))
+    for _, _, (hr, hc) in samples:
+        c = h + int(math.floor(((hc + 0.5) * world_cell_size - ox) / cell_size + 0.5))
+        r = h + int(math.floor(((hr + 0.5) * world_cell_size - oy) / cell_size + 0.5))
         if 0 <= r < side and 0 <= c < side and (r, c) != (h, h):
             cells[r, c] = OCCUPIED
     occupied = [(r, c) for r in range(side) for c in range(side) if cells[r, c] == OCCUPIED]
@@ -232,7 +238,7 @@ def occlude_ref(cells, samples, n_rays, origin, cell_size, h):
     cells = cells.copy()
     sector = math.tau / n_rays
     hit_by_ray = {}
-    for d, theta in samples:
+    for d, theta, _ in samples:
         hit_by_ray[int(round(theta / sector)) % n_rays] = d
     margin = 0.5 * SQRT2 * cell_size
     side = 2 * h + 1
@@ -459,7 +465,7 @@ def plan_cycle_ref(occ, world_cell_size, pose, goal, config, seed, cycle):
     cs, h, n_rays = config.cell_size, config.half_extent, config.n_rays
     side = 2 * h + 1
     samples = scan_ref(occ, world_cell_size, x0, y0, psi, config.lidar_radius, n_rays)
-    cells = local_grid_ref(samples, pose, cs, h, config.inflation_rings)
+    cells = local_grid_ref(samples, world_cell_size, pose, cs, h, config.inflation_rings)
     cells = occlude_ref(cells, samples, n_rays, pose, cs, h)
     cells = clamp_ref(cells, pose, cs, h, occ.shape, world_cell_size)
     candidates = candidates_ref(cells, pose, cs, h)

@@ -21,8 +21,8 @@ from antnav.geometry import DIR_ANGLES, DIR_OFFSETS, SQRT2
 from antnav.scenario import parse_groups, parse_scenario, with_planner, with_seed, with_weights
 
 from oracles import (corner_ref, dijkstra_ref, heuristic_ref, neighbors_ref, normalize_ref,
-                     plan_subpath_ref, polar_ref, raw_constraints_ref, score_ref,
-                     transition_ref)
+                     plan_subpath_ref, polar_ref, raw_constraints_ref, scan_ref, score_ref,
+                     transition_ref, without_cells)
 from probes import kernel_hits, kernel_ranking, kernel_run, kernel_transition, random_field_state
 
 REPO = Path(__file__).resolve().parent.parent
@@ -50,9 +50,10 @@ class TestCriterion1:
             return err <= TOL
 
         ok = True
-        # the polar conversion as the kernel's perceive applies it: every hit
-        # of the scan, turned into a world point by polar_ref, rounds to a
-        # local cell the grid marks occupied (or to the robot's own cell)
+        # the scan and its rasterize as the kernel's perceive runs them: every
+        # hit's (d, theta), turned into a world point by polar_ref, lies in
+        # the cell the ray hit (to 1e-9 cells), and the grid marks that cell
+        # occupied (local (0, 0) is world cell (3, 3) here)
         hits = 0
         for _ in range(1000):
             static = rng.random((15, 15)) < 0.2
@@ -60,10 +61,13 @@ class TestCriterion1:
             world = WorldMap(static, 1.0)
             pose = Pose(7.5, 7.5, float(rng.uniform(-9, 9)))
             grid = perceive(world, pose, 4.0, 90, 1.0, 4, 0)
-            for d, theta in kernel_hits(world, pose, 4.0, 90):
+            samples = scan_ref(static, 1.0, pose.x, pose.y, pose.psi, 4.0, 90)
+            ok &= kernel_hits(world, pose, 4.0, 90) == without_cells(samples)
+            for d, theta, (r, c) in samples:
                 x, y = polar_ref(pose.x, pose.y, pose.psi, d, theta)
-                cell = (4 + math.floor(y - pose.y + 0.5), 4 + math.floor(x - pose.x + 0.5))
-                ok &= cell == (4, 4) or grid.cells[cell] == CellState.OCCUPIED
+                ok &= c - 1e-9 <= x <= c + 1 + 1e-9 and r - 1e-9 <= y <= r + 1 + 1e-9
+                inside = 3 <= r <= 11 and 3 <= c <= 11
+                ok &= inside and grid.cells[r - 3, c - 3] == CellState.OCCUPIED
                 hits += 1
         ok &= hits > 0
         # the sub-goal constraints, families and costs as the kernel's ranking
@@ -356,6 +360,8 @@ class TestCriterion7:
 
 class TestCriterion8:
     def run_cli(self, args, out, threads):
+        # nothing in the package reads REPLAN_THREADS (runs and ants are
+        # serial); the byte-identity across its values still holds
         env = dict(os.environ, REPLAN_THREADS=str(threads))
         # -m imports antnav from the working directory: no install or PYTHONPATH needed
         res = subprocess.run([sys.executable, "-m", "antnav", *args, "--out", str(out)],

@@ -161,6 +161,8 @@ def test_directory_argument_exits_one(small_scenario, tmp_path, capsys, command,
 
 class TestDeterminism:
     def run_cli(self, args, threads):
+        # nothing in the package reads REPLAN_THREADS (runs and ants are
+        # serial); the byte-identity across its values still holds
         env = dict(os.environ, REPLAN_THREADS=str(threads))
         # -m imports antnav from the working directory: no install or PYTHONPATH needed
         return subprocess.run([sys.executable, "-m", "antnav", *args],

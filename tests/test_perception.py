@@ -11,7 +11,7 @@ from antnav import (CellState, GridGraph, InvalidExtent, MovingObstacle, MoverPo
 from antnav.world import WorldMap
 
 from oracles import (FREE, ROBOT, candidates_ref, clamp_ref, local_grid_ref, occlude_ref,
-                     reachable_ref, scan_ref)
+                     reachable_ref, scan_ref, without_cells)
 from probes import kernel_hits
 
 STEP_HEADINGS = [math.atan2(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)
@@ -61,7 +61,7 @@ def random_pose(rng, world, on_edge):
 
 def reference_chain(world, pose, samples, n_rays, cell_size, h, rings):
     origin = (pose.x, pose.y, pose.psi)
-    cells = local_grid_ref(samples, origin, cell_size, h, rings)
+    cells = local_grid_ref(samples, world.cell_size, origin, cell_size, h, rings)
     occluded = occlude_ref(cells, samples, n_rays, origin, cell_size, h)
     return cells, occluded, clamp_ref(occluded, origin, cell_size, h,
                                       world.occupancy_grid().shape, world.cell_size)
@@ -85,7 +85,7 @@ def test_perception_matches_reference_loops(cell_size):
 
         samples = scan_ref(world.occupancy_grid(), world.cell_size, pose.x, pose.y,
                            pose.psi, radius, n_rays)
-        assert kernel_hits(world, pose, radius, n_rays) == samples
+        assert kernel_hits(world, pose, radius, n_rays) == without_cells(samples)
         fired["samples"] += len(samples)
 
         grid = perceive(world, pose, radius, n_rays, cell_size, h, rings)
@@ -123,8 +123,8 @@ def test_kernel_matches_scalar_rays_in_open_and_cluttered_worlds():
             pose = Pose(*world.cell_center((12, 12)), float(rng.uniform(-4, 4)))
             n_rays = RAY_COUNTS[int(rng.integers(len(RAY_COUNTS)))]
             radius = float(rng.uniform(0.5, 20.0)) * cell_size
-            assert kernel_hits(world, pose, radius, n_rays) == scan_ref(
-                static, cell_size, pose.x, pose.y, pose.psi, radius, n_rays)
+            assert kernel_hits(world, pose, radius, n_rays) == without_cells(scan_ref(
+                static, cell_size, pose.x, pose.y, pose.psi, radius, n_rays))
 
 
 def test_occlusion_bearing_on_a_half_sector_tie():
@@ -141,7 +141,7 @@ def test_occlusion_bearing_on_a_half_sector_tie():
     bearing = (pose.psi - math.atan2(dy, dx)) % math.tau / (math.tau / 12)
     assert abs(bearing - 1.5) < 1e-12
     grid = perceive(world, pose, 4.0, 12, 1.0, 4, 0)
-    samples = kernel_hits(world, pose, 4.0, 12)
+    samples = scan_ref(static, 1.0, pose.x, pose.y, pose.psi, 4.0, 12)
     raw, occluded, expected = reference_chain(world, pose, samples, 12, 1.0, 4, 0)
     assert raw[7, 1] == CellState.FREE
     assert np.array_equal(grid.cells, expected)
@@ -166,13 +166,53 @@ def test_every_ray_count_reads_its_own_ray():
             radius = h * cell_size * float(rng.uniform(1.0, 1.6))
             samples = scan_ref(world.occupancy_grid(), world.cell_size, pose.x, pose.y,
                                pose.psi, radius, n_rays)
-            assert kernel_hits(world, pose, radius, n_rays) == samples
+            assert kernel_hits(world, pose, radius, n_rays) == without_cells(samples)
             raw, masked, expected = reference_chain(world, pose, samples, n_rays,
                                                     cell_size, h, rings)
             grid = perceive(world, pose, radius, n_rays, cell_size, h, rings)
             assert np.array_equal(grid.cells, expected), n_rays
             occluded += int((masked != raw).any())
     assert occluded >= 100, occluded
+
+
+def assert_grid_marks_the_hit_cells(world, pose, h):
+    """For a pose on a cell center, equal cell sizes and the default radius
+    h * cell_size: every OCCUPIED in-world cell of perceive's grid is occupied
+    in the world, and every hit cell inside the square is OCCUPIED."""
+    cs, occ = world.cell_size, world.occupancy_grid()
+    grid = perceive(world, pose, h * cs, 360, cs, h, 0)
+    r0, c0 = (v - h for v in world.cell_of(pose.x, pose.y))  # world cell of local (0, 0)
+    for r, c in np.argwhere(grid.cells == CellState.OCCUPIED).tolist():
+        cell = (r0 + r, c0 + c)
+        assert not world.in_bounds(cell) or occ[cell], (pose, h, cell)
+    for _, _, (hr, hc) in scan_ref(occ, cs, pose.x, pose.y, pose.psi, h * cs, 360):
+        r, c = hr - r0, hc - c0
+        if 0 <= r <= 2 * h and 0 <= c <= 2 * h:
+            assert grid.cells[r, c] == CellState.OCCUPIED, (pose, h, (hr, hc))
+
+
+@pytest.mark.parametrize("psi", [-math.pi / 2, math.pi], ids=["psi-minus-half-pi", "psi-pi"])
+def test_hit_at_the_radius_marks_its_own_cell(psi):
+    # The ray at world angle -30 degrees enters cell (2, 4) at t = 1.0, the
+    # radius. Its clipped range, read back as a polar point, lies on the
+    # cell's top border and would round into the free cell east of the robot.
+    static = np.zeros((7, 7), bool)
+    static[2, 4] = True
+    world, pose = WorldMap(static, 1.0), Pose(3.5, 3.5, psi)
+    assert perceive(world, pose, 1.0, 360, 1.0, 1, 0).cells.tolist() == [
+        [0, 0, 1], [0, 3, 0], [0, 0, 0]]
+    assert_grid_marks_the_hit_cells(world, pose, 1)
+
+
+@pytest.mark.parametrize("h", [1, 2, 3, 4, 5])
+def test_grid_marks_exactly_the_hit_cells(h):
+    rng = np.random.default_rng(500 + h)
+    for _ in range(150):
+        world = random_world(rng, float(rng.choice([0.3, 1.0, 1.5])), rng.random() < 0.5)
+        free = np.argwhere(~world.occupancy_grid())
+        x, y = world.cell_center(tuple(free[rng.integers(len(free))].tolist()))
+        pose = Pose(x, y, math.pi * int(rng.integers(-4, 5)) / 4)
+        assert_grid_marks_the_hit_cells(world, pose, h)
 
 
 def test_perceive_rejects_what_scan_and_grid_reject():

@@ -191,7 +191,7 @@ def worlds_with_movers(draw):
         movers.append(MovingObstacle(tuple(chain), draw(st.integers(1, 3)),
                                      draw(st.sampled_from(list(MoverPolicy)))))
     start, goal = draw(interior), draw(interior)
-    occupied_at_start = {cell for m in movers for cell in m.cells_at(0)}
+    occupied_at_start = {m.anchor_at(0) for m in movers}
     assume(start != goal and not static[start] and not static[goal]
            and start not in occupied_at_start)
     planner = draw(st.sampled_from([PlannerKind.PROPOSED, PlannerKind.CONVENTIONAL_ACO]))

@@ -19,12 +19,13 @@ class TestOccupancy:
         w = world_with()
         assert not w.occupancy_grid().any()
 
-    def test_mover_footprint_cells(self):
-        m = MovingObstacle(((4, 4),), footprint=((0, 0), (0, 1)))
-        w = world_with([m])
-        occ = w.occupancy_grid()
-        assert occ[4, 4] and occ[4, 5]
-        assert occ.sum() == 2
+    @pytest.mark.parametrize("cell_size", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_cell_size_must_be_positive_and_finite(self, cell_size):
+        # a NaN cell size would fail later in cell_of, an infinite one would
+        # make every ray miss
+        with pytest.raises(ValueError) as got:
+            WorldMap(np.zeros((4, 4), bool), cell_size)
+        assert str(got.value) == f"cell_size must be positive and finite, got {cell_size}"
 
     def test_out_of_bounds(self):
         w = world_with()
@@ -39,7 +40,7 @@ class TestOccupancy:
         occ = w.occupancy_grid()
         for r in range(6):
             for c in range(6):
-                expected = w.static_cells[r, c] or (r, c) in m.cells_at(w.tick)
+                expected = w.static_cells[r, c] or (r, c) == m.anchor_at(w.tick)
                 assert occ[r, c] == expected
 
 
