@@ -7,16 +7,14 @@ local grid (inflated, occlusion-masked, clamped to the world), pick the minimum-
 
 from .aco import AcoMode, AcoParams, AntPath, GridGraph, corner_heuristic, plan_subpath
 from .baselines import ApfParams, apf_step
-from .errors import (AntnavError, ColonyWeightError, EmptyRuns, InvalidExtent,
-                     LocalMinimum, MapParseError, NoCandidates, NoPathFound, OutOfBounds,
-                     PoseInObstacle, PoseOutOfBounds, ScenarioParseError)
+from .errors import (AntnavError, ColonyWeightError, EmptyRuns, LocalMinimum, MapParseError,
+                     NoCandidates, NoPathFound, OutOfBounds, PoseInObstacle, PoseOutOfBounds,
+                     ScenarioParseError)
 from .geometry import Cell, Point, Pose, wrap_angle
-from .grid import (CandidateSet, CellState, LocalGrid, candidate_cells, perceive,
-                   simulate_scan)
+from .grid import CandidateSet, CellState, LocalGrid, candidate_cells, perceive
 from .metrics import (AggregateStats, RunMetrics, RunStatus, aggregate,
                       corner_count, path_length)
-from .planner import (CycleRecord, PlannerConfig, PlannerKind, PlannerState,
-                      RunResult, plan_cycle, run)
+from .planner import CycleRecord, PlannerConfig, PlannerKind, RunResult, plan_cycle, run
 from .scenario import Scenario, WeightGroup, parse_groups, parse_scenario
 from .subgoal import CostWeights, SubGoal, rank_candidates
 from .world import MovingObstacle, MoverPolicy, ParsedMap, WorldMap, load_map, parse_map

@@ -207,8 +207,8 @@ def _entropy_words(key) -> list[int]:
 
 def colony_error(code: int, subgoal: Cell, params: AcoParams) -> Exception:
     """The exception of a colony run toward subgoal that ended with colony.c's
-    COLONY_BAD_TOTAL (3) or COLONY_NO_MEMORY (4)."""
-    if code == 3:
+    COLONY_BAD_TOTAL or COLONY_NO_MEMORY."""
+    if code == kernel.module().lib.COLONY_BAD_TOTAL:
         return ColonyWeightError(
             f"a roulette total toward {subgoal} is 0 or not finite: tau0 {params.tau0}, "
             f"phi {params.phi} and gamma {params.gamma} give unusable weights")
@@ -272,11 +272,11 @@ def plan_subpath(graph: GridGraph, start: Cell, subgoal: Cell, params: AcoParams
         pointer(dirs, np.int8, (max_steps,), writable=True),
         counts, counts + 1, length,
         pointer(series, np.float64, (n_iters,), writable=True))
-    if code == 1:  # the return codes are colony.c's COLONY_* enum
+    if code == mod.lib.COLONY_NO_PATH_STREAK:
         raise NoPathFound(f"no ant reached {subgoal} in 3 consecutive iterations")
-    if code == 2:
+    if code == mod.lib.COLONY_NO_PATH:
         raise NoPathFound(f"no ant reached {subgoal} in {n_iters} iterations")
-    if code != 0:
+    if code != mod.lib.COLONY_OK:
         raise colony_error(code, subgoal, params)
     n_steps = counts[0]
     path = AntPath(tuple(map(graph.cell_of, cells[:n_steps + 1].tolist())),

@@ -33,10 +33,6 @@ class PoseInObstacle(AntnavError):
     """A scan requested from a pose whose cell is occupied."""
 
 
-class InvalidExtent(AntnavError):
-    """Local grid square would exceed the scan disc."""
-
-
 class NoCandidates(AntnavError):
     """No sub-goal candidates: the robot is enclosed by obstacles/inflation, or the set is empty."""
 

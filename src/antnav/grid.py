@@ -10,11 +10,11 @@ when the local and world cells coincide. Occupied cells are inflated by
 marking their 8-neighborhood (configurable ring count) as non-traversable.
 `perceive` runs the whole stage (scan, rasterize, inflate, occlusion mask,
 world clamp) in one call of the compiled kernel (perception.c, built on
-first use by kernel.py); `simulate_scan` returns the kernel's scan alone,
-one range per ray. `candidate_cells` lists a grid's marginal cells with
-planner.c's marginal_cells. The planning cycle runs these same kernel
-functions in one call of planner.c's plan_cycle and builds no LocalGrid;
-APF is the one planner that perceives through `perceive`. tests/oracles.py keeps the
+first use by kernel.py); the grid keeps the scan, one range per ray.
+`candidate_cells` lists a grid's marginal cells with planner.c's
+marginal_cells. The planning cycle runs these same kernel functions in one
+call of planner.c's plan_cycle and builds no LocalGrid; APF is the one
+planner that perceives through `perceive`. tests/oracles.py keeps the
 per-ray and per-cell loops they reproduce as the reference.
 """
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .errors import InvalidExtent, NoCandidates, PoseInObstacle, PoseOutOfBounds
+from .errors import NoCandidates, PoseInObstacle, PoseOutOfBounds
 from .geometry import Cell, Point, Pose
 from .kernel import INT_MAX, pointer
 from .world import WorldMap
@@ -53,6 +53,7 @@ class LocalGrid:
     cell_size: float
     half_extent: int
     cells: np.ndarray  # int8 array of CellState, shape (side, side)
+    ranges: np.ndarray  # float64 range per ray of the scan the grid was built from
 
     @property
     def side(self) -> int:
@@ -78,38 +79,47 @@ class CandidateSet:
     cells: tuple[tuple[Cell, Point], ...]
 
 
-def _kernel_rings(radius: float, cell_size: float, half_extent: int,
-                  inflation_rings: int) -> int:
-    """The ring count handed to the kernel, once the local grid arguments pass.
+def _check_scan(lidar_radius: float, n_rays: int) -> None:
+    """The scan argument check of perceive and PlannerConfig; raises ValueError."""
+    if not 0 < lidar_radius < math.inf:
+        raise ValueError(f"lidar_radius must be positive and finite, got {lidar_radius}")
+    if not 1 <= n_rays <= INT_MAX:
+        raise ValueError(f"n_rays must be in 1..{INT_MAX}, got {n_rays}")
 
-    Raises ValueError for a cell_size that is not positive and finite,
-    InvalidExtent when half_extent < 1 or the square would poke out of the
-    scan disc (half_extent * cell_size > radius), ValueError when
-    inflation_rings < 0.
+
+def _kernel_rings(lidar_radius: float, cell_size: float, half_extent: int,
+                  inflation_rings: int) -> int:
+    """The ring count handed to the kernel, once the local grid arguments pass the
+    grid argument check of perceive and PlannerConfig.
+
+    Raises ValueError for a cell_size that is not positive and finite, a
+    half_extent < 1, a grid of more than INT_MAX cells (the kernel indexes
+    them with an int), a square that would poke out of the scan disc
+    (half_extent * cell_size > lidar_radius) or inflation_rings < 0.
     """
     if not 0 < cell_size < math.inf:
         raise ValueError(f"cell_size must be positive and finite, got {cell_size}")
     if half_extent < 1:
-        raise InvalidExtent("half_extent must be >= 1")
-    if half_extent * cell_size > radius + 1e-9:
-        raise InvalidExtent(
-            f"half_extent {half_extent} x cell_size {cell_size} exceeds scan radius {radius}")
+        raise ValueError("half_extent must be >= 1")
+    if (2 * half_extent + 1) ** 2 > INT_MAX:
+        raise ValueError(f"half_extent {half_extent} makes a local grid of more than "
+                         f"{INT_MAX} cells")
+    if half_extent * cell_size > lidar_radius + 1e-9:
+        raise ValueError(f"half_extent {half_extent} x cell_size {cell_size} "
+                         f"exceeds lidar_radius {lidar_radius}")
     if inflation_rings < 0:
         raise ValueError("inflation_rings must be >= 0")
     return min(inflation_rings, 2 * half_extent + 1)  # more rings add nothing
 
 
-def checked_occupancy(world: WorldMap, pose: Pose, radius: float, n_rays: int) -> np.ndarray:
+def checked_occupancy(world: WorldMap, pose: Pose, lidar_radius: float,
+                      n_rays: int) -> np.ndarray:
     """The world occupancy a scan from pose is cast against, once the scan arguments pass.
 
-    Raises ValueError for a radius that is not positive and finite or a ray
-    count outside 1..INT_MAX (the kernel's int), and PoseOutOfBounds /
-    PoseInObstacle when the pose is not on a free in-bounds cell.
+    Raises as _check_scan does, and PoseOutOfBounds / PoseInObstacle when the
+    pose is not on a free in-bounds cell.
     """
-    if not 0 < radius < math.inf:
-        raise ValueError(f"radius must be positive and finite, got {radius}")
-    if not 1 <= n_rays <= INT_MAX:
-        raise ValueError(f"n_rays must be in 1..{INT_MAX}, got {n_rays}")
+    _check_scan(lidar_radius, n_rays)
     cell = world.cell_of(pose.x, pose.y)
     if not world.in_bounds(cell):
         raise PoseOutOfBounds(f"pose {pose.xy} outside the world")
@@ -119,45 +129,33 @@ def checked_occupancy(world: WorldMap, pose: Pose, radius: float, n_rays: int) -
     return occ
 
 
-def simulate_scan(world: WorldMap, pose: Pose, radius: float, n_rays: int) -> np.ndarray:
-    """The kernel's scan: n_rays equally spaced rays cast against the world at its current tick.
-
-    Returns a float64 array of n_rays ranges. Ray i has bearing
-    tau * i / n_rays. The kernel's cast_rays (perception.c) follows each ray
-    cell by cell (Amanatides & Woo 1987, x first on ties) to the first
-    occupied cell it crosses with real length, not just through a corner;
-    the range is the midpoint of the ray's segment inside that cell, clipped
-    to the radius. A ray that passes the radius or leaves the map reads inf.
-
-    Pure function of (world, pose, radius, n_rays). Raises as
-    checked_occupancy does.
-    """
-    occ = checked_occupancy(world, pose, radius, n_rays)
-    ranges = np.empty(n_rays)
-    kernel.module().lib.cast_rays(
-        pointer(occ, np.bool_, occ.shape), *occ.shape, world.cell_size, pose.x, pose.y,
-        pose.psi, radius, n_rays, pointer(ranges, np.float64, ranges.shape, writable=True))
-    return ranges
-
-
-def perceive(world: WorldMap, pose: Pose, radius: float, n_rays: int, cell_size: float,
+def perceive(world: WorldMap, pose: Pose, lidar_radius: float, n_rays: int, cell_size: float,
              half_extent: int, inflation_rings: int) -> LocalGrid:
     """Local grid from a fresh scan: rasterized, inflated, occlusion-masked, clamped to the world.
 
-    Takes simulate_scan's arguments plus the grid's, and raises as
-    checked_occupancy and _kernel_rings do.
+    The scan casts n_rays equally spaced rays against the world at its
+    current tick; ray i has bearing tau * i / n_rays. Each ray is followed
+    cell by cell (Amanatides & Woo 1987, x first on ties) to the first
+    occupied cell it crosses with real length, not just through a corner;
+    its range is the midpoint of the ray's segment inside that cell, clipped
+    to the radius, and a ray that passes the radius or leaves the map reads
+    inf. The grid keeps the ranges; they do not depend on the grid
+    arguments.
+
+    Pure function of its arguments. Raises as checked_occupancy and
+    _kernel_rings do.
     """
-    occ = checked_occupancy(world, pose, radius, n_rays)
-    rings = _kernel_rings(radius, cell_size, half_extent, inflation_rings)
+    occ = checked_occupancy(world, pose, lidar_radius, n_rays)
+    rings = _kernel_rings(lidar_radius, cell_size, half_extent, inflation_rings)
     side = 2 * half_extent + 1
     cells = np.empty((side, side), dtype=np.int8)
-    ranges = np.empty(n_rays)  # the kernel's scan: one range per ray
+    ranges = np.empty(n_rays)
     kernel.module().lib.perceive(
         pointer(occ, np.bool_, occ.shape), *occ.shape, world.cell_size, pose.x, pose.y,
-        pose.psi, radius, n_rays, cell_size, half_extent, rings,
+        pose.psi, lidar_radius, n_rays, cell_size, half_extent, rings,
         pointer(ranges, np.float64, ranges.shape, writable=True),
         pointer(cells, np.int8, cells.shape, writable=True))
-    return LocalGrid(pose, cell_size, half_extent, cells)
+    return LocalGrid(pose, cell_size, half_extent, cells, ranges)
 
 
 def candidate_cells(grid: LocalGrid) -> CandidateSet:

@@ -40,10 +40,13 @@ SUFFIX = sysconfig.get_config_var("EXT_SUFFIX")
 _PREFIXES = ("_kernel_", "_colony_")
 
 # The largest count a kernel `int` takes: ray, ant and iteration counts and
-# the cells of a local grid, which the dataclasses holding them check.
+# the cells of a local grid, which AcoParams and grid.py's argument checks test.
 INT_MAX = 2**31 - 1
 
 CDEF = """
+enum { COLONY_OK, COLONY_NO_PATH_STREAK, COLONY_NO_PATH, COLONY_BAD_TOTAL, COLONY_NO_MEMORY,
+       ... };
+enum { PLAN_STUCK, ... };
 int colony_run(const _Bool *mask, int rows, int cols, double *tau, double tau0,
                const double *eta_g, const double *steps, const double *corner,
                const uint32_t *key, int n_key, int n_iters, int n_ants, int max_steps,
@@ -52,8 +55,6 @@ int colony_run(const _Bool *mask, int rows, int cols, double *tau, double tau0,
                int32_t *best_cells, int8_t *best_dirs, int *best_steps, int *best_corners,
                double *best_length, double *series);
 void reachable(const _Bool *mask, int rows, int cols, int start, int32_t *queue, _Bool *reach);
-void cast_rays(const _Bool *occ, int rows, int cols, double cell_size, double x0, double y0,
-               double psi, double radius, int n_rays, double *range);
 void perceive(const _Bool *occ, int rows, int cols, double world_cell_size, double x0,
               double y0, double psi, double radius, int n_rays, double cell_size,
               int half_extent, int rings, double *range, int8_t *cells);

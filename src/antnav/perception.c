@@ -1,9 +1,10 @@
 /* Compiled perception stage of antnav.grid.perceive.
  *
  * perceive runs the whole stage on one cells array: ray cast, rasterize and
- * inflate (each hit marks its cell), occlusion, world clamp. cast_rays is
- * also antnav.grid.simulate_scan's ray cast. The scan is one range per ray:
- * range[i] is ray i's hit distance, or INFINITY when it hits nothing.
+ * inflate (each hit marks its cell), occlusion, world clamp. Its loop over
+ * the rays is the package's only ray cast. The scan is one range per ray,
+ * which antnav.grid.perceive keeps as LocalGrid.ranges: range[i] is ray
+ * i's hit distance, or INFINITY when it hits nothing.
  * The arithmetic is that of the per-ray and per-cell reference loops in
  * tests/oracles.py, operation for operation, so every cell state and every
  * range is bit-identical to theirs:
@@ -166,18 +167,6 @@ static double cast_ray(const bool *occ, int rows, int cols, double cell_size, do
             return radius < mid ? radius : mid;
         }
     }
-}
-
-/* Casts n_rays rays at bearings tau * i / n_rays, clockwise from heading
- * psi, from (x0, y0) against the rows x cols occupancy grid, and writes the
- * hit distance of ray i to range[i], INFINITY when it hits nothing. */
-void cast_rays(const bool *occ, int rows, int cols, double cell_size, double x0, double y0,
-               double psi, double radius, int n_rays, double *range)
-{
-    long hit[2];
-    for (int i = 0; i < n_rays; i++)
-        range[i] = cast_ray(occ, rows, cols, cell_size, x0, y0,
-                            psi - TAU * (double)i / (double)n_rays, radius, hit);
 }
 
 /* Marks OCCUPIED the cell of the side x side grid around (x0, y0) that holds

@@ -173,8 +173,8 @@ int plan_cycle(const bool *occ, int rows, int cols, double world_cell_size, doub
     for (int i = 0; i < n; i++)
         mask[i] = cells[i] == FREE || cells[i] == ROBOT;
     reachable(mask, side, side, center, queue, reach);
-    /* LocalGrid.cell_containing: the goal cell, -1 outside the square; the
-     * comparisons run in doubles, where a far goal cannot overflow */
+    /* the goal's cell, the one whose center is nearest it, -1 outside the
+     * square; the comparisons run in doubles, where a far goal cannot overflow */
     double gr = half_extent + floor((goal_y - y0) / cell_size + 0.5);
     double gc = half_extent + floor((goal_x - x0) / cell_size + 0.5);
     int goal_cell = gr >= 0 && gr < side && gc >= 0 && gc < side ? (int)gr * side + (int)gc

@@ -5,8 +5,9 @@ one cell of the planned sub-path; the heading after a cycle is the direction
 of the executed step. Moving obstacles advance one schedule tick per cycle
 before the scan. For the proposed and conventional-aco planners, scan to
 sub-path is one call of the compiled kernel (planner.c's plan_cycle); this
-module checks its arguments and turns the returned cells into the next pose
-and the cycle record. APF perceives with grid.perceive and steps here.
+module checks its arguments and turns the returned cells into the cycle's
+CycleRecord, which holds the next pose and the verdict; run carries both to
+the next cycle. APF perceives with grid.perceive and steps here.
 """
 from __future__ import annotations
 
@@ -23,8 +24,8 @@ from .aco import _CORNER_FACTORS, AcoMode, AcoParams, _entropy_words, colony_err
 from .baselines import ApfParams, apf_step
 from .errors import LocalMinimum
 from .geometry import SQRT2, Cell, Point, Pose
-from .grid import _kernel_rings, cell_center, checked_occupancy, perceive
-from .kernel import INT_MAX, pointer
+from .grid import _check_scan, _kernel_rings, cell_center, checked_occupancy, perceive
+from .kernel import pointer
 from .metrics import RunMetrics, RunStatus, corner_count, path_length
 from .subgoal import CostWeights
 from .world import WorldMap
@@ -56,23 +57,9 @@ class PlannerConfig:
     max_robot_steps: int | None = None  # None = 10 * max(world side)
 
     def __post_init__(self):
-        if not 1 <= self.n_rays <= INT_MAX:
-            raise ValueError(f"n_rays must be in 1..{INT_MAX}")
-        if not 0 < self.lidar_radius < math.inf:
-            raise ValueError(f"lidar_radius must be positive and finite, got {self.lidar_radius}")
-        if not 0 < self.cell_size < math.inf:
-            raise ValueError(f"cell_size must be positive and finite, got {self.cell_size}")
+        _check_scan(self.lidar_radius, self.n_rays)
+        _kernel_rings(self.lidar_radius, self.cell_size, self.half_extent, self.inflation_rings)
         eta_gamma((self.cell_size, self.cell_size * SQRT2), self.aco.gamma)
-        if self.half_extent < 1:
-            raise ValueError("half_extent must be >= 1")
-        if (2 * self.half_extent + 1) ** 2 > INT_MAX:
-            raise ValueError(f"half_extent {self.half_extent} makes a local grid of more than "
-                             f"{INT_MAX} cells")
-        if self.half_extent * self.cell_size > self.lidar_radius + 1e-9:
-            raise ValueError(f"half_extent {self.half_extent} x cell_size {self.cell_size} "
-                             f"exceeds lidar_radius {self.lidar_radius}")
-        if self.inflation_rings < 0:
-            raise ValueError("inflation_rings must be >= 0")
         if self.goal_tolerance is not None and not 0 <= self.goal_tolerance < math.inf:
             raise ValueError(f"goal_tolerance must be >= 0 and finite, got {self.goal_tolerance}")
         if self.max_robot_steps is not None and self.max_robot_steps < 0:
@@ -91,13 +78,6 @@ class PlannerConfig:
         if self.planner is PlannerKind.CONVENTIONAL_ACO:
             return replace(self.aco, mode=AcoMode.CONVENTIONAL)
         return self.aco
-
-
-@dataclass(frozen=True)
-class PlannerState:
-    pose: Pose
-    step_index: int
-    status: RunStatus
 
 
 @dataclass(frozen=True)
@@ -122,21 +102,9 @@ def _goal_distance(pose: Pose, goal: Point) -> float:
     return math.hypot(pose.x - goal[0], pose.y - goal[1])
 
 
-def _advance_state(state: PlannerState, center: Pose, cell_size: float, half_extent: int,
-                   next_cell: Cell, goal: Point, tolerance: float) -> PlannerState:
-    dr, dc = next_cell[0] - half_extent, next_cell[1] - half_extent
-    wx, wy = cell_center(center, cell_size, half_extent, next_cell)
-    pose = Pose(wx, wy, math.atan2(dr, dc))
-    status = RunStatus.GOAL_REACHED if _goal_distance(pose, goal) <= tolerance else RunStatus.RUNNING
-    return PlannerState(pose, state.step_index + 1, status)
-
-
-_PLAN_STUCK = -1  # planner.c's verdict when no sub-goal can be planned
-
-
-def plan_cycle(world: WorldMap, state: PlannerState, goal: Point,
-               config: PlannerConfig, seed: int, cycle: int) -> tuple[PlannerState, CycleRecord]:
-    """One replanning cycle against the world at its current tick.
+def plan_cycle(world: WorldMap, pose: Pose, goal: Point, config: PlannerConfig, seed: int,
+               cycle: int) -> CycleRecord:
+    """One replanning cycle from pose against the world at its current tick.
 
     The proposed and conventional-aco planners run the cycle in one call of
     the kernel's plan_cycle (planner.c): perceive, rank the marginal cells,
@@ -145,29 +113,31 @@ def plan_cycle(world: WorldMap, state: PlannerState, goal: Point,
     a plans with seed (seed, cycle, a). The verdict is STUCK when no
     candidate exists, when the reachable cells form a closed pocket without
     the goal, or when no trial succeeds. APF perceives and steps here.
+
+    The record holds the pose after the cycle's one step, heading along it,
+    and GOAL_REACHED or RUNNING; a halted cycle keeps pose.
     """
-    if state.status is not RunStatus.RUNNING:
-        raise ValueError("plan_cycle requires a running state")
-    pose = state.pose
-    tolerance = config.resolved_goal_tolerance()
     cs, h = config.cell_size, config.half_extent
 
-    def halted(status: RunStatus) -> tuple[PlannerState, CycleRecord]:
-        halted_state = replace(state, status=status)
-        rec = CycleRecord(cycle, pose, None, (), _goal_distance(pose, goal), (), status)
-        return halted_state, rec
+    def stepped(next_cell: Cell, subgoal: Point | None = None, subpath=(),
+                series=()) -> CycleRecord:
+        dr, dc = next_cell[0] - h, next_cell[1] - h
+        new_pose = Pose(*cell_center(pose, cs, h, next_cell), math.atan2(dr, dc))
+        dist = _goal_distance(new_pose, goal)
+        status = RunStatus.GOAL_REACHED if dist <= config.resolved_goal_tolerance() \
+            else RunStatus.RUNNING
+        return CycleRecord(cycle, new_pose, subgoal, subpath, dist, series, status)
+
+    def halted(status: RunStatus) -> CycleRecord:
+        return CycleRecord(cycle, pose, None, (), _goal_distance(pose, goal), (), status)
 
     if config.planner is PlannerKind.APF:
         grid = perceive(world, pose, config.lidar_radius, config.n_rays, cs, h,
                         config.inflation_rings)
         try:
-            next_cell = apf_step(grid, pose, goal, config.apf)
+            return stepped(apf_step(grid, pose, goal, config.apf))
         except LocalMinimum:
             return halted(RunStatus.LOCAL_MINIMUM)
-        new_state = _advance_state(state, pose, cs, h, next_cell, goal, tolerance)
-        rec = CycleRecord(cycle, new_state.pose, None, (),
-                          _goal_distance(new_state.pose, goal), (), new_state.status)
-        return new_state, rec
 
     # the argument checks of perceive and plan_subpath
     occ = checked_occupancy(world, pose, config.lidar_radius, config.n_rays)
@@ -191,18 +161,15 @@ def plan_cycle(world: WorldMap, state: PlannerState, goal: Point,
         aco.n_iters, aco.n_ants, max_steps, aco.mode is AcoMode.IMPROVED, aco.phi, aco.rho,
         aco.q, aco.delta, aco.zeta, aco.tau0, aco.resolved_elite_cutoff(),
         path, out, out + 1, series)
-    if code == _PLAN_STUCK:
+    if code == mod.lib.PLAN_STUCK:
         return halted(RunStatus.STUCK)
     subgoal = divmod(out[1], side)
-    if code != 0:
+    if code != mod.lib.COLONY_OK:
         raise colony_error(code, subgoal, aco)
     cells = [divmod(i, side) for i in ffi.unpack(path, out[0] + 1)]
-    new_state = _advance_state(state, pose, cs, h, cells[1], goal, tolerance)
-    rec = CycleRecord(cycle, new_state.pose, cell_center(pose, cs, h, subgoal),
-                      tuple(cell_center(pose, cs, h, c) for c in cells),
-                      _goal_distance(new_state.pose, goal), tuple(ffi.unpack(series, aco.n_iters)),
-                      new_state.status)
-    return new_state, rec
+    return stepped(cells[1], cell_center(pose, cs, h, subgoal),
+                   tuple(cell_center(pose, cs, h, c) for c in cells),
+                   tuple(ffi.unpack(series, aco.n_iters)))
 
 
 def run(scenario: "Scenario") -> RunResult:
@@ -210,32 +177,28 @@ def run(scenario: "Scenario") -> RunResult:
     config = scenario.config
     world = scenario.world
     goal = scenario.goal
-    tolerance = config.resolved_goal_tolerance()
     max_steps = config.resolved_max_steps(world)
 
     t0 = time.perf_counter()
-    state = PlannerState(scenario.start, 0, RunStatus.RUNNING)
-    if _goal_distance(state.pose, goal) <= tolerance:
-        state = replace(state, status=RunStatus.GOAL_REACHED)
-
-    poses = [state.pose]
+    pose = scenario.start
+    status = RunStatus.GOAL_REACHED \
+        if _goal_distance(pose, goal) <= config.resolved_goal_tolerance() else RunStatus.RUNNING
+    poses = [pose]
     records: list[CycleRecord] = []
-    while state.status is RunStatus.RUNNING:
-        if state.step_index >= max_steps:
-            state = replace(state, status=RunStatus.STEP_BUDGET_EXHAUSTED)
+    while status is RunStatus.RUNNING:
+        if len(records) >= max_steps:
+            status = RunStatus.STEP_BUDGET_EXHAUSTED
             break
         world = world.advanced()
-        robot_cell = world.cell_of(state.pose.x, state.pose.y)
-        if world.occupancy_at(robot_cell):
-            state = replace(state, status=RunStatus.COLLISION)
+        if world.occupancy_at(world.cell_of(pose.x, pose.y)):
+            status = RunStatus.COLLISION
             break
-        state, rec = plan_cycle(world, state, goal, config, scenario.seed, state.step_index)
+        rec = plan_cycle(world, pose, goal, config, scenario.seed, len(records))
         records.append(rec)
-        poses.append(state.pose)
-        if state.status is RunStatus.RUNNING \
-                and world.occupancy_at(world.cell_of(state.pose.x, state.pose.y)):
-            state = replace(state, status=RunStatus.COLLISION)
-            break
+        pose, status = rec.pose, rec.status
+        poses.append(pose)
+        if status is RunStatus.RUNNING and world.occupancy_at(world.cell_of(pose.x, pose.y)):
+            status = RunStatus.COLLISION
     wall_ms = (time.perf_counter() - t0) * 1000.0
 
     points = [p.xy for p in poses]
@@ -246,7 +209,7 @@ def run(scenario: "Scenario") -> RunResult:
         cycles=len(records),
         dist_series=dist_series,
         aco_series=tuple(r.aco_series for r in records),
-        status=state.status,
+        status=status,
         wall_ms=wall_ms,
     )
     return RunResult(tuple(poses), tuple(records), metrics)

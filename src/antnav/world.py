@@ -6,6 +6,7 @@ tick, so replays are bit-identical.
 """
 from __future__ import annotations
 
+import copy
 import enum
 import math
 from dataclasses import dataclass, field
@@ -72,9 +73,10 @@ class WorldMap:
         self.tick = int(tick)
         self._occ: np.ndarray | None = None
         for m in self.movers:
-            cell = m.anchor_at(tick)
-            if not self.in_bounds(cell):
-                raise ValueError(f"mover cell {cell} outside world bounds at tick {tick}")
+            for cell in m.waypoints:
+                if not self.in_bounds(cell):
+                    raise ValueError(f"mover waypoint {cell} outside the "
+                                     f"{self.height}x{self.width} world")
 
     @property
     def height(self) -> int:
@@ -104,8 +106,10 @@ class WorldMap:
         return self._occ
 
     def advanced(self) -> "WorldMap":
-        """Snapshot at the next tick; the static bitmap is shared, not copied."""
-        return WorldMap(self.static_cells, self.cell_size, self.movers, self.tick + 1)
+        """Snapshot at the next tick; the static bitmap and the checked movers are shared."""
+        world = copy.copy(self)
+        world.tick, world._occ = self.tick + 1, None
+        return world
 
     def cell_of(self, x: float, y: float) -> Cell:
         return (int(math.floor(y / self.cell_size)), int(math.floor(x / self.cell_size)))

@@ -11,8 +11,8 @@ from unittest import mock
 
 import numpy as np
 
-from antnav import (AcoMode, CandidateSet, CostWeights, GridGraph, NoPathFound, plan_subpath,
-                    rank_candidates, simulate_scan)
+from antnav import (AcoMode, CandidateSet, CostWeights, GridGraph, NoPathFound, perceive,
+                    plan_subpath, rank_candidates)
 from antnav import aco, kernel, subgoal
 from antnav.aco import _CORNER_FACTORS, eta_gamma
 from antnav.geometry import DIR_ANGLES, wrap_angle
@@ -20,10 +20,16 @@ from antnav.geometry import DIR_ANGLES, wrap_angle
 from oracles import neighbors_ref
 
 
+def kernel_scan(world, pose, radius, n_rays):
+    """The kernel's scan, one range per ray, as perceive keeps it: the smallest
+    grid the radius allows, since the ranges do not depend on the grid."""
+    return perceive(world, pose, radius, n_rays, radius, 1, 0).ranges
+
+
 def kernel_hits(world, pose, radius, n_rays):
     """The kernel's scan as scan_ref lists it: (d, theta) of each ray that hit, in ray
     order, theta by the kernel's bearing arithmetic."""
-    ranges = simulate_scan(world, pose, radius, n_rays)
+    ranges = kernel_scan(world, pose, radius, n_rays)
     return [(d, math.tau * i / n_rays) for i, d in enumerate(ranges.tolist()) if d < math.inf]
 
 

@@ -33,7 +33,7 @@ class TestApfStep:
         for r, c in [(3, 3), (3, 4), (3, 5), (5, 3), (5, 4), (5, 5), (4, 5)]:
             cells[r, c] = CellState.OCCUPIED
         cells[4, 4] = CellState.ROBOT
-        grid = LocalGrid(origin, 1.0, 4, cells)
+        grid = LocalGrid(origin, 1.0, 4, cells, np.empty(0))
         with pytest.raises(LocalMinimum):
             apf_step(grid, origin, (30.0, 10.5), ApfParams())
 

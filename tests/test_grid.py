@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from antnav import (CellState, InvalidExtent, NoCandidates, Pose, WorldMap, candidate_cells,
-                    perceive)
-from antnav.grid import LocalGrid
+from antnav import CellState, NoCandidates, Pose, WorldMap, candidate_cells, perceive
+from antnav.grid import LocalGrid, _kernel_rings
 
 from oracles import candidates_ref
 
@@ -61,12 +60,19 @@ class TestBuildLocalGrid:
         assert (grid.cells == expected).all()
 
     def test_extent_must_fit_scan_disc(self):
-        with pytest.raises(InvalidExtent):
+        with pytest.raises(ValueError, match="exceeds lidar_radius"):
             grid_of(radius=3.0)
-        with pytest.raises(InvalidExtent):
+        with pytest.raises(ValueError, match="half_extent must be >= 1"):
             grid_of(half_extent=0)
         # equality is allowed: 4 cells * 1.5 m = 6 m radius
         grid_of(radius=6.0, cell_size=1.5)
+
+    def test_grid_of_more_cells_than_an_int_is_rejected(self):
+        # 60001^2 cells fit the disc but not the kernel's int; perceive would
+        # allocate 3.6 GB and overflow side * side, so only the check is called
+        with pytest.raises(ValueError, match="more than 2147483647 cells"):
+            _kernel_rings(6.0, 1e-4, 30000, 1)
+        assert _kernel_rings(6.0, 1e-4, 23169, 1) == 1  # 46339^2 cells fit
 
     @pytest.mark.parametrize("cell_size", [0.0, -1.0, math.nan, math.inf])
     def test_cell_size_must_be_positive_and_finite(self, cell_size):
@@ -117,7 +123,7 @@ class TestCandidateCells:
     def test_enclosed_robot_raises(self):
         cells = np.full((9, 9), CellState.OCCUPIED, dtype=np.int8)
         cells[4, 4] = CellState.ROBOT
-        grid = LocalGrid(Pose(0, 0, 0), 1.0, 4, cells)
+        grid = LocalGrid(Pose(0, 0, 0), 1.0, 4, cells, np.empty(0))
         with pytest.raises(NoCandidates):
             candidate_cells(grid)
 

@@ -130,8 +130,10 @@ def test_sources_compile_without_warnings():
 def test_cdef_declares_every_exported_function():
     # a function the sources export without a CDEF prototype (a helper that
     # lost its `static`) fails -Wmissing-prototypes
+    # the enum lines are cffi's, whose `...` asks the compiler for the values
     texts = [path.read_text(encoding="utf-8") for path in kernel.SOURCES]
-    code, stderr = compile_errors("#include <stdint.h>\n" + kernel.CDEF + kernel._unit(texts),
+    prototypes = re.sub(r"enum \{.*?\};", "", kernel.CDEF, flags=re.S)
+    code, stderr = compile_errors("#include <stdint.h>\n" + prototypes + kernel._unit(texts),
                                   "-Wmissing-prototypes")
     assert code == 0, stderr
 

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from antnav import (CellState, GridGraph, InvalidExtent, MovingObstacle, MoverPolicy,
-                    NoCandidates, Pose, PoseInObstacle, PoseOutOfBounds, candidate_cells,
-                    kernel, perceive, simulate_scan)
+from antnav import (CellState, GridGraph, MovingObstacle, MoverPolicy, NoCandidates,
+                    PlannerConfig, Pose, PoseInObstacle, PoseOutOfBounds, candidate_cells,
+                    kernel, perceive)
 from antnav.world import WorldMap
 
 from oracles import (FREE, ROBOT, candidates_ref, clamp_ref, local_grid_ref, occlude_ref,
@@ -216,26 +216,28 @@ def test_grid_marks_exactly_the_hit_cells(h):
 
 
 def test_perceive_rejects_what_scan_and_grid_reject():
+    # PlannerConfig runs the same scan and grid checks, with the same messages
     static = np.zeros((10, 10), bool)
     static[6, 6] = True
     world = WorldMap(static, 1.0)
-    good = dict(pose=Pose(4.5, 4.5, 0.3), radius=4.0, n_rays=90, cell_size=1.0,
+    good = dict(pose=Pose(4.5, 4.5, 0.3), lidar_radius=4.0, n_rays=90, cell_size=1.0,
                 half_extent=3, inflation_rings=1)
-    scan_keys = ("pose", "radius", "n_rays")
     bad = [("pose", Pose(-1.0, 2.0, 0.0), PoseOutOfBounds, "pose (-1.0, 2.0) outside the world"),
            ("pose", Pose(6.5, 6.5, 0.0), PoseInObstacle,
             "pose (6.5, 6.5) lies on an occupied cell (6, 6)"),
-           ("radius", 0.0, ValueError, "radius must be positive and finite, got 0.0"),
+           ("lidar_radius", 0.0, ValueError, "lidar_radius must be positive and finite, got 0.0"),
            ("n_rays", 0, ValueError, "n_rays must be in 1..2147483647, got 0"),
-           ("half_extent", 0, InvalidExtent, "half_extent must be >= 1"),
-           ("half_extent", 5, InvalidExtent,
-            "half_extent 5 x cell_size 1.0 exceeds scan radius 4.0"),
+           ("half_extent", 0, ValueError, "half_extent must be >= 1"),
+           ("half_extent", 5, ValueError,
+            "half_extent 5 x cell_size 1.0 exceeds lidar_radius 4.0"),
+           ("half_extent", 23170, ValueError,
+            "half_extent 23170 makes a local grid of more than 2147483647 cells"),
            ("inflation_rings", -1, ValueError, "inflation_rings must be >= 0")]
     for key, value, error, message in bad:
         args = {**good, key: value}
         calls = [lambda: perceive(world, **args)]
-        if key in scan_keys:
-            calls.append(lambda: simulate_scan(world, *(args[k] for k in scan_keys)))
+        if key != "pose":
+            calls.append(lambda: PlannerConfig(**{k: v for k, v in args.items() if k != "pose"}))
         for call in calls:
             with pytest.raises(error) as got:
                 call()

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from antnav import Pose, PoseInObstacle, PoseOutOfBounds, perceive, simulate_scan
+from antnav import PlannerConfig, Pose, PoseInObstacle, PoseOutOfBounds, perceive
 from antnav.world import MovingObstacle, WorldMap
 
 from oracles import polar_ref
-from probes import kernel_hits
+from probes import kernel_hits, kernel_scan
 
 
 def make_world(height=15, width=15, cell_size=1.0, boxes=()):
@@ -22,13 +22,13 @@ def make_world(height=15, width=15, cell_size=1.0, boxes=()):
 class TestSimulateScan:
     def test_empty_world_no_samples(self):
         world = make_world()
-        ranges = simulate_scan(world, Pose(7.5, 7.5, 0.2), 4.0, 360)
+        ranges = kernel_scan(world, Pose(7.5, 7.5, 0.2), 4.0, 360)
         assert ranges.dtype == np.float64 and ranges.shape == (360,)
         assert np.isinf(ranges).all()
 
     def test_wall_beyond_radius_invisible(self):
         world = make_world(boxes=[(0, 0, 0, 14)])
-        assert np.isinf(simulate_scan(world, Pose(7.5, 7.5, 0.0), 4.0, 360)).all()
+        assert np.isinf(kernel_scan(world, Pose(7.5, 7.5, 0.0), 4.0, 360)).all()
 
     def test_single_cell_ahead(self):
         # occupied cell centered 2 m east of the robot, radius 4 m
@@ -62,22 +62,22 @@ class TestSimulateScan:
     def test_deterministic(self):
         world = make_world(boxes=[(7, 6, 8, 8)])
         pose = Pose(3.5, 3.5, 0.7)
-        a = simulate_scan(world, pose, 6.0, 240)
-        b = simulate_scan(world, pose, 6.0, 240)
+        a = kernel_scan(world, pose, 6.0, 240)
+        b = kernel_scan(world, pose, 6.0, 240)
         assert a.shape == (240,) and np.array_equal(a, b)
 
     def test_pose_errors(self):
         world = make_world(boxes=[(7, 6, 8, 8)])
         with pytest.raises(PoseOutOfBounds):
-            simulate_scan(world, Pose(-1.0, 2.0, 0.0), 4.0, 90)
+            kernel_scan(world, Pose(-1.0, 2.0, 0.0), 4.0, 90)
         with pytest.raises(PoseInObstacle):
-            simulate_scan(world, Pose(6.5, 7.5, 0.0), 4.0, 90)
+            kernel_scan(world, Pose(6.5, 7.5, 0.0), 4.0, 90)
 
     @pytest.mark.parametrize("radius, n_rays, message", [
-        (0.0, 90, "radius must be positive and finite, got 0.0"),
-        (-1.0, 90, "radius must be positive and finite, got -1.0"),
-        (math.nan, 90, "radius must be positive and finite, got nan"),
-        (math.inf, 90, "radius must be positive and finite, got inf"),
+        (0.0, 90, "lidar_radius must be positive and finite, got 0.0"),
+        (-1.0, 90, "lidar_radius must be positive and finite, got -1.0"),
+        (math.nan, 90, "lidar_radius must be positive and finite, got nan"),
+        (math.inf, 90, "lidar_radius must be positive and finite, got inf"),
         (4.0, 0, "n_rays must be in 1..2147483647, got 0"),
         (4.0, -3, "n_rays must be in 1..2147483647, got -3"),
         # one past the kernel's int: rejected before the ranges are allocated
@@ -85,9 +85,10 @@ class TestSimulateScan:
     ], ids=["radius-zero", "radius-negative", "radius-nan", "radius-inf", "rays-zero",
             "rays-negative", "rays-int-overflow"])
     def test_scan_arguments_rejected(self, radius, n_rays, message):
+        # the planner's configuration runs perceive's check, with its message
         world, pose = make_world(), Pose(7.5, 7.5, 0.0)
-        calls = [lambda: simulate_scan(world, pose, radius, n_rays),
-                 lambda: perceive(world, pose, radius, n_rays, 1.0, 3, 1)]
+        calls = [lambda: perceive(world, pose, radius, n_rays, 1.0, 3, 1),
+                 lambda: PlannerConfig(lidar_radius=radius, n_rays=n_rays)]
         for call in calls:
             with pytest.raises(ValueError) as got:
                 call()
@@ -151,7 +152,7 @@ def test_samples_map_back_into_occupied_cells(scene):
 def test_every_range_is_a_miss_or_within_the_radius(scene):
     """One float64 range per ray: +inf for a miss, else a distance in [0, radius]."""
     world, pose, radius, n_rays = scene
-    ranges = simulate_scan(world, pose, radius, n_rays)
+    ranges = kernel_scan(world, pose, radius, n_rays)
     assert ranges.dtype == np.float64 and ranges.shape == (n_rays,)
     hit = np.isfinite(ranges)
     assert (ranges[~hit] == math.inf).all()

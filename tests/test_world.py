@@ -27,6 +27,16 @@ class TestOccupancy:
             WorldMap(np.zeros((4, 4), bool), cell_size)
         assert str(got.value) == f"cell_size must be positive and finite, got {cell_size}"
 
+    @pytest.mark.parametrize("waypoints, bad", [
+        (((0, 0), (-1, 0)), (-1, 0)),  # reached only at tick 1
+        (((4, 4), (4, 5)), (4, 5)),
+        (((5, 0),), (5, 0)),
+    ])
+    def test_every_mover_waypoint_must_lie_on_the_grid(self, waypoints, bad):
+        with pytest.raises(ValueError) as got:
+            WorldMap(np.zeros((5, 5), bool), 1.0, (MovingObstacle(waypoints),))
+        assert str(got.value) == f"mover waypoint {bad} outside the 5x5 world"
+
     def test_out_of_bounds(self):
         w = world_with()
         with pytest.raises(OutOfBounds):
@@ -100,8 +110,9 @@ class TestAdvance:
         assert w0.tick == 0  # original snapshot untouched
 
     def test_static_shared_not_copied(self):
-        w = world_with()
+        w = world_with([MovingObstacle(((1, 1), (1, 2)))])
         assert w.advanced().static_cells is w.static_cells
+        assert w.advanced().movers is w.movers  # checked once, at construction
 
 
 MAP_TEXT = """\
