@@ -22,6 +22,7 @@ _entropy_words).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -186,6 +187,12 @@ _CORNER_FACTORS = np.array(
        for p in range(8)])
 
 
+@functools.cache
+def corner_table():
+    """The kernel pointer to _CORNER_FACTORS, made once per process."""
+    return pointer(_CORNER_FACTORS, np.float64, (9, 8))
+
+
 _MASK32 = 0xFFFFFFFF
 
 
@@ -263,7 +270,7 @@ def plan_subpath(graph: GridGraph, start: Cell, subgoal: Cell, params: AcoParams
         pointer(graph.mask, np.bool_, (graph.rows, graph.cols)), graph.rows, graph.cols,
         pointer(tau, np.float64, (graph.n * 8,), writable=True), params.tau0,
         pointer(eta_g, np.float64, (8,)), pointer(steps, np.float64, (8,)),
-        pointer(_CORNER_FACTORS, np.float64, (9, 8)),
+        corner_table(),
         pointer(key, np.uint32, key.shape), len(key),
         n_iters, m, max_steps, graph.id_of(start), graph.id_of(subgoal), improved,
         params.phi, params.rho, params.q, params.delta, params.zeta,

@@ -1,9 +1,11 @@
 """Comparison planners.
 
 The potential-field planner steps to the 8-neighbor with the lowest attractive
-plus repulsive potential. The conventional ant-colony baseline is not a
-separate implementation: the planner loop runs the aco module with
-mode=CONVENTIONAL.
+plus repulsive potential. Its rule runs in the compiled kernel (planner.c's
+apf_step), the same code the APF planning cycle steps with (apf_cycle);
+tests/oracles.py keeps the Python rule as the reference. The conventional
+ant-colony baseline is not a separate implementation: the planner loop runs
+the aco module with mode=CONVENTIONAL.
 """
 from __future__ import annotations
 
@@ -12,9 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernel
 from .errors import LocalMinimum
 from .geometry import Cell, Point, Pose
-from .grid import CellState, LocalGrid
+from .grid import LocalGrid
+from .kernel import pointer
 
 
 @dataclass(frozen=True)
@@ -32,42 +36,26 @@ class ApfParams:
             if value is not None and not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
 
-
-def _potential(point: Point, goal: Point, obstacles: list[Point],
-               k_att: float, k_rep: float, d0: float) -> float:
-    dist_goal_sq = (point[0] - goal[0]) ** 2 + (point[1] - goal[1]) ** 2
-    u = 0.5 * k_att * dist_goal_sq
-    if obstacles:
-        d = min(math.hypot(point[0] - ox, point[1] - oy) for ox, oy in obstacles)
-        if d < d0:
-            u += 0.5 * k_rep * (1.0 / d - 1.0 / d0) ** 2
-    return u
+    def resolved_d0(self, cell_size: float) -> float:
+        return self.d0 if self.d0 is not None else 2.0 * cell_size
 
 
 def apf_step(grid: LocalGrid, pose: Pose, goal: Point, params: ApfParams) -> Cell:
     """Free 8-neighbor of the robot cell with the lowest potential.
 
-    Obstacle distance is measured to the nearest occupied cell center. Raises
+    pose is the robot's, at the center of the grid, as perceive builds it.
+    The potential is 0.5 * k_att * (squared goal distance), plus
+    0.5 * k_rep * (1 / d - 1 / d0) ** 2 when the distance d to the nearest
+    occupied cell center is below d0 (2 * cell_size when unset). Raises
     LocalMinimum when no neighbor improves on the potential at the robot cell
     (ties between neighbors break by lowest row-major index).
     """
-    d0 = params.d0 if params.d0 is not None else 2.0 * grid.cell_size
-    obstacles = [grid.world_center((r, c))
-                 for r, c in np.argwhere(grid.cells == CellState.OCCUPIED)]
-    h = grid.half_extent
-    free = grid.traversable_mask()
-    here = _potential(pose.xy, goal, obstacles, params.k_att, params.k_rep, d0)
-    best_cell: Cell | None = None
-    best_u = math.inf
-    for r in range(h - 1, h + 2):  # half_extent >= 1 keeps all nine cells on the grid
-        for c in range(h - 1, h + 2):
-            if (r, c) == (h, h) or not free[r, c]:
-                continue
-            u = _potential(grid.world_center((r, c)), goal, obstacles,
-                           params.k_att, params.k_rep, d0)
-            if u < best_u:
-                best_u = u
-                best_cell = (r, c)
-    if best_cell is None or best_u >= here:
-        raise LocalMinimum(f"no neighbor below potential {here:.6g} at {pose.xy}")
-    return best_cell
+    if grid.half_extent < 1:
+        raise ValueError("half_extent must be >= 1")
+    lib = kernel.module().lib
+    step = lib.apf_step(pointer(grid.cells, np.int8, (grid.side, grid.side)), grid.half_extent,
+                        grid.cell_size, pose.x, pose.y, goal[0], goal[1], params.k_att,
+                        params.k_rep, params.resolved_d0(grid.cell_size))
+    if step == lib.APF_LOCAL_MINIMUM:
+        raise LocalMinimum(f"no neighbor below the potential at {pose.xy}")
+    return divmod(step, grid.side)

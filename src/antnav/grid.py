@@ -12,10 +12,10 @@ marking their 8-neighborhood (configurable ring count) as non-traversable.
 world clamp) in one call of the compiled kernel (perception.c, built on
 first use by kernel.py); the grid keeps the scan, one range per ray.
 `candidate_cells` lists a grid's marginal cells with planner.c's
-marginal_cells. The planning cycle runs these same kernel functions in one
-call of planner.c's plan_cycle and builds no LocalGrid; APF is the one
-planner that perceives through `perceive`. tests/oracles.py keeps the
-per-ray and per-cell loops they reproduce as the reference.
+marginal_cells. Every planner's cycle runs these same kernel functions in
+one call of planner.c's plan_cycle or apf_cycle and builds no LocalGrid.
+tests/oracles.py keeps the per-ray and per-cell loops they reproduce as the
+reference.
 """
 from __future__ import annotations
 
@@ -45,9 +45,12 @@ def cell_center(center: Pose, cell_size: float, half_extent: int, cell: Cell) ->
     return (center.x + (c - half_extent) * cell_size, center.y + (r - half_extent) * cell_size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalGrid:
-    """Square 2*half_extent+1 grid of CellState; the robot occupies the exact center."""
+    """Square 2*half_extent+1 grid of CellState; the robot occupies the exact center.
+
+    Grids compare and hash by identity: their cells and ranges are arrays.
+    """
 
     center: Pose
     cell_size: float

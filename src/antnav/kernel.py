@@ -46,7 +46,7 @@ INT_MAX = 2**31 - 1
 CDEF = """
 enum { COLONY_OK, COLONY_NO_PATH_STREAK, COLONY_NO_PATH, COLONY_BAD_TOTAL, COLONY_NO_MEMORY,
        ... };
-enum { PLAN_STUCK, ... };
+enum { PLAN_STUCK, APF_LOCAL_MINIMUM, APF_NO_MEMORY, ... };
 int colony_run(const _Bool *mask, int rows, int cols, double *tau, double tau0,
                const double *eta_g, const double *steps, const double *corner,
                const uint32_t *key, int n_key, int n_iters, int n_ants, int max_steps,
@@ -64,13 +64,19 @@ void rank_candidates(int k, const double *xy, double x0, double y0, double psi, 
                      double gy, double alpha, double beta, double omega, double *raw,
                      double *norm, double *cost, int32_t *order);
 int plan_cycle(const _Bool *occ, int rows, int cols, double world_cell_size, double x0,
-               double y0, double psi, double radius, int n_rays, double cell_size,
-               int half_extent, int rings, double goal_x, double goal_y, double alpha,
-               double beta, double omega, double eta_straight, double eta_diagonal,
-               const double *corner, const uint32_t *key, int n_key, int n_iters,
-               int n_ants, int max_steps, int improved, double phi, double rho, double q,
-               double delta, double zeta, double tau0, int elite_cutoff, int32_t *path,
-               int *n_steps, int *subgoal, double *series);
+               double y0, double psi, double goal_x, double goal_y, const uint32_t *key,
+               int n_key, const double *corner, double radius, int n_rays, double cell_size,
+               int half_extent, int rings, double alpha, double beta, double omega,
+               double eta_straight, double eta_diagonal, int n_iters, int n_ants,
+               int max_steps, int improved, double phi, double rho, double q, double delta,
+               double zeta, double tau0, int elite_cutoff, int32_t *path, int *n_steps,
+               int *subgoal, double *series);
+int apf_step(const int8_t *cells, int half_extent, double cell_size, double x0, double y0,
+             double goal_x, double goal_y, double k_att, double k_rep, double d0);
+int apf_cycle(const _Bool *occ, int rows, int cols, double world_cell_size, double x0,
+              double y0, double psi, double goal_x, double goal_y, double radius, int n_rays,
+              double cell_size, int half_extent, int rings, double k_att, double k_rep,
+              double d0);
 """
 CFLAGS = ("-O3", "-ffp-contract=off", "-fno-fast-math")
 

@@ -1,6 +1,7 @@
-/* Compiled planning cycle of antnav.planner.plan_cycle, with the sub-goal
- * rules it runs: the marginal-candidate rule of antnav.grid.candidate_cells
- * and the multi-constraint ranking of antnav.subgoal.rank_candidates.
+/* Compiled planning cycles of antnav.planner.plan_cycle, with the rules
+ * they run: the marginal-candidate rule of antnav.grid.candidate_cells, the
+ * multi-constraint ranking of antnav.subgoal.rank_candidates and the
+ * potential-field step of antnav.baselines.apf_step.
  *
  * plan_cycle runs one cycle of the proposed and conventional-aco planners
  * in one call: perceive() builds the local grid, its marginal cells are
@@ -8,16 +9,18 @@
  * until a colony reaches one. The first trial is the goal cell when the
  * robot can reach it (terminal capture), then come the reachable
  * candidates in (cost, row-major index) order, the order of a stable sort
- * by cost. The arithmetic is that of the reference cycle in
+ * by cost. apf_cycle runs one cycle of the APF planner: perceive(), then
+ * apf_step. The arithmetic is that of the reference cycle and step in
  * tests/oracles.py, operation for operation:
- *  - a candidate's center is x0 + (c - h) * cell_size, as
+ *  - a cell's center is x0 + (c - h) * cell_size, as
  *    LocalGrid.world_center computes it;
  *  - the distance is math.hypot's (py_hypot), the bearings are libm atan2
  *    folded by wrap_angle's fmod;
  *  - each family is normalized over every candidate, reachable or not,
  *    with a left-to-right sum from 0;
  *  - the cost is beta * theta1 + alpha * distance + omega * theta2, in that
- *    order.
+ *    order;
+ *  - Python's x ** 2 is libm pow(x, 2.0) (py_square), not x * x.
  *
  * This file follows colony.c and perception.c in the kernel's one
  * translation unit and calls their functions. Build with -ffp-contract=off
@@ -32,7 +35,11 @@
 
 #define PI 3.141592653589793 /* math.pi; TAU is perception.c's math.tau */
 
-enum { PLAN_STUCK = -1 }; /* plan_cycle's verdict when no sub-goal can be planned */
+enum {
+    PLAN_STUCK = -1,        /* plan_cycle's verdict when no sub-goal can be planned */
+    APF_LOCAL_MINIMUM = -1, /* apf_step's and apf_cycle's when no neighbour improves */
+    APF_NO_MEMORY = -2      /* apf_cycle's when it cannot allocate its buffers */
+};
 
 /* antnav.geometry.wrap_angle: a in radians wrapped to (-pi, pi] */
 static double wrap_angle(double a)
@@ -121,8 +128,100 @@ void rank_candidates(int k, const double *xy, double x0, double y0, double psi, 
         order[i] = prev = next_ranked(cost, k, prev);
 }
 
-/* One cycle of antnav.planner.plan_cycle for a robot at (x0, y0, psi) on
- * the rows x cols occupancy grid occ and a goal at (goal_x, goal_y).
+/* Python's x ** 2 for a float x: CPython calls libm pow, which differs from
+ * x * x in the last bit on some inputs. gcc folds pow(x, 2.0) into x * x, so
+ * the exponent is read at run time. */
+static double py_square(double x)
+{
+    static const volatile double two = 2.0;
+    return pow(x, two);
+}
+
+/* The potential at (x, y) of a robot whose side x side grid of cells is
+ * centered on (x0, y0), for a goal at (goal_x, goal_y): 0.5 * k_att times
+ * the squared goal distance, plus 0.5 * k_rep * (1 / d - 1 / d0) ** 2 when
+ * the distance d to the nearest OCCUPIED cell center (the first in
+ * row-major order on ties) is below d0. */
+static double potential(const int8_t *cells, int half_extent, double cell_size, double x0,
+                        double y0, double x, double y, double goal_x, double goal_y,
+                        double k_att, double k_rep, double d0)
+{
+    const int side = 2 * half_extent + 1;
+    double u = 0.5 * k_att * (py_square(x - goal_x) + py_square(y - goal_y));
+    double d = INFINITY;
+    bool any = false;
+    for (int r = 0; r < side; r++)
+        for (int c = 0; c < side; c++) {
+            if (cells[r * side + c] != OCCUPIED)
+                continue;
+            double e = py_hypot(x - (x0 + (double)(c - half_extent) * cell_size),
+                                y - (y0 + (double)(r - half_extent) * cell_size));
+            if (!any || e < d)
+                d = e;
+            any = true;
+        }
+    if (any && d < d0)
+        u += 0.5 * k_rep * py_square(1.0 / d - 1.0 / d0);
+    return u;
+}
+
+/* antnav.baselines.apf_step on the side x side cells (half_extent >= 1) of
+ * a grid centered on the robot at (x0, y0): the row-major id of the FREE
+ * 8-neighbour of the center with the lowest potential (the first in
+ * row-major order on ties), or APF_LOCAL_MINIMUM when no neighbour is FREE
+ * or the best one's potential is not below the center's. */
+int apf_step(const int8_t *cells, int half_extent, double cell_size, double x0, double y0,
+             double goal_x, double goal_y, double k_att, double k_rep, double d0)
+{
+    const int side = 2 * half_extent + 1;
+    double here = potential(cells, half_extent, cell_size, x0, y0, x0, y0, goal_x, goal_y,
+                            k_att, k_rep, d0);
+    double best_u = INFINITY;
+    int best = APF_LOCAL_MINIMUM;
+    for (int r = half_extent - 1; r <= half_extent + 1; r++)
+        for (int c = half_extent - 1; c <= half_extent + 1; c++) {
+            int8_t s = cells[r * side + c];
+            if ((r == half_extent && c == half_extent) || (s != FREE && s != ROBOT))
+                continue;
+            double u = potential(cells, half_extent, cell_size, x0, y0,
+                                 x0 + (double)(c - half_extent) * cell_size,
+                                 y0 + (double)(r - half_extent) * cell_size, goal_x, goal_y,
+                                 k_att, k_rep, d0);
+            if (u < best_u) {
+                best_u = u;
+                best = r * side + c;
+            }
+        }
+    return best < 0 || best_u >= here ? APF_LOCAL_MINIMUM : best;
+}
+
+/* One cycle of the APF planner of antnav.planner.plan_cycle for a robot at
+ * (x0, y0, psi) on the rows x cols occupancy grid occ: perceive() with the
+ * scan and grid arguments, then apf_step toward (goal_x, goal_y). Returns
+ * apf_step's result, or APF_NO_MEMORY. */
+int apf_cycle(const bool *occ, int rows, int cols, double world_cell_size, double x0,
+              double y0, double psi, double goal_x, double goal_y, double radius, int n_rays,
+              double cell_size, int half_extent, int rings, double k_att, double k_rep,
+              double d0)
+{
+    const int side = 2 * half_extent + 1;
+    int8_t *cells = malloc((size_t)side * (size_t)side);
+    double *range = malloc(sizeof(double) * (size_t)n_rays);
+    int next = APF_NO_MEMORY;
+    if (cells && range) {
+        perceive(occ, rows, cols, world_cell_size, x0, y0, psi, radius, n_rays, cell_size,
+                 half_extent, rings, range, cells);
+        next = apf_step(cells, half_extent, cell_size, x0, y0, goal_x, goal_y, k_att, k_rep,
+                        d0);
+    }
+    free(cells);
+    free(range);
+    return next;
+}
+
+/* One cycle of the proposed or conventional-aco planner of
+ * antnav.planner.plan_cycle for a robot at (x0, y0, psi) on the rows x cols
+ * occupancy grid occ and a goal at (goal_x, goal_y).
  * perceive() takes the scan and grid arguments, score() the weights and
  * colony_run the colony's: eta_straight and eta_diagonal are eta_gamma of
  * the straight and diagonal step, corner is the (9, 8) corner table, key
@@ -137,13 +236,13 @@ void rank_candidates(int k, const double *xy, double x0, double y0, double psi, 
  * colony's COLONY_BAD_TOTAL, with *subgoal, or COLONY_NO_MEMORY. Cell ids
  * are row-major over the side x side grid, side = 2 * half_extent + 1. */
 int plan_cycle(const bool *occ, int rows, int cols, double world_cell_size, double x0,
-               double y0, double psi, double radius, int n_rays, double cell_size,
-               int half_extent, int rings, double goal_x, double goal_y, double alpha,
-               double beta, double omega, double eta_straight, double eta_diagonal,
-               const double *corner, const uint32_t *key, int n_key, int n_iters,
-               int n_ants, int max_steps, int improved, double phi, double rho, double q,
-               double delta, double zeta, double tau0, int elite_cutoff, int32_t *path,
-               int *n_steps, int *subgoal, double *series)
+               double y0, double psi, double goal_x, double goal_y, const uint32_t *key,
+               int n_key, const double *corner, double radius, int n_rays, double cell_size,
+               int half_extent, int rings, double alpha, double beta, double omega,
+               double eta_straight, double eta_diagonal, int n_iters, int n_ants,
+               int max_steps, int improved, double phi, double rho, double q, double delta,
+               double zeta, double tau0, int elite_cutoff, int32_t *path, int *n_steps,
+               int *subgoal, double *series)
 {
     const int side = 2 * half_extent + 1, n = side * side;
     const int center = half_extent * side + half_extent;

@@ -3,15 +3,18 @@
 Each cycle replans from scratch against the latest scan and executes exactly
 one cell of the planned sub-path; the heading after a cycle is the direction
 of the executed step. Moving obstacles advance one schedule tick per cycle
-before the scan. For the proposed and conventional-aco planners, scan to
-sub-path is one call of the compiled kernel (planner.c's plan_cycle); this
-module checks its arguments and turns the returned cells into the cycle's
+before the scan. Every planner's cycle, scan to step, is one call of the
+compiled kernel: planner.c's plan_cycle for the proposed and
+conventional-aco planners, its apf_cycle for APF. This module checks the
+call's arguments, works out the ones that depend on the config alone once
+per PlannerConfig, and turns the returned cells into the cycle's
 CycleRecord, which holds the next pose and the verdict; run carries both to
-the next cycle. APF perceives with grid.perceive and steps here.
+the next cycle.
 """
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -20,11 +23,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import kernel
-from .aco import _CORNER_FACTORS, AcoMode, AcoParams, _entropy_words, colony_error, eta_gamma
-from .baselines import ApfParams, apf_step
-from .errors import LocalMinimum
-from .geometry import SQRT2, Cell, Point, Pose
-from .grid import _check_scan, _kernel_rings, cell_center, checked_occupancy, perceive
+from .aco import AcoMode, AcoParams, _entropy_words, colony_error, corner_table, eta_gamma
+from .baselines import ApfParams
+from .geometry import SQRT2, Point, Pose
+from .grid import _check_scan, _kernel_rings, cell_center, checked_occupancy
 from .kernel import pointer
 from .metrics import RunMetrics, RunStatus, corner_count, path_length
 from .subgoal import CostWeights
@@ -57,9 +59,7 @@ class PlannerConfig:
     max_robot_steps: int | None = None  # None = 10 * max(world side)
 
     def __post_init__(self):
-        _check_scan(self.lidar_radius, self.n_rays)
-        _kernel_rings(self.lidar_radius, self.cell_size, self.half_extent, self.inflation_rings)
-        eta_gamma((self.cell_size, self.cell_size * SQRT2), self.aco.gamma)
+        self._kernel_args  # the scan, grid and colony checks; keeps what they work out
         if self.goal_tolerance is not None and not 0 <= self.goal_tolerance < math.inf:
             raise ValueError(f"goal_tolerance must be >= 0 and finite, got {self.goal_tolerance}")
         if self.max_robot_steps is not None and self.max_robot_steps < 0:
@@ -78,6 +78,40 @@ class PlannerConfig:
         if self.planner is PlannerKind.CONVENTIONAL_ACO:
             return replace(self.aco, mode=AcoMode.CONVENTIONAL)
         return self.aco
+
+    @functools.cached_property
+    def _kernel_args(self) -> _KernelArgs:
+        _check_scan(self.lidar_radius, self.n_rays)
+        cs, h = self.cell_size, self.half_extent
+        scan = (self.lidar_radius, self.n_rays, cs, h,
+                _kernel_rings(self.lidar_radius, cs, h, self.inflation_rings))
+        aco = self.aco_for_planner()
+        eta_straight, eta_diagonal = eta_gamma((cs, cs * SQRT2), aco.gamma)
+        side = 2 * h + 1
+        max_steps = aco.resolved_max_steps(side * side)
+        if self.planner is PlannerKind.APF:
+            args = (*scan, self.apf.k_att, self.apf.k_rep, self.apf.resolved_d0(cs))
+        else:
+            w = self.weights
+            args = (*scan, w.alpha, w.beta, w.omega, eta_straight, eta_diagonal, aco.n_iters,
+                    aco.n_ants, max_steps, aco.mode is AcoMode.IMPROVED, aco.phi, aco.rho,
+                    aco.q, aco.delta, aco.zeta, aco.tau0, aco.resolved_elite_cutoff())
+        return _KernelArgs(aco, side, max_steps, self.resolved_goal_tolerance(), args)
+
+
+@dataclass(frozen=True)
+class _KernelArgs:
+    """What a cycle hands the kernel that depends on its PlannerConfig alone, worked
+    out once per config. Plain values only, so a config that has run still copies
+    and pickles."""
+
+    aco: AcoParams  # the planner's colony: CONVENTIONAL mode for conventional-aco
+    side: int
+    max_steps: int  # the step cap of a colony walk
+    goal_tolerance: float
+    # the cycle call's arguments from the scan radius on: those of apf_cycle for
+    # APF, of plan_cycle up to its elite_cutoff otherwise
+    args: tuple
 
 
 @dataclass(frozen=True)
@@ -112,64 +146,59 @@ def plan_cycle(world: WorldMap, pose: Pose, goal: Point, config: PlannerConfig, 
     reachable candidates by cost, until a colony reaches its sub-goal. Trial
     a plans with seed (seed, cycle, a). The verdict is STUCK when no
     candidate exists, when the reachable cells form a closed pocket without
-    the goal, or when no trial succeeds. APF perceives and steps here.
+    the goal, or when no trial succeeds. APF runs the cycle in one call of
+    the kernel's apf_cycle: perceive, then baselines.apf_step's rule; the
+    verdict is LOCAL_MINIMUM when no neighbour improves on the potential.
 
     The record holds the pose after the cycle's one step, heading along it,
     and GOAL_REACHED or RUNNING; a halted cycle keeps pose.
     """
-    cs, h = config.cell_size, config.half_extent
-
-    def stepped(next_cell: Cell, subgoal: Point | None = None, subpath=(),
-                series=()) -> CycleRecord:
-        dr, dc = next_cell[0] - h, next_cell[1] - h
-        new_pose = Pose(*cell_center(pose, cs, h, next_cell), math.atan2(dr, dc))
-        dist = _goal_distance(new_pose, goal)
-        status = RunStatus.GOAL_REACHED if dist <= config.resolved_goal_tolerance() \
-            else RunStatus.RUNNING
-        return CycleRecord(cycle, new_pose, subgoal, subpath, dist, series, status)
-
-    def halted(status: RunStatus) -> CycleRecord:
-        return CycleRecord(cycle, pose, None, (), _goal_distance(pose, goal), (), status)
-
-    if config.planner is PlannerKind.APF:
-        grid = perceive(world, pose, config.lidar_radius, config.n_rays, cs, h,
-                        config.inflation_rings)
-        try:
-            return stepped(apf_step(grid, pose, goal, config.apf))
-        except LocalMinimum:
-            return halted(RunStatus.LOCAL_MINIMUM)
-
-    # the argument checks of perceive and plan_subpath
+    k = config._kernel_args
     occ = checked_occupancy(world, pose, config.lidar_radius, config.n_rays)
-    rings = _kernel_rings(config.lidar_radius, cs, h, config.inflation_rings)
-    aco = config.aco_for_planner()
-    eta_straight, eta_diagonal = eta_gamma((cs, cs * SQRT2), aco.gamma)
-    side = 2 * h + 1
-    max_steps = aco.resolved_max_steps(side * side)
     mod = kernel.module()
-    ffi = mod.ffi
+    lib, ffi = mod.lib, mod.ffi
+    head = (pointer(occ, np.bool_, occ.shape), *occ.shape, world.cell_size, pose.x, pose.y,
+            pose.psi, goal[0], goal[1])
+    if config.planner is PlannerKind.APF:
+        step = lib.apf_cycle(*head, *k.args)
+        if step == lib.APF_LOCAL_MINIMUM:
+            return _halted(cycle, pose, goal, RunStatus.LOCAL_MINIMUM)
+        if step == lib.APF_NO_MEMORY:
+            raise MemoryError("the APF kernel could not allocate its buffers")
+        return _stepped(cycle, pose, goal, config, step)
+
     key = _entropy_words((seed, cycle))
-    path = ffi.new("int32_t[]", max_steps + 1)
+    path = ffi.new("int32_t[]", k.max_steps + 1)
     out = ffi.new("int[2]")  # path steps, sub-goal cell id
-    series = ffi.new("double[]", aco.n_iters)
-    w = config.weights
-    code = mod.lib.plan_cycle(
-        pointer(occ, np.bool_, occ.shape), *occ.shape, world.cell_size, pose.x, pose.y,
-        pose.psi, config.lidar_radius, config.n_rays, cs, h, rings, goal[0], goal[1],
-        w.alpha, w.beta, w.omega, eta_straight, eta_diagonal,
-        pointer(_CORNER_FACTORS, np.float64, (9, 8)), ffi.new("uint32_t[]", key), len(key),
-        aco.n_iters, aco.n_ants, max_steps, aco.mode is AcoMode.IMPROVED, aco.phi, aco.rho,
-        aco.q, aco.delta, aco.zeta, aco.tau0, aco.resolved_elite_cutoff(),
-        path, out, out + 1, series)
-    if code == mod.lib.PLAN_STUCK:
-        return halted(RunStatus.STUCK)
-    subgoal = divmod(out[1], side)
-    if code != mod.lib.COLONY_OK:
-        raise colony_error(code, subgoal, aco)
-    cells = [divmod(i, side) for i in ffi.unpack(path, out[0] + 1)]
-    return stepped(cells[1], cell_center(pose, cs, h, subgoal),
-                   tuple(cell_center(pose, cs, h, c) for c in cells),
-                   tuple(ffi.unpack(series, aco.n_iters)))
+    series = ffi.new("double[]", k.aco.n_iters)
+    code = lib.plan_cycle(*head, ffi.new("uint32_t[]", key), len(key), corner_table(), *k.args,
+                          path, out, out + 1, series)
+    if code == lib.PLAN_STUCK:
+        return _halted(cycle, pose, goal, RunStatus.STUCK)
+    subgoal = divmod(out[1], k.side)
+    if code != lib.COLONY_OK:
+        raise colony_error(code, subgoal, k.aco)
+    cs, h = config.cell_size, config.half_extent
+    ids = ffi.unpack(path, out[0] + 1)
+    return _stepped(cycle, pose, goal, config, ids[1], cell_center(pose, cs, h, subgoal),
+                    tuple(cell_center(pose, cs, h, divmod(i, k.side)) for i in ids),
+                    tuple(ffi.unpack(series, k.aco.n_iters)))
+
+
+def _halted(cycle: int, pose: Pose, goal: Point, status: RunStatus) -> CycleRecord:
+    return CycleRecord(cycle, pose, None, (), _goal_distance(pose, goal), (), status)
+
+
+def _stepped(cycle: int, pose: Pose, goal: Point, config: PlannerConfig, step: int,
+             subgoal: Point | None = None, subpath=(), series=()) -> CycleRecord:
+    """The record of a cycle whose step goes to the cell with id step of the local
+    grid around pose, heading along the step."""
+    k, h = config._kernel_args, config.half_extent
+    r, c = divmod(step, k.side)
+    new_pose = Pose(*cell_center(pose, config.cell_size, h, (r, c)), math.atan2(r - h, c - h))
+    dist = _goal_distance(new_pose, goal)
+    status = RunStatus.GOAL_REACHED if dist <= k.goal_tolerance else RunStatus.RUNNING
+    return CycleRecord(cycle, new_pose, subgoal, subpath, dist, series, status)
 
 
 def run(scenario: "Scenario") -> RunResult:
@@ -182,7 +211,7 @@ def run(scenario: "Scenario") -> RunResult:
     t0 = time.perf_counter()
     pose = scenario.start
     status = RunStatus.GOAL_REACHED \
-        if _goal_distance(pose, goal) <= config.resolved_goal_tolerance() else RunStatus.RUNNING
+        if _goal_distance(pose, goal) <= config._kernel_args.goal_tolerance else RunStatus.RUNNING
     poses = [pose]
     records: list[CycleRecord] = []
     while status is RunStatus.RUNNING:

@@ -6,7 +6,6 @@ tick, so replays are bit-identical.
 """
 from __future__ import annotations
 
-import copy
 import enum
 import math
 from dataclasses import dataclass, field
@@ -62,7 +61,7 @@ class WorldMap:
 
     def __init__(self, static_cells: np.ndarray, cell_size: float,
                  movers: tuple[MovingObstacle, ...] = (), tick: int = 0):
-        static_cells = np.asarray(static_cells, dtype=bool)
+        static_cells = np.ascontiguousarray(static_cells, dtype=bool)
         if static_cells.ndim != 2:
             raise ValueError("static_cells must be a 2D array")
         if not 0 < cell_size < math.inf:
@@ -97,7 +96,10 @@ class WorldMap:
         return bool(self.occupancy_grid()[cell])
 
     def occupancy_grid(self) -> np.ndarray:
-        """Composed static+mover occupancy at this tick (cached; treat as read-only)."""
+        """Composed static+mover occupancy at this tick (cached; treat as read-only).
+        Without movers it is static_cells itself, shared by every tick."""
+        if not self.movers:
+            return self.static_cells
         if self._occ is None:
             occ = self.static_cells.copy()
             for m in self.movers:
@@ -107,8 +109,8 @@ class WorldMap:
 
     def advanced(self) -> "WorldMap":
         """Snapshot at the next tick; the static bitmap and the checked movers are shared."""
-        world = copy.copy(self)
-        world.tick, world._occ = self.tick + 1, None
+        world = object.__new__(type(self))
+        world.__dict__.update(self.__dict__, tick=self.tick + 1, _occ=None)
         return world
 
     def cell_of(self, x: float, y: float) -> Cell:

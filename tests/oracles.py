@@ -306,6 +306,39 @@ def reachable_ref(mask, start):
     return seen
 
 
+# --- APF: the Python step planner.c's apf_step replaced ---
+
+def potential_ref(point, goal, obstacles, k_att, k_rep, d0):
+    """Attractive plus repulsive potential at point; obstacles are world points."""
+    dist_goal_sq = (point[0] - goal[0]) ** 2 + (point[1] - goal[1]) ** 2
+    u = 0.5 * k_att * dist_goal_sq
+    if obstacles:
+        d = min(math.hypot(point[0] - ox, point[1] - oy) for ox, oy in obstacles)
+        if d < d0:
+            u += 0.5 * k_rep * (1.0 / d - 1.0 / d0) ** 2
+    return u
+
+
+def apf_step_ref(cells, origin, cell_size, h, goal, k_att, k_rep, d0):
+    """The free 8-neighbor (row, col) of the center with the lowest potential, the
+    first row-major on ties, or None for a local minimum: no free neighbor, or none
+    below the potential at origin. Obstacles are the occupied cell centers."""
+    side = 2 * h + 1
+    obstacles = [cell_center_ref(origin, cell_size, h, r, c)
+                 for r in range(side) for c in range(side) if cells[r][c] == OCCUPIED]
+    here = potential_ref(origin, goal, obstacles, k_att, k_rep, d0)
+    best, best_u = None, math.inf
+    for r in range(h - 1, h + 2):
+        for c in range(h - 1, h + 2):
+            if (r, c) == (h, h) or cells[r][c] not in (FREE, ROBOT):
+                continue
+            u = potential_ref(cell_center_ref(origin, cell_size, h, r, c), goal, obstacles,
+                              k_att, k_rep, d0)
+            if u < best_u:
+                best, best_u = (r, c), u
+    return None if best is None or best_u >= here else best
+
+
 # --- colony: the Python walker and plan_subpath loop the compiled kernel replaced ---
 
 def neighbors_ref(mask, cell):

@@ -6,16 +6,11 @@ import pytest
 from antnav import ApfParams, CellState, LocalMinimum, Pose, apf_step
 from antnav.grid import LocalGrid
 
+from oracles import apf_step_ref, cell_center_ref
 from test_grid import grid_of, random_grid
 
-
-def potential_ref(point, goal, obstacles, k_att, k_rep, d0):
-    u = 0.5 * k_att * ((point[0] - goal[0]) ** 2 + (point[1] - goal[1]) ** 2)
-    if obstacles:
-        d = min(math.hypot(point[0] - ox, point[1] - oy) for ox, oy in obstacles)
-        if d < d0:
-            u += 0.5 * k_rep * (1.0 / d - 1.0 / d0) ** 2
-    return u
+# the east-facing pocket of test_u_trap_local_minimum, on a 9 x 9 grid
+U_TRAP = [(3, 3), (3, 4), (3, 5), (5, 3), (5, 4), (5, 5), (4, 5)]
 
 
 class TestApfStep:
@@ -38,35 +33,57 @@ class TestApfStep:
             apf_step(grid, origin, (30.0, 10.5), ApfParams())
 
     def test_matches_exhaustive_potential_evaluation(self):
+        # the kernel's step against oracles.apf_step_ref, by the cell it picks
+        # and the local-minimum verdict, on random grids, poses, cell sizes and
+        # gains: d0 unset and set, goals on a cell center and the U-trap
         rng = np.random.default_rng(19)
-        origin = Pose(10.5, 10.5, 0.0)
-        params = ApfParams(k_att=1.0, k_rep=100.0, d0=2.0)
-        checked = 0
-        while checked < 30:
-            grid = random_grid(rng, 14)
-            goal = (rng.uniform(0, 21), rng.uniform(0, 21))
-            obstacles = [grid.world_center((r, c))
-                         for r, c in np.argwhere(grid.cells == CellState.OCCUPIED)]
-            h = grid.half_extent
-            best, best_u = None, math.inf
-            for r in range(h - 1, h + 2):
-                for c in range(h - 1, h + 2):
-                    if (r, c) == (h, h) or CellState(grid.cells[r, c]) is not CellState.FREE:
-                        continue
-                    u = potential_ref(grid.world_center((r, c)), goal, obstacles,
-                                      params.k_att, params.k_rep, params.d0)
-                    if u < best_u:
-                        best, best_u = (r, c), u
-            here = potential_ref(origin.xy, goal, obstacles,
-                                 params.k_att, params.k_rep, params.d0)
+        picked = minima = 0
+        for case in range(400):
+            trap = case % 5 == 0
+            h = 4 if trap else int(rng.integers(1, 6))
+            side = 2 * h + 1
+            cs = float(rng.uniform(0.2, 2.0))
+            origin = Pose(float(rng.uniform(-20.0, 20.0)), float(rng.uniform(-20.0, 20.0)), 0.0)
+            if trap:
+                cells = np.full((side, side), CellState.FREE, dtype=np.int8)
+                for cell in U_TRAP:
+                    cells[cell] = CellState.OCCUPIED
+            else:
+                cells = rng.choice(np.array([CellState.FREE, CellState.OCCUPIED,
+                                             CellState.INFLATED], dtype=np.int8),
+                                   p=[0.6, 0.25, 0.15], size=(side, side))
+            cells[h, h] = CellState.ROBOT
+            if trap:
+                goal = (origin.x + float(rng.uniform(5.0, 30.0)) * cs, origin.y)
+            elif case % 5 == 1:
+                r, c = rng.integers(-side, 2 * side, 2)
+                goal = cell_center_ref(origin.xy, cs, h, int(r), int(c))
+            else:
+                goal = (origin.x + float(rng.uniform(-15.0, 15.0)),
+                        origin.y + float(rng.uniform(-15.0, 15.0)))
+            params = ApfParams(k_att=float(rng.uniform(0.1, 5.0)),
+                               k_rep=float(rng.uniform(1.0, 500.0)),
+                               d0=None if case % 2 else float(rng.uniform(0.5, 4.0)) * cs)
+            d0 = params.d0 if params.d0 is not None else 2.0 * cs
+            expected = apf_step_ref(cells.tolist(), origin.xy, cs, h, goal, params.k_att,
+                                    params.k_rep, d0)
+            grid = LocalGrid(origin, cs, h, cells, np.empty(0))
             try:
-                nxt = apf_step(grid, origin, goal, params)
+                got = apf_step(grid, origin, goal, params)
             except LocalMinimum:
-                assert best is None or best_u >= here
-                checked += 1
-                continue
-            assert nxt == best
-            checked += 1
+                got = None
+            assert got == expected, case
+            if trap:
+                assert got is None, case
+            picked += got is not None
+            minima += got is None
+        assert picked > 200 and minima > 80  # the 80 traps and some random grids
+
+    def test_grid_without_neighbors_is_rejected(self):
+        grid = LocalGrid(Pose(0.5, 0.5, 0.0), 1.0, 0, np.full((1, 1), CellState.ROBOT, np.int8),
+                         np.empty(0))
+        with pytest.raises(ValueError, match="half_extent must be >= 1"):
+            apf_step(grid, grid.center, (3.0, 0.5), ApfParams())
 
     def test_never_steps_into_blocked_cells(self):
         rng = np.random.default_rng(37)

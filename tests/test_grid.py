@@ -88,6 +88,12 @@ class TestBuildLocalGrid:
         assert CellState(grid.cells[5, 2]) is CellState.INFLATED
         assert CellState(grid.cells[4, 1]) is CellState.FREE
 
+    def test_grids_compare_and_hash_by_identity(self):
+        # cells and ranges are arrays, whose == is elementwise and unhashable
+        a, b = grid_of(), grid_of()
+        assert a == a and a != b and not (a == b)
+        assert len({a, b, a}) == 2
+
 
 def marginal_ref(grid):
     """Candidate tuples by the brute-force reference rule."""

@@ -213,7 +213,7 @@ def test_robot_never_stands_on_an_occupied_cell_at_its_tick(sc):
 COLONY_PLANNERS = [PlannerKind.PROPOSED, PlannerKind.CONVENTIONAL_ACO]
 
 
-@pytest.mark.parametrize("kind", COLONY_PLANNERS)
+@pytest.mark.parametrize("kind", list(PlannerKind))
 def test_plan_cycle_is_one_kernel_call(kind, monkeypatch):
     real = kernel.module()
     calls, built = [], []
@@ -239,7 +239,8 @@ def test_plan_cycle_is_one_kernel_call(kind, monkeypatch):
     s[7, 4:9] = True
     result = run(scenario_from(s, 1.0, (3, 3), (12, 12), seed=9, planner=kind))
     assert result.metrics.status is RunStatus.GOAL_REACHED
-    assert calls == ["plan_cycle"] * result.metrics.cycles
+    name = "apf_cycle" if kind is PlannerKind.APF else "plan_cycle"
+    assert calls == [name] * result.metrics.cycles
     assert built == []
 
 
@@ -380,3 +381,57 @@ def test_fused_cycle_matches_the_reference_cycle():
                 break
             pose = rec.pose
     assert all(count > 0 for count in fired.values()), fired
+
+
+# Runs one variant of a scenario in a fresh process and prints the repr of
+# its seed-determined output; argv: scenario path, planner, half_extent.
+FRESH_RUN = """
+import sys
+from dataclasses import replace
+from antnav.planner import PlannerKind, run
+from antnav.scenario import parse_scenario, with_planner
+sc = with_planner(parse_scenario(sys.argv[1]), PlannerKind(sys.argv[2]))
+sc = replace(sc, config=replace(sc.config, half_extent=int(sys.argv[3])))
+result = run(sc)
+print(repr((result.metrics.status, result.poses, result.records)))
+"""
+
+
+def test_config_cache_keeps_runs_apart():
+    # each PlannerConfig works out its kernel arguments once and keeps them:
+    # the variants of one scenario run in one process, and a config copied or
+    # pickled after it ran, must give the bytes of a fresh process
+    import copy
+    import pickle
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from antnav.scenario import parse_scenario, with_planner
+
+    repo = Path(__file__).resolve().parent.parent
+    path = str(repo / "scenarios" / "multi_obstacle.scn")
+    base = parse_scenario(path)
+
+    def output(sc):
+        result = run(sc)
+        return repr((result.metrics.status, result.poses, result.records))
+
+    variants = [(kind.value, 4) for kind in PlannerKind] + [("proposed", 3), ("apf", 3),
+                                                             ("proposed", 4)]
+    in_process = []
+    for name, h in variants:
+        sc = with_planner(base, PlannerKind(name))
+        in_process.append(output(dataclasses.replace(
+            sc, config=dataclasses.replace(sc.config, half_extent=h))))
+    for (name, h), got in zip(variants, in_process):
+        fresh = subprocess.run([sys.executable, "-c", FRESH_RUN, path, name, str(h)],
+                               cwd=repo / "src", capture_output=True, text=True, timeout=300)
+        assert fresh.returncode == 0, fresh.stderr
+        assert got == fresh.stdout.strip(), (name, h)
+
+    sc = with_planner(base, PlannerKind.CONVENTIONAL_ACO)
+    ran = output(sc)
+    for config in (copy.deepcopy(sc.config), pickle.loads(pickle.dumps(sc.config))):
+        assert config == sc.config and hash(config) == hash(sc.config)
+        assert output(dataclasses.replace(sc, config=config)) == ran
