@@ -154,6 +154,18 @@ def plan_cycle(world: WorldMap, pose: Pose, goal: Point, config: PlannerConfig, 
     and GOAL_REACHED or RUNNING; a halted cycle keeps pose.
     """
     k = config._kernel_args
+    cs, h = config.cell_size, config.half_extent
+
+    def stepped(step: int, subgoal: Point | None = None, subpath=(), series=()) -> CycleRecord:
+        r, c = divmod(step, k.side)
+        new_pose = Pose(*cell_center(pose, cs, h, (r, c)), math.atan2(r - h, c - h))
+        dist = _goal_distance(new_pose, goal)
+        status = RunStatus.GOAL_REACHED if dist <= k.goal_tolerance else RunStatus.RUNNING
+        return CycleRecord(cycle, new_pose, subgoal, subpath, dist, series, status)
+
+    def halted(status: RunStatus) -> CycleRecord:
+        return CycleRecord(cycle, pose, None, (), _goal_distance(pose, goal), (), status)
+
     occ = checked_occupancy(world, pose, config.lidar_radius, config.n_rays)
     mod = kernel.module()
     lib, ffi = mod.lib, mod.ffi
@@ -162,10 +174,10 @@ def plan_cycle(world: WorldMap, pose: Pose, goal: Point, config: PlannerConfig, 
     if config.planner is PlannerKind.APF:
         step = lib.apf_cycle(*head, *k.args)
         if step == lib.APF_LOCAL_MINIMUM:
-            return _halted(cycle, pose, goal, RunStatus.LOCAL_MINIMUM)
+            return halted(RunStatus.LOCAL_MINIMUM)
         if step == lib.APF_NO_MEMORY:
             raise MemoryError("the APF kernel could not allocate its buffers")
-        return _stepped(cycle, pose, goal, config, step)
+        return stepped(step)
 
     key = _entropy_words((seed, cycle))
     path = ffi.new("int32_t[]", k.max_steps + 1)
@@ -174,31 +186,14 @@ def plan_cycle(world: WorldMap, pose: Pose, goal: Point, config: PlannerConfig, 
     code = lib.plan_cycle(*head, ffi.new("uint32_t[]", key), len(key), corner_table(), *k.args,
                           path, out, out + 1, series)
     if code == lib.PLAN_STUCK:
-        return _halted(cycle, pose, goal, RunStatus.STUCK)
+        return halted(RunStatus.STUCK)
     subgoal = divmod(out[1], k.side)
     if code != lib.COLONY_OK:
         raise colony_error(code, subgoal, k.aco)
-    cs, h = config.cell_size, config.half_extent
     ids = ffi.unpack(path, out[0] + 1)
-    return _stepped(cycle, pose, goal, config, ids[1], cell_center(pose, cs, h, subgoal),
-                    tuple(cell_center(pose, cs, h, divmod(i, k.side)) for i in ids),
-                    tuple(ffi.unpack(series, k.aco.n_iters)))
-
-
-def _halted(cycle: int, pose: Pose, goal: Point, status: RunStatus) -> CycleRecord:
-    return CycleRecord(cycle, pose, None, (), _goal_distance(pose, goal), (), status)
-
-
-def _stepped(cycle: int, pose: Pose, goal: Point, config: PlannerConfig, step: int,
-             subgoal: Point | None = None, subpath=(), series=()) -> CycleRecord:
-    """The record of a cycle whose step goes to the cell with id step of the local
-    grid around pose, heading along the step."""
-    k, h = config._kernel_args, config.half_extent
-    r, c = divmod(step, k.side)
-    new_pose = Pose(*cell_center(pose, config.cell_size, h, (r, c)), math.atan2(r - h, c - h))
-    dist = _goal_distance(new_pose, goal)
-    status = RunStatus.GOAL_REACHED if dist <= k.goal_tolerance else RunStatus.RUNNING
-    return CycleRecord(cycle, new_pose, subgoal, subpath, dist, series, status)
+    return stepped(ids[1], cell_center(pose, cs, h, subgoal),
+                   tuple(cell_center(pose, cs, h, divmod(i, k.side)) for i in ids),
+                   tuple(ffi.unpack(series, k.aco.n_iters)))
 
 
 def run(scenario: "Scenario") -> RunResult:

@@ -417,13 +417,14 @@ def test_config_cache_keeps_runs_apart():
         result = run(sc)
         return repr((result.metrics.status, result.poses, result.records))
 
-    variants = [(kind.value, 4) for kind in PlannerKind] + [("proposed", 3), ("apf", 3),
-                                                             ("proposed", 4)]
-    in_process = []
+    variants = [(kind.value, 4) for kind in PlannerKind] + [("proposed", 3), ("apf", 3)]
+    scenarios = []
     for name, h in variants:
         sc = with_planner(base, PlannerKind(name))
-        in_process.append(output(dataclasses.replace(
-            sc, config=dataclasses.replace(sc.config, half_extent=h))))
+        scenarios.append(dataclasses.replace(
+            sc, config=dataclasses.replace(sc.config, half_extent=h)))
+    in_process = [output(sc) for sc in scenarios]
+    assert output(scenarios[0]) == in_process[0]  # its config's arguments are kept by now
     for (name, h), got in zip(variants, in_process):
         fresh = subprocess.run([sys.executable, "-c", FRESH_RUN, path, name, str(h)],
                                cwd=repo / "src", capture_output=True, text=True, timeout=300)
