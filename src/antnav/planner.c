@@ -140,8 +140,8 @@ static double py_square(double x)
 /* The potential at (x, y) of a robot whose side x side grid of cells is
  * centered on (x0, y0), for a goal at (goal_x, goal_y): 0.5 * k_att times
  * the squared goal distance, plus 0.5 * k_rep * (1 / d - 1 / d0) ** 2 when
- * the distance d to the nearest OCCUPIED cell center (the first in
- * row-major order on ties) is below d0. */
+ * the distance d to the nearest OCCUPIED cell center is below d0 (d0 is
+ * finite, so a grid without one adds nothing). */
 static double potential(const int8_t *cells, int half_extent, double cell_size, double x0,
                         double y0, double x, double y, double goal_x, double goal_y,
                         double k_att, double k_rep, double d0)
@@ -149,27 +149,26 @@ static double potential(const int8_t *cells, int half_extent, double cell_size, 
     const int side = 2 * half_extent + 1;
     double u = 0.5 * k_att * (py_square(x - goal_x) + py_square(y - goal_y));
     double d = INFINITY;
-    bool any = false;
     for (int r = 0; r < side; r++)
         for (int c = 0; c < side; c++) {
             if (cells[r * side + c] != OCCUPIED)
                 continue;
             double e = py_hypot(x - (x0 + (double)(c - half_extent) * cell_size),
                                 y - (y0 + (double)(r - half_extent) * cell_size));
-            if (!any || e < d)
+            if (e < d)
                 d = e;
-            any = true;
         }
-    if (any && d < d0)
+    if (d < d0)
         u += 0.5 * k_rep * py_square(1.0 / d - 1.0 / d0);
     return u;
 }
 
 /* antnav.baselines.apf_step on the side x side cells (half_extent >= 1) of
- * a grid centered on the robot at (x0, y0): the row-major id of the FREE
- * 8-neighbour of the center with the lowest potential (the first in
- * row-major order on ties), or APF_LOCAL_MINIMUM when no neighbour is FREE
- * or the best one's potential is not below the center's. */
+ * a grid centered on the robot at (x0, y0): the row-major id of the
+ * traversable (FREE or ROBOT) 8-neighbour of the center with the lowest
+ * potential (the first in row-major order on ties), or APF_LOCAL_MINIMUM
+ * when none is traversable or the best one's potential is not below the
+ * center's. */
 int apf_step(const int8_t *cells, int half_extent, double cell_size, double x0, double y0,
              double goal_x, double goal_y, double k_att, double k_rep, double d0)
 {
