@@ -30,13 +30,20 @@ def wrap_angle(a: float) -> float:
 
 @dataclass(frozen=True)
 class Pose:
-    """Robot pose in the world frame; yaw is wrapped to (-pi, pi] on construction."""
+    """Robot pose in the world frame; yaw is wrapped to (-pi, pi] on construction.
+
+    Raises ValueError for an x, y or psi that is NaN or infinite: the kernel
+    would read such a pose as one that sees nothing.
+    """
 
     x: float
     y: float
     psi: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.psi)):
+            name = next(n for n in ("x", "y", "psi") if not math.isfinite(getattr(self, n)))
+            raise ValueError(f"pose {name} must be finite, got {getattr(self, name)}")
         object.__setattr__(self, "psi", wrap_angle(self.psi))
 
     @property

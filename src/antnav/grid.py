@@ -10,7 +10,10 @@ when the local and world cells coincide. Occupied cells are inflated by
 marking their 8-neighborhood (configurable ring count) as non-traversable.
 `perceive` runs the whole stage (scan, rasterize, inflate, occlusion mask,
 world clamp) in one call of the compiled kernel (perception.c, built on
-first use by kernel.py); the grid keeps the scan, one range per ray.
+first use by kernel.py); the grid keeps the scan, one range per ray. The
+rays' directions come from `ray_table`, one table per (heading, ray count)
+filled once by the kernel's ray_directions: after its first step a robot
+heads along one of 8 directions, so a run needs at most 9 tables.
 `candidate_cells` lists a grid's marginal cells with planner.c's
 marginal_cells. Every planner's cycle runs these same kernel functions in
 one call of planner.c's plan_cycle or apf_cycle and builds no LocalGrid.
@@ -20,6 +23,7 @@ reference.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -115,14 +119,30 @@ def _kernel_rings(lidar_radius: float, cell_size: float, half_extent: int,
     return min(inflation_rings, 2 * half_extent + 1)  # more rings add nothing
 
 
-def checked_occupancy(world: WorldMap, pose: Pose, lidar_radius: float,
-                      n_rays: int) -> np.ndarray:
-    """The world occupancy a scan from pose is cast against, once the scan arguments pass.
+@functools.lru_cache(maxsize=16)
+def ray_table(psi: float, n_rays: int):
+    """The world-frame directions of the n_rays rays of a scan from heading psi,
+    as the kernel's ray_directions writes them: cos and sin of
+    psi - tau * i / n_rays for ray i, interleaved in a double[2 * n_rays].
 
-    Raises as _check_scan does, and PoseOutOfBounds / PoseInObstacle when the
-    pose is not on a free in-bounds cell.
+    The table is filled before the cache hands it out and never written
+    after, so kernel calls running in other threads may read it at once.
+    A run reads at most 9 tables: its start heading and the 8 step
+    directions. psi 0.0 and -0.0 share a table; ray 0's sin differs in its
+    sign only, which the ray cast reads alike.
     """
-    _check_scan(lidar_radius, n_rays)
+    mod = kernel.module()
+    dirs = mod.ffi.new("double[]", 2 * n_rays)
+    mod.lib.ray_directions(psi, n_rays, dirs)
+    return dirs
+
+
+def checked_occupancy(world: WorldMap, pose: Pose) -> np.ndarray:
+    """The world occupancy a scan from pose is cast against, once the pose passes.
+
+    Raises PoseOutOfBounds / PoseInObstacle when the pose is not on a free
+    in-bounds cell.
+    """
     cell = world.cell_of(pose.x, pose.y)
     if not world.in_bounds(cell):
         raise PoseOutOfBounds(f"pose {pose.xy} outside the world")
@@ -145,17 +165,19 @@ def perceive(world: WorldMap, pose: Pose, lidar_radius: float, n_rays: int, cell
     inf. The grid keeps the ranges; they do not depend on the grid
     arguments.
 
-    Pure function of its arguments. Raises as checked_occupancy and
-    _kernel_rings do.
+    Pure function of its arguments. Raises as _check_scan, checked_occupancy
+    and _kernel_rings do.
     """
-    occ = checked_occupancy(world, pose, lidar_radius, n_rays)
+    _check_scan(lidar_radius, n_rays)
+    occ = checked_occupancy(world, pose)
     rings = _kernel_rings(lidar_radius, cell_size, half_extent, inflation_rings)
     side = 2 * half_extent + 1
     cells = np.empty((side, side), dtype=np.int8)
     ranges = np.empty(n_rays)
     kernel.module().lib.perceive(
         pointer(occ, np.bool_, occ.shape), *occ.shape, world.cell_size, pose.x, pose.y,
-        pose.psi, lidar_radius, n_rays, cell_size, half_extent, rings,
+        pose.psi, ray_table(pose.psi, n_rays), lidar_radius, n_rays, cell_size, half_extent,
+        rings,
         pointer(ranges, np.float64, ranges.shape, writable=True),
         pointer(cells, np.int8, cells.shape, writable=True))
     return LocalGrid(pose, cell_size, half_extent, cells, ranges)

@@ -55,28 +55,29 @@ int colony_run(const _Bool *mask, int rows, int cols, double *tau, double tau0,
                int32_t *best_cells, int8_t *best_dirs, int *best_steps, int *best_corners,
                double *best_length, double *series);
 void reachable(const _Bool *mask, int rows, int cols, int start, int32_t *queue, _Bool *reach);
+void ray_directions(double psi, int n_rays, double *dirs);
 void perceive(const _Bool *occ, int rows, int cols, double world_cell_size, double x0,
-              double y0, double psi, double radius, int n_rays, double cell_size,
-              int half_extent, int rings, double *range, int8_t *cells);
+              double y0, double psi, const double *rays, double radius, int n_rays,
+              double cell_size, int half_extent, int rings, double *range, int8_t *cells);
 double py_hypot(double x, double y);
 int marginal_cells(const int8_t *cells, int side, int32_t *ids);
 void rank_candidates(int k, const double *xy, double x0, double y0, double psi, double gx,
                      double gy, double alpha, double beta, double omega, double *raw,
                      double *norm, double *cost, int32_t *order);
 int plan_cycle(const _Bool *occ, int rows, int cols, double world_cell_size, double x0,
-               double y0, double psi, double goal_x, double goal_y, const uint32_t *key,
-               int n_key, const double *corner, double radius, int n_rays, double cell_size,
-               int half_extent, int rings, double alpha, double beta, double omega,
-               double eta_straight, double eta_diagonal, int n_iters, int n_ants,
-               int max_steps, int improved, double phi, double rho, double q, double delta,
-               double zeta, double tau0, int elite_cutoff, int32_t *path, int *n_steps,
-               int *subgoal, double *series);
+               double y0, double psi, const double *rays, double goal_x, double goal_y,
+               const uint32_t *key, int n_key, const double *corner, double radius,
+               int n_rays, double cell_size, int half_extent, int rings, double alpha,
+               double beta, double omega, double eta_straight, double eta_diagonal,
+               int n_iters, int n_ants, int max_steps, int improved, double phi, double rho,
+               double q, double delta, double zeta, double tau0, int elite_cutoff,
+               int32_t *path, int *n_steps, int *subgoal, double *series);
 int apf_step(const int8_t *cells, int half_extent, double cell_size, double x0, double y0,
              double goal_x, double goal_y, double k_att, double k_rep, double d0);
 int apf_cycle(const _Bool *occ, int rows, int cols, double world_cell_size, double x0,
-              double y0, double psi, double goal_x, double goal_y, double radius, int n_rays,
-              double cell_size, int half_extent, int rings, double k_att, double k_rep,
-              double d0);
+              double y0, double psi, const double *rays, double goal_x, double goal_y,
+              double radius, int n_rays, double cell_size, int half_extent, int rings,
+              double k_att, double k_rep, double d0);
 """
 CFLAGS = ("-O3", "-ffp-contract=off", "-fno-fast-math")
 

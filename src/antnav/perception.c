@@ -5,6 +5,11 @@
  * the rays is the package's only ray cast. The scan is one range per ray,
  * which antnav.grid.perceive keeps as LocalGrid.ranges: range[i] is ray
  * i's hit distance, or INFINITY when it hits nothing.
+ * The rays' world-frame directions come in as a table, which
+ * ray_directions fills: it is the package's only place that computes a ray
+ * bearing, and antnav.grid.ray_table keeps one table per (heading, ray
+ * count), so a cycle casts its rays without a cos or sin. The table is the
+ * caller's, read-only here: the kernel keeps no state between calls.
  * The arithmetic is that of the per-ray and per-cell reference loops in
  * tests/oracles.py, operation for operation, so every cell state and every
  * range is bit-identical to theirs:
@@ -115,15 +120,27 @@ static double py_mod(double x, double m)
     return r;
 }
 
-/* Distance along one ray to the first occupied cell, or INFINITY when there
- * is none: the cell-by-cell traversal of Amanatides & Woo (1987), x first on
- * ties. A hit returns the midpoint of the segment inside the hit cell,
- * clipped to the radius, and writes the cell's (row, col) to hit. A cell
- * only grazed through a corner (a segment of <= 1e-9 cells) does not count. */
-static double cast_ray(const bool *occ, int rows, int cols, double cell_size, double x0,
-                       double y0, double angle, double radius, long *hit)
+/* Writes the world-frame direction of ray i of n_rays from heading psi,
+ * cos and sin of its angle psi - tau * i / n_rays, to dirs[2 * i] and
+ * dirs[2 * i + 1] (room for 2 * n_rays). */
+void ray_directions(double psi, int n_rays, double *dirs)
 {
-    double dx = cos(angle), dy = sin(angle);
+    for (int i = 0; i < n_rays; i++) {
+        double angle = psi - TAU * (double)i / (double)n_rays;
+        dirs[2 * i] = cos(angle);
+        dirs[2 * i + 1] = sin(angle);
+    }
+}
+
+/* Distance along the ray from (x0, y0) in direction (dx, dy), a unit
+ * vector, to the first occupied cell, or INFINITY when there is none: the
+ * cell-by-cell traversal of Amanatides & Woo (1987), x first on ties. A hit
+ * returns the midpoint of the segment inside the hit cell, clipped to the
+ * radius, and writes the cell's (row, col) to hit. A cell only grazed
+ * through a corner (a segment of <= 1e-9 cells) does not count. */
+static double cast_ray(const bool *occ, int rows, int cols, double cell_size, double x0,
+                       double y0, double dx, double dy, double radius, long *hit)
+{
     long c = (long)floor(x0 / cell_size), r = (long)floor(y0 / cell_size);
     long step_c = 0, step_r = 0;
     double t_max_x = INFINITY, t_max_y = INFINITY, t_delta_x = INFINITY, t_delta_y = INFINITY;
@@ -259,19 +276,20 @@ static void clamp_to_world(double x0, double y0, double cell_size, int half_exte
  * (x0, y0, psi) against the rows x cols occupancy grid into range (room for
  * n_rays), marks each ray's hit cell in the side x side grid around the
  * pose, inflates it by `rings` rings, masks the occluded cells and clamps
- * the grid to the world. Ray i has bearing tau * i / n_rays, and the ray
- * index of that bearing, round(bearing / sector) % n_rays, is i again, so
- * the occlusion reads ray i's range at range[i]. */
+ * the grid to the world. rays holds ray_directions(psi, n_rays): ray i has
+ * bearing tau * i / n_rays, and the ray index of that bearing,
+ * round(bearing / sector) % n_rays, is i again, so the occlusion reads ray
+ * i's range at range[i]. */
 void perceive(const bool *occ, int rows, int cols, double world_cell_size, double x0,
-              double y0, double psi, double radius, int n_rays, double cell_size,
-              int half_extent, int rings, double *range, int8_t *cells)
+              double y0, double psi, const double *rays, double radius, int n_rays,
+              double cell_size, int half_extent, int rings, double *range, int8_t *cells)
 {
     int side = 2 * half_extent + 1;
     long hit[2];
     memset(cells, FREE, (size_t)side * side);
     for (int i = 0; i < n_rays; i++)
-        if ((range[i] = cast_ray(occ, rows, cols, world_cell_size, x0, y0,
-                                 psi - TAU * (double)i / (double)n_rays, radius, hit)) < INFINITY)
+        if ((range[i] = cast_ray(occ, rows, cols, world_cell_size, x0, y0, rays[2 * i],
+                                 rays[2 * i + 1], radius, hit)) < INFINITY)
             mark(hit, world_cell_size, x0, y0, cell_size, half_extent, cells);
     inflate(half_extent, rings, cells);
     mask_occluded(range, n_rays, x0, y0, psi, cell_size, half_extent, cells);

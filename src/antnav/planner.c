@@ -196,20 +196,20 @@ int apf_step(const int8_t *cells, int half_extent, double cell_size, double x0, 
 
 /* One cycle of the APF planner of antnav.planner.plan_cycle for a robot at
  * (x0, y0, psi) on the rows x cols occupancy grid occ: perceive() with the
- * scan and grid arguments, then apf_step toward (goal_x, goal_y). Returns
- * apf_step's result, or APF_NO_MEMORY. */
+ * ray table rays and the scan and grid arguments, then apf_step toward
+ * (goal_x, goal_y). Returns apf_step's result, or APF_NO_MEMORY. */
 int apf_cycle(const bool *occ, int rows, int cols, double world_cell_size, double x0,
-              double y0, double psi, double goal_x, double goal_y, double radius, int n_rays,
-              double cell_size, int half_extent, int rings, double k_att, double k_rep,
-              double d0)
+              double y0, double psi, const double *rays, double goal_x, double goal_y,
+              double radius, int n_rays, double cell_size, int half_extent, int rings,
+              double k_att, double k_rep, double d0)
 {
     const int side = 2 * half_extent + 1;
     int8_t *cells = malloc((size_t)side * (size_t)side);
     double *range = malloc(sizeof(double) * (size_t)n_rays);
     int next = APF_NO_MEMORY;
     if (cells && range) {
-        perceive(occ, rows, cols, world_cell_size, x0, y0, psi, radius, n_rays, cell_size,
-                 half_extent, rings, range, cells);
+        perceive(occ, rows, cols, world_cell_size, x0, y0, psi, rays, radius, n_rays,
+                 cell_size, half_extent, rings, range, cells);
         next = apf_step(cells, half_extent, cell_size, x0, y0, goal_x, goal_y, k_att, k_rep,
                         d0);
     }
@@ -221,11 +221,12 @@ int apf_cycle(const bool *occ, int rows, int cols, double world_cell_size, doubl
 /* One cycle of the proposed or conventional-aco planner of
  * antnav.planner.plan_cycle for a robot at (x0, y0, psi) on the rows x cols
  * occupancy grid occ and a goal at (goal_x, goal_y).
- * perceive() takes the scan and grid arguments, score() the weights and
- * colony_run the colony's: eta_straight and eta_diagonal are eta_gamma of
- * the straight and diagonal step, corner is the (9, 8) corner table, key
- * (n_key words) the seed words of the cycle, to which the attempt index is
- * appended per trial. max_steps must not exceed side * side - 1.
+ * perceive() takes the ray table rays and the scan and grid arguments,
+ * score() the weights and colony_run the colony's: eta_straight and
+ * eta_diagonal are eta_gamma of the straight and diagonal step, corner is
+ * the (9, 8) corner table, key (n_key words) the seed words of the cycle,
+ * to which the attempt index is appended per trial. max_steps must not
+ * exceed side * side - 1.
  *
  * Returns PLAN_STUCK when the grid has no marginal cell, when the reachable
  * cells form a closed pocket (touching no grid edge, goal not among them)
@@ -235,13 +236,13 @@ int apf_cycle(const bool *occ, int rows, int cols, double world_cell_size, doubl
  * colony's COLONY_BAD_TOTAL, with *subgoal, or COLONY_NO_MEMORY. Cell ids
  * are row-major over the side x side grid, side = 2 * half_extent + 1. */
 int plan_cycle(const bool *occ, int rows, int cols, double world_cell_size, double x0,
-               double y0, double psi, double goal_x, double goal_y, const uint32_t *key,
-               int n_key, const double *corner, double radius, int n_rays, double cell_size,
-               int half_extent, int rings, double alpha, double beta, double omega,
-               double eta_straight, double eta_diagonal, int n_iters, int n_ants,
-               int max_steps, int improved, double phi, double rho, double q, double delta,
-               double zeta, double tau0, int elite_cutoff, int32_t *path, int *n_steps,
-               int *subgoal, double *series)
+               double y0, double psi, const double *rays, double goal_x, double goal_y,
+               const uint32_t *key, int n_key, const double *corner, double radius,
+               int n_rays, double cell_size, int half_extent, int rings, double alpha,
+               double beta, double omega, double eta_straight, double eta_diagonal,
+               int n_iters, int n_ants, int max_steps, int improved, double phi, double rho,
+               double q, double delta, double zeta, double tau0, int elite_cutoff,
+               int32_t *path, int *n_steps, int *subgoal, double *series)
 {
     const int side = 2 * half_extent + 1, n = side * side;
     const int center = half_extent * side + half_extent;
@@ -262,7 +263,7 @@ int plan_cycle(const bool *occ, int rows, int cols, double world_cell_size, doub
         goto done;
     }
 
-    perceive(occ, rows, cols, world_cell_size, x0, y0, psi, radius, n_rays, cell_size,
+    perceive(occ, rows, cols, world_cell_size, x0, y0, psi, rays, radius, n_rays, cell_size,
              half_extent, rings, range, cells);
     int k = marginal_cells(cells, side, ids);
     if (k == 0)

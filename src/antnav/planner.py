@@ -5,11 +5,12 @@ one cell of the planned sub-path; the heading after a cycle is the direction
 of the executed step. Moving obstacles advance one schedule tick per cycle
 before the scan. Every planner's cycle, scan to step, is one call of the
 compiled kernel: planner.c's plan_cycle for the proposed and
-conventional-aco planners, its apf_cycle for APF. This module checks the
-call's arguments, works out the ones that depend on the config alone once
-per PlannerConfig, and turns the returned cells into the cycle's
-CycleRecord, which holds the next pose and the verdict; run carries both to
-the next cycle.
+conventional-aco planners, its apf_cycle for APF. The arguments that
+depend on the config alone are checked and worked out once per
+PlannerConfig, and the rays' directions come from grid.ray_table, one table
+per heading; each cycle checks only what it can change, the pose and the
+goal. The cycle turns the returned cell ids into its CycleRecord, which
+holds the next pose and the verdict; run carries both to the next cycle.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from . import kernel
 from .aco import AcoMode, AcoParams, _entropy_words, colony_error, corner_table, eta_gamma
 from .baselines import ApfParams
 from .geometry import SQRT2, Point, Pose
-from .grid import _check_scan, _kernel_rings, cell_center, checked_occupancy
+from .grid import _check_scan, _kernel_rings, checked_occupancy, ray_table
 from .kernel import pointer
 from .metrics import RunMetrics, RunStatus, corner_count, path_length
 from .subgoal import CostWeights
@@ -151,49 +152,54 @@ def plan_cycle(world: WorldMap, pose: Pose, goal: Point, config: PlannerConfig, 
     verdict is LOCAL_MINIMUM when no neighbour improves on the potential.
 
     The record holds the pose after the cycle's one step, heading along it,
-    and GOAL_REACHED or RUNNING; a halted cycle keeps pose.
+    and GOAL_REACHED or RUNNING; a halted cycle keeps pose. Raises
+    ValueError for a goal that is not finite, and as checked_occupancy does
+    for a pose off the world's free cells.
     """
+    gx, gy = goal
+    if not (math.isfinite(gx) and math.isfinite(gy)):
+        raise ValueError(f"goal must be finite, got {goal}")
     k = config._kernel_args
-    cs, h = config.cell_size, config.half_extent
-
-    def stepped(step: int, subgoal: Point | None = None, subpath=(), series=()) -> CycleRecord:
-        r, c = divmod(step, k.side)
-        new_pose = Pose(*cell_center(pose, cs, h, (r, c)), math.atan2(r - h, c - h))
-        dist = _goal_distance(new_pose, goal)
-        status = RunStatus.GOAL_REACHED if dist <= k.goal_tolerance else RunStatus.RUNNING
-        return CycleRecord(cycle, new_pose, subgoal, subpath, dist, series, status)
-
-    def halted(status: RunStatus) -> CycleRecord:
-        return CycleRecord(cycle, pose, None, (), _goal_distance(pose, goal), (), status)
-
-    occ = checked_occupancy(world, pose, config.lidar_radius, config.n_rays)
+    occ = checked_occupancy(world, pose)
     mod = kernel.module()
     lib, ffi = mod.lib, mod.ffi
-    head = (pointer(occ, np.bool_, occ.shape), *occ.shape, world.cell_size, pose.x, pose.y,
-            pose.psi, goal[0], goal[1])
+    x, y, psi = pose.x, pose.y, pose.psi
+    head = (pointer(occ, np.bool_, occ.shape), *occ.shape, world.cell_size, x, y, psi,
+            ray_table(psi, config.n_rays), gx, gy)
+    # cell id i of the local grid is (r, c) = divmod(i, side), with its center
+    # at grid.cell_center's (x + (c - h) * cs, y + (r - h) * cs)
+    cs, h, side = config.cell_size, config.half_extent, k.side
     if config.planner is PlannerKind.APF:
         step = lib.apf_cycle(*head, *k.args)
         if step == lib.APF_LOCAL_MINIMUM:
-            return halted(RunStatus.LOCAL_MINIMUM)
+            return CycleRecord(cycle, pose, None, (), _goal_distance(pose, goal), (),
+                               RunStatus.LOCAL_MINIMUM)
         if step == lib.APF_NO_MEMORY:
             raise MemoryError("the APF kernel could not allocate its buffers")
-        return stepped(step)
-
-    key = _entropy_words((seed, cycle))
-    path = ffi.new("int32_t[]", k.max_steps + 1)
-    out = ffi.new("int[2]")  # path steps, sub-goal cell id
-    series = ffi.new("double[]", k.aco.n_iters)
-    code = lib.plan_cycle(*head, ffi.new("uint32_t[]", key), len(key), corner_table(), *k.args,
-                          path, out, out + 1, series)
-    if code == lib.PLAN_STUCK:
-        return halted(RunStatus.STUCK)
-    subgoal = divmod(out[1], k.side)
-    if code != lib.COLONY_OK:
-        raise colony_error(code, subgoal, k.aco)
-    ids = ffi.unpack(path, out[0] + 1)
-    return stepped(ids[1], cell_center(pose, cs, h, subgoal),
-                   tuple(cell_center(pose, cs, h, divmod(i, k.side)) for i in ids),
-                   tuple(ffi.unpack(series, k.aco.n_iters)))
+        subgoal, subpath, aco_series = None, (), ()
+    else:
+        key = _entropy_words((seed, cycle))
+        path = ffi.new("int32_t[]", k.max_steps + 1)
+        out = ffi.new("int[2]")  # path steps, sub-goal cell id
+        series = ffi.new("double[]", k.aco.n_iters)
+        code = lib.plan_cycle(*head, ffi.new("uint32_t[]", key), len(key), corner_table(),
+                              *k.args, path, out, out + 1, series)
+        if code == lib.PLAN_STUCK:
+            return CycleRecord(cycle, pose, None, (), _goal_distance(pose, goal), (),
+                               RunStatus.STUCK)
+        r, c = divmod(out[1], side)
+        if code != lib.COLONY_OK:
+            raise colony_error(code, (r, c), k.aco)
+        subgoal = (x + (c - h) * cs, y + (r - h) * cs)
+        ids = ffi.unpack(path, out[0] + 1)
+        subpath = tuple((x + (i % side - h) * cs, y + (i // side - h) * cs) for i in ids)
+        aco_series = tuple(ffi.unpack(series, k.aco.n_iters))
+        step = ids[1]
+    r, c = divmod(step, side)
+    new_pose = Pose(x + (c - h) * cs, y + (r - h) * cs, math.atan2(r - h, c - h))
+    dist = _goal_distance(new_pose, goal)
+    status = RunStatus.GOAL_REACHED if dist <= k.goal_tolerance else RunStatus.RUNNING
+    return CycleRecord(cycle, new_pose, subgoal, subpath, dist, aco_series, status)
 
 
 def run(scenario: "Scenario") -> RunResult:

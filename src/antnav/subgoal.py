@@ -52,9 +52,14 @@ class SubGoal:
 def rank_candidates(candidates: CandidateSet, robot: Pose, goal: Point,
                     weights: CostWeights) -> list[SubGoal]:
     """All candidates scored and sorted ascending by cost, ties by candidate order
-    (row-major cell index for candidate_cells' sets)."""
+    (row-major cell index for candidate_cells' sets).
+
+    Raises NoCandidates for an empty set and ValueError for a goal that is
+    not finite, which would make every cost NaN."""
     if not candidates.cells:
         raise NoCandidates("candidate set is empty")
+    if not (math.isfinite(goal[0]) and math.isfinite(goal[1])):
+        raise ValueError(f"goal must be finite, got {goal}")
     k = len(candidates.cells)
     xy = np.array([world for _, world in candidates.cells], dtype=np.float64)
     raw, norm = np.empty((3, k)), np.empty((3, k))  # the families, which tests read

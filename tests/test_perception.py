@@ -8,6 +8,7 @@ import pytest
 from antnav import (CellState, GridGraph, MovingObstacle, MoverPolicy, NoCandidates,
                     PlannerConfig, Pose, PoseInObstacle, PoseOutOfBounds, candidate_cells,
                     kernel, perceive)
+from antnav.grid import ray_table
 from antnav.world import WorldMap
 
 from oracles import (FREE, ROBOT, candidates_ref, clamp_ref, local_grid_ref, occlude_ref,
@@ -271,3 +272,73 @@ def test_kernel_hypot_is_math_hypot():
     assert not wrong, wrong[:5]
     for x, y in ((math.inf, math.nan), (math.nan, 1.0), (-0.0, 0.0), (5e-324, 5e-324)):
         assert repr(py_hypot(x, y)) == repr(math.hypot(x, y))
+
+
+def test_ray_directions_are_the_bearing_expression_bit_for_bit():
+    # the ray table is the only place a ray bearing is computed: entry i must
+    # be math.cos / math.sin of psi - tau * i / n, the expression the cast
+    # used per cycle, to the last bit
+    rng = np.random.default_rng(19)
+    headings = rng.uniform(-math.pi, math.pi, size=12).tolist() + STEP_HEADINGS \
+        + [math.pi, -math.pi, 0.0]
+    mod = kernel.module()
+    for n in [*range(1, 65), 360, 1009, 3600]:
+        dirs = mod.ffi.new("double[]", 2 * n)
+        for psi in headings:
+            mod.lib.ray_directions(psi, n, dirs)
+            want = []
+            for i in range(n):
+                angle = psi - math.tau * i / n
+                want += [math.cos(angle).hex(), math.sin(angle).hex()]
+            assert [v.hex() for v in mod.ffi.unpack(dirs, 2 * n)] == want, (psi, n)
+
+
+def test_ray_table_is_one_filled_table_per_heading_and_ray_count():
+    mod = kernel.module()
+    for psi, n in ((STEP_HEADINGS[0], 360), (STEP_HEADINGS[0], 120), (0.25, 360)):
+        table = ray_table(psi, n)
+        assert ray_table(psi, n) is table
+        fresh = mod.ffi.new("double[]", 2 * n)
+        mod.lib.ray_directions(psi, n, fresh)
+        assert mod.ffi.unpack(table, 2 * n) == mod.ffi.unpack(fresh, 2 * n)
+        assert len(table) == 2 * n
+    assert ray_table(0.25, 360) is not ray_table(0.25, 120)
+    assert ray_table.cache_info().maxsize <= 16
+
+
+def test_ray_tables_shared_between_threads_are_whole():
+    # the tables are the one state that kernel calls in different threads
+    # share; with more keys than the cache holds, tables are made, evicted
+    # and made again while other threads read theirs
+    import sys
+    import threading
+
+    mod = kernel.module()
+    keys = [(psi, n) for psi in STEP_HEADINGS + [0.5, -2.0, 3.0] for n in (90, 360)]
+    want = {}
+    for psi, n in keys:
+        dirs = mod.ffi.new("double[]", 2 * n)
+        mod.lib.ray_directions(psi, n, dirs)
+        want[psi, n] = mod.ffi.unpack(dirs, 2 * n)
+    assert len(keys) > ray_table.cache_info().maxsize
+    bad = []
+
+    def worker(seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(300):
+            psi, n = keys[int(rng.integers(len(keys)))]
+            if mod.ffi.unpack(ray_table(psi, n), 2 * n) != want[psi, n]:
+                bad.append((psi, n))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not bad, bad[:3]

@@ -13,6 +13,7 @@ from antnav import (AcoParams, CandidateSet, ColonyWeightError, CostWeights, Gri
                     perceive, plan_subpath, run)
 from antnav import planner
 from antnav.geometry import DIR_OFFSETS
+from antnav.grid import ray_table
 from antnav.planner import CycleRecord, RunResult, plan_cycle
 from antnav.scenario import Scenario
 from antnav.world import MovingObstacle, MoverPolicy, WorldMap
@@ -237,10 +238,14 @@ def test_plan_cycle_is_one_kernel_call(kind, monkeypatch):
         monkeypatch.setattr(cls, "__init__", init)
     s = bordered(15, 15)
     s[7, 4:9] = True
+    ray_table.cache_clear()
     result = run(scenario_from(s, 1.0, (3, 3), (12, 12), seed=9, planner=kind))
     assert result.metrics.status is RunStatus.GOAL_REACHED
     name = "apf_cycle" if kind is PlannerKind.APF else "plan_cycle"
-    assert calls == [name] * result.metrics.cycles
+    # besides, one fill of the ray table of each heading a cycle started from
+    headings = {pose.psi for pose in result.poses[:-1]}
+    assert [c for c in calls if c != "ray_directions"] == [name] * result.metrics.cycles
+    assert calls.count("ray_directions") == len(headings) <= 9
     assert built == []
 
 
@@ -391,16 +396,19 @@ from dataclasses import replace
 from antnav.planner import PlannerKind, run
 from antnav.scenario import parse_scenario, with_planner
 sc = with_planner(parse_scenario(sys.argv[1]), PlannerKind(sys.argv[2]))
-sc = replace(sc, config=replace(sc.config, half_extent=int(sys.argv[3])))
+sc = replace(sc, config=replace(sc.config, half_extent=int(sys.argv[3]),
+                                n_rays=int(sys.argv[4])))
 result = run(sc)
 print(repr((result.metrics.status, result.poses, result.records)))
 """
 
 
 def test_config_cache_keeps_runs_apart():
-    # each PlannerConfig works out its kernel arguments once and keeps them:
-    # the variants of one scenario run in one process, and a config copied or
-    # pickled after it ran, must give the bytes of a fresh process
+    # each PlannerConfig works out its kernel arguments once and keeps them,
+    # and grid.ray_table keeps one ray table per (heading, ray count): the
+    # variants of one scenario run in one process (a 120-ray run after the
+    # 360-ray runs from the same headings), and a config copied or pickled
+    # after it ran, must give the bytes of a fresh process
     import copy
     import pickle
     import subprocess
@@ -417,22 +425,79 @@ def test_config_cache_keeps_runs_apart():
         result = run(sc)
         return repr((result.metrics.status, result.poses, result.records))
 
-    variants = [(kind.value, 4) for kind in PlannerKind] + [("proposed", 3), ("apf", 3)]
+    variants = [(kind.value, 4, 360) for kind in PlannerKind] \
+        + [("proposed", 3, 360), ("apf", 3, 360), ("proposed", 4, 120)]
     scenarios = []
-    for name, h in variants:
+    for name, h, n_rays in variants:
         sc = with_planner(base, PlannerKind(name))
         scenarios.append(dataclasses.replace(
-            sc, config=dataclasses.replace(sc.config, half_extent=h)))
+            sc, config=dataclasses.replace(sc.config, half_extent=h, n_rays=n_rays)))
     in_process = [output(sc) for sc in scenarios]
     assert output(scenarios[0]) == in_process[0]  # its config's arguments are kept by now
-    for (name, h), got in zip(variants, in_process):
-        fresh = subprocess.run([sys.executable, "-c", FRESH_RUN, path, name, str(h)],
+    for (name, h, n_rays), got in zip(variants, in_process):
+        fresh = subprocess.run([sys.executable, "-c", FRESH_RUN, path, name, str(h),
+                                str(n_rays)],
                                cwd=repo / "src", capture_output=True, text=True, timeout=300)
         assert fresh.returncode == 0, fresh.stderr
-        assert got == fresh.stdout.strip(), (name, h)
+        assert got == fresh.stdout.strip(), (name, h, n_rays)
 
     sc = with_planner(base, PlannerKind.CONVENTIONAL_ACO)
     ran = output(sc)
     for config in (copy.deepcopy(sc.config), pickle.loads(pickle.dumps(sc.config))):
         assert config == sc.config and hash(config) == hash(sc.config)
         assert output(dataclasses.replace(sc, config=config)) == ran
+
+
+NON_FINITE_GOAL = """
+import math
+import numpy as np
+from antnav import PlannerConfig, PlannerKind, Pose
+from antnav.planner import plan_cycle
+from antnav.world import WorldMap
+static = np.zeros((11, 11), bool)
+static[[0, -1], :] = static[:, [0, -1]] = True
+static[3, 1::2] = True  # a picket fence: the goal-less ranking picks an unreachable cell
+world = WorldMap(static, 1.0)
+for kind in PlannerKind:
+    config = PlannerConfig(cell_size=1.0, lidar_radius=4.0, planner=kind)
+    for goal in ((5.5, 9.5), (math.nan, math.nan), (5.5, math.nan), (math.inf, 5.5),
+                 (5.5, -math.inf)):
+        try:
+            plan_cycle(world, Pose(5.5, 5.5, 0.0), goal, config, 0, 0)
+            print(kind.value, goal, "returned", flush=True)
+        except ValueError as exc:
+            print(kind.value, goal, exc, flush=True)
+"""
+
+
+def test_non_finite_goal_is_rejected_before_the_kernel():
+    # a NaN or infinite goal makes every cost NaN; the kernel's trial loop
+    # then kept picking one unreachable candidate and never returned, so the
+    # cycle runs in a child with a timeout
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    try:
+        res = subprocess.run([sys.executable, "-c", NON_FINITE_GOAL], cwd=src,
+                             capture_output=True, text=True, timeout=60)
+    except subprocess.TimeoutExpired as exc:
+        pytest.fail(f"plan_cycle did not return; printed {exc.stdout!r}")
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert len(lines) == 5 * len(PlannerKind)
+    for kind in PlannerKind:
+        assert f"{kind.value} (5.5, 9.5) returned" in lines
+        for goal in ("(nan, nan)", "(5.5, nan)", "(inf, 5.5)", "(5.5, -inf)"):
+            assert f"{kind.value} {goal} goal must be finite, got {goal}" in lines
+
+
+@pytest.mark.parametrize("field", ["x", "y", "psi"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_pose_rejects_a_non_finite_field(field, value):
+    # a NaN heading used to reach the kernel, which then saw no wall; an
+    # infinite one failed inside wrap_angle's fmod
+    args = {"x": 5.5, "y": 5.5, "psi": 0.0, field: value}
+    with pytest.raises(ValueError, match=f"^pose {field} must be finite, got {value}$"):
+        Pose(**args)

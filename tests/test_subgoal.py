@@ -169,6 +169,13 @@ class TestSelectSubgoal:
         with pytest.raises(NoCandidates):
             rank_candidates(CandidateSet(()), Pose(0, 0, 0), (1.0, 1.0), CostWeights())
 
+    def test_non_finite_goal_rejected(self):
+        # a NaN goal made every cost NaN, and the ranking listed candidate 0 k times
+        cands = candidate_cells(grid_of())
+        for goal in ((math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, -math.inf)):
+            with pytest.raises(ValueError, match="goal must be finite"):
+                rank_candidates(cands, Pose(10.5, 10.5, 0), goal, CostWeights())
+
     def test_invalid_weights_rejected(self):
         with pytest.raises(ValueError):
             CostWeights(0.0, 0.0, 0.0)
