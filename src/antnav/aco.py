@@ -11,8 +11,9 @@ plan_subpath runs the whole colony in one call of the compiled kernel
 (colony.c, built on first use by kernel.py), the package's only
 implementation of the colony rules; tests/oracles.py keeps the Python loop
 it reproduces as the reference. The kernel walks a GridGraph's traversable
-mask and reads the tables built here: the heuristic weights (eta_gamma) and
-the corner factors (_CORNER_FACTORS, from corner_heuristic).
+mask, builds its per-direction heuristic table from the straight and
+diagonal weights of eta_gamma and reads the corner factors built here
+(_CORNER_FACTORS, from corner_heuristic).
 
 Determinism: every ant walk draws from its own RNG stream, the one numpy's
 SeedSequence((seed..., iteration, ant index)) seeds, and ants walk serially.
@@ -257,8 +258,6 @@ def plan_subpath(graph: GridGraph, start: Cell, subgoal: Cell, params: AcoParams
     max_steps = params.resolved_max_steps(graph.n)
     m, n_iters = params.n_ants, params.n_iters
     tau = np.empty(graph.n * 8)  # the kernel fills it with tau0
-    eta_g = np.array(eta_gamma(graph.steps, params.gamma))
-    steps = np.array(graph.steps)
     cells = np.empty(max_steps + 1, dtype=np.int32)
     dirs = np.empty(max_steps, dtype=np.int8)
     series = np.empty(n_iters)
@@ -269,7 +268,7 @@ def plan_subpath(graph: GridGraph, start: Cell, subgoal: Cell, params: AcoParams
     code = mod.lib.colony_run(
         pointer(graph.mask, np.bool_, (graph.rows, graph.cols)), graph.rows, graph.cols,
         pointer(tau, np.float64, (graph.n * 8,), writable=True), params.tau0,
-        pointer(eta_g, np.float64, (8,)), pointer(steps, np.float64, (8,)),
+        graph.cell_size, *eta_gamma((graph.cell_size, graph.cell_size * SQRT2), params.gamma),
         corner_table(),
         pointer(key, np.uint32, key.shape), len(key),
         n_iters, m, max_steps, graph.id_of(start), graph.id_of(subgoal), improved,

@@ -16,7 +16,10 @@
  * The mask does not change during a run, so colony_run tests it once: each
  * cell gets an open-direction byte, and a walk steps by a flat offset to the
  * neighbours its byte lets through. A step weighs only those candidates,
- * by the reference loop's tau^phi * eta^gamma on the same operands.
+ * by the reference loop's tau^phi * eta^gamma on the same operands. Repair
+ * copies the incumbent over the chosen ant's walk, so the rank and the
+ * deposits read the ants alone. Each call takes its scratch from one heap
+ * block, sized and sliced in one place.
  *
  * Build with -ffp-contract=off and without -ffast-math: a fused
  * multiply-add or a reordered sum would change bits.
@@ -235,16 +238,18 @@ static void copy_path(ant_path *dst, const ant_path *src)
 }
 
 /* The colony run of plan_subpath. Arrays: mask (rows, cols), tau (n * 8 for
- * n = rows * cols, filled with tau0, then updated in place), eta_g (8),
- * steps (8), corner (9, 8), key (n_key), best_cells (max_steps + 1),
- * best_dirs (max_steps), series (n_iters). Ant k of iteration it walks on
- * the stream of the words (key..., it, k), it from 1, and the repair draws
- * from k = n_ants. max_steps must not exceed n - 1. The open-direction
- * bytes and the flat offsets are built once per call, before the first
- * iteration. On COLONY_OK the best path is in best_cells[0..*best_steps] and
- * best_dirs[0..*best_steps - 1]. */
+ * n = rows * cols, filled with tau0, then updated in place), corner (9, 8),
+ * key (n_key), best_cells (max_steps + 1), best_dirs (max_steps), series
+ * (n_iters). A straight step is cell_size long and has the heuristic weight
+ * eta_straight, a diagonal one cell_size * sqrt(2) and eta_diagonal; the
+ * run builds its per-direction tables from them. Ant k of iteration it
+ * walks on the stream of the words (key..., it, k), it from 1, and the
+ * repair draws from k = n_ants. max_steps must not exceed n - 1. The
+ * open-direction bytes and the flat offsets are built once per call, before
+ * the first iteration. On COLONY_OK the best path is in
+ * best_cells[0..*best_steps] and best_dirs[0..*best_steps - 1]. */
 int colony_run(const bool *mask, int rows, int cols, double *tau, double tau0,
-               const double *eta_g, const double *steps, const double *corner,
+               double cell_size, double eta_straight, double eta_diagonal, const double *corner,
                const uint32_t *key, int n_key, int n_iters, int n_ants, int max_steps,
                int start, int goal, int improved, double phi, double rho, double q,
                double delta, double zeta, int elite_cutoff,
@@ -253,28 +258,36 @@ int colony_run(const bool *mask, int rows, int cols, double *tau, double tau0,
 {
     const int m = n_ants, n = rows * cols;
     const size_t n_edges = (size_t)n * 8;
-    unsigned char *links = malloc((size_t)n);
-    unsigned char *tabu = malloc((size_t)n);
-    ant_path *ants = malloc(sizeof(ant_path) * (size_t)m);
-    ant_path **paths = malloc(sizeof(ant_path *) * (size_t)m);
-    int *order = malloc(sizeof(int) * (size_t)m);
-    int32_t *cell_buf = malloc(sizeof(int32_t) * (size_t)m * (size_t)(max_steps + 1));
-    int8_t *dir_buf = malloc(sizeof(int8_t) * (size_t)m * (size_t)max_steps + 1);
-    uint32_t *words = malloc(sizeof(uint32_t) * (size_t)(n_key + 2));
+    const size_t ant_cells = (size_t)m * (size_t)(max_steps + 1);
+    const size_t ant_dirs = (size_t)m * (size_t)max_steps;
+    /* one block, by alignment: the ants, then 32-bit ints, then bytes; tabu,
+     * cleared whole before each walk, ends it, so a short block faults there */
+    ant_path *ants = malloc(sizeof(ant_path) * (size_t)m
+                            + sizeof(int32_t) * ((size_t)m + ant_cells + (size_t)n_key + 2)
+                            + ant_dirs + 2 * (size_t)n);
+    if (!ants)
+        return COLONY_NO_MEMORY;
+    int32_t *order = (int32_t *)(ants + m);
+    int32_t *cell_buf = order + m;
+    uint32_t *words = (uint32_t *)(cell_buf + ant_cells);
+    int8_t *dir_buf = (int8_t *)(words + n_key + 2);
+    unsigned char *links = (unsigned char *)(dir_buf + ant_dirs);
+    unsigned char *tabu = links + n;
     ant_path best = {best_cells, best_dirs, 0, 0, 0, 0.0, INFINITY};
     int have_best = 0, fail_streak = 0, code = COLONY_OK;
     const double keep = 1.0 - rho;
     int offset[8];
-    if (!links || !tabu || !ants || !paths || !order || !cell_buf || !dir_buf || !words) {
-        code = COLONY_NO_MEMORY;
-        goto done;
-    }
+    double steps[8], eta_g[8];
     for (int k = 0; k < m; k++) {
         ants[k].cells = cell_buf + (size_t)k * (size_t)(max_steps + 1);
         ants[k].dirs = dir_buf + (size_t)k * (size_t)max_steps;
     }
-    for (int d = 0; d < 8; d++)
+    for (int d = 0; d < 8; d++) {
+        bool diagonal = DIR_OFFSETS[d][0] != 0 && DIR_OFFSETS[d][1] != 0;
+        steps[d] = diagonal ? cell_size * sqrt(2.0) : cell_size;
+        eta_g[d] = diagonal ? eta_diagonal : eta_straight;
         offset[d] = DIR_OFFSETS[d][0] * cols + DIR_OFFSETS[d][1];
+    }
     for (int i = 0; i < n; i++) {
         unsigned open = 0;
         for (int d = 0; d < 8; d++)
@@ -302,7 +315,6 @@ int colony_run(const bool *mask, int rows, int cols, double *tau, double tau0,
                                         : ants[k].length;
                 any_reached = 1;
             }
-            paths[k] = &ants[k];
         }
 
         if (!have_best && !any_reached) {
@@ -320,19 +332,19 @@ int colony_run(const bool *mask, int rows, int cols, double *tau, double tau0,
         }
 
         if (improved && have_best) {
-            /* repair: hand the incumbent to an unfinished ant when there is
-             * one, otherwise to any ant; the draw is Generator.integers on
-             * the iteration's stream n_ants */
+            /* repair: copy the incumbent over an unfinished ant's walk when
+             * there is one, otherwise over any ant's; the draw is
+             * Generator.integers on the iteration's stream n_ants */
             int unfinished = 0;
             for (int k = 0; k < m; k++)
-                if (!paths[k]->reached)
+                if (!ants[k].reached)
                     order[unfinished++] = k;
             pcg64 g;
             words[n_key + 1] = (uint32_t)m;
             pcg_seed(&g, words, n_key + 2);
             int s = unfinished ? order[pcg_below(&g, (uint32_t)unfinished)]
                                : (int)pcg_below(&g, (uint32_t)m);
-            paths[s] = &best;
+            copy_path(&ants[s], &best);
         }
 
         /* update: evaporate, then deposit q / cost along each finished path
@@ -340,12 +352,12 @@ int colony_run(const bool *mask, int rows, int cols, double *tau, double tau0,
          * keeps the first elite_cutoff */
         int r = 0;
         for (int k = 0; k < m; k++)
-            if (paths[k]->reached)
+            if (ants[k].reached)
                 order[r++] = k;
         if (improved) {
             for (int i = 1; i < r; i++) {
                 int x = order[i], j = i;
-                while (j > 0 && paths[order[j - 1]]->cost > paths[x]->cost) {
+                while (j > 0 && ants[order[j - 1]].cost > ants[x].cost) {
                     order[j] = order[j - 1];
                     j--;
                 }
@@ -357,7 +369,7 @@ int colony_run(const bool *mask, int rows, int cols, double *tau, double tau0,
         for (size_t e = 0; e < n_edges; e++)
             tau[e] *= keep;
         for (int i = 0; i < r; i++) {
-            const ant_path *p = paths[order[i]];
+            const ant_path *p = &ants[order[i]];
             double amount = q / p->cost;
             for (int j = 0; j < p->steps; j++)
                 tau[(size_t)p->cells[j] * 8 + (size_t)p->dirs[j]] += amount;
@@ -365,12 +377,12 @@ int colony_run(const bool *mask, int rows, int cols, double *tau, double tau0,
 
         int bi = -1;
         for (int k = 0; k < m; k++)
-            if (paths[k]->reached && paths[k]->cost < best.cost) {
-                best.cost = paths[k]->cost;
+            if (ants[k].reached && ants[k].cost < best.cost) {
+                best.cost = ants[k].cost;
                 bi = k;
             }
-        if (bi >= 0) {  /* never the repaired slot: its cost is not below its own */
-            copy_path(&best, paths[bi]);
+        if (bi >= 0) {  /* never a repaired ant: its cost equals the incumbent's */
+            copy_path(&best, &ants[bi]);
             have_best = 1;
         }
         series[it] = best.cost;
@@ -384,14 +396,7 @@ int colony_run(const bool *mask, int rows, int cols, double *tau, double tau0,
     *best_length = best.length;
 
 done:
-    free(links);
-    free(tabu);
     free(ants);
-    free(paths);
-    free(order);
-    free(cell_buf);
-    free(dir_buf);
-    free(words);
     return code;
 }
 

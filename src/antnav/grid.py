@@ -74,8 +74,8 @@ class LocalGrid:
         return cell_center(self.center, self.cell_size, self.half_extent, cell)
 
     def traversable_mask(self) -> np.ndarray:
-        """Boolean mask of cells an ant may occupy (free cells plus the robot cell): the one
-        traversability rule, which the colony, the reachability search and APF read."""
+        """Boolean mask of cells an ant may occupy: free cells plus the robot cell. The
+        compiled cycles test the same two states on their own cells."""
         return (self.cells == CellState.FREE) | (self.cells == CellState.ROBOT)
 
 

@@ -48,7 +48,7 @@ enum { COLONY_OK, COLONY_NO_PATH_STREAK, COLONY_NO_PATH, COLONY_BAD_TOTAL, COLON
        ... };
 enum { PLAN_STUCK, APF_LOCAL_MINIMUM, APF_NO_MEMORY, ... };
 int colony_run(const _Bool *mask, int rows, int cols, double *tau, double tau0,
-               const double *eta_g, const double *steps, const double *corner,
+               double cell_size, double eta_straight, double eta_diagonal, const double *corner,
                const uint32_t *key, int n_key, int n_iters, int n_ants, int max_steps,
                int start, int goal, int improved, double phi, double rho, double q,
                double delta, double zeta, int elite_cutoff,

@@ -22,6 +22,12 @@
  *    order;
  *  - Python's x ** 2 is libm pow(x, 2.0) (py_square), not x * x.
  *
+ * Each cycle call takes its scratch from one heap block, sized and sliced
+ * in one place by alignment (doubles, 32-bit ints, bytes), and ends it with
+ * a byte buffer the call fills whole, so a short block faults there.
+ * colony_run builds its own direction tables from the cell size and the
+ * two eta_gamma weights.
+ *
  * This file follows colony.c and perception.c in the kernel's one
  * translation unit and calls their functions. Build with -ffp-contract=off
  * and without -ffast-math: a fused multiply-add or a reordered sum would
@@ -204,16 +210,14 @@ int apf_cycle(const bool *occ, int rows, int cols, double world_cell_size, doubl
               double k_att, double k_rep, double d0)
 {
     const int side = 2 * half_extent + 1;
-    int8_t *cells = malloc((size_t)side * (size_t)side);
-    double *range = malloc(sizeof(double) * (size_t)n_rays);
-    int next = APF_NO_MEMORY;
-    if (cells && range) {
-        perceive(occ, rows, cols, world_cell_size, x0, y0, psi, rays, radius, n_rays,
-                 cell_size, half_extent, rings, range, cells);
-        next = apf_step(cells, half_extent, cell_size, x0, y0, goal_x, goal_y, k_att, k_rep,
-                        d0);
-    }
-    free(cells);
+    /* the ranges, then the cells, which perceive() fills whole */
+    double *range = malloc(sizeof(double) * (size_t)n_rays + (size_t)side * (size_t)side);
+    if (!range)
+        return APF_NO_MEMORY;
+    int8_t *cells = (int8_t *)(range + n_rays);
+    perceive(occ, rows, cols, world_cell_size, x0, y0, psi, rays, radius, n_rays, cell_size,
+             half_extent, rings, range, cells);
+    int next = apf_step(cells, half_extent, cell_size, x0, y0, goal_x, goal_y, k_att, k_rep, d0);
     free(range);
     return next;
 }
@@ -246,22 +250,22 @@ int plan_cycle(const bool *occ, int rows, int cols, double world_cell_size, doub
 {
     const int side = 2 * half_extent + 1, n = side * side;
     const int center = half_extent * side + half_extent;
-    int8_t *cells = malloc((size_t)n);
-    bool *mask = malloc((size_t)n), *reach = malloc((size_t)n);
-    int32_t *queue = malloc(sizeof(int32_t) * (size_t)n);
-    int32_t *ids = malloc(sizeof(int32_t) * (size_t)n);
-    double *range = malloc(sizeof(double) * (size_t)n_rays);
-    double *xy = malloc(sizeof(double) * 2 * (size_t)n);
-    double *fam = malloc(sizeof(double) * 7 * (size_t)n); /* raw, norm, cost */
-    double *tau = malloc(sizeof(double) * 8 * (size_t)n);
-    int8_t *dirs = malloc((size_t)max_steps);
-    uint32_t *words = malloc(sizeof(uint32_t) * (size_t)(n_key + 1));
+    /* cells, which perceive() fills whole, ends the block */
+    double *range = malloc(sizeof(double) * ((size_t)n_rays + (2 + 7 + 8) * (size_t)n)
+                           + sizeof(int32_t) * (2 * (size_t)n + (size_t)n_key + 1)
+                           + (size_t)max_steps + 3 * (size_t)n);
+    if (!range)
+        return COLONY_NO_MEMORY;
+    double *xy = range + n_rays;
+    double *fam = xy + 2 * (size_t)n; /* raw, norm, cost */
+    double *tau = fam + 7 * (size_t)n;
+    int32_t *queue = (int32_t *)(tau + 8 * (size_t)n);
+    int32_t *ids = queue + n;
+    uint32_t *words = (uint32_t *)(ids + n);
+    int8_t *dirs = (int8_t *)(words + n_key + 1);
+    bool *mask = (bool *)(dirs + max_steps), *reach = mask + n;
+    int8_t *cells = (int8_t *)(reach + n);
     int code = PLAN_STUCK;
-    if (!cells || !mask || !reach || !queue || !ids || !range || !xy || !fam || !tau || !dirs
-        || !words) {
-        code = COLONY_NO_MEMORY;
-        goto done;
-    }
 
     perceive(occ, rows, cols, world_cell_size, x0, y0, psi, rays, radius, n_rays, cell_size,
              half_extent, rings, range, cells);
@@ -295,18 +299,13 @@ int plan_cycle(const bool *occ, int rows, int cols, double world_cell_size, doub
     }
     score(k, xy, x0, y0, psi, goal_x, goal_y, alpha, beta, omega, raw, norm, cost);
 
-    double steps[8], eta_g[8], length;
-    for (int d = 0; d < 8; d++) {
-        bool diagonal = DIR_OFFSETS[d][0] != 0 && DIR_OFFSETS[d][1] != 0;
-        steps[d] = diagonal ? cell_size * sqrt(2.0) : cell_size;
-        eta_g[d] = diagonal ? eta_diagonal : eta_straight;
-    }
     memcpy(words, key, sizeof(uint32_t) * (size_t)n_key);
     /* terminal capture: a reachable goal cell is the first trial, ahead of
      * the cost function, otherwise the chain of sub-goals can orbit the
      * goal forever; every reachable cell but the robot's is FREE */
     int capture = goal_inside && goal_cell != center ? goal_cell : -1;
     int corners, ranked = -1;
+    double length;
     for (uint32_t attempt = 0;; attempt++) {
         int target = capture;
         if (attempt > 0 || capture < 0) {
@@ -320,26 +319,16 @@ int plan_cycle(const bool *occ, int rows, int cols, double world_cell_size, doub
             target = ids[ranked];
         }
         words[n_key] = attempt;
-        code = colony_run(mask, side, side, tau, tau0, eta_g, steps, corner, words, n_key + 1,
-                          n_iters, n_ants, max_steps, center, target, improved, phi, rho, q,
-                          delta, zeta, elite_cutoff, path, dirs, n_steps, &corners, &length,
-                          series);
+        code = colony_run(mask, side, side, tau, tau0, cell_size, eta_straight, eta_diagonal,
+                          corner, words, n_key + 1, n_iters, n_ants, max_steps, center, target,
+                          improved, phi, rho, q, delta, zeta, elite_cutoff, path, dirs, n_steps,
+                          &corners, &length, series);
         *subgoal = target;
         if (code != COLONY_NO_PATH && code != COLONY_NO_PATH_STREAK)
             break; /* found, or an error; no path falls back to the next candidate */
     }
 
 done:
-    free(cells);
-    free(mask);
-    free(reach);
-    free(queue);
-    free(ids);
     free(range);
-    free(xy);
-    free(fam);
-    free(tau);
-    free(dirs);
-    free(words);
     return code;
 }

@@ -26,6 +26,7 @@ import numpy as np
 from . import kernel
 from .aco import AcoMode, AcoParams, _entropy_words, colony_error, corner_table, eta_gamma
 from .baselines import ApfParams
+from .errors import PoseInObstacle
 from .geometry import SQRT2, Point, Pose
 from .grid import _check_scan, _kernel_rings, checked_occupancy, ray_table
 from .kernel import pointer
@@ -220,10 +221,11 @@ def run(scenario: "Scenario") -> RunResult:
             status = RunStatus.STEP_BUDGET_EXHAUSTED
             break
         world = world.advanced()
-        if world.occupancy_at(world.cell_of(pose.x, pose.y)):
+        try:
+            rec = plan_cycle(world, pose, goal, config, scenario.seed, len(records))
+        except PoseInObstacle:  # plan_cycle tests the pose before any kernel call
             status = RunStatus.COLLISION
             break
-        rec = plan_cycle(world, pose, goal, config, scenario.seed, len(records))
         records.append(rec)
         pose, status = rec.pose, rec.status
         poses.append(pose)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,8 +136,6 @@ class ParsedMap:
     world: WorldMap
     start: Pose
     goal: Point
-    start_cell: Cell = field(compare=False, default=(0, 0))
-    goal_cell: Cell = field(compare=False, default=(0, 0))
 
 
 def parse_map(text: str) -> ParsedMap:
@@ -280,7 +278,7 @@ def parse_map(text: str) -> ParsedMap:
     sx, sy = world.cell_center((s_row, s_col))
     start = Pose(sx, sy, math.radians(psi_deg))
     goal = world.cell_center((g_row, g_col))
-    return ParsedMap(world, start, goal, (s_row, s_col), (g_row, g_col))
+    return ParsedMap(world, start, goal)
 
 
 def load_map(path) -> ParsedMap:

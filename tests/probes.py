@@ -1,7 +1,7 @@
 """Probes of the compiled kernel shared by the test modules.
 
-Each probe reads what plan_subpath hands the kernel (its eta_gamma and
-_CORNER_FACTORS tables) or what the kernel leaves behind (the pheromone
+Each probe reads what plan_subpath hands the kernel (its eta_gamma weights,
+spread per direction, and the _CORNER_FACTORS table) or what the kernel leaves behind (the pheromone
 array, the sub-goal ranking's constraint families, the scan's ranges), so
 the checks built on them test the code the planner runs. The neighbours of a cell come from the
 traversable mask (oracles.neighbors_ref), not from the package.
@@ -55,9 +55,9 @@ def random_field_state(rng, n=6):
 
 
 def kernel_transition(tau, graph, cell, tabu, prev, params):
-    """Move distribution {cell: p} of colony.c's walk(): the eta_gamma and
-    _CORNER_FACTORS tables plan_subpath hands the kernel, times tau^phi,
-    combined as walk() combines them."""
+    """Move distribution {cell: p} of colony.c's walk(): the eta_gamma weights
+    per direction and the _CORNER_FACTORS table, times tau^phi, combined as
+    walk() combines them."""
     eta_g = eta_gamma(graph.steps, params.gamma)
     turn = _CORNER_FACTORS[prev + 1].tolist()
     cid = graph.id_of(cell)

@@ -172,7 +172,7 @@ def same_series(got, expected):
 
 
 class TestHeuristic:
-    """eta_gamma, the heuristic table plan_subpath hands the kernel:
+    """eta_gamma, the heuristic weights plan_subpath hands the kernel:
     (1 / step) ** gamma per direction, the heuristic itself at gamma 1."""
 
     def test_straight_neighbor(self):
@@ -227,7 +227,7 @@ class TestCornerHeuristic:
 class TestTransitionProbabilities:
     """The move distribution of colony.c's walk(), seen in the pheromone a
     run leaves (each finished ant deposits on the edges it walked) and in
-    the tables plan_subpath hands the kernel."""
+    the weights and tables the kernel walks with."""
 
     def test_single_feasible_neighbor(self):
         # one open move at every step: every ant of every iteration finishes
@@ -641,8 +641,8 @@ class TestWalkKernel:
     picks of the transition oracle.
 
     construct_ref is walk() in Python, and TestKernelDifferential checks the
-    kernel against it; here it reads the tables plan_subpath hands the
-    kernel (eta_gamma per direction, _CORNER_FACTORS), and every pick must
+    kernel against it; here it reads the kernel's tables (eta_gamma per
+    direction, _CORNER_FACTORS), and every pick must
     be the inverse-CDF pick of the same draw on transition_ref's quotient.
     """
 

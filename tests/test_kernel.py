@@ -2,6 +2,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -151,6 +152,64 @@ def test_every_cdef_function_is_called():
     declared = re.findall(r"(\w+)\(", kernel.CDEF)
     assert "plan_cycle" in declared
     assert not [name for name in declared if name not in called]
+
+
+# Builds the kernel into argv[1] with AddressSanitizer and UndefinedBehaviorSanitizer
+# and drives every kernel entry point: the three planners' runs on each shipped
+# scenario, and the public per-layer calls at ray counts from 1 up.
+SANITIZED_CHILD = """
+import sys
+from pathlib import Path
+import antnav.kernel
+antnav.kernel.CFLAGS += ("-fsanitize=address,undefined", "-fno-omit-frame-pointer")
+antnav.kernel.CACHE_DIR = Path(sys.argv[1])
+from antnav import (GridGraph, LocalMinimum, NoCandidates, NoPathFound, PlannerKind, apf_step,
+                    candidate_cells, perceive, plan_subpath, rank_candidates, run)
+from antnav.scenario import parse_scenario, with_planner, with_seed
+colonies = 0
+for path in sys.argv[2:]:
+    scenario = with_seed(parse_scenario(path), 0)
+    for kind in PlannerKind:
+        run(with_planner(scenario, kind))
+    cfg, world, pose, goal = scenario.config, scenario.world, scenario.start, scenario.goal
+    for n_rays in (1, 2, 7, 360):
+        grid = perceive(world, pose, cfg.lidar_radius, n_rays, cfg.cell_size, cfg.half_extent,
+                        cfg.inflation_rings)
+        try:
+            apf_step(grid, pose, goal, cfg.apf)
+        except LocalMinimum:
+            pass
+        try:
+            ranked = rank_candidates(candidate_cells(grid), pose, goal, cfg.weights)
+        except NoCandidates:
+            continue
+        graph = GridGraph(grid.traversable_mask(), grid.cell_size)
+        graph.reachable_from(grid.center_cell)
+        for sub in ranked[:3]:
+            try:
+                plan_subpath(graph, grid.center_cell, sub.cell, cfg.aco, (0, n_rays))
+                colonies += 1
+            except NoPathFound:
+                pass
+print("colonies", colonies)
+"""
+
+
+def test_kernel_runs_clean_under_sanitizers(tmp_path):
+    runtimes = [subprocess.run(["gcc", f"-print-file-name={name}"], capture_output=True,
+                               text=True).stdout.strip() if shutil.which("gcc") else ""
+                for name in ("libasan.so", "libubsan.so")]
+    if not all(os.path.isfile(path) for path in runtimes):
+        pytest.skip("gcc's sanitizer runtimes are not installed")
+    env = dict(os.environ, LD_PRELOAD=" ".join(runtimes), ASAN_OPTIONS="detect_leaks=0",
+               PYTHONPATH=str(SRC))
+    scenarios = sorted(str(path) for path in (REPO / "scenarios").glob("*.scn"))
+    res = subprocess.run([sys.executable, "-c", SANITIZED_CHILD, str(tmp_path), *scenarios],
+                         cwd=SRC, env=env, capture_output=True, text=True, timeout=600)
+    assert res.returncode == 0, res.stderr[-4000:]
+    label, colonies = res.stdout.split()
+    assert label == "colonies" and int(colonies) > 0  # the per-layer calls reached the colony
+    assert "Sanitizer" not in res.stderr and "runtime error" not in res.stderr, res.stderr[-4000:]
 
 
 def test_build_flags_keep_the_bits():

@@ -127,6 +127,17 @@ class TestRun:
             world = world.advanced()
             assert not world.occupancy_at(world.cell_of(rec.pose.x, rec.pose.y))
 
+    def test_mover_onto_robot_ends_in_collision(self):
+        mover = MovingObstacle(tuple((r, 7) for r in range(3, 8)), ticks_per_move=1,
+                               policy=MoverPolicy.PINGPONG)
+        sc = scenario_from(bordered(11, 11), 1.0, (9, 1), (1, 9), movers=[mover], seed=5,
+                           n_rays=120, inflation_rings=0, max_robot_steps=60,
+                           aco=AcoParams(n_ants=6, n_iters=5))
+        result = run(sc)
+        assert result.metrics.status is RunStatus.COLLISION
+        assert result.metrics.cycles == 13
+        assert result.poses[-1].xy == (7.5, 5.5)
+
     def test_dist_series_matches_goal_condition(self):
         sc = scenario_from(bordered(11, 11), 1.0, (5, 2), (5, 8))
         result = run(sc)

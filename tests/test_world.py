@@ -138,7 +138,7 @@ class TestMapParsing:
         assert w.cell_size == 1.5
         assert w.static_cells[0].all() and w.static_cells[4].all()
         assert not w.static_cells[1:4, 1:4].any()
-        assert parsed.start_cell == (1, 1)
+        assert w.cell_of(*parsed.start.xy) == (1, 1)
         assert abs(parsed.start.psi - math.pi / 2) < 1e-12
         assert parsed.goal == ((3 + 0.5) * 1.5, (3 + 0.5) * 1.5)
         assert len(w.movers) == 1
