@@ -11,9 +11,10 @@ plan_subpath runs the whole colony in one call of the compiled kernel
 (colony.c, built on first use by kernel.py), the package's only
 implementation of the colony rules; tests/oracles.py keeps the Python loop
 it reproduces as the reference. The kernel walks a GridGraph's traversable
-mask, builds its per-direction heuristic table from the straight and
-diagonal weights of eta_gamma and reads the corner factors built here
-(_CORNER_FACTORS, from corner_heuristic).
+mask, computes the heuristic (1 / step) ** gamma per direction from gamma
+and the cell size, and reads the corner factors built here (_CORNER_FACTORS,
+from corner_heuristic). AcoParams.kernel_args builds the colony's arguments
+for plan_subpath and the planner's cycle alike, after eta_gamma's check.
 
 Determinism: every ant walk draws from its own RNG stream, the one numpy's
 SeedSequence((seed..., iteration, ant index)) seeds, and ants walk serially.
@@ -33,7 +34,7 @@ import numpy as np
 from . import kernel
 from .kernel import INT_MAX, pointer
 from .errors import ColonyWeightError, NoPathFound
-from .geometry import Cell, DIR_ANGLES, DIR_IS_DIAGONAL, DIR_OFFSETS, SQRT2, wrap_angle
+from .geometry import Cell, DIR_ANGLES, DIR_OFFSETS, SQRT2, wrap_angle
 
 
 class AcoMode(enum.Enum):
@@ -97,18 +98,27 @@ class AcoParams:
         walk within n_cells - 1 steps."""
         return min(self.max_steps or n_cells - 1, n_cells - 1)
 
+    def kernel_args(self, cell_size: float, n_cells: int) -> tuple:
+        """The colony's arguments of the kernel's colony_run and plan_cycle, gamma to
+        elite_cutoff, for a grid of n_cells cells of cell_size. Raises ValueError as
+        eta_gamma does."""
+        eta_gamma((cell_size, cell_size * SQRT2), self.gamma)
+        return (self.gamma, self.n_iters, self.n_ants, self.resolved_max_steps(n_cells),
+                self.mode is AcoMode.IMPROVED, self.phi, self.rho, self.q, self.delta,
+                self.zeta, self.tau0, self.resolved_elite_cutoff())
+
 
 class GridGraph:
     """The 8-connected graph over the traversable cells of a boolean mask.
 
     Cell (r, c) has id r * cols + c; its neighbour in direction d (DIR_OFFSETS
     order: N, NE, E, SE, S, SW, W, NW) is the cell at that offset when both
-    are traversable, over the directed edge cid * 8 + d. steps holds the step
-    length per direction. The graph keeps a read-only copy of the mask, so
-    later edits of the caller's array do not change it.
+    are traversable, over the directed edge cid * 8 + d. The graph keeps a
+    read-only copy of the mask, so later edits of the caller's array do not
+    change it.
     """
 
-    __slots__ = ("rows", "cols", "n", "cell_size", "mask", "steps")
+    __slots__ = ("rows", "cols", "n", "cell_size", "mask")
 
     def __init__(self, mask: np.ndarray, cell_size: float):
         self.mask = np.array(mask, dtype=bool, order="C")
@@ -116,8 +126,8 @@ class GridGraph:
         self.rows, self.cols = self.mask.shape
         self.n = self.rows * self.cols
         self.cell_size = float(cell_size)
-        self.steps = tuple(self.cell_size * SQRT2 if diag else self.cell_size
-                           for diag in DIR_IS_DIAGONAL)
+        if not 0 < self.cell_size < math.inf:  # a negative step passes eta_gamma at even gamma
+            raise ValueError(f"cell_size must be positive and finite, got {cell_size}")
 
     def id_of(self, cell: Cell) -> int:
         r, c = cell
@@ -129,7 +139,8 @@ class GridGraph:
         return divmod(cid, self.cols)
 
     def traversable(self, cell: Cell) -> bool:
-        return bool(self.mask[cell])
+        """Raises ValueError for a cell off the grid, as id_of does."""
+        return bool(self.mask.flat[self.id_of(cell)])
 
     def reachable_from(self, cell: Cell) -> np.ndarray:
         """Boolean mask of the cells 8-connected to cell through traversable cells, cell included."""
@@ -163,11 +174,11 @@ def corner_heuristic(prev_dir: float | None, i: Cell, j: Cell) -> float:
 
 
 def eta_gamma(steps, gamma: float) -> list[float]:
-    """Heuristic weight (1 / step) ** gamma per step length.
+    """Heuristic weight (1 / step) ** gamma per step length, as the kernel computes it.
 
     Raises ValueError unless every weight is positive and finite: a weight
     that underflows to 0 or overflows leaves the roulette without a usable
-    total.
+    total. AcoParams.kernel_args runs it as its check of gamma and the cell size.
     """
     try:
         weights = [(1.0 / step) ** gamma for step in steps]
@@ -245,7 +256,7 @@ def plan_subpath(graph: GridGraph, start: Cell, subgoal: Cell, params: AcoParams
     on the stream of key (seed..., n, k) and repair draws from (seed..., n,
     n_ants).
     """
-    key = np.array(_entropy_words(seed if isinstance(seed, (tuple, list)) else (int(seed),)),
+    key = np.array(_entropy_words(seed if isinstance(seed, (tuple, list)) else (seed,)),
                    dtype=np.uint32)
     if start == subgoal:
         raise ValueError("start and subgoal must differ")
@@ -254,9 +265,8 @@ def plan_subpath(graph: GridGraph, start: Cell, subgoal: Cell, params: AcoParams
     if not graph.traversable(subgoal):
         raise ValueError(f"subgoal cell {subgoal} is not traversable")
 
-    improved = params.mode is AcoMode.IMPROVED
-    max_steps = params.resolved_max_steps(graph.n)
-    m, n_iters = params.n_ants, params.n_iters
+    colony = params.kernel_args(graph.cell_size, graph.n)
+    max_steps, n_iters = params.resolved_max_steps(graph.n), params.n_iters
     tau = np.empty(graph.n * 8)  # the kernel fills it with tau0
     cells = np.empty(max_steps + 1, dtype=np.int32)
     dirs = np.empty(max_steps, dtype=np.int8)
@@ -267,13 +277,9 @@ def plan_subpath(graph: GridGraph, start: Cell, subgoal: Cell, params: AcoParams
     length = mod.ffi.new("double *")
     code = mod.lib.colony_run(
         pointer(graph.mask, np.bool_, (graph.rows, graph.cols)), graph.rows, graph.cols,
-        pointer(tau, np.float64, (graph.n * 8,), writable=True), params.tau0,
-        graph.cell_size, *eta_gamma((graph.cell_size, graph.cell_size * SQRT2), params.gamma),
-        corner_table(),
-        pointer(key, np.uint32, key.shape), len(key),
-        n_iters, m, max_steps, graph.id_of(start), graph.id_of(subgoal), improved,
-        params.phi, params.rho, params.q, params.delta, params.zeta,
-        params.resolved_elite_cutoff(),
+        pointer(tau, np.float64, (graph.n * 8,), writable=True), graph.cell_size,
+        corner_table(), pointer(key, np.uint32, key.shape), len(key),
+        graph.id_of(start), graph.id_of(subgoal), *colony,
         pointer(cells, np.int32, (max_steps + 1,), writable=True),
         pointer(dirs, np.int8, (max_steps,), writable=True),
         counts, counts + 1, length,

@@ -16,10 +16,11 @@
  * The mask does not change during a run, so colony_run tests it once: each
  * cell gets an open-direction byte, and a walk steps by a flat offset to the
  * neighbours its byte lets through. A step weighs only those candidates,
- * by the reference loop's tau^phi * eta^gamma on the same operands. Repair
- * copies the incumbent over the chosen ant's walk, so the rank and the
- * deposits read the ants alone. Each call takes its scratch from one heap
- * block, sized and sliced in one place.
+ * by the reference loop's tau^phi * eta^gamma on the same operands; the
+ * call computes eta^gamma as pow(1 / step, gamma), the libm pow that
+ * Python's float ** calls. Repair copies the incumbent over the chosen
+ * ant's walk, so the rank and the deposits read the ants alone. Each call
+ * takes its scratch from one heap block, sized and sliced in one place.
  *
  * Build with -ffp-contract=off and without -ffast-math: a fused
  * multiply-add or a reordered sum would change bits.
@@ -143,7 +144,7 @@ static uint32_t pcg_below(pcg64 *g, uint32_t k)
 typedef struct {
     int32_t *cells;  /* cell ids, start first */
     int8_t *dirs;    /* direction index per step */
-    int steps, corners, reached;
+    int n_steps, corners, reached;
     double length, cost;
 } ant_path;
 
@@ -168,7 +169,7 @@ static int walk(const unsigned char *links, const int *offset, const double *tau
 {
     int pos = start, prev = -1;
     p->cells[0] = start;
-    p->steps = p->corners = p->reached = 0;
+    p->n_steps = p->corners = p->reached = 0;
     p->length = 0.0;
     tabu[start] = 1;
     for (int s = 0; s < max_steps; s++) {
@@ -212,10 +213,10 @@ static int walk(const unsigned char *links, const int *offset, const double *tau
         if (d != prev && prev >= 0)
             p->corners++;
         p->length += steps[d];
-        p->dirs[p->steps] = (int8_t)d;
-        p->steps++;
+        p->dirs[p->n_steps] = (int8_t)d;
+        p->n_steps++;
         pos = cn[pick];
-        p->cells[p->steps] = pos;
+        p->cells[p->n_steps] = pos;
         tabu[pos] = 1;
         prev = d;
         if (pos == goal) {
@@ -228,9 +229,9 @@ static int walk(const unsigned char *links, const int *offset, const double *tau
 
 static void copy_path(ant_path *dst, const ant_path *src)
 {
-    memcpy(dst->cells, src->cells, sizeof(int32_t) * (size_t)(src->steps + 1));
-    memcpy(dst->dirs, src->dirs, sizeof(int8_t) * (size_t)src->steps);
-    dst->steps = src->steps;
+    memcpy(dst->cells, src->cells, sizeof(int32_t) * (size_t)(src->n_steps + 1));
+    memcpy(dst->dirs, src->dirs, sizeof(int8_t) * (size_t)src->n_steps);
+    dst->n_steps = src->n_steps;
     dst->corners = src->corners;
     dst->reached = src->reached;
     dst->length = src->length;
@@ -240,19 +241,18 @@ static void copy_path(ant_path *dst, const ant_path *src)
 /* The colony run of plan_subpath. Arrays: mask (rows, cols), tau (n * 8 for
  * n = rows * cols, filled with tau0, then updated in place), corner (9, 8),
  * key (n_key), best_cells (max_steps + 1), best_dirs (max_steps), series
- * (n_iters). A straight step is cell_size long and has the heuristic weight
- * eta_straight, a diagonal one cell_size * sqrt(2) and eta_diagonal; the
- * run builds its per-direction tables from them. Ant k of iteration it
- * walks on the stream of the words (key..., it, k), it from 1, and the
- * repair draws from k = n_ants. max_steps must not exceed n - 1. The
- * open-direction bytes and the flat offsets are built once per call, before
- * the first iteration. On COLONY_OK the best path is in
- * best_cells[0..*best_steps] and best_dirs[0..*best_steps - 1]. */
-int colony_run(const bool *mask, int rows, int cols, double *tau, double tau0,
-               double cell_size, double eta_straight, double eta_diagonal, const double *corner,
-               const uint32_t *key, int n_key, int n_iters, int n_ants, int max_steps,
-               int start, int goal, int improved, double phi, double rho, double q,
-               double delta, double zeta, int elite_cutoff,
+ * (n_iters). A straight step is cell_size long, a diagonal one cell_size *
+ * sqrt(2), and its heuristic weight is pow(1 / step, gamma); the run builds
+ * both per-direction tables itself. Ant k of iteration it walks on the
+ * stream of the words (key..., it, k), it from 1, and the repair draws from
+ * k = n_ants. max_steps must not exceed n - 1. The open-direction bytes and
+ * the flat offsets are built once per call, before the first iteration. On
+ * COLONY_OK the best path is in best_cells[0..*best_steps] and
+ * best_dirs[0..*best_steps - 1]. */
+int colony_run(const bool *mask, int rows, int cols, double *tau, double cell_size,
+               const double *corner, const uint32_t *key, int n_key, int start, int goal,
+               double gamma, int n_iters, int n_ants, int max_steps, int improved, double phi,
+               double rho, double q, double delta, double zeta, double tau0, int elite_cutoff,
                int32_t *best_cells, int8_t *best_dirs, int *best_steps, int *best_corners,
                double *best_length, double *series)
 {
@@ -277,6 +277,8 @@ int colony_run(const bool *mask, int rows, int cols, double *tau, double tau0,
     int have_best = 0, fail_streak = 0, code = COLONY_OK;
     const double keep = 1.0 - rho;
     int offset[8];
+    const double step[2] = {cell_size, cell_size * sqrt(2.0)}; /* straight, diagonal */
+    const double eta[2] = {pow(1.0 / step[0], gamma), pow(1.0 / step[1], gamma)};
     double steps[8], eta_g[8];
     for (int k = 0; k < m; k++) {
         ants[k].cells = cell_buf + (size_t)k * (size_t)(max_steps + 1);
@@ -284,8 +286,8 @@ int colony_run(const bool *mask, int rows, int cols, double *tau, double tau0,
     }
     for (int d = 0; d < 8; d++) {
         bool diagonal = DIR_OFFSETS[d][0] != 0 && DIR_OFFSETS[d][1] != 0;
-        steps[d] = diagonal ? cell_size * sqrt(2.0) : cell_size;
-        eta_g[d] = diagonal ? eta_diagonal : eta_straight;
+        steps[d] = step[diagonal];
+        eta_g[d] = eta[diagonal];
         offset[d] = DIR_OFFSETS[d][0] * cols + DIR_OFFSETS[d][1];
     }
     for (int i = 0; i < n; i++) {
@@ -371,7 +373,7 @@ int colony_run(const bool *mask, int rows, int cols, double *tau, double tau0,
         for (int i = 0; i < r; i++) {
             const ant_path *p = &ants[order[i]];
             double amount = q / p->cost;
-            for (int j = 0; j < p->steps; j++)
+            for (int j = 0; j < p->n_steps; j++)
                 tau[(size_t)p->cells[j] * 8 + (size_t)p->dirs[j]] += amount;
         }
 
@@ -391,7 +393,7 @@ int colony_run(const bool *mask, int rows, int cols, double *tau, double tau0,
         code = COLONY_NO_PATH;
         goto done;
     }
-    *best_steps = best.steps;
+    *best_steps = best.n_steps;
     *best_corners = best.corners;
     *best_length = best.length;
 

@@ -58,4 +58,3 @@ DIR_OFFSETS: tuple[Cell, ...] = (
     (1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1),
 )
 DIR_ANGLES: tuple[float, ...] = tuple(math.atan2(dr, dc) for dr, dc in DIR_OFFSETS)
-DIR_IS_DIAGONAL: tuple[bool, ...] = tuple(dr != 0 and dc != 0 for dr, dc in DIR_OFFSETS)

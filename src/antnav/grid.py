@@ -86,24 +86,21 @@ class CandidateSet:
     cells: tuple[tuple[Cell, Point], ...]
 
 
-def _check_scan(lidar_radius: float, n_rays: int) -> None:
-    """The scan argument check of perceive and PlannerConfig; raises ValueError."""
-    if not 0 < lidar_radius < math.inf:
-        raise ValueError(f"lidar_radius must be positive and finite, got {lidar_radius}")
-    if not 1 <= n_rays <= INT_MAX:
-        raise ValueError(f"n_rays must be in 1..{INT_MAX}, got {n_rays}")
+def _scan_args(lidar_radius: float, n_rays: int, cell_size: float, half_extent: int,
+               inflation_rings: int) -> tuple:
+    """The kernel's scan and grid arguments (radius, n_rays, cell_size, half_extent,
+    rings) of perceive and PlannerConfig, once they pass the one check of both.
 
-
-def _kernel_rings(lidar_radius: float, cell_size: float, half_extent: int,
-                  inflation_rings: int) -> int:
-    """The ring count handed to the kernel, once the local grid arguments pass the
-    grid argument check of perceive and PlannerConfig.
-
-    Raises ValueError for a cell_size that is not positive and finite, a
+    Raises ValueError for a lidar_radius that is not positive and finite,
+    n_rays outside 1..INT_MAX, a cell_size that is not positive and finite, a
     half_extent < 1, a grid of more than INT_MAX cells (the kernel indexes
     them with an int), a square that would poke out of the scan disc
     (half_extent * cell_size > lidar_radius) or inflation_rings < 0.
     """
+    if not 0 < lidar_radius < math.inf:
+        raise ValueError(f"lidar_radius must be positive and finite, got {lidar_radius}")
+    if not 1 <= n_rays <= INT_MAX:
+        raise ValueError(f"n_rays must be in 1..{INT_MAX}, got {n_rays}")
     if not 0 < cell_size < math.inf:
         raise ValueError(f"cell_size must be positive and finite, got {cell_size}")
     if half_extent < 1:
@@ -116,7 +113,8 @@ def _kernel_rings(lidar_radius: float, cell_size: float, half_extent: int,
                          f"exceeds lidar_radius {lidar_radius}")
     if inflation_rings < 0:
         raise ValueError("inflation_rings must be >= 0")
-    return min(inflation_rings, 2 * half_extent + 1)  # more rings add nothing
+    rings = min(inflation_rings, 2 * half_extent + 1)  # more rings add nothing
+    return (lidar_radius, n_rays, cell_size, half_extent, rings)
 
 
 @functools.lru_cache(maxsize=16)
@@ -165,19 +163,17 @@ def perceive(world: WorldMap, pose: Pose, lidar_radius: float, n_rays: int, cell
     inf. The grid keeps the ranges; they do not depend on the grid
     arguments.
 
-    Pure function of its arguments. Raises as _check_scan, checked_occupancy
-    and _kernel_rings do.
+    Pure function of its arguments. Raises as _scan_args and checked_occupancy
+    do.
     """
-    _check_scan(lidar_radius, n_rays)
+    args = _scan_args(lidar_radius, n_rays, cell_size, half_extent, inflation_rings)
     occ = checked_occupancy(world, pose)
-    rings = _kernel_rings(lidar_radius, cell_size, half_extent, inflation_rings)
     side = 2 * half_extent + 1
     cells = np.empty((side, side), dtype=np.int8)
     ranges = np.empty(n_rays)
     kernel.module().lib.perceive(
         pointer(occ, np.bool_, occ.shape), *occ.shape, world.cell_size, pose.x, pose.y,
-        pose.psi, ray_table(pose.psi, n_rays), lidar_radius, n_rays, cell_size, half_extent,
-        rings,
+        pose.psi, ray_table(pose.psi, n_rays), *args,
         pointer(ranges, np.float64, ranges.shape, writable=True),
         pointer(cells, np.int8, cells.shape, writable=True))
     return LocalGrid(pose, cell_size, half_extent, cells, ranges)

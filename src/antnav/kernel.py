@@ -47,11 +47,10 @@ CDEF = """
 enum { COLONY_OK, COLONY_NO_PATH_STREAK, COLONY_NO_PATH, COLONY_BAD_TOTAL, COLONY_NO_MEMORY,
        ... };
 enum { PLAN_STUCK, APF_LOCAL_MINIMUM, APF_NO_MEMORY, ... };
-int colony_run(const _Bool *mask, int rows, int cols, double *tau, double tau0,
-               double cell_size, double eta_straight, double eta_diagonal, const double *corner,
-               const uint32_t *key, int n_key, int n_iters, int n_ants, int max_steps,
-               int start, int goal, int improved, double phi, double rho, double q,
-               double delta, double zeta, int elite_cutoff,
+int colony_run(const _Bool *mask, int rows, int cols, double *tau, double cell_size,
+               const double *corner, const uint32_t *key, int n_key, int start, int goal,
+               double gamma, int n_iters, int n_ants, int max_steps, int improved, double phi,
+               double rho, double q, double delta, double zeta, double tau0, int elite_cutoff,
                int32_t *best_cells, int8_t *best_dirs, int *best_steps, int *best_corners,
                double *best_length, double *series);
 void reachable(const _Bool *mask, int rows, int cols, int start, int32_t *queue, _Bool *reach);
@@ -68,9 +67,9 @@ int plan_cycle(const _Bool *occ, int rows, int cols, double world_cell_size, dou
                double y0, double psi, const double *rays, double goal_x, double goal_y,
                const uint32_t *key, int n_key, const double *corner, double radius,
                int n_rays, double cell_size, int half_extent, int rings, double alpha,
-               double beta, double omega, double eta_straight, double eta_diagonal,
-               int n_iters, int n_ants, int max_steps, int improved, double phi, double rho,
-               double q, double delta, double zeta, double tau0, int elite_cutoff,
+               double beta, double omega, double gamma, int n_iters, int n_ants,
+               int max_steps, int improved, double phi, double rho, double q, double delta,
+               double zeta, double tau0, int elite_cutoff,
                int32_t *path, int *n_steps, int *subgoal, double *series);
 int apf_step(const int8_t *cells, int half_extent, double cell_size, double x0, double y0,
              double goal_x, double goal_y, double k_att, double k_rep, double d0);

@@ -25,8 +25,7 @@
  * Each cycle call takes its scratch from one heap block, sized and sliced
  * in one place by alignment (doubles, 32-bit ints, bytes), and ends it with
  * a byte buffer the call fills whole, so a short block faults there.
- * colony_run builds its own direction tables from the cell size and the
- * two eta_gamma weights.
+ * colony_run builds its own direction tables from the cell size and gamma.
  *
  * This file follows colony.c and perception.c in the kernel's one
  * translation unit and calls their functions. Build with -ffp-contract=off
@@ -226,11 +225,10 @@ int apf_cycle(const bool *occ, int rows, int cols, double world_cell_size, doubl
  * antnav.planner.plan_cycle for a robot at (x0, y0, psi) on the rows x cols
  * occupancy grid occ and a goal at (goal_x, goal_y).
  * perceive() takes the ray table rays and the scan and grid arguments,
- * score() the weights and colony_run the colony's: eta_straight and
- * eta_diagonal are eta_gamma of the straight and diagonal step, corner is
- * the (9, 8) corner table, key (n_key words) the seed words of the cycle,
- * to which the attempt index is appended per trial. max_steps must not
- * exceed side * side - 1.
+ * score() the weights and colony_run the colony's, gamma to elite_cutoff
+ * in colony_run's order: corner is the (9, 8) corner table, key (n_key
+ * words) the seed words of the cycle, to which the attempt index is
+ * appended per trial. max_steps must not exceed side * side - 1.
  *
  * Returns PLAN_STUCK when the grid has no marginal cell, when the reachable
  * cells form a closed pocket (touching no grid edge, goal not among them)
@@ -243,9 +241,9 @@ int plan_cycle(const bool *occ, int rows, int cols, double world_cell_size, doub
                double y0, double psi, const double *rays, double goal_x, double goal_y,
                const uint32_t *key, int n_key, const double *corner, double radius,
                int n_rays, double cell_size, int half_extent, int rings, double alpha,
-               double beta, double omega, double eta_straight, double eta_diagonal,
-               int n_iters, int n_ants, int max_steps, int improved, double phi, double rho,
-               double q, double delta, double zeta, double tau0, int elite_cutoff,
+               double beta, double omega, double gamma, int n_iters, int n_ants,
+               int max_steps, int improved, double phi, double rho, double q, double delta,
+               double zeta, double tau0, int elite_cutoff,
                int32_t *path, int *n_steps, int *subgoal, double *series)
 {
     const int side = 2 * half_extent + 1, n = side * side;
@@ -319,10 +317,10 @@ int plan_cycle(const bool *occ, int rows, int cols, double world_cell_size, doub
             target = ids[ranked];
         }
         words[n_key] = attempt;
-        code = colony_run(mask, side, side, tau, tau0, cell_size, eta_straight, eta_diagonal,
-                          corner, words, n_key + 1, n_iters, n_ants, max_steps, center, target,
-                          improved, phi, rho, q, delta, zeta, elite_cutoff, path, dirs, n_steps,
-                          &corners, &length, series);
+        code = colony_run(mask, side, side, tau, cell_size, corner, words, n_key + 1, center,
+                          target, gamma, n_iters, n_ants, max_steps, improved, phi, rho, q,
+                          delta, zeta, tau0, elite_cutoff, path, dirs, n_steps, &corners,
+                          &length, series);
         *subgoal = target;
         if (code != COLONY_NO_PATH && code != COLONY_NO_PATH_STREAK)
             break; /* found, or an error; no path falls back to the next candidate */

@@ -24,11 +24,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import kernel
-from .aco import AcoMode, AcoParams, _entropy_words, colony_error, corner_table, eta_gamma
+from .aco import AcoMode, AcoParams, _entropy_words, colony_error, corner_table
 from .baselines import ApfParams
 from .errors import PoseInObstacle
-from .geometry import SQRT2, Point, Pose
-from .grid import _check_scan, _kernel_rings, checked_occupancy, ray_table
+from .geometry import Point, Pose
+from .grid import _scan_args, checked_occupancy, ray_table
 from .kernel import pointer
 from .metrics import RunMetrics, RunStatus, corner_count, path_length
 from .subgoal import CostWeights
@@ -83,36 +83,34 @@ class PlannerConfig:
 
     @functools.cached_property
     def _kernel_args(self) -> _KernelArgs:
-        _check_scan(self.lidar_radius, self.n_rays)
-        cs, h = self.cell_size, self.half_extent
-        scan = (self.lidar_radius, self.n_rays, cs, h,
-                _kernel_rings(self.lidar_radius, cs, h, self.inflation_rings))
+        cs = self.cell_size
+        scan = _scan_args(self.lidar_radius, self.n_rays, cs, self.half_extent,
+                          self.inflation_rings)
         aco = self.aco_for_planner()
-        eta_straight, eta_diagonal = eta_gamma((cs, cs * SQRT2), aco.gamma)
-        side = 2 * h + 1
-        max_steps = aco.resolved_max_steps(side * side)
+        side = 2 * self.half_extent + 1
+        colony = aco.kernel_args(cs, side * side)
         if self.planner is PlannerKind.APF:
             args = (*scan, self.apf.k_att, self.apf.k_rep, self.apf.resolved_d0(cs))
         else:
             w = self.weights
-            args = (*scan, w.alpha, w.beta, w.omega, eta_straight, eta_diagonal, aco.n_iters,
-                    aco.n_ants, max_steps, aco.mode is AcoMode.IMPROVED, aco.phi, aco.rho,
-                    aco.q, aco.delta, aco.zeta, aco.tau0, aco.resolved_elite_cutoff())
-        return _KernelArgs(aco, side, max_steps, self.resolved_goal_tolerance(), args)
+            args = (*scan, w.alpha, w.beta, w.omega, *colony)
+        return _KernelArgs(aco, side, aco.resolved_max_steps(side * side),
+                           self.resolved_goal_tolerance(), args)
 
 
 @dataclass(frozen=True)
 class _KernelArgs:
     """What a cycle hands the kernel that depends on its PlannerConfig alone, worked
     out once per config. Plain values only, so a config that has run still copies
-    and pickles."""
+    and pickles. The colony's heuristic goes in as gamma: the kernel computes
+    (1 / step) ** gamma itself."""
 
     aco: AcoParams  # the planner's colony: CONVENTIONAL mode for conventional-aco
     side: int
     max_steps: int  # the step cap of a colony walk
     goal_tolerance: float
-    # the cycle call's arguments from the scan radius on: those of apf_cycle for
-    # APF, of plan_cycle up to its elite_cutoff otherwise
+    # the cycle call's arguments from the scan radius on: _scan_args's, then those
+    # of apf_cycle for APF, or the weights and AcoParams.kernel_args's otherwise
     args: tuple
 
 

@@ -352,12 +352,19 @@ def neighbors_ref(mask, cell):
             if 0 <= r + dr < rows and 0 <= c + dc < cols and mask[r + dr][c + dc]]
 
 
+def step_lengths_ref(cell_size):
+    """Step length per direction index: cell_size straight, cell_size * sqrt 2 diagonal."""
+    return tuple(cell_size * SQRT2 if dr != 0 and dc != 0 else cell_size
+                 for dr, dc in DIR_OFFSETS)
+
+
 def neighbor_table_ref(graph):
     """Per cell id: (neighbor id, edge index, direction index, step) in canonical
-    order, from the graph's mask."""
+    order, from the graph's mask and cell size."""
     mask = graph.mask.tolist()
     cols = len(mask[0])
-    return [[(nr * cols + nc, cid * 8 + d, d, graph.steps[d])
+    steps = step_lengths_ref(graph.cell_size)
+    return [[(nr * cols + nc, cid * 8 + d, d, steps[d])
              for d, (nr, nc) in neighbors_ref(mask, divmod(cid, cols))]
             for cid in range(len(mask) * cols)]
 
@@ -365,7 +372,7 @@ def neighbor_table_ref(graph):
 def colony_tables_ref(graph, params):
     """eta^gamma per directed edge index and the corner-factor table of the mode:
     row p + 1 for previous direction p, row 0 for the first step."""
-    eta_g = [(1.0 / step) ** params.gamma for step in graph.steps]
+    eta_g = [(1.0 / step) ** params.gamma for step in step_lengths_ref(graph.cell_size)]
     if params.mode is AcoMode.IMPROVED:
         vtab = [(1.0,) * 8] + [tuple(corner_ref(DIR_ANGLES[p], (0, 0), DIR_OFFSETS[d])
                                      for d in range(8)) for p in range(8)]

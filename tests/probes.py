@@ -1,10 +1,12 @@
 """Probes of the compiled kernel shared by the test modules.
 
-Each probe reads what plan_subpath hands the kernel (its eta_gamma weights,
-spread per direction, and the _CORNER_FACTORS table) or what the kernel leaves behind (the pheromone
-array, the sub-goal ranking's constraint families, the scan's ranges), so
-the checks built on them test the code the planner runs. The neighbours of a cell come from the
-traversable mask (oracles.neighbors_ref), not from the package.
+Each probe reads what plan_subpath hands the kernel (gamma, from which the
+kernel computes (1 / step) ** gamma per direction, and the _CORNER_FACTORS
+table) or what the kernel leaves behind (the pheromone array, the sub-goal
+ranking's constraint families, the scan's ranges), so the checks built on
+them test the code the planner runs. The neighbours of a cell come from the
+traversable mask (oracles.neighbors_ref), and the step lengths from the cell
+size (oracles.step_lengths_ref), not from the package.
 """
 import math
 from unittest import mock
@@ -17,7 +19,7 @@ from antnav import aco, kernel, subgoal
 from antnav.aco import _CORNER_FACTORS, eta_gamma
 from antnav.geometry import DIR_ANGLES, wrap_angle
 
-from oracles import neighbors_ref
+from oracles import neighbors_ref, step_lengths_ref
 
 
 def kernel_scan(world, pose, radius, n_rays):
@@ -55,10 +57,11 @@ def random_field_state(rng, n=6):
 
 
 def kernel_transition(tau, graph, cell, tabu, prev, params):
-    """Move distribution {cell: p} of colony.c's walk(): the eta_gamma weights
-    per direction and the _CORNER_FACTORS table, times tau^phi, combined as
-    walk() combines them."""
-    eta_g = eta_gamma(graph.steps, params.gamma)
+    """Move distribution {cell: p} of colony.c's walk(): (1 / step) ** gamma per
+    direction, from params.gamma and the cell size as colony_run computes it,
+    and the _CORNER_FACTORS table, times tau^phi, combined as walk() combines
+    them."""
+    eta_g = eta_gamma(step_lengths_ref(graph.cell_size), params.gamma)
     turn = _CORNER_FACTORS[prev + 1].tolist()
     cid = graph.id_of(cell)
     weights, total = {}, 0.0

@@ -22,7 +22,7 @@ from antnav.scenario import parse_groups, parse_scenario, with_planner, with_see
 
 from oracles import (corner_ref, dijkstra_ref, heuristic_ref, neighbors_ref, normalize_ref,
                      plan_subpath_ref, polar_ref, raw_constraints_ref, scan_ref, score_ref,
-                     transition_ref, without_cells)
+                     step_lengths_ref, transition_ref, without_cells)
 from probes import kernel_hits, kernel_ranking, kernel_run, kernel_transition, random_field_state
 
 REPO = Path(__file__).resolve().parent.parent
@@ -96,15 +96,15 @@ class TestCriterion1:
             for sg in ranked:
                 i = sg.cell[0]
                 ok &= track(sg.cost, w.beta * nt1[i] + w.alpha * nds[i] + w.omega * nt2[i])
-        # the heuristic and corner factor as the kernel's tables hold them:
-        # eta_gamma of the graph's step lengths (at gamma 1, the heuristic itself)
+        # the heuristic, eta_gamma's (1 / step) ** gamma of the cell size's step
+        # lengths as the kernel computes it from gamma (at gamma 1, the heuristic
+        # itself), and the corner factor of the kernel's table
         for _ in range(1000):
             i = (int(rng.integers(0, 40)), int(rng.integers(0, 40)))
             d = int(rng.integers(0, 8))
             j = (i[0] + DIR_OFFSETS[d][0], i[1] + DIR_OFFSETS[d][1])
             cs = float(rng.uniform(0.1, 3.0))
-            steps = GridGraph(np.ones((1, 1), bool), cs).steps
-            ok &= track(eta_gamma(steps, 1.0)[d], heuristic_ref(i, j, cs))
+            ok &= track(eta_gamma(step_lengths_ref(cs), 1.0)[d], heuristic_ref(i, j, cs))
             prev = float(rng.uniform(-math.pi, math.pi)) if rng.random() > 0.2 else None
             ok &= track(corner_heuristic(prev, i, j), corner_ref(prev, i, j))
         # the score: plan_subpath's last series value is the best path's score
@@ -116,7 +116,7 @@ class TestCriterion1:
                                         params, k)
             ok &= track(series[-1], score_ref(path.length, path.corners, dl, zt))
 
-        # the transition: the kernel's tables combined as its walk() combines them
+        # the transition: the kernel's weights combined as its walk() combines them
         checked = 0
         while checked < 1000:
             case = random_field_state(rng)

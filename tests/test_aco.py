@@ -13,7 +13,7 @@ from antnav.geometry import DIR_ANGLES, DIR_OFFSETS
 
 import oracles
 from oracles import (corner_ref, heuristic_ref, neighbors_ref, plan_subpath_ref,
-                     reachable_ref, rel_close, score_ref, transition_ref)
+                     reachable_ref, rel_close, score_ref, step_lengths_ref, transition_ref)
 from probes import kernel_run, kernel_transition, random_field_state
 
 SQRT2 = math.sqrt(2.0)
@@ -95,9 +95,9 @@ class Fork:
         for cells in self.branches:
             path = (self.start,) + cells
             dirs = [DIR_OFFSETS.index((b[0] - a[0], b[1] - a[1])) for a, b in zip(path, path[1:])]
-            length = 0.0
+            steps, length = step_lengths_ref(self.graph.cell_size), 0.0
             for d in dirs[:cap]:
-                length += self.graph.steps[d]
+                length += steps[d]
             corners = sum(a != b for a, b in zip(dirs[:cap], dirs[1:cap]))
             cost = params.delta * length + params.zeta * corners \
                 if params.mode is AcoMode.IMPROVED else length
@@ -114,7 +114,7 @@ class Fork:
         """
         improved = params.mode is AcoMode.IMPROVED
         walks = self.walks(params)
-        eta = eta_gamma(self.graph.steps, params.gamma)
+        eta = eta_gamma(step_lengths_ref(self.graph.cell_size), params.gamma)
         eta_first = [eta[e % 8] for e in self.first_edges()]
         m = params.n_ants
         tau = [params.tau0, params.tau0]
@@ -172,20 +172,22 @@ def same_series(got, expected):
 
 
 class TestHeuristic:
-    """eta_gamma, the heuristic weights plan_subpath hands the kernel:
-    (1 / step) ** gamma per direction, the heuristic itself at gamma 1."""
+    """eta_gamma, the check AcoParams.kernel_args runs on gamma and the cell size:
+    (1 / step) ** gamma per direction, the heuristic itself at gamma 1. The
+    kernel computes the same weights from gamma, which TestKernelDifferential
+    pins by bits on random gamma and cell sizes."""
 
     def test_straight_neighbor(self):
-        eta = eta_gamma(open_grid().steps, 1.0)
+        eta = eta_gamma(step_lengths_ref(1.0), 1.0)
         assert [eta[DIR_OFFSETS.index((1, 0))], eta[DIR_OFFSETS.index((0, -1))]] == [1.0, 1.0]
 
     def test_diagonal_neighbor(self):
-        eta = eta_gamma(open_grid().steps, 1.0)
+        eta = eta_gamma(step_lengths_ref(1.0), 1.0)
         assert rel_close(eta[DIR_OFFSETS.index((1, 1))], 1.0 / SQRT2)
         assert rel_close(eta[DIR_OFFSETS.index((-1, 1))], 1.0 / SQRT2)
 
     def test_metric_cells(self):
-        eta = eta_gamma(open_grid(5, 1.5).steps, 1.0)
+        eta = eta_gamma(step_lengths_ref(1.5), 1.0)
         assert rel_close(eta[DIR_OFFSETS.index((0, 1))], 2.0 / 3.0)
 
     def test_randomized(self):
@@ -196,7 +198,7 @@ class TestHeuristic:
             j = (i[0] + DIR_OFFSETS[d][0], i[1] + DIR_OFFSETS[d][1])
             cs = float(rng.uniform(0.1, 3.0))
             gamma = float(rng.uniform(0.5, 6.0))
-            eta = eta_gamma(open_grid(2, cs).steps, gamma)
+            eta = eta_gamma(step_lengths_ref(cs), gamma)
             assert rel_close(eta[d], heuristic_ref(i, j, cs) ** gamma)
 
 
@@ -281,7 +283,7 @@ class TestTransitionProbabilities:
     @pytest.mark.parametrize("mode", [AcoMode.IMPROVED, AcoMode.CONVENTIONAL])
     def test_randomized_against_explicit_quotient(self, mode):
         rng = np.random.default_rng(17)
-        # the kernel's tables combined as walk() combines them, on random
+        # the kernel's weights combined as walk() combines them, on random
         # pheromone, tabu lists and previous moves
         checked = 0
         while checked < 1000:
@@ -339,7 +341,7 @@ class TestRouletteSelect:
 
     def test_cdf_arithmetic(self):
         fork = ring_fork()
-        eta = eta_gamma(fork.graph.steps, 1.0)
+        eta = eta_gamma(step_lengths_ref(fork.graph.cell_size), 1.0)
         for gamma in (0.5, 1.0, 2.0, 4.0, 8.0):
             params = AcoParams(gamma=gamma, n_ants=50, n_iters=1, mode=AcoMode.CONVENTIONAL)
             w = [eta[e % 8] ** gamma for e in fork.first_edges()]
@@ -596,6 +598,11 @@ class TestPlanSubpath:
         mask[2, 2] = False
         with pytest.raises(ValueError):
             plan_subpath(GridGraph(mask, 1.0), (0, 0), (2, 2), AcoParams(), 0)
+        # off-grid cells: numpy would wrap a negative index, and index past the edge
+        with pytest.raises(ValueError, match="outside 3x3 grid"):
+            open_grid(3).traversable((-1, -1))
+        with pytest.raises(ValueError, match="outside 3x3 grid"):
+            plan_subpath(open_grid(3), (5, 5), (1, 1), AcoParams(), 0)
 
     def test_conventional_mode_returns_min_length_objective(self):
         params = AcoParams(n_iters=10, n_ants=8, mode=AcoMode.CONVENTIONAL)
@@ -614,6 +621,13 @@ class TestPlanSubpath:
             AcoParams(delta=0.0, zeta=1.0)  # a straight path would score 0
         with pytest.raises(ValueError):
             AcoParams(elite_cutoff=20, n_ants=20)
+
+    @pytest.mark.parametrize("cell_size", [0.0, -1.0, math.nan, math.inf])
+    def test_graph_rejects_bad_cell_size(self, cell_size):
+        # -1.0 at gamma 2 made every weight 1 and reached the kernel, at gamma
+        # 2.5 a complex weight raised TypeError
+        with pytest.raises(ValueError, match="cell_size must be positive and finite"):
+            GridGraph(np.ones((3, 3), bool), cell_size)
 
     def test_non_finite_params_rejected(self):
         # NaN passes every range check; inf is no usable exponent, rate or weight
@@ -637,13 +651,14 @@ class ScriptedDraws:
 
 
 class TestWalkKernel:
-    """The kernel's tables, walked as colony.c's walk() walks them, make the
+    """The kernel's weights, walked as colony.c's walk() walks them, make the
     picks of the transition oracle.
 
     construct_ref is walk() in Python, and TestKernelDifferential checks the
-    kernel against it; here it reads the kernel's tables (eta_gamma per
-    direction, _CORNER_FACTORS), and every pick must
-    be the inverse-CDF pick of the same draw on transition_ref's quotient.
+    kernel against it by bits; here it reads (1 / step) ** gamma per
+    direction, from gamma and the cell size as colony_run computes it, and
+    the kernel's _CORNER_FACTORS table, and every pick must be the
+    inverse-CDF pick of the same draw on transition_ref's quotient.
     """
 
     def test_oracle_tables_equal_the_kernel_tables(self):
@@ -653,7 +668,8 @@ class TestWalkKernel:
             gamma = float(rng.uniform(0.5, 6.0))
             for mode in AcoMode:
                 eta_g, vtab = oracles.colony_tables_ref(graph, AcoParams(gamma=gamma, mode=mode))
-                assert eta_g.tolist() == eta_gamma(graph.steps, gamma) * graph.n
+                assert eta_g.tolist() == eta_gamma(step_lengths_ref(graph.cell_size),
+                                                   gamma) * graph.n
                 turn = _CORNER_FACTORS if mode is AcoMode.IMPROVED else np.ones((9, 8))
                 assert np.array(vtab).tolist() == turn.tolist()
 
@@ -672,7 +688,8 @@ class TestWalkKernel:
             params = AcoParams(phi=[1.0, 0.6, 1.7][case % 3],
                                gamma=float(rng.uniform(0.5, 6.0)), mode=mode)
             draws = rng.random(graph.n)
-            eta_g = np.tile(eta_gamma(graph.steps, params.gamma), graph.n)
+            eta_g = np.tile(eta_gamma(step_lengths_ref(graph.cell_size), params.gamma),
+                            graph.n)
             turn = _CORNER_FACTORS if mode is AcoMode.IMPROVED else np.ones((9, 8))
             path = oracles.construct_ref(
                 graph, oracles.neighbor_table_ref(graph),
@@ -951,3 +968,7 @@ class TestSeedStreams:
     def test_negative_key_rejected(self):
         with pytest.raises(ValueError):
             plan_subpath(open_grid(), (0, 0), (4, 4), AcoParams(), seed=(-1,))
+        # a float seed is not truncated to an int, as a scalar or in a tuple
+        for seed in (1.7, (1.7,)):
+            with pytest.raises(TypeError):
+                plan_subpath(open_grid(), (0, 0), (4, 4), AcoParams(), seed=seed)

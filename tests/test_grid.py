@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from antnav import CellState, NoCandidates, Pose, WorldMap, candidate_cells, perceive
-from antnav.grid import LocalGrid, _kernel_rings
+from antnav.grid import LocalGrid, _scan_args
 
 from oracles import candidates_ref
 
@@ -71,8 +71,8 @@ class TestBuildLocalGrid:
         # 60001^2 cells fit the disc but not the kernel's int; perceive would
         # allocate 3.6 GB and overflow side * side, so only the check is called
         with pytest.raises(ValueError, match="more than 2147483647 cells"):
-            _kernel_rings(6.0, 1e-4, 30000, 1)
-        assert _kernel_rings(6.0, 1e-4, 23169, 1) == 1  # 46339^2 cells fit
+            _scan_args(6.0, 1, 1e-4, 30000, 1)
+        assert _scan_args(6.0, 1, 1e-4, 23169, 1)[4] == 1  # 46339^2 cells fit: 1 ring
 
     @pytest.mark.parametrize("cell_size", [0.0, -1.0, math.nan, math.inf])
     def test_cell_size_must_be_positive_and_finite(self, cell_size):

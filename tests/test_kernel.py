@@ -139,6 +139,23 @@ def test_cdef_declares_every_exported_function():
     assert code == 0, stderr
 
 
+def test_cdef_prototypes_equal_their_definitions():
+    # cffi calls through the CDEF prototype: two same-typed parameters swapped
+    # or renamed in one copy only still build, and the call passes them wrong
+    def normal(text):
+        return " ".join(text.replace("_Bool", "bool").split())
+
+    unit = "".join(path.read_text(encoding="utf-8") for path in kernel.SOURCES)
+    prototypes = [normal(p) for p in re.sub(r"enum \{.*?\};", "", kernel.CDEF,
+                                            flags=re.S).split(";") if p.strip()]
+    assert len(prototypes) == len(re.findall(r"\w+\(", kernel.CDEF))  # one each
+    for prototype in prototypes:
+        name = re.search(r"(\w+)\(", prototype).group(1)
+        definition = re.search(rf"^\w[\w \t*]*\b{name}\([^)]*\)(?=\s*\{{)", unit, flags=re.M)
+        assert definition, f"no definition of {name}"
+        assert normal(definition.group(0)) == prototype
+
+
 def test_every_cdef_function_is_called():
     # the converse: an export that nothing calls, through lib.<name> or from
     # a C source that does not define it, is a route nothing runs

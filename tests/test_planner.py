@@ -285,7 +285,7 @@ def test_run_calls_the_module_plan_cycle_once_per_cycle(kind, monkeypatch):
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_config_values_are_rejected_by_name(value):
     # NaN passes every sign check, and a non-finite cell_size must be named
-    # before eta_gamma reports it as a bad gamma
+    # before AcoParams.kernel_args's eta_gamma check reports it as a bad gamma
     with pytest.raises(ValueError, match="goal_tolerance must be >= 0 and finite"):
         PlannerConfig(goal_tolerance=value)
     with pytest.raises(ValueError, match="cell_size must be positive and finite"):
