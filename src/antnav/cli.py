@@ -41,11 +41,10 @@ def _load_scenario(args) -> Scenario:
 
 
 def _trajectory_rows(result: RunResult):
-    rows = [(0, result.poses[0].x, result.poses[0].y, result.poses[0].psi,
-             result.metrics.dist_series[0])]
-    for rec in result.records:
-        rows.append((rec.cycle + 1, rec.pose.x, rec.pose.y, rec.pose.psi, rec.dist_to_goal))
-    return rows
+    start = result.poses[0]
+    return [(0, start.x, start.y, start.psi, result.metrics.dist_series[0])] + [
+        (rec.cycle + 1, rec.pose.x, rec.pose.y, rec.pose.psi, rec.dist_to_goal)
+        for rec in result.records]
 
 
 def _write_run_outputs(out_dir: Path, scenario: Scenario, result: RunResult,

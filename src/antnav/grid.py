@@ -8,12 +8,14 @@ coincide with world cells. Each hit marks its cell: the local cell that
 holds the center of the world cell the ray hit, which is that cell itself
 when the local and world cells coincide. Occupied cells are inflated by
 marking their 8-neighborhood (configurable ring count) as non-traversable.
-`perceive` runs the whole stage (scan, rasterize, inflate, occlusion mask,
-world clamp) in one call of the compiled kernel (perception.c, built on
-first use by kernel.py); the grid keeps the scan, one range per ray. The
-rays' directions come from `ray_table`, one table per (heading, ray count)
-filled once by the kernel's ray_directions: after its first step a robot
-heads along one of 8 directions, so a run needs at most 9 tables.
+`perceive` runs the whole stage (pose test, scan, rasterize, inflate,
+occlusion mask, world clamp) in one call of the compiled kernel
+(perception.c, built on first use by kernel.py), and `pose_error` turns
+the kernel's pose verdict into the exception; the grid keeps the scan, one
+range per ray. The rays' directions come from `ray_table`, one table per
+(heading, ray count) filled once by the kernel's ray_directions: after its
+first step a robot heads along one of 8 directions, so a run needs at most
+9 tables.
 `candidate_cells` lists a grid's marginal cells with planner.c's
 marginal_cells. Every planner's cycle runs these same kernel functions in
 one call of planner.c's plan_cycle or apf_cycle and builds no LocalGrid.
@@ -43,12 +45,6 @@ class CellState(enum.IntEnum):
     ROBOT = 3
 
 
-def cell_center(center: Pose, cell_size: float, half_extent: int, cell: Cell) -> Point:
-    """World center of a cell of the local grid around center."""
-    r, c = cell
-    return (center.x + (c - half_extent) * cell_size, center.y + (r - half_extent) * cell_size)
-
-
 @dataclass(frozen=True, eq=False)
 class LocalGrid:
     """Square 2*half_extent+1 grid of CellState; the robot occupies the exact center.
@@ -71,7 +67,9 @@ class LocalGrid:
         return (self.half_extent, self.half_extent)
 
     def world_center(self, cell: Cell) -> Point:
-        return cell_center(self.center, self.cell_size, self.half_extent, cell)
+        r, c = cell
+        return (self.center.x + (c - self.half_extent) * self.cell_size,
+                self.center.y + (r - self.half_extent) * self.cell_size)
 
     def traversable_mask(self) -> np.ndarray:
         """Boolean mask of cells an ant may occupy: free cells plus the robot cell. The
@@ -135,19 +133,12 @@ def ray_table(psi: float, n_rays: int):
     return dirs
 
 
-def checked_occupancy(world: WorldMap, pose: Pose) -> np.ndarray:
-    """The world occupancy a scan from pose is cast against, once the pose passes.
-
-    Raises PoseOutOfBounds / PoseInObstacle when the pose is not on a free
-    in-bounds cell.
-    """
-    cell = world.cell_of(pose.x, pose.y)
-    if not world.in_bounds(cell):
-        raise PoseOutOfBounds(f"pose {pose.xy} outside the world")
-    occ = world.occupancy_grid()
-    if occ[cell]:
-        raise PoseInObstacle(f"pose {pose.xy} lies on an occupied cell {cell}")
-    return occ
+def pose_error(code: int, world: WorldMap, pose: Pose) -> Exception:
+    """PoseOutOfBounds for the kernel's POSE_OFF_WORLD, else PoseInObstacle."""
+    if code == kernel.module().lib.POSE_OFF_WORLD:
+        return PoseOutOfBounds(f"pose {pose.xy} outside the world")
+    cell = world.cell_of(pose.x, pose.y)  # worked out on this error path alone
+    return PoseInObstacle(f"pose {pose.xy} lies on an occupied cell {cell}")
 
 
 def perceive(world: WorldMap, pose: Pose, lidar_radius: float, n_rays: int, cell_size: float,
@@ -163,19 +154,21 @@ def perceive(world: WorldMap, pose: Pose, lidar_radius: float, n_rays: int, cell
     inf. The grid keeps the ranges; they do not depend on the grid
     arguments.
 
-    Pure function of its arguments. Raises as _scan_args and checked_occupancy
-    do.
+    Pure function of its arguments. Raises as _scan_args does, then
+    PoseOutOfBounds / PoseInObstacle when the pose's world cell
+    (WorldMap.cell_of) lies outside the world or is occupied at its tick.
     """
     args = _scan_args(lidar_radius, n_rays, cell_size, half_extent, inflation_rings)
-    occ = checked_occupancy(world, pose)
     side = 2 * half_extent + 1
     cells = np.empty((side, side), dtype=np.int8)
     ranges = np.empty(n_rays)
-    kernel.module().lib.perceive(
-        pointer(occ, np.bool_, occ.shape), *occ.shape, world.cell_size, pose.x, pose.y,
-        pose.psi, ray_table(pose.psi, n_rays), *args,
-        pointer(ranges, np.float64, ranges.shape, writable=True),
+    lib = kernel.module().lib
+    code = lib.perceive(
+        *world.kernel_occupancy(), pose.x, pose.y, pose.psi, ray_table(pose.psi, n_rays),
+        *args, pointer(ranges, np.float64, ranges.shape, writable=True),
         pointer(cells, np.int8, cells.shape, writable=True))
+    if code != lib.POSE_FREE:
+        raise pose_error(code, world, pose)
     return LocalGrid(pose, cell_size, half_extent, cells, ranges)
 
 

@@ -46,7 +46,8 @@ INT_MAX = 2**31 - 1
 CDEF = """
 enum { COLONY_OK, COLONY_NO_PATH_STREAK, COLONY_NO_PATH, COLONY_BAD_TOTAL, COLONY_NO_MEMORY,
        ... };
-enum { PLAN_STUCK, APF_LOCAL_MINIMUM, APF_NO_MEMORY, ... };
+enum { POSE_FREE, POSE_OFF_WORLD, POSE_IN_OBSTACLE, ... };
+enum { STEP_FREE, PLAN_STUCK, APF_LOCAL_MINIMUM, APF_NO_MEMORY, STEP_COLLISION, ... };
 int colony_run(const _Bool *mask, int rows, int cols, double *tau, double cell_size,
                const double *corner, const uint32_t *key, int n_key, int start, int goal,
                double gamma, int n_iters, int n_ants, int max_steps, int improved, double phi,
@@ -55,9 +56,9 @@ int colony_run(const _Bool *mask, int rows, int cols, double *tau, double cell_s
                double *best_length, double *series);
 void reachable(const _Bool *mask, int rows, int cols, int start, int32_t *queue, _Bool *reach);
 void ray_directions(double psi, int n_rays, double *dirs);
-void perceive(const _Bool *occ, int rows, int cols, double world_cell_size, double x0,
-              double y0, double psi, const double *rays, double radius, int n_rays,
-              double cell_size, int half_extent, int rings, double *range, int8_t *cells);
+int perceive(const _Bool *occ, int rows, int cols, double world_cell_size, double x0,
+             double y0, double psi, const double *rays, double radius, int n_rays,
+             double cell_size, int half_extent, int rings, double *range, int8_t *cells);
 double py_hypot(double x, double y);
 int marginal_cells(const int8_t *cells, int side, int32_t *ids);
 void rank_candidates(int k, const double *xy, double x0, double y0, double psi, double gx,
@@ -69,14 +70,13 @@ int plan_cycle(const _Bool *occ, int rows, int cols, double world_cell_size, dou
                int n_rays, double cell_size, int half_extent, int rings, double alpha,
                double beta, double omega, double gamma, int n_iters, int n_ants,
                int max_steps, int improved, double phi, double rho, double q, double delta,
-               double zeta, double tau0, int elite_cutoff,
-               int32_t *path, int *n_steps, int *subgoal, double *series);
+               double zeta, double tau0, int elite_cutoff, int32_t *out, double *series);
 int apf_step(const int8_t *cells, int half_extent, double cell_size, double x0, double y0,
              double goal_x, double goal_y, double k_att, double k_rep, double d0);
 int apf_cycle(const _Bool *occ, int rows, int cols, double world_cell_size, double x0,
               double y0, double psi, const double *rays, double goal_x, double goal_y,
               double radius, int n_rays, double cell_size, int half_extent, int rings,
-              double k_att, double k_rep, double d0);
+              double k_att, double k_rep, double d0, int32_t *step);
 """
 CFLAGS = ("-O3", "-ffp-contract=off", "-fno-fast-math")
 

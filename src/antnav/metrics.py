@@ -84,11 +84,11 @@ def fmt(value) -> str:
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    """Header plus one line per row, every value in its fmt form, "\n" line ends."""
+    """Header plus one line per row, "\n" line ends; csv writes fmt's form of each value."""
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(header)
-        w.writerows([fmt(v) for v in row] for row in rows)
+        w.writerows(rows)
 
 
 def write_summary(path, entries: dict) -> None:

@@ -1,7 +1,11 @@
 /* Compiled perception stage of antnav.grid.perceive.
  *
- * perceive runs the whole stage on one cells array: ray cast, rasterize and
- * inflate (each hit marks its cell), occlusion, world clamp. Its loop over
+ * perceive first tests the pose: it returns POSE_OFF_WORLD or
+ * POSE_IN_OBSTACLE for a pose whose world cell lies outside the world or is
+ * occupied at the occupancy's tick, before any ray is cast; this is the
+ * package's only pose test. Then it runs the whole stage on one cells
+ * array: ray cast, rasterize and inflate (each hit marks its cell),
+ * occlusion, world clamp. Its loop over
  * the rays is the package's only ray cast. The scan is one range per ray,
  * which antnav.grid.perceive keeps as LocalGrid.ranges: range[i] is ray
  * i's hit distance, or INFINITY when it hits nothing.
@@ -30,6 +34,12 @@
 #define TAU 6.283185307179586
 
 enum { FREE = 0, OCCUPIED = 1, INFLATED = 2, ROBOT = 3 }; /* antnav.grid.CellState */
+
+enum {
+    POSE_FREE = 0,        /* perceive's verdict for a pose on a free world cell */
+    POSE_OFF_WORLD = -3,  /* for a pose whose world cell lies outside the world */
+    POSE_IN_OBSTACLE = -4 /* for a pose whose world cell is occupied */
+};
 
 /* math.hypot(x, y) of CPython 3.11 (Modules/mathmodule.c, math_hypot and
  * vector_norm for two coordinates): the squares of the scaled coordinates
@@ -105,6 +115,19 @@ double py_hypot(double x, double y)
 
     x = csum - 1.0 + (frac1 + frac2 + frac3);
     return (h + x / (2.0 * h)) / scale;
+}
+
+/* The row-major index of the world cell that holds the point (x, y) in the
+ * rows x cols world, floor(v / world_cell_size) per axis as
+ * antnav.world.WorldMap.cell_of finds it, or -1 when that cell lies outside
+ * the world. The comparisons run in doubles, where a far point cannot
+ * overflow. */
+static long world_cell(double x, double y, double world_cell_size, int rows, int cols)
+{
+    double r = floor(y / world_cell_size), c = floor(x / world_cell_size);
+    if (!(r >= 0 && r < rows && c >= 0 && c < cols))
+        return -1;
+    return (long)r * cols + (long)c;
 }
 
 /* Python's x % m for floats: the result takes the sign of m */
@@ -272,20 +295,27 @@ static void clamp_to_world(double x0, double y0, double cell_size, int half_exte
     }
 }
 
-/* The local grid of antnav.grid.perceive: casts n_rays rays from pose
- * (x0, y0, psi) against the rows x cols occupancy grid into range (room for
- * n_rays), marks each ray's hit cell in the side x side grid around the
- * pose, inflates it by `rings` rings, masks the occluded cells and clamps
- * the grid to the world. rays holds ray_directions(psi, n_rays): ray i has
- * bearing tau * i / n_rays, and the ray index of that bearing,
+/* The local grid of antnav.grid.perceive. Returns POSE_OFF_WORLD or
+ * POSE_IN_OBSTACLE, writing nothing, when the world cell of the pose
+ * (x0, y0) lies outside the rows x cols occupancy grid or is occupied in
+ * it. Otherwise returns POSE_FREE after casting n_rays rays from pose
+ * (x0, y0, psi) against the grid into range (room for n_rays), marking each
+ * ray's hit cell in the side x side grid around the pose, inflating it by
+ * `rings` rings, masking the occluded cells and clamping the grid to the
+ * world. rays holds ray_directions(psi, n_rays): ray i has bearing
+ * tau * i / n_rays, and the ray index of that bearing,
  * round(bearing / sector) % n_rays, is i again, so the occlusion reads ray
  * i's range at range[i]. */
-void perceive(const bool *occ, int rows, int cols, double world_cell_size, double x0,
-              double y0, double psi, const double *rays, double radius, int n_rays,
-              double cell_size, int half_extent, int rings, double *range, int8_t *cells)
+int perceive(const bool *occ, int rows, int cols, double world_cell_size, double x0,
+             double y0, double psi, const double *rays, double radius, int n_rays,
+             double cell_size, int half_extent, int rings, double *range, int8_t *cells)
 {
     int side = 2 * half_extent + 1;
-    long hit[2];
+    long hit[2], here = world_cell(x0, y0, world_cell_size, rows, cols);
+    if (here < 0)
+        return POSE_OFF_WORLD;
+    if (occ[here])
+        return POSE_IN_OBSTACLE;
     memset(cells, FREE, (size_t)side * side);
     for (int i = 0; i < n_rays; i++)
         if ((range[i] = cast_ray(occ, rows, cols, world_cell_size, x0, y0, rays[2 * i],
@@ -294,4 +324,5 @@ void perceive(const bool *occ, int rows, int cols, double world_cell_size, doubl
     inflate(half_extent, rings, cells);
     mask_occluded(range, n_rays, x0, y0, psi, cell_size, half_extent, cells);
     clamp_to_world(x0, y0, cell_size, half_extent, world_cell_size, rows, cols, cells);
+    return POSE_FREE;
 }

@@ -10,8 +10,11 @@
  * robot can reach it (terminal capture), then come the reachable
  * candidates in (cost, row-major index) order, the order of a stable sort
  * by cost. apf_cycle runs one cycle of the APF planner: perceive(), then
- * apf_step. The arithmetic is that of the reference cycle and step in
- * tests/oracles.py, operation for operation:
+ * apf_step. Both hand back perceive()'s pose verdict before any planning,
+ * and both end with the run's step-collision rule: a step whose world cell
+ * is occupied at the occupancy's tick returns STEP_COLLISION. These are the
+ * package's only pose and step tests. The arithmetic is that of the
+ * reference cycle and step in tests/oracles.py, operation for operation:
  *  - a cell's center is x0 + (c - h) * cell_size, as
  *    LocalGrid.world_center computes it;
  *  - the distance is math.hypot's (py_hypot), the bearings are libm atan2
@@ -41,9 +44,12 @@
 #define PI 3.141592653589793 /* math.pi; TAU is perception.c's math.tau */
 
 enum {
+    STEP_FREE = 0,          /* both cycles' verdict for a step onto a free world cell */
     PLAN_STUCK = -1,        /* plan_cycle's verdict when no sub-goal can be planned */
     APF_LOCAL_MINIMUM = -1, /* apf_step's and apf_cycle's when no neighbour improves */
-    APF_NO_MEMORY = -2      /* apf_cycle's when it cannot allocate its buffers */
+    APF_NO_MEMORY = -2,     /* apf_cycle's when it cannot allocate its buffers */
+    STEP_COLLISION = -5     /* both cycles' for a step onto an occupied world cell; the
+                               pose verdicts of perception.c take -3 and -4 */
 };
 
 /* antnav.geometry.wrap_angle: a in radians wrapped to (-pi, pi] */
@@ -55,6 +61,21 @@ static double wrap_angle(double a)
     else if (w <= -PI)
         w += TAU;
     return w;
+}
+
+/* STEP_COLLISION when the world cell of local cell id `step` of the side x
+ * side grid around (x0, y0) is occupied in the rows x cols occupancy grid,
+ * or lies outside it (the world clamp leaves no such step), else STEP_FREE.
+ * The cell's center is x0 + (c - h) * cell_size, the point antnav.planner
+ * moves the robot to. */
+static int step_verdict(const bool *occ, int rows, int cols, double world_cell_size,
+                        double x0, double y0, double cell_size, int half_extent, int step)
+{
+    const int side = 2 * half_extent + 1;
+    long cell = world_cell(x0 + (double)(step % side - half_extent) * cell_size,
+                           y0 + (double)(step / side - half_extent) * cell_size,
+                           world_cell_size, rows, cols);
+    return cell < 0 || occ[cell] ? STEP_COLLISION : STEP_FREE;
 }
 
 /* Writes the row-major ids of the marginal cells of the side x side grid to
@@ -202,11 +223,13 @@ int apf_step(const int8_t *cells, int half_extent, double cell_size, double x0, 
 /* One cycle of the APF planner of antnav.planner.plan_cycle for a robot at
  * (x0, y0, psi) on the rows x cols occupancy grid occ: perceive() with the
  * ray table rays and the scan and grid arguments, then apf_step toward
- * (goal_x, goal_y). Returns apf_step's result, or APF_NO_MEMORY. */
+ * (goal_x, goal_y). Returns perceive()'s POSE_OFF_WORLD or POSE_IN_OBSTACLE,
+ * APF_LOCAL_MINIMUM or APF_NO_MEMORY; or, with the step's cell id in *step,
+ * STEP_FREE or STEP_COLLISION. */
 int apf_cycle(const bool *occ, int rows, int cols, double world_cell_size, double x0,
               double y0, double psi, const double *rays, double goal_x, double goal_y,
               double radius, int n_rays, double cell_size, int half_extent, int rings,
-              double k_att, double k_rep, double d0)
+              double k_att, double k_rep, double d0, int32_t *step)
 {
     const int side = 2 * half_extent + 1;
     /* the ranges, then the cells, which perceive() fills whole */
@@ -214,11 +237,19 @@ int apf_cycle(const bool *occ, int rows, int cols, double world_cell_size, doubl
     if (!range)
         return APF_NO_MEMORY;
     int8_t *cells = (int8_t *)(range + n_rays);
-    perceive(occ, rows, cols, world_cell_size, x0, y0, psi, rays, radius, n_rays, cell_size,
-             half_extent, rings, range, cells);
-    int next = apf_step(cells, half_extent, cell_size, x0, y0, goal_x, goal_y, k_att, k_rep, d0);
+    int code = perceive(occ, rows, cols, world_cell_size, x0, y0, psi, rays, radius, n_rays,
+                        cell_size, half_extent, rings, range, cells);
+    if (code == POSE_FREE) {
+        code = apf_step(cells, half_extent, cell_size, x0, y0, goal_x, goal_y, k_att, k_rep,
+                        d0);
+        if (code >= 0) {
+            *step = code;
+            code = step_verdict(occ, rows, cols, world_cell_size, x0, y0, cell_size,
+                                half_extent, code);
+        }
+    }
     free(range);
-    return next;
+    return code;
 }
 
 /* One cycle of the proposed or conventional-aco planner of
@@ -228,23 +259,25 @@ int apf_cycle(const bool *occ, int rows, int cols, double world_cell_size, doubl
  * score() the weights and colony_run the colony's, gamma to elite_cutoff
  * in colony_run's order: corner is the (9, 8) corner table, key (n_key
  * words) the seed words of the cycle, to which the attempt index is
- * appended per trial. max_steps must not exceed side * side - 1.
+ * appended per trial. max_steps must not exceed side * side - 1. out has
+ * room for max_steps + 3: the path's step count n, the sub-goal's id, then
+ * the path's n + 1 cell ids.
  *
- * Returns PLAN_STUCK when the grid has no marginal cell, when the reachable
- * cells form a closed pocket (touching no grid edge, goal not among them)
- * or when no trial colony reaches its sub-goal; COLONY_OK with the sub-goal
- * id in *subgoal, the path's cell ids in path[0..*n_steps] (room for
- * max_steps + 1) and the colony series in series (n_iters); or the
- * colony's COLONY_BAD_TOTAL, with *subgoal, or COLONY_NO_MEMORY. Cell ids
- * are row-major over the side x side grid, side = 2 * half_extent + 1. */
+ * Returns perceive()'s POSE_OFF_WORLD or POSE_IN_OBSTACLE; PLAN_STUCK when
+ * the grid has no marginal cell, when the reachable cells form a closed
+ * pocket (touching no grid edge, goal not among them) or when no trial
+ * colony reaches its sub-goal; STEP_FREE or STEP_COLLISION, the verdict of
+ * the path's first step, with out filled and the colony series in series
+ * (n_iters); or the colony's COLONY_BAD_TOTAL, with the sub-goal's id in
+ * out[1], or COLONY_NO_MEMORY. Cell ids are row-major over the side x side
+ * grid, side = 2 * half_extent + 1. */
 int plan_cycle(const bool *occ, int rows, int cols, double world_cell_size, double x0,
                double y0, double psi, const double *rays, double goal_x, double goal_y,
                const uint32_t *key, int n_key, const double *corner, double radius,
                int n_rays, double cell_size, int half_extent, int rings, double alpha,
                double beta, double omega, double gamma, int n_iters, int n_ants,
                int max_steps, int improved, double phi, double rho, double q, double delta,
-               double zeta, double tau0, int elite_cutoff,
-               int32_t *path, int *n_steps, int *subgoal, double *series)
+               double zeta, double tau0, int elite_cutoff, int32_t *out, double *series)
 {
     const int side = 2 * half_extent + 1, n = side * side;
     const int center = half_extent * side + half_extent;
@@ -263,10 +296,11 @@ int plan_cycle(const bool *occ, int rows, int cols, double world_cell_size, doub
     int8_t *dirs = (int8_t *)(words + n_key + 1);
     bool *mask = (bool *)(dirs + max_steps), *reach = mask + n;
     int8_t *cells = (int8_t *)(reach + n);
-    int code = PLAN_STUCK;
-
-    perceive(occ, rows, cols, world_cell_size, x0, y0, psi, rays, radius, n_rays, cell_size,
-             half_extent, rings, range, cells);
+    int code = perceive(occ, rows, cols, world_cell_size, x0, y0, psi, rays, radius, n_rays,
+                        cell_size, half_extent, rings, range, cells);
+    if (code != POSE_FREE)
+        goto done;
+    code = PLAN_STUCK;
     int k = marginal_cells(cells, side, ids);
     if (k == 0)
         goto done;
@@ -302,7 +336,7 @@ int plan_cycle(const bool *occ, int rows, int cols, double world_cell_size, doub
      * the cost function, otherwise the chain of sub-goals can orbit the
      * goal forever; every reachable cell but the robot's is FREE */
     int capture = goal_inside && goal_cell != center ? goal_cell : -1;
-    int corners, ranked = -1;
+    int n_steps, corners, ranked = -1;
     double length;
     for (uint32_t attempt = 0;; attempt++) {
         int target = capture;
@@ -319,11 +353,16 @@ int plan_cycle(const bool *occ, int rows, int cols, double world_cell_size, doub
         words[n_key] = attempt;
         code = colony_run(mask, side, side, tau, cell_size, corner, words, n_key + 1, center,
                           target, gamma, n_iters, n_ants, max_steps, improved, phi, rho, q,
-                          delta, zeta, tau0, elite_cutoff, path, dirs, n_steps, &corners,
+                          delta, zeta, tau0, elite_cutoff, out + 2, dirs, &n_steps, &corners,
                           &length, series);
-        *subgoal = target;
+        out[1] = target;
         if (code != COLONY_NO_PATH && code != COLONY_NO_PATH_STREAK)
             break; /* found, or an error; no path falls back to the next candidate */
+    }
+    if (code == COLONY_OK) {
+        out[0] = n_steps;
+        code = step_verdict(occ, rows, cols, world_cell_size, x0, y0, cell_size, half_extent,
+                            out[3]);
     }
 
 done:

@@ -3,14 +3,13 @@
 Each cycle replans from scratch against the latest scan and executes exactly
 one cell of the planned sub-path; the heading after a cycle is the direction
 of the executed step. Moving obstacles advance one schedule tick per cycle
-before the scan. Every planner's cycle, scan to step, is one call of the
-compiled kernel: planner.c's plan_cycle for the proposed and
-conventional-aco planners, its apf_cycle for APF. The arguments that
-depend on the config alone are checked and worked out once per
-PlannerConfig, and the rays' directions come from grid.ray_table, one table
-per heading; each cycle checks only what it can change, the pose and the
-goal. The cycle turns the returned cell ids into its CycleRecord, which
-holds the next pose and the verdict; run carries both to the next cycle.
+before the scan. Every planner's cycle, from the pose test to the step's
+collision test, is one call of the compiled kernel: planner.c's plan_cycle
+for the proposed and conventional-aco planners, its apf_cycle for APF.
+What depends on the config alone is worked out once per PlannerConfig, the
+rays' directions come from grid.ray_table and the occupancy's pointer from
+WorldMap.kernel_occupancy; Python checks only the goal per cycle and turns
+the returned code and cell ids into the CycleRecord that run carries on.
 """
 from __future__ import annotations
 
@@ -21,15 +20,12 @@ import time
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from . import kernel
 from .aco import AcoMode, AcoParams, _entropy_words, colony_error, corner_table
 from .baselines import ApfParams
 from .errors import PoseInObstacle
 from .geometry import Point, Pose
-from .grid import _scan_args, checked_occupancy, ray_table
-from .kernel import pointer
+from .grid import _scan_args, pose_error, ray_table
 from .metrics import RunMetrics, RunStatus, corner_count, path_length
 from .subgoal import CostWeights
 from .world import WorldMap
@@ -151,61 +147,61 @@ def plan_cycle(world: WorldMap, pose: Pose, goal: Point, config: PlannerConfig, 
     verdict is LOCAL_MINIMUM when no neighbour improves on the potential.
 
     The record holds the pose after the cycle's one step, heading along it,
-    and GOAL_REACHED or RUNNING; a halted cycle keeps pose. Raises
-    ValueError for a goal that is not finite, and as checked_occupancy does
-    for a pose off the world's free cells.
+    and GOAL_REACHED, else COLLISION when the step's world cell is occupied
+    at the world's tick, else RUNNING; a halted cycle keeps pose. Raises
+    ValueError for a goal that is not finite, and PoseOutOfBounds /
+    PoseInObstacle (grid.pose_error) for a pose off the world's free cells.
     """
     gx, gy = goal
     if not (math.isfinite(gx) and math.isfinite(gy)):
         raise ValueError(f"goal must be finite, got {goal}")
     k = config._kernel_args
-    occ = checked_occupancy(world, pose)
     mod = kernel.module()
     lib, ffi = mod.lib, mod.ffi
     x, y, psi = pose.x, pose.y, pose.psi
-    head = (pointer(occ, np.bool_, occ.shape), *occ.shape, world.cell_size, x, y, psi,
-            ray_table(psi, config.n_rays), gx, gy)
-    # cell id i of the local grid is (r, c) = divmod(i, side), with its center
-    # at grid.cell_center's (x + (c - h) * cs, y + (r - h) * cs)
-    cs, h, side = config.cell_size, config.half_extent, k.side
-    if config.planner is PlannerKind.APF:
-        step = lib.apf_cycle(*head, *k.args)
-        if step == lib.APF_LOCAL_MINIMUM:
-            return CycleRecord(cycle, pose, None, (), _goal_distance(pose, goal), (),
-                               RunStatus.LOCAL_MINIMUM)
-        if step == lib.APF_NO_MEMORY:
-            raise MemoryError("the APF kernel could not allocate its buffers")
-        subgoal, subpath, aco_series = None, (), ()
+    head = (*world.kernel_occupancy(), x, y, psi, ray_table(psi, config.n_rays), gx, gy)
+    apf = config.planner is PlannerKind.APF
+    if apf:
+        out = ffi.new("int32_t[1]")  # the step's cell id
+        code = lib.apf_cycle(*head, *k.args, out)
     else:
         key = _entropy_words((seed, cycle))
-        path = ffi.new("int32_t[]", k.max_steps + 1)
-        out = ffi.new("int[2]")  # path steps, sub-goal cell id
+        # the path's step count, the sub-goal's cell id, then the path's cell ids
+        out = ffi.new("int32_t[]", k.max_steps + 3)
         series = ffi.new("double[]", k.aco.n_iters)
-        code = lib.plan_cycle(*head, ffi.new("uint32_t[]", key), len(key), corner_table(),
-                              *k.args, path, out, out + 1, series)
-        if code == lib.PLAN_STUCK:
-            return CycleRecord(cycle, pose, None, (), _goal_distance(pose, goal), (),
-                               RunStatus.STUCK)
+        code = lib.plan_cycle(*head, key, len(key), corner_table(), *k.args, out, series)
+    if code == lib.POSE_OFF_WORLD or code == lib.POSE_IN_OBSTACLE:
+        raise pose_error(code, world, pose)
+    if code == lib.PLAN_STUCK:  # APF_LOCAL_MINIMUM for apf_cycle
+        return CycleRecord(cycle, pose, None, (), _goal_distance(pose, goal), (),
+                           RunStatus.LOCAL_MINIMUM if apf else RunStatus.STUCK)
+    if code == lib.APF_NO_MEMORY:
+        raise MemoryError("the APF kernel could not allocate its buffers")
+    # cell id i of the local grid is (r, c) = divmod(i, side), with its center
+    # at LocalGrid.world_center's (x + (c - h) * cs, y + (r - h) * cs)
+    cs, h, side = config.cell_size, config.half_extent, k.side
+    if apf:
+        subgoal, subpath, aco_series, step = None, (), (), out[0]
+    else:
         r, c = divmod(out[1], side)
-        if code != lib.COLONY_OK:
+        if code != lib.STEP_FREE and code != lib.STEP_COLLISION:
             raise colony_error(code, (r, c), k.aco)
         subgoal = (x + (c - h) * cs, y + (r - h) * cs)
-        ids = ffi.unpack(path, out[0] + 1)
+        ids = ffi.unpack(out + 2, out[0] + 1)
         subpath = tuple((x + (i % side - h) * cs, y + (i // side - h) * cs) for i in ids)
         aco_series = tuple(ffi.unpack(series, k.aco.n_iters))
         step = ids[1]
     r, c = divmod(step, side)
     new_pose = Pose(x + (c - h) * cs, y + (r - h) * cs, math.atan2(r - h, c - h))
     dist = _goal_distance(new_pose, goal)
-    status = RunStatus.GOAL_REACHED if dist <= k.goal_tolerance else RunStatus.RUNNING
+    status = RunStatus.GOAL_REACHED if dist <= k.goal_tolerance else \
+        RunStatus.COLLISION if code == lib.STEP_COLLISION else RunStatus.RUNNING
     return CycleRecord(cycle, new_pose, subgoal, subpath, dist, aco_series, status)
 
 
 def run(scenario: "Scenario") -> RunResult:
     """Run a scenario to a verdict: GoalReached, Stuck, LocalMinimum, StepBudgetExhausted or Collision."""
-    config = scenario.config
-    world = scenario.world
-    goal = scenario.goal
+    config, world, goal = scenario.config, scenario.world, scenario.goal
     max_steps = config.resolved_max_steps(world)
 
     t0 = time.perf_counter()
@@ -221,14 +217,12 @@ def run(scenario: "Scenario") -> RunResult:
         world = world.advanced()
         try:
             rec = plan_cycle(world, pose, goal, config, scenario.seed, len(records))
-        except PoseInObstacle:  # plan_cycle tests the pose before any kernel call
+        except PoseInObstacle:  # a mover stepped onto the robot's cell
             status = RunStatus.COLLISION
             break
         records.append(rec)
         pose, status = rec.pose, rec.status
         poses.append(pose)
-        if status is RunStatus.RUNNING and world.occupancy_at(world.cell_of(pose.x, pose.y)):
-            status = RunStatus.COLLISION
     wall_ms = (time.perf_counter() - t0) * 1000.0
 
     points = [p.xy for p in poses]

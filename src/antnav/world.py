@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import MapParseError, OutOfBounds
 from .geometry import Cell, Point, Pose
+from .kernel import pointer
 
 
 class MoverPolicy(enum.Enum):
@@ -71,6 +72,7 @@ class WorldMap:
         self.movers = tuple(movers)
         self.tick = int(tick)
         self._occ: np.ndarray | None = None
+        self._kernel_occ: tuple | None = None
         for m in self.movers:
             for cell in m.waypoints:
                 if not self.in_bounds(cell):
@@ -107,11 +109,23 @@ class WorldMap:
             self._occ = occ
         return self._occ
 
+    def kernel_occupancy(self) -> tuple:
+        """The kernel's (pointer, rows, cols, cell_size) of this tick's occupancy, made once."""
+        if self._kernel_occ is None:
+            occ = self.occupancy_grid()
+            self._kernel_occ = (pointer(occ, np.bool_, occ.shape), *occ.shape, self.cell_size)
+        return self._kernel_occ
+
     def advanced(self) -> "WorldMap":
-        """Snapshot at the next tick; the static bitmap and the checked movers are shared."""
+        """Snapshot at the next tick; the static bitmap and the checked movers are shared,
+        and without movers so is the kernel occupancy, which every tick then reads."""
         world = object.__new__(type(self))
-        world.__dict__.update(self.__dict__, tick=self.tick + 1, _occ=None)
+        world.__dict__.update(self.__dict__, tick=self.tick + 1, _occ=None,
+                              _kernel_occ=None if self.movers else self._kernel_occ)
         return world
+
+    def __getstate__(self):  # a cffi pointer neither copies nor pickles
+        return {**self.__dict__, "_kernel_occ": None}
 
     def cell_of(self, x: float, y: float) -> Cell:
         return (int(math.floor(y / self.cell_size)), int(math.floor(x / self.cell_size)))

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from antnav import kernel
+from antnav import PlannerKind, kernel
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
@@ -173,16 +173,39 @@ def test_every_cdef_function_is_called():
 
 # Builds the kernel into argv[1] with AddressSanitizer and UndefinedBehaviorSanitizer
 # and drives every kernel entry point: the three planners' runs on each shipped
-# scenario, and the public per-layer calls at ray counts from 1 up.
+# scenario, the public per-layer calls at ray counts from 1 up, and every
+# planner's cycle from a pose off the world, from one on an occupied cell, and
+# with a step that lands on an unseen mover.
 SANITIZED_CHILD = """
+import math
 import sys
 from pathlib import Path
+import numpy as np
 import antnav.kernel
 antnav.kernel.CFLAGS += ("-fsanitize=address,undefined", "-fno-omit-frame-pointer")
 antnav.kernel.CACHE_DIR = Path(sys.argv[1])
-from antnav import (GridGraph, LocalMinimum, NoCandidates, NoPathFound, PlannerKind, apf_step,
-                    candidate_cells, perceive, plan_subpath, rank_candidates, run)
+from antnav import (AcoParams, GridGraph, LocalMinimum, NoCandidates, NoPathFound,
+                    PlannerConfig, PlannerKind, Pose, PoseInObstacle, PoseOutOfBounds, apf_step,
+                    candidate_cells, perceive, plan_cycle, plan_subpath, rank_candidates, run)
 from antnav.scenario import parse_scenario, with_planner, with_seed
+from antnav.world import MovingObstacle, WorldMap
+static = np.zeros((11, 11), bool)
+static[[0, -1], :] = static[:, [0, -1]] = True
+world = WorldMap(static, 1.0, (MovingObstacle(((5, 6),)),)).advanced()
+verdicts = []
+for kind in PlannerKind:
+    # one ray, pointing west: the mover east of the robot goes unseen
+    cfg = PlannerConfig(cell_size=1.0, lidar_radius=4.0, n_rays=1, inflation_rings=0,
+                        planner=kind, aco=AcoParams(n_ants=4, n_iters=3))
+    for pose in (Pose(-3.0, 5.5, 0.0), Pose(0.5, 5.5, 0.0), Pose(6.5, 5.5, 0.0)):
+        for call in (lambda: plan_cycle(world, pose, (7.5, 5.5), cfg, 0, 0),
+                     lambda: perceive(world, pose, 4.0, 1, 1.0, 4, 0)):
+            try:
+                call()
+            except (PoseOutOfBounds, PoseInObstacle) as exc:
+                verdicts.append(type(exc).__name__)
+    verdicts.append(plan_cycle(world, Pose(5.5, 5.5, math.pi), (7.5, 5.5), cfg, 0, 0).status.value)
+print("verdicts", *verdicts)
 colonies = 0
 for path in sys.argv[2:]:
     scenario = with_seed(parse_scenario(path), 0)
@@ -224,7 +247,9 @@ def test_kernel_runs_clean_under_sanitizers(tmp_path):
     res = subprocess.run([sys.executable, "-c", SANITIZED_CHILD, str(tmp_path), *scenarios],
                          cwd=SRC, env=env, capture_output=True, text=True, timeout=600)
     assert res.returncode == 0, res.stderr[-4000:]
-    label, colonies = res.stdout.split()
+    verdicts, (label, colonies) = (line.split() for line in res.stdout.splitlines())
+    pose_errors = ["PoseOutOfBounds"] * 2 + ["PoseInObstacle"] * 4  # the wall, then the mover
+    assert verdicts == ["verdicts"] + (pose_errors + ["collision"]) * len(PlannerKind)
     assert label == "colonies" and int(colonies) > 0  # the per-layer calls reached the colony
     assert "Sanitizer" not in res.stderr and "runtime error" not in res.stderr, res.stderr[-4000:]
 

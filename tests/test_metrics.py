@@ -6,7 +6,7 @@ import pytest
 
 from antnav import (AggregateStats, EmptyRuns, RunMetrics, RunStatus, aggregate,
                     corner_count, path_length)
-from antnav.metrics import write_csv, write_summary
+from antnav.metrics import fmt, write_csv, write_summary
 
 TRAJECTORY_HEADER = ["cycle", "x", "y", "psi", "dist_to_goal"]
 
@@ -101,3 +101,21 @@ class TestWriters:
         path = tmp_path / "f.csv"
         write_csv(path, ["a", "b", "c", "d"], [("x,y", 3, 0.1 + 0.2, 2.0)])
         assert path.read_bytes() == b'a,b,c,d\n"x,y",3,0.30000000000000004,2.0\n'
+
+    def test_rows_go_to_csv_as_they_are(self, tmp_path):
+        # csv writes a float by repr and any other value by str, which is fmt's
+        # rule, so write_csv hands it each row unconverted. Two values differ,
+        # and no CLI row holds either: None ('' against fmt's 'None') and a
+        # numpy float, which csv writes as the float it is
+        values = [7, -3, "x,y", True, False, -0.0, 5e-324, 0.1 + 0.2, math.inf, -math.inf,
+                  math.nan]
+        direct, by_fmt = tmp_path / "direct.csv", tmp_path / "fmt.csv"
+        write_csv(direct, ["value"], [(v,) for v in values])
+        with open(by_fmt, "w", newline="", encoding="utf-8") as f:
+            w = csv.writer(f, lineterminator="\n")
+            w.writerow(["value"])
+            w.writerows([fmt(v)] for v in values)
+        assert direct.read_bytes() == by_fmt.read_bytes()
+        write_csv(direct, ["value"], [(None, np.float64(0.1))])
+        assert direct.read_bytes() == b'value\n,0.1\n'
+        assert (fmt(None), fmt(np.float64(0.1))) == ("None", "np.float64(0.1)")

@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from antnav import (AcoParams, CandidateSet, ColonyWeightError, CostWeights, GridGraph,
-                    LocalGrid, PlannerConfig, PlannerKind, Pose, RunStatus, SubGoal, kernel,
-                    perceive, plan_subpath, run)
+                    LocalGrid, PlannerConfig, PlannerKind, Pose, PoseInObstacle, PoseOutOfBounds,
+                    RunStatus, SubGoal, kernel, perceive, plan_subpath, run)
 from antnav import planner
 from antnav.geometry import DIR_OFFSETS
 from antnav.grid import ray_table
@@ -512,3 +512,150 @@ def test_pose_rejects_a_non_finite_field(field, value):
     args = {"x": 5.5, "y": 5.5, "psi": 0.0, field: value}
     with pytest.raises(ValueError, match=f"^pose {field} must be finite, got {value}$"):
         Pose(**args)
+
+
+def pose_verdict_ref(world, pose):
+    """The Python rule the kernel's pose test replaced: WorldMap.cell_of, then
+    in_bounds, then the occupancy at the world's tick. (exception type,
+    message), or (None, None) for a pose on a free cell."""
+    cell = world.cell_of(pose.x, pose.y)
+    if not world.in_bounds(cell):
+        return PoseOutOfBounds, f"pose {pose.xy} outside the world"
+    if world.occupancy_grid()[cell]:
+        return PoseInObstacle, f"pose {pose.xy} lies on an occupied cell {cell}"
+    return None, None
+
+
+def raised(call):
+    try:
+        return None, None, call()
+    except (PoseOutOfBounds, PoseInObstacle) as exc:
+        return type(exc), str(exc), None
+
+
+def random_poses(rng, world):
+    """Poses inside and around the world: random, on exact cell borders (and one
+    ulp either side), at negative coordinates and far off the world."""
+    cs, h, w = world.cell_size, world.height, world.width
+    xs = [float(v) for v in rng.uniform(-cs, (w + 1) * cs, 6)]
+    ys = [float(v) for v in rng.uniform(-cs, (h + 1) * cs, 6)]
+    col, row = int(rng.integers(-1, w + 2)), int(rng.integers(-1, h + 2))
+    xs += [col * cs, math.nextafter(col * cs, -math.inf), math.nextafter(col * cs, math.inf),
+           w * cs, -0.0, -1e-300, 1e6, -1e300]
+    ys += [row * cs, math.nextafter(row * cs, -math.inf), math.nextafter(row * cs, math.inf),
+           h * cs, -0.0, -1e-300, -1e6, 1e300]
+    psi = [math.atan2(*DIR_OFFSETS[int(rng.integers(8))]) for _ in range(len(xs))]
+    return [Pose(x, y, p) for x, y, p in zip(xs, rng.permutation(ys).tolist(), psi)] \
+        + [Pose(x, y, 0.0) for x, y in zip(xs[6:], ys[6:])]
+
+
+def test_kernel_pose_and_step_tests_match_the_python_rules():
+    """perceive's and both cycles' pose verdict against pose_verdict_ref, type
+    and message, and each cycle's step verdict against WorldMap.occupancy_at
+    of the new pose, on random worlds with movers at several ticks. Local
+    cells that differ in size from the world's, few rays and poses off the
+    cell centers let steps land on occupied world cells."""
+    rng = np.random.default_rng(2222)
+    fired = dict.fromkeys(("off", "occupied", "free", "step_free", "collision"), 0)
+    for case in range(40):
+        h, w = (int(v) for v in rng.integers(4, 12, size=2))
+        cs = float(rng.choice([0.3, 0.7, 1.0, 1.5]))
+        movers = []
+        for _ in range(int(rng.integers(1, 4))):
+            chain = [(int(rng.integers(h)), int(rng.integers(w)))]
+            for _ in range(int(rng.integers(0, 5))):
+                dr, dc = DIR_OFFSETS[int(rng.integers(8))]
+                if 0 <= chain[-1][0] + dr < h and 0 <= chain[-1][1] + dc < w:
+                    chain.append((chain[-1][0] + dr, chain[-1][1] + dc))
+            movers.append(MovingObstacle(tuple(chain), 1, MoverPolicy.LOOP))
+        world = WorldMap(rng.random((h, w)) < 0.25, cs, tuple(movers))
+        for _ in range(int(rng.integers(0, 4))):
+            world = world.advanced()
+        half_extent = int(rng.integers(1, 4))
+        config = PlannerConfig(
+            cell_size=cs * float(rng.choice([0.6, 1.0, 1.4])), half_extent=half_extent,
+            lidar_radius=3.0 * half_extent * cs, n_rays=int(rng.choice([1, 3, 8, 60])),
+            inflation_rings=int(rng.integers(2)), planner=list(PlannerKind)[case % 3],
+            aco=AcoParams(n_ants=3, n_iters=2))
+        goal = (float(rng.uniform(0, w * cs)), float(rng.uniform(0, h * cs)))
+        for pose in random_poses(rng, world):
+            expected = pose_verdict_ref(world, pose)
+            grid = raised(lambda: perceive(world, pose, config.lidar_radius, config.n_rays,
+                                           config.cell_size, half_extent,
+                                           config.inflation_rings))
+            rec = raised(lambda: plan_cycle(world, pose, goal, config, case, 0))
+            assert grid[:2] == expected and rec[:2] == expected, (case, pose)
+            fired["off" if expected[0] is PoseOutOfBounds else
+                  "occupied" if expected[0] is PoseInObstacle else "free"] += 1
+            rec = rec[2]
+            if rec is None or rec.status in (RunStatus.STUCK, RunStatus.LOCAL_MINIMUM):
+                continue
+            cell = world.cell_of(rec.pose.x, rec.pose.y)
+            assert world.in_bounds(cell)  # the world clamp keeps every step on the world
+            collided = world.occupancy_at(cell)
+            want = RunStatus.GOAL_REACHED if rec.dist_to_goal <= config.resolved_goal_tolerance() \
+                else RunStatus.COLLISION if collided else RunStatus.RUNNING
+            assert rec.status is want, (case, pose, rec.pose)
+            fired["collision" if collided else "step_free"] += 1
+    assert all(count > 0 for count in fired.values()), fired
+
+
+@pytest.mark.parametrize("kind", list(PlannerKind))
+def test_step_onto_an_unseen_mover_ends_the_run_in_collision(kind):
+    # one ray, pointing west: the mover east of the robot goes unseen, and
+    # the step toward the goal beyond it lands on it
+    sc = scenario_from(bordered(11, 11), 1.0, (5, 5), (5, 7), psi=math.pi,
+                       movers=[MovingObstacle(((5, 6),))], n_rays=1, inflation_rings=0,
+                       planner=kind, aco=AcoParams(n_ants=4, n_iters=3))
+    result = run(sc)
+    assert result.metrics.status is RunStatus.COLLISION and result.metrics.cycles == 1
+    assert result.records[-1].status is RunStatus.COLLISION
+    assert result.poses[-1].xy == (6.5, 5.5)
+
+
+def test_occupancy_pointer_is_made_once_per_tick(monkeypatch):
+    # the occupancy goes to the kernel through one ffi.from_buffer per world
+    # tick, and a world without movers hands its pointer on to every tick
+    import copy
+    import pickle
+    import types
+    from pathlib import Path
+
+    from antnav.aco import corner_table
+    from antnav.scenario import parse_scenario
+
+    corner_table()  # its pointer is made once per process
+    real, buffers = kernel.module(), []
+
+    class CountingFFI:
+        def __getattr__(self, name):
+            return getattr(real.ffi, name)
+
+        def from_buffer(self, ctype, arr, **kwargs):
+            buffers.append(arr)
+            return real.ffi.from_buffer(ctype, arr, **kwargs)
+
+    monkeypatch.setattr(kernel, "module", lambda: types.SimpleNamespace(ffi=CountingFFI(),
+                                                                        lib=real.lib))
+    scenarios = Path(__file__).resolve().parent.parent / "scenarios"
+    corridor = parse_scenario(scenarios / "corridor.scn")
+    assert not corridor.world.movers
+    result = run(corridor)
+    assert result.metrics.cycles > 1
+    assert len(buffers) == 1 and buffers[0] is corridor.world.static_cells
+    buffers.clear()
+    moving = parse_scenario(scenarios / "moving.scn")
+    assert moving.world.movers
+    result = run(moving)
+    assert len(buffers) == result.metrics.cycles
+    assert len({id(arr) for arr in buffers}) == len(buffers)
+
+    for sc in (corridor, moving):
+        ticked = sc.world.advanced().advanced()
+        ticked.kernel_occupancy()  # a world that holds its pointer
+        for world in (sc.world, ticked):
+            for copied in (copy.deepcopy(world), pickle.loads(pickle.dumps(world))):
+                assert copied.tick == world.tick
+                assert np.array_equal(copied.occupancy_grid(), world.occupancy_grid())
+                assert copied.kernel_occupancy()[1:] == world.kernel_occupancy()[1:]
+        assert repr(run(copy.deepcopy(sc)).poses) == repr(run(sc).poses)
