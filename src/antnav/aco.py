@@ -34,7 +34,7 @@ import numpy as np
 from . import kernel
 from .kernel import INT_MAX, pointer
 from .errors import ColonyWeightError, NoPathFound
-from .geometry import Cell, DIR_ANGLES, DIR_OFFSETS, SQRT2, wrap_angle
+from .geometry import Cell, DIR_ANGLES, DIR_OFFSETS, SQRT2, check_count, wrap_angle
 
 
 class AcoMode(enum.Enum):
@@ -76,19 +76,17 @@ class AcoParams:
             raise ValueError("rho must be in (0, 1)")
         if self.q <= 0:
             raise ValueError("q must be positive")
-        if not 2 <= self.n_ants <= INT_MAX:
-            raise ValueError(f"n_ants must be in 2..{INT_MAX}")
-        if not 1 <= self.n_iters <= INT_MAX:
-            raise ValueError(f"n_iters must be in 1..{INT_MAX}")
+        check_count("n_ants", self.n_ants, 2, INT_MAX)
+        check_count("n_iters", self.n_iters, 1, INT_MAX)
         if self.delta <= 0 or self.zeta < 0:
             # a finished path without corners must still score above 0
             raise ValueError("delta must be positive and zeta >= 0")
         if self.tau0 <= 0:
             raise ValueError("tau0 must be positive")
-        if self.elite_cutoff is not None and not 1 <= self.elite_cutoff <= self.n_ants - 1:
-            raise ValueError("elite_cutoff must be in 1..n_ants-1")
-        if self.max_steps is not None and self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+        if self.elite_cutoff is not None:
+            check_count("elite_cutoff", self.elite_cutoff, 1, self.n_ants - 1)
+        if self.max_steps is not None:
+            check_count("max_steps", self.max_steps, 1)
 
     def resolved_elite_cutoff(self) -> int:
         return self.elite_cutoff if self.elite_cutoff is not None else self.n_ants - 1

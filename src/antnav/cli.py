@@ -101,8 +101,8 @@ def _planner_list(raw: str) -> list[PlannerKind]:
         except ValueError:
             raise AntnavError(f"unknown planner {name!r} "
                               f"(expected proposed, conventional-aco or apf)")
-    if not kinds:
-        raise AntnavError("planner list is empty")
+        if kinds.count(kinds[-1]) > 1:
+            raise AntnavError(f"planner {name!r} is listed twice")
     return kinds
 
 

@@ -1,4 +1,5 @@
-"""Shared helpers: angle wrapping, robot pose, 8-connected grid directions, sequential sums."""
+"""Shared helpers: angle wrapping, robot pose, 8-connected grid directions, sequential sums
+and the check of a count field."""
 from __future__ import annotations
 
 import math
@@ -16,6 +17,17 @@ def sequential_sum(values):
     for v in values:
         total += v
     return total
+
+
+def check_count(name: str, value, low: int, high: int | None = None) -> None:
+    """Raise TypeError naming the field unless value is an integer (one that
+    operator.index takes, a bool aside), and ValueError unless low <= value <= high."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if high is None and value < low:
+        raise ValueError(f"{name} must be >= {low}")
+    if high is not None and not low <= value <= high:
+        raise ValueError(f"{name} must be in {low}..{high}, got {value}")
 
 
 def wrap_angle(a: float) -> float:

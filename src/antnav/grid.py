@@ -33,7 +33,7 @@ import numpy as np
 
 from . import kernel
 from .errors import NoCandidates, PoseInObstacle, PoseOutOfBounds
-from .geometry import Cell, Point, Pose
+from .geometry import Cell, Point, Pose, check_count
 from .kernel import INT_MAX, pointer
 from .world import WorldMap
 
@@ -89,28 +89,26 @@ def _scan_args(lidar_radius: float, n_rays: int, cell_size: float, half_extent: 
     """The kernel's scan and grid arguments (radius, n_rays, cell_size, half_extent,
     rings) of perceive and PlannerConfig, once they pass the one check of both.
 
-    Raises ValueError for a lidar_radius that is not positive and finite,
-    n_rays outside 1..INT_MAX, a cell_size that is not positive and finite, a
-    half_extent < 1, a grid of more than INT_MAX cells (the kernel indexes
-    them with an int), a square that would poke out of the scan disc
+    Raises TypeError for an n_rays, half_extent or inflation_rings that is not
+    an integer, and ValueError for a lidar_radius that is not positive and
+    finite, n_rays outside 1..INT_MAX, a cell_size that is not positive and
+    finite, a half_extent < 1, a grid of more than INT_MAX cells (the kernel
+    indexes them with an int), a square that would poke out of the scan disc
     (half_extent * cell_size > lidar_radius) or inflation_rings < 0.
     """
     if not 0 < lidar_radius < math.inf:
         raise ValueError(f"lidar_radius must be positive and finite, got {lidar_radius}")
-    if not 1 <= n_rays <= INT_MAX:
-        raise ValueError(f"n_rays must be in 1..{INT_MAX}, got {n_rays}")
+    check_count("n_rays", n_rays, 1, INT_MAX)
     if not 0 < cell_size < math.inf:
         raise ValueError(f"cell_size must be positive and finite, got {cell_size}")
-    if half_extent < 1:
-        raise ValueError("half_extent must be >= 1")
+    check_count("half_extent", half_extent, 1)
     if (2 * half_extent + 1) ** 2 > INT_MAX:
         raise ValueError(f"half_extent {half_extent} makes a local grid of more than "
                          f"{INT_MAX} cells")
     if half_extent * cell_size > lidar_radius + 1e-9:
         raise ValueError(f"half_extent {half_extent} x cell_size {cell_size} "
                          f"exceeds lidar_radius {lidar_radius}")
-    if inflation_rings < 0:
-        raise ValueError("inflation_rings must be >= 0")
+    check_count("inflation_rings", inflation_rings, 0)
     rings = min(inflation_rings, 2 * half_extent + 1)  # more rings add nothing
     return (lidar_radius, n_rays, cell_size, half_extent, rings)
 

@@ -5,13 +5,14 @@ not at import, by a child interpreter (so the planning process never imports
 cffi or setuptools), with -O3 -ffp-contract=off and no fast-math: the level
 buys speed, the two flags keep every bit of the arithmetic. The three
 sources are compiled as one translation unit, in SOURCES order: planner.c
-calls the functions of the other two. The built module lands in a
-cache directory under a name keyed by a hash of every source, the
-declarations and the flags, so an edited source is rebuilt and never loaded
-stale. After a build, the modules of other sources are deleted from the
-cache; directories are left alone, as they may be another process's build
-in flight. Concurrent builds are safe: each builds in its own temporary
-directory and moves the result into place with os.replace.
+calls the functions of the other two. cffi's declarations are read from that
+unit at build time (see declarations), so an entry point is written once, in
+C. The built module lands in a cache directory under a name keyed by a hash
+of every source and the flags, so an edited source is rebuilt and never
+loaded stale. After a build, the modules of other sources are deleted from
+the cache; directories are left alone, as they may be another process's
+build in flight. Concurrent builds are safe: each builds in its own
+temporary directory and moves the result into place with os.replace.
 
 There is no fallback: without a working C compiler (and cffi) the build
 fails with ImportError.
@@ -22,6 +23,7 @@ import functools
 import hashlib
 import importlib.util
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -43,45 +45,10 @@ _PREFIXES = ("_kernel_", "_colony_")
 # the cells of a local grid, which AcoParams and grid.py's argument checks test.
 INT_MAX = 2**31 - 1
 
-CDEF = """
-enum { COLONY_OK, COLONY_NO_PATH_STREAK, COLONY_NO_PATH, COLONY_BAD_TOTAL, COLONY_NO_MEMORY,
-       ... };
-enum { POSE_FREE, POSE_OFF_WORLD, POSE_IN_OBSTACLE, ... };
-enum { STEP_FREE, PLAN_STUCK, APF_LOCAL_MINIMUM, APF_NO_MEMORY, STEP_COLLISION, ... };
-int colony_run(const _Bool *mask, int rows, int cols, double *tau, double cell_size,
-               const double *corner, const uint32_t *key, int n_key, int start, int goal,
-               double gamma, int n_iters, int n_ants, int max_steps, int improved, double phi,
-               double rho, double q, double delta, double zeta, double tau0, int elite_cutoff,
-               int32_t *best_cells, int8_t *best_dirs, int *best_steps, int *best_corners,
-               double *best_length, double *series);
-void reachable(const _Bool *mask, int rows, int cols, int start, int32_t *queue, _Bool *reach);
-void ray_directions(double psi, int n_rays, double *dirs);
-int perceive(const _Bool *occ, int rows, int cols, double world_cell_size, double x0,
-             double y0, double psi, const double *rays, double radius, int n_rays,
-             double cell_size, int half_extent, int rings, double *range, int8_t *cells);
-double py_hypot(double x, double y);
-int marginal_cells(const int8_t *cells, int side, int32_t *ids);
-void rank_candidates(int k, const double *xy, double x0, double y0, double psi, double gx,
-                     double gy, double alpha, double beta, double omega, double *raw,
-                     double *norm, double *cost, int32_t *order);
-int plan_cycle(const _Bool *occ, int rows, int cols, double world_cell_size, double x0,
-               double y0, double psi, const double *rays, double goal_x, double goal_y,
-               const uint32_t *key, int n_key, const double *corner, double radius,
-               int n_rays, double cell_size, int half_extent, int rings, double alpha,
-               double beta, double omega, double gamma, int n_iters, int n_ants,
-               int max_steps, int improved, double phi, double rho, double q, double delta,
-               double zeta, double tau0, int elite_cutoff, int32_t *out, double *series);
-int apf_step(const int8_t *cells, int half_extent, double cell_size, double x0, double y0,
-             double goal_x, double goal_y, double k_att, double k_rep, double d0);
-int apf_cycle(const _Bool *occ, int rows, int cols, double world_cell_size, double x0,
-              double y0, double psi, const double *rays, double goal_x, double goal_y,
-              double radius, int n_rays, double cell_size, int half_extent, int rings,
-              double k_att, double k_rep, double d0, int32_t *step);
-"""
 CFLAGS = ("-O3", "-ffp-contract=off", "-fno-fast-math")
 
 # Run by the child interpreter: argv holds the module name, the build
-# directory and the flags, stdin the C source.
+# directory, the declarations and the flags, stdin the C source.
 _BUILD_SCRIPT = """
 import sys
 import cffi
@@ -98,9 +65,22 @@ def _unit(texts) -> str:
     return "".join(f'#line 1 "{path.name}"\n{text}' for path, text in zip(SOURCES, texts))
 
 
+def declarations(unit: str) -> str:
+    """cffi's declarations of a translation unit, comments and # lines aside: each
+    top-level enum, its values left to the compiler, and the prototype of each
+    function defined at column 0 without `static`: the entry points."""
+    code = re.sub(r"/\*.*?\*/|//[^\n]*|^#[^\n]*", "", unit, flags=re.S | re.M)
+    enums = [", ".join(item.split("=")[0].strip() for item in body.split(",") if item.strip())
+             for body in re.findall(r"^enum\s*\{(.*?)\}", code, flags=re.S | re.M)]
+    functions = re.findall(r"^(?!static\b)\w[\w \t*]*\b\w+\([^)]*\)(?=\s*\{)", code,
+                           flags=re.M)
+    return "\n".join([f"enum {{ {names}, ... }};" for names in enums]
+                     + [" ".join(f.split()) + ";" for f in functions])
+
+
 def module_name(texts) -> str:
     """Cache name of the module built from the source texts (in SOURCES order)."""
-    digest = hashlib.sha256("\0".join((_unit(texts), CDEF, *CFLAGS)).encode()).hexdigest()
+    digest = hashlib.sha256("\0".join((_unit(texts), *CFLAGS)).encode()).hexdigest()
     return f"_kernel_{digest[:16]}"
 
 
@@ -141,8 +121,8 @@ def _build(name: str, source: str, target: Path) -> None:
     target.parent.mkdir(parents=True, exist_ok=True)
     build_dir = tempfile.mkdtemp(prefix=name + "-", dir=target.parent)
     try:
-        res = subprocess.run([sys.executable, "-c", _BUILD_SCRIPT, name, build_dir, CDEF,
-                              *CFLAGS],
+        res = subprocess.run([sys.executable, "-c", _BUILD_SCRIPT, name, build_dir,
+                              declarations(source), *CFLAGS],
                              input=source, capture_output=True, text=True)
         built = list(Path(build_dir).glob(name + "*" + SUFFIX))
         if res.returncode != 0 or len(built) != 1:

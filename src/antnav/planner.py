@@ -24,7 +24,7 @@ from . import kernel
 from .aco import AcoMode, AcoParams, _entropy_words, colony_error, corner_table
 from .baselines import ApfParams
 from .errors import PoseInObstacle
-from .geometry import Point, Pose
+from .geometry import Point, Pose, check_count
 from .grid import _scan_args, pose_error, ray_table
 from .metrics import RunMetrics, RunStatus, corner_count, path_length
 from .subgoal import CostWeights
@@ -60,8 +60,8 @@ class PlannerConfig:
         self._kernel_args  # the scan, grid and colony checks; keeps what they work out
         if self.goal_tolerance is not None and not 0 <= self.goal_tolerance < math.inf:
             raise ValueError(f"goal_tolerance must be >= 0 and finite, got {self.goal_tolerance}")
-        if self.max_robot_steps is not None and self.max_robot_steps < 0:
-            raise ValueError("max_robot_steps must be >= 0")
+        if self.max_robot_steps is not None:
+            check_count("max_robot_steps", self.max_robot_steps, 0)
 
     def resolved_goal_tolerance(self) -> float:
         return self.goal_tolerance if self.goal_tolerance is not None else 0.5 * self.cell_size

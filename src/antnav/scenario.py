@@ -221,6 +221,8 @@ def parse_groups(path) -> list[WeightGroup]:
         if len(parts) != 6:
             raise ScenarioParseError("expected: <name> <alpha> <beta> <omega> <delta> <zeta>",
                                      line_no)
+        if any(g.name == parts[0] for g in groups):
+            raise ScenarioParseError(f"group {parts[0]!r} is defined twice", line_no)
         try:
             alpha, beta, omega, delta, zeta = (_finite_float(v) for v in parts[1:])
         except ValueError:

@@ -112,6 +112,14 @@ class TestCmdCompare:
         assert code == 1
         assert "unknown planner" in capsys.readouterr().err
 
+    def test_repeated_planner_exits_one(self, small_scenario, tmp_path, capsys):
+        # a repeat would write each of its runs twice and count its failures twice
+        code = main(["compare", "--scenario", str(small_scenario),
+                     "--out", str(tmp_path / "o"), "--planner", "proposed,apf, proposed"])
+        assert code == 1
+        assert "planner 'proposed' is listed twice" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_planner_subset(self, small_scenario, tmp_path):
         out = tmp_path / "cmp"
         code = main(["compare", "--scenario", str(small_scenario), "--out", str(out),

@@ -128,45 +128,59 @@ def test_sources_compile_without_warnings():
     assert code == 0, stderr
 
 
-def test_cdef_declares_every_exported_function():
-    # a function the sources export without a CDEF prototype (a helper that
-    # lost its `static`) fails -Wmissing-prototypes
-    # the enum lines are cffi's, whose `...` asks the compiler for the values
+def test_declarations_come_from_the_definitions():
+    source = """#include <stdbool.h>
+/* int fake(int x)
+{ */
+// int also_fake(void) {
+enum { A = 0, /* the first */
+       B = -3 };
+typedef struct { int n; } pair;
+static int helper(int x)
+{
+    return x;
+}
+int run(const bool *mask,
+        int n, double *out)
+{
+    return helper(n);
+}
+"""
+    assert kernel.declarations(source) == ("enum { A, B, ... };\n"
+                                           "int run(const bool *mask, int n, double *out);")
+
+
+def declared_names():
+    """The kernel's declared functions, in order, and the set of its enum names."""
     texts = [path.read_text(encoding="utf-8") for path in kernel.SOURCES]
-    prototypes = re.sub(r"enum \{.*?\};", "", kernel.CDEF, flags=re.S)
-    code, stderr = compile_errors("#include <stdint.h>\n" + prototypes + kernel._unit(texts),
-                                  "-Wmissing-prototypes")
-    assert code == 0, stderr
+    declared = kernel.declarations(kernel._unit(texts))
+    enums = re.findall(r"\w+", " ".join(re.findall(r"enum \{(.*?)\}", declared)))
+    return re.findall(r"(\w+)\(", declared), set(enums)
 
 
-def test_cdef_prototypes_equal_their_definitions():
-    # cffi calls through the CDEF prototype: two same-typed parameters swapped
-    # or renamed in one copy only still build, and the call passes them wrong
-    def normal(text):
-        return " ".join(text.replace("_Bool", "bool").split())
+def lib_names():
+    """The names the package and its tests read through lib.<name>."""
+    python = "".join(path.read_text(encoding="utf-8")
+                     for path in (*(SRC / "antnav").glob("*.py"), *(REPO / "tests").glob("*.py")))
+    return set(re.findall(r"\blib\.(\w+)", python))
 
-    unit = "".join(path.read_text(encoding="utf-8") for path in kernel.SOURCES)
-    prototypes = [normal(p) for p in re.sub(r"enum \{.*?\};", "", kernel.CDEF,
-                                            flags=re.S).split(";") if p.strip()]
-    assert len(prototypes) == len(re.findall(r"\w+\(", kernel.CDEF))  # one each
-    for prototype in prototypes:
-        name = re.search(r"(\w+)\(", prototype).group(1)
-        definition = re.search(rf"^\w[\w \t*]*\b{name}\([^)]*\)(?=\s*\{{)", unit, flags=re.M)
-        assert definition, f"no definition of {name}"
-        assert normal(definition.group(0)) == prototype
+
+def test_every_lib_name_is_declared():
+    functions, enums = declared_names()
+    assert set(dir(kernel.module().lib)) == set(functions) | enums  # what the build reads
+    assert lib_names() - set(functions) - enums == set()
 
 
 def test_every_cdef_function_is_called():
-    # the converse: an export that nothing calls, through lib.<name> or from
-    # a C source that does not define it, is a route nothing runs
-    python = "".join(path.read_text(encoding="utf-8")
-                     for path in (*(SRC / "antnav").glob("*.py"), *(REPO / "tests").glob("*.py")))
-    called = set(re.findall(r"\blib\.(\w+)", python))
+    # an export that nothing calls, through lib.<name> or from a C source that
+    # does not define it, is a route nothing runs; a helper that lost its
+    # `static` shows up here
+    called = lib_names()
     for path in kernel.SOURCES:
         text = re.sub(r"/\*.*?\*/", "", path.read_text(encoding="utf-8"), flags=re.S)
         defined = set(re.findall(r"^\w[\w \t*]*?\b(\w+)\(", text, flags=re.M))
         called |= set(re.findall(r"\b(\w+)\(", text)) - defined
-    declared = re.findall(r"(\w+)\(", kernel.CDEF)
+    declared, _ = declared_names()
     assert "plan_cycle" in declared
     assert not [name for name in declared if name not in called]
 

@@ -228,6 +228,7 @@ def test_perceive_rejects_what_scan_and_grid_reject():
             "pose (6.5, 6.5) lies on an occupied cell (6, 6)"),
            ("lidar_radius", 0.0, ValueError, "lidar_radius must be positive and finite, got 0.0"),
            ("n_rays", 0, ValueError, "n_rays must be in 1..2147483647, got 0"),
+           ("n_rays", 90.0, TypeError, "n_rays must be an integer, got 90.0"),
            ("half_extent", 0, ValueError, "half_extent must be >= 1"),
            ("half_extent", 5, ValueError,
             "half_extent 5 x cell_size 1.0 exceeds lidar_radius 4.0"),

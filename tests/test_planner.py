@@ -292,6 +292,20 @@ def test_non_finite_config_values_are_rejected_by_name(value):
         PlannerConfig(cell_size=value)
 
 
+@pytest.mark.parametrize("make, field, value", [
+    (AcoParams, "n_ants", 10.5), (AcoParams, "n_iters", True), (AcoParams, "max_steps", 3.0),
+    (AcoParams, "elite_cutoff", 1.5), (PlannerConfig, "n_rays", 360.0),
+    (PlannerConfig, "half_extent", 4.0), (PlannerConfig, "inflation_rings", 1.5),
+    (PlannerConfig, "max_robot_steps", 2.5), (PlannerConfig, "n_rays", np.True_),
+])
+def test_non_integer_counts_are_rejected_by_name(make, field, value):
+    # a float would reach the kernel's int (or, for max_robot_steps, the step
+    # loop) and a bool would count as 1; numpy's integers are integers
+    with pytest.raises(TypeError, match=f"{field} must be an integer"):
+        make(**{field: value})
+    assert getattr(make(**{field: np.int64(2)}), field) == 2
+
+
 def test_unusable_colony_weights_raise_what_plan_subpath_raises():
     # tau0 * (1/1.5)**5 rounds to 0 on every edge: no roulette total is usable
     params = AcoParams(tau0=5e-324)

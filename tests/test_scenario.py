@@ -206,6 +206,7 @@ class TestGroupsParsing:
         "g nan 1.8 1 0.7 0.3", "g 4 inf 1 0.7 0.3", "g 4 1.8 -inf 0.7 0.3",
         "g 4 1.8 1 nan 0.3", "g 4 1.8 1 0.7 inf",
         "g 4 1.8 1 -0.1 0.3", "g 4 1.8 1 0.7 -0.3", "g 4 1.8 1 0 0", "g 4 1.8 1 0 1",
+        "g1 4 2 3 0.7 0.3",  # a repeated name: its sweep rows could not be told apart
     ])
     def test_bad_group_values_exit_one_at_their_line(self, tmp_path, capsys, bad):
         (tmp_path / "tiny.map").write_text(MAP)
