@@ -10,11 +10,14 @@ length-based deposits from every finished ant, no repair.
 plan_subpath runs the whole colony in one call of the compiled kernel
 (colony.c, built on first use by kernel.py), the package's only
 implementation of the colony rules; tests/oracles.py keeps the Python loop
-it reproduces as the reference. The kernel walks a GridGraph's traversable
-mask, computes the heuristic (1 / step) ** gamma per direction from gamma
-and the cell size, and reads the corner factors built here (_CORNER_FACTORS,
-from corner_heuristic). AcoParams.kernel_args builds the colony's arguments
-for plan_subpath and the planner's cycle alike, after eta_gamma's check.
+it reproduces as the reference. A GridGraph builds its open-direction
+table (one byte per cell, bit d for a traversable neighbour in direction d)
+once, in the kernel's open_directions, and reachable_from and plan_subpath
+walk that table. The kernel computes the heuristic (1 / step) ** gamma per
+direction from gamma and the cell size, and reads the corner factors built
+here (_CORNER_FACTORS, from corner_heuristic). AcoParams.kernel_args builds
+the colony's arguments for plan_subpath and the planner's cycle alike, after
+eta_gamma's check.
 
 Determinism: every ant walk draws from its own RNG stream, the one numpy's
 SeedSequence((seed..., iteration, ant index)) seeds, and ants walk serially.
@@ -34,7 +37,8 @@ import numpy as np
 from . import kernel
 from .kernel import INT_MAX, pointer
 from .errors import ColonyWeightError, NoPathFound
-from .geometry import Cell, DIR_ANGLES, DIR_OFFSETS, SQRT2, check_count, wrap_angle
+from .geometry import (Cell, DIR_ANGLES, DIR_OFFSETS, SQRT2, check_count, store_counts,
+                       wrap_angle)
 
 
 class AcoMode(enum.Enum):
@@ -68,6 +72,7 @@ class AcoParams:
     mode: AcoMode = AcoMode.IMPROVED
 
     def __post_init__(self):
+        store_counts(self, "n_ants", "n_iters", "max_steps", "elite_cutoff")
         for name in ("phi", "gamma", "rho", "q", "delta", "zeta", "tau0"):
             # NaN passes every range check below
             if not math.isfinite(getattr(self, name)):
@@ -113,10 +118,12 @@ class GridGraph:
     order: N, NE, E, SE, S, SW, W, NW) is the cell at that offset when both
     are traversable, over the directed edge cid * 8 + d. The graph keeps a
     read-only copy of the mask, so later edits of the caller's array do not
-    change it.
+    change it, and beside it the read-only table links the kernel walks: bit d
+    of links[cid] is set when cid's neighbour in direction d is on the grid and
+    traversable.
     """
 
-    __slots__ = ("rows", "cols", "n", "cell_size", "mask")
+    __slots__ = ("rows", "cols", "n", "cell_size", "mask", "links")
 
     def __init__(self, mask: np.ndarray, cell_size: float):
         self.mask = np.array(mask, dtype=bool, order="C")
@@ -126,6 +133,11 @@ class GridGraph:
         self.cell_size = float(cell_size)
         if not 0 < self.cell_size < math.inf:  # a negative step passes eta_gamma at even gamma
             raise ValueError(f"cell_size must be positive and finite, got {cell_size}")
+        self.links = np.empty(self.n, dtype=np.uint8)
+        kernel.module().lib.open_directions(
+            pointer(self.mask, np.bool_, self.mask.shape), self.rows, self.cols,
+            pointer(self.links, np.uint8, (self.n,), writable=True))
+        self.links.flags.writeable = False
 
     def id_of(self, cell: Cell) -> int:
         r, c = cell
@@ -145,7 +157,7 @@ class GridGraph:
         reach = np.empty((self.rows, self.cols), dtype=bool)
         queue = np.empty(self.n, dtype=np.int32)
         kernel.module().lib.reachable(
-            pointer(self.mask, np.bool_, reach.shape), self.rows, self.cols, self.id_of(cell),
+            pointer(self.links, np.uint8, (self.n,)), self.rows, self.cols, self.id_of(cell),
             pointer(queue, np.int32, queue.shape, writable=True),
             pointer(reach, np.bool_, reach.shape, writable=True))
         return reach
@@ -274,7 +286,7 @@ def plan_subpath(graph: GridGraph, start: Cell, subgoal: Cell, params: AcoParams
     counts = mod.ffi.new("int[2]")
     length = mod.ffi.new("double *")
     code = mod.lib.colony_run(
-        pointer(graph.mask, np.bool_, (graph.rows, graph.cols)), graph.rows, graph.cols,
+        pointer(graph.links, np.uint8, (graph.n,)), graph.rows, graph.cols,
         pointer(tau, np.float64, (graph.n * 8,), writable=True), graph.cell_size,
         corner_table(), pointer(key, np.uint32, key.shape), len(key),
         graph.id_of(start), graph.id_of(subgoal), *colony,

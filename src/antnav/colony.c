@@ -1,5 +1,6 @@
-/* Compiled colony run of antnav.aco.plan_subpath and reachability search of
- * antnav.aco.GridGraph.reachable_from, both on the graph's traversable mask.
+/* Compiled colony run of antnav.aco.plan_subpath, reachability search of
+ * antnav.aco.GridGraph.reachable_from, and the open-direction table both of
+ * them walk.
  *
  * One colony_run call runs every iteration of the improved or conventional
  * ant colony: the ant walks, the repair pick, the score, the elite rank,
@@ -13,14 +14,18 @@
  * 2^-53 and a bounded integer is Lemire's method on the 32-bit outputs
  * (Generator.random and Generator.integers).
  *
- * The mask does not change during a run, so colony_run tests it once: each
- * cell gets an open-direction byte, and a walk steps by a flat offset to the
- * neighbours its byte lets through. A step weighs only those candidates,
- * by the reference loop's tau^phi * eta^gamma on the same operands; the
- * call computes eta^gamma as pow(1 / step, gamma), the libm pow that
- * Python's float ** calls. Repair copies the incumbent over the chosen
- * ant's walk, so the rank and the deposits read the ants alone. Each call
- * takes its scratch from one heap block, sized and sliced in one place.
+ * The graph is one open-direction byte per cell, which open_directions
+ * builds from the traversable mask with row and column loops; the caller
+ * builds it once (GridGraph once per graph, plan_cycle once per cycle) and
+ * hands it to reachable and to every colony_run. A cell steps by a flat
+ * offset to the neighbours its byte lets through. A walk keeps its tabu
+ * list as a mask of the same shape, so a step's candidates are one AND-NOT,
+ * visited in ascending direction order; it weighs only those, by the
+ * reference loop's tau^phi * eta^gamma on the same operands. The call
+ * computes eta^gamma as pow(1 / step, gamma), the libm pow that Python's
+ * float ** calls. Repair copies the incumbent over the chosen ant's walk,
+ * so the rank and the deposits read the ants alone. Each call takes its
+ * scratch from one heap block, sized and sliced in one place.
  *
  * Build with -ffp-contract=off and without -ffast-math: a fused
  * multiply-add or a reordered sum would change bits.
@@ -152,50 +157,77 @@ typedef struct {
 static const int DIR_OFFSETS[8][2] = {{1, 0}, {1, 1}, {0, 1}, {-1, 1},
                                       {-1, 0}, {-1, -1}, {0, -1}, {1, -1}};
 
-/* Id of the neighbour of cell id pos in direction d, or -1 when off the grid or blocked */
-static int neighbour(const bool *mask, int rows, int cols, int pos, int d)
+/* The cell-id offset of each direction on a grid of cols columns */
+static void flat_offsets(int cols, int *offset)
 {
-    int r = pos / cols + DIR_OFFSETS[d][0], c = pos % cols + DIR_OFFSETS[d][1];
-    return r >= 0 && r < rows && c >= 0 && c < cols && mask[r * cols + c] ? r * cols + c : -1;
+    for (int d = 0; d < 8; d++)
+        offset[d] = DIR_OFFSETS[d][0] * cols + DIR_OFFSETS[d][1];
+}
+
+/* Fills links (rows * cols) with one open-direction byte per cell of the
+ * rows x cols mask: bit d is set when the cell's neighbour in direction d is
+ * on the grid and traversable, whether the cell itself is or not. */
+void open_directions(const bool *mask, int rows, int cols, uint8_t *links)
+{
+    for (int r = 0; r < rows; r++)
+        for (int c = 0; c < cols; c++) {
+            unsigned open = 0;
+            for (int d = 0; d < 8; d++) {
+                int nr = r + DIR_OFFSETS[d][0], nc = c + DIR_OFFSETS[d][1];
+                if (nr >= 0 && nr < rows && nc >= 0 && nc < cols && mask[nr * cols + nc])
+                    open |= 1u << d;
+            }
+            links[r * cols + c] = (uint8_t)open;
+        }
+}
+
+/* Tabu mark of the walk entering cell v: bit (d + 4) & 7 of each neighbour
+ * v + offset[d], the neighbour's direction back to v. For a d that leaves
+ * the grid the byte is padding or a cell whose bit (d + 4) & 7 also leaves
+ * it, so the mark never reaches a candidate set; the padding of cols + 1
+ * bytes on each side of the grid holds every such write. */
+static void enter(uint8_t *blocked, const int *offset, int v)
+{
+    for (int d = 0; d < 8; d++)
+        blocked[v + offset[d]] |= (uint8_t)(1u << ((d + 4) & 7));
 }
 
 /* One roulette walk with a tabu list and a step cap. links[pos] has bit d set
- * when the neighbour pos + offset[d] is on the grid and traversable; the
- * weight of an open candidate is tau^phi * eta^gamma of its edge, times its
- * turn factor in improved mode. Returns COLONY_OK or COLONY_BAD_TOTAL. */
-static int walk(const unsigned char *links, const int *offset, const double *tau, double phi,
+ * when the neighbour pos + offset[d] is on the grid and traversable, and
+ * blocked[pos] when that neighbour is on the walk (see enter), so the
+ * candidates are the bits of links[pos] & ~blocked[pos], in ascending
+ * direction order. The weight of a candidate is tau^phi * eta^gamma of its
+ * edge, times its turn factor in improved mode. blocked must be cleared and
+ * padded by cols + 1 bytes before cell 0 and after the last cell. Returns
+ * COLONY_OK or COLONY_BAD_TOTAL. */
+static int walk(const uint8_t *links, const int *offset, const double *tau, double phi,
                 const double *eta_g, const double *corner, int improved, const double *steps,
-                int start, int goal, int max_steps, pcg64 *g, unsigned char *tabu, ant_path *p)
+                int start, int goal, int max_steps, pcg64 *g, uint8_t *blocked, ant_path *p)
 {
     int pos = start, prev = -1;
     p->cells[0] = start;
     p->n_steps = p->corners = p->reached = 0;
     p->length = 0.0;
-    tabu[start] = 1;
+    enter(blocked, offset, start);
     for (int s = 0; s < max_steps; s++) {
+        unsigned open = links[pos] & ~(unsigned)blocked[pos];
+        if (!open)
+            break;  /* dead end: the ant is terminated unfinished */
         const double *tau_row = tau + (size_t)pos * 8;
         const double *turn = corner + (prev + 1) * 8;
-        const unsigned open = links[pos];
         double cw[8], total = 0.0;
-        int cn[8], cd[8], k = 0;
-        for (int d = 0; d < 8; d++) {
-            if (!(open >> d & 1u))
-                continue;
-            int nid = pos + offset[d];
-            if (tabu[nid])
-                continue;
+        int cd[8], k = 0;
+        for (; open; open &= open - 1) {
+            int d = __builtin_ctz(open);
             /* pow(t, 1.0) == t: skip the call */
             double w = (phi == 1.0 ? tau_row[d] : pow(tau_row[d], phi)) * eta_g[d];
             if (improved)
                 w *= turn[d];
             cw[k] = w;
-            cn[k] = nid;
             cd[k] = d;
             k++;
             total += w;
         }
-        if (k == 0)
-            break;  /* dead end: the ant is terminated unfinished */
         if (!(total > 0.0 && total <= DBL_MAX))
             return COLONY_BAD_TOTAL;
         double draw = pcg_double(g), acc = 0.0;
@@ -215,9 +247,9 @@ static int walk(const unsigned char *links, const int *offset, const double *tau
         p->length += steps[d];
         p->dirs[p->n_steps] = (int8_t)d;
         p->n_steps++;
-        pos = cn[pick];
+        pos += offset[d];
         p->cells[p->n_steps] = pos;
-        tabu[pos] = 1;
+        enter(blocked, offset, pos);
         prev = d;
         if (pos == goal) {
             p->reached = 1;
@@ -238,18 +270,17 @@ static void copy_path(ant_path *dst, const ant_path *src)
     dst->cost = src->cost;
 }
 
-/* The colony run of plan_subpath. Arrays: mask (rows, cols), tau (n * 8 for
- * n = rows * cols, filled with tau0, then updated in place), corner (9, 8),
- * key (n_key), best_cells (max_steps + 1), best_dirs (max_steps), series
- * (n_iters). A straight step is cell_size long, a diagonal one cell_size *
- * sqrt(2), and its heuristic weight is pow(1 / step, gamma); the run builds
- * both per-direction tables itself. Ant k of iteration it walks on the
- * stream of the words (key..., it, k), it from 1, and the repair draws from
- * k = n_ants. max_steps must not exceed n - 1. The open-direction bytes and
- * the flat offsets are built once per call, before the first iteration. On
- * COLONY_OK the best path is in best_cells[0..*best_steps] and
- * best_dirs[0..*best_steps - 1]. */
-int colony_run(const bool *mask, int rows, int cols, double *tau, double cell_size,
+/* The colony run of plan_subpath. Arrays: links (n = rows * cols, the
+ * open_directions table of the graph), tau (n * 8, filled with tau0, then
+ * updated in place), corner (9, 8), key (n_key), best_cells (max_steps + 1),
+ * best_dirs (max_steps), series (n_iters). A straight step is cell_size
+ * long, a diagonal one cell_size * sqrt(2), and its heuristic weight is
+ * pow(1 / step, gamma); the run builds both per-direction tables itself.
+ * Ant k of iteration it walks on the stream of the words (key..., it, k),
+ * it from 1, and the repair draws from k = n_ants. max_steps must not
+ * exceed n - 1. On COLONY_OK the best path is in
+ * best_cells[0..*best_steps] and best_dirs[0..*best_steps - 1]. */
+int colony_run(const uint8_t *links, int rows, int cols, double *tau, double cell_size,
                const double *corner, const uint32_t *key, int n_key, int start, int goal,
                double gamma, int n_iters, int n_ants, int max_steps, int improved, double phi,
                double rho, double q, double delta, double zeta, double tau0, int elite_cutoff,
@@ -260,19 +291,22 @@ int colony_run(const bool *mask, int rows, int cols, double *tau, double cell_si
     const size_t n_edges = (size_t)n * 8;
     const size_t ant_cells = (size_t)m * (size_t)(max_steps + 1);
     const size_t ant_dirs = (size_t)m * (size_t)max_steps;
-    /* one block, by alignment: the ants, then 32-bit ints, then bytes; tabu,
-     * cleared whole before each walk, ends it, so a short block faults there */
+    /* the walks' tabu mask, padded by cols + 1 bytes on each side */
+    const size_t n_blocked = (size_t)n + 2 * ((size_t)cols + 1);
+    /* one block, by alignment: the ants, then 32-bit ints, then bytes; the
+     * tabu mask, cleared whole before each walk, ends it, so a short block
+     * faults there */
     ant_path *ants = malloc(sizeof(ant_path) * (size_t)m
                             + sizeof(int32_t) * ((size_t)m + ant_cells + (size_t)n_key + 2)
-                            + ant_dirs + 2 * (size_t)n);
+                            + ant_dirs + n_blocked);
     if (!ants)
         return COLONY_NO_MEMORY;
     int32_t *order = (int32_t *)(ants + m);
     int32_t *cell_buf = order + m;
     uint32_t *words = (uint32_t *)(cell_buf + ant_cells);
     int8_t *dir_buf = (int8_t *)(words + n_key + 2);
-    unsigned char *links = (unsigned char *)(dir_buf + ant_dirs);
-    unsigned char *tabu = links + n;
+    uint8_t *padded = (uint8_t *)(dir_buf + ant_dirs);
+    uint8_t *blocked = padded + cols + 1;
     ant_path best = {best_cells, best_dirs, 0, 0, 0, 0.0, INFINITY};
     int have_best = 0, fail_streak = 0, code = COLONY_OK;
     const double keep = 1.0 - rho;
@@ -288,15 +322,8 @@ int colony_run(const bool *mask, int rows, int cols, double *tau, double cell_si
         bool diagonal = DIR_OFFSETS[d][0] != 0 && DIR_OFFSETS[d][1] != 0;
         steps[d] = step[diagonal];
         eta_g[d] = eta[diagonal];
-        offset[d] = DIR_OFFSETS[d][0] * cols + DIR_OFFSETS[d][1];
     }
-    for (int i = 0; i < n; i++) {
-        unsigned open = 0;
-        for (int d = 0; d < 8; d++)
-            if (neighbour(mask, rows, cols, i, d) >= 0)
-                open |= 1u << d;
-        links[i] = (unsigned char)open;
-    }
+    flat_offsets(cols, offset);
     memcpy(words, key, sizeof(uint32_t) * (size_t)n_key);
     for (size_t e = 0; e < n_edges; e++)
         tau[e] = tau0;
@@ -307,9 +334,9 @@ int colony_run(const bool *mask, int rows, int cols, double *tau, double cell_si
             pcg64 g;
             words[n_key + 1] = (uint32_t)k;
             pcg_seed(&g, words, n_key + 2);
-            memset(tabu, 0, (size_t)n);
+            memset(padded, 0, n_blocked);
             code = walk(links, offset, tau, phi, eta_g, corner, improved, steps, start, goal,
-                        max_steps, &g, tabu, &ants[k]);
+                        max_steps, &g, blocked, &ants[k]);
             if (code != COLONY_OK)
                 goto done;
             if (ants[k].reached) {
@@ -402,19 +429,21 @@ done:
     return code;
 }
 
-/* Marks in reach the cells of the rows x cols mask 8-connected to cell id start
- * through traversable cells, start included. queue (rows * cols) is the
- * breadth-first queue, passed in so that the search allocates nothing. */
-void reachable(const bool *mask, int rows, int cols, int start, int32_t *queue, bool *reach)
+/* Marks in reach the cells of the rows x cols grid 8-connected to cell id
+ * start through traversable cells, start included, by the open_directions
+ * table links. queue (rows * cols) is the breadth-first queue, passed in so
+ * that the search allocates nothing. */
+void reachable(const uint8_t *links, int rows, int cols, int start, int32_t *queue, bool *reach)
 {
-    int count = 1;
+    int offset[8], count = 1;
+    flat_offsets(cols, offset);
     memset(reach, 0, (size_t)rows * (size_t)cols);
     reach[start] = true;
     queue[0] = start;
     for (int head = 0; head < count; head++)
-        for (int d = 0; d < 8; d++) {
-            int nid = neighbour(mask, rows, cols, queue[head], d);
-            if (nid >= 0 && !reach[nid]) {
+        for (unsigned open = links[queue[head]]; open; open &= open - 1) {
+            int nid = queue[head] + offset[__builtin_ctz(open)];
+            if (!reach[nid]) {
                 reach[nid] = true;
                 queue[count++] = nid;
             }

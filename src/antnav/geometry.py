@@ -3,6 +3,7 @@ and the check of a count field."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 Cell = tuple[int, int]  # (row, col); row grows with world +y, col with +x
@@ -19,15 +20,31 @@ def sequential_sum(values):
     return total
 
 
+def _is_count(value) -> bool:
+    """Whether value is an integer: one that operator.index takes, a bool aside."""
+    return not isinstance(value, bool) and hasattr(type(value), "__index__")
+
+
 def check_count(name: str, value, low: int, high: int | None = None) -> None:
     """Raise TypeError naming the field unless value is an integer (one that
     operator.index takes, a bool aside), and ValueError unless low <= value <= high."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+    if not _is_count(value):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     if high is None and value < low:
         raise ValueError(f"{name} must be >= {low}")
     if high is not None and not low <= value <= high:
         raise ValueError(f"{name} must be in {low}..{high}, got {value}")
+
+
+def store_counts(obj, *names: str) -> None:
+    """Store each named field of the frozen dataclass obj that holds an integer as
+    operator.index of it, so that a numpy integer is kept as an int and never
+    turns the floats computed from it into numpy floats. Any other value is left
+    as it is, for check_count to reject by name."""
+    for name in names:
+        value = getattr(obj, name)
+        if _is_count(value):
+            object.__setattr__(obj, name, operator.index(value))
 
 
 def wrap_angle(a: float) -> float:

@@ -105,7 +105,7 @@ def module():
 
 _CTYPES = {np.dtype(np.int32): "int32_t[]", np.dtype(np.int8): "int8_t[]",
            np.dtype(np.float64): "double[]", np.dtype(np.uint32): "uint32_t[]",
-           np.dtype(np.bool_): "_Bool[]"}
+           np.dtype(np.uint8): "uint8_t[]", np.dtype(np.bool_): "_Bool[]"}
 
 
 def pointer(arr: np.ndarray, dtype, shape: tuple[int, ...], writable: bool = False):

@@ -28,7 +28,8 @@
  * Each cycle call takes its scratch from one heap block, sized and sliced
  * in one place by alignment (doubles, 32-bit ints, bytes), and ends it with
  * a byte buffer the call fills whole, so a short block faults there.
- * colony_run builds its own direction tables from the cell size and gamma.
+ * colony_run builds its own direction tables from the cell size and gamma;
+ * the open-direction table of the local grid is built once per cycle.
  *
  * This file follows colony.c and perception.c in the kernel's one
  * translation unit and calls their functions. Build with -ffp-contract=off
@@ -284,7 +285,7 @@ int plan_cycle(const bool *occ, int rows, int cols, double world_cell_size, doub
     /* cells, which perceive() fills whole, ends the block */
     double *range = malloc(sizeof(double) * ((size_t)n_rays + (2 + 7 + 8) * (size_t)n)
                            + sizeof(int32_t) * (2 * (size_t)n + (size_t)n_key + 1)
-                           + (size_t)max_steps + 3 * (size_t)n);
+                           + (size_t)max_steps + 4 * (size_t)n);
     if (!range)
         return COLONY_NO_MEMORY;
     double *xy = range + n_rays;
@@ -294,7 +295,9 @@ int plan_cycle(const bool *occ, int rows, int cols, double world_cell_size, doub
     int32_t *ids = queue + n;
     uint32_t *words = (uint32_t *)(ids + n);
     int8_t *dirs = (int8_t *)(words + n_key + 1);
-    bool *mask = (bool *)(dirs + max_steps), *reach = mask + n;
+    bool *mask = (bool *)(dirs + max_steps);
+    uint8_t *links = (uint8_t *)(mask + n);
+    bool *reach = (bool *)(links + n);
     int8_t *cells = (int8_t *)(reach + n);
     int code = perceive(occ, rows, cols, world_cell_size, x0, y0, psi, rays, radius, n_rays,
                         cell_size, half_extent, rings, range, cells);
@@ -307,7 +310,9 @@ int plan_cycle(const bool *occ, int rows, int cols, double world_cell_size, doub
 
     for (int i = 0; i < n; i++)
         mask[i] = cells[i] == FREE || cells[i] == ROBOT;
-    reachable(mask, side, side, center, queue, reach);
+    /* one open-direction table for the reachability search and every trial */
+    open_directions(mask, side, side, links);
+    reachable(links, side, side, center, queue, reach);
     /* the goal's cell, the one whose center is nearest it, -1 outside the
      * square; the comparisons run in doubles, where a far goal cannot overflow */
     double gr = half_extent + floor((goal_y - y0) / cell_size + 0.5);
@@ -351,7 +356,7 @@ int plan_cycle(const bool *occ, int rows, int cols, double world_cell_size, doub
             target = ids[ranked];
         }
         words[n_key] = attempt;
-        code = colony_run(mask, side, side, tau, cell_size, corner, words, n_key + 1, center,
+        code = colony_run(links, side, side, tau, cell_size, corner, words, n_key + 1, center,
                           target, gamma, n_iters, n_ants, max_steps, improved, phi, rho, q,
                           delta, zeta, tau0, elite_cutoff, out + 2, dirs, &n_steps, &corners,
                           &length, series);

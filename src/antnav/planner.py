@@ -24,7 +24,7 @@ from . import kernel
 from .aco import AcoMode, AcoParams, _entropy_words, colony_error, corner_table
 from .baselines import ApfParams
 from .errors import PoseInObstacle
-from .geometry import Point, Pose, check_count
+from .geometry import Point, Pose, check_count, store_counts
 from .grid import _scan_args, pose_error, ray_table
 from .metrics import RunMetrics, RunStatus, corner_count, path_length
 from .subgoal import CostWeights
@@ -57,6 +57,7 @@ class PlannerConfig:
     max_robot_steps: int | None = None  # None = 10 * max(world side)
 
     def __post_init__(self):
+        store_counts(self, "n_rays", "half_extent", "inflation_rings", "max_robot_steps")
         self._kernel_args  # the scan, grid and colony checks; keeps what they work out
         if self.goal_tolerance is not None and not 0 <= self.goal_tolerance < math.inf:
             raise ValueError(f"goal_tolerance must be >= 0 and finite, got {self.goal_tolerance}")

@@ -935,6 +935,64 @@ class TestGridGraph:
         assert not GridGraph(mask, 1.0).reachable_from((0, 0))[:, 4:].any()
 
 
+def corner_cells(shape):
+    rows, cols = shape
+    return {(0, 0), (0, cols - 1), (rows - 1, 0), (rows - 1, cols - 1)}
+
+
+class TestWalkOnEdgeShapes:
+    """The walk's tabu mask on the shapes where a mark leaves the grid: entering
+    a cell marks all 8 of its neighbours, so the marks of a border or corner
+    cell land in the padding around the grid or wrap onto a cell of the next
+    or previous row. A wrong padding, offset or back bit shows here as a
+    different path, series or pheromone."""
+
+    def test_border_walks_equal_the_reference(self):
+        rng = np.random.default_rng(2024)
+        outcomes = Counter()
+        for case in range(240):
+            if case % 3 == 0:
+                n = int(rng.integers(2, 13))
+                shape = (1, n) if case % 2 else (n, 1)
+            else:
+                shape = tuple(int(v) for v in rng.integers(2, 10, 2))
+            mask = rng.random(shape) > (0.1 if 1 in shape else rng.uniform(0.05, 0.35))
+            # the start on a corner, the sub-goal on the border, on a free
+            # corner in half the cases
+            rows, cols = shape
+            start = [(0, 0), (0, cols - 1), (rows - 1, 0), (rows - 1, cols - 1)][
+                int(rng.integers(4))]
+            mask[start] = True
+            ring = [(r, c) for r in range(rows) for c in range(cols) if mask[r, c]
+                    and (r, c) != start and (r in (0, rows - 1) or c in (0, cols - 1))]
+            corners = [cell for cell in ring if cell in corner_cells(shape)]
+            goals = corners if corners and case % 4 in (0, 3) else ring
+            if not goals:
+                continue
+            goal = goals[int(rng.integers(len(goals)))]
+            graph = GridGraph(mask, float(rng.uniform(0.3, 2.0)))
+            m = int(rng.integers(2, 9))
+            params = AcoParams(
+                phi=[1.0, 0.6][case % 2], gamma=float(rng.uniform(0.5, 4.0)),
+                rho=float(rng.uniform(0.05, 0.95)), n_ants=m, n_iters=int(rng.integers(1, 9)),
+                elite_cutoff=int(rng.integers(1, m)),
+                mode=AcoMode.IMPROVED if case % 4 < 2 else AcoMode.CONVENTIONAL)
+            seed = (case, 7)
+            got, tau = kernel_run(graph, start, goal, params, seed)
+            try:
+                path, series, tau_ref = plan_subpath_ref(graph, start, goal, params, seed)
+            except NoPathFound as exc:
+                assert got == str(exc)
+                outcomes["no_path"] += 1
+                continue
+            assert got[0] == path and got[1] == series
+            assert tau_ref and all(tau[edge(graph, i, j)] == t for (i, j), t in tau_ref.items())
+            outcomes["strip" if 1 in shape else "grid"] += 1
+            outcomes["corner_goal"] += goal in corner_cells(shape)
+        assert outcomes["strip"] >= 50 and outcomes["grid"] >= 100, outcomes
+        assert outcomes["corner_goal"] >= 30 and outcomes["no_path"] >= 5, outcomes
+
+
 # the PCG64 output function and seeding (O'Neill 2014) that colony.c implements
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 _M128, _M64 = (1 << 128) - 1, (1 << 64) - 1

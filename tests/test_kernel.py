@@ -187,10 +187,13 @@ def test_every_cdef_function_is_called():
 
 # Builds the kernel into argv[1] with AddressSanitizer and UndefinedBehaviorSanitizer
 # and drives every kernel entry point: the three planners' runs on each shipped
-# scenario, the public per-layer calls at ray counts from 1 up, and every
-# planner's cycle from a pose off the world, from one on an occupied cell, and
-# with a step that lands on an unseen mover.
+# scenario, the public per-layer calls at ray counts from 1 up, every planner's
+# cycle from a pose off the world, from one on an occupied cell, and with a step
+# that lands on an unseen mover, and the graph calls (open_directions,
+# reachable and colony_run) on one-wide strips and rectangles from every
+# corner, where the walk's tabu marks land in the padding of its block.
 SANITIZED_CHILD = """
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -198,7 +201,7 @@ import numpy as np
 import antnav.kernel
 antnav.kernel.CFLAGS += ("-fsanitize=address,undefined", "-fno-omit-frame-pointer")
 antnav.kernel.CACHE_DIR = Path(sys.argv[1])
-from antnav import (AcoParams, GridGraph, LocalMinimum, NoCandidates, NoPathFound,
+from antnav import (AcoMode, AcoParams, GridGraph, LocalMinimum, NoCandidates, NoPathFound,
                     PlannerConfig, PlannerKind, Pose, PoseInObstacle, PoseOutOfBounds, apf_step,
                     candidate_cells, perceive, plan_cycle, plan_subpath, rank_candidates, run)
 from antnav.scenario import parse_scenario, with_planner, with_seed
@@ -246,6 +249,22 @@ for path in sys.argv[2:]:
             except NoPathFound:
                 pass
 print("colonies", colonies)
+walks = 0
+for rows, cols in ((1, 1), (1, 2), (2, 1), (1, 9), (9, 1), (4, 7), (7, 4)):
+    corners = sorted({(0, 0), (0, cols - 1), (rows - 1, 0), (rows - 1, cols - 1)})
+    holes = np.random.default_rng(cols).random((rows, cols)) > 0.3
+    for mask in (np.ones((rows, cols), bool), holes):
+        mask[tuple(zip(*corners))] = True
+        graph = GridGraph(mask, 1.0)
+        for start in corners:
+            graph.reachable_from(start)
+            for goal, mode in itertools.product(sorted(set(corners) - {start}), AcoMode):
+                try:
+                    plan_subpath(graph, start, goal, AcoParams(n_ants=3, n_iters=3, mode=mode), 0)
+                    walks += 1
+                except NoPathFound:
+                    pass
+print("walks", walks)
 """
 
 
@@ -261,10 +280,12 @@ def test_kernel_runs_clean_under_sanitizers(tmp_path):
     res = subprocess.run([sys.executable, "-c", SANITIZED_CHILD, str(tmp_path), *scenarios],
                          cwd=SRC, env=env, capture_output=True, text=True, timeout=600)
     assert res.returncode == 0, res.stderr[-4000:]
-    verdicts, (label, colonies) = (line.split() for line in res.stdout.splitlines())
+    verdicts, (label, colonies), (walks_label, walks) = (
+        line.split() for line in res.stdout.splitlines())
     pose_errors = ["PoseOutOfBounds"] * 2 + ["PoseInObstacle"] * 4  # the wall, then the mover
     assert verdicts == ["verdicts"] + (pose_errors + ["collision"]) * len(PlannerKind)
     assert label == "colonies" and int(colonies) > 0  # the per-layer calls reached the colony
+    assert walks_label == "walks" and int(walks) > 100
     assert "Sanitizer" not in res.stderr and "runtime error" not in res.stderr, res.stderr[-4000:]
 
 

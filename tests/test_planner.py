@@ -306,6 +306,34 @@ def test_non_integer_counts_are_rejected_by_name(make, field, value):
     assert getattr(make(**{field: np.int64(2)}), field) == 2
 
 
+def test_numpy_integer_counts_are_stored_as_ints(tmp_path):
+    # a numpy half_extent made every cell center a numpy float, and the run's
+    # corner count then subtracted numpy booleans (TypeError)
+    from pathlib import Path
+
+    from antnav.cli import _write_run_outputs
+    from antnav.scenario import parse_scenario
+
+    aco = AcoParams(n_ants=np.int64(4), n_iters=np.int32(3), max_steps=np.uint8(9),
+                    elite_cutoff=np.int16(2))
+    config = PlannerConfig(n_rays=np.int64(90), half_extent=np.int32(3),
+                           inflation_rings=np.uint8(1), max_robot_steps=np.int64(50), aco=aco)
+    for owner, names in ((aco, ("n_ants", "n_iters", "max_steps", "elite_cutoff")),
+                         (config, ("n_rays", "half_extent", "inflation_rings",
+                                   "max_robot_steps"))):
+        for name in names:
+            assert type(getattr(owner, name)) is int, name
+    sc = parse_scenario(Path(__file__).resolve().parent.parent / "scenarios"
+                        / "multi_obstacle.scn")
+    sc = dataclasses.replace(sc, config=dataclasses.replace(sc.config,
+                                                            half_extent=np.int32(3)))
+    result = run(sc)
+    assert result.metrics.status is RunStatus.GOAL_REACHED
+    assert {type(v) for p in result.poses for v in (p.x, p.y, p.psi)} == {float}
+    _write_run_outputs(tmp_path, sc, result, plot=False)
+    assert "np." not in (tmp_path / "summary.txt").read_text(encoding="utf-8")
+
+
 def test_unusable_colony_weights_raise_what_plan_subpath_raises():
     # tau0 * (1/1.5)**5 rounds to 0 on every edge: no roulette total is usable
     params = AcoParams(tau0=5e-324)
