@@ -83,8 +83,9 @@ def cmd_run(args) -> int:
 _RUN_COLUMNS = ["run", "seed", "status", "path_length", "corners", "cycles"]
 
 
-def _run_row(label: str, i: int, seed: int, m: RunMetrics) -> list:
-    return [label, i, seed, m.status.value, m.path_length, m.corners, m.cycles]
+def _run_rows(label: str, first_seed: int, metrics: list[RunMetrics]) -> list[list]:
+    return [[label, i, first_seed + i, m.status.value, m.path_length, m.corners, m.cycles]
+            for i, m in enumerate(metrics)]
 
 
 def _worst_case_length(scenario: Scenario) -> float:
@@ -98,39 +99,35 @@ def _planner_list(raw: str) -> list[PlannerKind]:
         name = name.strip()
         try:
             kinds.append(PlannerKind(name))
-        except ValueError:
-            raise AntnavError(f"unknown planner {name!r} "
-                              f"(expected proposed, conventional-aco or apf)")
+        except ValueError as exc:
+            raise AntnavError(str(exc)) from exc
         if kinds.count(kinds[-1]) > 1:
             raise AntnavError(f"planner {name!r} is listed twice")
     return kinds
 
 
-def cmd_compare(args) -> int:
-    scenario = _load_scenario(args)
-    kinds = _planner_list(args.planner)
+def _run_batch(args, scenario: Scenario, variants) -> tuple[Path, list[list[RunMetrics]]]:
+    """Check --repeats, make the out directory, then run each variant (drawn only now)
+    --repeats times, run i with seed scenario.seed + i, through this module's `run`."""
     if args.repeats < 1:
         raise AntnavError("repeats must be >= 1")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    worst_case = _worst_case_length(scenario)
+    return out_dir, [[run(with_seed(variant, scenario.seed + i)).metrics
+                      for i in range(args.repeats)] for variant in variants]
 
-    all_runs: list[tuple[str, int, int, RunMetrics]] = []
-    first_results: dict[str, RunResult] = {}
-    for kind in kinds:
-        base = with_planner(scenario, kind)
-        for i in range(args.repeats):
-            result = run(with_seed(base, scenario.seed + i))
-            all_runs.append((kind.value, i, scenario.seed + i, result.metrics))
-            if i == 0:
-                first_results[kind.value] = result
 
+def cmd_compare(args) -> int:
+    scenario = _load_scenario(args)
+    kinds = _planner_list(args.planner)
+    out_dir, batches = _run_batch(args, scenario, (with_planner(scenario, k) for k in kinds))
     write_csv(out_dir / "compare_runs.csv", ["planner", *_RUN_COLUMNS],
-              [_run_row(planner, i, seed, m) for planner, i, seed, m in all_runs])
+              [row for kind, metrics in zip(kinds, batches)
+               for row in _run_rows(kind.value, scenario.seed, metrics)])
 
+    worst_case = _worst_case_length(scenario)
     comparison, timings = [], []
-    for kind in kinds:
-        metrics = [m for planner, _, _, m in all_runs if planner == kind.value]
+    for kind, metrics in zip(kinds, batches):
         # a failed run counts as the worst-case executed length
         lengths = [m.path_length if m.status is RunStatus.GOAL_REACHED else worst_case
                    for m in metrics]
@@ -141,8 +138,8 @@ def cmd_compare(args) -> int:
               ["planner", "optimal_path_length", "average_path_length", "failures"], comparison)
     write_csv(out_dir / "timings.csv", ["planner", "average_wall_ms"], timings)
 
-    for kind in kinds:
-        m = first_results[kind.value].metrics
+    for kind, metrics in zip(kinds, batches):
+        m = metrics[0]
         write_csv(out_dir / f"distance_{kind.value}.csv", ["cycle", "dist_to_goal"],
                   enumerate(m.dist_series))
         if kind is not PlannerKind.APF:
@@ -160,16 +157,11 @@ def cmd_compare(args) -> int:
 def cmd_sweep(args) -> int:
     scenario = _load_scenario(args)
     groups = parse_groups(args.groups)
-    if args.repeats < 1:
-        raise AntnavError("repeats must be >= 1")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+    out_dir, batches = _run_batch(args, scenario, (
+        with_weights(scenario, g.weights, g.delta, g.zeta) for g in groups))
     runs, stats = [], []
-    for group in groups:
-        base = with_weights(scenario, group.weights, group.delta, group.zeta)
-        metrics = [run(with_seed(base, scenario.seed + i)).metrics for i in range(args.repeats)]
-        runs += [_run_row(group.name, i, scenario.seed + i, m) for i, m in enumerate(metrics)]
+    for group, metrics in zip(groups, batches):
+        runs += _run_rows(group.name, scenario.seed, metrics)
         stats += [(group.name, metric, s.best, s.worst, s.average)
                   for metric, s in aggregate(metrics).items()]
     write_csv(out_dir / "sweep_runs.csv", ["group", *_RUN_COLUMNS], runs)

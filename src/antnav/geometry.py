@@ -25,12 +25,13 @@ def _is_count(value) -> bool:
     return not isinstance(value, bool) and hasattr(type(value), "__index__")
 
 
-def check_count(name: str, value, low: int, high: int | None = None) -> None:
+def check_count(name: str, value, low: int | None, high: int | None = None) -> None:
     """Raise TypeError naming the field unless value is an integer (one that
-    operator.index takes, a bool aside), and ValueError unless low <= value <= high."""
+    operator.index takes, a bool aside), and ValueError unless low <= value <= high;
+    low None (with high None) checks the type alone."""
     if not _is_count(value):
         raise TypeError(f"{name} must be an integer, got {value!r}")
-    if high is None and value < low:
+    if high is None and low is not None and value < low:
         raise ValueError(f"{name} must be >= {low}")
     if high is not None and not low <= value <= high:
         raise ValueError(f"{name} must be in {low}..{high}, got {value}")
@@ -57,9 +58,10 @@ def wrap_angle(a: float) -> float:
     return w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Pose:
-    """Robot pose in the world frame; yaw is wrapped to (-pi, pi] on construction.
+    """Robot pose in the world frame, stored as Python floats (so a numpy float
+    never reaches the metrics or the outputs); yaw is wrapped to (-pi, pi].
 
     Raises ValueError for an x, y or psi that is NaN or infinite: the kernel
     would read such a pose as one that sees nothing.
@@ -69,11 +71,14 @@ class Pose:
     y: float
     psi: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.psi)):
-            name = next(n for n in ("x", "y", "psi") if not math.isfinite(getattr(self, n)))
-            raise ValueError(f"pose {name} must be finite, got {getattr(self, name)}")
-        object.__setattr__(self, "psi", wrap_angle(self.psi))
+    def __init__(self, x: float, y: float, psi: float):
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(psi)):
+            name, value = next((n, v) for n, v in (("x", x), ("y", y), ("psi", psi))
+                               if not math.isfinite(v))
+            raise ValueError(f"pose {name} must be finite, got {value}")
+        object.__setattr__(self, "x", float(x))
+        object.__setattr__(self, "y", float(y))
+        object.__setattr__(self, "psi", wrap_angle(psi))
 
     @property
     def xy(self) -> Point:

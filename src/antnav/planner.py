@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import numbers
 import time
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
@@ -39,6 +40,10 @@ class PlannerKind(enum.Enum):
     CONVENTIONAL_ACO = "conventional-aco"
     APF = "apf"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise ValueError(f"unknown planner {value!r} (expected proposed, conventional-aco or apf)")
+
 
 @dataclass(frozen=True)
 class PlannerConfig:
@@ -58,6 +63,9 @@ class PlannerConfig:
 
     def __post_init__(self):
         store_counts(self, "n_rays", "half_extent", "inflation_rings", "max_robot_steps")
+        for name in ("lidar_radius", "cell_size", "goal_tolerance"):  # as Python floats
+            if isinstance(value := getattr(self, name), numbers.Real):
+                object.__setattr__(self, name, float(value))
         self._kernel_args  # the scan, grid and colony checks; keeps what they work out
         if self.goal_tolerance is not None and not 0 <= self.goal_tolerance < math.inf:
             raise ValueError(f"goal_tolerance must be >= 0 and finite, got {self.goal_tolerance}")

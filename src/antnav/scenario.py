@@ -13,6 +13,10 @@ Example::
     delta 0.7
     zeta 0.3
 
+Every directive is one entry of _DIRECTIVES: its value parser and the
+dataclass field it sets, or no field for map, planner, seed and cell_size,
+which parse_scenario reads itself.
+
 Only `map` is required. Unset keys fall back to defaults: cell_size is the
 map cell size (any other value is rejected), lidar_radius derives from it and
 half_extent, goal_tolerance is half a cell, max_robot_steps is 10x the larger
@@ -33,13 +37,30 @@ from .planner import PlannerConfig, PlannerKind
 from .subgoal import CostWeights
 from .world import WorldMap, _finite_float, load_map
 
-_INT_KEYS = {"seed", "lidar_rays", "half_extent", "inflation_rings",
-             "ants", "iterations", "elite_cutoff", "aco_max_steps",
-             "max_robot_steps"}
-_FLOAT_KEYS = {"cell_size", "lidar_radius", "alpha", "beta", "omega", "delta",
-               "zeta", "phi", "gamma", "rho", "deposit", "tau0",
-               "goal_tolerance", "apf_k_att", "apf_k_rep", "apf_d0"}
-_STR_KEYS = {"map", "planner"}
+# directive -> (value parser, (dataclass, field) it sets); the target is None for the
+# four parse_scenario reads itself, and a field no directive sets keeps its default
+_DIRECTIVES = {
+    "map": (str, None), "planner": (str, None), "seed": (int, None),
+    "cell_size": (_finite_float, None),
+    "alpha": (_finite_float, (CostWeights, "alpha")),
+    "beta": (_finite_float, (CostWeights, "beta")),
+    "omega": (_finite_float, (CostWeights, "omega")),
+    "phi": (_finite_float, (AcoParams, "phi")), "gamma": (_finite_float, (AcoParams, "gamma")),
+    "rho": (_finite_float, (AcoParams, "rho")), "deposit": (_finite_float, (AcoParams, "q")),
+    "delta": (_finite_float, (AcoParams, "delta")), "zeta": (_finite_float, (AcoParams, "zeta")),
+    "tau0": (_finite_float, (AcoParams, "tau0")), "ants": (int, (AcoParams, "n_ants")),
+    "iterations": (int, (AcoParams, "n_iters")), "aco_max_steps": (int, (AcoParams, "max_steps")),
+    "elite_cutoff": (int, (AcoParams, "elite_cutoff")),
+    "apf_k_att": (_finite_float, (ApfParams, "k_att")),
+    "apf_k_rep": (_finite_float, (ApfParams, "k_rep")),
+    "apf_d0": (_finite_float, (ApfParams, "d0")),
+    "lidar_radius": (_finite_float, (PlannerConfig, "lidar_radius")),
+    "lidar_rays": (int, (PlannerConfig, "n_rays")),
+    "half_extent": (int, (PlannerConfig, "half_extent")),
+    "inflation_rings": (int, (PlannerConfig, "inflation_rings")),
+    "goal_tolerance": (_finite_float, (PlannerConfig, "goal_tolerance")),
+    "max_robot_steps": (int, (PlannerConfig, "max_robot_steps")),
+}
 
 
 @dataclass(frozen=True)
@@ -78,20 +99,14 @@ def parse_scenario(path) -> Scenario:
         value = parts[1].strip()
         if key in values:
             raise ScenarioParseError(f"duplicate directive {key!r}", line_no)
-        if key in _INT_KEYS:
-            try:
-                values[key] = int(value)
-            except ValueError:
-                raise ScenarioParseError(f"bad integer for {key!r}: {value!r}", line_no)
-        elif key in _FLOAT_KEYS:
-            try:
-                values[key] = _finite_float(value)
-            except ValueError:
-                raise ScenarioParseError(f"bad number for {key!r}: {value!r}", line_no)
-        elif key in _STR_KEYS:
-            values[key] = value
-        else:
+        if key not in _DIRECTIVES:
             raise ScenarioParseError(f"unknown directive {key!r}", line_no)
+        parse = _DIRECTIVES[key][0]
+        try:
+            values[key] = parse(value)
+        except ValueError:
+            kind = "integer" if parse is int else "number"
+            raise ScenarioParseError(f"bad {kind} for {key!r}: {value!r}", line_no)
         line_of[key] = line_no
     if not seen_format:
         raise ScenarioParseError("empty scenario file", 1)
@@ -113,13 +128,10 @@ def parse_scenario(path) -> Scenario:
         raise ScenarioParseError(f"cell_size {values['cell_size']} differs from the map's "
                                  f"cellsize {world.cell_size}", line_of["cell_size"])
 
-    planner_name = str(values.get("planner", "proposed"))
     try:
-        planner = PlannerKind(planner_name)
-    except ValueError:
-        raise ScenarioParseError(
-            f"unknown planner {planner_name!r} (expected proposed, conventional-aco or apf)",
-            line_of["planner"])
+        planner = PlannerKind(values.get("planner", "proposed"))
+    except ValueError as exc:
+        raise ScenarioParseError(str(exc), line_of["planner"]) from exc
 
     try:
         config = _config(values, world, planner)
@@ -145,25 +157,6 @@ def _is_valid(values: dict[str, object], world: WorldMap, planner: PlannerKind) 
     return True
 
 
-# directive -> (dataclass, field) it sets; a field no directive sets keeps its default
-_FIELDS = {
-    "alpha": (CostWeights, "alpha"), "beta": (CostWeights, "beta"),
-    "omega": (CostWeights, "omega"),
-    "phi": (AcoParams, "phi"), "gamma": (AcoParams, "gamma"), "rho": (AcoParams, "rho"),
-    "deposit": (AcoParams, "q"), "ants": (AcoParams, "n_ants"),
-    "iterations": (AcoParams, "n_iters"), "delta": (AcoParams, "delta"),
-    "zeta": (AcoParams, "zeta"), "tau0": (AcoParams, "tau0"),
-    "aco_max_steps": (AcoParams, "max_steps"), "elite_cutoff": (AcoParams, "elite_cutoff"),
-    "apf_k_att": (ApfParams, "k_att"), "apf_k_rep": (ApfParams, "k_rep"),
-    "apf_d0": (ApfParams, "d0"),
-    "lidar_radius": (PlannerConfig, "lidar_radius"), "lidar_rays": (PlannerConfig, "n_rays"),
-    "half_extent": (PlannerConfig, "half_extent"),
-    "inflation_rings": (PlannerConfig, "inflation_rings"),
-    "goal_tolerance": (PlannerConfig, "goal_tolerance"),
-    "max_robot_steps": (PlannerConfig, "max_robot_steps"),
-}
-
-
 def _config(values: dict[str, object], world: WorldMap,
             planner: PlannerKind) -> PlannerConfig:
     """Planner configuration from parsed directives; ValueError when invalid.
@@ -172,8 +165,9 @@ def _config(values: dict[str, object], world: WorldMap,
     """
     fields = {cls: {} for cls in (CostWeights, AcoParams, ApfParams, PlannerConfig)}
     for key, value in values.items():
-        if key in _FIELDS:
-            cls, name = _FIELDS[key]
+        target = _DIRECTIVES[key][1]
+        if target is not None:
+            cls, name = target
             fields[cls][name] = value
     config = fields.pop(PlannerConfig)
     config.setdefault("lidar_radius",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MapParseError, OutOfBounds
-from .geometry import Cell, Point, Pose
+from .geometry import Cell, Point, Pose, check_count
 from .kernel import pointer
 
 
@@ -34,8 +34,10 @@ class MovingObstacle:
     def __post_init__(self):
         if not self.waypoints:
             raise ValueError("mover needs at least one waypoint")
-        if self.ticks_per_move < 1:
-            raise ValueError("ticks_per_move must be >= 1")
+        check_count("ticks_per_move", self.ticks_per_move, 1)
+        for r, c in self.waypoints:  # the world checks their bounds
+            check_count("mover waypoint row", r, None)
+            check_count("mover waypoint col", c, None)
         for (r0, c0), (r1, c1) in zip(self.waypoints, self.waypoints[1:]):
             if max(abs(r1 - r0), abs(c1 - c0)) > 1:
                 raise ValueError(f"waypoints {(r0, c0)} -> {(r1, c1)} are not 8-adjacent or identical")
@@ -70,6 +72,7 @@ class WorldMap:
         self.static_cells = static_cells
         self.cell_size = float(cell_size)
         self.movers = tuple(movers)
+        check_count("tick", tick, 0)
         self.tick = int(tick)
         self._occ: np.ndarray | None = None
         self._kernel_occ: tuple | None = None
@@ -143,6 +146,12 @@ def _finite_float(text: str) -> float:
     return value
 
 
+# the usage line of each map directive; its word count is the directive's arity
+_MAP_USAGE = {"cellsize": "cellsize <meters>", "start": "start <col> <row> <psi_deg>",
+              "goal": "goal <col> <row>", "mover": "mover <ticks_per_move> <policy>",
+              "wp": "wp <col> <row>"}
+
+
 @dataclass(frozen=True)
 class ParsedMap:
     """Result of parsing a map file: the world plus start pose and goal point."""
@@ -198,10 +207,16 @@ def parse_map(text: str) -> ParsedMap:
             continue
         parts = stripped.split()
         key = parts[0]
-        if key == "cellsize":
+        usage = _MAP_USAGE.get(key)
+        if usage is None:
+            raise MapParseError(f"unknown directive {key!r}", line_no)
+        if key != "wp":
             close_pending()
-            if len(parts) != 2:
-                raise MapParseError("expected: cellsize <meters>", line_no)
+        elif pending is None:
+            raise MapParseError("wp line outside a mover block", line_no)
+        if len(parts) != len(usage.split()):
+            raise MapParseError(f"expected: {usage}", line_no)
+        if key == "cellsize":
             try:
                 cell_size = _finite_float(parts[1])
             except ValueError:
@@ -209,25 +224,16 @@ def parse_map(text: str) -> ParsedMap:
             if cell_size <= 0:
                 raise MapParseError("cellsize must be positive", line_no)
         elif key == "start":
-            close_pending()
-            if len(parts) != 4:
-                raise MapParseError("expected: start <col> <row> <psi_deg>", line_no)
             try:
                 start_spec = (int(parts[1]), int(parts[2]), _finite_float(parts[3]), line_no)
             except ValueError:
                 raise MapParseError("bad start values", line_no)
         elif key == "goal":
-            close_pending()
-            if len(parts) != 3:
-                raise MapParseError("expected: goal <col> <row>", line_no)
             try:
                 goal_spec = (int(parts[1]), int(parts[2]), line_no)
             except ValueError:
                 raise MapParseError("bad goal values", line_no)
         elif key == "mover":
-            close_pending()
-            if len(parts) != 3:
-                raise MapParseError("expected: mover <ticks_per_move> <policy>", line_no)
             try:
                 ticks = int(parts[1])
             except ValueError:
@@ -238,11 +244,7 @@ def parse_map(text: str) -> ParsedMap:
                 raise MapParseError(f"unknown mover policy {parts[2]!r}", line_no)
             checked_mover(line_no, ((0, 0),), ticks, policy)
             pending = (ticks, policy, [], line_no)
-        elif key == "wp":
-            if pending is None:
-                raise MapParseError("wp line outside a mover block", line_no)
-            if len(parts) != 3:
-                raise MapParseError("expected: wp <col> <row>", line_no)
+        else:  # wp
             try:
                 col, row = int(parts[1]), int(parts[2])
             except ValueError:
@@ -251,8 +253,6 @@ def parse_map(text: str) -> ParsedMap:
                 checked_mover(line_no, (pending[2][-1], (row, col)))
             pending[2].append((row, col))
             wp_lines.append(((row, col), line_no))
-        else:
-            raise MapParseError(f"unknown directive {key!r}", line_no)
 
     last_line = text.count("\n") + 1
     close_pending()

@@ -40,9 +40,9 @@ def random_field_state(rng, n=6):
     cell = (int(rng.integers(1, n - 1)), int(rng.integers(1, n - 1)))
     mask[cell] = True
     graph = GridGraph(mask, float(rng.uniform(0.5, 2.0)))
-    tau = np.empty(graph.n * 8)
-    for k in range(len(tau)):
-        tau[k] = float(rng.uniform(0.01, 5.0))
+    # one draw of n * 8 values gives the values, and leaves the generator in the
+    # state, of one scalar draw per edge
+    tau = rng.uniform(0.01, 5.0, graph.n * 8)
     nbr_cells = [j for _, j in neighbors_ref(mask, cell)]
     if not nbr_cells:
         return None

@@ -151,6 +151,24 @@ class TestCmdSweep:
         assert code == 1
 
 
+@pytest.mark.parametrize("command", ["compare", "sweep"])
+def test_batches_call_the_module_run_with_consecutive_seeds(small_scenario, tmp_path,
+                                                           monkeypatch, command):
+    # bench/run.py captures compare's runs by rebinding the name run in antnav.cli
+    import antnav.cli
+
+    seen = []
+    real = antnav.cli.run
+    monkeypatch.setattr(antnav.cli, "run", lambda sc: seen.append(sc.seed) or real(sc))
+    groups = tmp_path / "w.groups"
+    groups.write_text("g1 4 1.8 1 1 0\ng2 4 1.8 1 0.7 0.3\n")
+    extra = ["--planner", "proposed,apf"] if command == "compare" else ["--groups", str(groups)]
+    code = main([command, "--scenario", str(small_scenario), "--out", str(tmp_path / "o"),
+                 "--repeats", "3", "--seed", "10", *extra])
+    assert code == 0
+    assert seen == [10, 11, 12, 10, 11, 12]
+
+
 @pytest.mark.parametrize("command,which", [
     ("run", "--scenario"), ("sweep", "--scenario"), ("sweep", "--groups"),
 ])

@@ -334,6 +334,32 @@ def test_numpy_integer_counts_are_stored_as_ints(tmp_path):
     assert "np." not in (tmp_path / "summary.txt").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("change", ["cell_size", "goal_tolerance", "start"])
+def test_numpy_floats_are_stored_as_floats(tmp_path, change):
+    # a numpy cell_size or start pose made every pose a numpy float, and the run's
+    # corner count then subtracted numpy booleans (TypeError); a numpy
+    # goal_tolerance reached summary.txt as np.float64(0.5)
+    from pathlib import Path
+
+    from antnav.cli import _write_run_outputs
+    from antnav.scenario import parse_scenario
+
+    sc = parse_scenario(Path(__file__).resolve().parent.parent / "scenarios"
+                        / "multi_obstacle.scn")
+    if change == "start":
+        sc = dataclasses.replace(sc, start=Pose(*map(np.float64, dataclasses.astuple(sc.start))))
+    else:
+        value = np.float64(sc.config.cell_size if change == "cell_size" else 0.5)
+        sc = dataclasses.replace(sc, config=dataclasses.replace(sc.config, **{change: value}))
+    result = run(sc)
+    assert result.metrics.status is RunStatus.GOAL_REACHED
+    _write_run_outputs(tmp_path, sc, result, plot=False)
+    assert "np." not in (tmp_path / "summary.txt").read_text(encoding="utf-8")
+    assert {type(v) for p in result.poses for v in (p.x, p.y, p.psi)} == {float}
+    if change != "start":
+        assert type(getattr(sc.config, change)) is float
+
+
 def test_unusable_colony_weights_raise_what_plan_subpath_raises():
     # tau0 * (1/1.5)**5 rounds to 0 on every edge: no roulette total is usable
     params = AcoParams(tau0=5e-324)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from antnav import (AcoParams, AntnavError, PlannerConfig, PlannerKind, ScenarioParseError,
                     parse_groups, parse_scenario)
 from antnav.cli import main
-from antnav.scenario import _FLOAT_KEYS, _INT_KEYS, _STR_KEYS
+from antnav.scenario import _DIRECTIVES
 
 MAP = """\
 cellsize 1.0
@@ -286,6 +287,22 @@ def test_radius_overflow_exits_one_at_the_map_line(tmp_path, capsys, scn_text, l
     assert not (tmp_path / "out").exists()
 
 
+def test_directive_table_matches_the_dataclasses_and_readme():
+    targets = [target for _, target in _DIRECTIVES.values() if target is not None]
+    for cls, name in targets:
+        assert name in {f.name for f in dataclasses.fields(cls)}, (cls, name)
+    assert len(set(targets)) == len(targets), "a field is set by two directives"
+    assert {key for key, (_, target) in _DIRECTIVES.items() if target is None} == \
+        {"map", "planner", "seed", "cell_size"}
+    # README's scenario key list: the backticked names from "Keys:" to the sentence's end
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    scenario = readme[readme.index("**Scenario** (`*.scn`)"):]
+    key_list = re.split(r"\.\s", scenario[scenario.index("Keys:"):], maxsplit=1)[0]
+    names = [name for span in re.findall(r"`([^`]+)`", key_list) if "|" not in span
+             for name in span.split()]
+    assert sorted(names) == sorted(_DIRECTIVES)
+
+
 def test_unreadable_map_is_reported_at_the_map_line(tmp_path):
     (tmp_path / "s.scn").write_text("format 1\nseed 3\nmap missing.map\n")
     with pytest.raises(ScenarioParseError) as err:
@@ -295,7 +312,7 @@ def test_unreadable_map_is_reported_at_the_map_line(tmp_path):
 
 _TOKENS = ["nan", "inf", "-inf", "-1", "0", "-0.0", "1", "2", "1.5", "99", "1e9", "x", "#"]
 _MAP_KEYS = ["cellsize", "start", "goal", "mover", "wp", "#....#", "......"]
-_SCN_KEYS = sorted(_INT_KEYS | _FLOAT_KEYS | _STR_KEYS | {"format"})
+_SCN_KEYS = sorted([*_DIRECTIVES, "format"])
 
 
 @st.composite

@@ -90,6 +90,33 @@ class TestSchedules:
         with pytest.raises(ValueError):
             MovingObstacle(((0, 0), (0, 2)))
 
+    @pytest.mark.parametrize("kwargs, error, message", [
+        # 1.5 crashed anchor_at in a run of moving.scn, True ran as 1, and a
+        # fractional waypoint passed the world's bounds check to fail the run
+        ({"ticks_per_move": 1.5}, TypeError, "ticks_per_move must be an integer, got 1.5"),
+        ({"ticks_per_move": True}, TypeError, "ticks_per_move must be an integer, got True"),
+        ({"ticks_per_move": 0}, ValueError, "ticks_per_move must be >= 1"),
+        ({"waypoints": ((4.5, 10),)}, TypeError,
+         "mover waypoint row must be an integer, got 4.5"),
+        ({"waypoints": ((4, 9), (4, 10.0))}, TypeError,
+         "mover waypoint col must be an integer, got 10.0"),
+    ])
+    def test_mover_integers_are_checked_by_name(self, kwargs, error, message):
+        with pytest.raises(error) as got:
+            MovingObstacle(**{"waypoints": ((4, 9),), **kwargs})
+        assert str(got.value) == message
+
+    @pytest.mark.parametrize("tick, error, message", [
+        (1.7, TypeError, "tick must be an integer, got 1.7"),  # became tick 1
+        (-1, ValueError, "tick must be >= 0"),  # put a stop mover on its last waypoint
+    ])
+    def test_tick_is_a_count(self, tick, error, message):
+        mover = MovingObstacle(((1, 1), (1, 2)), policy=MoverPolicy.STOP)
+        with pytest.raises(error) as got:
+            WorldMap(np.zeros((4, 4), bool), 1.0, (mover,), tick=tick)
+        assert str(got.value) == message
+        assert WorldMap(np.zeros((4, 4), bool), 1.0, (mover,), tick=np.int64(0)).tick == 0
+
     def test_dwell_waypoints_allowed(self):
         m = MovingObstacle(((2, 2), (2, 2), (2, 3)), policy=MoverPolicy.STOP)
         assert m.anchor_at(1) == (2, 2)
