@@ -31,14 +31,16 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import kernel
 from .kernel import INT_MAX, pointer
 from .errors import ColonyWeightError, NoPathFound
 from .geometry import (Cell, DIR_ANGLES, DIR_OFFSETS, SQRT2, check_count, store_counts,
                        wrap_angle)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class AcoMode(enum.Enum):
@@ -126,6 +128,7 @@ class GridGraph:
     __slots__ = ("rows", "cols", "n", "cell_size", "mask", "links")
 
     def __init__(self, mask: np.ndarray, cell_size: float):
+        import numpy as np
         self.mask = np.array(mask, dtype=bool, order="C")
         self.mask.flags.writeable = False
         self.rows, self.cols = self.mask.shape
@@ -154,6 +157,7 @@ class GridGraph:
 
     def reachable_from(self, cell: Cell) -> np.ndarray:
         """Boolean mask of the cells 8-connected to cell through traversable cells, cell included."""
+        import numpy as np
         reach = np.empty((self.rows, self.cols), dtype=bool)
         queue = np.empty(self.n, dtype=np.int32)
         kernel.module().lib.reachable(
@@ -203,16 +207,15 @@ def eta_gamma(steps, gamma: float) -> list[float]:
 # Corner factor per (previous direction index + 1, next direction index); row
 # 0 is "no previous direction". The kernel reads this table, built from
 # corner_heuristic, so the two cannot drift apart.
-_CORNER_FACTORS = np.array(
-    [[1.0] * 8]
-    + [[corner_heuristic(DIR_ANGLES[p], (0, 0), DIR_OFFSETS[d]) for d in range(8)]
-       for p in range(8)])
+_CORNER_FACTORS = ((1.0,) * 8,) + tuple(
+    tuple(corner_heuristic(DIR_ANGLES[p], (0, 0), DIR_OFFSETS[d]) for d in range(8))
+    for p in range(8))
 
 
 @functools.cache
 def corner_table():
-    """The kernel pointer to _CORNER_FACTORS, made once per process."""
-    return pointer(_CORNER_FACTORS, np.float64, (9, 8))
+    """The kernel's double[72] copy of _CORNER_FACTORS, row by row, made once per process."""
+    return kernel.module().ffi.new("double[72]", [f for row in _CORNER_FACTORS for f in row])
 
 
 _MASK32 = 0xFFFFFFFF
@@ -266,6 +269,7 @@ def plan_subpath(graph: GridGraph, start: Cell, subgoal: Cell, params: AcoParams
     on the stream of key (seed..., n, k) and repair draws from (seed..., n,
     n_ants).
     """
+    import numpy as np
     key = np.array(_entropy_words(seed if isinstance(seed, (tuple, list)) else (seed,)),
                    dtype=np.uint32)
     if start == subgoal:

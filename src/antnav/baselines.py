@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import kernel
 from .errors import LocalMinimum
 from .geometry import Cell, Point, Pose
@@ -50,6 +48,7 @@ def apf_step(grid: LocalGrid, pose: Pose, goal: Point, params: ApfParams) -> Cel
     LocalMinimum when no neighbor improves on the potential at the robot cell
     (ties between neighbors break by lowest row-major index).
     """
+    import numpy as np
     if grid.half_extent < 1:
         raise ValueError("half_extent must be >= 1")
     lib = kernel.module().lib

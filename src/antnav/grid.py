@@ -28,14 +28,16 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import kernel
 from .errors import NoCandidates, PoseInObstacle, PoseOutOfBounds
 from .geometry import Cell, Point, Pose, check_count
 from .kernel import INT_MAX, pointer
 from .world import WorldMap
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class CellState(enum.IntEnum):
@@ -156,6 +158,7 @@ def perceive(world: WorldMap, pose: Pose, lidar_radius: float, n_rays: int, cell
     PoseOutOfBounds / PoseInObstacle when the pose's world cell
     (WorldMap.cell_of) lies outside the world or is occupied at its tick.
     """
+    import numpy as np
     args = _scan_args(lidar_radius, n_rays, cell_size, half_extent, inflation_rings)
     side = 2 * half_extent + 1
     cells = np.empty((side, side), dtype=np.int8)
@@ -177,6 +180,7 @@ def candidate_cells(grid: LocalGrid) -> CandidateSet:
     8-adjacent to an occupied/inflated cell. Raises NoCandidates when the set
     is empty (robot enclosed).
     """
+    import numpy as np
     ids = np.empty(grid.cells.size, dtype=np.int32)
     k = kernel.module().lib.marginal_cells(pointer(grid.cells, np.int8, (grid.side,) * 2),
                                            grid.side,

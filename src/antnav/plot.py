@@ -6,8 +6,6 @@ else uses <path>, <rect> and <circle>.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from .planner import RunResult
 from .world import WorldMap
 
@@ -46,7 +44,10 @@ def render_svg(world: WorldMap, result: RunResult, goal) -> str:
         f'<g transform="translate(0,{_f(height)}) scale(1,-1)">',
         f'<rect x="0" y="0" width="{_f(width)}" height="{_f(height)}" fill="#ffffff"/>',
     ]
-    for r, c in np.argwhere(world.static_cells):
+    for i, occupied in enumerate(world.cells):  # row-major, as np.argwhere lists cells
+        if not occupied:
+            continue
+        r, c = divmod(i, world.width)
         parts.append(f'<rect x="{_f(c * cs)}" y="{_f(r * cs)}" width="{_f(cs)}" '
                      f'height="{_f(cs)}" fill="{_OBSTACLE}"/>')
     for mover in world.movers:

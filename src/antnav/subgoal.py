@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import kernel
 from .errors import NoCandidates
 from .geometry import Cell, Point, Pose
@@ -56,6 +54,7 @@ def rank_candidates(candidates: CandidateSet, robot: Pose, goal: Point,
 
     Raises NoCandidates for an empty set and ValueError for a goal that is
     not finite, which would make every cost NaN."""
+    import numpy as np
     if not candidates.cells:
         raise NoCandidates("candidate set is empty")
     if not (math.isfinite(goal[0]) and math.isfinite(goal[1])):

@@ -7,14 +7,17 @@ tick, so replays are bit-identical.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
+from . import kernel
 from .errors import MapParseError, OutOfBounds
 from .geometry import Cell, Point, Pose, check_count
-from .kernel import pointer
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class MoverPolicy(enum.Enum):
@@ -60,21 +63,36 @@ class MovingObstacle:
 
 
 class WorldMap:
-    """Static occupancy bitmap plus movers; immutable snapshot at one tick."""
+    """Static occupancy plus movers; an immutable snapshot at one tick.
 
-    def __init__(self, static_cells: np.ndarray, cell_size: float,
+    The static occupancy is one store: cells, the row-major bytes of a
+    height x width grid, 1 for an occupied cell and 0 for a free one, so cell
+    (r, c) is byte r * width + c. It is copied from static_cells, a 2D array
+    of truth values (a numpy array or a sequence of equal-length rows), at
+    construction, so later edits of the caller's array do not reach the world,
+    and every tick shares it. static_cells and occupancy_grid() give read-only
+    numpy views of the store, made on first access.
+    """
+
+    def __init__(self, static_cells, cell_size: float,
                  movers: tuple[MovingObstacle, ...] = (), tick: int = 0):
-        static_cells = np.ascontiguousarray(static_cells, dtype=bool)
-        if static_cells.ndim != 2:
-            raise ValueError("static_cells must be a 2D array")
+        try:  # bool(): the kernel reads each byte as a _Bool, which holds only 0 or 1
+            rows = [bytes(map(bool, row)) for row in static_cells]
+        except (TypeError, ValueError):  # a row that is a scalar, or a cell that is an array
+            raise ValueError("static_cells must be a 2D array") from None
+        if len({len(row) for row in rows}) > 1:
+            raise ValueError("static_cells rows must have equal lengths")
         if not 0 < cell_size < math.inf:
             raise ValueError(f"cell_size must be positive and finite, got {cell_size}")
-        self.static_cells = static_cells
+        self.cells = b"".join(rows)
+        self.height = len(rows)
+        self.width = len(rows[0]) if rows else 0
         self.cell_size = float(cell_size)
         self.movers = tuple(movers)
         check_count("tick", tick, 0)
         self.tick = int(tick)
-        self._occ: np.ndarray | None = None
+        self._occ: bytearray | None = None  # this tick's occupancy, with movers only
+        self._occ_view = None
         self._kernel_occ: tuple | None = None
         for m in self.movers:
             for cell in m.waypoints:
@@ -82,53 +100,65 @@ class WorldMap:
                     raise ValueError(f"mover waypoint {cell} outside the "
                                      f"{self.height}x{self.width} world")
 
-    @property
-    def height(self) -> int:
-        return self.static_cells.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.static_cells.shape[1]
-
     def in_bounds(self, cell: Cell) -> bool:
         r, c = cell
         return 0 <= r < self.height and 0 <= c < self.width
+
+    def _occupancy(self) -> bytes | bytearray:
+        """This tick's occupancy store: cells itself without movers, else a copy
+        with each mover's cell set, made once per tick."""
+        if not self.movers:
+            return self.cells
+        if self._occ is None:
+            occ = bytearray(self.cells)
+            for m in self.movers:
+                r, c = m.anchor_at(self.tick)
+                occ[r * self.width + c] = 1
+            self._occ = occ
+        return self._occ
 
     def occupancy_at(self, cell: Cell) -> bool:
         """True when the cell is occupied by the static map or any mover."""
         if not self.in_bounds(cell):
             raise OutOfBounds(f"cell {cell} outside {self.height}x{self.width} world")
-        return bool(self.occupancy_grid()[cell])
+        r, c = cell
+        return bool(self._occupancy()[r * self.width + c])
+
+    @functools.cached_property
+    def static_cells(self) -> np.ndarray:
+        """The static occupancy as a read-only (height, width) numpy bool view of cells."""
+        return _bool_view(self.cells, self.height, self.width)
 
     def occupancy_grid(self) -> np.ndarray:
-        """Composed static+mover occupancy at this tick (cached; treat as read-only).
-        Without movers it is static_cells itself, shared by every tick."""
+        """Composed static+mover occupancy at this tick, a read-only numpy bool view
+        made once per tick. Without movers it is static_cells, shared by every tick."""
         if not self.movers:
             return self.static_cells
-        if self._occ is None:
-            occ = self.static_cells.copy()
-            for m in self.movers:
-                occ[m.anchor_at(self.tick)] = True
-            self._occ = occ
-        return self._occ
+        if self._occ_view is None:
+            self._occ_view = _bool_view(memoryview(self._occupancy()).toreadonly(),
+                                        self.height, self.width)
+        return self._occ_view
 
     def kernel_occupancy(self) -> tuple:
-        """The kernel's (pointer, rows, cols, cell_size) of this tick's occupancy, made once."""
+        """The kernel's (pointer, rows, cols, cell_size) of this tick's occupancy, made once:
+        an ffi.from_buffer of the store (of the tick's copy with movers), read as _Bool."""
         if self._kernel_occ is None:
-            occ = self.occupancy_grid()
-            self._kernel_occ = (pointer(occ, np.bool_, occ.shape), *occ.shape, self.cell_size)
+            occ = kernel.module().ffi.from_buffer("_Bool[]", self._occupancy())
+            self._kernel_occ = (occ, self.height, self.width, self.cell_size)
         return self._kernel_occ
 
     def advanced(self) -> "WorldMap":
-        """Snapshot at the next tick; the static bitmap and the checked movers are shared,
+        """Snapshot at the next tick; the static store and the checked movers are shared,
         and without movers so is the kernel occupancy, which every tick then reads."""
         world = object.__new__(type(self))
-        world.__dict__.update(self.__dict__, tick=self.tick + 1, _occ=None,
+        world.__dict__.update(self.__dict__, tick=self.tick + 1, _occ=None, _occ_view=None,
                               _kernel_occ=None if self.movers else self._kernel_occ)
         return world
 
-    def __getstate__(self):  # a cffi pointer neither copies nor pickles
-        return {**self.__dict__, "_kernel_occ": None}
+    def __getstate__(self):  # a cffi pointer neither copies nor pickles; views are remade
+        state = {**self.__dict__, "_occ_view": None, "_kernel_occ": None}
+        state.pop("static_cells", None)
+        return state
 
     def cell_of(self, x: float, y: float) -> Cell:
         return (int(math.floor(y / self.cell_size)), int(math.floor(x / self.cell_size)))
@@ -138,6 +168,12 @@ class WorldMap:
         return ((c + 0.5) * self.cell_size, (r + 0.5) * self.cell_size)
 
 
+def _bool_view(buffer, height: int, width: int) -> np.ndarray:
+    """A (height, width) numpy bool view of a read-only buffer of 0/1 bytes."""
+    import numpy as np
+    return np.frombuffer(buffer, dtype=bool).reshape(height, width)
+
+
 def _finite_float(text: str) -> float:
     """float(text); ValueError for nan and infinities too, as for any non-number."""
     value = float(text)
@@ -145,6 +181,9 @@ def _finite_float(text: str) -> float:
         raise ValueError(f"non-finite number {text!r}")
     return value
 
+
+# a grid row's characters as occupancy bytes: "#" occupied, "." free
+_GRID_BYTES = bytes.maketrans(b"#.", b"\x01\x00")
 
 # the usage line of each map directive; its word count is the directive's arity
 _MAP_USAGE = {"cellsize": "cellsize <meters>", "start": "start <col> <row> <psi_deg>",
@@ -268,12 +307,11 @@ def parse_map(text: str) -> ParsedMap:
 
     width = len(grid_rows[0][1])
     height = len(grid_rows)
-    static = np.zeros((height, width), dtype=bool)
-    # First file line is the top row: file index i -> world row height-1-i.
-    for i, (line_no, row_text) in enumerate(grid_rows):
+    for line_no, row_text in grid_rows:
         if len(row_text) != width:
             raise MapParseError(f"grid row has {len(row_text)} cells, expected {width}", line_no)
-        static[height - 1 - i, :] = [ch == "#" for ch in row_text]
+    # First file line is the top row: file index i -> world row height-1-i.
+    static = [row_text.encode().translate(_GRID_BYTES) for _, row_text in reversed(grid_rows)]
 
     # the grid may follow the mover blocks, so waypoints are checked only now
     for (row, col), line_no in wp_lines:
@@ -284,7 +322,7 @@ def parse_map(text: str) -> ParsedMap:
     for name, (col, row, *_, line_no) in (("start", start_spec), ("goal", goal_spec)):
         if not world.in_bounds((row, col)):
             raise MapParseError(f"{name} cell ({col}, {row}) outside the grid", line_no)
-        if world.static_cells[row, col]:
+        if world.cells[row * width + col]:
             raise MapParseError(f"{name} cell ({col}, {row}) is occupied", line_no)
     s_col, s_row, psi_deg, _ = start_spec
     g_col, g_row, _ = goal_spec

@@ -62,7 +62,7 @@ def kernel_transition(tau, graph, cell, tabu, prev, params):
     and the _CORNER_FACTORS table, times tau^phi, combined as walk() combines
     them."""
     eta_g = eta_gamma(step_lengths_ref(graph.cell_size), params.gamma)
-    turn = _CORNER_FACTORS[prev + 1].tolist()
+    turn = list(_CORNER_FACTORS[prev + 1])
     cid = graph.id_of(cell)
     weights, total = {}, 0.0
     for d, j in neighbors_ref(graph.mask, cell):

@@ -670,7 +670,7 @@ class TestWalkKernel:
                 eta_g, vtab = oracles.colony_tables_ref(graph, AcoParams(gamma=gamma, mode=mode))
                 assert eta_g.tolist() == eta_gamma(step_lengths_ref(graph.cell_size),
                                                    gamma) * graph.n
-                turn = _CORNER_FACTORS if mode is AcoMode.IMPROVED else np.ones((9, 8))
+                turn = np.array(_CORNER_FACTORS) if mode is AcoMode.IMPROVED else np.ones((9, 8))
                 assert np.array(vtab).tolist() == turn.tolist()
 
     @pytest.mark.parametrize("mode", [AcoMode.IMPROVED, AcoMode.CONVENTIONAL])
@@ -690,7 +690,7 @@ class TestWalkKernel:
             draws = rng.random(graph.n)
             eta_g = np.tile(eta_gamma(step_lengths_ref(graph.cell_size), params.gamma),
                             graph.n)
-            turn = _CORNER_FACTORS if mode is AcoMode.IMPROVED else np.ones((9, 8))
+            turn = np.array(_CORNER_FACTORS) if mode is AcoMode.IMPROVED else np.ones((9, 8))
             path = oracles.construct_ref(
                 graph, oracles.neighbor_table_ref(graph),
                 oracles.edge_weights_ref(tau, params.phi, eta_g), turn.tolist(),

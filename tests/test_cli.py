@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -214,3 +215,29 @@ class TestDeterminism:
         sa = (a / "summary.txt").read_text()
         sb = (b / "summary.txt").read_text()
         assert "seed: 4" in sa and "seed: 123" in sb
+
+
+# Runs run (plot on), compare and sweep in one interpreter, then prints their
+# exit codes and whether numpy was ever imported.
+NUMPY_FREE_CHILD = """
+import json, sys
+from antnav.cli import main
+scenario, groups, out = sys.argv[1:]
+codes = [main(["run", "--scenario", scenario, "--out", out + "/run"]),
+         main(["compare", "--scenario", scenario, "--out", out + "/compare", "--repeats", "1"]),
+         main(["sweep", "--scenario", scenario, "--groups", groups, "--out", out + "/sweep",
+               "--repeats", "1"])]
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_commands_run_without_numpy(tmp_path):
+    # the CLI hands the kernel bytes; numpy stays the library API's
+    res = subprocess.run([sys.executable, "-c", NUMPY_FREE_CHILD,
+                          str(SCENARIOS / "multi_obstacle.scn"),
+                          str(SCENARIOS / "weights.groups"), str(tmp_path)],
+                         capture_output=True, text=True, cwd=REPO / "src")
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout.strip().splitlines()[-1]) == {"codes": [0, 0, 0],
+                                                                "numpy": False}
+    assert (tmp_path / "run" / "plot.svg").is_file()

@@ -74,6 +74,24 @@ def test_sweep_digests(tmp_path):
     assert digests == SWEEP_SHA256
 
 
+# plot.svg of `antnav run` (plot on by default) and the run's exit code;
+# sealed.scn ends stuck, exit 2
+PLOT_SHA256 = {
+    "corridor": (0, "1d960ab0b7067c67f76ec366d6c9adfc84c25e34ec9db7c98b0c2694a7cd383f"),
+    "moving": (0, "c425ce1c3c55df35e49bde4ee7e1384f5567a2b3e43527dd867306766cc25be1"),
+    "multi_obstacle": (0, "9e19bc7bdfa25a77bb88451a75ce07d202ec7a81584807327362edf478712dab"),
+    "sealed": (2, "512c382bc8b178ce474a7318f7d1f397fef461bae7f7c612515421f4dbd9f664"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLOT_SHA256))
+def test_run_plot_digest(name, tmp_path):
+    code = main(["run", "--scenario", str(SCENARIOS / f"{name}.scn"), "--out", str(tmp_path)])
+    exit_code, digest = PLOT_SHA256[name]
+    assert code == exit_code
+    assert hashlib.sha256((tmp_path / "plot.svg").read_bytes()).hexdigest() == digest
+
+
 def neumaier_sum(iterable, /, start=0):
     """sum() as Python 3.12 and later add: ints exactly, then floats with
     Neumaier's compensation, the compensation added once at the end."""

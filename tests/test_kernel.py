@@ -17,7 +17,7 @@ SRC = REPO / "src"
 
 # Plans one sub-path with the kernel cache pointed at argv[1] and prints the
 # result, whether the cache was empty after import and parse, and whether the
-# build tools were ever imported into this process.
+# build tools or numpy were ever imported into this process.
 CHILD = """
 import json, sys
 from pathlib import Path
@@ -33,7 +33,8 @@ print(json.dumps({"cold_before_run": cold,
                   "poses": [[p.x, p.y] for p in result.poses],
                   "status": result.metrics.status.value,
                   "setuptools": "setuptools" in sys.modules,
-                  "cffi": "cffi" in sys.modules}))
+                  "cffi": "cffi" in sys.modules,
+                  "numpy": "numpy" in sys.modules}))
 """
 
 
@@ -64,6 +65,7 @@ def test_cold_cache_run_keeps_build_tools_out_of_the_process(tmp_path):
     result = finish(start_child(tmp_path / "cache"))
     assert result["cold_before_run"]  # nothing is built at import or parse time
     assert not result["setuptools"] and not result["cffi"]
+    assert not result["numpy"]  # the run path hands the kernel bytes, not arrays
 
 
 def test_missing_compiler_is_an_import_error(tmp_path, monkeypatch):

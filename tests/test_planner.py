@@ -710,7 +710,7 @@ def test_occupancy_pointer_is_made_once_per_tick(monkeypatch):
     assert not corridor.world.movers
     result = run(corridor)
     assert result.metrics.cycles > 1
-    assert len(buffers) == 1 and buffers[0] is corridor.world.static_cells
+    assert len(buffers) == 1 and buffers[0] is corridor.world.cells  # the one store
     buffers.clear()
     moving = parse_scenario(scenarios / "moving.scn")
     assert moving.world.movers

@@ -54,6 +54,57 @@ class TestOccupancy:
                 assert occ[r, c] == expected
 
 
+ONE_MOVER = (MovingObstacle(((2, 3),)),)
+
+
+class TestStore:
+    """A world copies its static occupancy into one byte store at construction;
+    static_cells and occupancy_grid() are read-only views."""
+
+    def test_store_holds_row_major_zero_one_bytes(self):
+        w = WorldMap(np.array([[0, 2, 0], [0.5, 0, -1]]), 1.0)
+        assert (w.height, w.width) == (2, 3)
+        assert w.cells == bytes([0, 1, 0, 1, 0, 1])  # the kernel reads each byte as a _Bool
+        assert w.static_cells.tolist() == [[False, True, False], [True, False, True]]
+        assert WorldMap([[True, False], [False, False]], 1.0).cells == bytes([1, 0, 0, 0])
+
+    @pytest.mark.parametrize("static", [np.zeros(4, bool), [[False, False], [False]]])
+    def test_store_needs_a_rectangular_2d_array(self, static):
+        with pytest.raises(ValueError):
+            WorldMap(static, 1.0)
+
+    @pytest.mark.parametrize("movers", [(), ONE_MOVER])
+    def test_edits_of_the_callers_array_do_not_reach_the_world(self, movers):
+        a = np.zeros((3, 4), bool)
+        w = WorldMap(a, 1.0, movers)
+        a[1, 1] = True
+        assert not w.occupancy_at((1, 1))
+        assert not w.static_cells[1, 1] and not w.advanced().occupancy_grid()[1, 1]
+
+    @pytest.mark.parametrize("movers", [(), ONE_MOVER])
+    def test_static_cells_do_not_write_through(self, movers):
+        w = WorldMap(np.zeros((3, 4), bool), 1.0, movers)
+        w.occupancy_grid()  # this tick's occupancy, made before the write
+        with pytest.raises(ValueError):
+            w.static_cells[0, 0] = True
+        for world in (w, w.advanced()):
+            assert not world.occupancy_at((0, 0)) and not world.occupancy_grid()[0, 0]
+
+    @pytest.mark.parametrize("movers", [(), ONE_MOVER])
+    def test_numpy_views_are_read_only(self, movers):
+        w = WorldMap(np.zeros((3, 4), bool), 1.0, movers)
+        later = w.advanced()
+        for view in (w.static_cells, w.occupancy_grid(), later.static_cells,
+                     later.occupancy_grid()):
+            assert not view.flags.writeable
+            with pytest.raises(ValueError):
+                view.flags.writeable = True
+            with pytest.raises(ValueError):
+                view[1, 1] = True
+        assert not w.occupancy_at((1, 1)) and not later.occupancy_at((1, 1))
+        assert later.occupancy_at((2, 3)) is bool(movers)
+
+
 class TestSchedules:
     def test_pingpong_hand_unrolled(self):
         m = MovingObstacle(((5, 5), (5, 6), (5, 7)), ticks_per_move=1,
@@ -138,7 +189,7 @@ class TestAdvance:
 
     def test_static_shared_not_copied(self):
         w = world_with([MovingObstacle(((1, 1), (1, 2)))])
-        assert w.advanced().static_cells is w.static_cells
+        assert w.advanced().cells is w.cells  # one store for every tick
         assert w.advanced().movers is w.movers  # checked once, at construction
 
 
