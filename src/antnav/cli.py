@@ -11,6 +11,7 @@ this process.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -170,6 +171,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process, however often main runs: parse_args keeps no state
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="antnav",

@@ -76,9 +76,9 @@ class Pose:
             name, value = next((n, v) for n, v in (("x", x), ("y", y), ("psi", psi))
                                if not math.isfinite(v))
             raise ValueError(f"pose {name} must be finite, got {value}")
-        object.__setattr__(self, "x", float(x))
-        object.__setattr__(self, "y", float(y))
-        object.__setattr__(self, "psi", wrap_angle(psi))
+        # one write of the three fields, where a frozen dataclass pays one
+        # object.__setattr__ each: the planner makes a pose per cycle
+        self.__dict__.update(x=float(x), y=float(y), psi=wrap_angle(psi))
 
     @property
     def xy(self) -> Point:

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import importlib.machinery
 import importlib.util
 import os
 import re
 import shutil
 import sys
-import sysconfig
 import tempfile
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -37,7 +37,8 @@ if TYPE_CHECKING:
 SOURCES = tuple(Path(__file__).with_name(name)
                 for name in ("colony.c", "perception.c", "planner.c"))
 CACHE_DIR = Path(__file__).with_name("_kernel_cache")
-SUFFIX = sysconfig.get_config_var("EXT_SUFFIX")
+# sysconfig.get_config_var("EXT_SUFFIX"), without sysconfig's import at start-up
+SUFFIX = importlib.machinery.EXTENSION_SUFFIXES[0]
 # Name prefixes of built modules: this kernel's, and the colony-only module
 # of older sources.
 _PREFIXES = ("_kernel_", "_colony_")

@@ -188,16 +188,15 @@ static double cast_ray(const bool *occ, int rows, int cols, double cell_size, do
         t_delta_y = -cell_size / dy;
     }
     for (;;) {
-        double t_entry, t_exit;
-        if (t_max_x <= t_max_y) {
-            t_entry = t_max_x;
-            t_max_x += t_delta_x;
-            c += step_c;
-        } else {
-            t_entry = t_max_y;
-            t_max_y += t_delta_y;
-            r += step_r;
-        }
+        /* one step, by selects rather than a branch on the data: the axis whose
+         * boundary comes first is crossed, the other keeps its values (a select,
+         * not an added 0.0, which would turn a -0.0 into +0.0) */
+        bool x_first = t_max_x <= t_max_y;
+        double t_entry = x_first ? t_max_x : t_max_y, t_exit;
+        t_max_x = x_first ? t_max_x + t_delta_x : t_max_x;
+        t_max_y = x_first ? t_max_y : t_max_y + t_delta_y;
+        c += x_first ? step_c : 0;
+        r += x_first ? 0 : step_r;
         if (t_entry > radius || r < 0 || r >= rows || c < 0 || c >= cols)
             return INFINITY;
         t_exit = t_max_y < t_max_x ? t_max_y : t_max_x;
@@ -311,16 +310,21 @@ int perceive(const bool *occ, int rows, int cols, double world_cell_size, double
              double cell_size, int half_extent, int rings, double *range, int8_t *cells)
 {
     int side = 2 * half_extent + 1;
-    long hit[2], here = world_cell(x0, y0, world_cell_size, rows, cols);
+    long hit[2], last[2] = {-1, -1}, here = world_cell(x0, y0, world_cell_size, rows, cols);
     if (here < 0)
         return POSE_OFF_WORLD;
     if (occ[here])
         return POSE_IN_OBSTACLE;
     memset(cells, FREE, (size_t)side * side);
+    /* neighbouring rays mostly hit the same cell, and marking it again changes
+     * nothing: a hit marks only when its cell differs from the last marked one */
     for (int i = 0; i < n_rays; i++)
         if ((range[i] = cast_ray(occ, rows, cols, world_cell_size, x0, y0, rays[2 * i],
-                                 rays[2 * i + 1], radius, hit)) < INFINITY)
+                                 rays[2 * i + 1], radius, hit)) < INFINITY
+            && (hit[0] != last[0] || hit[1] != last[1])) {
             mark(hit, world_cell_size, x0, y0, cell_size, half_extent, cells);
+            last[0] = hit[0], last[1] = hit[1];
+        }
     inflate(half_extent, rings, cells);
     mask_occluded(range, n_rays, x0, y0, psi, cell_size, half_extent, cells);
     clamp_to_world(x0, y0, cell_size, half_extent, world_cell_size, rows, cols, cells);

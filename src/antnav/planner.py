@@ -6,10 +6,16 @@ of the executed step. Moving obstacles advance one schedule tick per cycle
 before the scan. Every planner's cycle, from the pose test to the step's
 collision test, is one call of the compiled kernel: planner.c's plan_cycle
 for the proposed and conventional-aco planners, its apf_cycle for APF.
-What depends on the config alone is worked out once per PlannerConfig, the
-rays' directions come from grid.ray_table and the occupancy's pointer from
-WorldMap.kernel_occupancy; Python checks only the goal per cycle and turns
-the returned code and cell ids into the CycleRecord that run carries on.
+What depends on the config alone is worked out once per PlannerConfig:
+the kernel's arguments when the config is made (their checks are its
+checks), and on its first cycle the cell tables, the world offset of each
+local cell id and the heading of a step onto it. The rays' directions come
+from grid.ray_table, one table per heading, and the occupancy's pointer from
+WorldMap.kernel_occupancy, one per world tick. What is left per cycle is
+the kernel call, the goal test, and turning the returned code and cell ids
+into the CycleRecord that run carries on: each point is the pose plus a
+table entry, with no cell arithmetic in Python. run advances the world only
+when it has movers; a static world is the same at every tick.
 """
 from __future__ import annotations
 
@@ -102,6 +108,17 @@ class PlannerConfig:
         return _KernelArgs(aco, side, aco.resolved_max_steps(side * side),
                            self.resolved_goal_tolerance(), args)
 
+    @functools.cached_property
+    def _cell_tables(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+        """Per cell id i = r * side + c of the local grid: the world offsets
+        (c - h) * cell_size and (r - h) * cell_size of its center from the robot,
+        as LocalGrid.world_center adds them, and atan2(r - h, c - h), the heading
+        of a step onto it. Built on the config's first cycle, not when it is made."""
+        h, cs = self.half_extent, self.cell_size
+        cells = [divmod(i, 2 * h + 1) for i in range((2 * h + 1) ** 2)]
+        return (tuple((c - h) * cs for _, c in cells), tuple((r - h) * cs for r, _ in cells),
+                tuple(math.atan2(r - h, c - h) for r, c in cells))
+
 
 @dataclass(frozen=True)
 class _KernelArgs:
@@ -119,7 +136,7 @@ class _KernelArgs:
     args: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CycleRecord:
     cycle: int
     pose: Pose
@@ -128,6 +145,14 @@ class CycleRecord:
     dist_to_goal: float
     aco_series: tuple[float, ...]
     status: RunStatus
+
+    def __init__(self, cycle: int, pose: Pose, subgoal: Point | None,
+                 subpath: tuple[Point, ...], dist_to_goal: float,
+                 aco_series: tuple[float, ...], status: RunStatus):
+        # one write of every field: a frozen dataclass's own __init__ pays one
+        # object.__setattr__ per field, once per cycle
+        self.__dict__.update(cycle=cycle, pose=pose, subgoal=subgoal, subpath=subpath,
+                             dist_to_goal=dist_to_goal, aco_series=aco_series, status=status)
 
 
 @dataclass(frozen=True)
@@ -165,6 +190,7 @@ def plan_cycle(world: WorldMap, pose: Pose, goal: Point, config: PlannerConfig, 
     if not (math.isfinite(gx) and math.isfinite(gy)):
         raise ValueError(f"goal must be finite, got {goal}")
     k = config._kernel_args
+    dx, dy, heading = config._cell_tables
     mod = kernel.module()
     lib, ffi = mod.lib, mod.ffi
     x, y, psi = pose.x, pose.y, pose.psi
@@ -179,33 +205,41 @@ def plan_cycle(world: WorldMap, pose: Pose, goal: Point, config: PlannerConfig, 
         out = ffi.new("int32_t[]", k.max_steps + 3)
         series = ffi.new("double[]", k.aco.n_iters)
         code = lib.plan_cycle(*head, key, len(key), corner_table(), *k.args, out, series)
-    if code == lib.POSE_OFF_WORLD or code == lib.POSE_IN_OBSTACLE:
-        raise pose_error(code, world, pose)
-    if code == lib.PLAN_STUCK:  # APF_LOCAL_MINIMUM for apf_cycle
-        return CycleRecord(cycle, pose, None, (), _goal_distance(pose, goal), (),
-                           RunStatus.LOCAL_MINIMUM if apf else RunStatus.STUCK)
-    if code == lib.APF_NO_MEMORY:
-        raise MemoryError("the APF kernel could not allocate its buffers")
-    # cell id i of the local grid is (r, c) = divmod(i, side), with its center
-    # at LocalGrid.world_center's (x + (c - h) * cs, y + (r - h) * cs)
-    cs, h, side = config.cell_size, config.half_extent, k.side
+    step_free, step_collision, stuck, off_world, in_obstacle = _verdicts()
+    if code != step_free and code != step_collision:
+        if code == off_world or code == in_obstacle:
+            raise pose_error(code, world, pose)
+        if code == stuck:  # APF_LOCAL_MINIMUM for apf_cycle
+            return CycleRecord(cycle, pose, None, (), _goal_distance(pose, goal), (),
+                               RunStatus.LOCAL_MINIMUM if apf else RunStatus.STUCK)
+        if apf:  # APF_NO_MEMORY
+            raise MemoryError("the APF kernel could not allocate its buffers")
+        raise colony_error(code, divmod(out[1], k.side), k.aco)
+    # the center of cell id i of the local grid lies at (x + dx[i], y + dy[i])
     if apf:
         subgoal, subpath, aco_series, step = None, (), (), out[0]
     else:
-        r, c = divmod(out[1], side)
-        if code != lib.STEP_FREE and code != lib.STEP_COLLISION:
-            raise colony_error(code, (r, c), k.aco)
-        subgoal = (x + (c - h) * cs, y + (r - h) * cs)
+        sub = out[1]
+        subgoal = (x + dx[sub], y + dy[sub])
         ids = ffi.unpack(out + 2, out[0] + 1)
-        subpath = tuple((x + (i % side - h) * cs, y + (i // side - h) * cs) for i in ids)
+        subpath = tuple([(x + dx[i], y + dy[i]) for i in ids])
         aco_series = tuple(ffi.unpack(series, k.aco.n_iters))
         step = ids[1]
-    r, c = divmod(step, side)
-    new_pose = Pose(x + (c - h) * cs, y + (r - h) * cs, math.atan2(r - h, c - h))
+    new_pose = Pose(x + dx[step], y + dy[step], heading[step])
     dist = _goal_distance(new_pose, goal)
     status = RunStatus.GOAL_REACHED if dist <= k.goal_tolerance else \
-        RunStatus.COLLISION if code == lib.STEP_COLLISION else RunStatus.RUNNING
+        RunStatus.COLLISION if code == step_collision else RunStatus.RUNNING
     return CycleRecord(cycle, new_pose, subgoal, subpath, dist, aco_series, status)
+
+
+@functools.cache
+def _verdicts() -> tuple[int, ...]:
+    """The kernel's cycle verdicts, read from its enums once: STEP_FREE,
+    STEP_COLLISION, PLAN_STUCK (= APF_LOCAL_MINIMUM), POSE_OFF_WORLD and
+    POSE_IN_OBSTACLE."""
+    lib = kernel.module().lib
+    return (lib.STEP_FREE, lib.STEP_COLLISION, lib.PLAN_STUCK, lib.POSE_OFF_WORLD,
+            lib.POSE_IN_OBSTACLE)
 
 
 def run(scenario: "Scenario") -> RunResult:
@@ -219,11 +253,13 @@ def run(scenario: "Scenario") -> RunResult:
         if _goal_distance(pose, goal) <= config._kernel_args.goal_tolerance else RunStatus.RUNNING
     poses = [pose]
     records: list[CycleRecord] = []
+    moving = bool(world.movers)  # without movers every tick has the same occupancy
     while status is RunStatus.RUNNING:
         if len(records) >= max_steps:
             status = RunStatus.STEP_BUDGET_EXHAUSTED
             break
-        world = world.advanced()
+        if moving:
+            world = world.advanced()
         try:
             rec = plan_cycle(world, pose, goal, config, scenario.seed, len(records))
         except PoseInObstacle:  # a mover stepped onto the robot's cell

@@ -63,6 +63,21 @@ class TestCmdRun:
         assert code == 0
         assert not (out / "plot.svg").exists()
 
+    def test_calls_in_one_process_share_no_parse_state(self, small_scenario, tmp_path, capsys):
+        # the parser is built once per process: a flag or an error of one call
+        # must not reach the next
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--scenario", str(small_scenario), "--plott"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["run", "--scenario", str(small_scenario), "--out", str(first),
+                     "--no-plot"]) == 0
+        assert main(["run", "--scenario", str(small_scenario), "--out", str(second)]) == 0
+        assert not (first / "plot.svg").exists()
+        assert (second / "plot.svg").is_file()
+        assert (first / "trajectory.csv").read_bytes() == (second / "trajectory.csv").read_bytes()
+
     def test_malformed_scenario_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.scn"
         bad.write_text("format 1\nmap small.map\nseed nope\n")
@@ -218,7 +233,7 @@ class TestDeterminism:
 
 
 # Runs run (plot on), compare and sweep in one interpreter, then prints their
-# exit codes and whether numpy was ever imported.
+# exit codes and whether numpy or sysconfig was ever imported.
 NUMPY_FREE_CHILD = """
 import json, sys
 from antnav.cli import main
@@ -227,17 +242,20 @@ codes = [main(["run", "--scenario", scenario, "--out", out + "/run"]),
          main(["compare", "--scenario", scenario, "--out", out + "/compare", "--repeats", "1"]),
          main(["sweep", "--scenario", scenario, "--groups", groups, "--out", out + "/sweep",
                "--repeats", "1"])]
-print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules,
+                  "sysconfig": "sysconfig" in sys.modules}))
 """
 
 
 def test_commands_run_without_numpy(tmp_path):
-    # the CLI hands the kernel bytes; numpy stays the library API's
+    # the CLI hands the kernel bytes; numpy stays the library API's, and a
+    # kernel found built needs no sysconfig
     res = subprocess.run([sys.executable, "-c", NUMPY_FREE_CHILD,
                           str(SCENARIOS / "multi_obstacle.scn"),
                           str(SCENARIOS / "weights.groups"), str(tmp_path)],
                          capture_output=True, text=True, cwd=REPO / "src")
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout.strip().splitlines()[-1]) == {"codes": [0, 0, 0],
-                                                                "numpy": False}
+                                                                "numpy": False,
+                                                                "sysconfig": False}
     assert (tmp_path / "run" / "plot.svg").is_file()

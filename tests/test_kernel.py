@@ -90,6 +90,12 @@ def test_build_deletes_stale_modules_and_keeps_directories(tmp_path):
         [module.__name__ + kernel.SUFFIX, in_flight.name, other.name])
 
 
+def test_suffix_is_the_interpreters_extension_suffix():
+    # the suffix cffi's build gives the module, read without importing sysconfig
+    import sysconfig
+    assert kernel.SUFFIX == sysconfig.get_config_var("EXT_SUFFIX")
+
+
 def test_module_name_hashes_every_source():
     texts = [path.read_text(encoding="utf-8") for path in kernel.SOURCES]
     assert kernel.module().__name__ == kernel.module_name(texts)

@@ -1,6 +1,7 @@
 """Differential tests: the compiled perception stage against the per-ray and
 per-cell reference loops in oracles.py, compared for exact equality."""
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from antnav.world import WorldMap
 
 from oracles import (FREE, ROBOT, candidates_ref, clamp_ref, local_grid_ref, occlude_ref,
                      reachable_ref, scan_ref, without_cells)
-from probes import kernel_hits
+from probes import kernel_hits, kernel_scan
 
 STEP_HEADINGS = [math.atan2(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)
                  if (dr, dc) != (0, 0)]
@@ -214,6 +215,61 @@ def test_grid_marks_exactly_the_hit_cells(h):
         x, y = world.cell_center(tuple(free[rng.integers(len(free))].tolist()))
         pose = Pose(x, y, math.pi * int(rng.integers(-4, 5)) / 4)
         assert_grid_marks_the_hit_cells(world, pose, h)
+
+
+def kernel_hit_cells(world, pose, radius, n_rays):
+    """The world cells the kernel's rays hit, read off perceive's grid of local
+    cells half a world cell wide: the mark of a hit then lands on the local cell
+    centered on the hit cell's center, one local cell per hit cell and never the
+    robot's, for a pose on cell centers and boundaries. The square spans the
+    radius; the clamp's OCCUPIED cells, centered off the world, are left out."""
+    h = int(2 * radius / world.cell_size)
+    grid = perceive(world, pose, radius, n_rays, world.cell_size / 2, h, 0)
+    cells = {world.cell_of(*grid.world_center(cell))
+             for cell in map(tuple, np.argwhere(grid.cells == CellState.OCCUPIED).tolist())}
+    return {cell for cell in cells if world.in_bounds(cell)}
+
+
+AXIS_HEADINGS = [0.0, math.pi / 2, -math.pi / 2, math.pi]
+
+
+@pytest.mark.parametrize("cell_size", [1.0, 1.5, 0.3])
+def test_ray_steps_on_cell_boundaries_corners_and_axes(cell_size):
+    # From a cell corner, a ray toward lower x and lower y starts with
+    # t_max_x == t_max_y == -0.0, and every other ray with a -0.0 on one axis
+    # when it heads toward lower x or lower y, as does a ray from a cell
+    # boundary; later boundaries tie at exact corner crossings. A heading
+    # along an axis with n_rays a multiple of 4 casts a ray of direction
+    # exactly (1, 0), whose y delta is infinite, and rays about 1e-16 off an
+    # axis, which run along a grid line from a boundary pose. The kernel's
+    # ranges must be scan_ref's to the bit, the sign of a zero included, and
+    # its hit cells scan_ref's.
+    rng = np.random.default_rng(2028)
+    on_line = {"corner": (True, True), "vertical": (True, False),
+               "horizontal": (False, True), "center": (False, False)}
+    for trial in range(48):
+        static = rng.random((10, 10)) < rng.uniform(0.05, 0.4)
+        kind = list(on_line)[trial % 4]
+        r, c = (int(v) for v in rng.integers(1, 9, size=2))
+        x, y = ((v + (0.0 if line else 0.5)) * cell_size
+                for v, line in zip((c, r), on_line[kind]))
+        psi = AXIS_HEADINGS[int(rng.integers(4))] if trial % 3 else \
+            math.pi * int(rng.integers(-3, 5)) / 4
+        n_rays = 4 * int(rng.choice([1, 2, 9, 90]))
+        static[int(math.floor(y / cell_size)), int(math.floor(x / cell_size))] = False
+        world, pose = WorldMap(static, cell_size), Pose(x, y, psi)  # on a free cell
+        # the second radius passes the world's diagonal, so that every hit cell
+        # lies in kernel_hit_cells's square
+        for radius in (float(rng.uniform(0.5, 4.0)) * cell_size, 15.0 * cell_size):
+            samples = scan_ref(static, cell_size, x, y, psi, radius, n_rays)
+            want = [math.inf] * n_rays
+            for d, theta, _ in samples:
+                want[round(theta / math.tau * n_rays)] = d
+            got = kernel_scan(world, pose, radius, n_rays).tolist()
+            assert [struct.pack("d", v) for v in got] == [struct.pack("d", v) for v in want], \
+                (kind, pose, radius, n_rays)
+        assert kernel_hit_cells(world, pose, radius, n_rays) == {
+            cell for _, _, cell in samples}, (kind, pose, n_rays)
 
 
 def test_perceive_rejects_what_scan_and_grid_reject():

@@ -527,6 +527,52 @@ def test_config_cache_keeps_runs_apart():
         assert output(dataclasses.replace(sc, config=config)) == ran
 
 
+def test_records_stay_frozen_dataclasses():
+    # Pose and CycleRecord write their fields in one dict update, past a frozen
+    # dataclass's own __init__; they must still behave as frozen dataclasses
+    import copy
+    import inspect
+    import pickle
+
+    result = run(scenario_from(bordered(11, 11), 1.0, (5, 2), (5, 8)))
+    rec = result.records[0]
+    pose = rec.pose
+    assert rec.subpath and rec.aco_series and rec.subgoal is not None
+    names = [f.name for f in dataclasses.fields(CycleRecord)]
+    assert names == ["cycle", "pose", "subgoal", "subpath", "dist_to_goal", "aco_series",
+                     "status"]
+    assert list(inspect.signature(CycleRecord).parameters) == names
+    assert list(inspect.signature(Pose).parameters) == ["x", "y", "psi"]
+    for obj in (pose, rec):
+        for f in dataclasses.fields(obj):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, f.name, getattr(obj, f.name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(obj, f.name)
+        assert dataclasses.replace(obj) == obj
+        for same in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert same == obj and hash(same) == hash(obj)
+    assert Pose(**dataclasses.asdict(pose)) == pose
+    assert Pose(*dataclasses.astuple(pose)) == pose
+    as_dict = dataclasses.asdict(rec)
+    assert CycleRecord(**{**as_dict, "pose": Pose(**as_dict["pose"])}) == rec
+    as_tuple = dataclasses.astuple(rec)
+    assert CycleRecord(as_tuple[0], Pose(*as_tuple[1]), *as_tuple[2:]) == rec
+    assert dataclasses.replace(rec, cycle=7).cycle == 7
+    assert dataclasses.replace(rec, cycle=7) != rec
+    assert dataclasses.replace(pose, psi=3 * math.pi).psi == math.pi  # wrapped again
+
+
+def test_cell_tables_are_built_on_the_first_cycle():
+    # a config works out its cell tables when it first runs, not when it is made
+    sc = scenario_from(bordered(11, 11), 1.0, (5, 2), (5, 8), half_extent=3)
+    assert "_cell_tables" not in vars(sc.config)
+    run(sc)
+    dx, dy, heading = vars(sc.config)["_cell_tables"]
+    assert len(dx) == len(dy) == len(heading) == 49
+    assert (dx[0], dy[0], heading[0]) == (-3.0, -3.0, math.atan2(-3, -3))
+
+
 NON_FINITE_GOAL = """
 import math
 import numpy as np
