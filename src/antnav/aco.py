@@ -17,7 +17,7 @@ walk that table. The kernel computes the heuristic (1 / step) ** gamma per
 direction from gamma and the cell size, and reads the corner factors built
 here (_CORNER_FACTORS, from corner_heuristic). AcoParams.kernel_args builds
 the colony's arguments for plan_subpath and the planner's cycle alike, after
-eta_gamma's check.
+the check of heuristic_weights.
 
 Determinism: every ant walk draws from its own RNG stream, the one numpy's
 SeedSequence((seed..., iteration, ant index)) seeds, and ants walk serially.
@@ -75,6 +75,7 @@ class AcoParams:
 
     def __post_init__(self):
         store_counts(self, "n_ants", "n_iters", "max_steps", "elite_cutoff")
+        object.__setattr__(self, "mode", AcoMode(self.mode))  # a member, or ValueError
         for name in ("phi", "gamma", "rho", "q", "delta", "zeta", "tau0"):
             # NaN passes every range check below
             if not math.isfinite(getattr(self, name)):
@@ -106,8 +107,8 @@ class AcoParams:
     def kernel_args(self, cell_size: float, n_cells: int) -> tuple:
         """The colony's arguments of the kernel's colony_run and plan_cycle, gamma to
         elite_cutoff, for a grid of n_cells cells of cell_size. Raises ValueError as
-        eta_gamma does."""
-        eta_gamma((cell_size, cell_size * SQRT2), self.gamma)
+        heuristic_weights does."""
+        heuristic_weights((cell_size, cell_size * SQRT2), self.gamma)
         return (self.gamma, self.n_iters, self.n_ants, self.resolved_max_steps(n_cells),
                 self.mode is AcoMode.IMPROVED, self.phi, self.rho, self.q, self.delta,
                 self.zeta, self.tau0, self.resolved_elite_cutoff())
@@ -134,7 +135,7 @@ class GridGraph:
         self.rows, self.cols = self.mask.shape
         self.n = self.rows * self.cols
         self.cell_size = float(cell_size)
-        if not 0 < self.cell_size < math.inf:  # a negative step passes eta_gamma at even gamma
+        if not 0 < self.cell_size < math.inf:  # a negative step passes the weight check at even gamma
             raise ValueError(f"cell_size must be positive and finite, got {cell_size}")
         self.links = np.empty(self.n, dtype=np.uint8)
         kernel.module().lib.open_directions(
@@ -187,7 +188,7 @@ def corner_heuristic(prev_dir: float | None, i: Cell, j: Cell) -> float:
     return 1.0 if theta == 0.0 else 1.0 / theta
 
 
-def eta_gamma(steps, gamma: float) -> list[float]:
+def heuristic_weights(steps, gamma: float) -> list[float]:
     """Heuristic weight (1 / step) ** gamma per step length, as the kernel computes it.
 
     Raises ValueError unless every weight is positive and finite: a weight
@@ -237,14 +238,14 @@ def _entropy_words(key) -> list[int]:
     return words
 
 
-def colony_error(code: int, subgoal: Cell, params: AcoParams) -> Exception:
-    """The exception of a colony run toward subgoal that ended with colony.c's
-    COLONY_BAD_TOTAL or COLONY_NO_MEMORY."""
-    if code == kernel.module().lib.COLONY_BAD_TOTAL:
+def colony_error(code: int, subgoal: Cell | None, params: AcoParams) -> Exception:
+    """The exception of a kernel call that ended with the outcome code NO_MEMORY,
+    or with BAD_TOTAL in a colony run toward subgoal (read for BAD_TOTAL alone)."""
+    if code == kernel.module().lib.BAD_TOTAL:
         return ColonyWeightError(
             f"a roulette total toward {subgoal} is 0 or not finite: tau0 {params.tau0}, "
             f"phi {params.phi} and gamma {params.gamma} give unusable weights")
-    return MemoryError("the colony kernel could not allocate its buffers")
+    return MemoryError("the kernel could not allocate its buffers")
 
 
 def plan_subpath(graph: GridGraph, start: Cell, subgoal: Cell, params: AcoParams,
@@ -298,11 +299,11 @@ def plan_subpath(graph: GridGraph, start: Cell, subgoal: Cell, params: AcoParams
         pointer(dirs, np.int8, (max_steps,), writable=True),
         counts, counts + 1, length,
         pointer(series, np.float64, (n_iters,), writable=True))
-    if code == mod.lib.COLONY_NO_PATH_STREAK:
+    if code == mod.lib.NO_PATH_STREAK:
         raise NoPathFound(f"no ant reached {subgoal} in 3 consecutive iterations")
-    if code == mod.lib.COLONY_NO_PATH:
+    if code == mod.lib.NO_PATH:
         raise NoPathFound(f"no ant reached {subgoal} in {n_iters} iterations")
-    if code != mod.lib.COLONY_OK:
+    if code != mod.lib.OK:
         raise colony_error(code, subgoal, params)
     n_steps = counts[0]
     path = AntPath(tuple(map(graph.cell_of, cells[:n_steps + 1].tolist())),

@@ -55,6 +55,6 @@ def apf_step(grid: LocalGrid, pose: Pose, goal: Point, params: ApfParams) -> Cel
     step = lib.apf_step(pointer(grid.cells, np.int8, (grid.side, grid.side)), grid.half_extent,
                         grid.cell_size, pose.x, pose.y, goal[0], goal[1], params.k_att,
                         params.k_rep, params.resolved_d0(grid.cell_size))
-    if step == lib.APF_LOCAL_MINIMUM:
+    if step == lib.LOCAL_MINIMUM:
         raise LocalMinimum(f"no neighbor below the potential at {pose.xy}")
     return divmod(step, grid.side)

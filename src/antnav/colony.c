@@ -37,12 +37,20 @@
 #include <stdlib.h>
 #include <string.h>
 
+/* The kernel's outcome codes, one meaning each whichever function returns
+ * it; this file comes first in the translation unit, so every file sees
+ * them. apf_step returns a cell id (>= 0) where it does not return one. */
 enum {
-    COLONY_OK = 0,
-    COLONY_NO_PATH_STREAK = 1, /* improved mode: no finisher in the first 3 iterations */
-    COLONY_NO_PATH = 2,        /* no finisher in any iteration */
-    COLONY_BAD_TOTAL = 3,      /* a roulette total was 0, infinite or NaN */
-    COLONY_NO_MEMORY = 4,
+    OK = 0,                /* a path planned, a pose or a step on a free world cell */
+    STUCK = -1,            /* plan_cycle: no sub-goal can be planned */
+    LOCAL_MINIMUM = -2,    /* apf_step, apf_cycle: no neighbour improves */
+    NO_MEMORY = -3,        /* a call could not allocate its scratch */
+    POSE_OFF_WORLD = -4,   /* perceive: the pose's world cell lies outside the world */
+    POSE_IN_OBSTACLE = -5, /* perceive: the pose's world cell is occupied */
+    STEP_COLLISION = -6,   /* a cycle's step lands on an occupied world cell */
+    NO_PATH_STREAK = -7,   /* colony_run, improved mode: no finisher in iterations 1-3 */
+    NO_PATH = -8,          /* colony_run: no finisher in any iteration */
+    BAD_TOTAL = -9,        /* colony_run: a roulette total was 0, infinite or NaN */
 };
 
 typedef __uint128_t u128;
@@ -153,7 +161,9 @@ typedef struct {
     double length, cost;
 } ant_path;
 
-/* (row, column) offset per direction index: antnav.geometry.DIR_OFFSETS */
+/* (row, column) offset per direction index: antnav.geometry.DIR_OFFSETS. The
+ * diagonal directions are the odd ones, so d & 1 indexes a straight/diagonal
+ * table. */
 static const int DIR_OFFSETS[8][2] = {{1, 0}, {1, 1}, {0, 1}, {-1, 1},
                                       {-1, 0}, {-1, -1}, {0, -1}, {1, -1}};
 
@@ -197,11 +207,12 @@ static void enter(uint8_t *blocked, const int *offset, int v)
  * blocked[pos] when that neighbour is on the walk (see enter), so the
  * candidates are the bits of links[pos] & ~blocked[pos], in ascending
  * direction order. The weight of a candidate is tau^phi * eta^gamma of its
- * edge, times its turn factor in improved mode. blocked must be cleared and
- * padded by cols + 1 bytes before cell 0 and after the last cell. Returns
- * COLONY_OK or COLONY_BAD_TOTAL. */
+ * edge, times its turn factor in improved mode; a step in direction d is
+ * step[d & 1] long and weighs eta[d & 1] (straight, diagonal). blocked must be
+ * cleared and padded by cols + 1 bytes before cell 0 and after the last cell.
+ * Returns OK or BAD_TOTAL. */
 static int walk(const uint8_t *links, const int *offset, const double *tau, double phi,
-                const double *eta_g, const double *corner, int improved, const double *steps,
+                const double *eta, const double *corner, int improved, const double *step,
                 int start, int goal, int max_steps, pcg64 *g, uint8_t *blocked, ant_path *p)
 {
     int pos = start, prev = -1;
@@ -220,7 +231,7 @@ static int walk(const uint8_t *links, const int *offset, const double *tau, doub
         for (; open; open &= open - 1) {
             int d = __builtin_ctz(open);
             /* pow(t, 1.0) == t: skip the call */
-            double w = (phi == 1.0 ? tau_row[d] : pow(tau_row[d], phi)) * eta_g[d];
+            double w = (phi == 1.0 ? tau_row[d] : pow(tau_row[d], phi)) * eta[d & 1];
             if (improved)
                 w *= turn[d];
             cw[k] = w;
@@ -229,7 +240,7 @@ static int walk(const uint8_t *links, const int *offset, const double *tau, doub
             total += w;
         }
         if (!(total > 0.0 && total <= DBL_MAX))
-            return COLONY_BAD_TOTAL;
+            return BAD_TOTAL;
         double draw = pcg_double(g), acc = 0.0;
         /* the last candidate is taken when no earlier one is, also when the
          * cumulative sum rounds to just below 1 */
@@ -244,7 +255,7 @@ static int walk(const uint8_t *links, const int *offset, const double *tau, doub
         int d = cd[pick];
         if (d != prev && prev >= 0)
             p->corners++;
-        p->length += steps[d];
+        p->length += step[d & 1];
         p->dirs[p->n_steps] = (int8_t)d;
         p->n_steps++;
         pos += offset[d];
@@ -256,7 +267,7 @@ static int walk(const uint8_t *links, const int *offset, const double *tau, doub
             break;
         }
     }
-    return COLONY_OK;
+    return OK;
 }
 
 static void copy_path(ant_path *dst, const ant_path *src)
@@ -275,10 +286,11 @@ static void copy_path(ant_path *dst, const ant_path *src)
  * updated in place), corner (9, 8), key (n_key), best_cells (max_steps + 1),
  * best_dirs (max_steps), series (n_iters). A straight step is cell_size
  * long, a diagonal one cell_size * sqrt(2), and its heuristic weight is
- * pow(1 / step, gamma); the run builds both per-direction tables itself.
+ * pow(1 / step, gamma); the run builds both straight/diagonal pairs itself.
  * Ant k of iteration it walks on the stream of the words (key..., it, k),
  * it from 1, and the repair draws from k = n_ants. max_steps must not
- * exceed n - 1. On COLONY_OK the best path is in
+ * exceed n - 1. Returns OK, NO_PATH_STREAK, NO_PATH, BAD_TOTAL or NO_MEMORY;
+ * on OK the best path is in
  * best_cells[0..*best_steps] and best_dirs[0..*best_steps - 1]. */
 int colony_run(const uint8_t *links, int rows, int cols, double *tau, double cell_size,
                const double *corner, const uint32_t *key, int n_key, int start, int goal,
@@ -300,7 +312,7 @@ int colony_run(const uint8_t *links, int rows, int cols, double *tau, double cel
                             + sizeof(int32_t) * ((size_t)m + ant_cells + (size_t)n_key + 2)
                             + ant_dirs + n_blocked);
     if (!ants)
-        return COLONY_NO_MEMORY;
+        return NO_MEMORY;
     int32_t *order = (int32_t *)(ants + m);
     int32_t *cell_buf = order + m;
     uint32_t *words = (uint32_t *)(cell_buf + ant_cells);
@@ -308,20 +320,14 @@ int colony_run(const uint8_t *links, int rows, int cols, double *tau, double cel
     uint8_t *padded = (uint8_t *)(dir_buf + ant_dirs);
     uint8_t *blocked = padded + cols + 1;
     ant_path best = {best_cells, best_dirs, 0, 0, 0, 0.0, INFINITY};
-    int have_best = 0, fail_streak = 0, code = COLONY_OK;
+    int have_best = 0, fail_streak = 0, code = OK;
     const double keep = 1.0 - rho;
     int offset[8];
     const double step[2] = {cell_size, cell_size * sqrt(2.0)}; /* straight, diagonal */
     const double eta[2] = {pow(1.0 / step[0], gamma), pow(1.0 / step[1], gamma)};
-    double steps[8], eta_g[8];
     for (int k = 0; k < m; k++) {
         ants[k].cells = cell_buf + (size_t)k * (size_t)(max_steps + 1);
         ants[k].dirs = dir_buf + (size_t)k * (size_t)max_steps;
-    }
-    for (int d = 0; d < 8; d++) {
-        bool diagonal = DIR_OFFSETS[d][0] != 0 && DIR_OFFSETS[d][1] != 0;
-        steps[d] = step[diagonal];
-        eta_g[d] = eta[diagonal];
     }
     flat_offsets(cols, offset);
     memcpy(words, key, sizeof(uint32_t) * (size_t)n_key);
@@ -335,9 +341,9 @@ int colony_run(const uint8_t *links, int rows, int cols, double *tau, double cel
             words[n_key + 1] = (uint32_t)k;
             pcg_seed(&g, words, n_key + 2);
             memset(padded, 0, n_blocked);
-            code = walk(links, offset, tau, phi, eta_g, corner, improved, steps, start, goal,
+            code = walk(links, offset, tau, phi, eta, corner, improved, step, start, goal,
                         max_steps, &g, blocked, &ants[k]);
-            if (code != COLONY_OK)
+            if (code != OK)
                 goto done;
             if (ants[k].reached) {
                 ants[k].cost = improved ? delta * ants[k].length + zeta * ants[k].corners
@@ -353,7 +359,7 @@ int colony_run(const uint8_t *links, int rows, int cols, double *tau, double cel
              * full budget. */
             fail_streak++;
             if (improved && fail_streak >= 3) {
-                code = COLONY_NO_PATH_STREAK;
+                code = NO_PATH_STREAK;
                 goto done;
             }
             series[it] = INFINITY;
@@ -417,7 +423,7 @@ int colony_run(const uint8_t *links, int rows, int cols, double *tau, double cel
         series[it] = best.cost;
     }
     if (!have_best) {
-        code = COLONY_NO_PATH;
+        code = NO_PATH;
         goto done;
     }
     *best_steps = best.n_steps;

@@ -168,7 +168,7 @@ def perceive(world: WorldMap, pose: Pose, lidar_radius: float, n_rays: int, cell
         *world.kernel_occupancy(), pose.x, pose.y, pose.psi, ray_table(pose.psi, n_rays),
         *args, pointer(ranges, np.float64, ranges.shape, writable=True),
         pointer(cells, np.int8, cells.shape, writable=True))
-    if code != lib.POSE_FREE:
+    if code != lib.OK:
         raise pose_error(code, world, pose)
     return LocalGrid(pose, cell_size, half_extent, cells, ranges)
 

@@ -39,9 +39,6 @@ SOURCES = tuple(Path(__file__).with_name(name)
 CACHE_DIR = Path(__file__).with_name("_kernel_cache")
 # sysconfig.get_config_var("EXT_SUFFIX"), without sysconfig's import at start-up
 SUFFIX = importlib.machinery.EXTENSION_SUFFIXES[0]
-# Name prefixes of built modules: this kernel's, and the colony-only module
-# of older sources.
-_PREFIXES = ("_kernel_", "_colony_")
 
 # The largest count a kernel `int` takes: ray, ant and iteration counts and
 # the cells of a local grid, which AcoParams and grid.py's argument checks test.
@@ -140,6 +137,6 @@ def _build(name: str, source: str, target: Path) -> None:
     finally:
         shutil.rmtree(build_dir, ignore_errors=True)
     for old in target.parent.iterdir():
-        if old != target and old.name.startswith(_PREFIXES) and old.name.endswith(SUFFIX) \
+        if old != target and old.name.startswith("_kernel_") and old.name.endswith(SUFFIX) \
                 and old.is_file():
             old.unlink(missing_ok=True)

@@ -4,8 +4,8 @@
  * POSE_IN_OBSTACLE for a pose whose world cell lies outside the world or is
  * occupied at the occupancy's tick, before any ray is cast; this is the
  * package's only pose test. Then it runs the whole stage on one cells
- * array: ray cast, rasterize and inflate (each hit marks its cell),
- * occlusion, world clamp. Its loop over
+ * array: ray cast, rasterize and inflate (each hit marks its cell), then
+ * occlusion and world clamp in one pass over the cells. Its loop over
  * the rays is the package's only ray cast. The scan is one range per ray,
  * which antnav.grid.perceive keeps as LocalGrid.ranges: range[i] is ray
  * i's hit distance, or INFINITY when it hits nothing.
@@ -20,8 +20,9 @@
  *  - cos, sin and atan2 are libm's, which CPython's math module calls too;
  *  - math.hypot is not libm's hypot, so py_hypot ports CPython 3.11's
  *    two-argument vector_norm;
- *  - Python's float % is py_mod (an fmod result moved into the divisor's
- *    sign) and round() is nearbyint (ties to even).
+ *  - Python's float % by tau is fmod plus tau on a negative result (a zero
+ *    result may keep fmod's sign, which gives the same ray index) and
+ *    round() is nearbyint (ties to even).
  *
  * Build with -ffp-contract=off and without -ffast-math: a fused
  * multiply-add or a reordered sum would change bits.
@@ -34,12 +35,6 @@
 #define TAU 6.283185307179586
 
 enum { FREE = 0, OCCUPIED = 1, INFLATED = 2, ROBOT = 3 }; /* antnav.grid.CellState */
-
-enum {
-    POSE_FREE = 0,        /* perceive's verdict for a pose on a free world cell */
-    POSE_OFF_WORLD = -3,  /* for a pose whose world cell lies outside the world */
-    POSE_IN_OBSTACLE = -4 /* for a pose whose world cell is occupied */
-};
 
 /* math.hypot(x, y) of CPython 3.11 (Modules/mathmodule.c, math_hypot and
  * vector_norm for two coordinates): the squares of the scaled coordinates
@@ -128,19 +123,6 @@ static long world_cell(double x, double y, double world_cell_size, int rows, int
     if (!(r >= 0 && r < rows && c >= 0 && c < cols))
         return -1;
     return (long)r * cols + (long)c;
-}
-
-/* Python's x % m for floats: the result takes the sign of m */
-static double py_mod(double x, double m)
-{
-    double r = fmod(x, m);
-    if (r != 0.0) {
-        if ((m < 0) != (r < 0))
-            r += m;
-    } else {
-        r = copysign(0.0, m);
-    }
-    return r;
 }
 
 /* Writes the world-frame direction of ray i of n_rays from heading psi,
@@ -242,54 +224,49 @@ static void inflate(int half_extent, int rings, int8_t *cells)
     cells[half_extent * side + half_extent] = ROBOT;
 }
 
-/* Marks INFLATED the FREE cells of the side x side grid around
- * (x0, y0, psi) that were never observed: those whose bearing's ray,
- * round(bearing / sector) % n_rays, hit closer than the cell center by
- * more than half a cell diagonal. Planning into such shadows gives phantom
- * passages through walls. A cell on a ray with no hit stays free, so
- * unexplored space is still treated optimistically, and so does every cell
- * within one cell size of the center. The range is math.hypot's own
- * algorithm, which libm hypot and np.hypot differ from in the last bit. */
-static void mask_occluded(const double *range, int n_rays, double x0, double y0, double psi,
-                          double cell_size, int half_extent, int8_t *cells)
+/* Occlusion and world clamp of the side x side grid around (x0, y0, psi),
+ * in one pass over its inflated cells:
+ *  - a cell whose center lies outside the world_rows x world_cols world
+ *    becomes OCCUPIED. Such cells can never be scanned and must not look
+ *    like free space to plan through. They are not inflated: they always sit
+ *    behind the map's own boundary obstacles.
+ *  - otherwise a FREE cell that was never observed becomes INFLATED: one
+ *    whose bearing's ray, round(bearing / sector) % n_rays, hit closer than
+ *    the cell center by more than half a cell diagonal. Planning into such
+ *    shadows gives phantom passages through walls. A cell on a ray with no
+ *    hit stays free, so unexplored space is still treated optimistically,
+ *    and so does every cell within one cell size of the center. The range
+ *    is math.hypot's own algorithm, which libm hypot and np.hypot differ
+ *    from in the last bit.
+ * The clamp overwrites a cell whatever its state and the occlusion reads
+ * only its own cell, so the one pass gives what the two rules in turn give. */
+static void occlude_and_clamp(const double *range, int n_rays, double x0, double y0,
+                              double psi, double cell_size, int half_extent,
+                              double world_cell_size, int world_rows, int world_cols,
+                              int8_t *cells)
 {
     int side = 2 * half_extent + 1;
     double sector = TAU / (double)n_rays;
     double margin = 0.5 * sqrt(2.0) * cell_size;
 
     for (int r = 0; r < side; r++) {
-        double dy = (y0 + (double)(r - half_extent) * cell_size) - y0;
+        double y = y0 + (double)(r - half_extent) * cell_size, dy = y - y0;
+        double wr = floor(y / world_cell_size);
         for (int c = 0; c < side; c++) {
-            double dx, d, theta;
-            if (cells[r * side + c] != FREE)
+            double x = x0 + (double)(c - half_extent) * cell_size, dx = x - x0;
+            double wc = floor(x / world_cell_size), d, theta;
+            int8_t *cell = &cells[r * side + c];
+            if (!(wr >= 0 && wr < world_rows && wc >= 0 && wc < world_cols)) {
+                *cell = OCCUPIED;
                 continue;
-            dx = (x0 + (double)(c - half_extent) * cell_size) - x0;
-            d = py_hypot(dx, dy);
-            if (d <= cell_size)
+            }
+            if (*cell != FREE || (d = py_hypot(dx, dy)) <= cell_size)
                 continue;
-            theta = py_mod(psi - atan2(dy, dx), TAU);
+            theta = fmod(psi - atan2(dy, dx), TAU);
+            if (theta < 0.0)
+                theta += TAU;
             if (range[(int64_t)nearbyint(theta / sector) % n_rays] < d - margin)
-                cells[r * side + c] = INFLATED;
-        }
-    }
-}
-
-/* Marks OCCUPIED the cells of the side x side grid around (x0, y0) whose
- * center lies outside the world_rows x world_cols world. Such cells can
- * never be scanned and must not look like free space to plan through. They
- * are not inflated: they always sit behind the map's own boundary
- * obstacles. */
-static void clamp_to_world(double x0, double y0, double cell_size, int half_extent,
-                           double world_cell_size, int world_rows, int world_cols,
-                           int8_t *cells)
-{
-    int side = 2 * half_extent + 1;
-    for (int r = 0; r < side; r++) {
-        double wr = floor((y0 + (double)(r - half_extent) * cell_size) / world_cell_size);
-        for (int c = 0; c < side; c++) {
-            double wc = floor((x0 + (double)(c - half_extent) * cell_size) / world_cell_size);
-            if (!(wr >= 0 && wr < world_rows && wc >= 0 && wc < world_cols))
-                cells[r * side + c] = OCCUPIED;
+                *cell = INFLATED;
         }
     }
 }
@@ -297,12 +274,12 @@ static void clamp_to_world(double x0, double y0, double cell_size, int half_exte
 /* The local grid of antnav.grid.perceive. Returns POSE_OFF_WORLD or
  * POSE_IN_OBSTACLE, writing nothing, when the world cell of the pose
  * (x0, y0) lies outside the rows x cols occupancy grid or is occupied in
- * it. Otherwise returns POSE_FREE after casting n_rays rays from pose
+ * it. Otherwise returns OK after casting n_rays rays from pose
  * (x0, y0, psi) against the grid into range (room for n_rays), marking each
  * ray's hit cell in the side x side grid around the pose, inflating it by
- * `rings` rings, masking the occluded cells and clamping the grid to the
- * world. rays holds ray_directions(psi, n_rays): ray i has bearing
- * tau * i / n_rays, and the ray index of that bearing,
+ * `rings` rings, then masking the occluded cells and clamping the grid to
+ * the world in one pass. rays holds ray_directions(psi, n_rays): ray i has
+ * bearing tau * i / n_rays, and the ray index of that bearing,
  * round(bearing / sector) % n_rays, is i again, so the occlusion reads ray
  * i's range at range[i]. */
 int perceive(const bool *occ, int rows, int cols, double world_cell_size, double x0,
@@ -325,8 +302,8 @@ int perceive(const bool *occ, int rows, int cols, double world_cell_size, double
             mark(hit, world_cell_size, x0, y0, cell_size, half_extent, cells);
             last[0] = hit[0], last[1] = hit[1];
         }
-    inflate(half_extent, rings, cells);
-    mask_occluded(range, n_rays, x0, y0, psi, cell_size, half_extent, cells);
-    clamp_to_world(x0, y0, cell_size, half_extent, world_cell_size, rows, cols, cells);
-    return POSE_FREE;
+    inflate(half_extent, rings, cells); /* before the clamp, whose cells are not inflated */
+    occlude_and_clamp(range, n_rays, x0, y0, psi, cell_size, half_extent, world_cell_size,
+                      rows, cols, cells);
+    return OK;
 }

@@ -28,11 +28,12 @@
  * Each cycle call takes its scratch from one heap block, sized and sliced
  * in one place by alignment (doubles, 32-bit ints, bytes), and ends it with
  * a byte buffer the call fills whole, so a short block faults there.
- * colony_run builds its own direction tables from the cell size and gamma;
- * the open-direction table of the local grid is built once per cycle.
+ * colony_run builds its own step and heuristic pairs from the cell size and
+ * gamma; the open-direction table of the local grid is built once per cycle.
  *
  * This file follows colony.c and perception.c in the kernel's one
- * translation unit and calls their functions. Build with -ffp-contract=off
+ * translation unit and calls their functions; its outcome codes are
+ * colony.c's. Build with -ffp-contract=off
  * and without -ffast-math: a fused multiply-add or a reordered sum would
  * change bits.
  */
@@ -43,15 +44,6 @@
 #include <string.h>
 
 #define PI 3.141592653589793 /* math.pi; TAU is perception.c's math.tau */
-
-enum {
-    STEP_FREE = 0,          /* both cycles' verdict for a step onto a free world cell */
-    PLAN_STUCK = -1,        /* plan_cycle's verdict when no sub-goal can be planned */
-    APF_LOCAL_MINIMUM = -1, /* apf_step's and apf_cycle's when no neighbour improves */
-    APF_NO_MEMORY = -2,     /* apf_cycle's when it cannot allocate its buffers */
-    STEP_COLLISION = -5     /* both cycles' for a step onto an occupied world cell; the
-                               pose verdicts of perception.c take -3 and -4 */
-};
 
 /* antnav.geometry.wrap_angle: a in radians wrapped to (-pi, pi] */
 static double wrap_angle(double a)
@@ -66,7 +58,7 @@ static double wrap_angle(double a)
 
 /* STEP_COLLISION when the world cell of local cell id `step` of the side x
  * side grid around (x0, y0) is occupied in the rows x cols occupancy grid,
- * or lies outside it (the world clamp leaves no such step), else STEP_FREE.
+ * or lies outside it (the world clamp leaves no such step), else OK.
  * The cell's center is x0 + (c - h) * cell_size, the point antnav.planner
  * moves the robot to. */
 static int step_verdict(const bool *occ, int rows, int cols, double world_cell_size,
@@ -76,7 +68,7 @@ static int step_verdict(const bool *occ, int rows, int cols, double world_cell_s
     long cell = world_cell(x0 + (double)(step % side - half_extent) * cell_size,
                            y0 + (double)(step / side - half_extent) * cell_size,
                            world_cell_size, rows, cols);
-    return cell < 0 || occ[cell] ? STEP_COLLISION : STEP_FREE;
+    return cell < 0 || occ[cell] ? STEP_COLLISION : OK;
 }
 
 /* Writes the row-major ids of the marginal cells of the side x side grid to
@@ -193,7 +185,7 @@ static double potential(const int8_t *cells, int half_extent, double cell_size, 
 /* antnav.baselines.apf_step on the side x side cells (half_extent >= 1) of
  * a grid centered on the robot at (x0, y0): the row-major id of the
  * traversable (FREE or ROBOT) 8-neighbour of the center with the lowest
- * potential (the first in row-major order on ties), or APF_LOCAL_MINIMUM
+ * potential (the first in row-major order on ties), or LOCAL_MINIMUM
  * when none is traversable or the best one's potential is not below the
  * center's. */
 int apf_step(const int8_t *cells, int half_extent, double cell_size, double x0, double y0,
@@ -203,7 +195,7 @@ int apf_step(const int8_t *cells, int half_extent, double cell_size, double x0, 
     double here = potential(cells, half_extent, cell_size, x0, y0, x0, y0, goal_x, goal_y,
                             k_att, k_rep, d0);
     double best_u = INFINITY;
-    int best = APF_LOCAL_MINIMUM;
+    int best = LOCAL_MINIMUM;
     for (int r = half_extent - 1; r <= half_extent + 1; r++)
         for (int c = half_extent - 1; c <= half_extent + 1; c++) {
             int8_t s = cells[r * side + c];
@@ -218,15 +210,15 @@ int apf_step(const int8_t *cells, int half_extent, double cell_size, double x0, 
                 best = r * side + c;
             }
         }
-    return best < 0 || best_u >= here ? APF_LOCAL_MINIMUM : best;
+    return best < 0 || best_u >= here ? LOCAL_MINIMUM : best;
 }
 
 /* One cycle of the APF planner of antnav.planner.plan_cycle for a robot at
  * (x0, y0, psi) on the rows x cols occupancy grid occ: perceive() with the
  * ray table rays and the scan and grid arguments, then apf_step toward
  * (goal_x, goal_y). Returns perceive()'s POSE_OFF_WORLD or POSE_IN_OBSTACLE,
- * APF_LOCAL_MINIMUM or APF_NO_MEMORY; or, with the step's cell id in *step,
- * STEP_FREE or STEP_COLLISION. */
+ * LOCAL_MINIMUM or NO_MEMORY; or, with the step's cell id in *step, OK or
+ * STEP_COLLISION. */
 int apf_cycle(const bool *occ, int rows, int cols, double world_cell_size, double x0,
               double y0, double psi, const double *rays, double goal_x, double goal_y,
               double radius, int n_rays, double cell_size, int half_extent, int rings,
@@ -236,11 +228,11 @@ int apf_cycle(const bool *occ, int rows, int cols, double world_cell_size, doubl
     /* the ranges, then the cells, which perceive() fills whole */
     double *range = malloc(sizeof(double) * (size_t)n_rays + (size_t)side * (size_t)side);
     if (!range)
-        return APF_NO_MEMORY;
+        return NO_MEMORY;
     int8_t *cells = (int8_t *)(range + n_rays);
     int code = perceive(occ, rows, cols, world_cell_size, x0, y0, psi, rays, radius, n_rays,
                         cell_size, half_extent, rings, range, cells);
-    if (code == POSE_FREE) {
+    if (code == OK) {
         code = apf_step(cells, half_extent, cell_size, x0, y0, goal_x, goal_y, k_att, k_rep,
                         d0);
         if (code >= 0) {
@@ -264,14 +256,14 @@ int apf_cycle(const bool *occ, int rows, int cols, double world_cell_size, doubl
  * room for max_steps + 3: the path's step count n, the sub-goal's id, then
  * the path's n + 1 cell ids.
  *
- * Returns perceive()'s POSE_OFF_WORLD or POSE_IN_OBSTACLE; PLAN_STUCK when
- * the grid has no marginal cell, when the reachable cells form a closed
- * pocket (touching no grid edge, goal not among them) or when no trial
- * colony reaches its sub-goal; STEP_FREE or STEP_COLLISION, the verdict of
- * the path's first step, with out filled and the colony series in series
- * (n_iters); or the colony's COLONY_BAD_TOTAL, with the sub-goal's id in
- * out[1], or COLONY_NO_MEMORY. Cell ids are row-major over the side x side
- * grid, side = 2 * half_extent + 1. */
+ * Returns perceive()'s POSE_OFF_WORLD or POSE_IN_OBSTACLE; STUCK when the
+ * grid has no marginal cell, when the reachable cells form a closed pocket
+ * (touching no grid edge, goal not among them) or when no trial colony
+ * reaches its sub-goal; OK or STEP_COLLISION, the verdict of the path's
+ * first step, with out filled and the colony series in series (n_iters);
+ * the colony's BAD_TOTAL, with the sub-goal's id in out[1]; or NO_MEMORY.
+ * Cell ids are row-major over the side x side grid,
+ * side = 2 * half_extent + 1. */
 int plan_cycle(const bool *occ, int rows, int cols, double world_cell_size, double x0,
                double y0, double psi, const double *rays, double goal_x, double goal_y,
                const uint32_t *key, int n_key, const double *corner, double radius,
@@ -287,7 +279,7 @@ int plan_cycle(const bool *occ, int rows, int cols, double world_cell_size, doub
                            + sizeof(int32_t) * (2 * (size_t)n + (size_t)n_key + 1)
                            + (size_t)max_steps + 4 * (size_t)n);
     if (!range)
-        return COLONY_NO_MEMORY;
+        return NO_MEMORY;
     double *xy = range + n_rays;
     double *fam = xy + 2 * (size_t)n; /* raw, norm, cost */
     double *tau = fam + 7 * (size_t)n;
@@ -301,9 +293,9 @@ int plan_cycle(const bool *occ, int rows, int cols, double world_cell_size, doub
     int8_t *cells = (int8_t *)(reach + n);
     int code = perceive(occ, rows, cols, world_cell_size, x0, y0, psi, rays, radius, n_rays,
                         cell_size, half_extent, rings, range, cells);
-    if (code != POSE_FREE)
+    if (code != OK)
         goto done;
-    code = PLAN_STUCK;
+    code = STUCK;
     int k = marginal_cells(cells, side, ids);
     if (k == 0)
         goto done;
@@ -350,7 +342,7 @@ int plan_cycle(const bool *occ, int rows, int cols, double world_cell_size, doub
                 ranked = next_ranked(cost, k, ranked);
             while (ranked >= 0 && (ids[ranked] == capture || !reach[ids[ranked]]));
             if (ranked < 0) {
-                code = PLAN_STUCK;
+                code = STUCK;
                 break;
             }
             target = ids[ranked];
@@ -361,10 +353,10 @@ int plan_cycle(const bool *occ, int rows, int cols, double world_cell_size, doub
                           delta, zeta, tau0, elite_cutoff, out + 2, dirs, &n_steps, &corners,
                           &length, series);
         out[1] = target;
-        if (code != COLONY_NO_PATH && code != COLONY_NO_PATH_STREAK)
+        if (code != NO_PATH && code != NO_PATH_STREAK)
             break; /* found, or an error; no path falls back to the next candidate */
     }
-    if (code == COLONY_OK) {
+    if (code == OK) {
         out[0] = n_steps;
         code = step_verdict(occ, rows, cols, world_cell_size, x0, y0, cell_size, half_extent,
                             out[3]);

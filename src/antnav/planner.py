@@ -72,6 +72,7 @@ class PlannerConfig:
         for name in ("lidar_radius", "cell_size", "goal_tolerance"):  # as Python floats
             if isinstance(value := getattr(self, name), numbers.Real):
                 object.__setattr__(self, name, float(value))
+        object.__setattr__(self, "planner", PlannerKind(self.planner))  # a member, or ValueError
         self._kernel_args  # the scan, grid and colony checks; keeps what they work out
         if self.goal_tolerance is not None and not 0 <= self.goal_tolerance < math.inf:
             raise ValueError(f"goal_tolerance must be >= 0 and finite, got {self.goal_tolerance}")
@@ -205,16 +206,14 @@ def plan_cycle(world: WorldMap, pose: Pose, goal: Point, config: PlannerConfig, 
         out = ffi.new("int32_t[]", k.max_steps + 3)
         series = ffi.new("double[]", k.aco.n_iters)
         code = lib.plan_cycle(*head, key, len(key), corner_table(), *k.args, out, series)
-    step_free, step_collision, stuck, off_world, in_obstacle = _verdicts()
-    if code != step_free and code != step_collision:
+    ok, step_collision, off_world, in_obstacle, halts = _verdicts()
+    if code != ok and code != step_collision:
         if code == off_world or code == in_obstacle:
             raise pose_error(code, world, pose)
-        if code == stuck:  # APF_LOCAL_MINIMUM for apf_cycle
-            return CycleRecord(cycle, pose, None, (), _goal_distance(pose, goal), (),
-                               RunStatus.LOCAL_MINIMUM if apf else RunStatus.STUCK)
-        if apf:  # APF_NO_MEMORY
-            raise MemoryError("the APF kernel could not allocate its buffers")
-        raise colony_error(code, divmod(out[1], k.side), k.aco)
+        if code in halts:
+            return CycleRecord(cycle, pose, None, (), _goal_distance(pose, goal), (), halts[code])
+        # NO_MEMORY, or plan_cycle's BAD_TOTAL; APF's out holds its step alone
+        raise colony_error(code, None if apf else divmod(out[1], k.side), k.aco)
     # the center of cell id i of the local grid lies at (x + dx[i], y + dy[i])
     if apf:
         subgoal, subpath, aco_series, step = None, (), (), out[0]
@@ -233,13 +232,14 @@ def plan_cycle(world: WorldMap, pose: Pose, goal: Point, config: PlannerConfig, 
 
 
 @functools.cache
-def _verdicts() -> tuple[int, ...]:
-    """The kernel's cycle verdicts, read from its enums once: STEP_FREE,
-    STEP_COLLISION, PLAN_STUCK (= APF_LOCAL_MINIMUM), POSE_OFF_WORLD and
-    POSE_IN_OBSTACLE."""
+def _verdicts() -> tuple:
+    """The cycle outcomes, read from the kernel's one outcome enum once: OK,
+    STEP_COLLISION, POSE_OFF_WORLD, POSE_IN_OBSTACLE, and the halting codes
+    mapped to their RunStatus, STUCK (plan_cycle) and LOCAL_MINIMUM
+    (apf_cycle)."""
     lib = kernel.module().lib
-    return (lib.STEP_FREE, lib.STEP_COLLISION, lib.PLAN_STUCK, lib.POSE_OFF_WORLD,
-            lib.POSE_IN_OBSTACLE)
+    return (lib.OK, lib.STEP_COLLISION, lib.POSE_OFF_WORLD, lib.POSE_IN_OBSTACLE,
+            {lib.STUCK: RunStatus.STUCK, lib.LOCAL_MINIMUM: RunStatus.LOCAL_MINIMUM})
 
 
 def run(scenario: "Scenario") -> RunResult:

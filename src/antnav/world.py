@@ -37,6 +37,7 @@ class MovingObstacle:
     def __post_init__(self):
         if not self.waypoints:
             raise ValueError("mover needs at least one waypoint")
+        object.__setattr__(self, "policy", MoverPolicy(self.policy))  # a member, or ValueError
         check_count("ticks_per_move", self.ticks_per_move, 1)
         for r, c in self.waypoints:  # the world checks their bounds
             check_count("mover waypoint row", r, None)

@@ -16,7 +16,7 @@ import numpy as np
 from antnav import (AcoMode, CandidateSet, CostWeights, GridGraph, NoPathFound, perceive,
                     plan_subpath, rank_candidates)
 from antnav import aco, kernel, subgoal
-from antnav.aco import _CORNER_FACTORS, eta_gamma
+from antnav.aco import _CORNER_FACTORS, heuristic_weights
 from antnav.geometry import DIR_ANGLES, wrap_angle
 
 from oracles import neighbors_ref, step_lengths_ref
@@ -61,7 +61,7 @@ def kernel_transition(tau, graph, cell, tabu, prev, params):
     direction, from params.gamma and the cell size as colony_run computes it,
     and the _CORNER_FACTORS table, times tau^phi, combined as walk() combines
     them."""
-    eta_g = eta_gamma(step_lengths_ref(graph.cell_size), params.gamma)
+    eta_g = heuristic_weights(step_lengths_ref(graph.cell_size), params.gamma)
     turn = list(_CORNER_FACTORS[prev + 1])
     cid = graph.id_of(cell)
     weights, total = {}, 0.0

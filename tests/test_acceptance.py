@@ -16,7 +16,7 @@ import pytest
 from antnav import (AcoMode, AcoParams, CellState, CostWeights, GridGraph, NoPathFound,
                     PlannerKind, Pose, RunStatus, WorldMap, corner_heuristic, perceive,
                     plan_subpath, run)
-from antnav.aco import eta_gamma
+from antnav.aco import heuristic_weights
 from antnav.geometry import DIR_ANGLES, DIR_OFFSETS, SQRT2
 from antnav.scenario import parse_groups, parse_scenario, with_planner, with_seed, with_weights
 
@@ -96,7 +96,7 @@ class TestCriterion1:
             for sg in ranked:
                 i = sg.cell[0]
                 ok &= track(sg.cost, w.beta * nt1[i] + w.alpha * nds[i] + w.omega * nt2[i])
-        # the heuristic, eta_gamma's (1 / step) ** gamma of the cell size's step
+        # the heuristic, heuristic_weights' (1 / step) ** gamma of the cell size's step
         # lengths as the kernel computes it from gamma (at gamma 1, the heuristic
         # itself), and the corner factor of the kernel's table
         for _ in range(1000):
@@ -104,7 +104,7 @@ class TestCriterion1:
             d = int(rng.integers(0, 8))
             j = (i[0] + DIR_OFFSETS[d][0], i[1] + DIR_OFFSETS[d][1])
             cs = float(rng.uniform(0.1, 3.0))
-            ok &= track(eta_gamma(step_lengths_ref(cs), 1.0)[d], heuristic_ref(i, j, cs))
+            ok &= track(heuristic_weights(step_lengths_ref(cs), 1.0)[d], heuristic_ref(i, j, cs))
             prev = float(rng.uniform(-math.pi, math.pi)) if rng.random() > 0.2 else None
             ok &= track(corner_heuristic(prev, i, j), corner_ref(prev, i, j))
         # the score: plan_subpath's last series value is the best path's score

@@ -8,7 +8,7 @@ import pytest
 from antnav import (AcoMode, AcoParams, ColonyWeightError, GridGraph, NoPathFound,
                     corner_heuristic, plan_subpath)
 from antnav import kernel
-from antnav.aco import _CORNER_FACTORS, eta_gamma
+from antnav.aco import _CORNER_FACTORS, heuristic_weights
 from antnav.geometry import DIR_ANGLES, DIR_OFFSETS
 
 import oracles
@@ -114,7 +114,7 @@ class Fork:
         """
         improved = params.mode is AcoMode.IMPROVED
         walks = self.walks(params)
-        eta = eta_gamma(step_lengths_ref(self.graph.cell_size), params.gamma)
+        eta = heuristic_weights(step_lengths_ref(self.graph.cell_size), params.gamma)
         eta_first = [eta[e % 8] for e in self.first_edges()]
         m = params.n_ants
         tau = [params.tau0, params.tau0]
@@ -172,22 +172,22 @@ def same_series(got, expected):
 
 
 class TestHeuristic:
-    """eta_gamma, the check AcoParams.kernel_args runs on gamma and the cell size:
+    """heuristic_weights, the check AcoParams.kernel_args runs on gamma and the cell size:
     (1 / step) ** gamma per direction, the heuristic itself at gamma 1. The
     kernel computes the same weights from gamma, which TestKernelDifferential
     pins by bits on random gamma and cell sizes."""
 
     def test_straight_neighbor(self):
-        eta = eta_gamma(step_lengths_ref(1.0), 1.0)
+        eta = heuristic_weights(step_lengths_ref(1.0), 1.0)
         assert [eta[DIR_OFFSETS.index((1, 0))], eta[DIR_OFFSETS.index((0, -1))]] == [1.0, 1.0]
 
     def test_diagonal_neighbor(self):
-        eta = eta_gamma(step_lengths_ref(1.0), 1.0)
+        eta = heuristic_weights(step_lengths_ref(1.0), 1.0)
         assert rel_close(eta[DIR_OFFSETS.index((1, 1))], 1.0 / SQRT2)
         assert rel_close(eta[DIR_OFFSETS.index((-1, 1))], 1.0 / SQRT2)
 
     def test_metric_cells(self):
-        eta = eta_gamma(step_lengths_ref(1.5), 1.0)
+        eta = heuristic_weights(step_lengths_ref(1.5), 1.0)
         assert rel_close(eta[DIR_OFFSETS.index((0, 1))], 2.0 / 3.0)
 
     def test_randomized(self):
@@ -198,7 +198,7 @@ class TestHeuristic:
             j = (i[0] + DIR_OFFSETS[d][0], i[1] + DIR_OFFSETS[d][1])
             cs = float(rng.uniform(0.1, 3.0))
             gamma = float(rng.uniform(0.5, 6.0))
-            eta = eta_gamma(step_lengths_ref(cs), gamma)
+            eta = heuristic_weights(step_lengths_ref(cs), gamma)
             assert rel_close(eta[d], heuristic_ref(i, j, cs) ** gamma)
 
 
@@ -341,7 +341,7 @@ class TestRouletteSelect:
 
     def test_cdf_arithmetic(self):
         fork = ring_fork()
-        eta = eta_gamma(step_lengths_ref(fork.graph.cell_size), 1.0)
+        eta = heuristic_weights(step_lengths_ref(fork.graph.cell_size), 1.0)
         for gamma in (0.5, 1.0, 2.0, 4.0, 8.0):
             params = AcoParams(gamma=gamma, n_ants=50, n_iters=1, mode=AcoMode.CONVENTIONAL)
             w = [eta[e % 8] ** gamma for e in fork.first_edges()]
@@ -598,6 +598,8 @@ class TestPlanSubpath:
         mask[2, 2] = False
         with pytest.raises(ValueError):
             plan_subpath(GridGraph(mask, 1.0), (0, 0), (2, 2), AcoParams(), 0)
+        with pytest.raises(ValueError, match=r"^start cell \(2, 2\) is not traversable$"):
+            plan_subpath(GridGraph(mask, 1.0), (2, 2), (0, 0), AcoParams(), 0)
         # off-grid cells: numpy would wrap a negative index, and index past the edge
         with pytest.raises(ValueError, match="outside 3x3 grid"):
             open_grid(3).traversable((-1, -1))
@@ -621,6 +623,10 @@ class TestPlanSubpath:
             AcoParams(delta=0.0, zeta=1.0)  # a straight path would score 0
         with pytest.raises(ValueError):
             AcoParams(elite_cutoff=20, n_ants=20)
+        with pytest.raises(ValueError, match="^q must be positive$"):
+            AcoParams(q=0)
+        with pytest.raises(ValueError, match="^tau0 must be positive$"):
+            AcoParams(tau0=0)
 
     @pytest.mark.parametrize("cell_size", [0.0, -1.0, math.nan, math.inf])
     def test_graph_rejects_bad_cell_size(self, cell_size):
@@ -668,8 +674,8 @@ class TestWalkKernel:
             gamma = float(rng.uniform(0.5, 6.0))
             for mode in AcoMode:
                 eta_g, vtab = oracles.colony_tables_ref(graph, AcoParams(gamma=gamma, mode=mode))
-                assert eta_g.tolist() == eta_gamma(step_lengths_ref(graph.cell_size),
-                                                   gamma) * graph.n
+                assert eta_g.tolist() == heuristic_weights(
+                    step_lengths_ref(graph.cell_size), gamma) * graph.n
                 turn = np.array(_CORNER_FACTORS) if mode is AcoMode.IMPROVED else np.ones((9, 8))
                 assert np.array(vtab).tolist() == turn.tolist()
 
@@ -688,7 +694,7 @@ class TestWalkKernel:
             params = AcoParams(phi=[1.0, 0.6, 1.7][case % 3],
                                gamma=float(rng.uniform(0.5, 6.0)), mode=mode)
             draws = rng.random(graph.n)
-            eta_g = np.tile(eta_gamma(step_lengths_ref(graph.cell_size), params.gamma),
+            eta_g = np.tile(heuristic_weights(step_lengths_ref(graph.cell_size), params.gamma),
                             graph.n)
             turn = np.array(_CORNER_FACTORS) if mode is AcoMode.IMPROVED else np.ones((9, 8))
             path = oracles.construct_ref(

@@ -185,6 +185,17 @@ def test_batches_call_the_module_run_with_consecutive_seeds(small_scenario, tmp_
     assert seen == [10, 11, 12, 10, 11, 12]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--seed", "-1"], "seed must be >= 0"),
+    (["compare", "--repeats", "0"], "repeats must be >= 1"),
+])
+def test_bad_seed_or_repeats_exits_one(small_scenario, tmp_path, capsys, argv, message):
+    code = main([*argv, "--scenario", str(small_scenario), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command,which", [
     ("run", "--scenario"), ("sweep", "--scenario"), ("sweep", "--groups"),
 ])

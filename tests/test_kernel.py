@@ -76,10 +76,7 @@ def test_missing_compiler_is_an_import_error(tmp_path, monkeypatch):
 
 
 def test_build_deletes_stale_modules_and_keeps_directories(tmp_path):
-    stale = [tmp_path / ("_kernel_0123456789abcdef" + kernel.SUFFIX),
-             tmp_path / ("_colony_0123456789abcdef" + kernel.SUFFIX)]
-    for path in stale:
-        path.write_bytes(b"stale")
+    (tmp_path / ("_kernel_0123456789abcdef" + kernel.SUFFIX)).write_bytes(b"stale")
     in_flight = tmp_path / "_kernel_0123456789abcdef-build"
     in_flight.mkdir()
     other = tmp_path / "notes.txt"
@@ -177,6 +174,22 @@ def test_every_lib_name_is_declared():
     functions, enums = declared_names()
     assert set(dir(kernel.module().lib)) == set(functions) | enums  # what the build reads
     assert lib_names() - set(functions) - enums == set()
+
+
+def test_outcome_codes_have_one_meaning_each():
+    # one outcome enum besides the cell states, with pairwise distinct codes:
+    # a code means the same whichever entry point returns it
+    texts = [path.read_text(encoding="utf-8") for path in kernel.SOURCES]
+    declared = kernel.declarations(kernel._unit(texts))
+    enums = [re.findall(r"\w+", body) for body in re.findall(r"enum \{(.*?)\}", declared)]
+    cell_states = ["FREE", "OCCUPIED", "INFLATED", "ROBOT"]
+    assert len(enums) == 2 and cell_states in enums
+    outcomes = [name for names in enums if names != cell_states for name in names]
+    lib = kernel.module().lib
+    codes = [getattr(lib, name) for name in outcomes]
+    assert len(set(codes)) == len(codes), dict(zip(outcomes, codes))
+    # apf_step returns a cell id, >= 0, where it returns no LOCAL_MINIMUM
+    assert lib.OK == 0 and all(c < 0 for c in codes if c != lib.OK)
 
 
 def test_every_cdef_function_is_called():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from antnav import (AcoParams, CandidateSet, ColonyWeightError, CostWeights, GridGraph,
+from antnav import (AcoMode, AcoParams, CandidateSet, ColonyWeightError, CostWeights, GridGraph,
                     LocalGrid, PlannerConfig, PlannerKind, Pose, PoseInObstacle, PoseOutOfBounds,
                     RunStatus, SubGoal, kernel, perceive, plan_subpath, run)
 from antnav import planner
@@ -285,7 +285,7 @@ def test_run_calls_the_module_plan_cycle_once_per_cycle(kind, monkeypatch):
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_config_values_are_rejected_by_name(value):
     # NaN passes every sign check, and a non-finite cell_size must be named
-    # before AcoParams.kernel_args's eta_gamma check reports it as a bad gamma
+    # before AcoParams.kernel_args's heuristic_weights check reports it as a bad gamma
     with pytest.raises(ValueError, match="goal_tolerance must be >= 0 and finite"):
         PlannerConfig(goal_tolerance=value)
     with pytest.raises(ValueError, match="cell_size must be positive and finite"):
@@ -358,6 +358,87 @@ def test_numpy_floats_are_stored_as_floats(tmp_path, change):
     assert {type(v) for p in result.poses for v in (p.x, p.y, p.psi)} == {float}
     if change != "start":
         assert type(getattr(sc.config, change)) is float
+
+
+def test_enum_fields_store_the_member_their_value_names():
+    # a string was stored as given and misread: planner="apf" ran the proposed
+    # colony, and mode="improved" the conventional one, as kernel_args tests
+    # `mode is AcoMode.IMPROVED`
+    from pathlib import Path
+
+    from antnav.scenario import parse_scenario
+
+    sc = parse_scenario(Path(__file__).resolve().parent.parent / "scenarios"
+                        / "multi_obstacle.scn")
+
+    def poses(**change):
+        return run(dataclasses.replace(sc, config=dataclasses.replace(sc.config, **change))).poses
+
+    assert dataclasses.replace(sc.config, planner="apf").planner is PlannerKind.APF
+    assert poses(planner="apf") == poses(planner=PlannerKind.APF)
+    aco = dataclasses.replace(sc.config.aco, mode="improved")
+    assert aco.mode is AcoMode.IMPROVED
+    assert poses(aco=aco) == poses(aco=dataclasses.replace(aco, mode=AcoMode.IMPROVED))
+    assert AcoParams(mode="conventional").mode is AcoMode.CONVENTIONAL
+
+
+@pytest.mark.parametrize("make, field, value, message", [
+    (PlannerConfig, "planner", 3, "unknown planner 3 (expected proposed, conventional-aco or apf)"),
+    (PlannerConfig, "planner", "dijkstra",
+     "unknown planner 'dijkstra' (expected proposed, conventional-aco or apf)"),
+    (AcoParams, "mode", "x", "'x' is not a valid AcoMode"),
+])
+def test_unknown_enum_values_raise_at_construction(make, field, value, message):
+    with pytest.raises(ValueError) as got:
+        make(**{field: value})
+    assert str(got.value) == message
+
+
+@pytest.mark.parametrize("kind", list(PlannerKind))
+def test_cycle_outcomes_decode_by_code_alone(kind, monkeypatch):
+    # the kernel's cycle is replaced by one that returns a chosen outcome code
+    # and writes nothing: each code means one thing whichever cycle returns it,
+    # and NO_MEMORY reads no entry of out (APF's has one)
+    import types
+
+    real = kernel.module()
+    lib, code = real.lib, None
+
+    class FixedLib:
+        def __getattr__(self, name):
+            return getattr(real.lib, name)
+
+        def plan_cycle(self, *args):
+            return code
+
+        def apf_cycle(self, *args):
+            return code
+
+    sc = scenario_from(bordered(9, 9), 1.0, (4, 4), (4, 6), planner=kind)
+    monkeypatch.setattr(kernel, "module", lambda: types.SimpleNamespace(ffi=real.ffi,
+                                                                        lib=FixedLib()))
+
+    def cycle(outcome):
+        nonlocal code
+        code = outcome
+        return plan_cycle(sc.world, sc.start, sc.goal, sc.config, sc.seed, 0)
+
+    for outcome, status in ((lib.STUCK, RunStatus.STUCK),
+                            (lib.LOCAL_MINIMUM, RunStatus.LOCAL_MINIMUM)):
+        rec = cycle(outcome)
+        assert (rec.status, rec.pose, rec.subgoal, rec.subpath) == (status, sc.start, None, ())
+    with pytest.raises(PoseOutOfBounds) as got:
+        cycle(lib.POSE_OFF_WORLD)
+    assert str(got.value) == "pose (4.5, 4.5) outside the world"
+    with pytest.raises(PoseInObstacle) as got:
+        cycle(lib.POSE_IN_OBSTACLE)
+    assert str(got.value) == "pose (4.5, 4.5) lies on an occupied cell (4, 4)"
+    with pytest.raises(MemoryError) as got:
+        cycle(lib.NO_MEMORY)
+    assert str(got.value) == "the kernel could not allocate its buffers"
+    if kind is not PlannerKind.APF:  # plan_cycle's alone, with the sub-goal's id in out[1]
+        with pytest.raises(ColonyWeightError, match=r"^a roulette total toward \(0, 0\) "):
+            cycle(lib.BAD_TOTAL)
 
 
 def test_unusable_colony_weights_raise_what_plan_subpath_raises():

@@ -90,6 +90,7 @@ class TestScenarioParsing:
         ("format 1\nmap tiny.map\nwat 3\n", 3),
         ("format 1\nmap tiny.map\nseed 1\nseed 2\n", 4),
         ("format 1\nmap tiny.map\nants\n", 3),
+        ("# only a comment\n\n", 1),  # empty scenario file
     ])
     def test_parse_errors_carry_line(self, tmp_path, text, line):
         (tmp_path / "tiny.map").write_text(MAP)

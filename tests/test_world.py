@@ -151,6 +151,7 @@ class TestSchedules:
          "mover waypoint row must be an integer, got 4.5"),
         ({"waypoints": ((4, 9), (4, 10.0))}, TypeError,
          "mover waypoint col must be an integer, got 10.0"),
+        ({"waypoints": ()}, ValueError, "mover needs at least one waypoint"),
     ])
     def test_mover_integers_are_checked_by_name(self, kwargs, error, message):
         with pytest.raises(error) as got:
@@ -167,6 +168,14 @@ class TestSchedules:
             WorldMap(np.zeros((4, 4), bool), 1.0, (mover,), tick=tick)
         assert str(got.value) == message
         assert WorldMap(np.zeros((4, 4), bool), 1.0, (mover,), tick=np.int64(0)).tick == 0
+
+    def test_policy_is_stored_as_the_member_its_value_names(self):
+        # "loop" was stored as given and moved as PINGPONG, anchor_at's last branch
+        waypoints = ((1, 1), (1, 2), (1, 3))
+        m = MovingObstacle(waypoints, 1, "loop")
+        assert m.policy is MoverPolicy.LOOP and m.anchor_at(3) == (1, 1)
+        with pytest.raises(ValueError, match="^'x' is not a valid MoverPolicy$"):
+            MovingObstacle(waypoints, 1, "x")
 
     def test_dwell_waypoints_allowed(self):
         m = MovingObstacle(((2, 2), (2, 2), (2, 3)), policy=MoverPolicy.STOP)
@@ -242,6 +251,8 @@ class TestMapParsing:
          6),
         # an empty mover block, closed by a grid row after two blank lines
         ("cellsize 1\nstart 0 0 0\ngoal 1 0\nmover 1 loop\n\n\n..\n..\n", 4),
+        ("cellsize 0\nstart 0 0 0\ngoal 1 0\n..\n", 1),  # cellsize must be positive
+        ("cellsize 1\nstart 0 0 0\ngoal 1 0", 3),  # no grid rows: the last line
     ])
     def test_errors_carry_line_numbers(self, text, line):
         with pytest.raises(MapParseError) as err:
