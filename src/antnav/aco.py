@@ -130,9 +130,12 @@ class GridGraph:
 
     def __init__(self, mask: np.ndarray, cell_size: float):
         import numpy as np
-        self.mask = np.array(mask, dtype=bool, order="C")
+        try:
+            self.mask = np.array(mask, dtype=bool, order="C")
+            self.rows, self.cols = self.mask.shape
+        except ValueError:  # a ragged mask, or one that is not 2-D
+            raise ValueError("mask must be a 2D array") from None
         self.mask.flags.writeable = False
-        self.rows, self.cols = self.mask.shape
         self.n = self.rows * self.cols
         self.cell_size = float(cell_size)
         if not 0 < self.cell_size < math.inf:  # a negative step passes the weight check at even gamma

@@ -39,6 +39,11 @@ from .world import WorldMap
 if TYPE_CHECKING:
     import numpy as np
 
+# The most rays a scan casts: 182 times the default 360. A run's memory grows
+# with the ray count (the ray tables ray_table caches and each cycle's ranges),
+# so the cap bounds them, at 1.5 MiB for one table and its ranges.
+MAX_RAYS = 65_536
+
 
 class CellState(enum.IntEnum):
     FREE = 0
@@ -93,14 +98,14 @@ def _scan_args(lidar_radius: float, n_rays: int, cell_size: float, half_extent: 
 
     Raises TypeError for an n_rays, half_extent or inflation_rings that is not
     an integer, and ValueError for a lidar_radius that is not positive and
-    finite, n_rays outside 1..INT_MAX, a cell_size that is not positive and
+    finite, n_rays outside 1..MAX_RAYS, a cell_size that is not positive and
     finite, a half_extent < 1, a grid of more than INT_MAX cells (the kernel
     indexes them with an int), a square that would poke out of the scan disc
     (half_extent * cell_size > lidar_radius) or inflation_rings < 0.
     """
     if not 0 < lidar_radius < math.inf:
         raise ValueError(f"lidar_radius must be positive and finite, got {lidar_radius}")
-    check_count("n_rays", n_rays, 1, INT_MAX)
+    check_count("n_rays", n_rays, 1, MAX_RAYS)
     if not 0 < cell_size < math.inf:
         raise ValueError(f"cell_size must be positive and finite, got {cell_size}")
     check_count("half_extent", half_extent, 1)

@@ -40,8 +40,9 @@ CACHE_DIR = Path(__file__).with_name("_kernel_cache")
 # sysconfig.get_config_var("EXT_SUFFIX"), without sysconfig's import at start-up
 SUFFIX = importlib.machinery.EXTENSION_SUFFIXES[0]
 
-# The largest count a kernel `int` takes: ray, ant and iteration counts and
-# the cells of a local grid, which AcoParams and grid.py's argument checks test.
+# The largest count a kernel `int` takes: ant and iteration counts and the
+# cells of a local grid, which AcoParams and grid.py's argument checks test
+# (grid.MAX_RAYS caps the ray count far below it).
 INT_MAX = 2**31 - 1
 
 CFLAGS = ("-O3", "-ffp-contract=off", "-fno-fast-math")

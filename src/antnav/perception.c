@@ -17,9 +17,8 @@
  * The arithmetic is that of the per-ray and per-cell reference loops in
  * tests/oracles.py, operation for operation, so every cell state and every
  * range is bit-identical to theirs:
- *  - cos, sin and atan2 are libm's, which CPython's math module calls too;
- *  - math.hypot is not libm's hypot, so py_hypot ports CPython 3.11's
- *    two-argument vector_norm;
+ *  - cos, sin and atan2 are libm's, which CPython's math module calls too,
+ *    and hypot is libm's, which the references reach through np.hypot;
  *  - Python's float % by tau is fmod plus tau on a negative result (a zero
  *    result may keep fmod's sign, which gives the same ray index) and
  *    round() is nearbyint (ties to even).
@@ -35,82 +34,6 @@
 #define TAU 6.283185307179586
 
 enum { FREE = 0, OCCUPIED = 1, INFLATED = 2, ROBOT = 3 }; /* antnav.grid.CellState */
-
-/* math.hypot(x, y) of CPython 3.11 (Modules/mathmodule.c, math_hypot and
- * vector_norm for two coordinates): the squares of the scaled coordinates
- * are summed with a Veltkamp split and three compensation sums, and the
- * square root gets one differential correction. It differs from libm hypot
- * in the last bit on some inputs, (-0.3, 0.30000000000000004) among them. */
-double py_hypot(double x, double y)
-{
-    const double T27 = 134217729.0; /* ldexp(1.0, 27) + 1.0 */
-    double vec[2] = {fabs(x), fabs(y)};
-    double max = vec[0] > vec[1] ? vec[0] : vec[1];
-    double t, hi, lo, h, scale, oldcsum, csum = 1.0, frac1 = 0.0, frac2 = 0.0, frac3 = 0.0;
-    int max_e;
-
-    if (isinf(vec[0]) || isinf(vec[1]))
-        return INFINITY;
-    if (isnan(vec[0]) || isnan(vec[1]))
-        return NAN;
-    if (max == 0.0)
-        return max;
-    frexp(max, &max_e);
-    if (max_e < -1023) {
-        /* ldexp(1.0, -max_e) would overflow, so divide by max instead */
-        for (int i = 0; i < 2; i++) {
-            x = vec[i] / max;
-            x = x * x;
-            oldcsum = csum;
-            csum += x;
-            frac1 += (oldcsum - csum) + x;
-        }
-        return max * sqrt(csum - 1.0 + frac1);
-    }
-    scale = ldexp(1.0, -max_e);
-    for (int i = 0; i < 2; i++) {
-        x = vec[i] * scale;
-        t = x * T27;
-        hi = t - (t - x);
-        lo = x - hi;
-
-        x = hi * hi;
-        oldcsum = csum;
-        csum += x;
-        frac1 += (oldcsum - csum) + x;
-
-        x = 2.0 * hi * lo;
-        oldcsum = csum;
-        csum += x;
-        frac2 += (oldcsum - csum) + x;
-
-        frac3 += lo * lo;
-    }
-    h = sqrt(csum - 1.0 + (frac1 + frac2 + frac3));
-
-    x = h;
-    t = x * T27;
-    hi = t - (t - x);
-    lo = x - hi;
-
-    x = -hi * hi;
-    oldcsum = csum;
-    csum += x;
-    frac1 += (oldcsum - csum) + x;
-
-    x = -2.0 * hi * lo;
-    oldcsum = csum;
-    csum += x;
-    frac2 += (oldcsum - csum) + x;
-
-    x = -lo * lo;
-    oldcsum = csum;
-    csum += x;
-    frac3 += (oldcsum - csum) + x;
-
-    x = csum - 1.0 + (frac1 + frac2 + frac3);
-    return (h + x / (2.0 * h)) / scale;
-}
 
 /* The row-major index of the world cell that holds the point (x, y) in the
  * rows x cols world, floor(v / world_cell_size) per axis as
@@ -236,8 +159,7 @@ static void inflate(int half_extent, int rings, int8_t *cells)
  *    shadows gives phantom passages through walls. A cell on a ray with no
  *    hit stays free, so unexplored space is still treated optimistically,
  *    and so does every cell within one cell size of the center. The range
- *    is math.hypot's own algorithm, which libm hypot and np.hypot differ
- *    from in the last bit.
+ *    is libm hypot's, as np.hypot gives it to the reference.
  * The clamp overwrites a cell whatever its state and the occlusion reads
  * only its own cell, so the one pass gives what the two rules in turn give. */
 static void occlude_and_clamp(const double *range, int n_rays, double x0, double y0,
@@ -260,7 +182,7 @@ static void occlude_and_clamp(const double *range, int n_rays, double x0, double
                 *cell = OCCUPIED;
                 continue;
             }
-            if (*cell != FREE || (d = py_hypot(dx, dy)) <= cell_size)
+            if (*cell != FREE || (d = hypot(dx, dy)) <= cell_size)
                 continue;
             theta = fmod(psi - atan2(dy, dx), TAU);
             if (theta < 0.0)

@@ -17,8 +17,8 @@
  * reference cycle and step in tests/oracles.py, operation for operation:
  *  - a cell's center is x0 + (c - h) * cell_size, as
  *    LocalGrid.world_center computes it;
- *  - the distance is math.hypot's (py_hypot), the bearings are libm atan2
- *    folded by wrap_angle's fmod;
+ *  - the distance is libm hypot (np.hypot in the reference), the bearings
+ *    are libm atan2 folded by wrap_angle's fmod;
  *  - each family is normalized over every candidate, reachable or not,
  *    with a left-to-right sum from 0;
  *  - the cost is beta * theta1 + alpha * distance + omega * theta2, in that
@@ -106,7 +106,7 @@ static void score(int k, const double *xy, double x0, double y0, double psi, dou
 {
     for (int i = 0; i < k; i++) {
         double cx = xy[2 * i], cy = xy[2 * i + 1];
-        raw[i] = py_hypot(gx - cx, gy - cy);
+        raw[i] = hypot(gx - cx, gy - cy);
         raw[k + i] = fabs(wrap_angle(atan2(cy - y0, cx - x0) - psi));
         raw[2 * k + i] = fabs(wrap_angle(atan2(gy - cy, gx - cx) - psi));
     }
@@ -172,8 +172,8 @@ static double potential(const int8_t *cells, int half_extent, double cell_size, 
         for (int c = 0; c < side; c++) {
             if (cells[r * side + c] != OCCUPIED)
                 continue;
-            double e = py_hypot(x - (x0 + (double)(c - half_extent) * cell_size),
-                                y - (y0 + (double)(r - half_extent) * cell_size));
+            double e = hypot(x - (x0 + (double)(c - half_extent) * cell_size),
+                             y - (y0 + (double)(r - half_extent) * cell_size));
             if (e < d)
                 d = e;
         }

@@ -33,9 +33,9 @@ def polar_ref(x_r, y_r, psi, d, theta):
 
 def raw_constraints_ref(robot_xy_psi, cell, goal):
     xr, yr, psi = robot_xy_psi
-    # math.hypot, not the sqrt of a sum of squares: the kernel's distance is
-    # its port, so the reference cycle can compare costs by bits
-    ds = math.hypot(goal[0] - cell[0], goal[1] - cell[1])
+    # np.hypot, not math.hypot or the sqrt of a sum of squares: both are libm's
+    # hypot, the kernel's distance, so the reference cycle can compare costs by bits
+    ds = float(np.hypot(goal[0] - cell[0], goal[1] - cell[1]))
     t1 = abs(wrap_ref(math.atan2(cell[1] - yr, cell[0] - xr) - psi))
     t2 = abs(wrap_ref(math.atan2(goal[1] - cell[1], goal[0] - cell[0]) - psi))
     return ds, t1, t2
@@ -248,7 +248,7 @@ def occlude_ref(cells, samples, n_rays, origin, cell_size, h):
                 continue
             wx, wy = cell_center_ref(origin, cell_size, h, r, c)
             dx, dy = wx - origin[0], wy - origin[1]
-            d = math.hypot(dx, dy)
+            d = float(np.hypot(dx, dy))
             if d <= cell_size:
                 continue
             theta = (origin[2] - math.atan2(dy, dx)) % math.tau
@@ -313,7 +313,7 @@ def potential_ref(point, goal, obstacles, k_att, k_rep, d0):
     dist_goal_sq = (point[0] - goal[0]) ** 2 + (point[1] - goal[1]) ** 2
     u = 0.5 * k_att * dist_goal_sq
     if obstacles:
-        d = min(math.hypot(point[0] - ox, point[1] - oy) for ox, oy in obstacles)
+        d = min(float(np.hypot(point[0] - ox, point[1] - oy)) for ox, oy in obstacles)
         if d < d0:
             u += 0.5 * k_rep * (1.0 / d - 1.0 / d0) ** 2
     return u

@@ -940,6 +940,14 @@ class TestGridGraph:
         assert graph.reachable_from((0, 0)).all()
         assert not GridGraph(mask, 1.0).reachable_from((0, 0))[:, 4:].any()
 
+    @pytest.mark.parametrize("mask", [[True, False, True], np.ones((2, 3, 4), bool),
+                                      [[True, False], [True]], True],
+                             ids=["1d", "3d", "ragged", "scalar"])
+    def test_graph_rejects_a_mask_that_is_not_2d(self, mask):
+        with pytest.raises(ValueError) as got:
+            GridGraph(mask, 1.0)
+        assert str(got.value) == "mask must be a 2D array"
+
 
 def corner_cells(shape):
     rows, cols = shape

@@ -82,7 +82,9 @@ def test_build_deletes_stale_modules_and_keeps_directories(tmp_path):
     other = tmp_path / "notes.txt"
     other.write_text("kept")
     module = kernel.load(tmp_path)
-    assert module.lib.py_hypot(3.0, 4.0) == 5.0
+    dirs = module.ffi.new("double[2]")
+    module.lib.ray_directions(0.0, 1, dirs)
+    assert list(dirs) == [1.0, 0.0]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         [module.__name__ + kernel.SUFFIX, in_flight.name, other.name])
 

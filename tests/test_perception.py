@@ -283,7 +283,7 @@ def test_perceive_rejects_what_scan_and_grid_reject():
            ("pose", Pose(6.5, 6.5, 0.0), PoseInObstacle,
             "pose (6.5, 6.5) lies on an occupied cell (6, 6)"),
            ("lidar_radius", 0.0, ValueError, "lidar_radius must be positive and finite, got 0.0"),
-           ("n_rays", 0, ValueError, "n_rays must be in 1..2147483647, got 0"),
+           ("n_rays", 0, ValueError, "n_rays must be in 1..65536, got 0"),
            ("n_rays", 90.0, TypeError, "n_rays must be an integer, got 90.0"),
            ("half_extent", 0, ValueError, "half_extent must be >= 1"),
            ("half_extent", 5, ValueError,
@@ -300,35 +300,6 @@ def test_perceive_rejects_what_scan_and_grid_reject():
             with pytest.raises(error) as got:
                 call()
             assert type(got.value) is error and str(got.value) == message, (key, value)
-
-
-# math.hypot pairs that libm hypot or a two-term square sum round differently
-PINNED_HYPOT = [(-0.3, 0.30000000000000004), (-1.2, 1.2000000000000002),
-                (-7.337360471064961, -9.783147294753281)]
-
-
-def test_kernel_hypot_is_math_hypot():
-    # the occlusion range is the kernel's port of CPython's math.hypot; it must
-    # agree with the running interpreter's to the bit, on the cell-center
-    # offsets the occlusion mask measures and on random magnitudes
-    py_hypot = kernel.module().lib.py_hypot
-    rng = np.random.default_rng(2023)
-    pairs = list(PINNED_HYPOT)
-    for cell_size in (0.3, 1.0, 1.5):
-        origins = rng.uniform(-60.0, 60.0, size=(2, 20_000)).tolist()
-        steps = rng.integers(-12, 13, size=(2, 20_000)).tolist()
-        pairs += [((x + k * cell_size) - x, (y + l * cell_size) - y)
-                  for x, y, k, l in zip(*origins, *steps)]
-    mantissas = rng.uniform(-1.0, 1.0, size=(2, 60_000)).tolist()
-    exps = rng.integers(-1080, 1024, size=60_000).tolist()
-    gaps = rng.integers(-30, 31, size=60_000).tolist()
-    pairs += [(math.ldexp(u, e), math.ldexp(v, min(e + g, 1023)))
-              for u, v, e, g in zip(*mantissas, exps, gaps)]
-    assert len(pairs) >= 100_000
-    wrong = [(x, y) for x, y in pairs if py_hypot(x, y) != math.hypot(x, y)]
-    assert not wrong, wrong[:5]
-    for x, y in ((math.inf, math.nan), (math.nan, 1.0), (-0.0, 0.0), (5e-324, 5e-324)):
-        assert repr(py_hypot(x, y)) == repr(math.hypot(x, y))
 
 
 def test_ray_directions_are_the_bearing_expression_bit_for_bit():

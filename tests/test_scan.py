@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from antnav import PlannerConfig, Pose, PoseInObstacle, PoseOutOfBounds, perceive
+from antnav.grid import MAX_RAYS
 from antnav.world import MovingObstacle, WorldMap
 
 from oracles import polar_ref
@@ -78,12 +79,14 @@ class TestSimulateScan:
         (-1.0, 90, "lidar_radius must be positive and finite, got -1.0"),
         (math.nan, 90, "lidar_radius must be positive and finite, got nan"),
         (math.inf, 90, "lidar_radius must be positive and finite, got inf"),
-        (4.0, 0, "n_rays must be in 1..2147483647, got 0"),
-        (4.0, -3, "n_rays must be in 1..2147483647, got -3"),
-        # one past the kernel's int: rejected before the ranges are allocated
-        (4.0, 2**31, "n_rays must be in 1..2147483647, got 2147483648"),
+        (4.0, 0, "n_rays must be in 1..65536, got 0"),
+        (4.0, -3, "n_rays must be in 1..65536, got -3"),
+        # one past the cap, and one past the kernel's int: rejected before the
+        # ray table and the ranges are allocated
+        (4.0, 65537, "n_rays must be in 1..65536, got 65537"),
+        (4.0, 2**31, "n_rays must be in 1..65536, got 2147483648"),
     ], ids=["radius-zero", "radius-negative", "radius-nan", "radius-inf", "rays-zero",
-            "rays-negative", "rays-int-overflow"])
+            "rays-negative", "rays-over-cap", "rays-int-overflow"])
     def test_scan_arguments_rejected(self, radius, n_rays, message):
         # the planner's configuration runs perceive's check, with its message
         world, pose = make_world(), Pose(7.5, 7.5, 0.0)
@@ -93,6 +96,10 @@ class TestSimulateScan:
             with pytest.raises(ValueError) as got:
                 call()
             assert type(got.value) is ValueError and str(got.value) == message
+
+    def test_ray_cap_is_accepted(self):
+        grid = perceive(make_world(), Pose(7.5, 7.5, 0.0), 4.0, MAX_RAYS, 1.0, 3, 1)
+        assert len(grid.ranges) == MAX_RAYS == PlannerConfig(n_rays=MAX_RAYS).n_rays
 
 
 @st.composite

@@ -248,8 +248,10 @@ wp 3 2
     (MAP, "tau0 nan\n", 3),
     (MAP, "gamma nan\n", 3),
     (MAP, "lidar_radius inf\n", 3),
-    # counts the kernel takes as a C int
+    # past the ray cap, which bounds a run's memory, and past a C int
+    (MAP, "lidar_rays 65537\n", 3),
     (MAP, "lidar_rays 2147483648\n", 3),
+    # counts the kernel takes as a C int
     (MAP, "ants 2147483648\n", 3),
     (MAP, "iterations 2147483648\n", 3),
     (MAP, "half_extent 23170\n", 3),
@@ -260,7 +262,7 @@ wp 3 2
     (MOVER_MAP.replace("wp 2 2", "wp 0 2").replace("wp 3 2", "wp -1 2"), "", 6),
 ], ids=["cellsize-nan", "cellsize-inf", "start-psi-nan", "start-psi-inf", "start-psi-minus-inf",
         "goal_tolerance-nan", "tau0-nan", "gamma-nan", "lidar_radius-inf",
-        "lidar_rays-int-overflow", "ants-int-overflow", "iterations-int-overflow",
+        "lidar_rays-over-cap", "lidar_rays-int-overflow", "ants-int-overflow", "iterations-int-overflow",
         "half_extent-int-overflow",
         "wp-outside-at-tick-0", "wp-outside-later", "wp-outside-negative"])
 def test_bad_numbers_exit_one_at_their_line(tmp_path, capsys, map_text, scn_extra, line):

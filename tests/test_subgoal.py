@@ -46,6 +46,49 @@ class TestRawConstraints:
             assert 0.0 <= got[1] <= math.pi and 0.0 <= got[2] <= math.pi
 
 
+# pairs whose math.hypot on CPython 3.11 differs from libm hypot in the last bit
+PINNED_HYPOT = [(-0.3, 0.30000000000000004), (-1.2, 1.2000000000000002),
+                (-7.337360471064961, -9.783147294753281)]
+
+
+def hypot_samples():
+    """The cell-center offsets the occlusion and APF distances measure, at three
+    cell sizes, and pairs of random magnitudes, subnormal to near overflow"""
+    rng = np.random.default_rng(2023)
+    offsets = []
+    for cell_size in (0.3, 1.0, 1.5):
+        origins = rng.uniform(-60.0, 60.0, size=(2, 20_000)).tolist()
+        steps = rng.integers(-12, 13, size=(2, 20_000)).tolist()
+        offsets += [((x + k * cell_size) - x, (y + l * cell_size) - y)
+                    for x, y, k, l in zip(*origins, *steps)]
+    mantissas = rng.uniform(-1.0, 1.0, size=(2, 60_000)).tolist()
+    exps = rng.integers(-1080, 1024, size=60_000).tolist()
+    gaps = rng.integers(-30, 31, size=60_000).tolist()
+    magnitudes = [(math.ldexp(u, e), math.ldexp(v, min(e + g, 1023)))
+                  for u, v, e, g in zip(*mantissas, exps, gaps)]
+    return offsets, magnitudes
+
+
+def test_kernel_distance_is_libm_hypot():
+    # the cell-to-goal distance, like the occlusion range and the APF obstacle
+    # distance, is libm hypot: with the goal at the origin and a candidate at
+    # (-dx, -dy) the raw distance family is hypot(dx, dy), which must equal
+    # np.hypot to the bit, on the pairs where the interpreter's math.hypot
+    # rounds differently too
+    offsets, magnitudes = hypot_samples()
+    differ = [(x, y) for x, y in offsets + magnitudes
+              if float(np.hypot(x, y)) != math.hypot(x, y)]
+    pairs = PINNED_HYPOT + differ + offsets
+    for i in range(0, len(pairs), 400):  # the ranking is quadratic in the count
+        batch = pairs[i:i + 400]
+        _, raw, _ = kernel_ranking([(-x, -y) for x, y in batch], Pose(1.0, 2.0, 0.5),
+                                   (0.0, 0.0))
+        want = np.hypot(*np.array(batch).T)
+        wrong = [(pair, got) for pair, got, ref in zip(batch, raw[0].tolist(), want.tolist())
+                 if got != ref]
+        assert not wrong, wrong[:5]
+
+
 class TestNormalize:
     """The kernel normalizes the families of the candidates it ranks."""
 
