@@ -7,17 +7,15 @@ repair step that hands the incumbent best path to one straggler ant.
 Conventional mode is the classic planner: pheromone/heuristic transitions and
 length-based deposits from every finished ant, no repair.
 
-plan_subpath runs the whole colony in one call of the compiled kernel
-(colony.c, built on first use by kernel.py), the package's only
-implementation of the colony rules; tests/oracles.py keeps the Python loop
-it reproduces as the reference. A GridGraph builds its open-direction
-table (one byte per cell, bit d for a traversable neighbour in direction d)
-once, in the kernel's open_directions, and reachable_from and plan_subpath
-walk that table. The kernel computes the heuristic (1 / step) ** gamma per
+The colony runs in the compiled kernel (colony.c, built on first use by
+kernel.py), the package's only implementation of its rules: the planner's
+cycle (planner.c's plan_cycle) walks the open-direction table of its local
+grid (one byte per cell, bit d for a traversable neighbour in direction d)
+with them. tests/oracles.py keeps the Python loop they reproduce as the
+reference. The kernel computes the heuristic (1 / step) ** gamma per
 direction from gamma and the cell size, and reads the corner factors built
 here (_CORNER_FACTORS, from corner_heuristic). AcoParams.kernel_args builds
-the colony's arguments for plan_subpath and the planner's cycle alike, after
-the check of heuristic_weights.
+the colony's arguments of the cycle, after the check of heuristic_weights.
 
 Determinism: every ant walk draws from its own RNG stream, the one numpy's
 SeedSequence((seed..., iteration, ant index)) seeds, and ants walk serially.
@@ -31,16 +29,12 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from . import kernel
-from .kernel import INT_MAX, pointer
-from .errors import ColonyWeightError, NoPathFound
+from .kernel import INT_MAX
+from .errors import ColonyWeightError
 from .geometry import (Cell, DIR_ANGLES, DIR_OFFSETS, SQRT2, check_count, store_counts,
                        wrap_angle)
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class AcoMode(enum.Enum):
@@ -114,74 +108,6 @@ class AcoParams:
                 self.zeta, self.tau0, self.resolved_elite_cutoff())
 
 
-class GridGraph:
-    """The 8-connected graph over the traversable cells of a boolean mask.
-
-    Cell (r, c) has id r * cols + c; its neighbour in direction d (DIR_OFFSETS
-    order: N, NE, E, SE, S, SW, W, NW) is the cell at that offset when both
-    are traversable, over the directed edge cid * 8 + d. The graph keeps a
-    read-only copy of the mask, so later edits of the caller's array do not
-    change it, and beside it the read-only table links the kernel walks: bit d
-    of links[cid] is set when cid's neighbour in direction d is on the grid and
-    traversable.
-    """
-
-    __slots__ = ("rows", "cols", "n", "cell_size", "mask", "links")
-
-    def __init__(self, mask: np.ndarray, cell_size: float):
-        import numpy as np
-        try:
-            self.mask = np.array(mask, dtype=bool, order="C")
-            self.rows, self.cols = self.mask.shape
-        except ValueError:  # a ragged mask, or one that is not 2-D
-            raise ValueError("mask must be a 2D array") from None
-        self.mask.flags.writeable = False
-        self.n = self.rows * self.cols
-        self.cell_size = float(cell_size)
-        if not 0 < self.cell_size < math.inf:  # a negative step passes the weight check at even gamma
-            raise ValueError(f"cell_size must be positive and finite, got {cell_size}")
-        self.links = np.empty(self.n, dtype=np.uint8)
-        kernel.module().lib.open_directions(
-            pointer(self.mask, np.bool_, self.mask.shape), self.rows, self.cols,
-            pointer(self.links, np.uint8, (self.n,), writable=True))
-        self.links.flags.writeable = False
-
-    def id_of(self, cell: Cell) -> int:
-        r, c = cell
-        if not (0 <= r < self.rows and 0 <= c < self.cols):
-            raise ValueError(f"cell {cell} outside {self.rows}x{self.cols} grid")
-        return r * self.cols + c
-
-    def cell_of(self, cid: int) -> Cell:
-        return divmod(cid, self.cols)
-
-    def traversable(self, cell: Cell) -> bool:
-        """Raises ValueError for a cell off the grid, as id_of does."""
-        return bool(self.mask.flat[self.id_of(cell)])
-
-    def reachable_from(self, cell: Cell) -> np.ndarray:
-        """Boolean mask of the cells 8-connected to cell through traversable cells, cell included."""
-        import numpy as np
-        reach = np.empty((self.rows, self.cols), dtype=bool)
-        queue = np.empty(self.n, dtype=np.int32)
-        kernel.module().lib.reachable(
-            pointer(self.links, np.uint8, (self.n,)), self.rows, self.cols, self.id_of(cell),
-            pointer(queue, np.int32, queue.shape, writable=True),
-            pointer(reach, np.bool_, reach.shape, writable=True))
-        return reach
-
-
-@dataclass(frozen=True)
-class AntPath:
-    """One constructed walk. Length sums straight/diagonal step costs; corners count direction changes."""
-
-    cells: tuple[Cell, ...]
-    length: float
-    corners: int
-    reached: bool
-    dirs: tuple[int, ...] = ()  # direction index per step, as the kernel walked it
-
-
 def corner_heuristic(prev_dir: float | None, i: Cell, j: Cell) -> float:
     """Corner factor of the move i -> j: inverse turn angle relative to the
     previous move direction, 1.0 for the first step or a straight continuation."""
@@ -249,66 +175,3 @@ def colony_error(code: int, subgoal: Cell | None, params: AcoParams) -> Exceptio
             f"a roulette total toward {subgoal} is 0 or not finite: tau0 {params.tau0}, "
             f"phi {params.phi} and gamma {params.gamma} give unusable weights")
     return MemoryError("the kernel could not allocate its buffers")
-
-
-def plan_subpath(graph: GridGraph, start: Cell, subgoal: Cell, params: AcoParams,
-                 seed) -> tuple[AntPath, list[float]]:
-    """Plan an 8-connected path from start to subgoal over the graph's traversable cells.
-
-    Runs n_iters iterations of {construct n_ants walks, repair (improved mode,
-    once an incumbent exists), update pheromone} and returns the best
-    finished path by the mode's score plus the best-score-so-far per
-    iteration. The score is delta * length + zeta * corners in improved mode
-    and the length in conventional mode. Repair hands the incumbent to an
-    unfinished ant, or to any ant when all finished. The update evaporates
-    every edge by the factor 1 - rho, then deposits q / score on each edge of
-    every finished path; improved mode deposits only for the elite_cutoff
-    best-scored paths (stable on ties). Iterations before the first finisher
-    record inf in the series; in improved mode three all-fail iterations
-    before any finisher raise NoPathFound, as does finishing all iterations
-    without one. A roulette total that is 0 or not finite raises
-    ColonyWeightError.
-
-    seed is an int or tuple of non-negative ints; ant k of iteration n walks
-    on the stream of key (seed..., n, k) and repair draws from (seed..., n,
-    n_ants).
-    """
-    import numpy as np
-    key = np.array(_entropy_words(seed if isinstance(seed, (tuple, list)) else (seed,)),
-                   dtype=np.uint32)
-    if start == subgoal:
-        raise ValueError("start and subgoal must differ")
-    if not graph.traversable(start):
-        raise ValueError(f"start cell {start} is not traversable")
-    if not graph.traversable(subgoal):
-        raise ValueError(f"subgoal cell {subgoal} is not traversable")
-
-    colony = params.kernel_args(graph.cell_size, graph.n)
-    max_steps, n_iters = params.resolved_max_steps(graph.n), params.n_iters
-    tau = np.empty(graph.n * 8)  # the kernel fills it with tau0
-    cells = np.empty(max_steps + 1, dtype=np.int32)
-    dirs = np.empty(max_steps, dtype=np.int8)
-    series = np.empty(n_iters)
-
-    mod = kernel.module()
-    counts = mod.ffi.new("int[2]")
-    length = mod.ffi.new("double *")
-    code = mod.lib.colony_run(
-        pointer(graph.links, np.uint8, (graph.n,)), graph.rows, graph.cols,
-        pointer(tau, np.float64, (graph.n * 8,), writable=True), graph.cell_size,
-        corner_table(), pointer(key, np.uint32, key.shape), len(key),
-        graph.id_of(start), graph.id_of(subgoal), *colony,
-        pointer(cells, np.int32, (max_steps + 1,), writable=True),
-        pointer(dirs, np.int8, (max_steps,), writable=True),
-        counts, counts + 1, length,
-        pointer(series, np.float64, (n_iters,), writable=True))
-    if code == mod.lib.NO_PATH_STREAK:
-        raise NoPathFound(f"no ant reached {subgoal} in 3 consecutive iterations")
-    if code == mod.lib.NO_PATH:
-        raise NoPathFound(f"no ant reached {subgoal} in {n_iters} iterations")
-    if code != mod.lib.OK:
-        raise colony_error(code, subgoal, params)
-    n_steps = counts[0]
-    path = AntPath(tuple(map(graph.cell_of, cells[:n_steps + 1].tolist())),
-                   length[0], counts[1], True, tuple(dirs[:n_steps].tolist()))
-    return path, series.tolist()

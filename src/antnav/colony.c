@@ -1,6 +1,7 @@
-/* Compiled colony run of antnav.aco.plan_subpath, reachability search of
- * antnav.aco.GridGraph.reachable_from, and the open-direction table both of
- * them walk.
+/* Compiled colony run of the planning cycle (planner.c's plan_cycle), the
+ * reachability search of its local grid, and the open-direction table both
+ * of them walk. Each is also an entry point of its own, which the tests
+ * call one stage at a time (tests/stages.py).
  *
  * One colony_run call runs every iteration of the improved or conventional
  * ant colony: the ant walks, the repair pick, the score, the elite rank,
@@ -15,10 +16,10 @@
  * (Generator.random and Generator.integers).
  *
  * The graph is one open-direction byte per cell, which open_directions
- * builds from the traversable mask with row and column loops; the caller
- * builds it once (GridGraph once per graph, plan_cycle once per cycle) and
- * hands it to reachable and to every colony_run. A cell steps by a flat
- * offset to the neighbours its byte lets through. A walk keeps its tabu
+ * builds from the traversable mask with row and column loops; plan_cycle
+ * builds it once per cycle and hands it to reachable and to every
+ * colony_run. A cell steps by a flat offset to the neighbours its byte
+ * lets through. A walk keeps its tabu
  * list as a mask of the same shape, so a step's candidates are one AND-NOT,
  * visited in ascending direction order; it weighs only those, by the
  * reference loop's tau^phi * eta^gamma on the same operands. The call
@@ -281,12 +282,13 @@ static void copy_path(ant_path *dst, const ant_path *src)
     dst->cost = src->cost;
 }
 
-/* The colony run of plan_subpath. Arrays: links (n = rows * cols, the
- * open_directions table of the graph), tau (n * 8, filled with tau0, then
- * updated in place), corner (9, 8), key (n_key), best_cells (max_steps + 1),
- * best_dirs (max_steps), series (n_iters). A straight step is cell_size
- * long, a diagonal one cell_size * sqrt(2), and its heuristic weight is
- * pow(1 / step, gamma); the run builds both straight/diagonal pairs itself.
+/* One colony run, as plan_cycle runs it per trial sub-goal. Arrays: links
+ * (n = rows * cols, the open_directions table of the graph), tau (n * 8,
+ * filled with tau0, then updated in place), corner (9, 8), key (n_key),
+ * best_cells (max_steps + 1), best_dirs (max_steps), series (n_iters). A
+ * straight step is cell_size long, a diagonal one cell_size * sqrt(2), and
+ * its heuristic weight is pow(1 / step, gamma); the run builds both
+ * straight/diagonal pairs itself.
  * Ant k of iteration it walks on the stream of the words (key..., it, k),
  * it from 1, and the repair draws from k = n_ants. max_steps must not
  * exceed n - 1. Returns OK, NO_PATH_STREAK, NO_PATH, BAD_TOTAL or NO_MEMORY;

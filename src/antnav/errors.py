@@ -33,20 +33,12 @@ class PoseInObstacle(AntnavError):
     """A scan requested from a pose whose cell is occupied."""
 
 
-class NoCandidates(AntnavError):
-    """No sub-goal candidates: the robot is enclosed by obstacles/inflation, or the set is empty."""
-
-
 class NoPathFound(AntnavError):
     """No ant reached the sub-goal in any iteration."""
 
 
 class ColonyWeightError(AntnavError):
     """A colony roulette total is 0 or not finite: the weights underflow or overflow."""
-
-
-class LocalMinimum(AntnavError):
-    """Potential-field step found no neighbor below the current potential."""
 
 
 class EmptyRuns(AntnavError):

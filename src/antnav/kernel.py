@@ -29,10 +29,6 @@ import shutil
 import sys
 import tempfile
 from pathlib import Path
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 SOURCES = tuple(Path(__file__).with_name(name)
                 for name in ("colony.c", "perception.c", "planner.c"))
@@ -101,23 +97,6 @@ def load(cache_dir):
 def module():
     """The kernel module of CACHE_DIR, loaded (and built if needed) on the first call."""
     return load(CACHE_DIR)
-
-
-# numpy dtype name -> the kernel's element type
-_CTYPES = {"int32": "int32_t[]", "int8": "int8_t[]", "float64": "double[]",
-           "uint32": "uint32_t[]", "uint8": "uint8_t[]", "bool": "_Bool[]"}
-
-
-def pointer(arr: np.ndarray, dtype, shape: tuple[int, ...], writable: bool = False):
-    """A kernel pointer to the numpy array arr after checking its dtype, shape and
-    contiguity; no copy. Imports numpy, which the run path does not load: a
-    world hands the kernel its byte store (WorldMap.kernel_occupancy)."""
-    import numpy as np
-    if arr.dtype != dtype or arr.shape != shape or not arr.flags.c_contiguous \
-            or (writable and not arr.flags.writeable):
-        raise ValueError(f"kernel argument must be a C-contiguous {np.dtype(dtype)} array of "
-                         f"shape {shape}, got {arr.dtype} {arr.shape}")
-    return module().ffi.from_buffer(_CTYPES[arr.dtype.name], arr, require_writable=writable)
 
 
 def _build(name: str, source: str, target: Path) -> None:

@@ -1,4 +1,5 @@
-/* Compiled perception stage of antnav.grid.perceive.
+/* Compiled perception stage of the planning cycle (planner.c's plan_cycle
+ * and apf_cycle).
  *
  * perceive first tests the pose: it returns POSE_OFF_WORLD or
  * POSE_IN_OBSTACLE for a pose whose world cell lies outside the world or is
@@ -7,8 +8,8 @@
  * array: ray cast, rasterize and inflate (each hit marks its cell), then
  * occlusion and world clamp in one pass over the cells. Its loop over
  * the rays is the package's only ray cast. The scan is one range per ray,
- * which antnav.grid.perceive keeps as LocalGrid.ranges: range[i] is ray
- * i's hit distance, or INFINITY when it hits nothing.
+ * in the caller's range array: range[i] is ray i's hit distance, or
+ * INFINITY when it hits nothing.
  * The rays' world-frame directions come in as a table, which
  * ray_directions fills: it is the package's only place that computes a ray
  * bearing, and antnav.grid.ray_table keeps one table per (heading, ray
@@ -33,7 +34,7 @@
 
 #define TAU 6.283185307179586
 
-enum { FREE = 0, OCCUPIED = 1, INFLATED = 2, ROBOT = 3 }; /* antnav.grid.CellState */
+enum { FREE = 0, OCCUPIED = 1, INFLATED = 2, ROBOT = 3 }; /* local cell states */
 
 /* The row-major index of the world cell that holds the point (x, y) in the
  * rows x cols world, floor(v / world_cell_size) per axis as
@@ -193,7 +194,7 @@ static void occlude_and_clamp(const double *range, int n_rays, double x0, double
     }
 }
 
-/* The local grid of antnav.grid.perceive. Returns POSE_OFF_WORLD or
+/* The local grid of one cycle. Returns POSE_OFF_WORLD or
  * POSE_IN_OBSTACLE, writing nothing, when the world cell of the pose
  * (x0, y0) lies outside the rows x cols occupancy grid or is occupied in
  * it. Otherwise returns OK after casting n_rays rays from pose

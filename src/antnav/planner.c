@@ -1,7 +1,8 @@
 /* Compiled planning cycles of antnav.planner.plan_cycle, with the rules
- * they run: the marginal-candidate rule of antnav.grid.candidate_cells, the
- * multi-constraint ranking of antnav.subgoal.rank_candidates and the
- * potential-field step of antnav.baselines.apf_step.
+ * they run: the marginal-candidate rule (marginal_cells), the
+ * multi-constraint ranking (rank_candidates) and the potential-field step
+ * (apf_step). Each rule is also an entry point of its own, which the tests
+ * call one stage at a time (tests/stages.py).
  *
  * plan_cycle runs one cycle of the proposed and conventional-aco planners
  * in one call: perceive() builds the local grid, its marginal cells are
@@ -16,7 +17,7 @@
  * package's only pose and step tests. The arithmetic is that of the
  * reference cycle and step in tests/oracles.py, operation for operation:
  *  - a cell's center is x0 + (c - h) * cell_size, as
- *    LocalGrid.world_center computes it;
+ *    PlannerConfig's cell tables add it;
  *  - the distance is libm hypot (np.hypot in the reference), the bearings
  *    are libm atan2 folded by wrap_angle's fmod;
  *  - each family is normalized over every candidate, reachable or not,
@@ -136,8 +137,12 @@ static int next_ranked(const double *cost, int k, int prev)
     return best;
 }
 
-/* antnav.subgoal.rank_candidates: scores k candidates as score() does and
- * writes their indices to order (k) in (cost, index) order */
+/* Scores k candidates as score() does and writes their indices to order (k)
+ * in (cost, index) order. It takes next_ranked k times, O(k^2), and no sort
+ * of its own: next_ranked is the order plan_cycle walks lazily, so the tests
+ * of the full order test the rule the cycle runs. Only the tests call it
+ * (k <= 400 candidates a call); a qsort would give them a second
+ * implementation of the order, one the cycle never executes. */
 void rank_candidates(int k, const double *xy, double x0, double y0, double psi, double gx,
                      double gy, double alpha, double beta, double omega, double *raw,
                      double *norm, double *cost, int32_t *order)
@@ -182,7 +187,7 @@ static double potential(const int8_t *cells, int half_extent, double cell_size, 
     return u;
 }
 
-/* antnav.baselines.apf_step on the side x side cells (half_extent >= 1) of
+/* The potential-field step on the side x side cells (half_extent >= 1) of
  * a grid centered on the robot at (x0, y0): the row-major id of the
  * traversable (FREE or ROBOT) 8-neighbour of the center with the lowest
  * potential (the first in row-major order on ties), or LOCAL_MINIMUM

@@ -113,7 +113,7 @@ class PlannerConfig:
     def _cell_tables(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
         """Per cell id i = r * side + c of the local grid: the world offsets
         (c - h) * cell_size and (r - h) * cell_size of its center from the robot,
-        as LocalGrid.world_center adds them, and atan2(r - h, c - h), the heading
+        added to the robot's x and y, and atan2(r - h, c - h), the heading
         of a step onto it. Built on the config's first cycle, not when it is made."""
         h, cs = self.half_extent, self.cell_size
         cells = [divmod(i, 2 * h + 1) for i in range((2 * h + 1) ** 2)]
@@ -178,7 +178,7 @@ def plan_cycle(world: WorldMap, pose: Pose, goal: Point, config: PlannerConfig, 
     a plans with seed (seed, cycle, a). The verdict is STUCK when no
     candidate exists, when the reachable cells form a closed pocket without
     the goal, or when no trial succeeds. APF runs the cycle in one call of
-    the kernel's apf_cycle: perceive, then baselines.apf_step's rule; the
+    the kernel's apf_cycle: perceive, then the kernel's apf_step rule; the
     verdict is LOCAL_MINIMUM when no neighbour improves on the potential.
 
     The record holds the pose after the cycle's one step, heading along it,

@@ -7,17 +7,12 @@ tick, so replays are bit-identical.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from . import kernel
 from .errors import MapParseError, OutOfBounds
 from .geometry import Cell, Point, Pose, check_count
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class MoverPolicy(enum.Enum):
@@ -69,10 +64,9 @@ class WorldMap:
     The static occupancy is one store: cells, the row-major bytes of a
     height x width grid, 1 for an occupied cell and 0 for a free one, so cell
     (r, c) is byte r * width + c. It is copied from static_cells, a 2D array
-    of truth values (a numpy array or a sequence of equal-length rows), at
-    construction, so later edits of the caller's array do not reach the world,
-    and every tick shares it. static_cells and occupancy_grid() give read-only
-    numpy views of the store, made on first access.
+    of truth values (rows of equal length, such as lists of bools or a numpy
+    array), at construction, so later edits of the caller's array do not
+    reach the world, and every tick shares it.
     """
 
     def __init__(self, static_cells, cell_size: float,
@@ -93,7 +87,6 @@ class WorldMap:
         check_count("tick", tick, 0)
         self.tick = int(tick)
         self._occ: bytearray | None = None  # this tick's occupancy, with movers only
-        self._occ_view = None
         self._kernel_occ: tuple | None = None
         for m in self.movers:
             for cell in m.waypoints:
@@ -125,21 +118,6 @@ class WorldMap:
         r, c = cell
         return bool(self._occupancy()[r * self.width + c])
 
-    @functools.cached_property
-    def static_cells(self) -> np.ndarray:
-        """The static occupancy as a read-only (height, width) numpy bool view of cells."""
-        return _bool_view(self.cells, self.height, self.width)
-
-    def occupancy_grid(self) -> np.ndarray:
-        """Composed static+mover occupancy at this tick, a read-only numpy bool view
-        made once per tick. Without movers it is static_cells, shared by every tick."""
-        if not self.movers:
-            return self.static_cells
-        if self._occ_view is None:
-            self._occ_view = _bool_view(memoryview(self._occupancy()).toreadonly(),
-                                        self.height, self.width)
-        return self._occ_view
-
     def kernel_occupancy(self) -> tuple:
         """The kernel's (pointer, rows, cols, cell_size) of this tick's occupancy, made once:
         an ffi.from_buffer of the store (of the tick's copy with movers), read as _Bool."""
@@ -152,14 +130,12 @@ class WorldMap:
         """Snapshot at the next tick; the static store and the checked movers are shared,
         and without movers so is the kernel occupancy, which every tick then reads."""
         world = object.__new__(type(self))
-        world.__dict__.update(self.__dict__, tick=self.tick + 1, _occ=None, _occ_view=None,
+        world.__dict__.update(self.__dict__, tick=self.tick + 1, _occ=None,
                               _kernel_occ=None if self.movers else self._kernel_occ)
         return world
 
-    def __getstate__(self):  # a cffi pointer neither copies nor pickles; views are remade
-        state = {**self.__dict__, "_occ_view": None, "_kernel_occ": None}
-        state.pop("static_cells", None)
-        return state
+    def __getstate__(self):  # a cffi pointer neither copies nor pickles
+        return {**self.__dict__, "_kernel_occ": None}
 
     def cell_of(self, x: float, y: float) -> Cell:
         return (int(math.floor(y / self.cell_size)), int(math.floor(x / self.cell_size)))
@@ -167,12 +143,6 @@ class WorldMap:
     def cell_center(self, cell: Cell) -> Point:
         r, c = cell
         return ((c + 0.5) * self.cell_size, (r + 0.5) * self.cell_size)
-
-
-def _bool_view(buffer, height: int, width: int) -> np.ndarray:
-    """A (height, width) numpy bool view of a read-only buffer of 0/1 bytes."""
-    import numpy as np
-    return np.frombuffer(buffer, dtype=bool).reshape(height, width)
 
 
 def _finite_float(text: str) -> float:

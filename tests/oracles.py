@@ -3,9 +3,10 @@
 Everything here is deliberately written from scratch against the math, not by
 calling into the package, so the implementations under test are checked by a
 separate route. From antnav only types, constants and the sequential sum are
-imported: the colony reference, the Python loop the compiled kernel
-replaced, is built from the rule oracles above, and its neighbours come from
-the traversable mask and DIR_OFFSETS alone. The reference planning cycle at
+imported, and from stages.py the graph and path types: the colony reference,
+the Python loop the compiled kernel replaced, is built from the rule oracles
+above, and its neighbours come from the traversable mask and DIR_OFFSETS
+alone. The reference planning cycle at
 the end chains the perception, sub-goal and colony references.
 """
 import heapq
@@ -13,8 +14,10 @@ import math
 
 import numpy as np
 
-from antnav import AcoMode, AntPath, GridGraph, NoPathFound
+from antnav import AcoMode, NoPathFound
 from antnav.geometry import DIR_ANGLES, DIR_OFFSETS, sequential_sum
+
+from stages import AntPath, GridGraph
 
 SQRT2 = math.sqrt(2.0)
 

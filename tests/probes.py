@@ -1,8 +1,8 @@
 """Probes of the compiled kernel shared by the test modules.
 
-Each probe reads what plan_subpath hands the kernel (gamma, from which the
-kernel computes (1 / step) ** gamma per direction, and the _CORNER_FACTORS
-table) or what the kernel leaves behind (the pheromone array, the sub-goal
+Each probe reads what the stage windows of stages.py hand the kernel (gamma,
+from which the kernel computes (1 / step) ** gamma per direction, and the
+_CORNER_FACTORS table) or what the kernel leaves behind (the pheromone array, the sub-goal
 ranking's constraint families, the scan's ranges), so the checks built on
 them test the code the planner runs. The neighbours of a cell come from the
 traversable mask (oracles.neighbors_ref), and the step lengths from the cell
@@ -11,15 +11,13 @@ size (oracles.step_lengths_ref), not from the package.
 import math
 from unittest import mock
 
-import numpy as np
-
-from antnav import (AcoMode, CandidateSet, CostWeights, GridGraph, NoPathFound, perceive,
-                    plan_subpath, rank_candidates)
-from antnav import aco, kernel, subgoal
+from antnav import AcoMode, CostWeights, NoPathFound
 from antnav.aco import _CORNER_FACTORS, heuristic_weights
 from antnav.geometry import DIR_ANGLES, wrap_angle
 
+import stages
 from oracles import neighbors_ref, step_lengths_ref
+from stages import CandidateSet, GridGraph, perceive, plan_subpath, pointer, rank_candidates
 
 
 def kernel_scan(world, pose, radius, n_rays):
@@ -85,9 +83,9 @@ def kernel_run(graph, start, goal, params, seed):
     def spy(arr, dtype, shape, writable=False):
         if writable and not taus and shape == (graph.n * 8,):
             taus.append(arr)
-        return kernel.pointer(arr, dtype, shape, writable)
+        return pointer(arr, dtype, shape, writable)
 
-    with mock.patch.object(aco, "pointer", spy):
+    with mock.patch.object(stages, "pointer", spy):
         try:
             result = plan_subpath(graph, start, goal, params, seed)
         except NoPathFound as exc:
@@ -105,10 +103,10 @@ def kernel_ranking(points, robot, goal, weights=CostWeights()):
     def spy(arr, dtype, shape, writable=False):
         if writable and len(shape) == 2:
             families.append(arr)
-        return kernel.pointer(arr, dtype, shape, writable)
+        return pointer(arr, dtype, shape, writable)
 
     candidates = CandidateSet(tuple(((i, 0), tuple(p)) for i, p in enumerate(points)))
-    with mock.patch.object(subgoal, "pointer", spy):
+    with mock.patch.object(stages, "pointer", spy):
         ranked = rank_candidates(candidates, robot, goal, weights)
     raw, norm = families
     return ranked, raw, norm

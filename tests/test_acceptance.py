@@ -13,9 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from antnav import (AcoMode, AcoParams, CellState, CostWeights, GridGraph, NoPathFound,
-                    PlannerKind, Pose, RunStatus, WorldMap, corner_heuristic, perceive,
-                    plan_subpath, run)
+from antnav import (AcoMode, AcoParams, CostWeights, NoPathFound, PlannerKind, Pose, RunStatus,
+                    WorldMap, corner_heuristic, run)
 from antnav.aco import heuristic_weights
 from antnav.geometry import DIR_ANGLES, DIR_OFFSETS, SQRT2
 from antnav.scenario import parse_groups, parse_scenario, with_planner, with_seed, with_weights
@@ -24,6 +23,7 @@ from oracles import (corner_ref, dijkstra_ref, heuristic_ref, neighbors_ref, nor
                      plan_subpath_ref, polar_ref, raw_constraints_ref, scan_ref, score_ref,
                      step_lengths_ref, transition_ref, without_cells)
 from probes import kernel_hits, kernel_ranking, kernel_run, kernel_transition, random_field_state
+from stages import CellState, GridGraph, perceive, plan_subpath
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"

@@ -5,9 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from antnav import (AcoMode, AcoParams, ColonyWeightError, GridGraph, NoPathFound,
-                    corner_heuristic, plan_subpath)
-from antnav import kernel
+from antnav import AcoMode, AcoParams, ColonyWeightError, NoPathFound, corner_heuristic
 from antnav.aco import _CORNER_FACTORS, heuristic_weights
 from antnav.geometry import DIR_ANGLES, DIR_OFFSETS
 
@@ -15,6 +13,7 @@ import oracles
 from oracles import (corner_ref, heuristic_ref, neighbors_ref, plan_subpath_ref,
                      reachable_ref, rel_close, score_ref, step_lengths_ref, transition_ref)
 from probes import kernel_run, kernel_transition, random_field_state
+from stages import GridGraph, plan_subpath, pointer
 
 SQRT2 = math.sqrt(2.0)
 
@@ -857,14 +856,14 @@ class TestKernelDifferential:
 
     def test_arguments_are_checked_before_the_call(self):
         good = np.zeros(8)
-        assert kernel.pointer(good, np.float64, (8,)) is not None
+        assert pointer(good, np.float64, (8,)) is not None
         for bad in (np.zeros(8, np.float32), np.zeros(9), np.zeros(16)[::2]):
             with pytest.raises(ValueError):
-                kernel.pointer(bad, np.float64, (8,))
+                pointer(bad, np.float64, (8,))
         frozen = np.zeros(8)
         frozen.flags.writeable = False
         with pytest.raises(ValueError):
-            kernel.pointer(frozen, np.float64, (8,), writable=True)
+            pointer(frozen, np.float64, (8,), writable=True)
 
 
 def rectangular_mask(rng, case):

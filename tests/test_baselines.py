@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from antnav import ApfParams, CellState, LocalMinimum, Pose, apf_step
-from antnav.grid import LocalGrid
+from antnav import ApfParams, Pose
 
 from oracles import apf_step_ref, cell_center_ref
+from stages import CellState, LocalGrid, LocalMinimum, apf_step
 from test_grid import grid_of, random_grid
 
 # the east-facing pocket of test_u_trap_local_minimum, on a 9 x 9 grid

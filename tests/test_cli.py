@@ -9,6 +9,8 @@ import pytest
 
 from antnav.cli import main
 
+from test_golden import COMPARE_SHA256, PLOT_SHA256, SWEEP_SHA256, TRAJECTORY_SHA256, sha256
+
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
 
@@ -243,30 +245,45 @@ class TestDeterminism:
         assert "seed: 4" in sa and "seed: 123" in sb
 
 
-# Runs run (plot on), compare and sweep in one interpreter, then prints their
-# exit codes and whether numpy or sysconfig was ever imported.
+# Blocks every import of numpy, imports each antnav module, runs run (plot on)
+# on three scenarios, then compare and sweep, in one interpreter, and prints
+# their exit codes and whether sysconfig was ever imported.
 NUMPY_FREE_CHILD = """
-import json, sys
+import importlib, json, pkgutil, sys
+
+class NoNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, NoNumpy())
+import antnav
+for module in pkgutil.iter_modules(antnav.__path__):
+    if module.name != "__main__":  # it runs the CLI
+        importlib.import_module("antnav." + module.name)
 from antnav.cli import main
-scenario, groups, out = sys.argv[1:]
-codes = [main(["run", "--scenario", scenario, "--out", out + "/run"]),
-         main(["compare", "--scenario", scenario, "--out", out + "/compare", "--repeats", "1"]),
-         main(["sweep", "--scenario", scenario, "--groups", groups, "--out", out + "/sweep",
-               "--repeats", "1"])]
-print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules,
-                  "sysconfig": "sysconfig" in sys.modules}))
+scenarios, groups, out = sys.argv[1:]
+codes = [main(["run", "--scenario", f"{scenarios}/{name}.scn", "--out", f"{out}/{name}"])
+         for name in ("corridor", "moving", "multi_obstacle")]
+multi = f"{scenarios}/multi_obstacle.scn"
+codes += [main(["compare", "--scenario", multi, "--out", out + "/compare", "--repeats", "2"]),
+          main(["sweep", "--scenario", multi, "--groups", groups, "--out", out + "/sweep",
+                "--repeats", "2"])]
+print(json.dumps({"codes": codes, "sysconfig": "sysconfig" in sys.modules}))
 """
 
 
 def test_commands_run_without_numpy(tmp_path):
-    # the CLI hands the kernel bytes; numpy stays the library API's, and a
-    # kernel found built needs no sysconfig
-    res = subprocess.run([sys.executable, "-c", NUMPY_FREE_CHILD,
-                          str(SCENARIOS / "multi_obstacle.scn"),
+    # the commands hand the kernel bytes, so they give their golden bytes with
+    # numpy unimportable; a kernel found built needs no sysconfig
+    res = subprocess.run([sys.executable, "-c", NUMPY_FREE_CHILD, str(SCENARIOS),
                           str(SCENARIOS / "weights.groups"), str(tmp_path)],
                          capture_output=True, text=True, cwd=REPO / "src")
     assert res.returncode == 0, res.stderr
-    assert json.loads(res.stdout.strip().splitlines()[-1]) == {"codes": [0, 0, 0],
-                                                                "numpy": False,
+    assert json.loads(res.stdout.strip().splitlines()[-1]) == {"codes": [0] * 5,
                                                                 "sysconfig": False}
-    assert (tmp_path / "run" / "plot.svg").is_file()
+    for name, digest in TRAJECTORY_SHA256.items():
+        assert sha256(tmp_path / name / "trajectory.csv") == digest, name
+        assert sha256(tmp_path / name / "plot.svg") == PLOT_SHA256[name][1], name
+    for out, digests in (("compare", COMPARE_SHA256), ("sweep", SWEEP_SHA256)):
+        assert {name: sha256(tmp_path / out / name) for name in digests} == digests

@@ -16,6 +16,10 @@ from antnav.geometry import sequential_sum
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
 TRAJECTORY_SHA256 = {
     "multi_obstacle": "42dc97aa03a1009303300d22367e3d39a9c17bc2c288ddc2a4309f9d3556a6d6",
     "corridor": "70d90862d7c7f207c78ebae735e3b4193748ec03af4cdb59da306dadc83d9a28",
@@ -29,8 +33,7 @@ def test_run_trajectory_digest(name, tmp_path):
     code = main(["run", "--scenario", str(SCENARIOS / f"{name}.scn"),
                  "--out", str(out), "--no-plot"])
     assert code == 0
-    digest = hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest()
-    assert digest == TRAJECTORY_SHA256[name]
+    assert sha256(out / "trajectory.csv") == TRAJECTORY_SHA256[name]
 
 
 # every compare CSV except timings.csv (wall clock) for multi_obstacle.scn,
@@ -52,9 +55,7 @@ def test_compare_digests(tmp_path):
     assert code == 0
     written = {p.name for p in tmp_path.glob("*.csv")} - {"timings.csv"}
     assert written == set(COMPARE_SHA256)
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in written}
-    assert digests == COMPARE_SHA256
+    assert {name: sha256(tmp_path / name) for name in written} == COMPARE_SHA256
 
 
 # both sweep CSVs for multi_obstacle.scn with weights.groups, --repeats 2
@@ -69,9 +70,7 @@ def test_sweep_digests(tmp_path):
                  "--groups", str(SCENARIOS / "weights.groups"),
                  "--out", str(tmp_path), "--repeats", "2"])
     assert code == 0
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in tmp_path.glob("*.csv")}
-    assert digests == SWEEP_SHA256
+    assert {p.name: sha256(p) for p in tmp_path.glob("*.csv")} == SWEEP_SHA256
 
 
 # plot.svg of `antnav run` (plot on by default) and the run's exit code;
@@ -89,7 +88,7 @@ def test_run_plot_digest(name, tmp_path):
     code = main(["run", "--scenario", str(SCENARIOS / f"{name}.scn"), "--out", str(tmp_path)])
     exit_code, digest = PLOT_SHA256[name]
     assert code == exit_code
-    assert hashlib.sha256((tmp_path / "plot.svg").read_bytes()).hexdigest() == digest
+    assert sha256(tmp_path / "plot.svg") == digest
 
 
 def neumaier_sum(iterable, /, start=0):

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from antnav import CellState, NoCandidates, Pose, WorldMap, candidate_cells, perceive
-from antnav.grid import LocalGrid, _scan_args
+from antnav import Pose, WorldMap
+from antnav.grid import _scan_args
 
 from oracles import candidates_ref
+from stages import CellState, LocalGrid, NoCandidates, candidate_cells, perceive
 
 ORIGIN = Pose(10.5, 10.5, 0.0)
 

@@ -1,4 +1,5 @@
 """Building and loading the compiled kernel (colony.c, perception.c and planner.c)."""
+import ast
 import json
 import os
 import re
@@ -11,6 +12,8 @@ import numpy as np
 import pytest
 
 from antnav import PlannerKind, kernel
+
+from stages import pointer
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
@@ -115,9 +118,26 @@ def test_package_data_ships_every_source():
         path.name for path in (SRC / "antnav").glob("*.c")}
 
 
+def test_package_imports_only_what_it_declares():
+    # numpy is the tests' alone: no module of the package may import it, even lazily
+    tomllib = pytest.importorskip("tomllib")
+    config = tomllib.loads((REPO / "pyproject.toml").read_text(encoding="utf-8"))
+    allowed = {re.match(r"[\w.-]+", dep)[0] for dep in config["project"]["dependencies"]}
+    allowed |= {"antnav"} | sys.stdlib_module_names
+    for path in sorted((SRC / "antnav").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:  # level > 0: antnav
+                names = [node.module]
+            else:
+                continue
+            assert {name.partition(".")[0] for name in names} <= allowed, (path.name, names)
+
+
 def test_bool_grid_is_passed_without_a_copy():
     occ = np.zeros((3, 4), dtype=bool)
-    ptr = kernel.pointer(occ, np.bool_, occ.shape)
+    ptr = pointer(occ, np.bool_, occ.shape)
     assert int(kernel.module().ffi.cast("uintptr_t", ptr)) == occ.ctypes.data
 
 
@@ -210,9 +230,9 @@ def test_every_cdef_function_is_called():
 
 # Builds the kernel into argv[1] with AddressSanitizer and UndefinedBehaviorSanitizer
 # and drives every kernel entry point: the three planners' runs on each shipped
-# scenario, the public per-layer calls at ray counts from 1 up, every planner's
-# cycle from a pose off the world, from one on an occupied cell, and with a step
-# that lands on an unseen mover, and the graph calls (open_directions,
+# scenario, the per-stage calls of stages.py at ray counts from 1 up, every
+# planner's cycle from a pose off the world, from one on an occupied cell, and
+# with a step that lands on an unseen mover, and the graph calls (open_directions,
 # reachable and colony_run) on one-wide strips and rectangles from every
 # corner, where the walk's tabu marks land in the padding of its block.
 SANITIZED_CHILD = """
@@ -224,11 +244,12 @@ import numpy as np
 import antnav.kernel
 antnav.kernel.CFLAGS += ("-fsanitize=address,undefined", "-fno-omit-frame-pointer")
 antnav.kernel.CACHE_DIR = Path(sys.argv[1])
-from antnav import (AcoMode, AcoParams, GridGraph, LocalMinimum, NoCandidates, NoPathFound,
-                    PlannerConfig, PlannerKind, Pose, PoseInObstacle, PoseOutOfBounds, apf_step,
-                    candidate_cells, perceive, plan_cycle, plan_subpath, rank_candidates, run)
+from antnav import (AcoMode, AcoParams, NoPathFound, PlannerConfig, PlannerKind, Pose,
+                    PoseInObstacle, PoseOutOfBounds, plan_cycle, run)
 from antnav.scenario import parse_scenario, with_planner, with_seed
 from antnav.world import MovingObstacle, WorldMap
+from stages import (GridGraph, LocalMinimum, NoCandidates, apf_step, candidate_cells, perceive,
+                    plan_subpath, rank_candidates)
 static = np.zeros((11, 11), bool)
 static[[0, -1], :] = static[:, [0, -1]] = True
 world = WorldMap(static, 1.0, (MovingObstacle(((5, 6),)),)).advanced()
@@ -298,7 +319,7 @@ def test_kernel_runs_clean_under_sanitizers(tmp_path):
     if not all(os.path.isfile(path) for path in runtimes):
         pytest.skip("gcc's sanitizer runtimes are not installed")
     env = dict(os.environ, LD_PRELOAD=" ".join(runtimes), ASAN_OPTIONS="detect_leaks=0",
-               PYTHONPATH=str(SRC))
+               PYTHONPATH=os.pathsep.join((str(SRC), str(REPO / "tests"))))
     scenarios = sorted(str(path) for path in (REPO / "scenarios").glob("*.scn"))
     res = subprocess.run([sys.executable, "-c", SANITIZED_CHILD, str(tmp_path), *scenarios],
                          cwd=SRC, env=env, capture_output=True, text=True, timeout=600)

@@ -6,15 +6,15 @@ import struct
 import numpy as np
 import pytest
 
-from antnav import (CellState, GridGraph, MovingObstacle, MoverPolicy, NoCandidates,
-                    PlannerConfig, Pose, PoseInObstacle, PoseOutOfBounds, candidate_cells,
-                    kernel, perceive)
+from antnav import (MovingObstacle, MoverPolicy, PlannerConfig, Pose, PoseInObstacle,
+                    PoseOutOfBounds, kernel)
 from antnav.grid import ray_table
 from antnav.world import WorldMap
 
 from oracles import (FREE, ROBOT, candidates_ref, clamp_ref, local_grid_ref, occlude_ref,
                      reachable_ref, scan_ref, without_cells)
 from probes import kernel_hits, kernel_scan
+from stages import CellState, GridGraph, NoCandidates, candidate_cells, occupancy, perceive
 
 STEP_HEADINGS = [math.atan2(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)
                  if (dr, dc) != (0, 0)]
@@ -40,7 +40,7 @@ def random_world(rng, cell_size, border):
 
 
 def random_pose(rng, world, on_edge):
-    occ = world.occupancy_grid()
+    occ = occupancy(world)
     free = np.argwhere(~occ)
     if on_edge:
         rows, cols = occ.shape
@@ -66,7 +66,7 @@ def reference_chain(world, pose, samples, n_rays, cell_size, h, rings):
     cells = local_grid_ref(samples, world.cell_size, origin, cell_size, h, rings)
     occluded = occlude_ref(cells, samples, n_rays, origin, cell_size, h)
     return cells, occluded, clamp_ref(occluded, origin, cell_size, h,
-                                      world.occupancy_grid().shape, world.cell_size)
+                                      occupancy(world).shape, world.cell_size)
 
 
 @pytest.mark.parametrize("cell_size", [0.3, 1.0, 1.5])
@@ -85,7 +85,7 @@ def test_perception_matches_reference_loops(cell_size):
         rings = int(rng.integers(0, 3))
         radius = h * cell_size * (1.0 if rng.random() < 0.5 else float(rng.uniform(1.0, 1.6)))
 
-        samples = scan_ref(world.occupancy_grid(), world.cell_size, pose.x, pose.y,
+        samples = scan_ref(occupancy(world), world.cell_size, pose.x, pose.y,
                            pose.psi, radius, n_rays)
         assert kernel_hits(world, pose, radius, n_rays) == without_cells(samples)
         fired["samples"] += len(samples)
@@ -166,7 +166,7 @@ def test_every_ray_count_reads_its_own_ray():
             worlds += 1
             h, rings = int(rng.integers(2, 6)), int(rng.integers(0, 2))
             radius = h * cell_size * float(rng.uniform(1.0, 1.6))
-            samples = scan_ref(world.occupancy_grid(), world.cell_size, pose.x, pose.y,
+            samples = scan_ref(occupancy(world), world.cell_size, pose.x, pose.y,
                                pose.psi, radius, n_rays)
             assert kernel_hits(world, pose, radius, n_rays) == without_cells(samples)
             raw, masked, expected = reference_chain(world, pose, samples, n_rays,
@@ -181,7 +181,7 @@ def assert_grid_marks_the_hit_cells(world, pose, h):
     """For a pose on a cell center, equal cell sizes and the default radius
     h * cell_size: every OCCUPIED in-world cell of perceive's grid is occupied
     in the world, and every hit cell inside the square is OCCUPIED."""
-    cs, occ = world.cell_size, world.occupancy_grid()
+    cs, occ = world.cell_size, occupancy(world)
     grid = perceive(world, pose, h * cs, 360, cs, h, 0)
     r0, c0 = (v - h for v in world.cell_of(pose.x, pose.y))  # world cell of local (0, 0)
     for r, c in np.argwhere(grid.cells == CellState.OCCUPIED).tolist():
@@ -211,7 +211,7 @@ def test_grid_marks_exactly_the_hit_cells(h):
     rng = np.random.default_rng(500 + h)
     for _ in range(150):
         world = random_world(rng, float(rng.choice([0.3, 1.0, 1.5])), rng.random() < 0.5)
-        free = np.argwhere(~world.occupancy_grid())
+        free = np.argwhere(~occupancy(world))
         x, y = world.cell_center(tuple(free[rng.integers(len(free))].tolist()))
         pose = Pose(x, y, math.pi * int(rng.integers(-4, 5)) / 4)
         assert_grid_marks_the_hit_cells(world, pose, h)

@@ -8,9 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from antnav import (AcoMode, AcoParams, CandidateSet, ColonyWeightError, CostWeights, GridGraph,
-                    LocalGrid, PlannerConfig, PlannerKind, Pose, PoseInObstacle, PoseOutOfBounds,
-                    RunStatus, SubGoal, kernel, perceive, plan_subpath, run)
+from antnav import (AcoMode, AcoParams, ColonyWeightError, CostWeights, PlannerConfig,
+                    PlannerKind, Pose, PoseInObstacle, PoseOutOfBounds, RunStatus, kernel, run)
 from antnav import planner
 from antnav.geometry import DIR_OFFSETS
 from antnav.grid import ray_table
@@ -19,6 +18,7 @@ from antnav.scenario import Scenario
 from antnav.world import MovingObstacle, MoverPolicy, WorldMap
 
 from oracles import cell_center_ref, plan_cycle_ref
+from stages import CandidateSet, GridGraph, LocalGrid, SubGoal, occupancy, perceive, plan_subpath
 
 
 def scenario_from(static, cell_size, start_cell, goal_cell, psi=0.0, movers=(),
@@ -491,7 +491,7 @@ def random_cycle_scenario(rng):
         movers.append(MovingObstacle(tuple(chain), int(rng.integers(1, 3)),
                                      MoverPolicy.PINGPONG))
     world = WorldMap(static, 1.0, tuple(movers))
-    free = [tuple(cell) for cell in np.argwhere(~world.occupancy_grid()).tolist()
+    free = [tuple(cell) for cell in np.argwhere(~occupancy(world)).tolist()
             if tuple(cell) != start
             and (line is None or (cell[axis] - line) * (start[axis] - line) < 0)]
     if world.occupancy_at(start) or not free:
@@ -529,7 +529,7 @@ def test_fused_cycle_matches_the_reference_cycle():
                 break
             rec = plan_cycle(world, pose, sc.goal, config, sc.seed, cycle)
             verdict, subgoal, cells, series = plan_cycle_ref(
-                world.occupancy_grid(), world.cell_size, (pose.x, pose.y, pose.psi), sc.goal,
+                occupancy(world), world.cell_size, (pose.x, pose.y, pose.psi), sc.goal,
                 config, sc.seed, cycle)
             fired["cycles"] += 1
             if verdict == "stuck":
@@ -716,7 +716,7 @@ def pose_verdict_ref(world, pose):
     cell = world.cell_of(pose.x, pose.y)
     if not world.in_bounds(cell):
         return PoseOutOfBounds, f"pose {pose.xy} outside the world"
-    if world.occupancy_grid()[cell]:
+    if occupancy(world)[cell]:
         return PoseInObstacle, f"pose {pose.xy} lies on an occupied cell {cell}"
     return None, None
 
@@ -851,6 +851,6 @@ def test_occupancy_pointer_is_made_once_per_tick(monkeypatch):
         for world in (sc.world, ticked):
             for copied in (copy.deepcopy(world), pickle.loads(pickle.dumps(world))):
                 assert copied.tick == world.tick
-                assert np.array_equal(copied.occupancy_grid(), world.occupancy_grid())
+                assert np.array_equal(occupancy(copied), occupancy(world))
                 assert copied.kernel_occupancy()[1:] == world.kernel_occupancy()[1:]
         assert repr(run(copy.deepcopy(sc)).poses) == repr(run(sc).poses)

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from antnav import PlannerConfig, Pose, PoseInObstacle, PoseOutOfBounds, perceive
+from antnav import PlannerConfig, Pose, PoseInObstacle, PoseOutOfBounds
 from antnav.grid import MAX_RAYS
 from antnav.world import MovingObstacle, WorldMap
 
 from oracles import polar_ref
 from probes import kernel_hits, kernel_scan
+from stages import occupancy, perceive
 
 
 def make_world(height=15, width=15, cell_size=1.0, boxes=()):
@@ -47,7 +48,7 @@ class TestSimulateScan:
     def test_round_trip_lands_in_hit_cell(self):
         rng = np.random.default_rng(5)
         world = make_world(boxes=[(7, 6, 8, 8), (3, 10, 4, 12), (11, 2, 12, 3)])
-        occ = world.occupancy_grid()
+        occ = occupancy(world)
         half_diag = math.sqrt(2.0) / 2.0
         for _ in range(20):
             pose = Pose(rng.uniform(1, 14), rng.uniform(1, 14), rng.uniform(-3, 3))
@@ -115,7 +116,7 @@ def scan_scenes(draw):
                                                   st.integers(0, cols - 1))),))
                    for _ in range(draw(st.integers(0, 2))))
     world = WorldMap(static, cell_size, movers, tick=draw(st.integers(0, 5)))
-    free = np.argwhere(~world.occupancy_grid())
+    free = np.argwhere(~occupancy(world))
     if not len(free):  # the movers covered the one free cell
         world = WorldMap(static, cell_size)
         free = np.argwhere(~static)
@@ -146,7 +147,7 @@ def test_samples_map_back_into_occupied_cells(scene):
     differential tests in test_perception.py.
     """
     world, pose, radius, n_rays = scene
-    occ = world.occupancy_grid()
+    occ = occupancy(world)
     eps = 1e-9 * world.cell_size
     for d, theta in kernel_hits(world, pose, radius, n_rays):
         x, y = polar_ref(pose.x, pose.y, pose.psi, d, theta)

@@ -4,11 +4,11 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from antnav import (CandidateSet, CellState, CostWeights, NoCandidates, Pose, candidate_cells,
-                    kernel, rank_candidates)
+from antnav import CostWeights, Pose, kernel
 
 from oracles import normalize_ref, raw_constraints_ref, rel_close
 from probes import kernel_ranking
+from stages import CandidateSet, CellState, NoCandidates, candidate_cells, rank_candidates
 from test_grid import grid_of, random_grid
 
 

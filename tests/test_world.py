@@ -6,6 +6,8 @@ import pytest
 from antnav import MapParseError, MovingObstacle, MoverPolicy, OutOfBounds, parse_map
 from antnav.world import WorldMap
 
+from stages import occupancy
+
 
 def world_with(movers=(), size=10, boxes=()):
     static = np.zeros((size, size), bool)
@@ -17,7 +19,7 @@ def world_with(movers=(), size=10, boxes=()):
 class TestOccupancy:
     def test_empty_map_free_everywhere(self):
         w = world_with()
-        assert not w.occupancy_grid().any()
+        assert not occupancy(w).any()
 
     @pytest.mark.parametrize("cell_size", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_cell_size_must_be_positive_and_finite(self, cell_size):
@@ -47,10 +49,10 @@ class TestOccupancy:
     def test_union_of_static_and_movers(self):
         m = MovingObstacle(((2, 2), (2, 3)), policy=MoverPolicy.STOP)
         w = world_with([m], size=6, boxes=[(4, 4, 5, 5)])
-        occ = w.occupancy_grid()
+        occ, static = occupancy(w), occupancy(w, static=True)
         for r in range(6):
             for c in range(6):
-                expected = w.static_cells[r, c] or (r, c) == m.anchor_at(w.tick)
+                expected = static[r, c] or (r, c) == m.anchor_at(w.tick)
                 assert occ[r, c] == expected
 
 
@@ -58,14 +60,14 @@ ONE_MOVER = (MovingObstacle(((2, 3),)),)
 
 
 class TestStore:
-    """A world copies its static occupancy into one byte store at construction;
-    static_cells and occupancy_grid() are read-only views."""
+    """A world copies its static occupancy into one immutable byte store at
+    construction; a mover world adds one copy per tick, with its movers set."""
 
     def test_store_holds_row_major_zero_one_bytes(self):
         w = WorldMap(np.array([[0, 2, 0], [0.5, 0, -1]]), 1.0)
         assert (w.height, w.width) == (2, 3)
         assert w.cells == bytes([0, 1, 0, 1, 0, 1])  # the kernel reads each byte as a _Bool
-        assert w.static_cells.tolist() == [[False, True, False], [True, False, True]]
+        assert occupancy(w, static=True).tolist() == [[False, True, False], [True, False, True]]
         assert WorldMap([[True, False], [False, False]], 1.0).cells == bytes([1, 0, 0, 0])
 
     @pytest.mark.parametrize("static", [np.zeros(4, bool), [[False, False], [False]]])
@@ -79,23 +81,27 @@ class TestStore:
         w = WorldMap(a, 1.0, movers)
         a[1, 1] = True
         assert not w.occupancy_at((1, 1))
-        assert not w.static_cells[1, 1] and not w.advanced().occupancy_grid()[1, 1]
+        assert not occupancy(w, static=True)[1, 1] and not occupancy(w.advanced())[1, 1]
 
     @pytest.mark.parametrize("movers", [(), ONE_MOVER])
-    def test_static_cells_do_not_write_through(self, movers):
+    def test_the_store_is_immutable_and_each_tick_is_built_once(self, movers):
         w = WorldMap(np.zeros((3, 4), bool), 1.0, movers)
-        w.occupancy_grid()  # this tick's occupancy, made before the write
-        with pytest.raises(ValueError):
-            w.static_cells[0, 0] = True
-        for world in (w, w.advanced()):
-            assert not world.occupancy_at((0, 0)) and not world.occupancy_grid()[0, 0]
+        tick = w._occupancy()  # this tick's occupancy, made before the write
+        with pytest.raises(TypeError):
+            w.cells[0] = 1
+        later = w.advanced()
+        assert type(w.cells) is bytes and later.cells is w.cells
+        assert w._occupancy() is tick and (tick is w.cells) is not bool(movers)
+        assert (later._occupancy() is tick) is not bool(movers)
+        for world in (w, later):
+            assert not world.occupancy_at((0, 0)) and not occupancy(world)[0, 0]
 
     @pytest.mark.parametrize("movers", [(), ONE_MOVER])
     def test_numpy_views_are_read_only(self, movers):
         w = WorldMap(np.zeros((3, 4), bool), 1.0, movers)
         later = w.advanced()
-        for view in (w.static_cells, w.occupancy_grid(), later.static_cells,
-                     later.occupancy_grid()):
+        for view in (occupancy(w, static=True), occupancy(w), occupancy(later, static=True),
+                     occupancy(later)):
             assert not view.flags.writeable
             with pytest.raises(ValueError):
                 view.flags.writeable = True
@@ -193,7 +199,7 @@ class TestAdvance:
             a = a.advanced()
             b = b.advanced()
         assert a.tick == b.tick == 7
-        assert (a.occupancy_grid() == b.occupancy_grid()).all()
+        assert (occupancy(a) == occupancy(b)).all()
         assert w0.tick == 0  # original snapshot untouched
 
     def test_static_shared_not_copied(self):
@@ -223,8 +229,8 @@ class TestMapParsing:
         w = parsed.world
         assert (w.width, w.height) == (5, 5)
         assert w.cell_size == 1.5
-        assert w.static_cells[0].all() and w.static_cells[4].all()
-        assert not w.static_cells[1:4, 1:4].any()
+        static = occupancy(w, static=True)
+        assert static[0].all() and static[4].all() and not static[1:4, 1:4].any()
         assert w.cell_of(*parsed.start.xy) == (1, 1)
         assert abs(parsed.start.psi - math.pi / 2) < 1e-12
         assert parsed.goal == ((3 + 0.5) * 1.5, (3 + 0.5) * 1.5)
@@ -235,8 +241,8 @@ class TestMapParsing:
     def test_first_line_is_top_row(self):
         text = "cellsize 1\nstart 0 0 0\ngoal 2 0\n##.\n...\n"
         w = parse_map(text).world
-        assert w.static_cells[1, 0] and w.static_cells[1, 1]
-        assert not w.static_cells[0].any()
+        static = occupancy(w, static=True)
+        assert static[1, 0] and static[1, 1] and not static[0].any()
 
     @pytest.mark.parametrize("text,line", [
         ("cellsize 1\nstart 0 0 0\ngoal 1 0\n..\n.x\n", 5),
