@@ -28,13 +28,12 @@ import enum
 import functools
 import math
 import operator
-from dataclasses import dataclass
 
 from . import kernel
 from .kernel import INT_MAX
 from .errors import ColonyWeightError
-from .geometry import (Cell, DIR_ANGLES, DIR_OFFSETS, SQRT2, check_count, store_counts,
-                       wrap_angle)
+from .geometry import (Cell, DIR_ANGLES, DIR_OFFSETS, SQRT2, Frozen, check_count,
+                       store_counts, wrap_angle)
 
 
 class AcoMode(enum.Enum):
@@ -42,8 +41,7 @@ class AcoMode(enum.Enum):
     CONVENTIONAL = "conventional"
 
 
-@dataclass(frozen=True)
-class AcoParams:
+class AcoParams(Frozen):
     """Tunables of the colony.
 
     phi/gamma are the pheromone/heuristic exponents, rho the evaporation rate,

@@ -10,11 +10,11 @@ the colony with mode=CONVENTIONAL.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .geometry import Frozen
 
 
-@dataclass(frozen=True)
-class ApfParams:
+class ApfParams(Frozen):
     """Attractive gain, repulsive gain, repulsion cutoff distance (m)."""
 
     k_att: float = 1.0

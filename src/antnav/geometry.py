@@ -1,10 +1,9 @@
-"""Shared helpers: angle wrapping, robot pose, 8-connected grid directions, sequential sums
-and the check of a count field."""
+"""Shared helpers: the immutable-value base, angle wrapping, robot pose, 8-connected grid
+directions, sequential sums and the check of a count field."""
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 Cell = tuple[int, int]  # (row, col); row grows with world +y, col with +x
 Point = tuple[float, float]  # world-frame meters
@@ -38,7 +37,7 @@ def check_count(name: str, value, low: int | None, high: int | None = None) -> N
 
 
 def store_counts(obj, *names: str) -> None:
-    """Store each named field of the frozen dataclass obj that holds an integer as
+    """Store each named field of the Frozen value obj that holds an integer as
     operator.index of it, so that a numpy integer is kept as an int and never
     turns the floats computed from it into numpy floats. Any other value is left
     as it is, for check_count to reject by name."""
@@ -58,8 +57,71 @@ def wrap_angle(a: float) -> float:
     return w
 
 
-@dataclass(frozen=True, init=False)
-class Pose:
+class Frozen:
+    """Immutable value that behaves as a frozen dataclass, without the methods that
+    dataclasses compiles with exec for each class at every import.
+
+    The fields are the class annotations, in order, and class attributes of those
+    names their defaults. __post_init__ checks a new value and may set fields
+    with object.__setattr__.
+    """
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+
+    def __init__(self, *args, **kwargs):
+        cls, fields = type(self), self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__name__}() takes {len(fields)} fields, got {len(args)}")
+        for name, value in zip(fields, args):
+            if name in kwargs:
+                raise TypeError(f"{cls.__name__}() got multiple values for argument {name!r}")
+            kwargs[name] = value
+        for name in fields:
+            try:
+                value = kwargs.pop(name) if name in kwargs else self._defaults[name]
+            except KeyError:
+                raise TypeError(f"{cls.__name__}() missing argument {name!r}") from None
+            # a field at a time, as a dataclass sets them: an instance whose
+            # __dict__ is never touched keeps its values inline, where the
+            # interpreter reads them faster
+            object.__setattr__(self, name, value)
+        if kwargs:
+            raise TypeError(f"{cls.__name__}() got an unexpected keyword argument "
+                            f"{next(iter(kwargs))!r}")
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def replace(self, **changes):
+        """A copy with the given fields changed, built and checked by __init__ again."""
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Pose(Frozen):
     """Robot pose in the world frame, stored as Python floats (so a numpy float
     never reaches the metrics or the outputs); yaw is wrapped to (-pi, pi].
 
@@ -76,8 +138,8 @@ class Pose:
             name, value = next((n, v) for n, v in (("x", x), ("y", y), ("psi", psi))
                                if not math.isfinite(v))
             raise ValueError(f"pose {name} must be finite, got {value}")
-        # one write of the three fields, where a frozen dataclass pays one
-        # object.__setattr__ each: the planner makes a pose per cycle
+        # one write of the three fields, past Frozen's own __init__ and its
+        # checks of the arguments: the planner makes a pose per cycle
         self.__dict__.update(x=float(x), y=float(y), psi=wrap_angle(psi))
 
     @property

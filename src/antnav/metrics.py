@@ -8,10 +8,9 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from dataclasses import dataclass
 
 from .errors import EmptyRuns
-from .geometry import Point, sequential_sum
+from .geometry import Frozen, Point, sequential_sum
 
 
 class RunStatus(enum.Enum):
@@ -23,8 +22,7 @@ class RunStatus(enum.Enum):
     COLLISION = "collision"
 
 
-@dataclass(frozen=True)
-class RunMetrics:
+class RunMetrics(Frozen):
     path_length: float
     corners: int
     cycles: int
@@ -34,8 +32,7 @@ class RunMetrics:
     wall_ms: float
 
 
-@dataclass(frozen=True)
-class AggregateStats:
+class AggregateStats(Frozen):
     best: float
     worst: float
     average: float

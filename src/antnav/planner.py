@@ -24,14 +24,13 @@ import functools
 import math
 import numbers
 import time
-from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from . import kernel
 from .aco import AcoMode, AcoParams, _entropy_words, colony_error, corner_table
 from .baselines import ApfParams
 from .errors import PoseInObstacle
-from .geometry import Point, Pose, check_count, store_counts
+from .geometry import Frozen, Point, Pose, check_count, store_counts
 from .grid import _scan_args, pose_error, ray_table
 from .metrics import RunMetrics, RunStatus, corner_count, path_length
 from .subgoal import CostWeights
@@ -51,8 +50,7 @@ class PlannerKind(enum.Enum):
         raise ValueError(f"unknown planner {value!r} (expected proposed, conventional-aco or apf)")
 
 
-@dataclass(frozen=True)
-class PlannerConfig:
+class PlannerConfig(Frozen):
     """Everything a run needs besides the world, start, goal and seed."""
 
     weights: CostWeights = CostWeights()
@@ -90,7 +88,7 @@ class PlannerConfig:
     def aco_for_planner(self) -> AcoParams:
         """Mode override: the conventional baseline is the same planner in CONVENTIONAL mode."""
         if self.planner is PlannerKind.CONVENTIONAL_ACO:
-            return replace(self.aco, mode=AcoMode.CONVENTIONAL)
+            return self.aco.replace(mode=AcoMode.CONVENTIONAL)
         return self.aco
 
     @functools.cached_property
@@ -121,8 +119,7 @@ class PlannerConfig:
                 tuple(math.atan2(r - h, c - h) for r, c in cells))
 
 
-@dataclass(frozen=True)
-class _KernelArgs:
+class _KernelArgs(Frozen):
     """What a cycle hands the kernel that depends on its PlannerConfig alone, worked
     out once per config. Plain values only, so a config that has run still copies
     and pickles. The colony's heuristic goes in as gamma: the kernel computes
@@ -137,8 +134,7 @@ class _KernelArgs:
     args: tuple
 
 
-@dataclass(frozen=True, init=False)
-class CycleRecord:
+class CycleRecord(Frozen):
     cycle: int
     pose: Pose
     subgoal: Point | None
@@ -150,14 +146,13 @@ class CycleRecord:
     def __init__(self, cycle: int, pose: Pose, subgoal: Point | None,
                  subpath: tuple[Point, ...], dist_to_goal: float,
                  aco_series: tuple[float, ...], status: RunStatus):
-        # one write of every field: a frozen dataclass's own __init__ pays one
-        # object.__setattr__ per field, once per cycle
+        # one write of every field, past Frozen's own __init__ and its checks
+        # of the arguments: the planner makes a record per cycle
         self.__dict__.update(cycle=cycle, pose=pose, subgoal=subgoal, subpath=subpath,
                              dist_to_goal=dist_to_goal, aco_series=aco_series, status=status)
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(Frozen):
     poses: tuple[Pose, ...]
     records: tuple[CycleRecord, ...]
     metrics: RunMetrics

@@ -14,8 +14,8 @@ Example::
     zeta 0.3
 
 Every directive is one entry of _DIRECTIVES: its value parser and the
-dataclass field it sets, or no field for map, planner, seed and cell_size,
-which parse_scenario reads itself.
+field of CostWeights, AcoParams, ApfParams or PlannerConfig it sets, or no
+field for map, planner, seed and cell_size, which parse_scenario reads itself.
 
 Only `map` is required. Unset keys fall back to defaults: cell_size is the
 map cell size (any other value is rejected), lidar_radius derives from it and
@@ -26,18 +26,17 @@ makes the configuration invalid, reading the file top down.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .aco import AcoParams
 from .baselines import ApfParams
 from .errors import ScenarioParseError
-from .geometry import Point, Pose
+from .geometry import Frozen, Point, Pose
 from .planner import PlannerConfig, PlannerKind
 from .subgoal import CostWeights
 from .world import WorldMap, _finite_float, load_map
 
-# directive -> (value parser, (dataclass, field) it sets); the target is None for the
+# directive -> (value parser, (class, field) it sets); the target is None for the
 # four parse_scenario reads itself, and a field no directive sets keeps its default
 _DIRECTIVES = {
     "map": (str, None), "planner": (str, None), "seed": (int, None),
@@ -63,8 +62,7 @@ _DIRECTIVES = {
 }
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Frozen):
     """A fully resolved run: world, endpoints, planner configuration and seed."""
 
     name: str
@@ -178,21 +176,20 @@ def _config(values: dict[str, object], world: WorldMap,
 
 
 def with_seed(scenario: Scenario, seed: int) -> Scenario:
-    return replace(scenario, seed=seed)
+    return scenario.replace(seed=seed)
 
 
 def with_planner(scenario: Scenario, planner: PlannerKind) -> Scenario:
-    return replace(scenario, config=replace(scenario.config, planner=planner))
+    return scenario.replace(config=scenario.config.replace(planner=planner))
 
 
 def with_weights(scenario: Scenario, weights: CostWeights, delta: float,
                  zeta: float) -> Scenario:
-    aco = replace(scenario.config.aco, delta=delta, zeta=zeta)
-    return replace(scenario, config=replace(scenario.config, weights=weights, aco=aco))
+    aco = scenario.config.aco.replace(delta=delta, zeta=zeta)
+    return scenario.replace(config=scenario.config.replace(weights=weights, aco=aco))
 
 
-@dataclass(frozen=True)
-class WeightGroup:
+class WeightGroup(Frozen):
     name: str
     weights: CostWeights
     delta: float

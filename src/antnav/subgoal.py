@@ -12,11 +12,11 @@ reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .geometry import Frozen
 
 
-@dataclass(frozen=True)
-class CostWeights:
+class CostWeights(Frozen):
     """Weights of the three constraints: alpha distance, beta robot-to-cell bearing, omega cell-to-goal bearing."""
 
     alpha: float = 4.0

@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from . import kernel
 from .errors import MapParseError, OutOfBounds
-from .geometry import Cell, Point, Pose, check_count
+from .geometry import Cell, Frozen, Point, Pose, check_count
 
 
 class MoverPolicy(enum.Enum):
@@ -21,8 +20,7 @@ class MoverPolicy(enum.Enum):
     STOP = "stop"
 
 
-@dataclass(frozen=True)
-class MovingObstacle:
+class MovingObstacle(Frozen):
     """Obstacle following a waypoint schedule, one waypoint hop per ticks_per_move ticks."""
 
     waypoints: tuple[Cell, ...]
@@ -162,8 +160,7 @@ _MAP_USAGE = {"cellsize": "cellsize <meters>", "start": "start <col> <row> <psi_
               "wp": "wp <col> <row>"}
 
 
-@dataclass(frozen=True)
-class ParsedMap:
+class ParsedMap(Frozen):
     """Result of parsing a map file: the world plus start pose and goal point."""
 
     world: WorldMap

@@ -7,7 +7,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -274,7 +273,7 @@ class TestCriterion4:
         for seed in range(30):
             _, s_imp = plan_subpath(grid, (0, 0), (19, 19), base, (9000, seed))
             _, s_con = plan_subpath(grid, (0, 0), (19, 19),
-                                    replace(base, mode=AcoMode.CONVENTIONAL), (9000, seed))
+                                    base.replace(mode=AcoMode.CONVENTIONAL), (9000, seed))
             t_improved.append(iterations_to_within(s_imp))
             t_conventional.append(iterations_to_within(s_con))
         med_imp = float(np.median(t_improved))

@@ -113,14 +113,13 @@ class TestApfStep:
 
 class TestConventionalDelegation:
     def test_conventional_planner_is_aco_in_conventional_mode(self):
-        from antnav import AcoMode, PlannerConfig, PlannerKind
+        from antnav import AcoMode, AcoParams, PlannerConfig, PlannerKind
         cfg = PlannerConfig(planner=PlannerKind.CONVENTIONAL_ACO)
         assert cfg.aco_for_planner().mode is AcoMode.CONVENTIONAL
         cfg2 = PlannerConfig(planner=PlannerKind.PROPOSED)
         assert cfg2.aco_for_planner().mode is AcoMode.IMPROVED
         # identical tunables otherwise: only the mode flag differs
-        import dataclasses
-        a = dataclasses.asdict(cfg.aco_for_planner())
-        b = dataclasses.asdict(cfg2.aco_for_planner())
+        a = {name: getattr(cfg.aco_for_planner(), name) for name in AcoParams._fields}
+        b = {name: getattr(cfg2.aco_for_planner(), name) for name in AcoParams._fields}
         a.pop("mode"); b.pop("mode")
         assert a == b

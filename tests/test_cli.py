@@ -251,12 +251,12 @@ class TestDeterminism:
 NUMPY_FREE_CHILD = """
 import importlib, json, pkgutil, sys
 
-class NoNumpy:
+class Blocked:
     def find_spec(self, name, path=None, target=None):
-        if name.partition(".")[0] == "numpy":
+        if name.partition(".")[0] in ("numpy", "dataclasses"):
             raise ImportError(f"{name} is blocked")
 
-sys.meta_path.insert(0, NoNumpy())
+sys.meta_path.insert(0, Blocked())
 import antnav
 for module in pkgutil.iter_modules(antnav.__path__):
     if module.name != "__main__":  # it runs the CLI
@@ -275,7 +275,8 @@ print(json.dumps({"codes": codes, "sysconfig": "sysconfig" in sys.modules}))
 
 def test_commands_run_without_numpy(tmp_path):
     # the commands hand the kernel bytes, so they give their golden bytes with
-    # numpy unimportable; a kernel found built needs no sysconfig
+    # numpy unimportable; the value types generate no code, so no module of
+    # the package imports dataclasses; a kernel found built needs no sysconfig
     res = subprocess.run([sys.executable, "-c", NUMPY_FREE_CHILD, str(SCENARIOS),
                           str(SCENARIOS / "weights.groups"), str(tmp_path)],
                          capture_output=True, text=True, cwd=REPO / "src")

@@ -1,4 +1,4 @@
-import dataclasses
+import functools
 import math
 import re
 from unittest import mock
@@ -279,7 +279,7 @@ def test_run_calls_the_module_plan_cycle_once_per_cycle(kind, monkeypatch):
     assert len(result.poses) == result.metrics.cycles + 1
     for cls, names in ((CycleRecord, {"subgoal", "subpath", "aco_series"}),
                        (RunResult, {"poses"}), (PlannerConfig, {"cell_size"})):
-        assert names <= {field.name for field in dataclasses.fields(cls)}
+        assert names <= set(cls._fields)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -325,8 +325,7 @@ def test_numpy_integer_counts_are_stored_as_ints(tmp_path):
             assert type(getattr(owner, name)) is int, name
     sc = parse_scenario(Path(__file__).resolve().parent.parent / "scenarios"
                         / "multi_obstacle.scn")
-    sc = dataclasses.replace(sc, config=dataclasses.replace(sc.config,
-                                                            half_extent=np.int32(3)))
+    sc = sc.replace(config=sc.config.replace(half_extent=np.int32(3)))
     result = run(sc)
     assert result.metrics.status is RunStatus.GOAL_REACHED
     assert {type(v) for p in result.poses for v in (p.x, p.y, p.psi)} == {float}
@@ -347,10 +346,10 @@ def test_numpy_floats_are_stored_as_floats(tmp_path, change):
     sc = parse_scenario(Path(__file__).resolve().parent.parent / "scenarios"
                         / "multi_obstacle.scn")
     if change == "start":
-        sc = dataclasses.replace(sc, start=Pose(*map(np.float64, dataclasses.astuple(sc.start))))
+        sc = sc.replace(start=Pose(*(np.float64(getattr(sc.start, f)) for f in Pose._fields)))
     else:
         value = np.float64(sc.config.cell_size if change == "cell_size" else 0.5)
-        sc = dataclasses.replace(sc, config=dataclasses.replace(sc.config, **{change: value}))
+        sc = sc.replace(config=sc.config.replace(**{change: value}))
     result = run(sc)
     assert result.metrics.status is RunStatus.GOAL_REACHED
     _write_run_outputs(tmp_path, sc, result, plot=False)
@@ -372,13 +371,13 @@ def test_enum_fields_store_the_member_their_value_names():
                         / "multi_obstacle.scn")
 
     def poses(**change):
-        return run(dataclasses.replace(sc, config=dataclasses.replace(sc.config, **change))).poses
+        return run(sc.replace(config=sc.config.replace(**change))).poses
 
-    assert dataclasses.replace(sc.config, planner="apf").planner is PlannerKind.APF
+    assert sc.config.replace(planner="apf").planner is PlannerKind.APF
     assert poses(planner="apf") == poses(planner=PlannerKind.APF)
-    aco = dataclasses.replace(sc.config.aco, mode="improved")
+    aco = sc.config.aco.replace(mode="improved")
     assert aco.mode is AcoMode.IMPROVED
-    assert poses(aco=aco) == poses(aco=dataclasses.replace(aco, mode=AcoMode.IMPROVED))
+    assert poses(aco=aco) == poses(aco=aco.replace(mode=AcoMode.IMPROVED))
     assert AcoParams(mode="conventional").mode is AcoMode.CONVENTIONAL
 
 
@@ -552,12 +551,11 @@ def test_fused_cycle_matches_the_reference_cycle():
 # its seed-determined output; argv: scenario path, planner, half_extent.
 FRESH_RUN = """
 import sys
-from dataclasses import replace
 from antnav.planner import PlannerKind, run
 from antnav.scenario import parse_scenario, with_planner
 sc = with_planner(parse_scenario(sys.argv[1]), PlannerKind(sys.argv[2]))
-sc = replace(sc, config=replace(sc.config, half_extent=int(sys.argv[3]),
-                                n_rays=int(sys.argv[4])))
+sc = sc.replace(config=sc.config.replace(half_extent=int(sys.argv[3]),
+                                         n_rays=int(sys.argv[4])))
 result = run(sc)
 print(repr((result.metrics.status, result.poses, result.records)))
 """
@@ -590,8 +588,7 @@ def test_config_cache_keeps_runs_apart():
     scenarios = []
     for name, h, n_rays in variants:
         sc = with_planner(base, PlannerKind(name))
-        scenarios.append(dataclasses.replace(
-            sc, config=dataclasses.replace(sc.config, half_extent=h, n_rays=n_rays)))
+        scenarios.append(sc.replace(config=sc.config.replace(half_extent=h, n_rays=n_rays)))
     in_process = [output(sc) for sc in scenarios]
     assert output(scenarios[0]) == in_process[0]  # its config's arguments are kept by now
     for (name, h, n_rays), got in zip(variants, in_process):
@@ -605,43 +602,112 @@ def test_config_cache_keeps_runs_apart():
     ran = output(sc)
     for config in (copy.deepcopy(sc.config), pickle.loads(pickle.dumps(sc.config))):
         assert config == sc.config and hash(config) == hash(sc.config)
-        assert output(dataclasses.replace(sc, config=config)) == ran
+        assert output(sc.replace(config=config)) == ran
 
 
-def test_records_stay_frozen_dataclasses():
-    # Pose and CycleRecord write their fields in one dict update, past a frozen
-    # dataclass's own __init__; they must still behave as frozen dataclasses
+@functools.cache
+def _one_value_of_each_type() -> dict:
+    """A value of each of the package's immutable value types, most of them from one run."""
+    from antnav import (AggregateStats, ApfParams, RunMetrics, WeightGroup, aggregate,
+                        parse_map)
+    from antnav.planner import _KernelArgs
+    from antnav.world import ParsedMap
+
+    sc = scenario_from(bordered(11, 11), 1.0, (5, 2), (5, 8))
+    result = run(sc)
+    rec = result.records[0]
+    assert rec.subpath and rec.aco_series and rec.subgoal is not None
+    values = [rec.pose, rec, result, result.metrics, aggregate([result.metrics])["corners"],
+              sc.config, sc.config._kernel_args, AcoParams(elite_cutoff=3), ApfParams(d0=2.5),
+              CostWeights(1.0, 2.0, 0.5), MovingObstacle(((1, 1), (1, 2)), 2, "loop"),
+              parse_map("cellsize 1\nstart 1 1 90\ngoal 2 1\n####\n#..#\n####\n"), sc,
+              WeightGroup("g", CostWeights(), 0.7, 0.3)]
+    types = (Pose, CycleRecord, RunResult, RunMetrics, AggregateStats, PlannerConfig,
+             _KernelArgs, AcoParams, ApfParams, CostWeights, MovingObstacle, ParsedMap,
+             Scenario, WeightGroup)
+    assert [type(value) for value in values] == list(types)
+    return {cls.__name__: value for cls, value in zip(types, values)}
+
+
+@pytest.mark.parametrize("name, fields", [
+    ("Pose", "x y psi"),
+    ("CycleRecord", "cycle pose subgoal subpath dist_to_goal aco_series status"),
+    ("RunResult", "poses records metrics"),
+    ("RunMetrics", "path_length corners cycles dist_series aco_series status wall_ms"),
+    ("AggregateStats", "best worst average"),
+    ("PlannerConfig", "weights aco apf planner lidar_radius n_rays cell_size half_extent "
+                      "inflation_rings goal_tolerance max_robot_steps"),
+    ("_KernelArgs", "aco side max_steps goal_tolerance args"),
+    ("AcoParams", "phi gamma rho q n_ants n_iters delta zeta tau0 max_steps elite_cutoff mode"),
+    ("ApfParams", "k_att k_rep d0"),
+    ("CostWeights", "alpha beta omega"),
+    ("MovingObstacle", "waypoints ticks_per_move policy"),
+    ("ParsedMap", "world start goal"),
+    ("Scenario", "name map_path world start goal config seed"),
+    ("WeightGroup", "name weights delta zeta"),
+])
+def test_value_types_stay_frozen(name, fields):
+    # the value types keep what frozen dataclasses gave them without the
+    # dataclasses import: fields in order, positional and keyword
+    # construction, immutability, field-wise equality and hash, replace,
+    # copy and pickle. Pose and CycleRecord write their fields in one dict
+    # update, past the base's own __init__
     import copy
     import inspect
     import pickle
 
-    result = run(scenario_from(bordered(11, 11), 1.0, (5, 2), (5, 8)))
-    rec = result.records[0]
+    value = _one_value_of_each_type()[name]
+    cls = type(value)
+    names = fields.split()
+    assert list(cls._fields) == names
+    if cls in (Pose, CycleRecord):
+        assert list(inspect.signature(cls).parameters) == names
+    values = [getattr(value, f) for f in names]
+    for f in names:
+        with pytest.raises(AttributeError):
+            setattr(value, f, getattr(value, f))
+        with pytest.raises(AttributeError):
+            delattr(value, f)
+    assert cls(*values) == value and cls(**dict(zip(names, values))) == value
+    assert value.replace() == value and hash(value.replace()) == hash(value)
+    assert value.replace(**{names[0]: values[0]}) == value
+    for same in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        if "world" in names:  # a WorldMap equals itself alone, as it always has
+            same = same.replace(world=value.world)
+        assert same == value and hash(same) == hash(value)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'nope'"):
+        cls(*values, nope=1)
+    with pytest.raises(TypeError, match=f"multiple values for argument '{names[0]}'"):
+        cls(*values, **{names[0]: values[0]})
+    with pytest.raises(TypeError):
+        cls(*values, values[0])
+    required = [f for f in names if f not in vars(cls)]  # the fields without a default
+    if required:
+        with pytest.raises(TypeError, match=f"missing .*'{required[-1]}'"):
+            cls(**{f: v for f, v in zip(names, values) if f != required[-1]})
+
+
+def test_value_types_replace_check_and_print_as_before():
+    rec = _one_value_of_each_type()["CycleRecord"]
     pose = rec.pose
-    assert rec.subpath and rec.aco_series and rec.subgoal is not None
-    names = [f.name for f in dataclasses.fields(CycleRecord)]
-    assert names == ["cycle", "pose", "subgoal", "subpath", "dist_to_goal", "aco_series",
-                     "status"]
-    assert list(inspect.signature(CycleRecord).parameters) == names
-    assert list(inspect.signature(Pose).parameters) == ["x", "y", "psi"]
-    for obj in (pose, rec):
-        for f in dataclasses.fields(obj):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(obj, f.name, getattr(obj, f.name))
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                delattr(obj, f.name)
-        assert dataclasses.replace(obj) == obj
-        for same in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
-            assert same == obj and hash(same) == hash(obj)
-    assert Pose(**dataclasses.asdict(pose)) == pose
-    assert Pose(*dataclasses.astuple(pose)) == pose
-    as_dict = dataclasses.asdict(rec)
-    assert CycleRecord(**{**as_dict, "pose": Pose(**as_dict["pose"])}) == rec
-    as_tuple = dataclasses.astuple(rec)
-    assert CycleRecord(as_tuple[0], Pose(*as_tuple[1]), *as_tuple[2:]) == rec
-    assert dataclasses.replace(rec, cycle=7).cycle == 7
-    assert dataclasses.replace(rec, cycle=7) != rec
-    assert dataclasses.replace(pose, psi=3 * math.pi).psi == math.pi  # wrapped again
+    assert rec.replace(cycle=7).cycle == 7 and rec.replace(cycle=7) != rec
+    assert pose.replace(psi=3 * math.pi).psi == math.pi  # wrapped again
+    with pytest.raises(ValueError, match="n_rays"):
+        PlannerConfig().replace(n_rays=0)  # checked again
+    with pytest.raises(ValueError, match="finite"):
+        pose.replace(x=math.nan)
+    # the repr text of the dataclasses these types were
+    assert repr(Pose(1.0, 2.0, 0.5)) == "Pose(x=1.0, y=2.0, psi=0.5)"
+    aco = ("AcoParams(phi=1.0, gamma=5.0, rho=0.3, q=1.0, n_ants=20, n_iters=50, delta=0.7, "
+           "zeta=0.3, tau0=1.0, max_steps=None, elite_cutoff=None, "
+           "mode=<AcoMode.IMPROVED: 'improved'>)")
+    assert repr(AcoParams()) == aco
+    assert repr(PlannerConfig()) == (
+        f"PlannerConfig(weights=CostWeights(alpha=4.0, beta=1.8, omega=1.0), aco={aco}, "
+        "apf=ApfParams(k_att=1.0, k_rep=100.0, d0=None), "
+        "planner=<PlannerKind.PROPOSED: 'proposed'>, lidar_radius=6.0, n_rays=360, "
+        "cell_size=1.5, half_extent=4, inflation_rings=1, goal_tolerance=None, "
+        "max_robot_steps=None)")
 
 
 def test_cell_tables_are_built_on_the_first_cycle():

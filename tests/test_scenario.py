@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 import tempfile
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 from antnav import (AcoParams, AntnavError, PlannerConfig, PlannerKind, ScenarioParseError,
                     parse_groups, parse_scenario)
 from antnav.cli import main
+from antnav.geometry import Frozen
 from antnav.scenario import _DIRECTIVES
 
 MAP = """\
@@ -80,7 +80,7 @@ class TestScenarioParsing:
         assert sc.config.half_extent == 4
         assert sc.config.weights.alpha == 4.0
         assert sc.config.aco.n_ants == 20 and sc.config.aco.n_iters == 50
-        # the dataclass defaults, but for the two values the map sets
+        # the class defaults, but for the two values the map sets
         assert sc.config == PlannerConfig(cell_size=1.0, lidar_radius=4.0)
 
     @pytest.mark.parametrize("text,line", [
@@ -290,10 +290,10 @@ def test_radius_overflow_exits_one_at_the_map_line(tmp_path, capsys, scn_text, l
     assert not (tmp_path / "out").exists()
 
 
-def test_directive_table_matches_the_dataclasses_and_readme():
+def test_directive_table_matches_the_config_fields_and_readme():
     targets = [target for _, target in _DIRECTIVES.values() if target is not None]
     for cls, name in targets:
-        assert name in {f.name for f in dataclasses.fields(cls)}, (cls, name)
+        assert name in cls._fields, (cls, name)
     assert len(set(targets)) == len(targets), "a field is set by two directives"
     assert {key for key, (_, target) in _DIRECTIVES.items() if target is None} == \
         {"map", "planner", "seed", "cell_size"}
@@ -344,10 +344,10 @@ def mutated_texts(draw):
 
 
 def _numbers(value):
-    """Every int and float inside a (nested) dataclass value."""
-    if dataclasses.is_dataclass(value):
-        for f in dataclasses.fields(value):
-            yield from _numbers(getattr(value, f.name))
+    """Every int and float inside a (nested) Frozen value."""
+    if isinstance(value, Frozen):
+        for name in value._fields:
+            yield from _numbers(getattr(value, name))
     elif isinstance(value, (int, float)) and not isinstance(value, bool):
         yield value
 
