@@ -8,15 +8,20 @@ coincide with world cells. Each hit marks its cell: the local cell that
 holds the center of the world cell the ray hit, which is that cell itself
 when the local and world cells coincide. Occupied cells are inflated by
 marking their 8-neighborhood (configurable ring count) as non-traversable.
-Every planner's cycle runs the whole stage (pose test, scan, rasterize,
-inflate, occlusion mask, world clamp) inside one call of planner.c's
-plan_cycle or apf_cycle, through perception.c's perceive, and lists the
-marginal cells with planner.c's marginal_cells. This module holds what the
-cycle reads from Python: the one check of the scan and grid arguments
-(`_scan_args`), the rays' directions (`ray_table`, one table per (heading,
-ray count) filled once by the kernel's ray_directions: after its first step
-a robot heads along one of 8 directions, so a run needs at most 9 tables),
-and `pose_error`, which turns the kernel's pose verdict into the exception.
+Every planner's cycle plans on a local grid that perception.c's perceive
+builds whole (pose test, scan, rasterize, inflate, occlusion mask, world
+clamp), and planner.c's plan_cycle or apf_cycle reads it, listing the
+marginal cells with marginal_cells. The grid is a pure function of the
+world's occupancy at a tick, the pose and the scan arguments, so
+`local_grid` keeps the grids of a world in a memo that the WorldMap owns
+and every tick of it shares: the runs of a batch on one parsed world (the
+seeds of compare and sweep, the three planners of compare) cast each
+(tick, pose) once. This module holds what the cycle reads from Python: the
+one check of the scan and grid arguments (`_scan_args`), `local_grid`, the
+rays' directions (`ray_table`, one table per (heading, ray count) filled
+once by the kernel's ray_directions: after its first step a robot heads
+along one of 8 directions, so a run needs at most 9 tables), and
+`pose_error`, which turns the kernel's pose verdict into the exception.
 tests/oracles.py keeps the per-ray and per-cell loops the kernel reproduces
 as the reference.
 """
@@ -64,6 +69,49 @@ def _scan_args(lidar_radius: float, n_rays: int, cell_size: float, half_extent: 
     check_count("inflation_rings", inflation_rings, 0)
     rings = min(inflation_rings, 2 * half_extent + 1)  # more rings add nothing
     return (lidar_radius, n_rays, cell_size, half_extent, rings)
+
+
+# The most grids one world's memo keeps (local_grid). A 16-seed pass of the
+# shipped corridor or moving scenario keeps 313 or 73 grids, 256 seeds 635
+# or 601, at about 190 bytes a grid of 9 x 9 cells. Past the bound grids are
+# still made, just not kept, so a long batch of seeds costs at most this many
+# grids of memory per world. The memo takes no lock: threads that miss one key
+# at once each perceive it and keep the same bytes, and each may keep one grid
+# past the bound.
+MEMO_GRIDS = 1024
+
+
+def local_grid(world: WorldMap, pose: Pose, scan: tuple):
+    """The side x side local grid (an int8_t[] of cell states) that perceive
+    builds at pose on the world's occupancy at its tick, for the scan and
+    grid arguments scan (a _scan_args tuple).
+
+    The grid is looked up in the world's memo first, under (the tick when
+    the world has movers, else 0; x, y, psi; scan). On a miss perceive
+    builds it, and it is kept while the memo holds fewer than MEMO_GRIDS
+    grids. A kept grid is never written again, so the cycles that read it
+    read the bytes perceive would write for them. A coordinate or heading
+    of 0.0 and one of -0.0 compare equal and share an entry: perceive writes
+    the same grid for both. Raises PoseOutOfBounds / PoseInObstacle
+    (pose_error) for a pose off the world's free cells, and keeps nothing
+    then.
+    """
+    x, y, psi = pose.x, pose.y, pose.psi
+    key = (world.tick if world.movers else 0, x, y, psi, scan)
+    memo = world._grids
+    cells = memo.get(key)
+    if cells is None:
+        mod = kernel.module()
+        ffi, lib = mod.ffi, mod.lib
+        n_rays, half_extent = scan[1], scan[3]
+        cells = ffi.new("int8_t[]", (2 * half_extent + 1) ** 2)
+        code = lib.perceive(*world.kernel_occupancy(), x, y, psi, ray_table(psi, n_rays),
+                            *scan, ffi.new("double[]", n_rays), cells)
+        if code != lib.OK:
+            raise pose_error(code, world, pose)
+        if len(memo) < MEMO_GRIDS:
+            memo[key] = cells
+    return cells
 
 
 @functools.lru_cache(maxsize=16)

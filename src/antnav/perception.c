@@ -1,5 +1,5 @@
-/* Compiled perception stage of the planning cycle (planner.c's plan_cycle
- * and apf_cycle).
+/* Compiled perception stage of the planning cycle: the local grid that
+ * planner.c's plan_cycle and apf_cycle plan on.
  *
  * perceive first tests the pose: it returns POSE_OFF_WORLD or
  * POSE_IN_OBSTACLE for a pose whose world cell lies outside the world or is
@@ -14,7 +14,11 @@
  * ray_directions fills: it is the package's only place that computes a ray
  * bearing, and antnav.grid.ray_table keeps one table per (heading, ray
  * count), so a cycle casts its rays without a cos or sin. The table is the
- * caller's, read-only here: the kernel keeps no state between calls.
+ * caller's, read-only here: the kernel keeps no state between calls. The
+ * grid is a pure function of the occupancy, the pose and the scan
+ * arguments, so antnav.grid.local_grid calls perceive once per (tick, pose,
+ * scan arguments) of a world and hands the kept grid to every later cycle
+ * that asks for the same one.
  * The arithmetic is that of the per-ray and per-cell reference loops in
  * tests/oracles.py, operation for operation, so every cell state and every
  * range is bit-identical to theirs:

@@ -5,17 +5,20 @@
  * call one stage at a time (tests/stages.py).
  *
  * plan_cycle runs one cycle of the proposed and conventional-aco planners
- * in one call: perceive() builds the local grid, its marginal cells are
- * scored, and colony_run plans toward one trial sub-goal after another
- * until a colony reaches one. The first trial is the goal cell when the
- * robot can reach it (terminal capture), then come the reachable
- * candidates in (cost, row-major index) order, the order of a stable sort
- * by cost. apf_cycle runs one cycle of the APF planner: perceive(), then
- * apf_step. Both hand back perceive()'s pose verdict before any planning,
- * and both end with the run's step-collision rule: a step whose world cell
- * is occupied at the occupancy's tick returns STEP_COLLISION. These are the
- * package's only pose and step tests. The arithmetic is that of the
- * reference cycle and step in tests/oracles.py, operation for operation:
+ * in one call on the local grid the caller hands in (perception.c's
+ * perceive() writes it, and antnav.grid.local_grid keeps one per world,
+ * tick, pose and scan arguments): its marginal cells are scored, and
+ * colony_run plans toward one trial sub-goal after another until a colony
+ * reaches one. The first trial is the goal cell when the robot can reach it
+ * (terminal capture), then come the reachable candidates in (cost,
+ * row-major index) order, the order of a stable sort by cost. apf_cycle
+ * runs one cycle of the APF planner on the local grid: apf_step. The pose
+ * test is perceive()'s, before the grid exists; both cycles end with the
+ * run's step-collision rule: a step whose world cell is occupied at the
+ * occupancy's tick returns STEP_COLLISION, the package's only step test.
+ * Neither cycle writes the grid, and the kernel keeps no state between
+ * calls. The arithmetic is that of the reference cycle and step in
+ * tests/oracles.py, operation for operation:
  *  - a cell's center is x0 + (c - h) * cell_size, as
  *    PlannerConfig's cell tables add it;
  *  - the distance is libm hypot (np.hypot in the reference), the bearings
@@ -26,9 +29,10 @@
  *    order;
  *  - Python's x ** 2 is libm pow(x, 2.0) (py_square), not x * x.
  *
- * Each cycle call takes its scratch from one heap block, sized and sliced
- * in one place by alignment (doubles, 32-bit ints, bytes), and ends it with
- * a byte buffer the call fills whole, so a short block faults there.
+ * plan_cycle takes its scratch from one heap block, sized and sliced in one
+ * place by alignment (doubles, 32-bit ints, bytes), and ends it with a byte
+ * buffer the call fills whole, so a short block faults there; apf_cycle
+ * needs none.
  * colony_run builds its own step and heuristic pairs from the cell size and
  * gamma; the open-direction table of the local grid is built once per cycle.
  *
@@ -219,73 +223,55 @@ int apf_step(const int8_t *cells, int half_extent, double cell_size, double x0, 
 }
 
 /* One cycle of the APF planner of antnav.planner.plan_cycle for a robot at
- * (x0, y0, psi) on the rows x cols occupancy grid occ: perceive() with the
- * ray table rays and the scan and grid arguments, then apf_step toward
- * (goal_x, goal_y). Returns perceive()'s POSE_OFF_WORLD or POSE_IN_OBSTACLE,
- * LOCAL_MINIMUM or NO_MEMORY; or, with the step's cell id in *step, OK or
- * STEP_COLLISION. */
+ * (x0, y0) on the rows x cols occupancy grid occ, whose local grid cells
+ * (side x side, as perceive() writes it) the caller hands in: apf_step
+ * toward (goal_x, goal_y). Returns LOCAL_MINIMUM; or, with the step's cell
+ * id in *step, OK or STEP_COLLISION. */
 int apf_cycle(const bool *occ, int rows, int cols, double world_cell_size, double x0,
-              double y0, double psi, const double *rays, double goal_x, double goal_y,
-              double radius, int n_rays, double cell_size, int half_extent, int rings,
-              double k_att, double k_rep, double d0, int32_t *step)
+              double y0, const int8_t *cells, double goal_x, double goal_y, double cell_size,
+              int half_extent, double k_att, double k_rep, double d0, int32_t *step)
 {
-    const int side = 2 * half_extent + 1;
-    /* the ranges, then the cells, which perceive() fills whole */
-    double *range = malloc(sizeof(double) * (size_t)n_rays + (size_t)side * (size_t)side);
-    if (!range)
-        return NO_MEMORY;
-    int8_t *cells = (int8_t *)(range + n_rays);
-    int code = perceive(occ, rows, cols, world_cell_size, x0, y0, psi, rays, radius, n_rays,
-                        cell_size, half_extent, rings, range, cells);
-    if (code == OK) {
-        code = apf_step(cells, half_extent, cell_size, x0, y0, goal_x, goal_y, k_att, k_rep,
-                        d0);
-        if (code >= 0) {
-            *step = code;
-            code = step_verdict(occ, rows, cols, world_cell_size, x0, y0, cell_size,
-                                half_extent, code);
-        }
-    }
-    free(range);
-    return code;
+    int code = apf_step(cells, half_extent, cell_size, x0, y0, goal_x, goal_y, k_att, k_rep, d0);
+    if (code < 0)
+        return code;
+    *step = code;
+    return step_verdict(occ, rows, cols, world_cell_size, x0, y0, cell_size, half_extent, code);
 }
 
 /* One cycle of the proposed or conventional-aco planner of
  * antnav.planner.plan_cycle for a robot at (x0, y0, psi) on the rows x cols
- * occupancy grid occ and a goal at (goal_x, goal_y).
- * perceive() takes the ray table rays and the scan and grid arguments,
- * score() the weights and colony_run the colony's, gamma to elite_cutoff
- * in colony_run's order: corner is the (9, 8) corner table, key (n_key
- * words) the seed words of the cycle, to which the attempt index is
+ * occupancy grid occ and a goal at (goal_x, goal_y), whose local grid cells
+ * (side x side, as perceive() writes it) the caller hands in.
+ * score() takes the weights and colony_run the colony's arguments, gamma to
+ * elite_cutoff in colony_run's order: corner is the (9, 8) corner table, key
+ * (n_key words) the seed words of the cycle, to which the attempt index is
  * appended per trial. max_steps must not exceed side * side - 1. out has
  * room for max_steps + 3: the path's step count n, the sub-goal's id, then
  * the path's n + 1 cell ids.
  *
- * Returns perceive()'s POSE_OFF_WORLD or POSE_IN_OBSTACLE; STUCK when the
- * grid has no marginal cell, when the reachable cells form a closed pocket
- * (touching no grid edge, goal not among them) or when no trial colony
- * reaches its sub-goal; OK or STEP_COLLISION, the verdict of the path's
- * first step, with out filled and the colony series in series (n_iters);
- * the colony's BAD_TOTAL, with the sub-goal's id in out[1]; or NO_MEMORY.
- * Cell ids are row-major over the side x side grid,
+ * Returns STUCK when the grid has no marginal cell, when the reachable cells
+ * form a closed pocket (touching no grid edge, goal not among them) or when
+ * no trial colony reaches its sub-goal; OK or STEP_COLLISION, the verdict of
+ * the path's first step, with out filled and the colony series in series
+ * (n_iters); the colony's BAD_TOTAL, with the sub-goal's id in out[1]; or
+ * NO_MEMORY. Cell ids are row-major over the side x side grid,
  * side = 2 * half_extent + 1. */
 int plan_cycle(const bool *occ, int rows, int cols, double world_cell_size, double x0,
-               double y0, double psi, const double *rays, double goal_x, double goal_y,
-               const uint32_t *key, int n_key, const double *corner, double radius,
-               int n_rays, double cell_size, int half_extent, int rings, double alpha,
-               double beta, double omega, double gamma, int n_iters, int n_ants,
-               int max_steps, int improved, double phi, double rho, double q, double delta,
-               double zeta, double tau0, int elite_cutoff, int32_t *out, double *series)
+               double y0, const int8_t *cells, double goal_x, double goal_y, double psi,
+               const uint32_t *key, int n_key, const double *corner, double cell_size,
+               int half_extent, double alpha, double beta, double omega, double gamma,
+               int n_iters, int n_ants, int max_steps, int improved, double phi, double rho,
+               double q, double delta, double zeta, double tau0, int elite_cutoff,
+               int32_t *out, double *series)
 {
     const int side = 2 * half_extent + 1, n = side * side;
     const int center = half_extent * side + half_extent;
-    /* cells, which perceive() fills whole, ends the block */
-    double *range = malloc(sizeof(double) * ((size_t)n_rays + (2 + 7 + 8) * (size_t)n)
-                           + sizeof(int32_t) * (2 * (size_t)n + (size_t)n_key + 1)
-                           + (size_t)max_steps + 4 * (size_t)n);
-    if (!range)
+    /* reach, which reachable() fills whole, ends the block */
+    double *xy = malloc(sizeof(double) * (2 + 7 + 8) * (size_t)n
+                        + sizeof(int32_t) * (2 * (size_t)n + (size_t)n_key + 1)
+                        + (size_t)max_steps + 3 * (size_t)n);
+    if (!xy)
         return NO_MEMORY;
-    double *xy = range + n_rays;
     double *fam = xy + 2 * (size_t)n; /* raw, norm, cost */
     double *tau = fam + 7 * (size_t)n;
     int32_t *queue = (int32_t *)(tau + 8 * (size_t)n);
@@ -295,12 +281,7 @@ int plan_cycle(const bool *occ, int rows, int cols, double world_cell_size, doub
     bool *mask = (bool *)(dirs + max_steps);
     uint8_t *links = (uint8_t *)(mask + n);
     bool *reach = (bool *)(links + n);
-    int8_t *cells = (int8_t *)(reach + n);
-    int code = perceive(occ, rows, cols, world_cell_size, x0, y0, psi, rays, radius, n_rays,
-                        cell_size, half_extent, rings, range, cells);
-    if (code != OK)
-        goto done;
-    code = STUCK;
+    int code = STUCK;
     int k = marginal_cells(cells, side, ids);
     if (k == 0)
         goto done;
@@ -368,6 +349,6 @@ int plan_cycle(const bool *occ, int rows, int cols, double world_cell_size, doub
     }
 
 done:
-    free(range);
+    free(xy);
     return code;
 }

@@ -2,7 +2,11 @@
 
 World snapshots are immutable; ``advanced()`` returns the next tick. Each
 mover occupies the one cell of its current waypoint, a pure function of the
-tick, so replays are bit-identical.
+tick, so replays are bit-identical. A world equals another with the same
+cells, size, cell size, movers and tick. What a world keeps for the kernel
+(its tick's occupancy store and pointer, and the memo of local grids that
+antnav.grid.local_grid fills and every tick shares) is derived from those,
+so it stays out of equality, copies and pickles: a copy starts empty.
 """
 from __future__ import annotations
 
@@ -67,6 +71,9 @@ class WorldMap:
     reach the world, and every tick shares it.
     """
 
+    # what a world is; the rest of its __dict__ is worked out from these
+    _FIELDS = ("cells", "height", "width", "cell_size", "movers", "tick")
+
     def __init__(self, static_cells, cell_size: float,
                  movers: tuple[MovingObstacle, ...] = (), tick: int = 0):
         try:  # bool(): the kernel reads each byte as a _Bool, which holds only 0 or 1
@@ -86,6 +93,7 @@ class WorldMap:
         self.tick = int(tick)
         self._occ: bytearray | None = None  # this tick's occupancy, with movers only
         self._kernel_occ: tuple | None = None
+        self._grids: dict = {}  # grid.local_grid's memo, shared by every tick
         for m in self.movers:
             for cell in m.waypoints:
                 if not self.in_bounds(cell):
@@ -125,15 +133,30 @@ class WorldMap:
         return self._kernel_occ
 
     def advanced(self) -> "WorldMap":
-        """Snapshot at the next tick; the static store and the checked movers are shared,
-        and without movers so is the kernel occupancy, which every tick then reads."""
+        """Snapshot at the next tick; the static store, the checked movers and the memo of
+        local grids are shared, and without movers so is the kernel occupancy, which every
+        tick then reads."""
         world = object.__new__(type(self))
         world.__dict__.update(self.__dict__, tick=self.tick + 1, _occ=None,
                               _kernel_occ=None if self.movers else self._kernel_occ)
         return world
 
+    def _value(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._FIELDS])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __hash__(self):
+        return hash(self._value())
+
     def __getstate__(self):  # a cffi pointer neither copies nor pickles
-        return {**self.__dict__, "_kernel_occ": None}
+        return dict(zip(self._FIELDS, self._value()))
+
+    def __setstate__(self, state):
+        self.__dict__.update(state, _occ=None, _kernel_occ=None, _grids={})
 
     def cell_of(self, x: float, y: float) -> Cell:
         return (int(math.floor(y / self.cell_size)), int(math.floor(x / self.cell_size)))

@@ -138,3 +138,86 @@ class TestCandidateCells:
         grid = grid_of()
         cells = [cell for cell, _ in candidate_cells(grid).cells]
         assert cells == sorted(cells)
+
+
+class TestGridMemo:
+    """grid.local_grid keeps each grid of a world under (tick with movers, else 0;
+    x, y, psi; scan arguments) and hands back the bytes perceive writes."""
+
+    SCAN = (6.0, 360, 1.0, 4, 1)  # lidar_radius, n_rays, cell_size, half_extent, rings
+
+    @staticmethod
+    def world(movers=()):
+        static = np.zeros((21, 21), bool)
+        static[[0, -1], :] = static[:, [0, -1]] = True
+        static[12, 8:14] = True
+        return WorldMap(static, 1.0, movers)
+
+    @staticmethod
+    def perceived(world, pose, scan):
+        """The cells perceive writes for pose, and its ranges, from a fresh call."""
+        radius, n_rays, cell_size, half_extent, rings = scan
+        grid = perceive(world, pose, radius, n_rays, cell_size, half_extent, rings)
+        return grid.cells.tobytes(), grid.ranges.tobytes()
+
+    def test_each_key_field_misses_and_a_repeat_hits(self):
+        from antnav import MovingObstacle
+        from antnav.grid import local_grid
+
+        mover = MovingObstacle(((13, 10), (13, 11)), 1, "loop")  # period 2
+        world = self.world((mover,))
+        scan = _scan_args(*self.SCAN)
+        kept = local_grid(world, ORIGIN, scan)
+        assert local_grid(world, ORIGIN, scan) is kept and len(world._grids) == 1
+        assert bytes(kept) == self.perceived(world, ORIGIN, scan)[0]
+        misses = [(world, ORIGIN, _scan_args(6.0, 180, 1.0, 4, 1)),
+                  (world, ORIGIN, _scan_args(6.0, 360, 1.0, 3, 1)),
+                  (world, ORIGIN, _scan_args(6.0, 360, 1.0, 4, 2)),
+                  (world, ORIGIN, _scan_args(5.0, 360, 1.0, 4, 1)),
+                  # tick 2 has tick 0's occupancy, but the tick is in the key
+                  (world.advanced().advanced(), ORIGIN, scan),
+                  (world, Pose(10.5, 9.5, 0.0), scan),
+                  (world, ORIGIN.replace(psi=math.pi / 2), scan)]
+        grids = []
+        for i, (w, pose, args) in enumerate(misses, start=2):
+            grids.append(local_grid(w, pose, args))
+            assert grids[-1] is not kept and len(world._grids) == i
+            assert bytes(grids[-1]) == self.perceived(w, pose, args)[0]
+        assert local_grid(world.advanced().advanced(), ORIGIN, scan) is grids[4]
+        # without movers every tick reads the grids of tick 0
+        static = self.world()
+        kept = local_grid(static, ORIGIN, scan)
+        assert local_grid(static.advanced().advanced(), ORIGIN, scan) is kept
+
+    def test_signed_zeros_share_an_entry_and_perceive_alike(self):
+        # 0.0 == -0.0, so the memo hands the grid of one to the other: perceive
+        # writes the same cells (and ranges) for both, as heading and as coordinate
+        from antnav.grid import local_grid
+
+        static = np.zeros((21, 21), bool)
+        static[3, :] = static[:, 4] = True
+        world = WorldMap(static, 1.0)
+        scan = _scan_args(*self.SCAN)
+        for zero, minus in ((Pose(10.5, 10.5, 0.0), Pose(10.5, 10.5, -0.0)),
+                            (Pose(0.0, 0.0, 0.0), Pose(-0.0, -0.0, 0.0)),
+                            (Pose(0.0, 10.5, math.pi / 4), Pose(-0.0, 10.5, math.pi / 4))):
+            assert repr(minus) != repr(zero)  # Pose keeps the sign of a zero
+            assert self.perceived(world, zero, scan) == self.perceived(world, minus, scan)
+            assert local_grid(world, minus, scan) is local_grid(world, zero, scan)
+        assert len(world._grids) == 3
+
+    def test_past_the_bound_grids_are_made_but_not_kept(self, monkeypatch):
+        from antnav import grid as grid_module
+
+        monkeypatch.setattr(grid_module, "MEMO_GRIDS", 2)
+        world = self.world()
+        scan = _scan_args(*self.SCAN)
+        poses = [Pose(x + 0.5, 10.5, 0.0) for x in range(5, 10)]
+        first = [grid_module.local_grid(world, pose, scan) for pose in poses]
+        assert len(world._grids) == 2
+        for pose, got in zip(poses, first):
+            assert bytes(got) == self.perceived(world, pose, scan)[0]
+        again = [grid_module.local_grid(world, pose, scan) for pose in poses]
+        assert [a is b for a, b in zip(first, again)] == [True, True, False, False, False]
+        assert [bytes(a) for a in again] == [bytes(b) for b in first]
+        assert len(world._grids) == 2

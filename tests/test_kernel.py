@@ -229,12 +229,14 @@ def test_every_cdef_function_is_called():
 
 
 # Builds the kernel into argv[1] with AddressSanitizer and UndefinedBehaviorSanitizer
-# and drives every kernel entry point: the three planners' runs on each shipped
-# scenario, the per-stage calls of stages.py at ray counts from 1 up, every
-# planner's cycle from a pose off the world, from one on an occupied cell, and
-# with a step that lands on an unseen mover, and the graph calls (open_directions,
-# reachable and colony_run) on one-wide strips and rectangles from every
-# corner, where the walk's tabu marks land in the padding of its block.
+# and drives every kernel entry point: the three planners' runs of two seeds on
+# one parsed world of each shipped scenario, so that later runs plan on grids
+# kept in the world's memo, the per-stage calls of stages.py at ray counts from 1
+# up, every planner's cycle from a pose off the world, from one on an occupied
+# cell, and with a step that lands on an unseen mover (after another seed's cycle
+# from the same pose, so on the grid that cycle kept), and the graph calls
+# (open_directions, reachable and colony_run) on one-wide strips and rectangles
+# from every corner, where the walk's tabu marks land in the padding of its block.
 SANITIZED_CHILD = """
 import itertools
 import math
@@ -265,13 +267,18 @@ for kind in PlannerKind:
                 call()
             except (PoseOutOfBounds, PoseInObstacle) as exc:
                 verdicts.append(type(exc).__name__)
-    verdicts.append(plan_cycle(world, Pose(5.5, 5.5, math.pi), (7.5, 5.5), cfg, 0, 0).status.value)
+    for seed in (1, 0):  # seed 1 perceives, and seed 0 plans on the grid it kept
+        status = plan_cycle(world, Pose(5.5, 5.5, math.pi), (7.5, 5.5), cfg, seed, 0).status
+    verdicts.append(status.value)
 print("verdicts", *verdicts)
 colonies = 0
+kept = 0
 for path in sys.argv[2:]:
-    scenario = with_seed(parse_scenario(path), 0)
-    for kind in PlannerKind:
-        run(with_planner(scenario, kind))
+    scenario = parse_scenario(path)
+    cycles = sum(run(with_seed(with_planner(scenario, kind), seed)).metrics.cycles
+                 for kind, seed in itertools.product(PlannerKind, (0, 1)))
+    kept += cycles - len(scenario.world._grids)
+    scenario = with_seed(scenario, 0)
     cfg, world, pose, goal = scenario.config, scenario.world, scenario.start, scenario.goal
     for n_rays in (1, 2, 7, 360):
         grid = perceive(world, pose, cfg.lidar_radius, n_rays, cfg.cell_size, cfg.half_extent,
@@ -292,7 +299,7 @@ for path in sys.argv[2:]:
                 colonies += 1
             except NoPathFound:
                 pass
-print("colonies", colonies)
+print("colonies", colonies, kept)
 walks = 0
 for rows, cols in ((1, 1), (1, 2), (2, 1), (1, 9), (9, 1), (4, 7), (7, 4)):
     corners = sorted({(0, 0), (0, cols - 1), (rows - 1, 0), (rows - 1, cols - 1)})
@@ -324,11 +331,12 @@ def test_kernel_runs_clean_under_sanitizers(tmp_path):
     res = subprocess.run([sys.executable, "-c", SANITIZED_CHILD, str(tmp_path), *scenarios],
                          cwd=SRC, env=env, capture_output=True, text=True, timeout=600)
     assert res.returncode == 0, res.stderr[-4000:]
-    verdicts, (label, colonies), (walks_label, walks) = (
+    verdicts, (label, colonies, kept), (walks_label, walks) = (
         line.split() for line in res.stdout.splitlines())
     pose_errors = ["PoseOutOfBounds"] * 2 + ["PoseInObstacle"] * 4  # the wall, then the mover
     assert verdicts == ["verdicts"] + (pose_errors + ["collision"]) * len(PlannerKind)
     assert label == "colonies" and int(colonies) > 0  # the per-layer calls reached the colony
+    assert int(kept) > 0  # cycles planned on grids kept in a world's memo
     assert walks_label == "walks" and int(walks) > 100
     assert "Sanitizer" not in res.stderr and "runtime error" not in res.stderr, res.stderr[-4000:]
 

@@ -227,6 +227,9 @@ COLONY_PLANNERS = [PlannerKind.PROPOSED, PlannerKind.CONVENTIONAL_ACO]
 
 @pytest.mark.parametrize("kind", list(PlannerKind))
 def test_plan_cycle_is_one_kernel_call(kind, monkeypatch):
+    # one cycle call per cycle, and one perceive per distinct key of the
+    # world's grid memo: a (tick, pose) that a run of the same world stood on
+    # before perceives nothing
     real = kernel.module()
     calls, built = [], []
 
@@ -250,13 +253,24 @@ def test_plan_cycle_is_one_kernel_call(kind, monkeypatch):
     s = bordered(15, 15)
     s[7, 4:9] = True
     ray_table.cache_clear()
-    result = run(scenario_from(s, 1.0, (3, 3), (12, 12), seed=9, planner=kind))
-    assert result.metrics.status is RunStatus.GOAL_REACHED
+    sc = scenario_from(s, 1.0, (3, 3), (12, 12), seed=9, planner=kind)
     name = "apf_cycle" if kind is PlannerKind.APF else "plan_cycle"
-    # besides, one fill of the ray table of each heading a cycle started from
-    headings = {pose.psi for pose in result.poses[:-1]}
-    assert [c for c in calls if c != "ray_directions"] == [name] * result.metrics.cycles
-    assert calls.count("ray_directions") == len(headings) <= 9
+    seen: set = set()
+    tables = 0
+    for seed in (9, 9, 10):
+        calls.clear()
+        result = run(sc.replace(seed=seed))
+        assert result.metrics.status is RunStatus.GOAL_REACHED
+        keys = {(0, pose.x, pose.y, pose.psi) for pose in result.poses[:-1]}  # a static world
+        assert [c for c in calls if c not in ("ray_directions", "perceive")] == \
+            [name] * result.metrics.cycles
+        assert calls.count("perceive") == len(keys - seen)
+        seen |= keys
+        assert len(sc.world._grids) == len(seen)
+        tables += calls.count("ray_directions")
+    assert calls.count("perceive") < len(keys)  # seed 10 stood where seed 9 stood
+    # besides, one fill of the ray table of each heading a cycle perceived from
+    assert tables == len({psi for *_, psi in seen}) <= 9
     assert built == []
 
 
@@ -395,17 +409,24 @@ def test_unknown_enum_values_raise_at_construction(make, field, value, message):
 
 @pytest.mark.parametrize("kind", list(PlannerKind))
 def test_cycle_outcomes_decode_by_code_alone(kind, monkeypatch):
-    # the kernel's cycle is replaced by one that returns a chosen outcome code
-    # and writes nothing: each code means one thing whichever cycle returns it,
-    # and NO_MEMORY reads no entry of out (APF's has one)
+    # the kernel's perceive and cycle are replaced by ones that return a chosen
+    # outcome code and write nothing: the pose codes come from perceive, which
+    # runs first, on a copy of the world whose grid memo is empty, the others
+    # from the cycle. Each code means one thing whichever call returns it, and
+    # NO_MEMORY reads no entry of out (APF's has one)
+    import copy
     import types
 
     real = kernel.module()
     lib, code = real.lib, None
+    pose_codes = (lib.POSE_OFF_WORLD, lib.POSE_IN_OBSTACLE)
 
     class FixedLib:
         def __getattr__(self, name):
             return getattr(real.lib, name)
+
+        def perceive(self, *args):
+            return code if code in pose_codes else real.lib.perceive(*args)
 
         def plan_cycle(self, *args):
             return code
@@ -420,7 +441,7 @@ def test_cycle_outcomes_decode_by_code_alone(kind, monkeypatch):
     def cycle(outcome):
         nonlocal code
         code = outcome
-        return plan_cycle(sc.world, sc.start, sc.goal, sc.config, sc.seed, 0)
+        return plan_cycle(copy.copy(sc.world), sc.start, sc.goal, sc.config, sc.seed, 0)
 
     for outcome, status in ((lib.STUCK, RunStatus.STUCK),
                             (lib.LOCAL_MINIMUM, RunStatus.LOCAL_MINIMUM)):
@@ -605,6 +626,29 @@ def test_config_cache_keeps_runs_apart():
         assert output(sc.replace(config=config)) == ran
 
 
+@pytest.mark.parametrize("name", ["corridor", "moving", "multi_obstacle"])
+def test_runs_sharing_a_world_match_runs_on_fresh_worlds(name):
+    # the runs of a batch on one parsed world read the grids earlier runs left
+    # in the world's memo (moving's movers put the tick in the key); each run
+    # must give, field by field, the records it gives on a world parsed for it
+    from pathlib import Path
+
+    from antnav.scenario import parse_scenario, with_planner, with_seed
+
+    path = Path(__file__).resolve().parent.parent / "scenarios" / f"{name}.scn"
+    shared = parse_scenario(path)
+    cycles = 0
+    for kind in PlannerKind:
+        for seed in range(4):
+            batch = run(with_seed(with_planner(shared, kind), seed))
+            alone = run(with_seed(with_planner(parse_scenario(path), kind), seed))
+            assert batch.metrics.status is alone.metrics.status
+            assert batch.poses == alone.poses and batch.records == alone.records
+            assert repr((batch.poses, batch.records)) == repr((alone.poses, alone.records))
+            cycles += batch.metrics.cycles
+    assert len(shared.world._grids) < cycles  # later runs read kept grids
+
+
 @functools.cache
 def _one_value_of_each_type() -> dict:
     """A value of each of the package's immutable value types, most of them from one run."""
@@ -637,7 +681,7 @@ def _one_value_of_each_type() -> dict:
     ("AggregateStats", "best worst average"),
     ("PlannerConfig", "weights aco apf planner lidar_radius n_rays cell_size half_extent "
                       "inflation_rings goal_tolerance max_robot_steps"),
-    ("_KernelArgs", "aco side max_steps goal_tolerance args"),
+    ("_KernelArgs", "aco side max_steps goal_tolerance scan args"),
     ("AcoParams", "phi gamma rho q n_ants n_iters delta zeta tau0 max_steps elite_cutoff mode"),
     ("ApfParams", "k_att k_rep d0"),
     ("CostWeights", "alpha beta omega"),
@@ -672,8 +716,6 @@ def test_value_types_stay_frozen(name, fields):
     assert value.replace() == value and hash(value.replace()) == hash(value)
     assert value.replace(**{names[0]: values[0]}) == value
     for same in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
-        if "world" in names:  # a WorldMap equals itself alone, as it always has
-            same = same.replace(world=value.world)
         assert same == value and hash(same) == hash(value)
     with pytest.raises(TypeError, match="unexpected keyword argument 'nope'"):
         cls(*values, nope=1)
@@ -916,7 +958,7 @@ def test_occupancy_pointer_is_made_once_per_tick(monkeypatch):
         ticked.kernel_occupancy()  # a world that holds its pointer
         for world in (sc.world, ticked):
             for copied in (copy.deepcopy(world), pickle.loads(pickle.dumps(world))):
-                assert copied.tick == world.tick
+                assert copied == world and not copied._grids  # a copy starts with no grids
                 assert np.array_equal(occupancy(copied), occupancy(world))
                 assert copied.kernel_occupancy()[1:] == world.kernel_occupancy()[1:]
         assert repr(run(copy.deepcopy(sc)).poses) == repr(run(sc).poses)

@@ -206,6 +206,41 @@ class TestAdvance:
         w = world_with([MovingObstacle(((1, 1), (1, 2)))])
         assert w.advanced().cells is w.cells  # one store for every tick
         assert w.advanced().movers is w.movers  # checked once, at construction
+        assert w.advanced()._grids is w._grids  # one memo of local grids for every tick
+
+
+class TestValue:
+    """A world is its cells, size, cell size, movers and tick; what it keeps for
+    the kernel stays out of equality, copies and pickles."""
+
+    @pytest.mark.parametrize("movers", [(), ONE_MOVER])
+    def test_equal_by_value_and_copies_start_empty(self, movers):
+        import copy
+        import pickle
+
+        from antnav.grid import _scan_args, local_grid
+        from antnav.geometry import Pose
+
+        w = WorldMap(np.zeros((3, 4), bool), 1.0, movers).advanced()
+        twin = WorldMap(np.zeros((3, 4), bool), 1.0, movers, tick=1)
+        assert w == twin and hash(w) == hash(twin) and w is not twin
+        local_grid(w, Pose(1.5, 1.5, 0.0), _scan_args(1.0, 8, 1.0, 1, 0))
+        w.kernel_occupancy()
+        assert w._grids and w._kernel_occ is not None and not twin._grids
+        assert w == twin and hash(w) == hash(twin)  # the kept state is no part of the value
+        for same in (copy.copy(w), copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
+            assert same == w and hash(same) == hash(w)
+            assert same._grids == {} and same._kernel_occ is None and same._occ is None
+            assert same.advanced() == w.advanced()
+        assert set(w.__getstate__()) == {"cells", "height", "width", "cell_size", "movers",
+                                         "tick"}
+        others = [WorldMap(np.ones((3, 4), bool), 1.0, movers, tick=1),
+                  WorldMap(np.zeros((4, 4), bool), 1.0, movers, tick=1),
+                  WorldMap(np.zeros((3, 4), bool), 1.5, movers, tick=1),
+                  WorldMap(np.zeros((3, 4), bool), 1.0, () if movers else ONE_MOVER, tick=1),
+                  WorldMap(np.zeros((3, 4), bool), 1.0, movers, tick=2)]
+        assert all(other != w for other in others)
+        assert w != w.cells and w.__eq__(w.cells) is NotImplemented
 
 
 MAP_TEXT = """\
