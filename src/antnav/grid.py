@@ -16,7 +16,11 @@ world's occupancy at a tick, the pose and the scan arguments, so
 `local_grid` keeps the grids of a world in a memo that the WorldMap owns
 and every tick of it shares: the runs of a batch on one parsed world (the
 seeds of compare and sweep, the three planners of compare) cast each
-(tick, pose) once. This module holds what the cycle reads from Python: the
+(tick, pose) once. Beside it the world keeps a second memo, of the cycle
+preludes that antnav.planner.plan_cycle keeps (what planner.c's plan_cycle
+works out before its first random draw), under the grid's key plus the goal
+and the weights. `memo_key` and `keep` hold the one key rule and the one
+bound of both memos. This module holds what the cycle reads from Python: the
 one check of the scan and grid arguments (`_scan_args`), `local_grid`, the
 rays' directions (`ray_table`, one table per (heading, ray count) filled
 once by the kernel's ray_directions: after its first step a robot heads
@@ -31,14 +35,16 @@ import functools
 import math
 
 from . import kernel
+from .aco import colony_error
 from .errors import PoseInObstacle, PoseOutOfBounds
 from .geometry import Pose, check_count
 from .kernel import INT_MAX
 from .world import WorldMap
 
 # The most rays a scan casts: 182 times the default 360. A run's memory grows
-# with the ray count (the ray tables ray_table caches and each cycle's ranges),
-# so the cap bounds them, at 1.5 MiB for one table and its ranges.
+# with the ray count (the ray tables ray_table caches and the ranges each
+# perceive casts into), so the cap bounds them, at 1.5 MiB for one table and
+# its ranges.
 MAX_RAYS = 65_536
 
 
@@ -71,14 +77,29 @@ def _scan_args(lidar_radius: float, n_rays: int, cell_size: float, half_extent: 
     return (lidar_radius, n_rays, cell_size, half_extent, rings)
 
 
-# The most grids one world's memo keeps (local_grid). A 16-seed pass of the
-# shipped corridor or moving scenario keeps 313 or 73 grids, 256 seeds 635
-# or 601, at about 190 bytes a grid of 9 x 9 cells. Past the bound grids are
-# still made, just not kept, so a long batch of seeds costs at most this many
-# grids of memory per world. The memo takes no lock: threads that miss one key
-# at once each perceive it and keep the same bytes, and each may keep one grid
-# past the bound.
+# The most entries one memo of a world keeps: the grids of local_grid, and
+# the cycle preludes of antnav.planner.plan_cycle in a memo of their own. A
+# 16-seed pass of the shipped corridor or moving scenario keeps 313 or 73
+# grids, 256 seeds 635 or 601, at about 190 bytes a grid of 9 x 9 cells and
+# about 1.1 KB a prelude. Past the bound entries are still made, just not
+# kept, so a long batch of seeds costs at most this many of each per world.
+# The memos take no lock: threads that miss one key at once each make the
+# entry and keep the same bytes, and each may keep one entry past the bound.
 MEMO_GRIDS = 1024
+
+
+def memo_key(world: WorldMap, pose: Pose, *rest) -> tuple:
+    """The key of pose's entry in a memo of the world: the tick when the world
+    has movers, else 0 (a static world is the same at every tick), then x, y,
+    psi and rest. A coordinate or heading of 0.0 and one of -0.0 compare
+    equal and share an entry."""
+    return (world.tick if world.movers else 0, pose.x, pose.y, pose.psi, *rest)
+
+
+def keep(memo: dict, key: tuple, value) -> None:
+    """Keeps value in a memo of a world while it holds fewer than MEMO_GRIDS entries."""
+    if len(memo) < MEMO_GRIDS:
+        memo[key] = value
 
 
 def local_grid(world: WorldMap, pose: Pose, scan: tuple):
@@ -86,18 +107,16 @@ def local_grid(world: WorldMap, pose: Pose, scan: tuple):
     builds at pose on the world's occupancy at its tick, for the scan and
     grid arguments scan (a _scan_args tuple).
 
-    The grid is looked up in the world's memo first, under (the tick when
-    the world has movers, else 0; x, y, psi; scan). On a miss perceive
-    builds it, and it is kept while the memo holds fewer than MEMO_GRIDS
-    grids. A kept grid is never written again, so the cycles that read it
-    read the bytes perceive would write for them. A coordinate or heading
-    of 0.0 and one of -0.0 compare equal and share an entry: perceive writes
-    the same grid for both. Raises PoseOutOfBounds / PoseInObstacle
-    (pose_error) for a pose off the world's free cells, and keeps nothing
-    then.
+    The grid is looked up in the world's memo first, under
+    memo_key(world, pose, scan). On a miss perceive builds it, and it is
+    kept (keep). A kept grid is never written again, so the cycles that read
+    it read the bytes perceive would write for them; perceive writes the same
+    grid for a coordinate or heading of 0.0 and of -0.0. Raises
+    PoseOutOfBounds / PoseInObstacle (pose_error) for a pose off the world's
+    free cells, and MemoryError when perceive cannot allocate its ranges,
+    and keeps nothing then.
     """
-    x, y, psi = pose.x, pose.y, pose.psi
-    key = (world.tick if world.movers else 0, x, y, psi, scan)
+    key = memo_key(world, pose, scan)
     memo = world._grids
     cells = memo.get(key)
     if cells is None:
@@ -105,12 +124,13 @@ def local_grid(world: WorldMap, pose: Pose, scan: tuple):
         ffi, lib = mod.ffi, mod.lib
         n_rays, half_extent = scan[1], scan[3]
         cells = ffi.new("int8_t[]", (2 * half_extent + 1) ** 2)
-        code = lib.perceive(*world.kernel_occupancy(), x, y, psi, ray_table(psi, n_rays),
-                            *scan, ffi.new("double[]", n_rays), cells)
+        # no range array: perceive casts the rays into scratch of its own
+        code = lib.perceive(*world.kernel_occupancy(), pose.x, pose.y, pose.psi,
+                            ray_table(pose.psi, n_rays), *scan, ffi.NULL, cells)
         if code != lib.OK:
-            raise pose_error(code, world, pose)
-        if len(memo) < MEMO_GRIDS:
-            memo[key] = cells
+            raise colony_error(code, None, None) if code == lib.NO_MEMORY \
+                else pose_error(code, world, pose)
+        keep(memo, key, cells)
     return cells
 
 

@@ -8,8 +8,10 @@
  * array: ray cast, rasterize and inflate (each hit marks its cell), then
  * occlusion and world clamp in one pass over the cells. Its loop over
  * the rays is the package's only ray cast. The scan is one range per ray,
- * in the caller's range array: range[i] is ray i's hit distance, or
- * INFINITY when it hits nothing.
+ * in the caller's range array, or in scratch of perceive's own when the
+ * caller passes NULL (antnav.grid.local_grid does: it keeps the grid
+ * alone): range[i] is ray i's hit distance, or INFINITY when it hits
+ * nothing.
  * The rays' world-frame directions come in as a table, which
  * ray_directions fills: it is the package's only place that computes a ray
  * bearing, and antnav.grid.ray_table keeps one table per (heading, ray
@@ -34,6 +36,7 @@
 #include <math.h>
 #include <stdbool.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 #define TAU 6.283185307179586
@@ -202,7 +205,9 @@ static void occlude_and_clamp(const double *range, int n_rays, double x0, double
  * POSE_IN_OBSTACLE, writing nothing, when the world cell of the pose
  * (x0, y0) lies outside the rows x cols occupancy grid or is occupied in
  * it. Otherwise returns OK after casting n_rays rays from pose
- * (x0, y0, psi) against the grid into range (room for n_rays), marking each
+ * (x0, y0, psi) against the grid into range (room for n_rays; NULL casts
+ * them into heap scratch of perceive's own, and returns NO_MEMORY, writing
+ * nothing, when that cannot be allocated), marking each
  * ray's hit cell in the side x side grid around the pose, inflating it by
  * `rings` rings, then masking the occluded cells and clamping the grid to
  * the world in one pass. rays holds ray_directions(psi, n_rays): ray i has
@@ -219,6 +224,9 @@ int perceive(const bool *occ, int rows, int cols, double world_cell_size, double
         return POSE_OFF_WORLD;
     if (occ[here])
         return POSE_IN_OBSTACLE;
+    double *own = NULL;
+    if (!range && !(range = own = malloc(sizeof(double) * (size_t)n_rays)))
+        return NO_MEMORY;
     memset(cells, FREE, (size_t)side * side);
     /* neighbouring rays mostly hit the same cell, and marking it again changes
      * nothing: a hit marks only when its cell differs from the last marked one */
@@ -232,5 +240,6 @@ int perceive(const bool *occ, int rows, int cols, double world_cell_size, double
     inflate(half_extent, rings, cells); /* before the clamp, whose cells are not inflated */
     occlude_and_clamp(range, n_rays, x0, y0, psi, cell_size, half_extent, world_cell_size,
                       rows, cols, cells);
+    free(own);
     return OK;
 }

@@ -11,7 +11,14 @@
  * colony_run plans toward one trial sub-goal after another until a colony
  * reaches one. The first trial is the goal cell when the robot can reach it
  * (terminal capture), then come the reachable candidates in (cost,
- * row-major index) order, the order of a stable sort by cost. apf_cycle
+ * row-major index) order, the order of a stable sort by cost. Everything
+ * before the first trial, the first random draw, is the cycle's prelude
+ * (fill_prelude): a pure function of the grid, the pose, the goal and the
+ * weights, written to a buffer the caller owns. plan_cycle fills the buffer
+ * when the caller hands it in empty and otherwise only reads it, so
+ * antnav.planner.plan_cycle keeps one per world, tick, pose, scan
+ * arguments, goal and weights, and a cycle on a kept one runs only its
+ * colonies, with no grid. apf_cycle
  * runs one cycle of the APF planner on the local grid: apf_step. The pose
  * test is perceive()'s, before the grid exists; both cycles end with the
  * run's step-collision rule: a step whose world cell is occupied at the
@@ -29,12 +36,12 @@
  *    order;
  *  - Python's x ** 2 is libm pow(x, 2.0) (py_square), not x * x.
  *
- * plan_cycle takes its scratch from one heap block, sized and sliced in one
- * place by alignment (doubles, 32-bit ints, bytes), and ends it with a byte
- * buffer the call fills whole, so a short block faults there; apf_cycle
- * needs none.
+ * plan_cycle and fill_prelude each take their scratch from one heap block,
+ * sized and sliced in one place by alignment (doubles, 32-bit ints, bytes);
+ * a cycle on a STUCK prelude allocates nothing, and apf_cycle needs none.
  * colony_run builds its own step and heuristic pairs from the cell size and
- * gamma; the open-direction table of the local grid is built once per cycle.
+ * gamma; the open-direction table of the local grid is built once per
+ * prelude.
  *
  * This file follows colony.c and perception.c in the kernel's one
  * translation unit and calls their functions; its outcome codes are
@@ -238,50 +245,63 @@ int apf_cycle(const bool *occ, int rows, int cols, double world_cell_size, doubl
     return step_verdict(occ, rows, cols, world_cell_size, x0, y0, cell_size, half_extent, code);
 }
 
-/* One cycle of the proposed or conventional-aco planner of
- * antnav.planner.plan_cycle for a robot at (x0, y0, psi) on the rows x cols
- * occupancy grid occ and a goal at (goal_x, goal_y), whose local grid cells
- * (side x side, as perceive() writes it) the caller hands in.
- * score() takes the weights and colony_run the colony's arguments, gamma to
- * elite_cutoff in colony_run's order: corner is the (9, 8) corner table, key
- * (n_key words) the seed words of the cycle, to which the attempt index is
- * appended per trial. max_steps must not exceed side * side - 1. out has
- * room for max_steps + 3: the path's step count n, the sub-goal's id, then
- * the path's n + 1 cell ids.
- *
- * Returns STUCK when the grid has no marginal cell, when the reachable cells
- * form a closed pocket (touching no grid edge, goal not among them) or when
- * no trial colony reaches its sub-goal; OK or STEP_COLLISION, the verdict of
- * the path's first step, with out filled and the colony series in series
- * (n_iters); the colony's BAD_TOTAL, with the sub-goal's id in out[1]; or
- * NO_MEMORY. Cell ids are row-major over the side x side grid,
- * side = 2 * half_extent + 1. */
-int plan_cycle(const bool *occ, int rows, int cols, double world_cell_size, double x0,
-               double y0, const int8_t *cells, double goal_x, double goal_y, double psi,
-               const uint32_t *key, int n_key, const double *corner, double cell_size,
-               int half_extent, double alpha, double beta, double omega, double gamma,
-               int n_iters, int n_ants, int max_steps, int improved, double phi, double rho,
-               double q, double delta, double zeta, double tau0, int elite_cutoff,
-               int32_t *out, double *series)
+/* The prelude of a cycle: everything plan_cycle works out before its first
+ * random draw, from the grid, the pose, the goal and the weights alone, so
+ * a caller may keep it and hand it to every cycle with the same inputs. It
+ * lives in one caller-owned buffer of 16 + 13 * n bytes for a grid of n
+ * cells, 2 + (13 * n + 7) / 8 doubles, which the caller zeroes (the state
+ * PRELUDE_EMPTY), laid out in this order:
+ *  - state, capture and count: three int32_t, padded to 16 bytes. The
+ *    state is PRELUDE_READY, or PRELUDE_STUCK when the grid has no marginal
+ *    cell or the reachable cells form a closed pocket; capture is the goal's
+ *    cell id when it is the first trial (terminal capture), else -1;
+ *  - cost and ids (n each): the count reachable candidates other than the
+ *    capture cell, in row-major index order, with their costs. next_ranked
+ *    over them walks the (cost, index) order of every marginal cell with
+ *    the others left out, as the trial loop needs it;
+ *  - links (n): the open-direction table of the grid, last, so a short
+ *    buffer faults where a READY fill writes it whole. */
+#define PRELUDE_EMPTY 0
+#define PRELUDE_READY 1
+#define PRELUDE_STUCK 2
+
+typedef struct {
+    int32_t *head; /* state, capture, count */
+    double *cost;
+    int32_t *ids;
+    uint8_t *links;
+} prelude_view;
+
+static prelude_view prelude_at(double *buf, int n)
+{
+    prelude_view p = {(int32_t *)buf, buf + 2, NULL, NULL};
+    p.ids = (int32_t *)(p.cost + n);
+    p.links = (uint8_t *)(p.ids + n);
+    return p;
+}
+
+/* Fills the prelude p of a cycle on the side x side cells around the robot
+ * at (x0, y0, psi), for a goal at (goal_x, goal_y) and the weights: the
+ * marginal cells, the open-direction table, the reachability search, the
+ * closed-pocket test, terminal capture and the candidates' costs. Returns
+ * OK, or NO_MEMORY with p left empty. */
+static int fill_prelude(const int8_t *cells, double x0, double y0, double psi, double goal_x,
+                        double goal_y, double cell_size, int half_extent, double alpha,
+                        double beta, double omega, prelude_view p)
 {
     const int side = 2 * half_extent + 1, n = side * side;
     const int center = half_extent * side + half_extent;
     /* reach, which reachable() fills whole, ends the block */
-    double *xy = malloc(sizeof(double) * (2 + 7 + 8) * (size_t)n
-                        + sizeof(int32_t) * (2 * (size_t)n + (size_t)n_key + 1)
-                        + (size_t)max_steps + 3 * (size_t)n);
+    double *xy = malloc(sizeof(double) * (2 + 6) * (size_t)n + sizeof(int32_t) * (size_t)n
+                        + 2 * (size_t)n);
     if (!xy)
         return NO_MEMORY;
-    double *fam = xy + 2 * (size_t)n; /* raw, norm, cost */
-    double *tau = fam + 7 * (size_t)n;
-    int32_t *queue = (int32_t *)(tau + 8 * (size_t)n);
-    int32_t *ids = queue + n;
-    uint32_t *words = (uint32_t *)(ids + n);
-    int8_t *dirs = (int8_t *)(words + n_key + 1);
-    bool *mask = (bool *)(dirs + max_steps);
-    uint8_t *links = (uint8_t *)(mask + n);
-    bool *reach = (bool *)(links + n);
-    int code = STUCK;
+    double *fam = xy + 2 * (size_t)n; /* raw, norm */
+    int32_t *queue = (int32_t *)(fam + 6 * (size_t)n);
+    bool *mask = (bool *)(queue + n);
+    bool *reach = mask + n;
+    int32_t *ids = p.ids;
+    p.head[0] = PRELUDE_STUCK;
     int k = marginal_cells(cells, side, ids);
     if (k == 0)
         goto done;
@@ -289,8 +309,8 @@ int plan_cycle(const bool *occ, int rows, int cols, double world_cell_size, doub
     for (int i = 0; i < n; i++)
         mask[i] = cells[i] == FREE || cells[i] == ROBOT;
     /* one open-direction table for the reachability search and every trial */
-    open_directions(mask, side, side, links);
-    reachable(links, side, side, center, queue, reach);
+    open_directions(mask, side, side, p.links);
+    reachable(p.links, side, side, center, queue, reach);
     /* the goal's cell, the one whose center is nearest it, -1 outside the
      * square; the comparisons run in doubles, where a far goal cannot overflow */
     double gr = half_extent + floor((goal_y - y0) / cell_size + 0.5);
@@ -307,34 +327,92 @@ int plan_cycle(const bool *occ, int rows, int cols, double world_cell_size, doub
     if (!goal_inside && !edge)
         goto done;
 
-    double *raw = fam, *norm = fam + 3 * k, *cost = fam + 6 * k;
     for (int i = 0; i < k; i++) {
         xy[2 * i] = x0 + (double)(ids[i] % side - half_extent) * cell_size;
         xy[2 * i + 1] = y0 + (double)(ids[i] / side - half_extent) * cell_size;
     }
-    score(k, xy, x0, y0, psi, goal_x, goal_y, alpha, beta, omega, raw, norm, cost);
-
-    memcpy(words, key, sizeof(uint32_t) * (size_t)n_key);
+    /* every marginal cell is scored, reachable or not: each family is
+     * normalized over all of them */
+    score(k, xy, x0, y0, psi, goal_x, goal_y, alpha, beta, omega, fam, fam + 3 * k, p.cost);
     /* terminal capture: a reachable goal cell is the first trial, ahead of
      * the cost function, otherwise the chain of sub-goals can orbit the
      * goal forever; every reachable cell but the robot's is FREE */
-    int capture = goal_inside && goal_cell != center ? goal_cell : -1;
-    int n_steps, corners, ranked = -1;
+    int capture = goal_inside && goal_cell != center ? goal_cell : -1, m = 0;
+    for (int i = 0; i < k; i++)
+        if (ids[i] != capture && reach[ids[i]]) {
+            ids[m] = ids[i];
+            p.cost[m++] = p.cost[i];
+        }
+    p.head[0] = PRELUDE_READY;
+    p.head[1] = capture;
+    p.head[2] = m;
+
+done:
+    free(xy);
+    return OK;
+}
+
+/* One cycle of the proposed or conventional-aco planner of
+ * antnav.planner.plan_cycle for a robot at (x0, y0, psi) on the rows x cols
+ * occupancy grid occ and a goal at (goal_x, goal_y). prelude is the
+ * cycle's prelude buffer (see prelude_view): when it is empty, plan_cycle
+ * fills it from the local grid cells (side x side, as perceive() writes
+ * it) and it is filled on every return but NO_MEMORY; otherwise plan_cycle
+ * only reads it, and cells may be NULL.
+ * score() takes the weights and colony_run the colony's arguments, gamma to
+ * elite_cutoff in colony_run's order: corner is the (9, 8) corner table, key
+ * (n_key words) the seed words of the cycle, to which the attempt index is
+ * appended per trial. max_steps must not exceed side * side - 1. out has
+ * room for max_steps + 3: the path's step count n, the sub-goal's id, then
+ * the path's n + 1 cell ids.
+ *
+ * Returns STUCK when the grid has no marginal cell, when the reachable cells
+ * form a closed pocket (touching no grid edge, goal not among them) or when
+ * no trial colony reaches its sub-goal; OK or STEP_COLLISION, the verdict of
+ * the path's first step, with out filled and the colony series in series
+ * (n_iters); the colony's BAD_TOTAL, with the sub-goal's id in out[1]; or
+ * NO_MEMORY. Cell ids are row-major over the side x side grid,
+ * side = 2 * half_extent + 1. */
+int plan_cycle(const bool *occ, int rows, int cols, double world_cell_size, double x0,
+               double y0, const int8_t *cells, double *prelude, double goal_x, double goal_y,
+               double psi, const uint32_t *key, int n_key, const double *corner,
+               double cell_size, int half_extent, double alpha, double beta, double omega,
+               double gamma, int n_iters, int n_ants, int max_steps, int improved, double phi,
+               double rho, double q, double delta, double zeta, double tau0, int elite_cutoff,
+               int32_t *out, double *series)
+{
+    const int side = 2 * half_extent + 1, n = side * side;
+    const int center = half_extent * side + half_extent;
+    const prelude_view p = prelude_at(prelude, n);
+    if (p.head[0] == PRELUDE_EMPTY
+        && fill_prelude(cells, x0, y0, psi, goal_x, goal_y, cell_size, half_extent, alpha, beta,
+                        omega, p) != OK)
+        return NO_MEMORY;
+    if (p.head[0] == PRELUDE_STUCK)
+        return STUCK;
+
+    double *tau = malloc(sizeof(double) * 8 * (size_t)n
+                         + sizeof(uint32_t) * ((size_t)n_key + 1) + (size_t)max_steps);
+    if (!tau)
+        return NO_MEMORY;
+    uint32_t *words = (uint32_t *)(tau + 8 * (size_t)n);
+    int8_t *dirs = (int8_t *)(words + n_key + 1);
+    memcpy(words, key, sizeof(uint32_t) * (size_t)n_key);
+    const int capture = p.head[1], count = p.head[2];
+    int code, n_steps, corners, ranked = -1;
     double length;
     for (uint32_t attempt = 0;; attempt++) {
         int target = capture;
         if (attempt > 0 || capture < 0) {
-            do
-                ranked = next_ranked(cost, k, ranked);
-            while (ranked >= 0 && (ids[ranked] == capture || !reach[ids[ranked]]));
+            ranked = next_ranked(p.cost, count, ranked);
             if (ranked < 0) {
                 code = STUCK;
                 break;
             }
-            target = ids[ranked];
+            target = p.ids[ranked];
         }
         words[n_key] = attempt;
-        code = colony_run(links, side, side, tau, cell_size, corner, words, n_key + 1, center,
+        code = colony_run(p.links, side, side, tau, cell_size, corner, words, n_key + 1, center,
                           target, gamma, n_iters, n_ants, max_steps, improved, phi, rho, q,
                           delta, zeta, tau0, elite_cutoff, out + 2, dirs, &n_steps, &corners,
                           &length, series);
@@ -347,8 +425,6 @@ int plan_cycle(const bool *occ, int rows, int cols, double world_cell_size, doub
         code = step_verdict(occ, rows, cols, world_cell_size, x0, y0, cell_size, half_extent,
                             out[3]);
     }
-
-done:
-    free(xy);
+    free(tau);
     return code;
 }

@@ -9,14 +9,21 @@ for the proposed and conventional-aco planners, its apf_cycle for APF.
 What depends on the config alone is worked out once per PlannerConfig:
 the kernel's arguments when the config is made (their checks are its
 checks), and on its first cycle the cell tables, the world offset of each
-local cell id and the heading of a step onto it. The local grid comes from
-grid.local_grid, which perceives each (tick, pose, scan arguments) of a
-world once and keeps the grid in the world's memo, so the runs of a batch
-on one parsed world share their grids; the occupancy's pointer comes from
-WorldMap.kernel_occupancy, one per world tick. What is left per cycle is
-the memo lookup, the kernel call, the goal test, and turning the returned
-code and cell ids into the CycleRecord that run carries on: each point is
-the pose plus a table entry, with no cell arithmetic in Python. run
+local cell id and the heading of a step onto it (built once per grid shape
+in a process). The local grid comes from grid.local_grid, which perceives
+each (tick, pose, scan arguments) of a world once and keeps the grid in the
+world's memo, so the runs of a batch on one parsed world share their grids;
+the occupancy's pointer comes from WorldMap.kernel_occupancy, one per world
+tick. The colony planners keep more in a second memo of the world: the
+cycle's prelude, all that planner.c's plan_cycle works out before its first
+random draw (the open-direction table, the terminal-capture cell, and the
+reachable candidates with their costs, or a STUCK mark). Its key adds the
+goal and the weights to the grid's, its only other inputs, so the runs of a
+batch share it too, and a cycle on a kept prelude hands the kernel no grid
+and runs only its colonies. What is left per cycle is the memo lookups, the
+kernel call, the goal test, and turning the returned code and cell ids into
+the CycleRecord that run carries on: each point is the pose plus a table
+entry, with no cell arithmetic in Python. run
 advances the world only when it has movers; a static world is the same at
 every tick.
 """
@@ -34,7 +41,7 @@ from .aco import AcoMode, AcoParams, _entropy_words, colony_error, corner_table
 from .baselines import ApfParams
 from .errors import PoseInObstacle
 from .geometry import Frozen, Point, Pose, check_count, store_counts
-from .grid import _scan_args, local_grid
+from .grid import _scan_args, keep, local_grid, memo_key
 from .metrics import RunMetrics, RunStatus, corner_count, path_length
 from .subgoal import CostWeights
 from .world import WorldMap
@@ -113,14 +120,31 @@ class PlannerConfig(Frozen):
 
     @functools.cached_property
     def _cell_tables(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
-        """Per cell id i = r * side + c of the local grid: the world offsets
-        (c - h) * cell_size and (r - h) * cell_size of its center from the robot,
-        added to the robot's x and y, and atan2(r - h, c - h), the heading
-        of a step onto it. Built on the config's first cycle, not when it is made."""
-        h, cs = self.half_extent, self.cell_size
-        cells = [divmod(i, 2 * h + 1) for i in range((2 * h + 1) ** 2)]
-        return (tuple((c - h) * cs for _, c in cells), tuple((r - h) * cs for r, _ in cells),
-                tuple(math.atan2(r - h, c - h) for r, c in cells))
+        """cell_tables of the config's grid, read on its first cycle, not when it is made."""
+        return cell_tables(self.half_extent, self.cell_size)
+
+    @functools.cached_property
+    def _prelude_key(self) -> str:
+        """The config's part of the key of a cycle prelude in the world's memo: the
+        scan arguments and the weights, the prelude's only inputs from the config,
+        as one string, whose hash Python keeps (a nested tuple is hashed again on
+        every lookup). repr round-trips a float, so configs that differ in nothing
+        else the prelude reads (the planner, the colony settings) share preludes."""
+        w = self.weights
+        return repr((self._kernel_args.scan, w.alpha, w.beta, w.omega))
+
+
+@functools.cache
+def cell_tables(half_extent: int, cell_size: float) -> tuple[tuple[float, ...], ...]:
+    """Per cell id i = r * side + c of a local grid: the world offsets
+    (c - h) * cell_size and (r - h) * cell_size of its center from the robot,
+    added to the robot's x and y, and atan2(r - h, c - h), the heading of a
+    step onto it. Built once per (half_extent, cell_size) in a process: compare
+    and sweep make several configs of one grid."""
+    h, cs = half_extent, cell_size
+    cells = [divmod(i, 2 * h + 1) for i in range((2 * h + 1) ** 2)]
+    return (tuple((c - h) * cs for _, c in cells), tuple((r - h) * cs for r, _ in cells),
+            tuple(math.atan2(r - h, c - h) for r, c in cells))
 
 
 class _KernelArgs(Frozen):
@@ -184,9 +208,16 @@ def plan_cycle(world: WorldMap, pose: Pose, goal: Point, config: PlannerConfig, 
     reachable candidates by cost, until a colony reaches its sub-goal. Trial
     a plans with seed (seed, cycle, a). The verdict is STUCK when no
     candidate exists, when the reachable cells form a closed pocket without
-    the goal, or when no trial succeeds. APF runs it in one call of the
-    kernel's apf_cycle, the kernel's apf_step rule on the grid; the verdict
-    is LOCAL_MINIMUM when no neighbour improves on the potential.
+    the goal, or when no trial succeeds. What comes before the first trial
+    depends on the grid, the pose, the goal and the weights alone: the
+    kernel fills it into a prelude buffer, which the world keeps in a second
+    memo under grid.memo_key(world, pose, goal, scan arguments and weights),
+    so a cycle on a kept key skips the grid and runs only its colonies. The
+    goal and the weights are in the key because the runs on one world may
+    differ in them (sweep's weight groups, scenarios with other goals). APF
+    runs its cycle in one call of the kernel's apf_cycle, the kernel's
+    apf_step rule on the grid; the verdict is LOCAL_MINIMUM when no
+    neighbour improves on the potential.
 
     The record holds the pose after the cycle's one step, heading along it,
     and GOAL_REACHED, else COLLISION when the step's world cell is occupied
@@ -197,24 +228,36 @@ def plan_cycle(world: WorldMap, pose: Pose, goal: Point, config: PlannerConfig, 
     gx, gy = goal
     if not (math.isfinite(gx) and math.isfinite(gy)):
         raise ValueError(f"goal must be finite, got {goal}")
+    # -0.0 as 0.0: the two share a key, and the bearing to a goal on a cell
+    # center's coordinate 0 depends on the zero's sign
+    gx, gy = gx + 0.0, gy + 0.0
     k = config._kernel_args
     dx, dy, heading = config._cell_tables
-    cells = local_grid(world, pose, k.scan)
     mod = kernel.module()
     lib, ffi = mod.lib, mod.ffi
     x, y = pose.x, pose.y
-    head = (*world.kernel_occupancy(), x, y, cells, gx, gy)
     apf = config.planner is PlannerKind.APF
     if apf:
         out = ffi.new("int32_t[1]")  # the step's cell id
-        code = lib.apf_cycle(*head, *k.args, out)
+        code = lib.apf_cycle(*world.kernel_occupancy(), x, y, local_grid(world, pose, k.scan),
+                             gx, gy, *k.args, out)
     else:
-        key = _entropy_words((seed, cycle))
+        memo = world._preludes
+        key = memo_key(world, pose, gx, gy, config._prelude_key)
+        prelude = memo.get(key)
+        cells = ffi.NULL  # a kept prelude needs no grid
+        if prelude is None:
+            cells = local_grid(world, pose, k.scan)
+            # planner.c's prelude layout: 16 + 13 * n bytes for n cells, zeroed (empty)
+            prelude = ffi.new("double[]", 2 + (13 * k.side * k.side + 7) // 8)
+        seed_key = _entropy_words((seed, cycle))
         # the path's step count, the sub-goal's cell id, then the path's cell ids
         out = ffi.new("int32_t[]", k.max_steps + 3)
         series = ffi.new("double[]", k.aco.n_iters)
-        code = lib.plan_cycle(*head, pose.psi, key, len(key), corner_table(), *k.args, out,
-                              series)
+        code = lib.plan_cycle(*world.kernel_occupancy(), x, y, cells, prelude, gx, gy, pose.psi,
+                              seed_key, len(seed_key), corner_table(), *k.args, out, series)
+        if cells is not ffi.NULL and code != lib.NO_MEMORY:  # filled: kept whole or not at all
+            keep(memo, key, prelude)
     ok, step_collision, halts = _verdicts()
     if code != ok and code != step_collision:
         if code in halts:

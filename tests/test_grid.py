@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from antnav import Pose, WorldMap
+from antnav import PlannerConfig, Pose, WorldMap
 from antnav.grid import _scan_args
+from antnav.planner import plan_cycle
 
 from oracles import candidates_ref
 from stages import CellState, LocalGrid, NoCandidates, candidate_cells, perceive
@@ -221,3 +222,37 @@ class TestGridMemo:
         assert [a is b for a, b in zip(first, again)] == [True, True, False, False, False]
         assert [bytes(a) for a in again] == [bytes(b) for b in first]
         assert len(world._grids) == 2
+        # the cycle preludes planner.plan_cycle keeps are held to the same bound
+        config = PlannerConfig(cell_size=1.0, lidar_radius=6.0)
+        for seed in (0, 1):
+            records = [plan_cycle(world, pose, (15.5, 15.5), config, seed, 0) for pose in poses]
+        assert len(world._preludes) == 2 and len(world._grids) == 2
+        assert records == [plan_cycle(self.world(), pose, (15.5, 15.5), config, 1, 0)
+                           for pose in poses]
+
+    def test_a_stuck_prelude_is_kept_and_ends_the_cycle_before_any_trial(self):
+        # sealed's robot stands in a closed pocket without the goal: the
+        # prelude says STUCK, and a cycle on it runs no colony and needs no grid
+        from pathlib import Path
+
+        from antnav import RunStatus, kernel, run
+        from antnav.aco import _entropy_words, corner_table
+        from antnav.scenario import parse_scenario, with_seed
+
+        sc = parse_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "sealed.scn")
+        assert run(sc).metrics.status is RunStatus.STUCK
+        (prelude,) = sc.world._preludes.values()
+        mod, k = kernel.module(), sc.config._kernel_args
+        out = mod.ffi.new("int32_t[]", [-7] * (k.max_steps + 3))
+        series = mod.ffi.new("double[]", [-7.0] * k.aco.n_iters)
+        words = _entropy_words((sc.seed, 0))
+        pose, (gx, gy) = sc.start, sc.goal
+        code = mod.lib.plan_cycle(*sc.world.kernel_occupancy(), pose.x, pose.y, mod.ffi.NULL,
+                                  prelude, gx, gy, pose.psi, words, len(words), corner_table(),
+                                  *k.args, out, series)
+        assert code == mod.lib.STUCK
+        assert list(out) == [-7] * len(out) and list(series) == [-7.0] * len(series)
+        sc.world._grids.clear()
+        result = run(with_seed(sc, sc.seed + 1))
+        assert result.metrics.status is RunStatus.STUCK and result.metrics.cycles == 1
+        assert not sc.world._grids and len(sc.world._preludes) == 1  # the kept prelude alone

@@ -273,11 +273,14 @@ for kind in PlannerKind:
 print("verdicts", *verdicts)
 colonies = 0
 kept = 0
+preludes = 0
 for path in sys.argv[2:]:
     scenario = parse_scenario(path)
-    cycles = sum(run(with_seed(with_planner(scenario, kind), seed)).metrics.cycles
-                 for kind, seed in itertools.product(PlannerKind, (0, 1)))
-    kept += cycles - len(scenario.world._grids)
+    cycles = {kind: sum(run(with_seed(with_planner(scenario, kind), seed)).metrics.cycles
+                        for seed in (0, 1)) for kind in PlannerKind}
+    kept += sum(cycles.values()) - len(scenario.world._grids)
+    # sealed's robot stands in a closed pocket: its prelude is a STUCK mark
+    preludes += sum(cycles.values()) - cycles[PlannerKind.APF] - len(scenario.world._preludes)
     scenario = with_seed(scenario, 0)
     cfg, world, pose, goal = scenario.config, scenario.world, scenario.start, scenario.goal
     for n_rays in (1, 2, 7, 360):
@@ -299,7 +302,7 @@ for path in sys.argv[2:]:
                 colonies += 1
             except NoPathFound:
                 pass
-print("colonies", colonies, kept)
+print("colonies", colonies, kept, preludes)
 walks = 0
 for rows, cols in ((1, 1), (1, 2), (2, 1), (1, 9), (9, 1), (4, 7), (7, 4)):
     corners = sorted({(0, 0), (0, cols - 1), (rows - 1, 0), (rows - 1, cols - 1)})
@@ -331,12 +334,13 @@ def test_kernel_runs_clean_under_sanitizers(tmp_path):
     res = subprocess.run([sys.executable, "-c", SANITIZED_CHILD, str(tmp_path), *scenarios],
                          cwd=SRC, env=env, capture_output=True, text=True, timeout=600)
     assert res.returncode == 0, res.stderr[-4000:]
-    verdicts, (label, colonies, kept), (walks_label, walks) = (
+    verdicts, (label, colonies, kept, preludes), (walks_label, walks) = (
         line.split() for line in res.stdout.splitlines())
     pose_errors = ["PoseOutOfBounds"] * 2 + ["PoseInObstacle"] * 4  # the wall, then the mover
     assert verdicts == ["verdicts"] + (pose_errors + ["collision"]) * len(PlannerKind)
     assert label == "colonies" and int(colonies) > 0  # the per-layer calls reached the colony
     assert int(kept) > 0  # cycles planned on grids kept in a world's memo
+    assert int(preludes) > 0  # colony cycles planned on preludes kept in a world's memo
     assert walks_label == "walks" and int(walks) > 100
     assert "Sanitizer" not in res.stderr and "runtime error" not in res.stderr, res.stderr[-4000:]
 

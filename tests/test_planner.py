@@ -229,7 +229,9 @@ COLONY_PLANNERS = [PlannerKind.PROPOSED, PlannerKind.CONVENTIONAL_ACO]
 def test_plan_cycle_is_one_kernel_call(kind, monkeypatch):
     # one cycle call per cycle, and one perceive per distinct key of the
     # world's grid memo: a (tick, pose) that a run of the same world stood on
-    # before perceives nothing
+    # before perceives nothing. The colony planners keep one prelude per key
+    # (the goal and weights are the same here), and a cycle on a kept one
+    # hands the kernel no grid
     real = kernel.module()
     calls, built = [], []
 
@@ -240,6 +242,8 @@ def test_plan_cycle_is_one_kernel_call(kind, monkeypatch):
 
             def call(*args):
                 calls.append(name)
+                if name == "plan_cycle" and args[6] == real.ffi.NULL:  # no grid
+                    calls.append("kept prelude")
                 return getattr(real.lib, name)(*args)
             return call
 
@@ -257,17 +261,22 @@ def test_plan_cycle_is_one_kernel_call(kind, monkeypatch):
     name = "apf_cycle" if kind is PlannerKind.APF else "plan_cycle"
     seen: set = set()
     tables = 0
-    for seed in (9, 9, 10):
+    for seed, repeat in ((9, False), (9, True), (10, False)):
         calls.clear()
         result = run(sc.replace(seed=seed))
         assert result.metrics.status is RunStatus.GOAL_REACHED
         keys = {(0, pose.x, pose.y, pose.psi) for pose in result.poses[:-1]}  # a static world
-        assert [c for c in calls if c not in ("ray_directions", "perceive")] == \
-            [name] * result.metrics.cycles
+        assert [c for c in calls if c not in ("ray_directions", "perceive", "kept prelude")] \
+            == [name] * result.metrics.cycles
         assert calls.count("perceive") == len(keys - seen)
+        if kind is not PlannerKind.APF:
+            assert calls.count("kept prelude") == result.metrics.cycles - len(keys - seen)
         seen |= keys
         assert len(sc.world._grids) == len(seen)
+        assert len(sc.world._preludes) == (0 if kind is PlannerKind.APF else len(seen))
         tables += calls.count("ray_directions")
+        if repeat:  # every key kept: one cycle call per cycle and no other kernel call
+            assert set(calls) == {name} | ({"kept prelude"} if name == "plan_cycle" else set())
     assert calls.count("perceive") < len(keys)  # seed 10 stood where seed 9 stood
     # besides, one fill of the ray table of each heading a cycle perceived from
     assert tables == len({psi for *_, psi in seen}) <= 9
@@ -413,12 +422,13 @@ def test_cycle_outcomes_decode_by_code_alone(kind, monkeypatch):
     # outcome code and write nothing: the pose codes come from perceive, which
     # runs first, on a copy of the world whose grid memo is empty, the others
     # from the cycle. Each code means one thing whichever call returns it, and
-    # NO_MEMORY reads no entry of out (APF's has one)
+    # NO_MEMORY reads no entry of out (APF's has one); perceive returns it too,
+    # when it cannot allocate the ranges it casts into for local_grid
     import copy
     import types
 
     real = kernel.module()
-    lib, code = real.lib, None
+    lib, code, perceiving = real.lib, None, False
     pose_codes = (lib.POSE_OFF_WORLD, lib.POSE_IN_OBSTACLE)
 
     class FixedLib:
@@ -426,7 +436,7 @@ def test_cycle_outcomes_decode_by_code_alone(kind, monkeypatch):
             return getattr(real.lib, name)
 
         def perceive(self, *args):
-            return code if code in pose_codes else real.lib.perceive(*args)
+            return code if code in pose_codes or perceiving else real.lib.perceive(*args)
 
         def plan_cycle(self, *args):
             return code
@@ -438,9 +448,9 @@ def test_cycle_outcomes_decode_by_code_alone(kind, monkeypatch):
     monkeypatch.setattr(kernel, "module", lambda: types.SimpleNamespace(ffi=real.ffi,
                                                                         lib=FixedLib()))
 
-    def cycle(outcome):
-        nonlocal code
-        code = outcome
+    def cycle(outcome, in_perceive=False):
+        nonlocal code, perceiving
+        code, perceiving = outcome, in_perceive
         return plan_cycle(copy.copy(sc.world), sc.start, sc.goal, sc.config, sc.seed, 0)
 
     for outcome, status in ((lib.STUCK, RunStatus.STUCK),
@@ -453,9 +463,10 @@ def test_cycle_outcomes_decode_by_code_alone(kind, monkeypatch):
     with pytest.raises(PoseInObstacle) as got:
         cycle(lib.POSE_IN_OBSTACLE)
     assert str(got.value) == "pose (4.5, 4.5) lies on an occupied cell (4, 4)"
-    with pytest.raises(MemoryError) as got:
-        cycle(lib.NO_MEMORY)
-    assert str(got.value) == "the kernel could not allocate its buffers"
+    for in_perceive in (False, True):
+        with pytest.raises(MemoryError) as got:
+            cycle(lib.NO_MEMORY, in_perceive)
+        assert str(got.value) == "the kernel could not allocate its buffers"
     if kind is not PlannerKind.APF:  # plan_cycle's alone, with the sub-goal's id in out[1]
         with pytest.raises(ColonyWeightError, match=r"^a roulette total toward \(0, 0\) "):
             cycle(lib.BAD_TOTAL)
@@ -628,24 +639,35 @@ def test_config_cache_keeps_runs_apart():
 
 @pytest.mark.parametrize("name", ["corridor", "moving", "multi_obstacle"])
 def test_runs_sharing_a_world_match_runs_on_fresh_worlds(name):
-    # the runs of a batch on one parsed world read the grids earlier runs left
-    # in the world's memo (moving's movers put the tick in the key); each run
-    # must give, field by field, the records it gives on a world parsed for it
+    # the runs of a batch on one parsed world read the grids and cycle
+    # preludes earlier runs left in the world's memos (moving's movers put the
+    # tick in the keys); each run must give, field by field, the records it
+    # gives on a world parsed for it. The runs of sweep's weight groups and a
+    # run to another goal stand where the others stood, so they share grids
+    # but need preludes of their own
     from pathlib import Path
 
-    from antnav.scenario import parse_scenario, with_planner, with_seed
+    from antnav.scenario import parse_groups, parse_scenario, with_planner, with_seed, with_weights
 
-    path = Path(__file__).resolve().parent.parent / "scenarios" / f"{name}.scn"
+    scenarios = Path(__file__).resolve().parent.parent / "scenarios"
+    path = scenarios / f"{name}.scn"
     shared = parse_scenario(path)
+    midway = run(shared).poses
+    variants = [lambda sc, kind=kind: with_planner(sc, kind) for kind in PlannerKind] \
+        + [lambda sc, g=g: with_weights(sc, g.weights, g.delta, g.zeta)
+           for g in parse_groups(scenarios / "weights.groups")] \
+        + [lambda sc: sc.replace(goal=midway[len(midway) // 2].xy)]
     cycles = 0
-    for kind in PlannerKind:
+    for variant in variants:
         for seed in range(4):
-            batch = run(with_seed(with_planner(shared, kind), seed))
-            alone = run(with_seed(with_planner(parse_scenario(path), kind), seed))
+            batch = run(with_seed(variant(shared), seed))
+            alone = run(with_seed(variant(parse_scenario(path)), seed))
             assert batch.metrics.status is alone.metrics.status
             assert batch.poses == alone.poses and batch.records == alone.records
             assert repr((batch.poses, batch.records)) == repr((alone.poses, alone.records))
             cycles += batch.metrics.cycles
+    # group1 and group2 have the shipped weights: only group3 and the goal add preludes
+    assert len({key[4:] for key in shared.world._preludes}) == 3
     assert len(shared.world._grids) < cycles  # later runs read kept grids
 
 
@@ -954,11 +976,13 @@ def test_occupancy_pointer_is_made_once_per_tick(monkeypatch):
     assert len({id(arr) for arr in buffers}) == len(buffers)
 
     for sc in (corridor, moving):
+        assert sc.world._preludes  # the runs kept some
         ticked = sc.world.advanced().advanced()
         ticked.kernel_occupancy()  # a world that holds its pointer
         for world in (sc.world, ticked):
             for copied in (copy.deepcopy(world), pickle.loads(pickle.dumps(world))):
-                assert copied == world and not copied._grids  # a copy starts with no grids
+                # a copy starts with no grids or preludes
+                assert copied == world and not copied._grids and not copied._preludes
                 assert np.array_equal(occupancy(copied), occupancy(world))
                 assert copied.kernel_occupancy()[1:] == world.kernel_occupancy()[1:]
         assert repr(run(copy.deepcopy(sc)).poses) == repr(run(sc).poses)
