@@ -13,19 +13,19 @@ builds whole (pose test, scan, rasterize, inflate, occlusion mask, world
 clamp), and planner.c's plan_cycle or apf_cycle reads it, listing the
 marginal cells with marginal_cells. The grid is a pure function of the
 world's occupancy at a tick, the pose and the scan arguments, so
-`local_grid` keeps the grids of a world in a memo that the WorldMap owns
-and every tick of it shares: the runs of a batch on one parsed world (the
-seeds of compare and sweep, the three planners of compare) cast each
-(tick, pose) once. Beside it the world keeps a second memo, of the cycle
-preludes that antnav.planner.plan_cycle keeps (what planner.c's plan_cycle
-works out before its first random draw), under the grid's key plus the goal
-and the weights. `memo_key` and `keep` hold the one key rule and the one
-bound of both memos. This module holds what the cycle reads from Python: the
-one check of the scan and grid arguments (`_scan_args`), `local_grid`, the
-rays' directions (`ray_table`, one table per (heading, ray count) filled
-once by the kernel's ray_directions: after its first step a robot heads
-along one of 8 directions, so a run needs at most 9 tables), and
-`pose_error`, which turns the kernel's pose verdict into the exception.
+`local_grid` keeps the grids of a world in the one memo that the WorldMap
+owns and every tick of it shares: the runs of a batch on one parsed world
+(the seeds of compare and sweep, the three planners of compare) cast each
+(tick, pose) once. An entry is (cells, stamp, prelude): the grid, and the
+cycle prelude that antnav.planner.plan_cycle last filled on it (what
+planner.c's plan_cycle works out before its first random draw) stamped
+with its goal and weights, or None and None. `memo_key` and `keep` hold
+the memo's one key rule and one bound. This module holds what the cycle
+reads from Python: the one check of the scan and grid arguments (`_scan_args`),
+`local_grid`, the rays' directions (`ray_table`, one table per (heading,
+ray count) filled once by the kernel's ray_directions: after its first step
+a robot heads along one of 8 directions, so a run needs at most 9 tables),
+and `pose_error`, which turns the kernel's pose verdict into the exception.
 tests/oracles.py keeps the per-ray and per-cell loops the kernel reproduces
 as the reference.
 """
@@ -77,38 +77,38 @@ def _scan_args(lidar_radius: float, n_rays: int, cell_size: float, half_extent: 
     return (lidar_radius, n_rays, cell_size, half_extent, rings)
 
 
-# The most entries one memo of a world keeps: the grids of local_grid, and
-# the cycle preludes of antnav.planner.plan_cycle in a memo of their own. A
-# 16-seed pass of the shipped corridor or moving scenario keeps 313 or 73
-# grids, 256 seeds 635 or 601, at about 190 bytes a grid of 9 x 9 cells and
-# about 1.1 KB a prelude. Past the bound entries are still made, just not
-# kept, so a long batch of seeds costs at most this many of each per world.
-# The memos take no lock: threads that miss one key at once each make the
-# entry and keep the same bytes, and each may keep one entry past the bound.
+# The most entries a world's memo keeps. A 16-seed pass of the shipped
+# corridor or moving scenario keeps 313 or 73 entries, 256 seeds 635 or 601,
+# at about 190 bytes a grid of 9 x 9 cells and about 1.1 KB a prelude. Past
+# the bound entries are still made, just not kept, so a long batch of seeds
+# costs at most this many per world; a kept key may still take a new entry.
+# The memo takes no lock: a kept buffer is never written again, and an entry
+# is one tuple, swapped whole. Threads that miss one key at once each make
+# the entry and keep the same bytes, and each may keep one entry past the bound.
 MEMO_GRIDS = 1024
 
 
-def memo_key(world: WorldMap, pose: Pose, *rest) -> tuple:
-    """The key of pose's entry in a memo of the world: the tick when the world
-    has movers, else 0 (a static world is the same at every tick), then x, y,
-    psi and rest. A coordinate or heading of 0.0 and one of -0.0 compare
-    equal and share an entry."""
-    return (world.tick if world.movers else 0, pose.x, pose.y, pose.psi, *rest)
+def memo_key(world: WorldMap, pose: Pose, scan: tuple) -> tuple:
+    """The key of pose's entry in the world's memo: the tick when the world has
+    movers, else 0 (a static world is the same at every tick), then x, y, psi
+    and the scan arguments. A coordinate or heading of 0.0 and one of -0.0
+    compare equal and share an entry."""
+    return (world.tick if world.movers else 0, pose.x, pose.y, pose.psi, scan)
 
 
-def keep(memo: dict, key: tuple, value) -> None:
-    """Keeps value in a memo of a world while it holds fewer than MEMO_GRIDS entries."""
-    if len(memo) < MEMO_GRIDS:
-        memo[key] = value
+def keep(memo: dict, key: tuple, entry: tuple) -> None:
+    """Keeps entry in a world's memo under key while the memo holds fewer than
+    MEMO_GRIDS entries, or in place of the entry a kept key holds."""
+    if len(memo) < MEMO_GRIDS or key in memo:
+        memo[key] = entry
 
 
-def local_grid(world: WorldMap, pose: Pose, scan: tuple):
-    """The side x side local grid (an int8_t[] of cell states) that perceive
-    builds at pose on the world's occupancy at its tick, for the scan and
-    grid arguments scan (a _scan_args tuple).
-
-    The grid is looked up in the world's memo first, under
-    memo_key(world, pose, scan). On a miss perceive builds it, and it is
+def local_grid(world: WorldMap, pose: Pose, scan: tuple, key: tuple | None = None) -> tuple:
+    """The world's memo entry (cells, stamp, prelude) under key, by default
+    memo_key(world, pose, scan): cells is the side x side local grid (an
+    int8_t[] of cell states) that perceive builds at pose on the world's
+    occupancy at its tick, for the scan and grid arguments scan (a _scan_args
+    tuple). On a miss perceive builds the grid, and (cells, None, None) is
     kept (keep). A kept grid is never written again, so the cycles that read
     it read the bytes perceive would write for them; perceive writes the same
     grid for a coordinate or heading of 0.0 and of -0.0. Raises
@@ -116,10 +116,11 @@ def local_grid(world: WorldMap, pose: Pose, scan: tuple):
     free cells, and MemoryError when perceive cannot allocate its ranges,
     and keeps nothing then.
     """
-    key = memo_key(world, pose, scan)
-    memo = world._grids
-    cells = memo.get(key)
-    if cells is None:
+    if key is None:
+        key = memo_key(world, pose, scan)
+    memo = world._memo
+    entry = memo.get(key)
+    if entry is None:
         mod = kernel.module()
         ffi, lib = mod.ffi, mod.lib
         n_rays, half_extent = scan[1], scan[3]
@@ -130,8 +131,9 @@ def local_grid(world: WorldMap, pose: Pose, scan: tuple):
         if code != lib.OK:
             raise colony_error(code, None, None) if code == lib.NO_MEMORY \
                 else pose_error(code, world, pose)
-        keep(memo, key, cells)
-    return cells
+        entry = (cells, None, None)
+        keep(memo, key, entry)
+    return entry
 
 
 @functools.lru_cache(maxsize=16)

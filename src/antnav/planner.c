@@ -16,13 +16,13 @@
  * (fill_prelude): a pure function of the grid, the pose, the goal and the
  * weights, written to a buffer the caller owns. plan_cycle fills the buffer
  * when the caller hands it in empty and otherwise only reads it, so
- * antnav.planner.plan_cycle keeps one per world, tick, pose, scan
- * arguments, goal and weights, and a cycle on a kept one runs only its
- * colonies, with no grid. apf_cycle
- * runs one cycle of the APF planner on the local grid: apf_step. The pose
- * test is perceive()'s, before the grid exists; both cycles end with the
- * run's step-collision rule: a step whose world cell is occupied at the
- * occupancy's tick returns STEP_COLLISION, the package's only step test.
+ * antnav.planner.plan_cycle keeps the last one beside the grid, stamped
+ * with its goal and weights, and a cycle on a kept one runs only its
+ * colonies. apf_cycle runs one cycle of the APF planner on the local grid:
+ * apf_step. The pose test is perceive()'s, before the grid exists; both
+ * cycles end with the run's step-collision rule: a step whose world cell is
+ * occupied at the occupancy's tick returns STEP_COLLISION, the package's
+ * only step test.
  * Neither cycle writes the grid, and the kernel keeps no state between
  * calls. The arithmetic is that of the reference cycle and step in
  * tests/oracles.py, operation for operation:
@@ -111,7 +111,8 @@ int marginal_cells(const int8_t *cells, int side, int32_t *ids)
  * constraint families: the distance from the cell to the goal, and the
  * deviations from psi of the bearing robot -> cell and of the bearing
  * cell -> goal, folded to [0, pi]. norm (3 x k) gets each family scaled to
- * sum to 1, an all-zero family as uniform; cost (k) the weighted sum. */
+ * sum to 1, as uniform when its total is 0 or overflows to infinity (a far
+ * goal's distances do); cost (k) the weighted sum. */
 static void score(int k, const double *xy, double x0, double y0, double psi, double gx,
                   double gy, double alpha, double beta, double omega, double *raw,
                   double *norm, double *cost)
@@ -128,7 +129,7 @@ static void score(int k, const double *xy, double x0, double y0, double psi, dou
         for (int i = 0; i < k; i++)
             total += v[i];
         for (int i = 0; i < k; i++)
-            norm[f * k + i] = total == 0.0 ? 1.0 / k : v[i] / total;
+            norm[f * k + i] = total == 0.0 || total == INFINITY ? 1.0 / k : v[i] / total;
     }
     for (int i = 0; i < k; i++)
         cost[i] = beta * norm[k + i] + alpha * norm[i] + omega * norm[2 * k + i];
@@ -355,10 +356,10 @@ done:
 /* One cycle of the proposed or conventional-aco planner of
  * antnav.planner.plan_cycle for a robot at (x0, y0, psi) on the rows x cols
  * occupancy grid occ and a goal at (goal_x, goal_y). prelude is the
- * cycle's prelude buffer (see prelude_view): when it is empty, plan_cycle
- * fills it from the local grid cells (side x side, as perceive() writes
- * it) and it is filled on every return but NO_MEMORY; otherwise plan_cycle
- * only reads it, and cells may be NULL.
+ * cycle's prelude buffer (see prelude_view) for the local grid cells (side
+ * x side, as perceive() writes it): when it is empty, plan_cycle fills it
+ * and it is filled on every return but NO_MEMORY; otherwise plan_cycle only
+ * reads it.
  * score() takes the weights and colony_run the colony's arguments, gamma to
  * elite_cutoff in colony_run's order: corner is the (9, 8) corner table, key
  * (n_key words) the seed words of the cycle, to which the attempt index is

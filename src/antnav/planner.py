@@ -14,18 +14,17 @@ in a process). The local grid comes from grid.local_grid, which perceives
 each (tick, pose, scan arguments) of a world once and keeps the grid in the
 world's memo, so the runs of a batch on one parsed world share their grids;
 the occupancy's pointer comes from WorldMap.kernel_occupancy, one per world
-tick. The colony planners keep more in a second memo of the world: the
-cycle's prelude, all that planner.c's plan_cycle works out before its first
-random draw (the open-direction table, the terminal-capture cell, and the
-reachable candidates with their costs, or a STUCK mark). Its key adds the
-goal and the weights to the grid's, its only other inputs, so the runs of a
-batch share it too, and a cycle on a kept prelude hands the kernel no grid
-and runs only its colonies. What is left per cycle is the memo lookups, the
-kernel call, the goal test, and turning the returned code and cell ids into
-the CycleRecord that run carries on: each point is the pose plus a table
-entry, with no cell arithmetic in Python. run
-advances the world only when it has movers; a static world is the same at
-every tick.
+tick. The colony planners keep more in the grid's memo entry: the cycle's
+prelude, all that planner.c's plan_cycle works out before its first random
+draw (the open-direction table, the terminal-capture cell, and the
+reachable candidates with their costs, or a STUCK mark), stamped with the
+goal and the weights, its only inputs besides the grid. A cycle whose goal
+and weights match the stamp runs only its colonies, so the runs of a batch
+share preludes too. What is left per cycle is the memo lookup, the kernel
+call, the goal test, and turning the returned code and cell ids into the
+CycleRecord that run carries on: each point is the pose plus a table entry,
+with no cell arithmetic in Python. run advances the world only when it has
+movers; a static world is the same at every tick.
 """
 from __future__ import annotations
 
@@ -124,14 +123,13 @@ class PlannerConfig(Frozen):
         return cell_tables(self.half_extent, self.cell_size)
 
     @functools.cached_property
-    def _prelude_key(self) -> str:
-        """The config's part of the key of a cycle prelude in the world's memo: the
-        scan arguments and the weights, the prelude's only inputs from the config,
-        as one string, whose hash Python keeps (a nested tuple is hashed again on
-        every lookup). repr round-trips a float, so configs that differ in nothing
-        else the prelude reads (the planner, the colony settings) share preludes."""
+    def _weights_key(self) -> str:
+        """The weights as one string, the config's part of a cycle prelude's stamp.
+        repr round-trips a float, so configs with equal weights match one stamp in
+        a string compare; two equal CostWeights that are not one object (sweep's
+        groups) compare field by field, at about 1 us a compare."""
         w = self.weights
-        return repr((self._kernel_args.scan, w.alpha, w.beta, w.omega))
+        return repr((w.alpha, w.beta, w.omega))
 
 
 @functools.cache
@@ -210,11 +208,11 @@ def plan_cycle(world: WorldMap, pose: Pose, goal: Point, config: PlannerConfig, 
     candidate exists, when the reachable cells form a closed pocket without
     the goal, or when no trial succeeds. What comes before the first trial
     depends on the grid, the pose, the goal and the weights alone: the
-    kernel fills it into a prelude buffer, which the world keeps in a second
-    memo under grid.memo_key(world, pose, goal, scan arguments and weights),
-    so a cycle on a kept key skips the grid and runs only its colonies. The
-    goal and the weights are in the key because the runs on one world may
-    differ in them (sweep's weight groups, scenarios with other goals). APF
+    kernel fills it into a prelude buffer, which the grid's memo entry keeps
+    with the stamp (goal, weights), so a cycle that matches the stamp runs
+    only its colonies. A cycle that does not (the runs on one world may
+    differ in goal or weights: sweep's weight groups, scenarios with other
+    goals) fills a new prelude, which replaces the entry's. APF
     runs its cycle in one call of the kernel's apf_cycle, the kernel's
     apf_step rule on the grid; the verdict is LOCAL_MINIMUM when no
     neighbour improves on the potential.
@@ -228,8 +226,8 @@ def plan_cycle(world: WorldMap, pose: Pose, goal: Point, config: PlannerConfig, 
     gx, gy = goal
     if not (math.isfinite(gx) and math.isfinite(gy)):
         raise ValueError(f"goal must be finite, got {goal}")
-    # -0.0 as 0.0: the two share a key, and the bearing to a goal on a cell
-    # center's coordinate 0 depends on the zero's sign
+    # -0.0 as 0.0: the two match one stamp, and the bearing to a goal on a
+    # cell center's coordinate 0 depends on the zero's sign
     gx, gy = gx + 0.0, gy + 0.0
     k = config._kernel_args
     dx, dy, heading = config._cell_tables
@@ -237,17 +235,15 @@ def plan_cycle(world: WorldMap, pose: Pose, goal: Point, config: PlannerConfig, 
     lib, ffi = mod.lib, mod.ffi
     x, y = pose.x, pose.y
     apf = config.planner is PlannerKind.APF
+    key = memo_key(world, pose, k.scan)
+    cells, kept_stamp, prelude = local_grid(world, pose, k.scan, key)
     if apf:
         out = ffi.new("int32_t[1]")  # the step's cell id
-        code = lib.apf_cycle(*world.kernel_occupancy(), x, y, local_grid(world, pose, k.scan),
-                             gx, gy, *k.args, out)
+        code = lib.apf_cycle(*world.kernel_occupancy(), x, y, cells, gx, gy, *k.args, out)
     else:
-        memo = world._preludes
-        key = memo_key(world, pose, gx, gy, config._prelude_key)
-        prelude = memo.get(key)
-        cells = ffi.NULL  # a kept prelude needs no grid
-        if prelude is None:
-            cells = local_grid(world, pose, k.scan)
+        stamp = (gx, gy, config._weights_key)
+        fill = kept_stamp != stamp
+        if fill:
             # planner.c's prelude layout: 16 + 13 * n bytes for n cells, zeroed (empty)
             prelude = ffi.new("double[]", 2 + (13 * k.side * k.side + 7) // 8)
         seed_key = _entropy_words((seed, cycle))
@@ -256,8 +252,8 @@ def plan_cycle(world: WorldMap, pose: Pose, goal: Point, config: PlannerConfig, 
         series = ffi.new("double[]", k.aco.n_iters)
         code = lib.plan_cycle(*world.kernel_occupancy(), x, y, cells, prelude, gx, gy, pose.psi,
                               seed_key, len(seed_key), corner_table(), *k.args, out, series)
-        if cells is not ffi.NULL and code != lib.NO_MEMORY:  # filled: kept whole or not at all
-            keep(memo, key, prelude)
+        if fill and code != lib.NO_MEMORY:  # filled: kept whole or not at all
+            keep(world._memo, key, (cells, stamp, prelude))
     ok, step_collision, halts = _verdicts()
     if code != ok and code != step_collision:
         if code in halts:

@@ -4,10 +4,10 @@ World snapshots are immutable; ``advanced()`` returns the next tick. Each
 mover occupies the one cell of its current waypoint, a pure function of the
 tick, so replays are bit-identical. A world equals another with the same
 cells, size, cell size, movers and tick. What a world keeps for the kernel
-(its tick's occupancy store and pointer, the memo of local grids that
-antnav.grid.local_grid fills and the memo of cycle preludes that
-antnav.planner.plan_cycle fills, which every tick shares) is derived from those,
-so it stays out of equality, copies and pickles: a copy starts empty.
+(its tick's occupancy store and pointer, and the memo of local grids and
+cycle preludes that antnav.grid.local_grid and antnav.planner.plan_cycle
+fill, which every tick shares) is derived from those, so it stays out of
+equality, copies and pickles: a copy starts empty.
 """
 from __future__ import annotations
 
@@ -94,8 +94,7 @@ class WorldMap:
         self.tick = int(tick)
         self._occ: bytearray | None = None  # this tick's occupancy, with movers only
         self._kernel_occ: tuple | None = None
-        self._grids: dict = {}  # grid.local_grid's memo, shared by every tick
-        self._preludes: dict = {}  # planner.plan_cycle's memo, shared by every tick
+        self._memo: dict = {}  # grid.local_grid's entries, shared by every tick
         for m in self.movers:
             for cell in m.waypoints:
                 if not self.in_bounds(cell):
@@ -135,9 +134,8 @@ class WorldMap:
         return self._kernel_occ
 
     def advanced(self) -> "WorldMap":
-        """Snapshot at the next tick; the static store, the checked movers and the memos of
-        local grids and cycle preludes are shared, and without movers so is the kernel
-        occupancy, which every tick then reads."""
+        """Snapshot at the next tick; the static store, the checked movers and the memo are
+        shared, and without movers so is the kernel occupancy, which every tick then reads."""
         world = object.__new__(type(self))
         world.__dict__.update(self.__dict__, tick=self.tick + 1, _occ=None,
                               _kernel_occ=None if self.movers else self._kernel_occ)
@@ -158,7 +156,7 @@ class WorldMap:
         return dict(zip(self._FIELDS, self._value()))
 
     def __setstate__(self, state):
-        self.__dict__.update(state, _occ=None, _kernel_occ=None, _grids={}, _preludes={})
+        self.__dict__.update(state, _occ=None, _kernel_occ=None, _memo={})
 
     def cell_of(self, x: float, y: float) -> Cell:
         return (int(math.floor(y / self.cell_size)), int(math.floor(x / self.cell_size)))

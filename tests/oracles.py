@@ -48,7 +48,7 @@ def normalize_ref(values):
     total = 0.0
     for v in values:
         total += v
-    if total == 0.0:
+    if total == 0.0 or total == math.inf:  # a far enough goal's distances overflow
         return [1.0 / len(values)] * len(values)
     return [v / total for v in values]
 

@@ -143,7 +143,8 @@ class TestCandidateCells:
 
 class TestGridMemo:
     """grid.local_grid keeps each grid of a world under (tick with movers, else 0;
-    x, y, psi; scan arguments) and hands back the bytes perceive writes."""
+    x, y, psi; scan arguments) in an entry (cells, stamp, prelude), and hands
+    back the bytes perceive writes."""
 
     SCAN = (6.0, 360, 1.0, 4, 1)  # lidar_radius, n_rays, cell_size, half_extent, rings
 
@@ -169,8 +170,9 @@ class TestGridMemo:
         world = self.world((mover,))
         scan = _scan_args(*self.SCAN)
         kept = local_grid(world, ORIGIN, scan)
-        assert local_grid(world, ORIGIN, scan) is kept and len(world._grids) == 1
-        assert bytes(kept) == self.perceived(world, ORIGIN, scan)[0]
+        assert local_grid(world, ORIGIN, scan) is kept and len(world._memo) == 1
+        assert kept[1:] == (None, None)  # no prelude before a colony cycle
+        assert bytes(kept[0]) == self.perceived(world, ORIGIN, scan)[0]
         misses = [(world, ORIGIN, _scan_args(6.0, 180, 1.0, 4, 1)),
                   (world, ORIGIN, _scan_args(6.0, 360, 1.0, 3, 1)),
                   (world, ORIGIN, _scan_args(6.0, 360, 1.0, 4, 2)),
@@ -182,8 +184,8 @@ class TestGridMemo:
         grids = []
         for i, (w, pose, args) in enumerate(misses, start=2):
             grids.append(local_grid(w, pose, args))
-            assert grids[-1] is not kept and len(world._grids) == i
-            assert bytes(grids[-1]) == self.perceived(w, pose, args)[0]
+            assert grids[-1] is not kept and len(world._memo) == i
+            assert bytes(grids[-1][0]) == self.perceived(w, pose, args)[0]
         assert local_grid(world.advanced().advanced(), ORIGIN, scan) is grids[4]
         # without movers every tick reads the grids of tick 0
         static = self.world()
@@ -205,7 +207,7 @@ class TestGridMemo:
             assert repr(minus) != repr(zero)  # Pose keeps the sign of a zero
             assert self.perceived(world, zero, scan) == self.perceived(world, minus, scan)
             assert local_grid(world, minus, scan) is local_grid(world, zero, scan)
-        assert len(world._grids) == 3
+        assert len(world._memo) == 3
 
     def test_past_the_bound_grids_are_made_but_not_kept(self, monkeypatch):
         from antnav import grid as grid_module
@@ -215,24 +217,28 @@ class TestGridMemo:
         scan = _scan_args(*self.SCAN)
         poses = [Pose(x + 0.5, 10.5, 0.0) for x in range(5, 10)]
         first = [grid_module.local_grid(world, pose, scan) for pose in poses]
-        assert len(world._grids) == 2
+        assert len(world._memo) == 2
         for pose, got in zip(poses, first):
-            assert bytes(got) == self.perceived(world, pose, scan)[0]
+            assert bytes(got[0]) == self.perceived(world, pose, scan)[0]
         again = [grid_module.local_grid(world, pose, scan) for pose in poses]
         assert [a is b for a, b in zip(first, again)] == [True, True, False, False, False]
-        assert [bytes(a) for a in again] == [bytes(b) for b in first]
-        assert len(world._grids) == 2
-        # the cycle preludes planner.plan_cycle keeps are held to the same bound
+        assert [bytes(a[0]) for a in again] == [bytes(b[0]) for b in first]
+        assert len(world._memo) == 2
+        # planner.plan_cycle's preludes go into the kept entries, in place of
+        # theirs, which the full memo allows; past the bound they are not kept
         config = PlannerConfig(cell_size=1.0, lidar_radius=6.0)
         for seed in (0, 1):
             records = [plan_cycle(world, pose, (15.5, 15.5), config, seed, 0) for pose in poses]
-        assert len(world._preludes) == 2 and len(world._grids) == 2
+        assert len(world._memo) == 2
+        for key, (cells, stamp, prelude) in world._memo.items():
+            assert cells is first[poses.index(Pose(*key[1:4]))][0]
+            assert stamp == (15.5, 15.5, config._weights_key) and prelude is not None
         assert records == [plan_cycle(self.world(), pose, (15.5, 15.5), config, 1, 0)
                            for pose in poses]
 
     def test_a_stuck_prelude_is_kept_and_ends_the_cycle_before_any_trial(self):
         # sealed's robot stands in a closed pocket without the goal: the
-        # prelude says STUCK, and a cycle on it runs no colony and needs no grid
+        # prelude says STUCK, and a cycle on it runs no colony and reads no grid
         from pathlib import Path
 
         from antnav import RunStatus, kernel, run
@@ -241,18 +247,22 @@ class TestGridMemo:
 
         sc = parse_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "sealed.scn")
         assert run(sc).metrics.status is RunStatus.STUCK
-        (prelude,) = sc.world._preludes.values()
+        (entry,) = sc.world._memo.values()
+        cells, stamp, prelude = entry
+        pose, (gx, gy) = sc.start, sc.goal
+        assert stamp == (gx, gy, sc.config._weights_key)
         mod, k = kernel.module(), sc.config._kernel_args
         out = mod.ffi.new("int32_t[]", [-7] * (k.max_steps + 3))
         series = mod.ffi.new("double[]", [-7.0] * k.aco.n_iters)
         words = _entropy_words((sc.seed, 0))
-        pose, (gx, gy) = sc.start, sc.goal
-        code = mod.lib.plan_cycle(*sc.world.kernel_occupancy(), pose.x, pose.y, mod.ffi.NULL,
-                                  prelude, gx, gy, pose.psi, words, len(words), corner_table(),
-                                  *k.args, out, series)
+        # an open grid, whose fill would leave candidates: the kept mark decides
+        free = mod.ffi.new("int8_t[]", len(cells))
+        code = mod.lib.plan_cycle(*sc.world.kernel_occupancy(), pose.x, pose.y, free, prelude,
+                                  gx, gy, pose.psi, words, len(words), corner_table(), *k.args,
+                                  out, series)
         assert code == mod.lib.STUCK
         assert list(out) == [-7] * len(out) and list(series) == [-7.0] * len(series)
-        sc.world._grids.clear()
         result = run(with_seed(sc, sc.seed + 1))
         assert result.metrics.status is RunStatus.STUCK and result.metrics.cycles == 1
-        assert not sc.world._grids and len(sc.world._preludes) == 1  # the kept prelude alone
+        (again,) = sc.world._memo.values()
+        assert again is entry  # no perceive and no fill: the kept entry alone

@@ -231,10 +231,12 @@ def test_every_cdef_function_is_called():
 # Builds the kernel into argv[1] with AddressSanitizer and UndefinedBehaviorSanitizer
 # and drives every kernel entry point: the three planners' runs of two seeds on
 # one parsed world of each shipped scenario, so that later runs plan on grids
-# kept in the world's memo, the per-stage calls of stages.py at ray counts from 1
-# up, every planner's cycle from a pose off the world, from one on an occupied
-# cell, and with a step that lands on an unseen mover (after another seed's cycle
-# from the same pose, so on the grid that cycle kept), and the graph calls
+# and preludes kept in the world's memo, the per-stage calls of stages.py at ray
+# counts from 1 up, every planner's cycle from a pose off the world, from one on
+# an occupied cell, and with a step that lands on an unseen mover (after another
+# seed's cycle from the same pose, so on the grid that cycle kept), colony cycles
+# that fill a new prelude into a kept entry (one APF made, then on a change of
+# weights), and the graph calls
 # (open_directions, reachable and colony_run) on one-wide strips and rectangles
 # from every corner, where the walk's tabu marks land in the padding of its block.
 SANITIZED_CHILD = """
@@ -246,8 +248,8 @@ import numpy as np
 import antnav.kernel
 antnav.kernel.CFLAGS += ("-fsanitize=address,undefined", "-fno-omit-frame-pointer")
 antnav.kernel.CACHE_DIR = Path(sys.argv[1])
-from antnav import (AcoMode, AcoParams, NoPathFound, PlannerConfig, PlannerKind, Pose,
-                    PoseInObstacle, PoseOutOfBounds, plan_cycle, run)
+from antnav import (AcoMode, AcoParams, CostWeights, NoPathFound, PlannerConfig, PlannerKind,
+                    Pose, PoseInObstacle, PoseOutOfBounds, plan_cycle, run)
 from antnav.scenario import parse_scenario, with_planner, with_seed
 from antnav.world import MovingObstacle, WorldMap
 from stages import (GridGraph, LocalMinimum, NoCandidates, apf_step, candidate_cells, perceive,
@@ -271,6 +273,18 @@ for kind in PlannerKind:
         status = plan_cycle(world, Pose(5.5, 5.5, math.pi), (7.5, 5.5), cfg, seed, 0).status
     verdicts.append(status.value)
 print("verdicts", *verdicts)
+# an entry APF made, then colony cycles with weights A, B, A and A again: three
+# fills into the kept entry, then a cycle on the kept prelude
+world = WorldMap(static, 1.0)
+apf = PlannerConfig(cell_size=1.0, lidar_radius=4.0, planner="apf")
+plan_cycle(world, Pose(5.5, 5.5, 0.0), (8.5, 8.5), apf, 0, 0)
+filled = []
+for weights in (CostWeights(), CostWeights(1.0, 0.0, 0.0), CostWeights(), CostWeights()):
+    cfg = apf.replace(planner="proposed", weights=weights, aco=AcoParams(n_ants=4, n_iters=3))
+    plan_cycle(world, Pose(5.5, 5.5, 0.0), (8.5, 8.5), cfg, 0, 0)
+    (entry,) = world._memo.values()
+    filled.append(entry[2])
+print("refills", len(set(map(id, filled))), filled[-1] is filled[-2])
 colonies = 0
 kept = 0
 preludes = 0
@@ -278,9 +292,12 @@ for path in sys.argv[2:]:
     scenario = parse_scenario(path)
     cycles = {kind: sum(run(with_seed(with_planner(scenario, kind), seed)).metrics.cycles
                         for seed in (0, 1)) for kind in PlannerKind}
-    kept += sum(cycles.values()) - len(scenario.world._grids)
-    # sealed's robot stands in a closed pocket: its prelude is a STUCK mark
-    preludes += sum(cycles.values()) - cycles[PlannerKind.APF] - len(scenario.world._preludes)
+    kept += sum(cycles.values()) - len(scenario.world._memo)
+    # one goal and weights: each entry's prelude was filled once, and every
+    # other colony cycle read it (sealed's robot stands in a closed pocket:
+    # its prelude is a STUCK mark)
+    preludes += sum(cycles.values()) - cycles[PlannerKind.APF] \
+        - sum(prelude is not None for *_, prelude in scenario.world._memo.values())
     scenario = with_seed(scenario, 0)
     cfg, world, pose, goal = scenario.config, scenario.world, scenario.start, scenario.goal
     for n_rays in (1, 2, 7, 360):
@@ -334,10 +351,11 @@ def test_kernel_runs_clean_under_sanitizers(tmp_path):
     res = subprocess.run([sys.executable, "-c", SANITIZED_CHILD, str(tmp_path), *scenarios],
                          cwd=SRC, env=env, capture_output=True, text=True, timeout=600)
     assert res.returncode == 0, res.stderr[-4000:]
-    verdicts, (label, colonies, kept, preludes), (walks_label, walks) = (
+    verdicts, refills, (label, colonies, kept, preludes), (walks_label, walks) = (
         line.split() for line in res.stdout.splitlines())
     pose_errors = ["PoseOutOfBounds"] * 2 + ["PoseInObstacle"] * 4  # the wall, then the mover
     assert verdicts == ["verdicts"] + (pose_errors + ["collision"]) * len(PlannerKind)
+    assert refills == ["refills", "3", "True"]
     assert label == "colonies" and int(colonies) > 0  # the per-layer calls reached the colony
     assert int(kept) > 0  # cycles planned on grids kept in a world's memo
     assert int(preludes) > 0  # colony cycles planned on preludes kept in a world's memo

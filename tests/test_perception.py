@@ -96,7 +96,7 @@ def test_perception_matches_reference_loops(cell_size):
         assert grid.cells.dtype == np.int8
         assert np.array_equal(grid.cells, expected)
         # local_grid hands perceive no range array: it casts into scratch of its own
-        kept = local_grid(world, pose, _scan_args(radius, n_rays, cell_size, h, rings))
+        kept, _, _ = local_grid(world, pose, _scan_args(radius, n_rays, cell_size, h, rings))
         assert bytes(kept) == grid.cells.tobytes()
         fired["occlusion"] += int((occluded != raw).any())
         fired["clamp"] += int((expected != occluded).any())

@@ -228,10 +228,10 @@ COLONY_PLANNERS = [PlannerKind.PROPOSED, PlannerKind.CONVENTIONAL_ACO]
 @pytest.mark.parametrize("kind", list(PlannerKind))
 def test_plan_cycle_is_one_kernel_call(kind, monkeypatch):
     # one cycle call per cycle, and one perceive per distinct key of the
-    # world's grid memo: a (tick, pose) that a run of the same world stood on
-    # before perceives nothing. The colony planners keep one prelude per key
-    # (the goal and weights are the same here), and a cycle on a kept one
-    # hands the kernel no grid
+    # world's memo: a (tick, pose) that a run of the same world stood on
+    # before perceives nothing. The colony planners keep one prelude in each
+    # entry (the goal and weights are the same here), and a cycle on a kept
+    # one hands the kernel a filled prelude
     real = kernel.module()
     calls, built = [], []
 
@@ -242,7 +242,7 @@ def test_plan_cycle_is_one_kernel_call(kind, monkeypatch):
 
             def call(*args):
                 calls.append(name)
-                if name == "plan_cycle" and args[6] == real.ffi.NULL:  # no grid
+                if name == "plan_cycle" and real.ffi.cast("int32_t *", args[7])[0]:  # filled
                     calls.append("kept prelude")
                 return getattr(real.lib, name)(*args)
             return call
@@ -272,8 +272,9 @@ def test_plan_cycle_is_one_kernel_call(kind, monkeypatch):
         if kind is not PlannerKind.APF:
             assert calls.count("kept prelude") == result.metrics.cycles - len(keys - seen)
         seen |= keys
-        assert len(sc.world._grids) == len(seen)
-        assert len(sc.world._preludes) == (0 if kind is PlannerKind.APF else len(seen))
+        stamps = {stamp for _, stamp, _ in sc.world._memo.values()}
+        assert len(sc.world._memo) == len(seen)
+        assert stamps == {None if kind is PlannerKind.APF else (*sc.goal, sc.config._weights_key)}
         tables += calls.count("ray_directions")
         if repeat:  # every key kept: one cycle call per cycle and no other kernel call
             assert set(calls) == {name} | ({"kept prelude"} if name == "plan_cycle" else set())
@@ -638,37 +639,79 @@ def test_config_cache_keeps_runs_apart():
 
 
 @pytest.mark.parametrize("name", ["corridor", "moving", "multi_obstacle"])
-def test_runs_sharing_a_world_match_runs_on_fresh_worlds(name):
+def test_runs_sharing_a_world_match_runs_on_fresh_worlds(name, monkeypatch):
     # the runs of a batch on one parsed world read the grids and cycle
-    # preludes earlier runs left in the world's memos (moving's movers put the
+    # preludes earlier runs left in the world's memo (moving's movers put the
     # tick in the keys); each run must give, field by field, the records it
-    # gives on a world parsed for it. The runs of sweep's weight groups and a
-    # run to another goal stand where the others stood, so they share grids
-    # but need preludes of their own
+    # gives on a world parsed for it. APF runs first, so colony cycles find
+    # entries without a prelude; a run to another goal comes between the
+    # colony planners, and sweep's weight groups plan with weights A, B, then
+    # A again, so colony cycles find preludes stamped for another goal or
+    # other weights, and fill their own in place of them
     from pathlib import Path
 
+    from antnav.grid import MEMO_GRIDS
     from antnav.scenario import parse_groups, parse_scenario, with_planner, with_seed, with_weights
 
     scenarios = Path(__file__).resolve().parent.parent / "scenarios"
     path = scenarios / f"{name}.scn"
     shared = parse_scenario(path)
-    midway = run(shared).poses
-    variants = [lambda sc, kind=kind: with_planner(sc, kind) for kind in PlannerKind] \
-        + [lambda sc, g=g: with_weights(sc, g.weights, g.delta, g.zeta)
-           for g in parse_groups(scenarios / "weights.groups")] \
-        + [lambda sc: sc.replace(goal=midway[len(midway) // 2].xy)]
-    cycles = 0
-    for variant in variants:
-        for seed in range(4):
-            batch = run(with_seed(variant(shared), seed))
-            alone = run(with_seed(variant(parse_scenario(path)), seed))
-            assert batch.metrics.status is alone.metrics.status
-            assert batch.poses == alone.poses and batch.records == alone.records
-            assert repr((batch.poses, batch.records)) == repr((alone.poses, alone.records))
-            cycles += batch.metrics.cycles
-    # group1 and group2 have the shipped weights: only group3 and the goal add preludes
-    assert len({key[4:] for key in shared.world._preludes}) == 3
-    assert len(shared.world._grids) < cycles  # later runs read kept grids
+    midway = run(parse_scenario(path)).poses
+    groups = {g.name: g for g in parse_groups(scenarios / "weights.groups")}
+    assert groups["group1"].weights == shared.config.weights != groups["group3"].weights
+    variants = [lambda sc, kind=kind: with_planner(sc, kind) for kind in
+                (PlannerKind.APF, PlannerKind.PROPOSED)] \
+        + [lambda sc: sc.replace(goal=midway[len(midway) // 2].xy),
+           lambda sc: with_planner(sc, PlannerKind.CONVENTIONAL_ACO)] \
+        + [lambda sc, g=groups[group]: with_weights(sc, g.weights, g.delta, g.zeta)
+           for group in ("group1", "group3", "group2")]
+
+    real = kernel.module()
+    perceived, fills = [], []  # the kernel's perceive calls, and the stamps of its fills
+
+    class CountingLib:
+        def __getattr__(self, name):
+            def call(*args):
+                if name == "perceive":
+                    perceived.append(name)
+                elif name == "plan_cycle" and not real.ffi.cast("int32_t *", args[7])[0]:
+                    fills.append((args[8], args[9], *args[16:19]))  # goal and weights
+                return getattr(real.lib, name)(*args)
+            return call if callable(getattr(real.lib, name)) else getattr(real.lib, name)
+
+    monkeypatch.setattr(kernel, "module", lambda: mock.Mock(ffi=real.ffi, lib=CountingLib()))
+    batches = [[(sc, run(sc)) for sc in (with_seed(variant(shared), seed) for seed in range(4))]
+               for variant in variants]
+    monkeypatch.undo()
+
+    def keys(result):  # the memo keys of a run's cycles, less the scan arguments
+        return [(i + 1 if shared.world.movers else 0, pose.x, pose.y, pose.psi)
+                for i, pose in enumerate(result.poses[:result.metrics.cycles])]
+
+    made_by_apf = {key for _, result in batches[0] for key in keys(result)}
+    stamps, changes, cycles = {}, [], 0  # each key's stamp, None without a prelude
+    for batch in batches:
+        for sc, result in batch:
+            w = sc.config.weights
+            stamp = None if sc.config.planner is PlannerKind.APF else (*sc.goal, w)
+            for key in keys(result):
+                kept = stamps.setdefault(key, None)
+                if stamp is not None and kept != stamp:
+                    changes.append((key, kept, (*sc.goal, w.alpha, w.beta, w.omega)))
+                    stamps[key] = stamp
+            cycles += result.metrics.cycles
+            alone = run(sc.replace(world=parse_scenario(path).world))
+            assert result.metrics.status is alone.metrics.status
+            assert result.poses == alone.poses and result.records == alone.records
+            assert repr((result.poses, result.records)) == repr((alone.poses, alone.records))
+    # one perceive per distinct key, and one fill per change of a key's stamp
+    assert len(perceived) == len(stamps) == len(shared.world._memo) < MEMO_GRIDS
+    assert fills == [stamp for *_, stamp in changes] and len(set(fills)) == 3
+    # colony cycles filled entries APF made, and filled in place of another
+    # goal's or other weights' preludes
+    assert any(kept is None and key in made_by_apf for key, kept, _ in changes)
+    assert any(kept is not None for _, kept, _ in changes)
+    assert len(shared.world._memo) < cycles  # later runs read kept entries
 
 
 @functools.cache
@@ -829,6 +872,19 @@ def test_non_finite_goal_is_rejected_before_the_kernel():
             assert f"{kind.value} {goal} goal must be finite, got {goal}" in lines
 
 
+@pytest.mark.parametrize("kind", COLONY_PLANNERS)
+def test_a_far_goal_plans_toward_it(kind):
+    # the candidates' distances to a far enough goal overflow to inf, and so
+    # does their total; inf / inf made every cost NaN, and the cycle planned
+    # toward the first marginal cell, (1.5, 1.5), away from the goal. A family
+    # whose total overflows is uniform, the limit that finite far goals reach
+    world = WorldMap(bordered(11, 11), 1.0)
+    config = PlannerConfig(cell_size=1.0, lidar_radius=4.0, planner=kind)
+    for far in (1e300, 1e306, 1e307, 1.7e308):
+        rec = plan_cycle(world, Pose(5.5, 5.5, 0.0), (far, far), config, 0, 0)
+        assert rec.subgoal == (9.5, 5.5) and rec.status is RunStatus.RUNNING, far
+
+
 @pytest.mark.parametrize("field", ["x", "y", "psi"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_pose_rejects_a_non_finite_field(field, value):
@@ -976,13 +1032,13 @@ def test_occupancy_pointer_is_made_once_per_tick(monkeypatch):
     assert len({id(arr) for arr in buffers}) == len(buffers)
 
     for sc in (corridor, moving):
-        assert sc.world._preludes  # the runs kept some
+        assert any(prelude is not None for *_, prelude in sc.world._memo.values())  # kept some
         ticked = sc.world.advanced().advanced()
         ticked.kernel_occupancy()  # a world that holds its pointer
         for world in (sc.world, ticked):
             for copied in (copy.deepcopy(world), pickle.loads(pickle.dumps(world))):
                 # a copy starts with no grids or preludes
-                assert copied == world and not copied._grids and not copied._preludes
+                assert copied == world and not copied._memo
                 assert np.array_equal(occupancy(copied), occupancy(world))
                 assert copied.kernel_occupancy()[1:] == world.kernel_occupancy()[1:]
         assert repr(run(copy.deepcopy(sc)).poses) == repr(run(sc).poses)

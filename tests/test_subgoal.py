@@ -114,6 +114,16 @@ class TestNormalize:
                 assert abs(sum(scaled) - 1.0) <= 1e-12
                 assert scaled == normalize_ref(family)
 
+    def test_overflowing_total_is_uniform(self):
+        # the distances to a far goal, or only their total, overflow to inf:
+        # the family is uniform, as for a total of 0, and no cost is NaN
+        points = [(float(x), float(y)) for x in range(-4, 5) for y in (-4, 4)]
+        for far in (1e307, 1.7e308):
+            raw, norm = kernel_normalize(points, Pose(0, 0, 0), (far, far))
+            assert sum(raw[0]) == math.inf
+            assert norm[0] == [1 / len(points)] * len(points) == normalize_ref(raw[0])
+            assert norm[1:] == [normalize_ref(family) for family in raw[1:]]
+
     def test_empty_rejected(self):
         # an empty set is refused before the kernel would normalize nothing
         with mock.patch.object(kernel, "module") as module:
@@ -168,6 +178,20 @@ class TestSelectSubgoal:
             goal = (rng.uniform(-20, 40), rng.uniform(-20, 40))
             sg = rank_candidates(cands, robot, goal, w)[0]
             assert sg.cell == brute_force_best(grid, cands, robot, goal, w)
+
+    def test_far_goal_matches_brute_force_ranking(self):
+        # far enough, the goal distances or their total overflow: the kernel's
+        # ranking matches the reference's, whose families follow the same rule
+        rng = np.random.default_rng(37)
+        robot = Pose(10.5, 10.5, 0.3)
+        w = CostWeights(4.0, 1.8, 1.0)
+        for far in (1e300, 1e306, 1e307, 1.7e308, -1.7e308):
+            cands = candidate_cells(grid := random_grid(rng, 20, robot))
+            goal = (far, far * rng.uniform(-1.0, 1.0))
+            ranked = rank_candidates(cands, robot, goal, w)
+            with np.errstate(over="ignore"):  # the reference's np.hypot overflows too
+                assert ranked[0].cell == brute_force_best(grid, cands, robot, goal, w)
+            assert all(math.isfinite(sub.cost) for sub in ranked)
 
     def test_weight_scale_invariance(self):
         grid = grid_of()

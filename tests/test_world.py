@@ -206,7 +206,7 @@ class TestAdvance:
         w = world_with([MovingObstacle(((1, 1), (1, 2)))])
         assert w.advanced().cells is w.cells  # one store for every tick
         assert w.advanced().movers is w.movers  # checked once, at construction
-        assert w.advanced()._grids is w._grids  # one memo of local grids for every tick
+        assert w.advanced()._memo is w._memo  # one memo of grids and preludes for every tick
 
 
 class TestValue:
@@ -226,11 +226,11 @@ class TestValue:
         assert w == twin and hash(w) == hash(twin) and w is not twin
         local_grid(w, Pose(1.5, 1.5, 0.0), _scan_args(1.0, 8, 1.0, 1, 0))
         w.kernel_occupancy()
-        assert w._grids and w._kernel_occ is not None and not twin._grids
+        assert w._memo and w._kernel_occ is not None and not twin._memo
         assert w == twin and hash(w) == hash(twin)  # the kept state is no part of the value
         for same in (copy.copy(w), copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
             assert same == w and hash(same) == hash(w)
-            assert same._grids == {} and same._kernel_occ is None and same._occ is None
+            assert same._memo == {} and same._kernel_occ is None and same._occ is None
             assert same.advanced() == w.advanced()
         assert set(w.__getstate__()) == {"cells", "height", "width", "cell_size", "movers",
                                          "tick"}
