@@ -5,20 +5,20 @@ class AntnavError(Exception):
     """Base class for all antnav errors."""
 
 
-class MapParseError(AntnavError):
-    """Map file could not be parsed; carries the offending line number."""
+class ParseError(AntnavError):
+    """A file could not be parsed; carries the offending line number."""
 
     def __init__(self, message: str, line_no: int):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
 
 
-class ScenarioParseError(AntnavError):
-    """Scenario or groups file could not be parsed; carries the line number."""
+class MapParseError(ParseError):
+    """Map file could not be parsed."""
 
-    def __init__(self, message: str, line_no: int):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
+
+class ScenarioParseError(ParseError):
+    """Scenario or groups file could not be parsed."""
 
 
 class OutOfBounds(AntnavError):

@@ -62,13 +62,21 @@ class Frozen:
     dataclasses compiles with exec for each class at every import.
 
     The fields are the class annotations, in order, and class attributes of those
-    names their defaults. __post_init__ checks a new value and may set fields
-    with object.__setattr__.
+    names their defaults; a class declares at least two. __post_init__ checks a
+    new value and may set fields with object.__setattr__.
+
+    A value is its field tuple, read by one getter per class (_value, an
+    operator.attrgetter of the fields, which builds the tuple in C): two values
+    are equal when they are one object, or of one class with equal tuples, and
+    the hash is the tuple's.
     """
 
     def __init_subclass__(cls):
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        if len(cls._fields) < 2:  # attrgetter of one name returns the value, not a tuple
+            raise TypeError(f"{cls.__name__} must declare at least two fields")
         cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+        cls._value = operator.attrgetter(*cls._fields)
 
     def __init__(self, *args, **kwargs):
         cls, fields = type(self), self._fields
@@ -97,18 +105,17 @@ class Frozen:
 
     def replace(self, **changes):
         """A copy with the given fields changed, built and checked by __init__ again."""
-        return type(self)(**dict(zip(self._fields, self._values()), **changes))
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
+        return type(self)(**dict(zip(self._fields, self._value(self)), **changes))
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self._value(self) == other._value(other)
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._value(self))
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

@@ -6,15 +6,14 @@ of the executed step. Moving obstacles advance one schedule tick per cycle
 before the scan. Every planner's cycle, from the pose test to the step's
 collision test, is one call of the compiled kernel: planner.c's plan_cycle
 for the proposed and conventional-aco planners, its apf_cycle for APF.
-What depends on the config alone is worked out once per PlannerConfig:
-the kernel's arguments when the config is made (their checks are its
-checks), and on its first cycle the cell tables, the world offset of each
-local cell id and the heading of a step onto it (built once per grid shape
-in a process). The local grid comes from grid.local_grid, which perceives
-each (tick, pose, scan arguments) of a world once and keeps the grid in the
-world's memo, so the runs of a batch on one parsed world share their grids;
-the occupancy's pointer comes from WorldMap.kernel_occupancy, one per world
-tick. The colony planners keep more in the grid's memo entry: the cycle's
+What depends on the config alone is worked out once per PlannerConfig,
+when the config is made: the kernel's arguments (their checks are its
+checks) and the cell tables, the world offset of each local cell id and the
+heading of a step onto it (built once per grid shape in a process). The
+local grid comes from grid.local_grid, which perceives each (tick, pose,
+scan arguments) of a world once and keeps the grid in the world's memo, so
+the runs of a batch on one parsed world share their grids; the occupancy's
+pointer comes from WorldMap.kernel_occupancy, one per world tick. The colony planners keep more in the grid's memo entry: the cycle's
 prelude, all that planner.c's plan_cycle works out before its first random
 draw (the open-direction table, the terminal-capture cell, and the
 reachable candidates with their costs, or a STUCK mark), stamped with the
@@ -115,21 +114,8 @@ class PlannerConfig(Frozen):
             w = self.weights
             args = (cs, self.half_extent, w.alpha, w.beta, w.omega, *colony)
         return _KernelArgs(aco, side, aco.resolved_max_steps(side * side),
-                           self.resolved_goal_tolerance(), scan, args)
-
-    @functools.cached_property
-    def _cell_tables(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
-        """cell_tables of the config's grid, read on its first cycle, not when it is made."""
-        return cell_tables(self.half_extent, self.cell_size)
-
-    @functools.cached_property
-    def _weights_key(self) -> str:
-        """The weights as one string, the config's part of a cycle prelude's stamp.
-        repr round-trips a float, so configs with equal weights match one stamp in
-        a string compare; two equal CostWeights that are not one object (sweep's
-        groups) compare field by field, at about 1 us a compare."""
-        w = self.weights
-        return repr((w.alpha, w.beta, w.omega))
+                           self.resolved_goal_tolerance(), scan,
+                           cell_tables(self.half_extent, cs), args)
 
 
 @functools.cache
@@ -156,6 +142,7 @@ class _KernelArgs(Frozen):
     max_steps: int  # the step cap of a colony walk
     goal_tolerance: float
     scan: tuple  # _scan_args's: the key of the grid in the world's memo, and perceive's
+    tables: tuple  # cell_tables of the config's grid
     # the cycle call's arguments from the cell size on: the cell size and half
     # extent, then those of apf_cycle for APF, or the weights and
     # AcoParams.kernel_args's otherwise
@@ -230,7 +217,7 @@ def plan_cycle(world: WorldMap, pose: Pose, goal: Point, config: PlannerConfig, 
     # cell center's coordinate 0 depends on the zero's sign
     gx, gy = gx + 0.0, gy + 0.0
     k = config._kernel_args
-    dx, dy, heading = config._cell_tables
+    dx, dy, heading = k.tables
     mod = kernel.module()
     lib, ffi = mod.lib, mod.ffi
     x, y = pose.x, pose.y
@@ -241,7 +228,7 @@ def plan_cycle(world: WorldMap, pose: Pose, goal: Point, config: PlannerConfig, 
         out = ffi.new("int32_t[1]")  # the step's cell id
         code = lib.apf_cycle(*world.kernel_occupancy(), x, y, cells, gx, gy, *k.args, out)
     else:
-        stamp = (gx, gy, config._weights_key)
+        stamp = (gx, gy, config.weights)
         fill = kept_stamp != stamp
         if fill:
             # planner.c's prelude layout: 16 + 13 * n bytes for n cells, zeroed (empty)

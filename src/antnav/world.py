@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 
 from . import kernel
 from .errors import MapParseError, OutOfBounds
@@ -74,6 +75,7 @@ class WorldMap:
 
     # what a world is; the rest of its __dict__ is worked out from these
     _FIELDS = ("cells", "height", "width", "cell_size", "movers", "tick")
+    _value = operator.attrgetter(*_FIELDS)  # the field tuple, as a Frozen class's _value
 
     def __init__(self, static_cells, cell_size: float,
                  movers: tuple[MovingObstacle, ...] = (), tick: int = 0):
@@ -141,19 +143,10 @@ class WorldMap:
                               _kernel_occ=None if self.movers else self._kernel_occ)
         return world
 
-    def _value(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._FIELDS])
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._value() == other._value()
-
-    def __hash__(self):
-        return hash(self._value())
+    __eq__, __hash__ = Frozen.__eq__, Frozen.__hash__  # the value types' rule, on _value
 
     def __getstate__(self):  # a cffi pointer neither copies nor pickles
-        return dict(zip(self._FIELDS, self._value()))
+        return dict(zip(self._FIELDS, self._value(self)))
 
     def __setstate__(self, state):
         self.__dict__.update(state, _occ=None, _kernel_occ=None, _memo={})

@@ -232,7 +232,7 @@ class TestGridMemo:
         assert len(world._memo) == 2
         for key, (cells, stamp, prelude) in world._memo.items():
             assert cells is first[poses.index(Pose(*key[1:4]))][0]
-            assert stamp == (15.5, 15.5, config._weights_key) and prelude is not None
+            assert stamp == (15.5, 15.5, config.weights) and prelude is not None
         assert records == [plan_cycle(self.world(), pose, (15.5, 15.5), config, 1, 0)
                            for pose in poses]
 
@@ -250,7 +250,7 @@ class TestGridMemo:
         (entry,) = sc.world._memo.values()
         cells, stamp, prelude = entry
         pose, (gx, gy) = sc.start, sc.goal
-        assert stamp == (gx, gy, sc.config._weights_key)
+        assert stamp == (gx, gy, sc.config.weights)
         mod, k = kernel.module(), sc.config._kernel_args
         out = mod.ffi.new("int32_t[]", [-7] * (k.max_steps + 3))
         series = mod.ffi.new("double[]", [-7.0] * k.aco.n_iters)

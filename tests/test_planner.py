@@ -274,7 +274,7 @@ def test_plan_cycle_is_one_kernel_call(kind, monkeypatch):
         seen |= keys
         stamps = {stamp for _, stamp, _ in sc.world._memo.values()}
         assert len(sc.world._memo) == len(seen)
-        assert stamps == {None if kind is PlannerKind.APF else (*sc.goal, sc.config._weights_key)}
+        assert stamps == {None if kind is PlannerKind.APF else (*sc.goal, sc.config.weights)}
         tables += calls.count("ray_directions")
         if repeat:  # every key kept: one cycle call per cycle and no other kernel call
             assert set(calls) == {name} | ({"kept prelude"} if name == "plan_cycle" else set())
@@ -647,7 +647,9 @@ def test_runs_sharing_a_world_match_runs_on_fresh_worlds(name, monkeypatch):
     # entries without a prelude; a run to another goal comes between the
     # colony planners, and sweep's weight groups plan with weights A, B, then
     # A again, so colony cycles find preludes stamped for another goal or
-    # other weights, and fill their own in place of them
+    # other weights, and fill their own in place of them. Last come weights
+    # equal to A but built from ints: a stamp compares its weights by value,
+    # so they fill nothing
     from pathlib import Path
 
     from antnav.grid import MEMO_GRIDS
@@ -664,7 +666,8 @@ def test_runs_sharing_a_world_match_runs_on_fresh_worlds(name, monkeypatch):
         + [lambda sc: sc.replace(goal=midway[len(midway) // 2].xy),
            lambda sc: with_planner(sc, PlannerKind.CONVENTIONAL_ACO)] \
         + [lambda sc, g=groups[group]: with_weights(sc, g.weights, g.delta, g.zeta)
-           for group in ("group1", "group3", "group2")]
+           for group in ("group1", "group3", "group2")] \
+        + [lambda sc, g=groups["group2"]: with_weights(sc, CostWeights(4, 1.8, 1), g.delta, g.zeta)]
 
     real = kernel.module()
     perceived, fills = [], []  # the kernel's perceive calls, and the stamps of its fills
@@ -680,9 +683,13 @@ def test_runs_sharing_a_world_match_runs_on_fresh_worlds(name, monkeypatch):
             return call if callable(getattr(real.lib, name)) else getattr(real.lib, name)
 
     monkeypatch.setattr(kernel, "module", lambda: mock.Mock(ffi=real.ffi, lib=CountingLib()))
-    batches = [[(sc, run(sc)) for sc in (with_seed(variant(shared), seed) for seed in range(4))]
-               for variant in variants]
+    batches, filled = [], []  # the fills made by the end of each batch
+    for variant in variants:
+        batches.append([(sc, run(sc)) for sc in
+                        (with_seed(variant(shared), seed) for seed in range(4))])
+        filled.append(len(fills))
     monkeypatch.undo()
+    assert filled[-1] == filled[-2]  # the int-built weights matched weights A's stamps
 
     def keys(result):  # the memo keys of a run's cycles, less the scan arguments
         return [(i + 1 if shared.world.movers else 0, pose.x, pose.y, pose.psi)
@@ -746,7 +753,7 @@ def _one_value_of_each_type() -> dict:
     ("AggregateStats", "best worst average"),
     ("PlannerConfig", "weights aco apf planner lidar_radius n_rays cell_size half_extent "
                       "inflation_rings goal_tolerance max_robot_steps"),
-    ("_KernelArgs", "aco side max_steps goal_tolerance scan args"),
+    ("_KernelArgs", "aco side max_steps goal_tolerance scan tables args"),
     ("AcoParams", "phi gamma rho q n_ants n_iters delta zeta tau0 max_steps elite_cutoff mode"),
     ("ApfParams", "k_att k_rep d0"),
     ("CostWeights", "alpha beta omega"),
@@ -760,15 +767,27 @@ def test_value_types_stay_frozen(name, fields):
     # dataclasses import: fields in order, positional and keyword
     # construction, immutability, field-wise equality and hash, replace,
     # copy and pickle. Pose and CycleRecord write their fields in one dict
-    # update, past the base's own __init__
+    # update, past the base's own __init__. A value is its field tuple: the
+    # hash is the tuple's, and a twin set field by field, past __init__, is
+    # equal. A class of fewer than two fields is refused
     import copy
     import inspect
     import pickle
+
+    from antnav.geometry import Frozen
 
     value = _one_value_of_each_type()[name]
     cls = type(value)
     names = fields.split()
     assert list(cls._fields) == names
+    assert hash(value) == hash(tuple(getattr(value, f) for f in cls._fields))
+    twin = object.__new__(cls)
+    for f in names:
+        object.__setattr__(twin, f, getattr(value, f))
+    assert value == value and twin is not value and twin == value and value == twin
+    for declared in ({"a": int}, {}):
+        with pytest.raises(TypeError, match="at least two fields"):
+            type("Narrow", (Frozen,), {"__annotations__": declared})
     if cls in (Pose, CycleRecord):
         assert list(inspect.signature(cls).parameters) == names
     values = [getattr(value, f) for f in names]
@@ -817,12 +836,13 @@ def test_value_types_replace_check_and_print_as_before():
         "max_robot_steps=None)")
 
 
-def test_cell_tables_are_built_on_the_first_cycle():
-    # a config works out its cell tables when it first runs, not when it is made
+def test_a_config_keeps_the_cell_tables_of_its_grid():
+    # a config's kernel arguments hold the one cell_tables of its grid shape
+    from antnav.planner import cell_tables
+
     sc = scenario_from(bordered(11, 11), 1.0, (5, 2), (5, 8), half_extent=3)
-    assert "_cell_tables" not in vars(sc.config)
-    run(sc)
-    dx, dy, heading = vars(sc.config)["_cell_tables"]
+    assert sc.config._kernel_args.tables is cell_tables(3, 1.0)
+    dx, dy, heading = sc.config._kernel_args.tables
     assert len(dx) == len(dy) == len(heading) == 49
     assert (dx[0], dy[0], heading[0]) == (-3.0, -3.0, math.atan2(-3, -3))
 
