@@ -34,7 +34,9 @@ class PoseInObstacle(AntnavError):
 
 
 class NoPathFound(AntnavError):
-    """No ant reached the sub-goal in any iteration."""
+    """No ant reached a sub-goal. Kept as public API; the package no longer
+    raises it: a colony that reaches no sub-goal hands the cycle to its next
+    trial, and a cycle whose trials all fail ends STUCK."""
 
 
 class ColonyWeightError(AntnavError):

@@ -62,8 +62,9 @@ class Frozen:
     dataclasses compiles with exec for each class at every import.
 
     The fields are the class annotations, in order, and class attributes of those
-    names their defaults; a class declares at least two. __post_init__ checks a
-    new value and may set fields with object.__setattr__.
+    names their defaults, unless they are descriptors (a cached_property that
+    builds a field is no default); a class declares at least two. __post_init__
+    checks a new value and may set fields with object.__setattr__.
 
     A value is its field tuple, read by one getter per class (_value, an
     operator.attrgetter of the fields, which builds the tuple in C): two values
@@ -75,7 +76,8 @@ class Frozen:
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
         if len(cls._fields) < 2:  # attrgetter of one name returns the value, not a tuple
             raise TypeError(f"{cls.__name__} must declare at least two fields")
-        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+        cls._defaults = {name: value for name, value in vars(cls).items()
+                         if name in cls._fields and not hasattr(value, "__get__")}
         cls._value = operator.attrgetter(*cls._fields)
 
     def __init__(self, *args, **kwargs):

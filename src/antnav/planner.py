@@ -13,7 +13,8 @@ heading of a step onto it (built once per grid shape in a process). The
 local grid comes from grid.local_grid, which perceives each (tick, pose,
 scan arguments) of a world once and keeps the grid in the world's memo, so
 the runs of a batch on one parsed world share their grids; the occupancy's
-pointer comes from WorldMap.kernel_occupancy, one per world tick. The colony planners keep more in the grid's memo entry: the cycle's
+pointer comes from WorldMap.kernel_occupancy, one per world tick. The
+colony planners keep more in the grid's memo entry: the cycle's
 prelude, all that planner.c's plan_cycle works out before its first random
 draw (the open-direction table, the terminal-capture cell, and the
 reachable candidates with their costs, or a STUCK mark), stamped with the
@@ -21,9 +22,12 @@ goal and the weights, its only inputs besides the grid. A cycle whose goal
 and weights match the stamp runs only its colonies, so the runs of a batch
 share preludes too. What is left per cycle is the memo lookup, the kernel
 call, the goal test, and turning the returned code and cell ids into the
-CycleRecord that run carries on: each point is the pose plus a table entry,
-with no cell arithmetic in Python. run advances the world only when it has
-movers; a static world is the same at every tick.
+CycleRecord that run carries on: the new pose and the sub-goal are the pose
+plus a table entry, with no cell arithmetic in Python. The record keeps the
+kernel's cell ids of the sub-path and builds its points the same way on the
+first read of its subpath: nothing the planner writes reads them. run
+advances the world only when it has movers; a static world is the same at
+every tick.
 """
 from __future__ import annotations
 
@@ -170,6 +174,28 @@ class CycleRecord(Frozen):
         self.__dict__.update(cycle=cycle, pose=pose, subgoal=subgoal, subpath=subpath,
                              dist_to_goal=dist_to_goal, aco_series=aco_series, status=status)
 
+    @classmethod
+    def _planned(cls, cycle: int, pose: Pose, subgoal: Point, path: tuple, dist_to_goal: float,
+                 aco_series: tuple[float, ...], status: RunStatus) -> CycleRecord:
+        """A colony cycle's record, whose subpath is built on its first read
+        from path: the planning pose's x and y, the kernel's cell ids of the
+        path, and the half extent and cell size of the grid they index. The
+        points cost a cycle 1.3 us, and nothing the planner writes reads them."""
+        rec = cls.__new__(cls)
+        rec.__dict__.update(cycle=cycle, pose=pose, subgoal=subgoal, _path=path,
+                            dist_to_goal=dist_to_goal, aco_series=aco_series, status=status)
+        return rec
+
+    # a non-data descriptor: a record built with its subpath keeps it in its
+    # dict, which the lookup reads first, and so does a read one. Equality,
+    # hash and replace read the field through it; copies and pickles carry
+    # the dict, _path included, so theirs are built on their own first read
+    @functools.cached_property
+    def subpath(self) -> tuple[Point, ...]:
+        x, y, ids, half_extent, cell_size = self._path
+        dx, dy, _ = cell_tables(half_extent, cell_size)
+        return tuple([(x + dx[i], y + dy[i]) for i in ids])
+
 
 class RunResult(Frozen):
     poses: tuple[Pose, ...]
@@ -248,20 +274,17 @@ def plan_cycle(world: WorldMap, pose: Pose, goal: Point, config: PlannerConfig, 
         # NO_MEMORY, or plan_cycle's BAD_TOTAL; APF's out holds its step alone
         raise colony_error(code, None if apf else divmod(out[1], k.side), k.aco)
     # the center of cell id i of the local grid lies at (x + dx[i], y + dy[i])
-    if apf:
-        subgoal, subpath, aco_series, step = None, (), (), out[0]
-    else:
-        sub = out[1]
-        subgoal = (x + dx[sub], y + dy[sub])
-        ids = ffi.unpack(out + 2, out[0] + 1)
-        subpath = tuple([(x + dx[i], y + dy[i]) for i in ids])
-        aco_series = tuple(ffi.unpack(series, k.aco.n_iters))
-        step = ids[1]
+    step = out[0] if apf else out[3]  # APF's step, or the path's cell after the pose's
     new_pose = Pose(x + dx[step], y + dy[step], heading[step])
     dist = _goal_distance(new_pose, goal)
     status = RunStatus.GOAL_REACHED if dist <= k.goal_tolerance else \
         RunStatus.COLLISION if code == step_collision else RunStatus.RUNNING
-    return CycleRecord(cycle, new_pose, subgoal, subpath, dist, aco_series, status)
+    if apf:
+        return CycleRecord(cycle, new_pose, None, (), dist, (), status)
+    sub = out[1]
+    path = (x, y, ffi.unpack(out + 2, out[0] + 1), config.half_extent, config.cell_size)
+    return CycleRecord._planned(cycle, new_pose, (x + dx[sub], y + dy[sub]), path, dist,
+                                tuple(ffi.unpack(series, k.aco.n_iters)), status)
 
 
 @functools.cache

@@ -145,13 +145,17 @@ def test_bool_grid_is_passed_without_a_copy():
 C99_HEADERS = {f"{name}.h" for name in (
     "assert complex ctype errno fenv float inttypes iso646 limits locale math setjmp signal "
     "stdarg stdbool stddef stdint stdio stdlib string tgmath time wchar wctype").split()}
+# the most text the kernel's object may hold, in bytes: the low-cost-platform
+# footprint. Set from 19,613 bytes (gcc, x86-64) with 12% headroom
+TEXT_BOUND = 22_000
 
 
 def test_sources_compile_without_warnings(tmp_path):
     # the kernel is plain C99 that needs nothing beyond the standard library:
     # no warning under -pedantic (which also catches parameters and locals
     # that a signature change leaves unused), and no other header. Prints the
-    # text size of the object the build's flags make, the kernel's footprint
+    # text size of the object the build's flags make, the kernel's footprint,
+    # and fails above TEXT_BOUND
     unit = kernel._unit([path.read_text(encoding="utf-8") for path in kernel.SOURCES])
     headers = set(re.findall(r'^\s*#\s*include\s*[<"]([^>"]*)[>"]', unit, flags=re.M))
     assert headers and headers <= C99_HEADERS, sorted(headers - C99_HEADERS)
@@ -161,8 +165,9 @@ def test_sources_compile_without_warnings(tmp_path):
                          input=unit, capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     size = subprocess.run(["size", str(obj)], capture_output=True, text=True, check=True)
-    print(f"[kernel] C99, {len(headers)} standard headers, "
-          f"{int(size.stdout.split()[6])} bytes of text")
+    text = int(size.stdout.split()[6])
+    print(f"[kernel] C99, {len(headers)} standard headers, {text} bytes of text")
+    assert text <= TEXT_BOUND, f"{text} bytes of text, above the bound of {TEXT_BOUND}"
 
 
 def test_declarations_come_from_the_definitions():

@@ -745,9 +745,19 @@ def _one_value_of_each_type() -> dict:
     return {cls.__name__: value for cls, value in zip(types, values)}
 
 
+def _unread_record() -> CycleRecord:
+    """The first record of _one_value_of_each_type's run, made anew by each
+    call, whose subpath has not been read: its points are not built yet."""
+    sc = scenario_from(bordered(11, 11), 1.0, (5, 2), (5, 8))
+    rec = plan_cycle(sc.world, sc.start, sc.goal, sc.config, sc.seed, 0)
+    assert "subpath" not in vars(rec)
+    return rec
+
+
 @pytest.mark.parametrize("name, fields", [
     ("Pose", "x y psi"),
     ("CycleRecord", "cycle pose subgoal subpath dist_to_goal aco_series status"),
+    ("unread CycleRecord", "cycle pose subgoal subpath dist_to_goal aco_series status"),
     ("RunResult", "poses records metrics"),
     ("RunMetrics", "path_length corners cycles dist_series aco_series status wall_ms"),
     ("AggregateStats", "best worst average"),
@@ -769,22 +779,27 @@ def test_value_types_stay_frozen(name, fields):
     # copy and pickle. Pose and CycleRecord write their fields in one dict
     # update, past the base's own __init__. A value is its field tuple: the
     # hash is the tuple's, and a twin set field by field, past __init__, is
-    # equal. A class of fewer than two fields is refused
+    # equal. A class of fewer than two fields is refused. A colony cycle's
+    # record builds its subpath on the first read: the unread one takes each
+    # check below before that read, as a fresh record, and its copies and
+    # pickles stay unread until their points are read, the same bits
     import copy
     import inspect
     import pickle
 
     from antnav.geometry import Frozen
 
-    value = _one_value_of_each_type()[name]
+    unread = name == "unread CycleRecord"
+    value = _one_value_of_each_type()["CycleRecord" if unread else name]
+    fresh = _unread_record if unread else lambda: value
     cls = type(value)
     names = fields.split()
     assert list(cls._fields) == names
-    assert hash(value) == hash(tuple(getattr(value, f) for f in cls._fields))
+    assert hash(fresh()) == hash(tuple(getattr(value, f) for f in cls._fields))
     twin = object.__new__(cls)
     for f in names:
         object.__setattr__(twin, f, getattr(value, f))
-    assert value == value and twin is not value and twin == value and value == twin
+    assert value == value and twin is not value and twin == fresh() and fresh() == twin
     for declared in ({"a": int}, {}):
         with pytest.raises(TypeError, match="at least two fields"):
             type("Narrow", (Frozen,), {"__annotations__": declared})
@@ -793,13 +808,22 @@ def test_value_types_stay_frozen(name, fields):
     values = [getattr(value, f) for f in names]
     for f in names:
         with pytest.raises(AttributeError):
-            setattr(value, f, getattr(value, f))
+            setattr(fresh(), f, getattr(value, f))
         with pytest.raises(AttributeError):
-            delattr(value, f)
-    assert cls(*values) == value and cls(**dict(zip(names, values))) == value
-    assert value.replace() == value and hash(value.replace()) == hash(value)
-    assert value.replace(**{names[0]: values[0]}) == value
-    for same in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            delattr(fresh(), f)
+    assert cls(*values) == fresh() and cls(**dict(zip(names, values))) == fresh()
+    assert fresh().replace() == value and hash(fresh().replace()) == hash(value)
+    assert fresh().replace(**{names[0]: values[0]}) == value
+    for same in (copy.copy(fresh()), copy.deepcopy(fresh()), pickle.loads(pickle.dumps(fresh()))):
+        if unread:  # the points of a copy, by bits: the read record's, and the
+            # cell centers of the path's ids
+            assert "subpath" not in vars(same)
+            x, y, ids, h, cell_size = same._path
+            centers = [cell_center_ref((x, y), cell_size, h, *divmod(i, 2 * h + 1)) for i in ids]
+            assert [v.hex() for p in same.subpath for v in p] == \
+                [v.hex() for p in value.subpath for v in p] == \
+                [v.hex() for p in centers for v in p]
+            assert same.subpath[1] == value.pose.xy and same.subpath[-1] == value.subgoal
         assert same == value and hash(same) == hash(value)
     with pytest.raises(TypeError, match="unexpected keyword argument 'nope'"):
         cls(*values, nope=1)
@@ -807,7 +831,7 @@ def test_value_types_stay_frozen(name, fields):
         cls(*values, **{names[0]: values[0]})
     with pytest.raises(TypeError):
         cls(*values, values[0])
-    required = [f for f in names if f not in vars(cls)]  # the fields without a default
+    required = [f for f in names if f not in cls._defaults]  # the fields without a default
     if required:
         with pytest.raises(TypeError, match=f"missing .*'{required[-1]}'"):
             cls(**{f: v for f, v in zip(names, values) if f != required[-1]})
