@@ -5,7 +5,7 @@ local grid (inflated, occlusion-masked, clamped to the world), pick the minimum-
 8-connected sub-path with the ant colony, execute one step, repeat.
 """
 
-from .aco import AcoMode, AcoParams, corner_heuristic
+from .aco import AcoParams, corner_heuristic
 from .baselines import ApfParams
 from .errors import (AntnavError, ColonyWeightError, EmptyRuns, MapParseError, NoPathFound,
                      OutOfBounds, PoseInObstacle, PoseOutOfBounds, ScenarioParseError)

@@ -1,11 +1,14 @@
 """Ant-colony sub-path planner over 8-connected occupancy grids.
 
-Improved mode adds three mechanisms on top of the classic transition/update
-rules: a corner factor in the transition weights (inverse turn angle), a
-rank-gated deposit weighted by a length+corner score, and a per-iteration
-repair step that hands the incumbent best path to one straggler ant.
-Conventional mode is the classic planner: pheromone/heuristic transitions and
-length-based deposits from every finished ant, no repair.
+The improved colony (the proposed planner's) adds three mechanisms on top of
+the classic transition/update rules: a corner factor in the transition
+weights (inverse turn angle), a rank-gated deposit weighted by a
+length+corner score, and a per-iteration repair step that hands the
+incumbent best path to one straggler ant. The conventional colony (the
+conventional-aco planner's) is the classic one: pheromone/heuristic
+transitions and length-based deposits from every finished ant, no repair.
+The planner kind is the only switch between the two: the kernel's improved
+argument, which AcoParams.kernel_args takes from the caller.
 
 The colony runs in the compiled kernel (colony.c, built on first use by
 kernel.py), the package's only implementation of its rules: the planner's
@@ -24,7 +27,6 @@ _entropy_words).
 """
 from __future__ import annotations
 
-import enum
 import functools
 import math
 import operator
@@ -34,11 +36,6 @@ from .kernel import INT_MAX
 from .errors import ColonyWeightError
 from .geometry import (Cell, DIR_ANGLES, DIR_OFFSETS, SQRT2, Frozen, check_count,
                        store_counts, wrap_angle)
-
-
-class AcoMode(enum.Enum):
-    IMPROVED = "improved"
-    CONVENTIONAL = "conventional"
 
 
 class AcoParams(Frozen):
@@ -63,11 +60,9 @@ class AcoParams(Frozen):
     tau0: float = 1.0
     max_steps: int | None = None
     elite_cutoff: int | None = None
-    mode: AcoMode = AcoMode.IMPROVED
 
     def __post_init__(self):
         store_counts(self, "n_ants", "n_iters", "max_steps", "elite_cutoff")
-        object.__setattr__(self, "mode", AcoMode(self.mode))  # a member, or ValueError
         for name in ("phi", "gamma", "rho", "q", "delta", "zeta", "tau0"):
             # NaN passes every range check below
             if not math.isfinite(getattr(self, name)):
@@ -96,14 +91,14 @@ class AcoParams(Frozen):
         walk within n_cells - 1 steps."""
         return min(self.max_steps or n_cells - 1, n_cells - 1)
 
-    def kernel_args(self, cell_size: float, n_cells: int) -> tuple:
+    def kernel_args(self, cell_size: float, n_cells: int, improved: bool) -> tuple:
         """The colony's arguments of the kernel's colony_run and plan_cycle, gamma to
-        elite_cutoff, for a grid of n_cells cells of cell_size. Raises ValueError as
-        heuristic_weights does."""
+        elite_cutoff, for the improved or the conventional colony on a grid of
+        n_cells cells of cell_size. Raises ValueError as heuristic_weights does."""
         heuristic_weights((cell_size, cell_size * SQRT2), self.gamma)
         return (self.gamma, self.n_iters, self.n_ants, self.resolved_max_steps(n_cells),
-                self.mode is AcoMode.IMPROVED, self.phi, self.rho, self.q, self.delta,
-                self.zeta, self.tau0, self.resolved_elite_cutoff())
+                improved, self.phi, self.rho, self.q, self.delta, self.zeta, self.tau0,
+                self.resolved_elite_cutoff())
 
 
 def corner_heuristic(prev_dir: float | None, i: Cell, j: Cell) -> float:

@@ -5,7 +5,7 @@ plus repulsive potential. Its rule runs in the compiled kernel, inside the
 APF planning cycle (planner.c's apf_cycle); this module holds its gains.
 tests/oracles.py keeps the Python rule as the reference. The conventional
 ant-colony baseline is not a separate implementation: the planner's cycle runs
-the colony with mode=CONVENTIONAL.
+the conventional colony for PlannerKind.CONVENTIONAL_ACO.
 """
 from __future__ import annotations
 

@@ -103,8 +103,8 @@ def keep(memo: dict, key: tuple, entry: tuple) -> None:
         memo[key] = entry
 
 
-def local_grid(world: WorldMap, pose: Pose, scan: tuple, key: tuple | None = None) -> tuple:
-    """The world's memo entry (cells, stamp, prelude) under key, by default
+def local_grid(world: WorldMap, pose: Pose, scan: tuple, key: tuple) -> tuple:
+    """The world's memo entry (cells, stamp, prelude) under key, which is
     memo_key(world, pose, scan): cells is the side x side local grid (an
     int8_t[] of cell states) that perceive builds at pose on the world's
     occupancy at its tick, for the scan and grid arguments scan (a _scan_args
@@ -116,8 +116,6 @@ def local_grid(world: WorldMap, pose: Pose, scan: tuple, key: tuple | None = Non
     free cells, and MemoryError when perceive cannot allocate its ranges,
     and keeps nothing then.
     """
-    if key is None:
-        key = memo_key(world, pose, scan)
     memo = world._memo
     entry = memo.get(key)
     if entry is None:

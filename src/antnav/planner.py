@@ -5,7 +5,9 @@ one cell of the planned sub-path; the heading after a cycle is the direction
 of the executed step. Moving obstacles advance one schedule tick per cycle
 before the scan. Every planner's cycle, from the pose test to the step's
 collision test, is one call of the compiled kernel: planner.c's plan_cycle
-for the proposed and conventional-aco planners, its apf_cycle for APF.
+for the proposed and conventional-aco planners, its apf_cycle for APF. The
+planner kind alone picks the colony: the improved one for proposed, the
+conventional one for conventional-aco.
 What depends on the config alone is worked out once per PlannerConfig,
 when the config is made: the kernel's arguments (their checks are its
 checks) and the cell tables, the world offset of each local cell id and the
@@ -22,10 +24,11 @@ goal and the weights, its only inputs besides the grid. A cycle whose goal
 and weights match the stamp runs only its colonies, so the runs of a batch
 share preludes too. What is left per cycle is the memo lookup, the kernel
 call, the goal test, and turning the returned code and cell ids into the
-CycleRecord that run carries on: the new pose and the sub-goal are the pose
-plus a table entry, with no cell arithmetic in Python. The record keeps the
-kernel's cell ids of the sub-path and builds its points the same way on the
-first read of its subpath: nothing the planner writes reads them. run
+CycleRecord that run carries on, built by one classmethod for every outcome:
+the new pose and the sub-goal are the pose plus a table entry, with no cell
+arithmetic in Python. A colony record keeps the kernel's cell ids of the
+sub-path and builds its points the same way on the first read of its
+subpath: nothing the planner writes reads them. run
 advances the world only when it has movers; a static world is the same at
 every tick.
 """
@@ -39,7 +42,7 @@ import time
 from typing import TYPE_CHECKING
 
 from . import kernel
-from .aco import AcoMode, AcoParams, _entropy_words, colony_error, corner_table
+from .aco import AcoParams, _entropy_words, colony_error, corner_table
 from .baselines import ApfParams
 from .errors import PoseInObstacle
 from .geometry import Frozen, Point, Pose, check_count, store_counts
@@ -97,27 +100,20 @@ class PlannerConfig(Frozen):
             return self.max_robot_steps
         return 10 * max(world.width, world.height)
 
-    def aco_for_planner(self) -> AcoParams:
-        """Mode override: the conventional baseline is the same planner in CONVENTIONAL mode."""
-        if self.planner is PlannerKind.CONVENTIONAL_ACO:
-            return self.aco.replace(mode=AcoMode.CONVENTIONAL)
-        return self.aco
-
     @functools.cached_property
     def _kernel_args(self) -> _KernelArgs:
         cs = self.cell_size
         scan = _scan_args(self.lidar_radius, self.n_rays, cs, self.half_extent,
                           self.inflation_rings)
-        aco = self.aco_for_planner()
         side = 2 * self.half_extent + 1
-        colony = aco.kernel_args(cs, side * side)
+        colony = self.aco.kernel_args(cs, side * side, self.planner is PlannerKind.PROPOSED)
         if self.planner is PlannerKind.APF:
             args = (cs, self.half_extent, self.apf.k_att, self.apf.k_rep,
                     self.apf.resolved_d0(cs))
         else:
             w = self.weights
             args = (cs, self.half_extent, w.alpha, w.beta, w.omega, *colony)
-        return _KernelArgs(aco, side, aco.resolved_max_steps(side * side),
+        return _KernelArgs(side, self.aco.resolved_max_steps(side * side),
                            self.resolved_goal_tolerance(), scan,
                            cell_tables(self.half_extent, cs), args)
 
@@ -141,7 +137,6 @@ class _KernelArgs(Frozen):
     and pickles. The colony's heuristic goes in as gamma: the kernel computes
     (1 / step) ** gamma itself."""
 
-    aco: AcoParams  # the planner's colony: CONVENTIONAL mode for conventional-aco
     side: int
     max_steps: int  # the step cap of a colony walk
     goal_tolerance: float
@@ -162,36 +157,30 @@ class CycleRecord(Frozen):
     aco_series: tuple[float, ...]
     status: RunStatus
 
-    def __init__(self, cycle: int, pose: Pose, subgoal: Point | None,
-                 subpath: tuple[Point, ...], dist_to_goal: float,
-                 aco_series: tuple[float, ...], status: RunStatus):
-        # one write of every field, past Frozen's own __init__ and its checks
-        # of the arguments: the planner makes a record per cycle. The write
-        # keeps the instance's dict materialized, which slows a field read
-        # (five reads 0.069 us against 0.047 us), but it halves the build
-        # (0.50 us against 1.03 us with one object.__setattr__ per field), and
-        # a cycle builds one record and reads a few of its fields
-        self.__dict__.update(cycle=cycle, pose=pose, subgoal=subgoal, subpath=subpath,
-                             dist_to_goal=dist_to_goal, aco_series=aco_series, status=status)
-
     @classmethod
-    def _planned(cls, cycle: int, pose: Pose, subgoal: Point, path: tuple, dist_to_goal: float,
-                 aco_series: tuple[float, ...], status: RunStatus) -> CycleRecord:
-        """A colony cycle's record, whose subpath is built on its first read
-        from path: the planning pose's x and y, the kernel's cell ids of the
-        path, and the half extent and cell size of the grid they index. The
-        points cost a cycle 1.3 us, and nothing the planner writes reads them."""
+    def _planned(cls, cycle: int, pose: Pose, subgoal: Point | None, path: tuple | None,
+                 dist_to_goal: float, aco_series: tuple[float, ...],
+                 status: RunStatus) -> CycleRecord:
+        """A cycle's record, whose subpath is built on its first read from path:
+        the planning pose's x and y, the kernel's cell ids of the path, and the
+        half extent and cell size of the grid they index; None, for an APF or a
+        halted cycle, reads as no points. The points cost a colony cycle 1.3 us,
+        and nothing the planner writes reads them. One write of every field,
+        past Frozen's own __init__: the planner makes a record per cycle."""
         rec = cls.__new__(cls)
         rec.__dict__.update(cycle=cycle, pose=pose, subgoal=subgoal, _path=path,
                             dist_to_goal=dist_to_goal, aco_series=aco_series, status=status)
         return rec
 
-    # a non-data descriptor: a record built with its subpath keeps it in its
-    # dict, which the lookup reads first, and so does a read one. Equality,
-    # hash and replace read the field through it; copies and pickles carry
-    # the dict, _path included, so theirs are built on their own first read
+    # a non-data descriptor: a record that Frozen's __init__ builds (replace
+    # does) keeps its subpath in its dict, which the lookup reads first, and
+    # so does a read one. Equality, hash and replace read the field through
+    # it; copies and pickles carry the dict, _path included, so theirs are
+    # built on their own first read
     @functools.cached_property
     def subpath(self) -> tuple[Point, ...]:
+        if self._path is None:
+            return ()
         x, y, ids, half_extent, cell_size = self._path
         dx, dy, _ = cell_tables(half_extent, cell_size)
         return tuple([(x + dx[i], y + dy[i]) for i in ids])
@@ -262,7 +251,7 @@ def plan_cycle(world: WorldMap, pose: Pose, goal: Point, config: PlannerConfig, 
         seed_key = _entropy_words((seed, cycle))
         # the path's step count, the sub-goal's cell id, then the path's cell ids
         out = ffi.new("int32_t[]", k.max_steps + 3)
-        series = ffi.new("double[]", k.aco.n_iters)
+        series = ffi.new("double[]", config.aco.n_iters)
         code = lib.plan_cycle(*world.kernel_occupancy(), x, y, cells, prelude, gx, gy, pose.psi,
                               seed_key, len(seed_key), corner_table(), *k.args, out, series)
         if fill and code != lib.NO_MEMORY:  # filled: kept whole or not at all
@@ -270,9 +259,10 @@ def plan_cycle(world: WorldMap, pose: Pose, goal: Point, config: PlannerConfig, 
     ok, step_collision, halts = _verdicts()
     if code != ok and code != step_collision:
         if code in halts:
-            return CycleRecord(cycle, pose, None, (), _goal_distance(pose, goal), (), halts[code])
+            return CycleRecord._planned(cycle, pose, None, None, _goal_distance(pose, goal), (),
+                                        halts[code])
         # NO_MEMORY, or plan_cycle's BAD_TOTAL; APF's out holds its step alone
-        raise colony_error(code, None if apf else divmod(out[1], k.side), k.aco)
+        raise colony_error(code, None if apf else divmod(out[1], k.side), config.aco)
     # the center of cell id i of the local grid lies at (x + dx[i], y + dy[i])
     step = out[0] if apf else out[3]  # APF's step, or the path's cell after the pose's
     new_pose = Pose(x + dx[step], y + dy[step], heading[step])
@@ -280,11 +270,11 @@ def plan_cycle(world: WorldMap, pose: Pose, goal: Point, config: PlannerConfig, 
     status = RunStatus.GOAL_REACHED if dist <= k.goal_tolerance else \
         RunStatus.COLLISION if code == step_collision else RunStatus.RUNNING
     if apf:
-        return CycleRecord(cycle, new_pose, None, (), dist, (), status)
+        return CycleRecord._planned(cycle, new_pose, None, None, dist, (), status)
     sub = out[1]
     path = (x, y, ffi.unpack(out + 2, out[0] + 1), config.half_extent, config.cell_size)
     return CycleRecord._planned(cycle, new_pose, (x + dx[sub], y + dy[sub]), path, dist,
-                                tuple(ffi.unpack(series, k.aco.n_iters)), status)
+                                tuple(ffi.unpack(series, config.aco.n_iters)), status)
 
 
 @functools.cache

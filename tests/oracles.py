@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from antnav import AcoMode, NoPathFound
+from antnav import NoPathFound, PlannerKind
 from antnav.geometry import DIR_ANGLES, DIR_OFFSETS, sequential_sum
 
 from stages import AntPath, GridGraph
@@ -92,29 +92,29 @@ def transition_ref(tau, cols, neighbors, tabu, prev_dir, cell, phi, gamma, cell_
     return {j: w / total for j, w in zip(kept, weights)}
 
 
-def cost_ref(path, params):
-    """The mode's objective of a finished path: its score in improved mode, its length
-    in conventional mode."""
-    if params.mode is AcoMode.CONVENTIONAL:
+def cost_ref(path, params, improved):
+    """The colony's objective of a finished path: its score in the improved colony,
+    its length in the conventional one."""
+    if not improved:
         return path.length
     return score_ref(path.length, path.corners, params.delta, params.zeta)
 
 
-def update_pheromone_ref(tau, paths, params):
+def update_pheromone_ref(tau, paths, params, improved):
     """Dict-based pheromone update: evaporate every edge, then deposit q / cost
-    along each finished path, in path order; improved mode deposits only for
-    the elite_cutoff lowest-cost paths (stable on ties).
+    along each finished path, in path order; the improved colony deposits only
+    for the elite_cutoff lowest-cost paths (stable on ties).
 
     tau: dict edge->value (directed edges (i, j) of cell tuples).
     paths: AntPaths; params: AcoParams.
     """
     new = {e: v * (1.0 - params.rho) for e, v in tau.items()}
     finished = [p for p in paths if p.reached]
-    if params.mode is not AcoMode.CONVENTIONAL:
+    if improved:
         elite = params.elite_cutoff if params.elite_cutoff is not None else params.n_ants - 1
-        finished = sorted(finished, key=lambda p: cost_ref(p, params))[:elite]
+        finished = sorted(finished, key=lambda p: cost_ref(p, params, improved))[:elite]
     for p in finished:
-        amount = params.q / cost_ref(p, params)
+        amount = params.q / cost_ref(p, params, improved)
         for i, j in zip(p.cells, p.cells[1:]):
             new[(i, j)] += amount
     return new
@@ -372,11 +372,12 @@ def neighbor_table_ref(graph):
             for cid in range(len(mask) * cols)]
 
 
-def colony_tables_ref(graph, params):
-    """eta^gamma per directed edge index and the corner-factor table of the mode:
-    row p + 1 for previous direction p, row 0 for the first step."""
+def colony_tables_ref(graph, params, improved):
+    """eta^gamma per directed edge index and the corner-factor table of the improved
+    or the conventional colony: row p + 1 for previous direction p, row 0 for the
+    first step."""
     eta_g = [(1.0 / step) ** params.gamma for step in step_lengths_ref(graph.cell_size)]
-    if params.mode is AcoMode.IMPROVED:
+    if improved:
         vtab = [(1.0,) * 8] + [tuple(corner_ref(DIR_ANGLES[p], (0, 0), DIR_OFFSETS[d])
                                      for d in range(8)) for p in range(8)]
     else:
@@ -437,16 +438,15 @@ def construct_ref(graph, nbrs, weights, vtab, start_id, goal_id, max_steps, gen,
                    tuple(dirs))
 
 
-def plan_subpath_ref(graph, start, subgoal, params, seed, stats=None):
+def plan_subpath_ref(graph, start, subgoal, params, seed, stats=None, *, improved=True):
     """plan_subpath as a Python loop over numpy generators:
     ant k of iteration n walks on default_rng(SeedSequence((*key, n, k))),
     repair draws from stream k = n_ants. Returns the best path, the series
     and the final pheromone {(i, j): tau} of every directed edge. stats, a
     Counter, also counts repairs with and without unfinished ants."""
     key = tuple(seed) if isinstance(seed, (tuple, list)) else (int(seed),)
-    improved = params.mode is AcoMode.IMPROVED
     max_steps = min(params.max_steps or graph.n - 1, graph.n - 1)
-    eta_g, vtab = colony_tables_ref(graph, params)
+    eta_g, vtab = colony_tables_ref(graph, params, improved)
     nbrs = neighbor_table_ref(graph)
     edges = [(e, (graph.cell_of(cid), graph.cell_of(nid)))
              for cid, row in enumerate(nbrs) for nid, e, _, _ in row]
@@ -481,9 +481,9 @@ def plan_subpath_ref(graph, start, subgoal, params, seed, stats=None):
                 stats["repair_unfinished" if unfinished else "repair_all_finished"] += 1
             pool = unfinished or range(m)
             paths[pool[int(gens[m].integers(len(pool)))]] = best
-        tau = update_pheromone_ref(tau, paths, params)
+        tau = update_pheromone_ref(tau, paths, params, improved)
         for p in paths:
-            if p.reached and (cost := cost_ref(p, params)) < best_cost:
+            if p.reached and (cost := cost_ref(p, params, improved)) < best_cost:
                 best, best_cost = p, cost
         series.append(best_cost)
     if best is None:
@@ -534,11 +534,11 @@ def plan_cycle_ref(occ, world_cell_size, pose, goal, config, seed, cycle):
                if candidates[i][0] in reach and candidates[i][0] not in trials]
 
     graph = GridGraph(np.array(mask), cs)
-    params = config.aco_for_planner()
+    improved = config.planner is PlannerKind.PROPOSED
     for attempt, cell in enumerate(trials):
         try:
-            path, series, _ = plan_subpath_ref(graph, (h, h), cell, params,
-                                               (seed, cycle, attempt))
+            path, series, _ = plan_subpath_ref(graph, (h, h), cell, config.aco,
+                                               (seed, cycle, attempt), improved=improved)
         except NoPathFound:
             continue
         return "ok", cell, path.cells, series

@@ -11,7 +11,7 @@ size (oracles.step_lengths_ref), not from the package.
 import math
 from unittest import mock
 
-from antnav import AcoMode, CostWeights, NoPathFound
+from antnav import CostWeights, NoPathFound
 from antnav.aco import _CORNER_FACTORS, heuristic_weights
 from antnav.geometry import DIR_ANGLES, wrap_angle
 
@@ -54,11 +54,11 @@ def random_field_state(rng, n=6):
     return tau, graph, cell, tabu, prev
 
 
-def kernel_transition(tau, graph, cell, tabu, prev, params):
+def kernel_transition(tau, graph, cell, tabu, prev, params, *, improved=True):
     """Move distribution {cell: p} of colony.c's walk(): (1 / step) ** gamma per
     direction, from params.gamma and the cell size as colony_run computes it,
-    and the _CORNER_FACTORS table, times tau^phi, combined as walk() combines
-    them."""
+    and the _CORNER_FACTORS table (the improved colony's alone), times tau^phi,
+    combined as walk() combines them."""
     eta_g = heuristic_weights(step_lengths_ref(graph.cell_size), params.gamma)
     turn = list(_CORNER_FACTORS[prev + 1])
     cid = graph.id_of(cell)
@@ -68,14 +68,14 @@ def kernel_transition(tau, graph, cell, tabu, prev, params):
             continue
         w = (tau[cid * 8 + d] if params.phi == 1.0 else tau[cid * 8 + d] ** params.phi) \
             * eta_g[d]
-        if params.mode is AcoMode.IMPROVED:
+        if improved:
             w *= turn[d]
         weights[j] = w
         total += w
     return {c: w / total for c, w in weights.items()}
 
 
-def kernel_run(graph, start, goal, params, seed):
+def kernel_run(graph, start, goal, params, seed, *, improved=True):
     """plan_subpath's result, or its NoPathFound message, and the pheromone
     array it handed the kernel, as the kernel left it."""
     taus = []
@@ -87,7 +87,7 @@ def kernel_run(graph, start, goal, params, seed):
 
     with mock.patch.object(stages, "pointer", spy):
         try:
-            result = plan_subpath(graph, start, goal, params, seed)
+            result = plan_subpath(graph, start, goal, params, seed, improved=improved)
         except NoPathFound as exc:
             result = str(exc)
     return result, taus[0]

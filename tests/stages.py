@@ -236,10 +236,11 @@ class AntPath:
     dirs: tuple[int, ...] = ()  # direction index per step, as the kernel walked it
 
 
-def plan_subpath(graph: GridGraph, start: Cell, subgoal: Cell, params,
-                 seed) -> tuple[AntPath, list[float]]:
-    """The best path from start to subgoal of one colony_run, and the best score so
-    far per iteration (inf before the first finisher).
+def plan_subpath(graph: GridGraph, start: Cell, subgoal: Cell, params, seed, *,
+                 improved: bool = True) -> tuple[AntPath, list[float]]:
+    """The best path from start to subgoal of one colony_run of the improved
+    colony, or of the conventional one, and the best score so far per
+    iteration (inf before the first finisher).
 
     seed is an int or tuple of non-negative ints; ant k of iteration n walks
     on the stream of key (seed..., n, k) and repair draws from (seed..., n,
@@ -255,7 +256,7 @@ def plan_subpath(graph: GridGraph, start: Cell, subgoal: Cell, params,
     if not graph.traversable(subgoal):
         raise ValueError(f"subgoal cell {subgoal} is not traversable")
 
-    colony = params.kernel_args(graph.cell_size, graph.n)
+    colony = params.kernel_args(graph.cell_size, graph.n, improved)
     max_steps, n_iters = params.resolved_max_steps(graph.n), params.n_iters
     tau = np.empty(graph.n * 8)  # the kernel fills it with tau0
     cells = np.empty(max_steps + 1, dtype=np.int32)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from antnav import (AcoMode, AcoParams, CostWeights, NoPathFound, PlannerKind, Pose, RunStatus,
+from antnav import (AcoParams, CostWeights, NoPathFound, PlannerKind, Pose, RunStatus,
                     WorldMap, corner_heuristic, run)
 from antnav.aco import heuristic_weights
 from antnav.geometry import DIR_ANGLES, DIR_OFFSETS, SQRT2
@@ -122,14 +122,14 @@ class TestCriterion1:
             if case is None:
                 continue
             tau, graph, cell, tabu, prev = case
-            mode = AcoMode.IMPROVED if rng.random() < 0.5 else AcoMode.CONVENTIONAL
+            improved = rng.random() < 0.5
             params = AcoParams(phi=float(rng.uniform(0.5, 2.0)),
-                               gamma=float(rng.uniform(0.5, 6.0)), mode=mode)
-            dist = kernel_transition(tau, graph, cell, tabu, prev, params)
+                               gamma=float(rng.uniform(0.5, 6.0)))
+            dist = kernel_transition(tau, graph, cell, tabu, prev, params, improved=improved)
             nbr_cells = [j for _, j in neighbors_ref(graph.mask, cell)]
             ref = transition_ref(tau, graph.cols, nbr_cells, tabu,
                                  None if prev < 0 else DIR_ANGLES[prev], cell, params.phi,
-                                 params.gamma, graph.cell_size, mode is AcoMode.IMPROVED)
+                                 params.gamma, graph.cell_size, improved)
             ok &= dist.keys() == ref.keys()
             for c, p in dist.items():
                 ok &= track(p, ref[c])
@@ -150,14 +150,14 @@ class TestCriterion1:
                                delta=float(rng.uniform(0.1, 2.0)),
                                zeta=float(rng.uniform(0.0, 2.0)),
                                tau0=float(rng.uniform(0.1, 3.0)),
-                               n_ants=int(rng.integers(2, 5)), n_iters=int(rng.integers(1, 5)),
-                               mode=AcoMode.IMPROVED if rng.random() < 0.5
-                               else AcoMode.CONVENTIONAL)
+                               n_ants=int(rng.integers(2, 5)), n_iters=int(rng.integers(1, 5)))
+            improved = rng.random() < 0.5
             try:
-                expected = plan_subpath_ref(graph, start, goal, params, checked)
+                expected = plan_subpath_ref(graph, start, goal, params, checked,
+                                            improved=improved)
             except NoPathFound as exc:
                 expected = str(exc)
-            got, tau = kernel_run(graph, start, goal, params, checked)
+            got, tau = kernel_run(graph, start, goal, params, checked, improved=improved)
             if isinstance(expected, str) or isinstance(got, str):
                 ok &= got == expected
             else:
@@ -185,10 +185,10 @@ class TestCriterion2:
                 continue
             tau, graph, cell, tabu, prev = case
             params = AcoParams(phi=float(rng.uniform(0.5, 2.0)),
-                               gamma=float(rng.uniform(0.5, 6.0)),
-                               mode=AcoMode.IMPROVED if rng.random() < 0.5
-                               else AcoMode.CONVENTIONAL)
-            total = sum(kernel_transition(tau, graph, cell, tabu, prev, params).values())
+                               gamma=float(rng.uniform(0.5, 6.0)))
+            improved = rng.random() < 0.5
+            total = sum(kernel_transition(tau, graph, cell, tabu, prev, params,
+                                          improved=improved).values())
             worst = max(worst, abs(total - 1.0))
             checked += 1
         # the families of the kernel's ranking, the planning cycle's
@@ -272,8 +272,7 @@ class TestCriterion4:
         t_improved, t_conventional = [], []
         for seed in range(30):
             _, s_imp = plan_subpath(grid, (0, 0), (19, 19), base, (9000, seed))
-            _, s_con = plan_subpath(grid, (0, 0), (19, 19),
-                                    base.replace(mode=AcoMode.CONVENTIONAL), (9000, seed))
+            _, s_con = plan_subpath(grid, (0, 0), (19, 19), base, (9000, seed), improved=False)
             t_improved.append(iterations_to_within(s_imp))
             t_conventional.append(iterations_to_within(s_con))
         med_imp = float(np.median(t_improved))

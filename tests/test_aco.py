@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from antnav import AcoMode, AcoParams, ColonyWeightError, NoPathFound, corner_heuristic
+from antnav import AcoParams, ColonyWeightError, NoPathFound, corner_heuristic
 from antnav.aco import _CORNER_FACTORS, heuristic_weights
 from antnav.geometry import DIR_ANGLES, DIR_OFFSETS
 
@@ -87,7 +87,7 @@ class Fork:
     def first_edges(self):
         return [edge(self.graph, self.start, cells[0]) for cells in self.branches]
 
-    def walks(self, params):
+    def walks(self, params, improved=True):
         """(reached, length, corners, cost) per branch, as the kernel walks it."""
         cap = min(params.max_steps or self.graph.n - 1, self.graph.n - 1)
         out = []
@@ -98,12 +98,11 @@ class Fork:
             for d in dirs[:cap]:
                 length += steps[d]
             corners = sum(a != b for a, b in zip(dirs[:cap], dirs[1:cap]))
-            cost = params.delta * length + params.zeta * corners \
-                if params.mode is AcoMode.IMPROVED else length
+            cost = params.delta * length + params.zeta * corners if improved else length
             out.append((path[-1] == self.goal and len(dirs) <= cap, length, corners, cost))
         return out
 
-    def colony(self, params, seed, repair_pool="unfinished"):
+    def colony(self, params, seed, repair_pool="unfinished", improved=True):
         """The colony worked out from the ants' first draws: per iteration
         the branch of every ant (before repair) and the quotient of the first
         move, plus the series and the final pheromone on each branch's edges.
@@ -111,8 +110,7 @@ class Fork:
         repair_pool "all" draws the repaired ant from every ant, also when
         some are unfinished; None leaves repair out.
         """
-        improved = params.mode is AcoMode.IMPROVED
-        walks = self.walks(params)
+        walks = self.walks(params, improved)
         eta = heuristic_weights(step_lengths_ref(self.graph.cell_size), params.gamma)
         eta_first = [eta[e % 8] for e in self.first_edges()]
         m = params.n_ants
@@ -145,9 +143,10 @@ class Fork:
             series.append(best_cost)
         return SimpleNamespace(picks=picks, p=quotients, series=series, tau=tau)
 
-    def run(self, params, seed):
+    def run(self, params, seed, improved=True):
         """plan_subpath's path and series, and the pheromone array the kernel left."""
-        result, tau = kernel_run(self.graph, self.start, self.goal, params, seed)
+        result, tau = kernel_run(self.graph, self.start, self.goal, params, seed,
+                                 improved=improved)
         assert not isinstance(result, str), result
         return result[0], result[1], tau
 
@@ -233,8 +232,9 @@ class TestTransitionProbabilities:
     def test_single_feasible_neighbor(self):
         # one open move at every step: every ant of every iteration finishes
         graph = picture_grid(BEND)
-        params = AcoParams(n_ants=6, n_iters=3, mode=AcoMode.CONVENTIONAL)
-        (path, series), tau = kernel_run(graph, BEND_CELLS[0], BEND_CELLS[-1], params, 3)
+        params = AcoParams(n_ants=6, n_iters=3)
+        (path, series), tau = kernel_run(graph, BEND_CELLS[0], BEND_CELLS[-1], params, 3,
+                                         improved=False)
         assert path.cells == BEND_CELLS and series == [path.length] * 3
         forward = back = 1.0
         for _ in range(3):
@@ -257,10 +257,10 @@ class TestTransitionProbabilities:
         fork = Fork(RING, (0, 2), (4, 2),
                     (((0, 3), (1, 4), (2, 4), (3, 4), (4, 3), (4, 2)),
                      ((0, 1), (1, 0), (2, 0), (3, 0), (4, 1), (4, 2))))
-        params = AcoParams(n_ants=400, n_iters=1, mode=AcoMode.CONVENTIONAL)
-        model = fork.colony(params, 8)
+        params = AcoParams(n_ants=400, n_iters=1)
+        model = fork.colony(params, 8, improved=False)
         assert model.p == [0.5] and abs(model.picks[0].count(0) - 200) < 40
-        _, series, tau = fork.run(params, 8)
+        _, series, tau = fork.run(params, 8, improved=False)
         assert same_series(series, model.series)
         assert all(rel_close(tau[e], t) for e, t in zip(fork.first_edges(), model.tau))
 
@@ -268,10 +268,10 @@ class TestTransitionProbabilities:
         # an ant that steps into (1, 0) has no open move left: its walk ends
         # unfinished and deposits nothing
         fork = spur_fork()
-        params = AcoParams(gamma=1.0, n_ants=12, n_iters=1, mode=AcoMode.CONVENTIONAL)
-        model = fork.colony(params, 4)
+        params = AcoParams(gamma=1.0, n_ants=12, n_iters=1)
+        model = fork.colony(params, 4, improved=False)
         assert 0 < model.picks[0].count(1) < 12
-        path, _, tau = fork.run(params, 4)
+        path, _, tau = fork.run(params, 4, improved=False)
         assert path.cells == (fork.start,) + fork.branches[0]
         corridor, dead_end = fork.first_edges()
         assert tau[dead_end] == 0.7
@@ -279,8 +279,8 @@ class TestTransitionProbabilities:
         assert rel_close(tau[corridor], deposited(0.7, 1.0 / path.length,
                                                   model.picks[0].count(0)))
 
-    @pytest.mark.parametrize("mode", [AcoMode.IMPROVED, AcoMode.CONVENTIONAL])
-    def test_randomized_against_explicit_quotient(self, mode):
+    @pytest.mark.parametrize("improved", [True, False], ids=["improved", "conventional"])
+    def test_randomized_against_explicit_quotient(self, improved):
         rng = np.random.default_rng(17)
         # the kernel's weights combined as walk() combines them, on random
         # pheromone, tabu lists and previous moves
@@ -291,12 +291,12 @@ class TestTransitionProbabilities:
                 continue
             tau, graph, cell, tabu, prev = case
             params = AcoParams(phi=float(rng.uniform(0.5, 2.0)),
-                               gamma=float(rng.uniform(0.5, 6.0)), mode=mode)
-            dist = kernel_transition(tau, graph, cell, tabu, prev, params)
+                               gamma=float(rng.uniform(0.5, 6.0)))
+            dist = kernel_transition(tau, graph, cell, tabu, prev, params, improved=improved)
             nbr_cells = [j for _, j in neighbors_ref(graph.mask, cell)]
             ref = transition_ref(tau, graph.cols, nbr_cells, tabu,
                                  None if prev < 0 else DIR_ANGLES[prev], cell, params.phi,
-                                 params.gamma, graph.cell_size, mode is AcoMode.IMPROVED)
+                                 params.gamma, graph.cell_size, improved)
             assert dist.keys() == ref.keys()
             for c, p in dist.items():
                 assert rel_close(p, ref[c])
@@ -311,16 +311,15 @@ class TestTransitionProbabilities:
                                delta=float(rng.uniform(0.1, 2.0)),
                                zeta=float(rng.uniform(0.0, 2.0)),
                                tau0=float(rng.uniform(0.1, 3.0)),
-                               n_ants=int(rng.integers(2, 30)), n_iters=int(rng.integers(1, 5)),
-                               mode=mode)
-            model = fork.colony(params, case)
+                               n_ants=int(rng.integers(2, 30)), n_iters=int(rng.integers(1, 5)))
+            model = fork.colony(params, case, improved=improved)
             graph = fork.graph
             first = [cells[0] for cells in fork.branches]
             ref = transition_ref(np.full(graph.n * 8, params.tau0), graph.cols, first, (),
                                  None, fork.start, params.phi, params.gamma, graph.cell_size,
-                                 mode is AcoMode.IMPROVED)
+                                 improved)
             assert rel_close(model.p[0], ref[first[0]])
-            _, series, tau = fork.run(params, case)
+            _, series, tau = fork.run(params, case, improved)
             assert same_series(series, model.series)
             assert all(rel_close(tau[e], t) for e, t in zip(fork.first_edges(), model.tau))
 
@@ -333,8 +332,9 @@ class TestRouletteSelect:
         # one candidate per step: every ant walks the corridor, whatever its draw
         assert max(stream(5, 1, k).random() for k in range(40)) > 0.95
         graph = picture_grid(BEND)
-        params = AcoParams(n_ants=40, n_iters=1, mode=AcoMode.CONVENTIONAL)
-        (path, _), tau = kernel_run(graph, BEND_CELLS[0], BEND_CELLS[-1], params, 5)
+        params = AcoParams(n_ants=40, n_iters=1)
+        (path, _), tau = kernel_run(graph, BEND_CELLS[0], BEND_CELLS[-1], params, 5,
+                                    improved=False)
         for a, b in zip(BEND_CELLS, BEND_CELLS[1:]):
             assert rel_close(tau[edge(graph, a, b)], deposited(0.7, 1.0 / path.length, 40))
 
@@ -342,13 +342,13 @@ class TestRouletteSelect:
         fork = ring_fork()
         eta = heuristic_weights(step_lengths_ref(fork.graph.cell_size), 1.0)
         for gamma in (0.5, 1.0, 2.0, 4.0, 8.0):
-            params = AcoParams(gamma=gamma, n_ants=50, n_iters=1, mode=AcoMode.CONVENTIONAL)
+            params = AcoParams(gamma=gamma, n_ants=50, n_iters=1)
             w = [eta[e % 8] ** gamma for e in fork.first_edges()]
             p = w[0] / (w[0] + w[1])
             n_first = sum(stream(11, 1, k).random() < p for k in range(50))
             assert 0 < n_first < 50
-            lengths = [walk[1] for walk in fork.walks(params)]
-            _, _, tau = fork.run(params, 11)
+            lengths = [walk[1] for walk in fork.walks(params, improved=False)]
+            _, _, tau = fork.run(params, 11, improved=False)
             e0, e1 = fork.first_edges()
             assert rel_close(tau[e0], deposited(0.7, 1.0 / lengths[0], n_first))
             assert rel_close(tau[e1], deposited(0.7, 1.0 / lengths[1], 50 - n_first))
@@ -357,9 +357,9 @@ class TestRouletteSelect:
         # gamma 2: the straight first move weighs 1, the diagonal one 1/2
         fork = ring_fork()
         m = 20000
-        params = AcoParams(gamma=2.0, rho=0.5, n_ants=m, n_iters=1, mode=AcoMode.CONVENTIONAL)
-        lengths = [walk[1] for walk in fork.walks(params)]
-        _, _, tau = fork.run(params, 23)
+        params = AcoParams(gamma=2.0, rho=0.5, n_ants=m, n_iters=1)
+        lengths = [walk[1] for walk in fork.walks(params, improved=False)]
+        _, _, tau = fork.run(params, 23, improved=False)
         counts = [round((tau[e] - 0.5) * length)
                   for e, length in zip(fork.first_edges(), lengths)]
         assert sum(counts) == m
@@ -369,12 +369,13 @@ class TestRouletteSelect:
 
 class TestScore:
     """The cost the kernel ranks by: delta * length + zeta * corners in
-    improved mode, the length in conventional mode; plan_subpath's series
-    holds the best cost so far."""
+    the improved colony, the length in the conventional one; plan_subpath's
+    series holds the best cost so far."""
 
-    def bend(self, cell_size=1.0, **params):
+    def bend(self, cell_size=1.0, improved=True, **params):
         path, series = plan_subpath(picture_grid(BEND, cell_size), BEND_CELLS[0],
-                                    BEND_CELLS[-1], AcoParams(n_ants=2, n_iters=2, **params), 0)
+                                    BEND_CELLS[-1], AcoParams(n_ants=2, n_iters=2, **params), 0,
+                                    improved=improved)
         assert path.cells == BEND_CELLS and path.corners == 2
         return path, series
 
@@ -388,7 +389,7 @@ class TestScore:
         assert rel_close(series[-1], 0.7 * (3.0 + SQRT2) + 0.3 * 2)
 
     def test_conventional_objective_is_the_length(self):
-        path, series = self.bend(delta=0.7, zeta=0.3, mode=AcoMode.CONVENTIONAL)
+        path, series = self.bend(delta=0.7, zeta=0.3, improved=False)
         assert series[-1] == path.length
 
     def test_unfinished_rejected(self):
@@ -414,8 +415,9 @@ class TestScore:
 
 class TestUpdatePheromone:
     """The update the kernel runs after each iteration with a finisher:
-    every edge evaporates by 1 - rho, then each finished path (in improved
-    mode the elite_cutoff best) deposits q / cost on the edges it walked."""
+    every edge evaporates by 1 - rho, then each finished path (in the
+    improved colony the elite_cutoff best) deposits q / cost on the edges it
+    walked."""
 
     def test_pure_evaporation(self):
         fork = spur_fork()
@@ -435,9 +437,10 @@ class TestUpdatePheromone:
             assert rel_close(tau[edge(graph, a, b)], 0.7 + 1.0 / w)
             assert rel_close(tau[edge(graph, b, a)], 0.7)  # reverse edge untouched
 
-    def one_long_walk(self, fork, params):
+    def one_long_walk(self, fork, params, improved=True):
         """A seed whose first iteration sends exactly one ant the long way round."""
-        return next(s for s in range(100) if fork.colony(params, s).picks[0].count(1) == 1)
+        return next(s for s in range(100)
+                    if fork.colony(params, s, improved=improved).picks[0].count(1) == 1)
 
     def test_worst_ant_excluded_at_default_cutoff(self):
         fork = ring_fork()
@@ -451,11 +454,10 @@ class TestUpdatePheromone:
 
     def test_conventional_mode_deposits_by_length_for_all(self):
         fork = ring_fork()
-        params = AcoParams(gamma=1.0, rho=0.3, q=2.0, n_ants=3, n_iters=1,
-                           mode=AcoMode.CONVENTIONAL)
-        seed = self.one_long_walk(fork, params)
-        _, _, tau = fork.run(params, seed)
-        lengths = [walk[1] for walk in fork.walks(params)]
+        params = AcoParams(gamma=1.0, rho=0.3, q=2.0, n_ants=3, n_iters=1)
+        seed = self.one_long_walk(fork, params, improved=False)
+        _, _, tau = fork.run(params, seed, improved=False)
+        lengths = [walk[1] for walk in fork.walks(params, improved=False)]
         short, long = fork.first_edges()
         assert rel_close(tau[long], 0.7 + 2.0 / lengths[1])
         assert rel_close(tau[short], deposited(0.7, 2.0 / lengths[0], 2))
@@ -463,13 +465,12 @@ class TestUpdatePheromone:
     def test_unfinished_never_deposit(self):
         # a step cap of 5 stops the long way round after 5 of its 7 steps
         fork = ring_fork()
-        params = AcoParams(gamma=1.0, rho=0.3, n_ants=8, n_iters=1, max_steps=5,
-                           mode=AcoMode.CONVENTIONAL)
-        walks = fork.walks(params)
+        params = AcoParams(gamma=1.0, rho=0.3, n_ants=8, n_iters=1, max_steps=5)
+        walks = fork.walks(params, improved=False)
         assert walks[0][0] and not walks[1][0]
-        model = fork.colony(params, 6)
+        model = fork.colony(params, 6, improved=False)
         assert 0 < model.picks[0].count(1) < 8
-        _, _, tau = fork.run(params, 6)
+        _, _, tau = fork.run(params, 6, improved=False)
         capped = (fork.start,) + fork.branches[1][:5]
         assert all(tau[edge(fork.graph, a, b)] == 0.7 for a, b in zip(capped, capped[1:]))
         assert rel_close(tau[fork.first_edges()[0]],
@@ -488,7 +489,7 @@ class TestUpdatePheromone:
 
 
 class TestRepair:
-    """Once an incumbent exists, improved mode hands it to one ant before
+    """Once an incumbent exists, the improved colony hands it to one ant before
     each update: to an unfinished ant drawn with Generator.integers on the
     stream (seed, iteration, n_ants), or to any ant when all finished."""
 
@@ -606,8 +607,8 @@ class TestPlanSubpath:
             plan_subpath(open_grid(3), (5, 5), (1, 1), AcoParams(), 0)
 
     def test_conventional_mode_returns_min_length_objective(self):
-        params = AcoParams(n_iters=10, n_ants=8, mode=AcoMode.CONVENTIONAL)
-        path, series = plan_subpath(open_grid(7), (0, 0), (0, 6), params, 5)
+        params = AcoParams(n_iters=10, n_ants=8)
+        path, series = plan_subpath(open_grid(7), (0, 0), (0, 6), params, 5, improved=False)
         assert path.reached
         assert series[-1] == path.length
 
@@ -671,15 +672,15 @@ class TestWalkKernel:
         for _ in range(200):
             graph = open_grid(2, float(rng.uniform(0.3, 2.0)))
             gamma = float(rng.uniform(0.5, 6.0))
-            for mode in AcoMode:
-                eta_g, vtab = oracles.colony_tables_ref(graph, AcoParams(gamma=gamma, mode=mode))
+            for improved in (True, False):
+                eta_g, vtab = oracles.colony_tables_ref(graph, AcoParams(gamma=gamma), improved)
                 assert eta_g.tolist() == heuristic_weights(
                     step_lengths_ref(graph.cell_size), gamma) * graph.n
-                turn = np.array(_CORNER_FACTORS) if mode is AcoMode.IMPROVED else np.ones((9, 8))
+                turn = np.array(_CORNER_FACTORS) if improved else np.ones((9, 8))
                 assert np.array(vtab).tolist() == turn.tolist()
 
-    @pytest.mark.parametrize("mode", [AcoMode.IMPROVED, AcoMode.CONVENTIONAL])
-    def test_picks_equal_transition_oracle(self, mode):
+    @pytest.mark.parametrize("improved", [True, False], ids=["improved", "conventional"])
+    def test_picks_equal_transition_oracle(self, improved):
         rng = np.random.default_rng(41)
         steps = dead_ends = 0
         for case in range(300):
@@ -691,11 +692,11 @@ class TestWalkKernel:
             tau = rng.uniform(0.01, 5.0, graph.n * 8)
             # phi != 1 in two cases of three: the weight table keeps float **
             params = AcoParams(phi=[1.0, 0.6, 1.7][case % 3],
-                               gamma=float(rng.uniform(0.5, 6.0)), mode=mode)
+                               gamma=float(rng.uniform(0.5, 6.0)))
             draws = rng.random(graph.n)
             eta_g = np.tile(heuristic_weights(step_lengths_ref(graph.cell_size), params.gamma),
                             graph.n)
-            turn = np.array(_CORNER_FACTORS) if mode is AcoMode.IMPROVED else np.ones((9, 8))
+            turn = np.array(_CORNER_FACTORS) if improved else np.ones((9, 8))
             path = oracles.construct_ref(
                 graph, oracles.neighbor_table_ref(graph),
                 oracles.edge_weights_ref(tau, params.phi, eta_g), turn.tolist(),
@@ -706,7 +707,7 @@ class TestWalkKernel:
             for i, (cell, nxt, d) in enumerate(zip(path.cells, path.cells[1:], path.dirs)):
                 dist = transition_ref(tau, graph.cols, nbr_cells[cell], path.cells[:i + 1],
                                       prev, cell, params.phi, params.gamma, graph.cell_size,
-                                      mode is AcoMode.IMPROVED)
+                                      improved)
                 acc, pick = 0.0, list(dist)[-1]
                 for c, p in dist.items():
                     acc += p
@@ -720,7 +721,7 @@ class TestWalkKernel:
             if not path.reached:
                 assert transition_ref(tau, graph.cols, nbr_cells[path.cells[-1]], path.cells,
                                       prev, path.cells[-1], params.phi, params.gamma,
-                                      graph.cell_size, mode is AcoMode.IMPROVED) == {}
+                                      graph.cell_size, improved) == {}
                 dead_ends += 1
         assert steps > 1000 and dead_ends > 10
 
@@ -745,7 +746,7 @@ class TestKernelDifferential:
             i, j = rng.choice(len(free), 2, replace=False)
             start, goal = free[i], free[j]
             graph = GridGraph(mask, 1.0 if ties else float(rng.uniform(0.3, 2.0)))
-            mode = AcoMode.IMPROVED if cases % 2 else AcoMode.CONVENTIONAL
+            improved = cases % 2 == 1
             m = int(rng.integers(2, 13))
             params = AcoParams(
                 phi=[1.0, 0.6, 1.7][cases % 3], gamma=float(rng.uniform(0.5, 6.0)),
@@ -756,18 +757,18 @@ class TestKernelDifferential:
                 tau0=float(rng.uniform(0.1, 3.0)),
                 max_steps=None if rng.random() < 0.5 else int(rng.integers(1, n + 3)),
                 elite_cutoff=None if rng.random() < 0.4 and not ties
-                else int(rng.integers(1, m)),
-                mode=mode)
+                else int(rng.integers(1, m)))
             seed = tuple(int(v) for v in rng.integers(0, 2 ** 40, int(rng.integers(1, 4))))
             try:
-                expected = oracles.plan_subpath_ref(graph, start, goal, params, seed, stats)
+                expected = oracles.plan_subpath_ref(graph, start, goal, params, seed, stats,
+                                                    improved=improved)
             except NoPathFound as exc:
                 with pytest.raises(NoPathFound) as got:
-                    plan_subpath(graph, start, goal, params, seed)
+                    plan_subpath(graph, start, goal, params, seed, improved=improved)
                 assert str(got.value) == str(exc)
                 outcomes["consecutive" if "consecutive" in str(exc) else "budget"] += 1
             else:
-                path, series = plan_subpath(graph, start, goal, params, seed)
+                path, series = plan_subpath(graph, start, goal, params, seed, improved=improved)
                 assert (path.cells, path.dirs, path.length, path.corners, path.reached) == \
                     (expected[0].cells, expected[0].dirs, expected[0].length,
                      expected[0].corners, True)
@@ -801,19 +802,20 @@ class TestKernelDifferential:
             params = AcoParams(
                 phi=[1.0, 0.6][cases % 2], gamma=float(rng.uniform(0.5, 4.0)),
                 rho=float(rng.uniform(0.05, 0.95)), n_ants=m,
-                n_iters=int(rng.integers(1, 9)), elite_cutoff=int(rng.integers(1, m)),
-                mode=AcoMode.IMPROVED if cases % 4 < 2 else AcoMode.CONVENTIONAL)
+                n_iters=int(rng.integers(1, 9)), elite_cutoff=int(rng.integers(1, m)))
+            improved = cases % 4 < 2
             seed = (int(rng.integers(0, 2 ** 32)), cases)
             try:
                 expected = oracles.plan_subpath_ref(graph, free[i], free[j], params, seed,
-                                                    Counter())
+                                                    Counter(), improved=improved)
             except NoPathFound as exc:
                 with pytest.raises(NoPathFound) as got:
-                    plan_subpath(graph, free[i], free[j], params, seed)
+                    plan_subpath(graph, free[i], free[j], params, seed, improved=improved)
                 assert str(got.value) == str(exc)
                 outcomes["no_path"] += 1
             else:
-                path, series = plan_subpath(graph, free[i], free[j], params, seed)
+                path, series = plan_subpath(graph, free[i], free[j], params, seed,
+                                            improved=improved)
                 assert (path.cells, path.dirs, path.length, path.corners) == \
                     (expected[0].cells, expected[0].dirs, expected[0].length,
                      expected[0].corners)
@@ -895,16 +897,17 @@ class TestGridGraph:
             i, j = rng.choice(len(free), 2, replace=False)
             graph = GridGraph(mask, float(rng.uniform(0.3, 2.0)))
             params = AcoParams(phi=[1.0, 0.6][case % 2], gamma=float(rng.uniform(0.5, 4.0)),
-                               n_ants=int(rng.integers(2, 8)), n_iters=int(rng.integers(1, 6)),
-                               mode=AcoMode.IMPROVED if case % 2 else AcoMode.CONVENTIONAL)
+                               n_ants=int(rng.integers(2, 8)), n_iters=int(rng.integers(1, 6)))
+            improved = case % 2 == 1
             try:
-                expected = plan_subpath_ref(graph, free[i], free[j], params, case)
+                expected = plan_subpath_ref(graph, free[i], free[j], params, case,
+                                            improved=improved)
             except NoPathFound as exc:
                 with pytest.raises(NoPathFound) as got:
-                    plan_subpath(graph, free[i], free[j], params, case)
+                    plan_subpath(graph, free[i], free[j], params, case, improved=improved)
                 assert str(got.value) == str(exc)
                 continue
-            path, series = plan_subpath(graph, free[i], free[j], params, case)
+            path, series = plan_subpath(graph, free[i], free[j], params, case, improved=improved)
             assert (path.cells, path.dirs, path.length, path.corners) == \
                 (expected[0].cells, expected[0].dirs, expected[0].length, expected[0].corners)
             assert series == expected[1]
@@ -988,12 +991,13 @@ class TestWalkOnEdgeShapes:
             params = AcoParams(
                 phi=[1.0, 0.6][case % 2], gamma=float(rng.uniform(0.5, 4.0)),
                 rho=float(rng.uniform(0.05, 0.95)), n_ants=m, n_iters=int(rng.integers(1, 9)),
-                elite_cutoff=int(rng.integers(1, m)),
-                mode=AcoMode.IMPROVED if case % 4 < 2 else AcoMode.CONVENTIONAL)
+                elite_cutoff=int(rng.integers(1, m)))
+            improved = case % 4 < 2
             seed = (case, 7)
-            got, tau = kernel_run(graph, start, goal, params, seed)
+            got, tau = kernel_run(graph, start, goal, params, seed, improved=improved)
             try:
-                path, series, tau_ref = plan_subpath_ref(graph, start, goal, params, seed)
+                path, series, tau_ref = plan_subpath_ref(graph, start, goal, params, seed,
+                                                         improved=improved)
             except NoPathFound as exc:
                 assert got == str(exc)
                 outcomes["no_path"] += 1

@@ -112,14 +112,18 @@ class TestApfStep:
 
 
 class TestConventionalDelegation:
-    def test_conventional_planner_is_aco_in_conventional_mode(self):
-        from antnav import AcoMode, AcoParams, PlannerConfig, PlannerKind
-        cfg = PlannerConfig(planner=PlannerKind.CONVENTIONAL_ACO)
-        assert cfg.aco_for_planner().mode is AcoMode.CONVENTIONAL
-        cfg2 = PlannerConfig(planner=PlannerKind.PROPOSED)
-        assert cfg2.aco_for_planner().mode is AcoMode.IMPROVED
-        # identical tunables otherwise: only the mode flag differs
-        a = {name: getattr(cfg.aco_for_planner(), name) for name in AcoParams._fields}
-        b = {name: getattr(cfg2.aco_for_planner(), name) for name in AcoParams._fields}
-        a.pop("mode"); b.pop("mode")
-        assert a == b
+    def test_the_planner_kind_sets_the_improved_argument_alone(self):
+        # the conventional baseline is the proposed planner's cycle with the
+        # kernel's improved argument off: the cycle's arguments are the cell
+        # size, half extent, alpha, beta and omega, then the colony block
+        # gamma, n_iters, n_ants, max_steps, improved, phi, ... elite_cutoff
+        from antnav import AcoParams, PlannerConfig, PlannerKind
+        aco = AcoParams(gamma=3.0, n_ants=7, n_iters=9, elite_cutoff=4, max_steps=30)
+        args = {kind: PlannerConfig(planner=kind, aco=aco)._kernel_args.args
+                for kind in PlannerKind}
+        proposed, conventional = args[PlannerKind.PROPOSED], args[PlannerKind.CONVENTIONAL_ACO]
+        assert proposed[5:10] == (3.0, 9, 7, 30, True) and proposed[9] is True
+        assert conventional[9] is False
+        assert proposed[:9] + proposed[10:] == conventional[:9] + conventional[10:]
+        # APF's cycle takes no colony block: the cell size, half extent and its gains
+        assert args[PlannerKind.APF] == (1.5, 4, 1.0, 100.0, 3.0)

@@ -164,13 +164,14 @@ class TestGridMemo:
 
     def test_each_key_field_misses_and_a_repeat_hits(self):
         from antnav import MovingObstacle
-        from antnav.grid import local_grid
+        from antnav.grid import local_grid, memo_key
 
         mover = MovingObstacle(((13, 10), (13, 11)), 1, "loop")  # period 2
         world = self.world((mover,))
         scan = _scan_args(*self.SCAN)
-        kept = local_grid(world, ORIGIN, scan)
-        assert local_grid(world, ORIGIN, scan) is kept and len(world._memo) == 1
+        key = memo_key(world, ORIGIN, scan)
+        kept = local_grid(world, ORIGIN, scan, key)
+        assert local_grid(world, ORIGIN, scan, key) is kept and len(world._memo) == 1
         assert kept[1:] == (None, None)  # no prelude before a colony cycle
         assert bytes(kept[0]) == self.perceived(world, ORIGIN, scan)[0]
         misses = [(world, ORIGIN, _scan_args(6.0, 180, 1.0, 4, 1)),
@@ -183,19 +184,21 @@ class TestGridMemo:
                   (world, ORIGIN.replace(psi=math.pi / 2), scan)]
         grids = []
         for i, (w, pose, args) in enumerate(misses, start=2):
-            grids.append(local_grid(w, pose, args))
+            grids.append(local_grid(w, pose, args, memo_key(w, pose, args)))
             assert grids[-1] is not kept and len(world._memo) == i
             assert bytes(grids[-1][0]) == self.perceived(w, pose, args)[0]
-        assert local_grid(world.advanced().advanced(), ORIGIN, scan) is grids[4]
+        tick2 = world.advanced().advanced()
+        assert local_grid(tick2, ORIGIN, scan, memo_key(tick2, ORIGIN, scan)) is grids[4]
         # without movers every tick reads the grids of tick 0
         static = self.world()
-        kept = local_grid(static, ORIGIN, scan)
-        assert local_grid(static.advanced().advanced(), ORIGIN, scan) is kept
+        kept = local_grid(static, ORIGIN, scan, memo_key(static, ORIGIN, scan))
+        static2 = static.advanced().advanced()
+        assert local_grid(static2, ORIGIN, scan, memo_key(static2, ORIGIN, scan)) is kept
 
     def test_signed_zeros_share_an_entry_and_perceive_alike(self):
         # 0.0 == -0.0, so the memo hands the grid of one to the other: perceive
         # writes the same cells (and ranges) for both, as heading and as coordinate
-        from antnav.grid import local_grid
+        from antnav.grid import local_grid, memo_key
 
         static = np.zeros((21, 21), bool)
         static[3, :] = static[:, 4] = True
@@ -206,7 +209,8 @@ class TestGridMemo:
                             (Pose(0.0, 10.5, math.pi / 4), Pose(-0.0, 10.5, math.pi / 4))):
             assert repr(minus) != repr(zero)  # Pose keeps the sign of a zero
             assert self.perceived(world, zero, scan) == self.perceived(world, minus, scan)
-            assert local_grid(world, minus, scan) is local_grid(world, zero, scan)
+            assert local_grid(world, minus, scan, memo_key(world, minus, scan)) \
+                is local_grid(world, zero, scan, memo_key(world, zero, scan))
         assert len(world._memo) == 3
 
     def test_past_the_bound_grids_are_made_but_not_kept(self, monkeypatch):
@@ -216,11 +220,15 @@ class TestGridMemo:
         world = self.world()
         scan = _scan_args(*self.SCAN)
         poses = [Pose(x + 0.5, 10.5, 0.0) for x in range(5, 10)]
-        first = [grid_module.local_grid(world, pose, scan) for pose in poses]
+        def kept(pose):
+            key = grid_module.memo_key(world, pose, scan)
+            return grid_module.local_grid(world, pose, scan, key)
+
+        first = [kept(pose) for pose in poses]
         assert len(world._memo) == 2
         for pose, got in zip(poses, first):
             assert bytes(got[0]) == self.perceived(world, pose, scan)[0]
-        again = [grid_module.local_grid(world, pose, scan) for pose in poses]
+        again = [kept(pose) for pose in poses]
         assert [a is b for a, b in zip(first, again)] == [True, True, False, False, False]
         assert [bytes(a[0]) for a in again] == [bytes(b[0]) for b in first]
         assert len(world._memo) == 2
@@ -253,7 +261,7 @@ class TestGridMemo:
         assert stamp == (gx, gy, sc.config.weights)
         mod, k = kernel.module(), sc.config._kernel_args
         out = mod.ffi.new("int32_t[]", [-7] * (k.max_steps + 3))
-        series = mod.ffi.new("double[]", [-7.0] * k.aco.n_iters)
+        series = mod.ffi.new("double[]", [-7.0] * sc.config.aco.n_iters)
         words = _entropy_words((sc.seed, 0))
         # an open grid, whose fill would leave candidates: the kept mark decides
         free = mod.ffi.new("int8_t[]", len(cells))

@@ -263,8 +263,8 @@ import numpy as np
 import antnav.kernel
 antnav.kernel.CFLAGS += ("-fsanitize=address,undefined", "-fno-omit-frame-pointer")
 antnav.kernel.CACHE_DIR = Path(sys.argv[1])
-from antnav import (AcoMode, AcoParams, CostWeights, NoPathFound, PlannerConfig, PlannerKind,
-                    Pose, PoseInObstacle, PoseOutOfBounds, plan_cycle, run)
+from antnav import (AcoParams, CostWeights, NoPathFound, PlannerConfig, PlannerKind, Pose,
+                    PoseInObstacle, PoseOutOfBounds, plan_cycle, run)
 from antnav.scenario import parse_scenario, with_planner, with_seed
 from antnav.world import MovingObstacle, WorldMap
 from stages import (GridGraph, LocalMinimum, NoCandidates, apf_step, candidate_cells, perceive,
@@ -344,9 +344,10 @@ for rows, cols in ((1, 1), (1, 2), (2, 1), (1, 9), (9, 1), (4, 7), (7, 4)):
         graph = GridGraph(mask, 1.0)
         for start in corners:
             graph.reachable_from(start)
-            for goal, mode in itertools.product(sorted(set(corners) - {start}), AcoMode):
+            for goal, improved in itertools.product(sorted(set(corners) - {start}), (True, False)):
                 try:
-                    plan_subpath(graph, start, goal, AcoParams(n_ants=3, n_iters=3, mode=mode), 0)
+                    plan_subpath(graph, start, goal, AcoParams(n_ants=3, n_iters=3), 0,
+                                 improved=improved)
                     walks += 1
                 except NoPathFound:
                     pass

@@ -8,7 +8,7 @@ import pytest
 
 from antnav import (MovingObstacle, MoverPolicy, PlannerConfig, Pose, PoseInObstacle,
                     PoseOutOfBounds, kernel)
-from antnav.grid import _scan_args, local_grid, ray_table
+from antnav.grid import _scan_args, local_grid, memo_key, ray_table
 from antnav.world import WorldMap
 
 from oracles import (FREE, ROBOT, candidates_ref, clamp_ref, local_grid_ref, occlude_ref,
@@ -96,7 +96,8 @@ def test_perception_matches_reference_loops(cell_size):
         assert grid.cells.dtype == np.int8
         assert np.array_equal(grid.cells, expected)
         # local_grid hands perceive no range array: it casts into scratch of its own
-        kept, _, _ = local_grid(world, pose, _scan_args(radius, n_rays, cell_size, h, rings))
+        scan = _scan_args(radius, n_rays, cell_size, h, rings)
+        kept, _, _ = local_grid(world, pose, scan, memo_key(world, pose, scan))
         assert bytes(kept) == grid.cells.tobytes()
         fired["occlusion"] += int((occluded != raw).any())
         fired["clamp"] += int((expected != occluded).any())

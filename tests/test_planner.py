@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from antnav import (AcoMode, AcoParams, ColonyWeightError, CostWeights, PlannerConfig,
-                    PlannerKind, Pose, PoseInObstacle, PoseOutOfBounds, RunStatus, kernel, run)
+from antnav import (AcoParams, ColonyWeightError, CostWeights, PlannerConfig, PlannerKind, Pose,
+                    PoseInObstacle, PoseOutOfBounds, RunStatus, kernel, run)
 from antnav import planner
 from antnav.geometry import DIR_OFFSETS
 from antnav.grid import ray_table
@@ -385,8 +385,7 @@ def test_numpy_floats_are_stored_as_floats(tmp_path, change):
 
 def test_enum_fields_store_the_member_their_value_names():
     # a string was stored as given and misread: planner="apf" ran the proposed
-    # colony, and mode="improved" the conventional one, as kernel_args tests
-    # `mode is AcoMode.IMPROVED`
+    # colony
     from pathlib import Path
 
     from antnav.scenario import parse_scenario
@@ -399,17 +398,25 @@ def test_enum_fields_store_the_member_their_value_names():
 
     assert sc.config.replace(planner="apf").planner is PlannerKind.APF
     assert poses(planner="apf") == poses(planner=PlannerKind.APF)
-    aco = sc.config.aco.replace(mode="improved")
-    assert aco.mode is AcoMode.IMPROVED
-    assert poses(aco=aco) == poses(aco=aco.replace(mode=AcoMode.IMPROVED))
-    assert AcoParams(mode="conventional").mode is AcoMode.CONVENTIONAL
+
+
+def test_the_planner_kind_is_the_colonys_one_mode_switch():
+    # the colony had a mode field of its own besides the planner kind: six
+    # settable pairs for three behaviours, and planner proposed with mode
+    # conventional ran the conventional colony under the name proposed
+    import antnav
+
+    with pytest.raises(TypeError, match="unexpected keyword argument 'mode'"):
+        AcoParams(mode="conventional")
+    with pytest.raises(TypeError, match="unexpected keyword argument 'mode'"):
+        AcoParams().replace(mode="improved")
+    assert not hasattr(antnav, "AcoMode") and not hasattr(PlannerConfig, "aco_for_planner")
 
 
 @pytest.mark.parametrize("make, field, value, message", [
     (PlannerConfig, "planner", 3, "unknown planner 3 (expected proposed, conventional-aco or apf)"),
     (PlannerConfig, "planner", "dijkstra",
      "unknown planner 'dijkstra' (expected proposed, conventional-aco or apf)"),
-    (AcoParams, "mode", "x", "'x' is not a valid AcoMode"),
 ])
 def test_unknown_enum_values_raise_at_construction(make, field, value, message):
     with pytest.raises(ValueError) as got:
@@ -745,12 +752,24 @@ def _one_value_of_each_type() -> dict:
     return {cls.__name__: value for cls, value in zip(types, values)}
 
 
-def _unread_record() -> CycleRecord:
-    """The first record of _one_value_of_each_type's run, made anew by each
-    call, whose subpath has not been read: its points are not built yet."""
-    sc = scenario_from(bordered(11, 11), 1.0, (5, 2), (5, 8))
+def _fresh_record(name: str) -> CycleRecord:
+    """A first cycle's record, made anew by each call, whose subpath has not
+    been read: for "unread CycleRecord" that of _one_value_of_each_type's run,
+    whose points are not built yet; for "APF CycleRecord" that of the same
+    world planned by APF, and for "halted CycleRecord" that of sealed.scn,
+    which halts STUCK: both have no points to build."""
+    from pathlib import Path
+
+    from antnav.scenario import parse_scenario
+
+    if name == "halted CycleRecord":
+        sc = parse_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "sealed.scn")
+    else:
+        kind = PlannerKind.APF if name == "APF CycleRecord" else PlannerKind.PROPOSED
+        sc = scenario_from(bordered(11, 11), 1.0, (5, 2), (5, 8), planner=kind)
     rec = plan_cycle(sc.world, sc.start, sc.goal, sc.config, sc.seed, 0)
     assert "subpath" not in vars(rec)
+    assert rec.status is (RunStatus.STUCK if name == "halted CycleRecord" else RunStatus.RUNNING)
     return rec
 
 
@@ -758,13 +777,15 @@ def _unread_record() -> CycleRecord:
     ("Pose", "x y psi"),
     ("CycleRecord", "cycle pose subgoal subpath dist_to_goal aco_series status"),
     ("unread CycleRecord", "cycle pose subgoal subpath dist_to_goal aco_series status"),
+    ("APF CycleRecord", "cycle pose subgoal subpath dist_to_goal aco_series status"),
+    ("halted CycleRecord", "cycle pose subgoal subpath dist_to_goal aco_series status"),
     ("RunResult", "poses records metrics"),
     ("RunMetrics", "path_length corners cycles dist_series aco_series status wall_ms"),
     ("AggregateStats", "best worst average"),
     ("PlannerConfig", "weights aco apf planner lidar_radius n_rays cell_size half_extent "
                       "inflation_rings goal_tolerance max_robot_steps"),
-    ("_KernelArgs", "aco side max_steps goal_tolerance scan tables args"),
-    ("AcoParams", "phi gamma rho q n_ants n_iters delta zeta tau0 max_steps elite_cutoff mode"),
+    ("_KernelArgs", "side max_steps goal_tolerance scan tables args"),
+    ("AcoParams", "phi gamma rho q n_ants n_iters delta zeta tau0 max_steps elite_cutoff"),
     ("ApfParams", "k_att k_rep d0"),
     ("CostWeights", "alpha beta omega"),
     ("MovingObstacle", "waypoints ticks_per_move policy"),
@@ -776,13 +797,15 @@ def test_value_types_stay_frozen(name, fields):
     # the value types keep what frozen dataclasses gave them without the
     # dataclasses import: fields in order, positional and keyword
     # construction, immutability, field-wise equality and hash, replace,
-    # copy and pickle. Pose and CycleRecord write their fields in one dict
-    # update, past the base's own __init__. A value is its field tuple: the
-    # hash is the tuple's, and a twin set field by field, past __init__, is
-    # equal. A class of fewer than two fields is refused. A colony cycle's
-    # record builds its subpath on the first read: the unread one takes each
-    # check below before that read, as a fresh record, and its copies and
-    # pickles stay unread until their points are read, the same bits
+    # copy and pickle. Pose writes its fields in one dict update, past the
+    # base's own __init__, and so does the planner's one builder of cycle
+    # records. A value is its field tuple: the hash is the tuple's, and a
+    # twin set field by field, past __init__, is equal. A class of fewer
+    # than two fields is refused. A colony cycle's record builds its subpath
+    # on the first read: the unread one takes each check below before that
+    # read, as a fresh record, and its copies and pickles stay unread until
+    # their points are read, the same bits. The builder's APF and halted
+    # records read no points, fresh or copied
     import copy
     import inspect
     import pickle
@@ -790,8 +813,10 @@ def test_value_types_stay_frozen(name, fields):
     from antnav.geometry import Frozen
 
     unread = name == "unread CycleRecord"
-    value = _one_value_of_each_type()["CycleRecord" if unread else name]
-    fresh = _unread_record if unread else lambda: value
+    pointless = name in ("APF CycleRecord", "halted CycleRecord")
+    made = functools.partial(_fresh_record, name)
+    value = made() if pointless else _one_value_of_each_type()["CycleRecord" if unread else name]
+    fresh = made if unread or pointless else lambda: value
     cls = type(value)
     names = fields.split()
     assert list(cls._fields) == names
@@ -803,7 +828,7 @@ def test_value_types_stay_frozen(name, fields):
     for declared in ({"a": int}, {}):
         with pytest.raises(TypeError, match="at least two fields"):
             type("Narrow", (Frozen,), {"__annotations__": declared})
-    if cls in (Pose, CycleRecord):
+    if cls is Pose:
         assert list(inspect.signature(cls).parameters) == names
     values = [getattr(value, f) for f in names]
     for f in names:
@@ -824,6 +849,8 @@ def test_value_types_stay_frozen(name, fields):
                 [v.hex() for p in value.subpath for v in p] == \
                 [v.hex() for p in centers for v in p]
             assert same.subpath[1] == value.pose.xy and same.subpath[-1] == value.subgoal
+        if pointless:
+            assert same._path is None and same.subpath == () == value.subpath
         assert same == value and hash(same) == hash(value)
     with pytest.raises(TypeError, match="unexpected keyword argument 'nope'"):
         cls(*values, nope=1)
@@ -835,6 +862,35 @@ def test_value_types_stay_frozen(name, fields):
     if required:
         with pytest.raises(TypeError, match=f"missing .*'{required[-1]}'"):
             cls(**{f: v for f, v in zip(names, values) if f != required[-1]})
+
+
+@pytest.mark.parametrize("name, planner, status", [
+    ("corridor", PlannerKind.PROPOSED, RunStatus.GOAL_REACHED),
+    ("multi_obstacle", PlannerKind.APF, RunStatus.GOAL_REACHED),
+    ("sealed", PlannerKind.PROPOSED, RunStatus.STUCK),  # the one record is a halted one
+])
+def test_runs_build_every_record_past_init(name, planner, status, monkeypatch):
+    # plan_cycle builds its colony, APF and halted records through one
+    # classmethod; CycleRecord has no __init__ of its own, so replace and a
+    # direct call take Frozen's, as every other value type does
+    from pathlib import Path
+
+    from antnav.geometry import Frozen
+    from antnav.scenario import parse_scenario, with_planner
+
+    assert "__init__" not in vars(CycleRecord) and CycleRecord.__init__ is Frozen.__init__
+    sc = with_planner(parse_scenario(Path(__file__).resolve().parent.parent / "scenarios"
+                                     / f"{name}.scn"), planner)
+    expected = run(sc)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a cycle record was built through __init__")
+
+    monkeypatch.setattr(CycleRecord, "__init__", refuse)
+    result = run(sc)
+    assert result.metrics.status is expected.metrics.status is status
+    assert result.records == expected.records and result.poses == expected.poses
+    assert all(r.subpath == () for r in result.records) is (name != "corridor")
 
 
 def test_value_types_replace_check_and_print_as_before():
@@ -849,8 +905,7 @@ def test_value_types_replace_check_and_print_as_before():
     # the repr text of the dataclasses these types were
     assert repr(Pose(1.0, 2.0, 0.5)) == "Pose(x=1.0, y=2.0, psi=0.5)"
     aco = ("AcoParams(phi=1.0, gamma=5.0, rho=0.3, q=1.0, n_ants=20, n_iters=50, delta=0.7, "
-           "zeta=0.3, tau0=1.0, max_steps=None, elite_cutoff=None, "
-           "mode=<AcoMode.IMPROVED: 'improved'>)")
+           "zeta=0.3, tau0=1.0, max_steps=None, elite_cutoff=None)")
     assert repr(AcoParams()) == aco
     assert repr(PlannerConfig()) == (
         f"PlannerConfig(weights=CostWeights(alpha=4.0, beta=1.8, omega=1.0), aco={aco}, "

@@ -218,13 +218,14 @@ class TestValue:
         import copy
         import pickle
 
-        from antnav.grid import _scan_args, local_grid
+        from antnav.grid import _scan_args, local_grid, memo_key
         from antnav.geometry import Pose
 
         w = WorldMap(np.zeros((3, 4), bool), 1.0, movers).advanced()
         twin = WorldMap(np.zeros((3, 4), bool), 1.0, movers, tick=1)
         assert w == twin and hash(w) == hash(twin) and w is not twin
-        local_grid(w, Pose(1.5, 1.5, 0.0), _scan_args(1.0, 8, 1.0, 1, 0))
+        pose, scan = Pose(1.5, 1.5, 0.0), _scan_args(1.0, 8, 1.0, 1, 0)
+        local_grid(w, pose, scan, memo_key(w, pose, scan))
         w.kernel_occupancy()
         assert w._memo and w._kernel_occ is not None and not twin._memo
         assert w == twin and hash(w) == hash(twin)  # the kept state is no part of the value
