@@ -38,7 +38,6 @@ from . import kernel
 from .aco import colony_error
 from .errors import PoseInObstacle, PoseOutOfBounds
 from .geometry import Pose, check_count
-from .kernel import INT_MAX
 from .world import WorldMap
 
 # The most rays a scan casts: 182 times the default 360. A run's memory grows
@@ -46,29 +45,37 @@ from .world import WorldMap
 # perceive casts into), so the cap bounds them, at 1.5 MiB for one table and
 # its ranges.
 MAX_RAYS = 65_536
+# The widest local grid: 513 x 513 cells, 64 times the default 4. A run's
+# memory grows with the cell count (planner.cell_tables's three tuples, about
+# 25 MB at the cap, and per kept memo entry the grid and the colony prelude,
+# 13 bytes a cell, about 3.4 MB at the cap), so the cap bounds them; without
+# it, half_extent 20000 builds tables of 1.6e9 cells at parse time.
+MAX_HALF_EXTENT = 256
 
 
-def _scan_args(lidar_radius: float, n_rays: int, cell_size: float, half_extent: int,
+def _scan_args(lidar_radius: float | None, n_rays: int, cell_size: float, half_extent: int,
                inflation_rings: int) -> tuple:
     """The kernel's scan and grid arguments (radius, n_rays, cell_size, half_extent,
-    rings) of a PlannerConfig's cycle, once they pass their one check.
+    rings) of a PlannerConfig's cycle, once they pass their one check. A
+    lidar_radius of None is half_extent cells, derived once those pass.
 
     Raises TypeError for an n_rays, half_extent or inflation_rings that is not
-    an integer, and ValueError for a lidar_radius that is not positive and
-    finite, n_rays outside 1..MAX_RAYS, a cell_size that is not positive and
-    finite, a half_extent < 1, a grid of more than INT_MAX cells (the kernel
-    indexes them with an int), a square that would poke out of the scan disc
-    (half_extent * cell_size > lidar_radius) or inflation_rings < 0.
+    an integer, and ValueError for n_rays outside 1..MAX_RAYS, a cell_size that
+    is not positive and finite, a half_extent outside 1..MAX_HALF_EXTENT, a
+    lidar_radius that is not positive and finite, a square that would poke
+    out of the scan disc (half_extent * cell_size > lidar_radius) or
+    inflation_rings < 0.
     """
-    if not 0 < lidar_radius < math.inf:
-        raise ValueError(f"lidar_radius must be positive and finite, got {lidar_radius}")
     check_count("n_rays", n_rays, 1, MAX_RAYS)
     if not 0 < cell_size < math.inf:
         raise ValueError(f"cell_size must be positive and finite, got {cell_size}")
     check_count("half_extent", half_extent, 1)
-    if (2 * half_extent + 1) ** 2 > INT_MAX:
-        raise ValueError(f"half_extent {half_extent} makes a local grid of more than "
-                         f"{INT_MAX} cells")
+    if half_extent > MAX_HALF_EXTENT:
+        raise ValueError(f"half_extent must be <= {MAX_HALF_EXTENT}, got {half_extent}")
+    if lidar_radius is None:
+        lidar_radius = half_extent * cell_size
+    if not 0 < lidar_radius < math.inf:
+        raise ValueError(f"lidar_radius must be positive and finite, got {lidar_radius}")
     if half_extent * cell_size > lidar_radius + 1e-9:
         raise ValueError(f"half_extent {half_extent} x cell_size {cell_size} "
                          f"exceeds lidar_radius {lidar_radius}")

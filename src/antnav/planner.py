@@ -66,13 +66,15 @@ class PlannerKind(enum.Enum):
 
 
 class PlannerConfig(Frozen):
-    """Everything a run needs besides the world, start, goal and seed."""
+    """Everything a run needs besides the world, start, goal and seed. Each None
+    default is a rule of this type, read through its resolved_ method, so a
+    replace of the values it derives from moves it (a value set is kept)."""
 
     weights: CostWeights = CostWeights()
     aco: AcoParams = AcoParams()
     apf: ApfParams = ApfParams()
     planner: PlannerKind = PlannerKind.PROPOSED
-    lidar_radius: float = 6.0
+    lidar_radius: float | None = None  # None = half_extent cells
     n_rays: int = 360
     cell_size: float = 1.5
     half_extent: int = 4
@@ -91,6 +93,9 @@ class PlannerConfig(Frozen):
             raise ValueError(f"goal_tolerance must be >= 0 and finite, got {self.goal_tolerance}")
         if self.max_robot_steps is not None:
             check_count("max_robot_steps", self.max_robot_steps, 0)
+
+    def resolved_lidar_radius(self) -> float:
+        return self._kernel_args.scan[0]  # _scan_args's rule
 
     def resolved_goal_tolerance(self) -> float:
         return self.goal_tolerance if self.goal_tolerance is not None else 0.5 * self.cell_size

@@ -15,13 +15,13 @@ Example::
 
 Every directive is one entry of _DIRECTIVES: its value parser and the
 field of CostWeights, AcoParams, ApfParams or PlannerConfig it sets, or no
-field for map, planner, seed and cell_size, which parse_scenario reads itself.
+field for map and seed, which parse_scenario reads itself.
 
-Only `map` is required. Unset keys fall back to defaults: cell_size is the
-map cell size (any other value is rejected), lidar_radius derives from it and
-half_extent, goal_tolerance is half a cell, max_robot_steps is 10x the larger
-map side. Map paths are relative to the scenario file. Parse errors carry
-line numbers; an invalid value is reported at the line of the directive that
+Only `map` is required. The map sets the cell size; an unset key keeps its
+field's default, so a parsed config equals the one built in code from the
+same values (PlannerConfig resolves the defaults that depend on others).
+Map paths are relative to the scenario file. Parse errors carry line
+numbers; an invalid value is reported at the line of the directive that
 makes the configuration invalid, reading the file top down.
 """
 from __future__ import annotations
@@ -37,10 +37,9 @@ from .subgoal import CostWeights
 from .world import WorldMap, _finite_float, load_map
 
 # directive -> (value parser, (class, field) it sets); the target is None for the
-# four parse_scenario reads itself, and a field no directive sets keeps its default
+# two parse_scenario reads itself, and a field no directive sets keeps its default
 _DIRECTIVES = {
-    "map": (str, None), "planner": (str, None), "seed": (int, None),
-    "cell_size": (_finite_float, None),
+    "map": (str, None), "seed": (int, None), "planner": (str, (PlannerConfig, "planner")),
     "alpha": (_finite_float, (CostWeights, "alpha")),
     "beta": (_finite_float, (CostWeights, "beta")),
     "omega": (_finite_float, (CostWeights, "omega")),
@@ -122,45 +121,34 @@ def parse_scenario(path) -> Scenario:
         raise ScenarioParseError(f"cannot read map {map_path}: {exc.strerror}",
                                  line_of["map"]) from exc
     world = parsed.world
-    if values.get("cell_size", world.cell_size) != world.cell_size:
-        raise ScenarioParseError(f"cell_size {values['cell_size']} differs from the map's "
-                                 f"cellsize {world.cell_size}", line_of["cell_size"])
-
     try:
-        planner = PlannerKind(values.get("planner", "proposed"))
-    except ValueError as exc:
-        raise ScenarioParseError(str(exc), line_of["planner"]) from exc
-
-    try:
-        config = _config(values, world, planner)
+        config = _config(values, world.cell_size)
     except ValueError as exc:
         # blame the first line at which the directives read so far stop
         # making a valid configuration; the map line when the map's own
-        # defaults already do not
-        line_no = line_of["map"] if not _is_valid({}, world, planner) else next(
+        # cell size already does not
+        line_no = line_of["map"] if not _is_valid({}, world.cell_size) else next(
             line for line in sorted(line_of.values())
             if not _is_valid({k: v for k, v in values.items() if line_of[k] <= line},
-                             world, planner))
+                             world.cell_size))
         raise ScenarioParseError(str(exc), line_no) from exc
 
     return Scenario(name=path.stem, map_path=str(map_path), world=world,
                     start=parsed.start, goal=parsed.goal, config=config, seed=seed)
 
 
-def _is_valid(values: dict[str, object], world: WorldMap, planner: PlannerKind) -> bool:
+def _is_valid(values: dict[str, object], cell_size: float) -> bool:
     try:
-        _config(values, world, planner)
+        _config(values, cell_size)
     except ValueError:
         return False
     return True
 
 
-def _config(values: dict[str, object], world: WorldMap,
-            planner: PlannerKind) -> PlannerConfig:
-    """Planner configuration from parsed directives; ValueError when invalid.
-
-    The map sets cell_size, and lidar_radius defaults to half_extent cells.
-    """
+def _config(values: dict[str, object], cell_size: float) -> PlannerConfig:
+    """The PlannerConfig of the parsed directives and the map's cell size: each
+    directive's value goes to its field, and every other field keeps its
+    default. ValueError when the values make no valid configuration."""
     fields = {cls: {} for cls in (CostWeights, AcoParams, ApfParams, PlannerConfig)}
     for key, value in values.items():
         target = _DIRECTIVES[key][1]
@@ -168,11 +156,8 @@ def _config(values: dict[str, object], world: WorldMap,
             cls, name = target
             fields[cls][name] = value
     config = fields.pop(PlannerConfig)
-    config.setdefault("lidar_radius",
-                      config.get("half_extent", PlannerConfig.half_extent) * world.cell_size)
     weights, aco, apf = (cls(**kwargs) for cls, kwargs in fields.items())
-    return PlannerConfig(weights=weights, aco=aco, apf=apf, planner=planner,
-                         cell_size=world.cell_size, **config)
+    return PlannerConfig(weights=weights, aco=aco, apf=apf, cell_size=cell_size, **config)
 
 
 def with_seed(scenario: Scenario, seed: int) -> Scenario:

@@ -303,10 +303,11 @@ def parse_map(text: str) -> ParsedMap:
             raise MapParseError(f"waypoint ({col}, {row}) outside the grid", line_no)
     world = WorldMap(static, cell_size, tuple(movers))
 
+    # the robot stands on the start at tick 0; a mover may cross the goal
     for name, (col, row, *_, line_no) in (("start", start_spec), ("goal", goal_spec)):
         if not world.in_bounds((row, col)):
             raise MapParseError(f"{name} cell ({col}, {row}) outside the grid", line_no)
-        if world.cells[row * width + col]:
+        if world.occupancy_at((row, col)) if name == "start" else world.cells[row * width + col]:
             raise MapParseError(f"{name} cell ({col}, {row}) is occupied", line_no)
     s_col, s_row, psi_deg, _ = start_spec
     g_col, g_row, _ = goal_spec

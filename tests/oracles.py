@@ -507,7 +507,7 @@ def plan_cycle_ref(occ, world_cell_size, pose, goal, config, seed, cycle):
     x0, y0, psi = pose
     cs, h, n_rays = config.cell_size, config.half_extent, config.n_rays
     side = 2 * h + 1
-    samples = scan_ref(occ, world_cell_size, x0, y0, psi, config.lidar_radius, n_rays)
+    samples = scan_ref(occ, world_cell_size, x0, y0, psi, config.resolved_lidar_radius(), n_rays)
     cells = local_grid_ref(samples, world_cell_size, pose, cs, h, config.inflation_rings)
     cells = occlude_ref(cells, samples, n_rays, pose, cs, h)
     cells = clamp_ref(cells, pose, cs, h, occ.shape, world_cell_size)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from antnav import PlannerConfig, Pose, WorldMap
-from antnav.grid import _scan_args
+from antnav.grid import MAX_HALF_EXTENT, _scan_args
 from antnav.planner import plan_cycle
 
 from oracles import candidates_ref
@@ -69,12 +69,13 @@ class TestBuildLocalGrid:
         # equality is allowed: 4 cells * 1.5 m = 6 m radius
         grid_of(radius=6.0, cell_size=1.5)
 
-    def test_grid_of_more_cells_than_an_int_is_rejected(self):
-        # 60001^2 cells fit the disc but not the kernel's int; perceive would
-        # allocate 3.6 GB and overflow side * side, so only the check is called
-        with pytest.raises(ValueError, match="more than 2147483647 cells"):
-            _scan_args(6.0, 1, 1e-4, 30000, 1)
-        assert _scan_args(6.0, 1, 1e-4, 23169, 1)[4] == 1  # 46339^2 cells fit: 1 ring
+    def test_grid_past_the_cap_is_rejected(self):
+        # 60001^2 cells fit the disc; perceive would allocate 3.6 GB and the
+        # cell tables far more, so only the check is called
+        for half_extent in (MAX_HALF_EXTENT + 1, 30000):
+            with pytest.raises(ValueError, match=f"half_extent must be <= {MAX_HALF_EXTENT}"):
+                _scan_args(6.0, 1, 1e-4, half_extent, 1)
+        assert _scan_args(6.0, 1, 1e-4, MAX_HALF_EXTENT, 1)[4] == 1  # 513^2 cells fit: 1 ring
 
     @pytest.mark.parametrize("cell_size", [0.0, -1.0, math.nan, math.inf])
     def test_cell_size_must_be_positive_and_finite(self, cell_size):

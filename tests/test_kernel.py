@@ -316,8 +316,8 @@ for path in sys.argv[2:]:
     scenario = with_seed(scenario, 0)
     cfg, world, pose, goal = scenario.config, scenario.world, scenario.start, scenario.goal
     for n_rays in (1, 2, 7, 360):
-        grid = perceive(world, pose, cfg.lidar_radius, n_rays, cfg.cell_size, cfg.half_extent,
-                        cfg.inflation_rings)
+        grid = perceive(world, pose, cfg.resolved_lidar_radius(), n_rays, cfg.cell_size,
+                        cfg.half_extent, cfg.inflation_rings)
         try:
             apf_step(grid, pose, goal, cfg.apf)
         except LocalMinimum:

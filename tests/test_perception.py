@@ -292,8 +292,9 @@ def test_perceive_rejects_what_scan_and_grid_reject():
            ("half_extent", 0, ValueError, "half_extent must be >= 1"),
            ("half_extent", 5, ValueError,
             "half_extent 5 x cell_size 1.0 exceeds lidar_radius 4.0"),
-           ("half_extent", 23170, ValueError,
-            "half_extent 23170 makes a local grid of more than 2147483647 cells"),
+           # past the grid cap, far below the 23170 at which the grid's cells pass a C int
+           ("half_extent", 257, ValueError, "half_extent must be <= 256, got 257"),
+           ("half_extent", 23170, ValueError, "half_extent must be <= 256, got 23170"),
            ("inflation_rings", -1, ValueError, "inflation_rings must be >= 0")]
     for key, value, error, message in bad:
         args = {**good, key: value}
@@ -339,9 +340,9 @@ def test_ray_table_is_one_filled_table_per_heading_and_ray_count():
 
 
 def test_ray_tables_shared_between_threads_are_whole():
-    # the tables are the one state that kernel calls in different threads
-    # share; with more keys than the cache holds, tables are made, evicted
-    # and made again while other threads read theirs
+    # kernel calls in different threads share the tables, as they share a
+    # world's memo; with more keys than the cache holds, tables are made,
+    # evicted and made again while other threads read theirs
     import sys
     import threading
 

@@ -489,8 +489,8 @@ def test_unusable_colony_weights_raise_what_plan_subpath_raises():
         plan_cycle(world, sc.start, sc.goal, sc.config, sc.seed, 0)
     subgoal = tuple(map(int, re.search(r"toward \((\d+), (\d+)\)", str(raised.value)).groups()))
     config = sc.config
-    grid = perceive(world, sc.start, config.lidar_radius, config.n_rays, config.cell_size,
-                    config.half_extent, config.inflation_rings)
+    grid = perceive(world, sc.start, config.resolved_lidar_radius(), config.n_rays,
+                    config.cell_size, config.half_extent, config.inflation_rings)
     graph = GridGraph(grid.traversable_mask(), grid.cell_size)
     with pytest.raises(ColonyWeightError) as expected:
         plan_subpath(graph, grid.center_cell, subgoal, params, (sc.seed, 0, 0))
@@ -910,7 +910,7 @@ def test_value_types_replace_check_and_print_as_before():
     assert repr(PlannerConfig()) == (
         f"PlannerConfig(weights=CostWeights(alpha=4.0, beta=1.8, omega=1.0), aco={aco}, "
         "apf=ApfParams(k_att=1.0, k_rep=100.0, d0=None), "
-        "planner=<PlannerKind.PROPOSED: 'proposed'>, lidar_radius=6.0, n_rays=360, "
+        "planner=<PlannerKind.PROPOSED: 'proposed'>, lidar_radius=None, n_rays=360, "
         "cell_size=1.5, half_extent=4, inflation_rings=1, goal_tolerance=None, "
         "max_robot_steps=None)")
 
@@ -1060,8 +1060,8 @@ def test_kernel_pose_and_step_tests_match_the_python_rules():
         goal = (float(rng.uniform(0, w * cs)), float(rng.uniform(0, h * cs)))
         for pose in random_poses(rng, world):
             expected = pose_verdict_ref(world, pose)
-            grid = raised(lambda: perceive(world, pose, config.lidar_radius, config.n_rays,
-                                           config.cell_size, half_extent,
+            grid = raised(lambda: perceive(world, pose, config.resolved_lidar_radius(),
+                                           config.n_rays, config.cell_size, half_extent,
                                            config.inflation_rings))
             rec = raised(lambda: plan_cycle(world, pose, goal, config, case, 0))
             assert grid[:2] == expected and rec[:2] == expected, (case, pose)

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from antnav import (AcoParams, AntnavError, PlannerConfig, PlannerKind, ScenarioParseError,
-                    parse_groups, parse_scenario)
-from antnav.cli import main
+from antnav import (AcoParams, AntnavError, CostWeights, PlannerConfig, PlannerKind,
+                    ScenarioParseError, parse_groups, parse_scenario, run)
+from antnav.cli import _write_run_outputs, main
 from antnav.geometry import Frozen
+from antnav.grid import MAX_HALF_EXTENT
 from antnav.scenario import _DIRECTIVES
 
 MAP = """\
@@ -67,9 +68,10 @@ class TestScenarioParsing:
         assert sc.config.goal_tolerance == 0.4
         assert sc.config.max_robot_steps == 77
         assert sc.world.cell_size == 1.0
-        # derived defaults
+        # the map's cell size, and the radius left to PlannerConfig's rule
         assert sc.config.cell_size == 1.0
-        assert sc.config.lidar_radius == 2.0
+        assert sc.config.lidar_radius is None
+        assert sc.config.resolved_lidar_radius() == 2.0
 
     def test_defaults_when_minimal(self, tmp_path):
         (tmp_path / "tiny.map").write_text(MAP)
@@ -80,8 +82,9 @@ class TestScenarioParsing:
         assert sc.config.half_extent == 4
         assert sc.config.weights.alpha == 4.0
         assert sc.config.aco.n_ants == 20 and sc.config.aco.n_iters == 50
-        # the class defaults, but for the two values the map sets
-        assert sc.config == PlannerConfig(cell_size=1.0, lidar_radius=4.0)
+        # the class defaults, but for the cell size the map sets
+        assert sc.config == PlannerConfig(cell_size=1.0)
+        assert sc.config.resolved_lidar_radius() == 4.0
 
     @pytest.mark.parametrize("text,line", [
         ("map tiny.map\n", 1),
@@ -118,7 +121,7 @@ class TestScenarioParsing:
         assert err.value.line_no == line
 
     @pytest.mark.parametrize("directive", [
-        "lidar_rays 0", "lidar_radius 0", "cell_size -1", "half_extent 0",
+        "lidar_rays 0", "lidar_radius 0", "half_extent 0",
         "inflation_rings -1", "goal_tolerance -0.5", "max_robot_steps -1",
     ])
     def test_planner_config_rejected_at_parse_time(self, tmp_path, directive):
@@ -128,24 +131,29 @@ class TestScenarioParsing:
             parse_scenario(tmp_path / "bad.scn")
         assert err.value.line_no == 3
 
-    @pytest.mark.parametrize("value", ["0.5", "1.5", "1.0000001"])
-    def test_cell_size_must_match_the_map(self, tmp_path, value):
+    @pytest.mark.parametrize("value", ["1.0", "-1"])
+    def test_cell_size_key_is_gone(self, tmp_path, capsys, value):
+        # the map sets the cell size: the key, even at the map's value, is unknown
         (tmp_path / "tiny.map").write_text(MAP)
         (tmp_path / "bad.scn").write_text(f"format 1\nmap tiny.map\nseed 2\ncell_size {value}\n")
-        with pytest.raises(ScenarioParseError) as err:
-            parse_scenario(tmp_path / "bad.scn")
-        assert err.value.line_no == 4
-        (tmp_path / "ok.scn").write_text("format 1\nmap tiny.map\ncell_size 1.0\n")
-        assert parse_scenario(tmp_path / "ok.scn").config.cell_size == 1.0
-
-    def test_cell_size_mismatch_exits_one_without_running(self, tmp_path, capsys):
-        (tmp_path / "tiny.map").write_text(MAP)
-        (tmp_path / "bad.scn").write_text("format 1\nmap tiny.map\ncell_size 0.5\n")
         code = main(["run", "--scenario", str(tmp_path / "bad.scn"),
                      "--out", str(tmp_path / "out")])
         assert code == 1
-        assert "line 3:" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: line 4: unknown directive 'cell_size'\n"
         assert not (tmp_path / "out").exists()
+
+    def test_start_on_a_mover_at_tick_0_exits_one_without_running(self, tmp_path, capsys):
+        # the mover's first waypoint is the start cell; the goal may lie on a
+        # mover's way, so a mover over the goal cell still parses
+        (tmp_path / "m.map").write_text(MOVER_MAP.replace("wp 2 2\nwp 3 2", "wp 1 1\nwp 2 1"))
+        (tmp_path / "s.scn").write_text("format 1\nmap m.map\n")
+        code = main(["run", "--scenario", str(tmp_path / "s.scn"),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: line 2: start cell (1, 1) is occupied\n"
+        assert not (tmp_path / "out").exists()
+        (tmp_path / "m.map").write_text(MOVER_MAP.replace("wp 2 2\nwp 3 2", "wp 4 4\nwp 4 3"))
+        assert parse_scenario(tmp_path / "s.scn").world.occupancy_at((4, 4))
 
     def test_goal_on_a_wall_exits_one_without_running(self, tmp_path, capsys):
         (tmp_path / "wall.map").write_text(MAP.replace("goal 4 4", "goal 5 4"))
@@ -255,6 +263,9 @@ wp 3 2
     (MAP, "ants 2147483648\n", 3),
     (MAP, "iterations 2147483648\n", 3),
     (MAP, "half_extent 23170\n", 3),
+    # past the grid cap, which bounds a run's memory
+    (MAP, f"half_extent {MAX_HALF_EXTENT + 1}\n", 3),
+    (MAP, "half_extent 20000\n", 3),
     # a waypoint outside the grid, before the grid is read: at tick 0 ...
     (MOVER_MAP.replace("wp 2 2", "wp 9 2").replace("wp 3 2", "wp 8 2"), "", 5),
     # ... and one the mover reaches only later
@@ -263,7 +274,7 @@ wp 3 2
 ], ids=["cellsize-nan", "cellsize-inf", "start-psi-nan", "start-psi-inf", "start-psi-minus-inf",
         "goal_tolerance-nan", "tau0-nan", "gamma-nan", "lidar_radius-inf",
         "lidar_rays-over-cap", "lidar_rays-int-overflow", "ants-int-overflow", "iterations-int-overflow",
-        "half_extent-int-overflow",
+        "half_extent-int-overflow", "half_extent-over-cap", "half_extent-far-over-cap",
         "wp-outside-at-tick-0", "wp-outside-later", "wp-outside-negative"])
 def test_bad_numbers_exit_one_at_their_line(tmp_path, capsys, map_text, scn_extra, line):
     (tmp_path / "m.map").write_text(map_text)
@@ -296,7 +307,7 @@ def test_directive_table_matches_the_config_fields_and_readme():
         assert name in cls._fields, (cls, name)
     assert len(set(targets)) == len(targets), "a field is set by two directives"
     assert {key for key, (_, target) in _DIRECTIVES.items() if target is None} == \
-        {"map", "planner", "seed", "cell_size"}
+        {"map", "seed"}
     # README's scenario key list: the backticked names from "Keys:" to the sentence's end
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     scenario = readme[readme.index("**Scenario** (`*.scn`)"):]
@@ -405,6 +416,54 @@ def test_unusable_heuristic_weights_exit_one_at_their_line(tmp_path, capsys, nam
     assert code == 1
     assert err.startswith(f"error: line {line}: gamma"), err
     assert not (tmp_path / "out").exists()
+
+
+def _shipped(cell_size, ants, iterations):
+    """The config the shipped colony scenarios' directives build in code."""
+    return PlannerConfig(weights=CostWeights(4, 1.8, 1),
+                         aco=AcoParams(delta=0.7, zeta=0.3, n_ants=ants, n_iters=iterations),
+                         planner="proposed", half_extent=4, n_rays=360, cell_size=cell_size)
+
+
+@pytest.mark.parametrize("name,config", [
+    ("corridor", _shipped(0.3, 10, 6)),
+    ("moving", _shipped(1.0, 12, 20)),
+    ("multi_obstacle", _shipped(1.5, 10, 8)),
+    ("sealed", PlannerConfig(planner="proposed", cell_size=1.0)),
+])
+def test_shipped_scenarios_parse_to_the_config_built_in_code(name, config):
+    # the parser maps directives to fields and adds the map's cell size, nothing more
+    assert parse_scenario(SHIPPED / f"{name}.scn").config == config
+
+
+def test_a_replaced_half_extent_runs_as_the_same_key_in_the_file(tmp_path):
+    # the radius follows half_extent by PlannerConfig's one rule, whichever way it is set
+    scn = (SHIPPED / "corridor.scn").read_text()
+    assert "half_extent 4\n" in scn
+    (tmp_path / "corridor.map").write_text((SHIPPED / "corridor.map").read_text())
+    (tmp_path / "h3.scn").write_text(scn.replace("half_extent 4\n", "half_extent 3\n"))
+    shipped = parse_scenario(SHIPPED / "corridor.scn")
+    replaced = shipped.replace(config=shipped.config.replace(half_extent=3))
+    assert replaced.config == parse_scenario(tmp_path / "h3.scn").config
+    for seed in range(4):
+        main(["run", "--scenario", str(tmp_path / "h3.scn"), "--seed", str(seed),
+              "--out", str(tmp_path / f"file{seed}"), "--no-plot"])
+        sc = replaced.replace(seed=seed)
+        _write_run_outputs(tmp_path / f"code{seed}", sc, run(sc), False)
+        assert (tmp_path / f"code{seed}" / "trajectory.csv").read_bytes() == \
+            (tmp_path / f"file{seed}" / "trajectory.csv").read_bytes(), seed
+
+
+def test_lidar_radius_defaults_to_half_extent_cells_in_code_too(tmp_path):
+    # a config built in code scans half_extent cells at any cell size ...
+    config = PlannerConfig(cell_size=2.0)
+    assert config.lidar_radius is None and config.resolved_lidar_radius() == 8.0
+    assert config.replace(half_extent=2).resolved_lidar_radius() == 4.0
+    # ... and a radius set in the file is kept through a replace
+    (tmp_path / "tiny.map").write_text(MAP)
+    (tmp_path / "r.scn").write_text("format 1\nmap tiny.map\nlidar_radius 5\n")
+    config = parse_scenario(tmp_path / "r.scn").config.replace(half_extent=3)
+    assert config.lidar_radius == config.resolved_lidar_radius() == 5.0
 
 
 GROUPS = (SHIPPED / "weights.groups").read_text()
