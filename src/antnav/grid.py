@@ -84,15 +84,17 @@ def _scan_args(lidar_radius: float | None, n_rays: int, cell_size: float, half_e
     return (lidar_radius, n_rays, cell_size, half_extent, rings)
 
 
-# The most entries a world's memo keeps. A 16-seed pass of the shipped
-# corridor or moving scenario keeps 313 or 73 entries, 256 seeds 635 or 601,
-# at about 190 bytes a grid of 9 x 9 cells and about 1.1 KB a prelude. Past
-# the bound entries are still made, just not kept, so a long batch of seeds
-# costs at most this many per world; a kept key may still take a new entry.
-# The memo takes no lock: a kept buffer is never written again, and an entry
-# is one tuple, swapped whole. Threads that miss one key at once each make
-# the entry and keep the same bytes, and each may keep one entry past the bound.
-MEMO_GRIDS = 1024
+# The most grid cells a world's memo keeps: an entry of a side x side grid is
+# kept while the memo holds fewer than MEMO_CELLS // side**2 entries, since an
+# entry holds 14 bytes a cell (1 for the grid, 13 for the prelude). That keeps
+# 1024 of the shipped 9 x 9 grids (a 16-seed pass of corridor or moving keeps
+# 313 or 73, 256 seeds 635 or 601), and none at the 513 x 513 cap (3.7 MB an
+# entry), where each cycle perceives afresh. Past the bound entries are still
+# made, just not kept; a kept key may still take a new entry. The memo takes
+# no lock: a kept buffer is never written again, and an entry is one tuple,
+# swapped whole. Threads that miss one key at once each make the entry and
+# keep the same bytes, and each may keep one entry past the bound.
+MEMO_CELLS = 1024 * 81
 
 
 def memo_key(world: WorldMap, pose: Pose, scan: tuple) -> tuple:
@@ -104,9 +106,10 @@ def memo_key(world: WorldMap, pose: Pose, scan: tuple) -> tuple:
 
 
 def keep(memo: dict, key: tuple, entry: tuple) -> None:
-    """Keeps entry in a world's memo under key while the memo holds fewer than
-    MEMO_GRIDS entries, or in place of the entry a kept key holds."""
-    if len(memo) < MEMO_GRIDS or key in memo:
+    """Keeps entry in a world's memo under key (a memo_key, whose scan arguments
+    give the grid's side, 2 * half_extent + 1) while the memo holds fewer than
+    MEMO_CELLS // side**2 entries, or in place of the entry a kept key holds."""
+    if len(memo) < MEMO_CELLS // (2 * key[-1][3] + 1) ** 2 or key in memo:
         memo[key] = entry
 
 

@@ -34,7 +34,7 @@ from .errors import ScenarioParseError
 from .geometry import Frozen, Point, Pose
 from .planner import PlannerConfig, PlannerKind
 from .subgoal import CostWeights
-from .world import WorldMap, _finite_float, load_map
+from .world import WorldMap, _finite_float, _read_text, load_map
 
 # directive -> (value parser, (class, field) it sets); the target is None for the
 # two parse_scenario reads itself, and a field no directive sets keeps its default
@@ -78,8 +78,7 @@ def parse_scenario(path) -> Scenario:
     values: dict[str, object] = {}
     line_of: dict[str, int] = {}
     seen_format = False
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
+    lines = _read_text(path, ScenarioParseError).splitlines()
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith(";"):
@@ -187,8 +186,7 @@ def parse_groups(path) -> list[WeightGroup]:
     Numbers must be finite; the weights must make valid CostWeights and the
     delta/zeta pair a valid AcoParams score."""
     groups: list[WeightGroup] = []
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
+    lines = _read_text(path, ScenarioParseError).splitlines()
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith(";"):

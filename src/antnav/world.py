@@ -8,6 +8,9 @@ cells, size, cell size, movers and tick. What a world keeps for the kernel
 cycle preludes that antnav.grid.local_grid and antnav.planner.plan_cycle
 fill, which every tick shares) is derived from those, so it stays out of
 equality, copies and pickles: a copy starts empty.
+
+parse_map reads maps through one table, _MAP_DIRECTIVES, as antnav.scenario
+reads scenarios through _DIRECTIVES; _read_text reads every input file as UTF-8.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ import math
 import operator
 
 from . import kernel
-from .errors import MapParseError, OutOfBounds
+from .errors import MapParseError, OutOfBounds, ParseError
 from .geometry import Cell, Frozen, Point, Pose, check_count
 
 
@@ -167,13 +170,33 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _read_text(path, error: type[ParseError]) -> str:
+    """The UTF-8 text of the file at path, with open()'s newlines (CR LF and a lone
+    CR read as LF). Raises error, naming the file, at the line of the first byte
+    that does not decode."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:  # its line: one past the line breaks before it
+        line_no = len((data[:exc.start].decode("utf-8") + ".").splitlines())
+        raise error(f"{path} is not UTF-8: byte {data[exc.start]:#04x} does not decode",
+                    line_no) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 # a grid row's characters as occupancy bytes: "#" occupied, "." free
 _GRID_BYTES = bytes.maketrans(b"#.", b"\x01\x00")
 
-# the usage line of each map directive; its word count is the directive's arity
-_MAP_USAGE = {"cellsize": "cellsize <meters>", "start": "start <col> <row> <psi_deg>",
-              "goal": "goal <col> <row>", "mover": "mover <ticks_per_move> <policy>",
-              "wp": "wp <col> <row>"}
+# directive -> (usage line, whose word count is the directive's arity; the parser
+# of each value; the message when one of them fails, formatted with the values)
+_MAP_DIRECTIVES = {
+    "cellsize": ("cellsize <meters>", (_finite_float,), "bad cellsize value {!r}"),
+    "start": ("start <col> <row> <psi_deg>", (int, int, _finite_float), "bad start values"),
+    "goal": ("goal <col> <row>", (int, int), "bad goal values"),
+    "mover": ("mover <ticks_per_move> <policy>", (int, str.lower), "bad ticks_per_move value"),
+    "wp": ("wp <col> <row>", (int, int), "bad waypoint values"),
+}
 
 
 class ParsedMap(Frozen):
@@ -189,105 +212,72 @@ def parse_map(text: str) -> ParsedMap:
 
     Grid rows are lines of ``#`` (occupied) and ``.`` (free); the first grid
     line in the file is the top row of the world (highest row index).
-    Directives: ``cellsize <m>``, ``start <col> <row> <psi_deg>``,
-    ``goal <col> <row>``, and mover blocks ``mover <ticks_per_move> <policy>``
-    followed by ``wp <col> <row>`` lines. Raises MapParseError with the
-    offending line number.
+    Directives, one _MAP_DIRECTIVES entry each: ``cellsize <meters>``,
+    ``start <col> <row> <psi_deg>`` and ``goal <col> <row>``, once each, and
+    mover blocks ``mover <ticks_per_move> <policy>`` followed by
+    ``wp <col> <row>`` lines. Raises MapParseError with the offending line
+    number: reading top down, the first line that breaks a rule.
     """
-    cell_size: float | None = None
-    start_spec: tuple[int, int, float, int] | None = None  # col, row, psi_deg, line_no
-    goal_spec: tuple[int, int, int] | None = None  # col, row, line_no
+    found: dict[str, tuple[list, int]] = {}  # cellsize, start, goal -> (values, line_no)
     grid_rows: list[tuple[int, str]] = []  # (line_no, row text), file order
-    movers: list[MovingObstacle] = []
-    pending: tuple[int, MoverPolicy, list[Cell], int] | None = None  # open block, its mover line
-    wp_lines: list[tuple[Cell, int]] = []  # every waypoint with its line number
+    # (mover line, ticks, policy, [(waypoint, its line), ...]), file order
+    blocks: list[tuple[int, int, MoverPolicy, list[tuple[Cell, int]]]] = []
+    prev = None  # the first word of the last line that is not blank
 
-    def checked_mover(line_no: int, *args) -> MovingObstacle:
-        # MovingObstacle's own checks, reported at the line that broke them
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        words = raw.split()
+        if not words:
+            continue
+        key = words[0]
+        is_row = len(words) == 1 and set(key) <= {"#", "."}
+        if not is_row and key not in _MAP_DIRECTIVES:
+            raise MapParseError(f"unknown directive {key!r}", line_no)
+        if prev == "mover" and key != "wp":  # the line closes a block with no waypoint
+            raise MapParseError("mover block has no waypoints", blocks[-1][0])
+        if key == "wp" and prev not in ("mover", "wp"):
+            raise MapParseError("wp line outside a mover block", line_no)
+        prev = key
+        if is_row:
+            grid_rows.append((line_no, key))
+            continue
+        usage, parsers, message = _MAP_DIRECTIVES[key]
+        if len(words) != len(usage.split()):
+            raise MapParseError(f"expected: {usage}", line_no)
+        if key in found:
+            raise MapParseError(f"duplicate directive {key!r}", line_no)
         try:
-            return MovingObstacle(*args)
+            values = [parse(word) for parse, word in zip(parsers, words[1:])]
+        except ValueError:
+            raise MapParseError(message.format(*words[1:]), line_no) from None
+        if key == "cellsize" and values[0] <= 0:
+            raise MapParseError("cellsize must be positive", line_no)
+        if key == "mover":
+            try:
+                policy = MoverPolicy(values[1])
+            except ValueError:
+                raise MapParseError(f"unknown mover policy {words[2]!r}", line_no) from None
+            blocks.append((line_no, values[0], policy, []))
+            args = (((0, 0),), values[0], policy)
+        elif key == "wp":
+            cell, waypoints = (values[1], values[0]), blocks[-1][3]
+            args = ((waypoints[-1][0], cell),) if waypoints else ((cell,),)
+            waypoints.append((cell, line_no))
+        else:
+            found[key] = (values, line_no)
+            continue
+        try:  # MovingObstacle's checks of the ticks, or of the step to this waypoint
+            MovingObstacle(*args)
         except ValueError as exc:
             raise MapParseError(str(exc), line_no) from exc
 
-    def close_pending():
-        nonlocal pending
-        if pending is None:
-            return
-        ticks, policy, wps, mover_line = pending
-        if not wps:
-            raise MapParseError("mover block has no waypoints", mover_line)
-        movers.append(MovingObstacle(tuple(wps), ticks, policy))
-        pending = None
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip()
-        if not line.strip():
-            continue
-        stripped = line.strip()
-        if set(stripped) <= {"#", "."}:
-            close_pending()
-            grid_rows.append((line_no, stripped))
-            continue
-        parts = stripped.split()
-        key = parts[0]
-        usage = _MAP_USAGE.get(key)
-        if usage is None:
-            raise MapParseError(f"unknown directive {key!r}", line_no)
-        if key != "wp":
-            close_pending()
-        elif pending is None:
-            raise MapParseError("wp line outside a mover block", line_no)
-        if len(parts) != len(usage.split()):
-            raise MapParseError(f"expected: {usage}", line_no)
-        if key == "cellsize":
-            try:
-                cell_size = _finite_float(parts[1])
-            except ValueError:
-                raise MapParseError(f"bad cellsize value {parts[1]!r}", line_no)
-            if cell_size <= 0:
-                raise MapParseError("cellsize must be positive", line_no)
-        elif key == "start":
-            try:
-                start_spec = (int(parts[1]), int(parts[2]), _finite_float(parts[3]), line_no)
-            except ValueError:
-                raise MapParseError("bad start values", line_no)
-        elif key == "goal":
-            try:
-                goal_spec = (int(parts[1]), int(parts[2]), line_no)
-            except ValueError:
-                raise MapParseError("bad goal values", line_no)
-        elif key == "mover":
-            try:
-                ticks = int(parts[1])
-            except ValueError:
-                raise MapParseError("bad ticks_per_move value", line_no)
-            try:
-                policy = MoverPolicy(parts[2].lower())
-            except ValueError:
-                raise MapParseError(f"unknown mover policy {parts[2]!r}", line_no)
-            checked_mover(line_no, ((0, 0),), ticks, policy)
-            pending = (ticks, policy, [], line_no)
-        else:  # wp
-            try:
-                col, row = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise MapParseError("bad waypoint values", line_no)
-            if pending[2]:
-                checked_mover(line_no, (pending[2][-1], (row, col)))
-            pending[2].append((row, col))
-            wp_lines.append(((row, col), line_no))
-
     last_line = text.count("\n") + 1
-    close_pending()
-
+    if prev == "mover":
+        raise MapParseError("mover block has no waypoints", blocks[-1][0])
     if not grid_rows:
         raise MapParseError("map has no grid rows", last_line)
-    if cell_size is None:
-        raise MapParseError("missing cellsize directive", last_line)
-    if start_spec is None:
-        raise MapParseError("missing start directive", last_line)
-    if goal_spec is None:
-        raise MapParseError("missing goal directive", last_line)
+    for key in ("cellsize", "start", "goal"):
+        if key not in found:
+            raise MapParseError(f"missing {key} directive", last_line)
 
     width = len(grid_rows[0][1])
     height = len(grid_rows)
@@ -298,19 +288,23 @@ def parse_map(text: str) -> ParsedMap:
     static = [row_text.encode().translate(_GRID_BYTES) for _, row_text in reversed(grid_rows)]
 
     # the grid may follow the mover blocks, so waypoints are checked only now
-    for (row, col), line_no in wp_lines:
-        if not (0 <= row < height and 0 <= col < width):
-            raise MapParseError(f"waypoint ({col}, {row}) outside the grid", line_no)
-    world = WorldMap(static, cell_size, tuple(movers))
+    for *_, waypoints in blocks:
+        for (row, col), line_no in waypoints:
+            if not (0 <= row < height and 0 <= col < width):
+                raise MapParseError(f"waypoint ({col}, {row}) outside the grid", line_no)
+    world = WorldMap(static, found["cellsize"][0][0], tuple(
+        MovingObstacle(tuple(cell for cell, _ in waypoints), ticks, policy)
+        for _, ticks, policy, waypoints in blocks))
 
     # the robot stands on the start at tick 0; a mover may cross the goal
-    for name, (col, row, *_, line_no) in (("start", start_spec), ("goal", goal_spec)):
+    for name in ("start", "goal"):
+        (col, row, *_), line_no = found[name]
         if not world.in_bounds((row, col)):
             raise MapParseError(f"{name} cell ({col}, {row}) outside the grid", line_no)
         if world.occupancy_at((row, col)) if name == "start" else world.cells[row * width + col]:
             raise MapParseError(f"{name} cell ({col}, {row}) is occupied", line_no)
-    s_col, s_row, psi_deg, _ = start_spec
-    g_col, g_row, _ = goal_spec
+    (s_col, s_row, psi_deg), _ = found["start"]
+    (g_col, g_row), _ = found["goal"]
 
     sx, sy = world.cell_center((s_row, s_col))
     start = Pose(sx, sy, math.radians(psi_deg))
@@ -319,5 +313,4 @@ def parse_map(text: str) -> ParsedMap:
 
 
 def load_map(path) -> ParsedMap:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_map(f.read())
+    return parse_map(_read_text(path, MapParseError))

@@ -217,7 +217,7 @@ class TestGridMemo:
     def test_past_the_bound_grids_are_made_but_not_kept(self, monkeypatch):
         from antnav import grid as grid_module
 
-        monkeypatch.setattr(grid_module, "MEMO_GRIDS", 2)
+        monkeypatch.setattr(grid_module, "MEMO_CELLS", 2 * 9 * 9)  # two 9 x 9 grids
         world = self.world()
         scan = _scan_args(*self.SCAN)
         poses = [Pose(x + 0.5, 10.5, 0.0) for x in range(5, 10)]
@@ -244,6 +244,20 @@ class TestGridMemo:
             assert stamp == (15.5, 15.5, config.weights) and prelude is not None
         assert records == [plan_cycle(self.world(), pose, (15.5, 15.5), config, 1, 0)
                            for pose in poses]
+
+    def test_no_entry_is_kept_at_the_grid_cap(self):
+        # an entry of a 513 x 513 grid holds 3.7 MB: a run at the cap keeps
+        # none, so each cycle perceives afresh and the run's memory stays flat
+        from pathlib import Path
+
+        from antnav import run
+        from antnav.scenario import parse_scenario
+
+        sc = parse_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "moving.scn")
+        aco = sc.config.aco.replace(n_ants=2, n_iters=1)
+        config = sc.config.replace(half_extent=MAX_HALF_EXTENT, aco=aco, max_robot_steps=5)
+        assert run(sc.replace(config=config)).metrics.cycles == 5
+        assert sc.world._memo == {}
 
     def test_a_stuck_prelude_is_kept_and_ends_the_cycle_before_any_trial(self):
         # sealed's robot stands in a closed pocket without the goal: the

@@ -659,7 +659,7 @@ def test_runs_sharing_a_world_match_runs_on_fresh_worlds(name, monkeypatch):
     # so they fill nothing
     from pathlib import Path
 
-    from antnav.grid import MEMO_GRIDS
+    from antnav.grid import MEMO_CELLS
     from antnav.scenario import parse_groups, parse_scenario, with_planner, with_seed, with_weights
 
     scenarios = Path(__file__).resolve().parent.parent / "scenarios"
@@ -719,7 +719,7 @@ def test_runs_sharing_a_world_match_runs_on_fresh_worlds(name, monkeypatch):
             assert result.poses == alone.poses and result.records == alone.records
             assert repr((result.poses, result.records)) == repr((alone.poses, alone.records))
     # one perceive per distinct key, and one fill per change of a key's stamp
-    assert len(perceived) == len(stamps) == len(shared.world._memo) < MEMO_GRIDS
+    assert len(perceived) == len(stamps) == len(shared.world._memo) < MEMO_CELLS // 9 ** 2
     assert fills == [stamp for *_, stamp in changes] and len(set(fills)) == 3
     # colony cycles filled entries APF made, and filled in place of another
     # goal's or other weights' preludes

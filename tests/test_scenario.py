@@ -286,6 +286,40 @@ def test_bad_numbers_exit_one_at_their_line(tmp_path, capsys, map_text, scn_extr
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key,map_text,line", [
+    ("cellsize", MAP.replace("start", "cellsize 2.0\nstart", 1), 2),
+    ("start", MAP.replace("goal 4 4", "goal 4 4\nstart 2 2 0"), 4),
+    ("goal", MAP + "goal 3 3\n", 10),  # after the grid
+], ids=["cellsize", "start", "goal"])
+def test_a_repeated_map_directive_exits_one_at_its_second_line(tmp_path, capsys, key, map_text,
+                                                               line):
+    (tmp_path / "m.map").write_text(map_text)
+    (tmp_path / "s.scn").write_text("format 1\nmap m.map\n")
+    code = main(["run", "--scenario", str(tmp_path / "s.scn"), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: line {line}: duplicate directive {key!r}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name,line", [("m.map", 3), ("s.scn", 2), ("w.groups", 3)])
+def test_non_utf8_bytes_exit_one_at_their_line(tmp_path, capsys, name, line):
+    # CR LF and a lone CR end lines as open() reads them; the bad byte is on `line`
+    files = {"m.map": MAP.encode(), "s.scn": b"format 1\r\nmap m.map\r\n",
+             "w.groups": b"g1 4 1.8 1 1 0\r\rg2 4 1.8 1 0.7 0.3\n\n"}
+    lines = files[name].splitlines(keepends=True)
+    lines[line - 1] = b"\xff" + lines[line - 1]
+    files[name] = b"".join(lines)
+    for file, data in files.items():
+        (tmp_path / file).write_bytes(data)
+    code = main(["sweep", "--scenario", str(tmp_path / "s.scn"), "--groups",
+                 str(tmp_path / "w.groups"), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: line {line}: ") and err.endswith(
+        f"{name} is not UTF-8: byte 0xff does not decode\n"), err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("scn_text,line", [
     ("format 1\nmap m.map\n", 2),
     ("format 1\nseed 3\nants 6\nmap m.map\n", 4),
@@ -331,13 +365,14 @@ _SCN_KEYS = sorted([*_DIRECTIVES, "format"])
 
 @st.composite
 def mutated_texts(draw):
-    """The map and scenario texts with a few lines replaced, dropped, repeated or added."""
+    """The map and scenario texts with a few lines replaced, dropped, repeated or
+    added, or a byte that is not UTF-8 (written with surrogateescape)."""
     files = [MOVER_MAP.splitlines(), SCN.splitlines()]
     for _ in range(draw(st.integers(1, 4))):
         which = draw(st.integers(0, 1))
         lines = files[which]
         at = draw(st.integers(0, len(lines)))
-        op = draw(st.sampled_from(["token", "drop", "repeat", "add"]))
+        op = draw(st.sampled_from(["token", "drop", "repeat", "add", "byte"]))
         if op == "token" and at < len(lines) and lines[at].split():
             parts = lines[at].split()  # a value, or the whole of a grid row
             parts[draw(st.integers(min(1, len(parts) - 1), len(parts) - 1))] = \
@@ -347,6 +382,9 @@ def mutated_texts(draw):
             del lines[at]
         elif op == "repeat" and at < len(lines):
             lines.insert(at, lines[at])
+        elif op == "byte" and at < len(lines):  # written as the byte 0xff, not UTF-8
+            pos = draw(st.integers(0, len(lines[at])))
+            lines[at] = lines[at][:pos] + "\udcff" + lines[at][pos:]
         else:
             key = draw(st.sampled_from(_SCN_KEYS if which else _MAP_KEYS))
             values = draw(st.lists(st.sampled_from(_TOKENS), max_size=3))
@@ -379,8 +417,8 @@ def test_mutated_inputs_fail_only_with_antnav_errors(texts):
     finite numbers in the configuration and the endpoints, movers inside the grid."""
     map_text, scn_text = texts
     with tempfile.TemporaryDirectory() as tmp:
-        (Path(tmp) / "tiny.map").write_text(map_text)
-        (Path(tmp) / "tiny.scn").write_text(scn_text)
+        (Path(tmp) / "tiny.map").write_bytes(map_text.encode("utf-8", "surrogateescape"))
+        (Path(tmp) / "tiny.scn").write_bytes(scn_text.encode("utf-8", "surrogateescape"))
         try:
             sc = parse_scenario(Path(tmp) / "tiny.scn")
         except AntnavError:
@@ -471,11 +509,12 @@ GROUPS = (SHIPPED / "weights.groups").read_text()
 
 @st.composite
 def mutated_groups(draw):
-    """The shipped groups file with a few tokens replaced, lines dropped, repeated or added."""
+    """The shipped groups file with a few tokens replaced, lines dropped, repeated or
+    added, or a byte that is not UTF-8 (written with surrogateescape)."""
     lines = GROUPS.splitlines()
     for _ in range(draw(st.integers(1, 4))):
         at = draw(st.integers(0, len(lines)))
-        op = draw(st.sampled_from(["token", "drop", "repeat", "add"]))
+        op = draw(st.sampled_from(["token", "drop", "repeat", "add", "byte"]))
         if op == "token" and at < len(lines) and lines[at].split():
             parts = lines[at].split()
             parts[draw(st.integers(0, len(parts) - 1))] = draw(st.sampled_from(_TOKENS))
@@ -484,6 +523,9 @@ def mutated_groups(draw):
             del lines[at]
         elif op == "repeat" and at < len(lines):
             lines.insert(at, lines[at])
+        elif op == "byte" and at < len(lines):  # written as the byte 0xff, not UTF-8
+            pos = draw(st.integers(0, len(lines[at])))
+            lines[at] = lines[at][:pos] + "\udcff" + lines[at][pos:]
         else:
             lines.insert(at, " ".join(draw(st.lists(st.sampled_from(_TOKENS + ["g", ";"]),
                                                     max_size=7))))
@@ -505,7 +547,7 @@ def test_mutated_groups_fail_only_with_antnav_errors(text):
     delta/zeta pair AcoParams accepts."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "w.groups"
-        path.write_text(text)
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
         try:
             groups = parse_groups(path)
         except AntnavError:

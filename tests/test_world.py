@@ -1,10 +1,12 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from antnav import MapParseError, MovingObstacle, MoverPolicy, OutOfBounds, parse_map
-from antnav.world import WorldMap
+from antnav.world import _MAP_DIRECTIVES, WorldMap
 
 from stages import occupancy
 
@@ -300,6 +302,16 @@ class TestMapParsing:
         with pytest.raises(MapParseError) as err:
             parse_map(text)
         assert err.value.line_no == line
+
+    def test_directive_table_matches_the_readme(self):
+        # README's map usage lines: the backticked spans with a <value>, before the scenario
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme[readme.index("**Map** (`*.map`)"):readme.index("**Scenario** (`*.scn`)")]
+        usages = [" ".join(span.split()) for span in re.findall(r"`([^`]+)`", section)
+                  if "<" in span]
+        assert sorted(usages) == sorted(usage for usage, _, _ in _MAP_DIRECTIVES.values())
+        for key, (usage, parsers, _) in _MAP_DIRECTIVES.items():
+            assert usage.split()[0] == key and len(usage.split()) == len(parsers) + 1
 
     def test_missing_pieces_rejected(self):
         with pytest.raises(MapParseError):
